@@ -13,9 +13,9 @@ import (
 
 	"saco"
 	"saco/internal/bench"
-	"saco/internal/core"
 	"saco/internal/mat"
 	"saco/internal/mpi"
+	"saco/internal/rng"
 )
 
 func sizeName(prefix string, n int) string { return fmt.Sprintf("%s=%d", prefix, n) }
@@ -241,10 +241,10 @@ func BenchmarkKernelAllreduce(b *testing.B) {
 func BenchmarkKernelGram(b *testing.B) {
 	data := saco.Regression("gram", 1, 4000, 2000, 0.01, 10, 0)
 	csc := data.CSR.ToCSC()
-	smp := core.NewBlockSampler(&saco.LassoOptions{BlockSize: 8, Seed: 1}, 2000)
+	r := rng.New(1)
 	cols := make([]int, 0, 8*32)
 	for j := 0; j < 32; j++ {
-		cols = append(cols, smp.Next()...)
+		cols = append(cols, r.SampleK(2000, 8)...)
 	}
 	g := make([]float64, len(cols)*len(cols))
 	gd := benchDense(len(cols), g)

@@ -41,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -190,9 +191,15 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
 	// runCtx scopes every background loop (refit file replay, /learn
-	// refit streams); stop() on shutdown ends them all.
+	// refit streams); stop() on shutdown ends them all, and run returns
+	// only once the /learn streams have, so none publishes a model file
+	// into -models behind the caller's back.
 	runCtx, stop := context.WithCancel(ctx)
-	defer stop()
+	var learners sync.WaitGroup
+	defer func() {
+		stop()
+		learners.Wait()
+	}()
 
 	mr := saco.NewMetricsRegistry()
 	opt := saco.ServeOptions{
@@ -210,7 +217,9 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 				label = "model"
 			}
 			fmt.Fprintf(stdout, "learn: refit stream started for %s\n", label)
+			learners.Add(1)
 			go func() {
+				defer learners.Done()
 				err := saco.RefitStream(runCtx, reg, buf, saco.RefitOptions{
 					Every: c.refitEvery, Workers: c.refitW, Seed: c.refitSeed,
 					BlockSize: c.refitMu, Lambda: c.refitLambda, Kind: kind,

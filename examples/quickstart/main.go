@@ -43,12 +43,12 @@ func main() {
 	// (the paper's Fig. 3 uses s = 8–32 for BCD); s = 16 here.
 	cluster := saco.Cluster{P: 16, Machine: saco.CrayXC30()}
 	opt.S = 1
-	dClassic, err := saco.SimulateLasso(data.AsCSR(), data.B, opt, cluster)
+	dClassic, err := saco.DistLasso(saco.MatrixSource(data.AsCSR()), data.B, opt, cluster)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opt.S = 16
-	dSA, err := saco.SimulateLasso(data.AsCSR(), data.B, opt, cluster)
+	dSA, err := saco.DistLasso(saco.MatrixSource(data.AsCSR()), data.B, opt, cluster)
 	if err != nil {
 		log.Fatal(err)
 	}

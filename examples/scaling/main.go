@@ -30,14 +30,14 @@ func main() {
 	for _, p := range []int{8, 16, 32, 64} {
 		cluster := saco.Cluster{P: p, Machine: saco.CrayXC30()}
 		opt.S = 1
-		classic, err := saco.SimulateLasso(a, data.B, opt, cluster)
+		classic, err := saco.DistLasso(saco.MatrixSource(a), data.B, opt, cluster)
 		if err != nil {
 			log.Fatal(err)
 		}
 		bestT, bestS := -1.0, 1
 		for _, s := range []int{8, 32, 128, 512} {
 			opt.S = s
-			sa, err := saco.SimulateLasso(a, data.B, opt, cluster)
+			sa, err := saco.DistLasso(saco.MatrixSource(a), data.B, opt, cluster)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -43,14 +43,14 @@ func main() {
 	// Cluster comparison: classical vs SA at several s (Table V style).
 	cluster := saco.Cluster{P: 24, Machine: saco.CrayXC30()}
 	opt.TrackEvery = 0
-	classic, err := saco.SimulateSVM(data.AsCSR(), data.B, opt, cluster)
+	classic, err := saco.DistSVM(saco.MatrixSource(data.AsCSR()), data.B, opt, cluster)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated cluster (P=24): SVM-L1 modeled time %.4es\n", classic.ModeledSeconds())
 	for _, s := range []int{16, 64, 128} {
 		opt.S = s
-		sa, err := saco.SimulateSVM(data.AsCSR(), data.B, opt, cluster)
+		sa, err := saco.DistSVM(saco.MatrixSource(data.AsCSR()), data.B, opt, cluster)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,8 +8,9 @@
 // Scaling note: the experiments run the paper's parameter grids on
 // scaled-down replicas (see internal/datagen) and rank counts (the paper
 // uses 192–12,288 MPI processes; the simulator runs 4–64 goroutine ranks
-// and models Cray XC30 time with the α-β-γ model). EXPERIMENTS.md records
-// paper-vs-measured values for every artifact.
+// and models Cray XC30 time with the α-β-γ model). Measured (not
+// modeled) solve times are the repository benchmark's job: see
+// benchmarks/README.md.
 package bench
 
 import (

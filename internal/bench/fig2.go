@@ -26,7 +26,7 @@ type Fig2Result struct {
 // paper's x-axes (scaled); the unrolling values keep the batched Gram
 // dimension s·µ near 1000, the paper's most aggressive setting (for µ = 8
 // the paper's s = 1000 would need a 8000² Gram matrix, so s = 128 keeps
-// the same conditioning stress at feasible memory — see EXPERIMENTS.md).
+// the same conditioning stress at feasible memory).
 var fig2Spec = []struct {
 	name        string
 	iters       int

@@ -64,8 +64,8 @@ func splitIters(total, w, k int) int {
 }
 
 // lassoAsync is the HOGWILD! (block) coordinate-descent Lasso solver:
-// the same proximal step as lassoPlain, but performed by concurrent
-// workers against a shared iterate x and shared residual image
+// the same proximal step as plainLasso at s = 1, but performed by
+// concurrent workers against a shared iterate x and shared residual image
 // r = A·x − b held in atomic vectors. Stale gradient reads and
 // interleaved updates replace the sequential ordering; the step
 // (1/λmax of the sampled block) is scaled by the collision damping of

@@ -100,7 +100,7 @@ func NewAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*As
 	if vopt.Iters <= 0 {
 		vopt.Iters = 1 // the stepper has no iteration budget to validate
 	}
-	if err := vopt.validate(m, n, len(b)); err != nil {
+	if err := vopt.Validate(m, n, len(b)); err != nil {
 		return nil, err
 	}
 	if workers < 1 {
@@ -162,8 +162,8 @@ func (s *AsyncLasso) ObjectiveAt(x []float64) float64 {
 // sampling stream and scratch buffers; one worker must not be stepped
 // from two goroutines, but distinct workers may run concurrently.
 func (s *AsyncLasso) Worker(k int) *AsyncLassoWorker {
-	smp := &BlockSampler{r: s.streams[k], n: s.n, mu: s.opt.mu(), groups: s.opt.Groups}
-	muMax := smp.MaxBlock()
+	smp := &blockSampler{r: s.streams[k], n: s.n, mu: s.opt.mu(), groups: s.opt.Groups}
+	muMax := smp.maxBlock()
 	return &AsyncLassoWorker{
 		s: s, smp: smp,
 		gram:  mat.NewDense(muMax, muMax),
@@ -178,7 +178,7 @@ func (s *AsyncLasso) Worker(k int) *AsyncLassoWorker {
 // stream and scratch, shared atomic iterate and residual.
 type AsyncLassoWorker struct {
 	s                     *AsyncLasso
-	smp                   *BlockSampler
+	smp                   *blockSampler
 	gram                  *mat.Dense
 	grad, wbuf, gv, delta []float64
 }
@@ -190,7 +190,7 @@ type AsyncLassoWorker struct {
 // damping.
 func (w *AsyncLassoWorker) Step() {
 	s := w.s
-	idx := w.smp.Next()
+	idx := w.smp.next()
 	mu := len(idx)
 	gb := mat.NewDenseData(mu, mu, w.gram.Data[:mu*mu])
 	s.ac.ColGram(idx, gb) // read-only: plain kernel is safe
@@ -204,7 +204,7 @@ func (w *AsyncLassoWorker) Step() {
 			w.gv[i] = w.wbuf[i] - eta*w.grad[i]
 		}
 	} else {
-		eta = BigEta
+		eta = bigEta
 		copy(w.gv[:mu], w.wbuf[:mu])
 	}
 	s.g.Prox(eta, w.gv[:mu])
@@ -248,7 +248,7 @@ func NewAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*AsyncS
 	if workers < 1 {
 		workers = 1
 	}
-	gamma, nu := opt.GammaNu()
+	gamma, nu := opt.gammaNu()
 
 	alpha := make([]float64, m)
 	x := make([]float64, n)
@@ -322,11 +322,11 @@ func (w *AsyncSVMWorker) Step() {
 	for {
 		ai := s.av.Load(i)
 		g := s.b[i]*dot - 1 + s.gamma*ai
-		if gt := Clip(ai-g, 0, s.nu) - ai; gt == 0 {
+		if gt := clip(ai-g, 0, s.nu) - ai; gt == 0 {
 			theta = 0
 			break
 		}
-		theta = Clip(ai-g/eta, 0, s.nu) - ai
+		theta = clip(ai-g/eta, 0, s.nu) - ai
 		if theta == 0 || s.av.CompareAndSwap(i, ai, ai+theta) {
 			break
 		}

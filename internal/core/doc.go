@@ -17,13 +17,22 @@
 // coordinate-descent method of Hsieh et al. (Alg. 3) and SA-SVM (Alg. 4,
 // eqs. 14–15) for both the L1 and L2 hinge losses.
 //
-// The SA reformulations only rearrange arithmetic, so with the same seed
-// an SA run reproduces the classical iterate sequence up to floating-point
-// roundoff (the paper's Table III: final relative objective differences at
-// machine precision). The tests in this package verify that invariant
-// directly.
+// Each recurrence is written once, in the batched SA form, and runs on
+// the one batch driver of stepper.go: sample S blocks, compute the local
+// Gram and hoisted products, reduce, take S communication-free inner
+// steps. The classical Alg. 1/3 are that driver at S = 1 (golden_test.go
+// pins their recorded bits), not separate loops. The SA reformulations
+// only rearrange arithmetic, so with the same seed an S > 1 run reproduces
+// the classical iterate sequence up to floating-point roundoff (the
+// paper's Table III: final relative objective differences at machine
+// precision). The tests in this package verify that invariant directly.
 //
-// This package is deliberately communication-free; package dist runs the
-// same mathematics over the simulated message-passing runtime and charges
-// the costs of Table I.
+// This package is deliberately communication-free. The driver's seam — a
+// Reducer that sums the local Gram and products over ranks, an Observer
+// that watches batches, steps and measurements — is how package dist runs
+// the very same loop over a rank's block of the matrix: its Reducer is
+// one Allreduce, its Observer charges the costs of Table I, stamps the
+// trace and checkpoints. Lasso and SVM here are the loop with both nil.
+// The HOGWILD! solvers of async.go are a different algorithm and keep
+// their own implementation.
 package core

@@ -23,7 +23,7 @@ import (
 //
 // The remaining execution modes — the simulated distributed cluster and
 // its hybrid rank×thread variant — live in package dist (see
-// saco.SimulateLasso / saco.SimulateSVM and Cluster.RankWorkers).
+// saco.DistLasso / saco.DistSVM and Cluster.RankWorkers).
 type Backend int
 
 const (

@@ -8,239 +8,155 @@ import (
 )
 
 // Lasso solves min_x ½‖Ax−b‖² + g(x) with randomized (block) coordinate
-// descent. Options select plain vs accelerated (Alg. 1) and classical vs
-// synchronization-avoiding (Alg. 2, S > 1) variants; all four share the
-// coordinate-sampling and step-size rules so that SA and classical runs
-// with equal seeds produce the same iterate sequence in exact arithmetic.
+// descent. Options select plain vs accelerated and the unrolling depth S;
+// every combination runs the one batch driver of stepper.go, the
+// classical Alg. 1 being its S <= 1 case, so SA and classical runs with
+// equal seeds produce the same iterate sequence in exact arithmetic.
 func Lasso(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
-	m, n := a.Dims()
-	if err := opt.validate(m, n, len(b)); err != nil {
-		return nil, err
-	}
 	if opt.Exec.Backend == BackendAsync {
 		// Lock-free HOGWILD! execution: S is moot (there is no
 		// synchronization left to avoid) and TrackEvery is skipped — see
 		// async.go for the contract.
+		m, n := a.Dims()
+		if err := opt.Validate(m, n, len(b)); err != nil {
+			return nil, err
+		}
 		return lassoAsync(a, b, opt)
 	}
-	a = execCol(a, opt.Exec)
-	if opt.Accelerated {
-		if opt.S > 1 {
-			return lassoAccSA(a, b, opt)
-		}
-		return lassoAcc(a, b, opt)
+	st, err := NewLassoStepper(execCol(a, opt.Exec), b, opt, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	if opt.S > 1 {
-		return lassoPlainSA(a, b, opt)
-	}
-	return lassoPlain(a, b, opt)
+	return st.Run()
 }
 
-// BlockSampler yields the coordinate block of each iteration: either µ
-// uniform draws without replacement or one whole group. It is exported
-// for package dist, which must reproduce the exact sampling sequence of
-// the sequential solvers (the replicated-seed discipline).
-type BlockSampler struct {
+// blockSampler yields the coordinate block of each iteration: either µ
+// uniform draws without replacement or one whole group.
+type blockSampler struct {
 	r      *rng.Stream
 	n, mu  int
 	groups [][]int
 }
 
-// NewBlockSampler builds the sampler for the given options and feature
-// count.
-func NewBlockSampler(opt *LassoOptions, n int) *BlockSampler {
-	return &BlockSampler{r: rng.New(opt.Seed), n: n, mu: opt.mu(), groups: opt.Groups}
+func newBlockSampler(opt *LassoOptions, n int) *blockSampler {
+	return &blockSampler{r: rng.New(opt.Seed), n: n, mu: opt.mu(), groups: opt.Groups}
 }
 
-// Stream exposes the sampler's generator so checkpoint codecs can
-// snapshot and restore the sampling position (rng.State) — a restarted
-// rank must resume the exact draw sequence for the replicated-seed
-// discipline to survive the restart.
-func (s *BlockSampler) Stream() *rng.Stream { return s.r }
-
-// Next returns the next sampled block (Alg. 1 line 5 / Alg. 2 line 6).
-func (s *BlockSampler) Next() []int {
+// next returns the next sampled block (Alg. 1 line 5 / Alg. 2 line 6).
+func (s *blockSampler) next() []int {
 	if s.groups != nil {
 		return s.groups[s.r.Intn(len(s.groups))]
 	}
 	return s.r.SampleK(s.n, s.mu)
 }
 
-// NumBlocks returns q, the block count of the acceleration schedule
+// numBlocks returns q, the block count of the acceleration schedule
 // (Alg. 1 line 3: q = ⌈n/µ⌉, or the number of groups).
-func (s *BlockSampler) NumBlocks() int {
+func (s *blockSampler) numBlocks() int {
 	if s.groups != nil {
 		return len(s.groups)
 	}
 	return (s.n + s.mu - 1) / s.mu
 }
 
-// Theta0 returns the initial acceleration parameter (Alg. 1 line 2:
+// theta0 returns the initial acceleration parameter (Alg. 1 line 2:
 // θ₀ = µ/n; 1/#groups under group sampling).
-func (s *BlockSampler) Theta0() float64 {
+func (s *blockSampler) theta0() float64 {
 	if s.groups != nil {
 		return 1 / float64(len(s.groups))
 	}
 	return float64(s.mu) / float64(s.n)
 }
 
-// MaxBlock returns the largest block size the solver must buffer for.
-func (s *BlockSampler) MaxBlock() int {
+// maxBlock returns the largest block size the solver must buffer for.
+func (s *blockSampler) maxBlock() int {
 	if s.groups == nil {
 		return s.mu
 	}
 	m := 0
 	for _, g := range s.groups {
-		if len(g) > m {
-			m = len(g)
-		}
+		m = max(m, len(g))
 	}
 	return m
 }
 
-// BigEta is the step size used when a sampled block has only zero
-// columns (λmax = 0): the proximal step with an effectively infinite step
-// drives the block to the penalty's minimizer without producing NaNs from
-// ∞·0 products.
-const BigEta = 1e300
+// LassoStepper is the batch driver around the Lasso recurrences: a is
+// the whole matrix, or one rank's row block of it with b the matching
+// slice and red summing over the ranks.
+type LassoStepper struct {
+	Stepper
+	blk *lassoBlock
+}
 
-// lassoPlain is classical (non-accelerated) CD/BCD: proximal gradient on
-// the sampled block with the optimal step 1/λmax(A_IᵀA_I), maintaining
-// the residual r = A·x − b.
-func lassoPlain(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
+// NewLassoStepper validates opt against the block it is handed and
+// builds the solver at iteration zero: the initial residual image is
+// computed here. red and obs may be nil.
+func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, obs Observer) (*LassoStepper, error) {
 	m, n := a.Dims()
-	g := opt.Regularizer()
-	smp := NewBlockSampler(&opt, n)
-
+	if err := opt.Validate(m, n, len(b)); err != nil {
+		return nil, err
+	}
+	smp := newBlockSampler(&opt, n)
+	s, muMax := max(1, opt.S), smp.maxBlock()
+	k := s * muMax
+	blk := &lassoBlock{a: a, g: opt.Regularizer(), smp: smp,
+		deltas:  mat.NewDense(s, muMax),
+		diagBuf: make([]float64, muMax*muMax),
+		grad:    make([]float64, muMax),
+		w:       make([]float64, muMax),
+		gv:      make([]float64, muMax),
+	}
+	st := &LassoStepper{blk: blk}
+	blk.d = &st.Stepper
+	// The iterate starts at X0 (x₀ = θ₀²·y₀ + z₀ with y₀ = 0 when
+	// accelerated) and its image at A·x₀ − b.
 	x := make([]float64, n)
 	if opt.X0 != nil {
 		copy(x, opt.X0)
 	}
 	r := make([]float64, m)
 	a.MulVec(x, r)
-	mat.Axpy(-1, b, r) // r = A·x0 − b
-
-	muMax := smp.MaxBlock()
-	gram := mat.NewDense(muMax, muMax)
-	grad := make([]float64, muMax)
-	w := make([]float64, muMax)
-	gv := make([]float64, muMax)
-	delta := make([]float64, muMax)
-
-	res := &LassoResult{Iters: opt.Iters}
-	for h := 1; h <= opt.Iters; h++ {
-		idx := smp.Next()
-		mu := len(idx)
-		gb := mat.NewDenseData(mu, mu, gram.Data[:mu*mu])
-		a.ColGram(idx, gb)
-		v := blockLargestEig(gb)
-		a.ColTMulVec(idx, r, grad[:mu])
-		mat.Gather(w[:mu], x, idx)
-		var eta float64
-		if v > 0 {
-			eta = 1 / v
-			for k := 0; k < mu; k++ {
-				gv[k] = w[k] - eta*grad[k]
-			}
-		} else {
-			eta = BigEta
-			copy(gv[:mu], w[:mu])
+	mat.Axpy(-1, b, r)
+	var rec recurrence
+	if opt.Accelerated {
+		acc := &accLasso{
+			lassoBlock: blk, q: float64(smp.numBlocks()),
+			z: x, y: make([]float64, n), zt: r, yt: make([]float64, m), // y₀ = 0 and ỹ = A·y₀
+			ytP: make([]float64, k), ztP: make([]float64, k),
+			dCoef: make([]float64, s), scaled: make([]float64, muMax),
 		}
-		g.Prox(eta, gv[:mu])
-		for k := 0; k < mu; k++ {
-			delta[k] = gv[k] - w[k]
-		}
-		mat.ScatterAdd(x, delta[:mu], idx)
-		a.ColMulAdd(idx, delta[:mu], r)
-		if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-			res.History = append(res.History, TracePoint{Iter: h, Value: LassoObjective(r, x, g)})
-		}
+		st.theta = smp.theta0() // Alg. 1 line 2
+		st.state = [][]float64{acc.z, acc.y, acc.zt, acc.yt}
+		blk.iterate, rec = acc.form, acc
+	} else {
+		plain := &plainLasso{lassoBlock: blk, x: x, r: r, rP: make([]float64, k)}
+		st.state = [][]float64{x, r}
+		blk.iterate, rec = plain.form, plain
 	}
-	res.X = x
-	res.Objective = LassoObjective(r, x, g)
-	return res, nil
+	st.init(rec, smp.r, red, obs, opt.Iters, s, opt.TrackEvery, muMax)
+	return st, nil
 }
 
-// lassoAcc is Alg. 1: accelerated (acc)BCD with the Fercoq–Richtárik
-// θ-schedule. State: z, y ∈ Rⁿ and their images ỹ = A·y, z̃ = A·z − b.
-func lassoAcc(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
-	m, n := a.Dims()
-	g := opt.Regularizer()
-	smp := NewBlockSampler(&opt, n)
-	q := float64(smp.NumBlocks())
-	theta := smp.Theta0() // line 2
-
-	z := make([]float64, n)
-	if opt.X0 != nil {
-		copy(z, opt.X0) // x₀ = θ₀²·y₀ + z₀ with y₀ = 0
+// Run iterates to the budget and evaluates the final objective. In a
+// distributed solve the objective is the global one and X, being
+// replicated, is complete on every rank.
+func (st *LassoStepper) Run() (*LassoResult, error) {
+	if err := st.run(); err != nil {
+		return nil, err
 	}
-	y := make([]float64, n)
-	zt := make([]float64, m) // z̃ = A·z − b
-	a.MulVec(z, zt)
-	mat.Axpy(-1, b, zt)
-	yt := make([]float64, m) // ỹ = A·y = 0
-
-	muMax := smp.MaxBlock()
-	gram := mat.NewDense(muMax, muMax)
-	ry := make([]float64, muMax)
-	rz := make([]float64, muMax)
-	w := make([]float64, muMax)
-	gv := make([]float64, muMax)
-	delta := make([]float64, muMax)
-	scaled := make([]float64, muMax)
-
-	res := &LassoResult{Iters: opt.Iters}
-	for h := 1; h <= opt.Iters; h++ {
-		idx := smp.Next()
-		mu := len(idx)
-		gb := mat.NewDenseData(mu, mu, gram.Data[:mu*mu])
-		a.ColGram(idx, gb) // line 8
-		v := blockLargestEig(gb)
-
-		// line 9: r = A_hᵀ(θ²ỹ + z̃), assembled from two products so the
-		// m-vector θ²ỹ + z̃ is never materialized.
-		a.ColTMulVec(idx, yt, ry[:mu])
-		a.ColTMulVec(idx, zt, rz[:mu])
-		th2 := theta * theta
-		mat.Gather(w[:mu], z, idx)
-		var eta float64
-		if v > 0 {
-			eta = 1 / (q * theta * v) // line 11
-			for k := 0; k < mu; k++ {
-				gv[k] = w[k] - eta*(th2*ry[k]+rz[k]) // line 12
-			}
-		} else {
-			eta = BigEta
-			copy(gv[:mu], w[:mu])
-		}
-		g.Prox(eta, gv[:mu]) // line 13 (soft threshold for L1)
-		for k := 0; k < mu; k++ {
-			delta[k] = gv[k] - w[k]
-		}
-
-		// lines 14–17: vector updates.
-		d := (1 - q*theta) / th2
-		mat.ScatterAdd(z, delta[:mu], idx)
-		a.ColMulAdd(idx, delta[:mu], zt)
-		mat.ScatterAxpy(-d, y, delta[:mu], idx)
-		for k := 0; k < mu; k++ {
-			scaled[k] = -d * delta[k]
-		}
-		a.ColMulAdd(idx, scaled[:mu], yt)
-
-		// line 18: θ advance.
-		theta = NextTheta(theta)
-
-		if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-			res.History = append(res.History, TracePoint{Iter: h, Value: accObjective(theta, y, z, yt, zt, g)})
-		}
+	obj, err := st.measure(st.blk.objective)
+	if err != nil {
+		return nil, err
 	}
-	res.X = accSolution(theta, y, z)
-	rfinal := make([]float64, m)
-	accResidual(theta, yt, zt, rfinal)
-	res.Objective = LassoObjective(rfinal, res.X, g)
-	return res, nil
+	x, _ := st.blk.iterate()
+	return &LassoResult{X: x, Objective: obj, History: st.blk.history, Iters: st.h}, nil
 }
+
+// bigEta is the step size used when a sampled block has only zero
+// columns (λmax = 0): the proximal step with an effectively infinite step
+// drives the block to the penalty's minimizer without producing NaNs from
+// ∞·0 products.
+const bigEta = 1e300
 
 // blockLargestEig returns λmax of the µ×µ Gram block (Alg. 1 line 10),
 // with the scalar fast path for CD.
@@ -251,36 +167,9 @@ func blockLargestEig(g *mat.Dense) float64 {
 	return mat.LargestEigSym(g)
 }
 
-// NextTheta advances the acceleration parameter (Alg. 1 line 18):
+// nextTheta advances the acceleration parameter (Alg. 1 line 18):
 // θ⁺ = (√(θ⁴+4θ²) − θ²)/2.
-func NextTheta(theta float64) float64 {
+func nextTheta(theta float64) float64 {
 	t2 := theta * theta
 	return (math.Sqrt(t2*t2+4*t2) - t2) / 2
-}
-
-// accSolution reconstructs x = θ²·y + z (Alg. 1 line 19).
-func accSolution(theta float64, y, z []float64) []float64 {
-	x := make([]float64, len(z))
-	th2 := theta * theta
-	for i := range x {
-		x[i] = th2*y[i] + z[i]
-	}
-	return x
-}
-
-// accResidual writes A·x − b = θ²·ỹ + z̃ into dst.
-func accResidual(theta float64, yt, zt, dst []float64) {
-	th2 := theta * theta
-	for i := range dst {
-		dst[i] = th2*yt[i] + zt[i]
-	}
-}
-
-// accObjective evaluates the implicit iterate's objective without
-// disturbing solver state.
-func accObjective(theta float64, y, z, yt, zt []float64, g Regularizer) float64 {
-	x := accSolution(theta, y, z)
-	r := make([]float64, len(yt))
-	accResidual(theta, yt, zt, r)
-	return LassoObjective(r, x, g)
 }

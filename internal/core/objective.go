@@ -38,14 +38,13 @@ func svmPrimal(margins, b []float64, lambda float64, loss SVMLoss) float64 {
 // (0 for L1, 1/(2λ) for L2). Strong duality makes the gap a rigorous
 // optimality certificate, the criterion used in Fig. 5 and Table V.
 func SVMObjectives(x, alpha, margins, b []float64, lambda, gamma float64, loss SVMLoss) (primal, dual, gap float64) {
-	return SVMObjectivesFromParts(mat.Nrm2Sq(x), alpha, margins, b, lambda, gamma, loss)
+	return svmObjectives(mat.Nrm2Sq(x), alpha, margins, b, lambda, gamma, loss)
 }
 
-// SVMObjectivesFromParts is SVMObjectives with ‖x‖² already reduced. The
-// distributed solver owns only a column slice of x per rank and sums the
-// squared norms with an Allreduce, so it cannot hand over the full
-// vector.
-func SVMObjectivesFromParts(xNormSq float64, alpha, margins, b []float64, lambda, gamma float64, loss SVMLoss) (primal, dual, gap float64) {
+// svmObjectives is SVMObjectives with ‖x‖² already reduced: a rank of a
+// distributed solve owns only a column slice of x and sums the squared
+// norms over the ranks.
+func svmObjectives(xNormSq float64, alpha, margins, b []float64, lambda, gamma float64, loss SVMLoss) (primal, dual, gap float64) {
 	primal = 0.5*xNormSq + svmPrimal(margins, b, lambda, loss)
 	var sumAlpha, alphaSq float64
 	for _, a := range alpha {
@@ -72,9 +71,8 @@ func LambdaMaxL1(a ColMatrix, b []float64) float64 {
 	return mat.AmaxAbs(dst)
 }
 
-// Clip returns v clamped to [lo, hi]; exported for package dist, whose
-// ranks replicate the projected dual coordinate step.
-func Clip(v, lo, hi float64) float64 {
+// clip returns v clamped to [lo, hi].
+func clip(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
 	}

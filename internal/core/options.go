@@ -64,8 +64,10 @@ func (o *LassoOptions) mu() int {
 	return o.BlockSize
 }
 
-// validate checks the options against the problem dimensions.
-func (o *LassoOptions) validate(m, n int, lenB int) error {
+// Validate checks the options against an m×n problem with lenB targets.
+// Every deterministic entry point — Lasso here, the rank bodies of package
+// dist — rejects a bad configuration with this one error.
+func (o *LassoOptions) Validate(m, n int, lenB int) error {
 	if lenB != m {
 		return fmt.Errorf("core: len(b)=%d does not match %d rows", lenB, m)
 	}
@@ -178,10 +180,9 @@ type SVMOptions struct {
 	Exec Exec
 }
 
-// GammaNu returns the γ and ν constants of Alg. 4 line 1:
-// γ = 0, ν = λ for SVM-L1; γ = 1/(2λ), ν = ∞ for SVM-L2. Exported for
-// package dist, whose ranks replicate the dual update arithmetic.
-func (o *SVMOptions) GammaNu() (gamma, nu float64) {
+// gammaNu returns the γ and ν constants of Alg. 4 line 1:
+// γ = 0, ν = λ for SVM-L1; γ = 1/(2λ), ν = ∞ for SVM-L2.
+func (o *SVMOptions) gammaNu() (gamma, nu float64) {
 	if o.Loss == SVML2 {
 		return 0.5 / o.Lambda, inf
 	}

@@ -2,269 +2,213 @@ package core
 
 import "saco/internal/mat"
 
-// This file implements the synchronization-avoiding Lasso solvers
-// (Alg. 2). The recurrences of Alg. 1 are unrolled s steps: all matrix
-// products that would require a reduction in the distributed setting —
-// the blocks A_{sk+j}ᵀA_{sk+t} of the (sµ)×(sµ) Gram matrix G = YᵀY and
-// the products Yᵀỹ_sk, Yᵀz̃_sk — are computed once per outer iteration
-// (lines 10–12). The inner loop then reconstructs each iteration's
-// gradient from those batched quantities via the correction sums of
-// eqs. (3)–(5) and performs only communication-free updates.
+// This file holds the two Lasso recurrences the batch driver of
+// stepper.go runs: plain and accelerated (block) coordinate descent in
+// synchronization-avoiding form (Alg. 2). The recurrences of Alg. 1 are
+// unrolled s steps: all matrix products that would require a reduction in
+// the distributed setting — the blocks A_{sk+j}ᵀA_{sk+t} of the
+// (sµ)×(sµ) Gram matrix G = YᵀY and the products Yᵀỹ_sk, Yᵀz̃_sk — are
+// computed once per outer iteration (lines 10–12, local below). The inner
+// step then reconstructs each iteration's gradient from those batched
+// quantities via the correction sums of eqs. (3)–(5) and performs only
+// communication-free updates. At s = 1 there are no correction sums and
+// the step is Alg. 1's, operation for operation.
 //
 // The replicated vectors z, y are updated in place every inner step
 // (Alg. 2 lines 19, 21): reading z[idx] therefore yields exactly the
 // I_jᵀz_sk + Σ_t I_jᵀI_t·Δz_t collision sum of eq. (4). The partitioned
 // images z̃, ỹ are likewise updated in place (lines 20, 22) but never read
-// by the inner loop — only the hoisted products are — which is what makes
+// by the inner step — only the hoisted products are — which is what makes
 // the rearrangement communication-free in the distributed setting.
 
-// SABatch holds the per-outer-iteration batch state shared by the plain
-// and accelerated SA solvers: the s sampled index blocks, their offsets
-// in the concatenated column list, and the batched Gram matrix. It is
-// exported for package dist, whose ranks run the same inner-loop
-// recurrences against an Allreduce-assembled Gram.
-type SABatch struct {
-	Blocks  [][]int // the s sampled index blocks
-	Offsets []int   // block start offsets in the concatenated index list
-	Cols    []int   // concatenation of blocks
-	Gram    *mat.Dense
+// lassoBlock is what the plain and accelerated recurrences share:
+// sampling, the batched Gram, and the proximal block update.
+type lassoBlock struct {
+	d       *Stepper
+	a       ColMatrix
+	g       Regularizer
+	smp     *blockSampler
+	deltas  *mat.Dense // row t: Δ of inner step t of the current batch
+	diag    mat.Dense  // re-sliced over diagBuf every inner step
+	diagBuf []float64
+	grad    []float64 // the block gradient an inner step assembles
+	w, gv   []float64
+	prods   [2][]float64 // backing of the slice local returns
+	// iterate returns the current x and its residual A·x − b.
+	iterate func() (x, r []float64)
+	history []TracePoint
 }
 
-// Sample draws sb blocks and assembles the concatenated column list.
-func (bt *SABatch) Sample(smp *BlockSampler, sb int) {
-	blocks := make([][]int, 0, sb)
+func (l *lassoBlock) sample(sb int) {
 	for j := 0; j < sb; j++ {
-		blocks = append(blocks, smp.Next())
-	}
-	bt.SetBlocks(blocks)
-}
-
-// SetBlocks installs externally chosen blocks (the broadcast-indices
-// ablation of package dist, where rank 0 samples for everyone).
-func (bt *SABatch) SetBlocks(blocks [][]int) {
-	bt.Blocks = bt.Blocks[:0]
-	bt.Offsets = bt.Offsets[:0]
-	bt.Cols = bt.Cols[:0]
-	for _, blk := range blocks {
-		bt.Offsets = append(bt.Offsets, len(bt.Cols))
-		bt.Blocks = append(bt.Blocks, blk)
-		bt.Cols = append(bt.Cols, blk...)
+		l.d.bt.add(l.smp.next()...)
 	}
 }
 
-// DiagBlock copies the j-th diagonal µ×µ block of the batched Gram matrix
-// into dst (the A_{sk+j}ᵀA_{sk+j} of Alg. 2 line 14).
-func (bt *SABatch) DiagBlock(j int, dst *mat.Dense) {
-	off := bt.Offsets[j]
-	mu := len(bt.Blocks[j])
-	k := bt.Gram.C
-	for a := 0; a < mu; a++ {
-		copy(dst.Row(a)[:mu], bt.Gram.Data[(off+a)*k+off:(off+a)*k+off+mu])
-	}
+// objective is ½‖A·x − b‖² + g(x) at the current iterate. Distributed, the
+// residual is partitioned like the rows of A and x is replicated.
+func (l *lassoBlock) objective() (float64, error) {
+	x, r := l.iterate()
+	rn, err := l.d.sumScalar(mat.Nrm2Sq(r))
+	return 0.5*rn + l.g.Value(x), err
 }
 
-// CrossApply accumulates dst[a] += scale · Σ_b G[jOff+a, tOff+b]·coef[b],
-// the G_{j,t}·Δz_t terms of eqs. (3) and (5).
-func (bt *SABatch) CrossApply(j, t int, scale float64, coef, dst []float64) {
+func (l *lassoBlock) track() (float64, error) {
+	v, err := l.objective()
+	l.history = append(l.history, TracePoint{Iter: l.d.h, Value: v})
+	return v, err
+}
+
+// cross accumulates dst[a] += scale · Σ_b G[jOff+a, tOff+b]·Δ_t[b], the
+// G_{j,t}·Δz_t terms of eqs. (3) and (5).
+func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 	if scale == 0 {
 		return
 	}
-	jOff, tOff := bt.Offsets[j], bt.Offsets[t]
-	muJ, muT := len(bt.Blocks[j]), len(bt.Blocks[t])
-	k := bt.Gram.C
-	for a := 0; a < muJ; a++ {
-		row := bt.Gram.Data[(jOff+a)*k+tOff : (jOff+a)*k+tOff+muT]
+	bt, gram := &l.d.bt, &l.d.gram
+	jOff, tOff := bt.Off[j], bt.Off[t]
+	coef := l.deltas.Row(t)[:bt.Off[t+1]-tOff]
+	for a := range dst {
+		row := gram.Data[(jOff+a)*gram.C+tOff:]
 		var s float64
-		for bIdx, c := range coef[:muT] {
-			s += row[bIdx] * c
+		for b, c := range coef {
+			s += row[b] * c
 		}
 		dst[a] += scale * s
 	}
 }
 
-// lassoPlainSA is the synchronization-avoiding plain CD/BCD. Gradients of
-// the inner iterations are A_jᵀr_sk + Σ_{t<j} G_{j,t}·Δx_t (the
-// non-accelerated specialization of eq. (3), where r is the residual).
-func lassoPlainSA(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
-	m, n := a.Dims()
-	g := opt.Regularizer()
-	smp := NewBlockSampler(&opt, n)
-	s := opt.S
-
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
+// prox finishes inner step j once l.grad holds the block gradient: the
+// step size 1/(scale·λmax) from the j-th diagonal block of the batched
+// Gram matrix (Alg. 2 lines 14–15), the proximal update of x on the
+// block, and Δ = x⁺ − x, which is kept as row j of deltas, added into x
+// and returned with the block.
+func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta []float64) {
+	bt, gram := &l.d.bt, &l.d.gram
+	idx = bt.Block(j)
+	mu, off := len(idx), bt.Off[j]
+	l.diag.R, l.diag.C, l.diag.Data = mu, mu, l.diagBuf[:mu*mu]
+	for a := 0; a < mu; a++ {
+		copy(l.diag.Row(a), gram.Data[(off+a)*gram.C+off:])
 	}
-	r := make([]float64, m)
-	a.MulVec(x, r)
-	mat.Axpy(-1, b, r)
+	v := blockLargestEig(&l.diag)
 
-	muMax := smp.MaxBlock()
-	kMax := s * muMax
-	bt := &SABatch{Gram: mat.NewDense(kMax, kMax)}
-	rP := make([]float64, kMax)      // hoisted A_jᵀ·r_sk for all j
-	deltas := mat.NewDense(s, muMax) // Δx_t of the current batch
-	diag := mat.NewDense(muMax, muMax)
-	grad := make([]float64, muMax)
-	w := make([]float64, muMax)
-	gv := make([]float64, muMax)
-
-	res := &LassoResult{Iters: opt.Iters}
-	for h := 0; h < opt.Iters; {
-		sb := min(s, opt.Iters-h)
-		bt.Sample(smp, sb)
-		k := len(bt.Cols)
-		bt.Gram = mat.NewDenseData(k, k, bt.Gram.Data[:k*k])
-		// Lines 10–12: the one batched "communication" of the outer step.
-		a.ColGram(bt.Cols, bt.Gram)
-		a.ColTMulVec(bt.Cols, r, rP[:k])
-
-		for j := 0; j < sb; j++ {
-			idx := bt.Blocks[j]
-			mu := len(idx)
-			db := mat.NewDenseData(mu, mu, diag.Data[:mu*mu])
-			bt.DiagBlock(j, db)
-			v := blockLargestEig(db)
-
-			copy(grad[:mu], rP[bt.Offsets[j]:bt.Offsets[j]+mu])
-			for t := 0; t < j; t++ {
-				bt.CrossApply(j, t, 1, deltas.Row(t), grad[:mu])
-			}
-			mat.Gather(w[:mu], x, idx)
-			var eta float64
-			if v > 0 {
-				eta = 1 / v
-				for a2 := 0; a2 < mu; a2++ {
-					gv[a2] = w[a2] - eta*grad[a2]
-				}
-			} else {
-				eta = BigEta
-				copy(gv[:mu], w[:mu])
-			}
-			g.Prox(eta, gv[:mu])
-			d := deltas.Row(j)
-			for a2 := 0; a2 < mu; a2++ {
-				d[a2] = gv[a2] - w[a2]
-			}
-			mat.ScatterAdd(x, d[:mu], idx)
-			a.ColMulAdd(idx, d[:mu], r)
-			h++
-			if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-				res.History = append(res.History, TracePoint{Iter: h, Value: LassoObjective(r, x, g)})
-			}
+	// Reading the in-place-updated x yields the collision sum of eq. (4).
+	w, gv := l.w[:mu], l.gv[:mu]
+	mat.Gather(w, x, idx)
+	eta := bigEta
+	if v > 0 {
+		eta = 1 / (scale * v)
+		for a, g := range l.grad[:mu] {
+			gv[a] = w[a] - eta*g
 		}
+	} else {
+		copy(gv, w)
 	}
-	res.X = x
-	res.Objective = LassoObjective(r, x, g)
-	return res, nil
+	l.g.Prox(eta, gv) // soft threshold for L1
+	delta = l.deltas.Row(j)[:mu]
+	for a := range delta {
+		delta[a] = gv[a] - w[a] // eq. (5)
+	}
+	mat.ScatterAdd(x, delta, idx)
+	return idx, delta
 }
 
-// lassoAccSA is Alg. 2: synchronization-avoiding accelerated (acc)BCD.
-func lassoAccSA(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
-	m, n := a.Dims()
-	g := opt.Regularizer()
-	smp := NewBlockSampler(&opt, n)
-	q := float64(smp.NumBlocks())
-	s := opt.S
+// plainLasso is (SA-)CD/BCD: proximal gradient on the sampled block with
+// the optimal step 1/λmax(A_IᵀA_I), maintaining the residual r = A·x − b.
+type plainLasso struct {
+	*lassoBlock
+	x, r []float64
+	rP   []float64 // hoisted A_jᵀ·r_sk for all j
+}
 
-	z := make([]float64, n)
-	if opt.X0 != nil {
-		copy(z, opt.X0)
+func (p *plainLasso) local() [][]float64 {
+	cols := p.d.bt.Idx
+	p.a.ColGram(cols, &p.d.gram)
+	p.prods[0] = p.rP[:len(cols)]
+	p.a.ColTMulVec(cols, p.r, p.prods[0])
+	return p.prods[:1]
+}
+
+// step reconstructs the gradient as A_jᵀr_sk + Σ_{t<j} G_{j,t}·Δx_t, the
+// non-accelerated specialization of eq. (3).
+func (p *plainLasso) step(j int) bool {
+	off := p.d.bt.Off[j]
+	grad := p.grad[:p.d.bt.Off[j+1]-off]
+	copy(grad, p.rP[off:])
+	for t := 0; t < j; t++ {
+		p.cross(j, t, 1, grad)
 	}
-	y := make([]float64, n)
-	zt := make([]float64, m)
-	a.MulVec(z, zt)
-	mat.Axpy(-1, b, zt)
-	yt := make([]float64, m)
+	idx, delta := p.prox(j, p.x, 1)
+	p.a.ColMulAdd(idx, delta, p.r)
+	return true
+}
 
-	muMax := smp.MaxBlock()
-	kMax := s * muMax
-	bt := &SABatch{Gram: mat.NewDense(kMax, kMax)}
-	ytP := make([]float64, kMax) // Yᵀỹ_sk (Alg. 2 line 12)
-	ztP := make([]float64, kMax) // Yᵀz̃_sk
-	deltas := mat.NewDense(s, muMax)
-	dCoef := make([]float64, s) // d_t = (1−qθ_{sk+t−1})/θ²_{sk+t−1}
-	thetas := make([]float64, s+1)
-	diag := mat.NewDense(muMax, muMax)
-	rvec := make([]float64, muMax)
-	w := make([]float64, muMax)
-	gv := make([]float64, muMax)
-	scaled := make([]float64, muMax)
+func (p *plainLasso) form() (x, r []float64) { return p.x, p.r }
 
-	theta := smp.Theta0()
-	res := &LassoResult{Iters: opt.Iters}
-	for h := 0; h < opt.Iters; {
-		sb := min(s, opt.Iters-h)
-		bt.Sample(smp, sb)
-		k := len(bt.Cols)
-		bt.Gram = mat.NewDenseData(k, k, bt.Gram.Data[:k*k])
-		// Lines 9–12: θ schedule for the batch and the batched products.
-		thetas[0] = theta
-		for j := 1; j <= sb; j++ {
-			thetas[j] = NextTheta(thetas[j-1])
-		}
-		a.ColGram(bt.Cols, bt.Gram)
-		a.ColTMulVec(bt.Cols, yt, ytP[:k])
-		a.ColTMulVec(bt.Cols, zt, ztP[:k])
+// accLasso is (SA-)accBCD, Alg. 2 with the Fercoq–Richtárik θ-schedule.
+// State: z, y ∈ Rⁿ and their images z̃ = A·z − b, ỹ = A·y; the iterate is
+// x = θ²·y + z and is only formed to be measured or returned.
+type accLasso struct {
+	*lassoBlock
+	q          float64 // block count of the θ-schedule
+	z, y       []float64
+	zt, yt     []float64
+	ytP, ztP   []float64 // Yᵀỹ_sk and Yᵀz̃_sk (Alg. 2 line 12)
+	dCoef      []float64 // d_t = (1−qθ_{sk+t−1})/θ²_{sk+t−1}
+	scaled     []float64
+	xBuf, rBuf []float64 // form's output
+}
 
-		for j := 0; j < sb; j++ {
-			idx := bt.Blocks[j]
-			mu := len(idx)
-			db := mat.NewDenseData(mu, mu, diag.Data[:mu*mu])
-			bt.DiagBlock(j, db)
-			v := blockLargestEig(db) // line 14
+func (s *accLasso) local() [][]float64 {
+	cols := s.d.bt.Idx
+	s.a.ColGram(cols, &s.d.gram)
+	s.prods[0], s.prods[1] = s.ytP[:len(cols)], s.ztP[:len(cols)]
+	s.a.ColTMulVec(cols, s.yt, s.prods[0])
+	s.a.ColTMulVec(cols, s.zt, s.prods[1])
+	return s.prods[:2]
+}
 
-			thPrev := thetas[j]
-			th2 := thPrev * thPrev
-			// Eq. (3): r_j = θ²ỹ'_j + z̃'_j − Σ_t (θ²·d_t − 1)·G_{j,t}·Δz_t.
-			off := bt.Offsets[j]
-			for a2 := 0; a2 < mu; a2++ {
-				rvec[a2] = th2*ytP[off+a2] + ztP[off+a2]
-			}
-			for t := 0; t < j; t++ {
-				bt.CrossApply(j, t, -(th2*dCoef[t] - 1), deltas.Row(t), rvec[:mu])
-			}
-
-			// Eq. (4): reading the in-place-updated z yields the collision
-			// sum I_jᵀz_sk + Σ I_jᵀI_t·Δz_t.
-			mat.Gather(w[:mu], z, idx)
-			var eta float64
-			if v > 0 {
-				eta = 1 / (q * thPrev * v) // line 15
-				for a2 := 0; a2 < mu; a2++ {
-					gv[a2] = w[a2] - eta*rvec[a2]
-				}
-			} else {
-				eta = BigEta
-				copy(gv[:mu], w[:mu])
-			}
-			g.Prox(eta, gv[:mu])
-			d := deltas.Row(j)
-			for a2 := 0; a2 < mu; a2++ {
-				d[a2] = gv[a2] - w[a2] // eq. (5)
-			}
-
-			// Lines 19–22: communication-free updates.
-			dj := (1 - q*thPrev) / th2
-			dCoef[j] = dj
-			mat.ScatterAdd(z, d[:mu], idx)
-			a.ColMulAdd(idx, d[:mu], zt)
-			mat.ScatterAxpy(-dj, y, d[:mu], idx)
-			for a2 := 0; a2 < mu; a2++ {
-				scaled[a2] = -dj * d[a2]
-			}
-			a.ColMulAdd(idx, scaled[:mu], yt)
-
-			h++
-			if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-				res.History = append(res.History, TracePoint{Iter: h, Value: accObjective(thetas[j+1], y, z, yt, zt, g)})
-			}
-		}
-		theta = thetas[sb]
+func (s *accLasso) step(j int) bool {
+	off := s.d.bt.Off[j]
+	grad := s.grad[:s.d.bt.Off[j+1]-off]
+	th := s.d.theta
+	th2 := th * th
+	// Eq. (3): r_j = θ²ỹ'_j + z̃'_j − Σ_t (θ²·d_t − 1)·G_{j,t}·Δz_t.
+	for a := range grad {
+		grad[a] = th2*s.ytP[off+a] + s.ztP[off+a]
 	}
-	res.X = accSolution(theta, y, z)
-	rfinal := make([]float64, m)
-	accResidual(theta, yt, zt, rfinal)
-	res.Objective = LassoObjective(rfinal, res.X, g)
-	return res, nil
+	for t := 0; t < j; t++ {
+		s.cross(j, t, -(th2*s.dCoef[t] - 1), grad)
+	}
+	idx, delta := s.prox(j, s.z, s.q*th)
+
+	// Lines 19–22: communication-free updates.
+	dj := (1 - s.q*th) / th2
+	s.dCoef[j] = dj
+	s.a.ColMulAdd(idx, delta, s.zt)
+	mat.ScatterAxpy(-dj, s.y, delta, idx)
+	scaled := s.scaled[:len(delta)]
+	for a, dl := range delta {
+		scaled[a] = -dj * dl
+	}
+	s.a.ColMulAdd(idx, scaled, s.yt)
+	s.d.theta = nextTheta(th)
+	return true
+}
+
+// form assembles x = θ²·y + z (Alg. 1 line 19) and its residual
+// A·x − b = θ²·ỹ + z̃ without disturbing solver state.
+func (s *accLasso) form() (x, r []float64) {
+	if s.xBuf == nil {
+		s.xBuf, s.rBuf = make([]float64, len(s.z)), make([]float64, len(s.zt))
+	}
+	th2 := s.d.theta * s.d.theta
+	for i := range s.xBuf {
+		s.xBuf[i] = th2*s.y[i] + s.z[i]
+	}
+	for i := range s.rBuf {
+		s.rBuf[i] = th2*s.yt[i] + s.zt[i]
+	}
+	return s.xBuf, s.rBuf
 }

@@ -6,169 +6,169 @@ import (
 )
 
 // SVM trains a linear SVM by dual coordinate descent (Hsieh et al.,
-// Alg. 3) or its synchronization-avoiding reformulation (Alg. 4, S > 1).
-// It returns the primal weight vector x, the dual solution α, and the
-// duality gap — the convergence certificate of Fig. 5.
+// Alg. 3) in its synchronization-avoiding form (Alg. 4), of which the
+// classical method is the S <= 1 case. It returns the primal weight
+// vector x, the dual solution α, and the duality gap — the convergence
+// certificate of Fig. 5.
 func SVM(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	m, _ := a.Dims()
-	if err := opt.validate(m, len(b)); err != nil {
-		return nil, err
-	}
 	if opt.Exec.Backend == BackendAsync {
 		// Lock-free HOGWILD! execution: S is moot and TrackEvery/Tol are
 		// skipped — see async.go for the contract.
+		m, _ := a.Dims()
+		if err := opt.validate(m, len(b)); err != nil {
+			return nil, err
+		}
 		return svmAsync(a, b, opt)
 	}
-	a = execRow(a, opt.Exec)
-	if opt.S > 1 {
-		return svmSA(a, b, opt)
+	st, err := NewSVMStepper(execRow(a, opt.Exec), b, opt, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return svmClassic(a, b, opt)
+	return st.Run()
 }
 
-// svmState holds the shared solver state and the bookkeeping for duality
-// gap tracking and early stopping.
-type svmState struct {
-	a      RowMatrix
-	b      []float64
-	opt    *SVMOptions
-	gamma  float64
-	nu     float64
-	alpha  []float64
-	x      []float64
-	res    *SVMResult
-	margin []float64 // scratch for A·x in gap evaluation
+// SVMStepper is the batch driver around the dual coordinate recurrence:
+// a is the whole matrix, or one rank's column block of it with red
+// summing over the ranks. The dual α and the labels b are whole (and
+// replicated) either way; the primal x covers a's columns.
+type SVMStepper struct {
+	Stepper
+	svm *dualSVM
 }
 
-func newSVMState(a RowMatrix, b []float64, opt *SVMOptions) *svmState {
+// NewSVMStepper validates opt and builds the solver at iteration zero.
+// red and obs may be nil.
+func NewSVMStepper(a RowMatrix, b []float64, opt SVMOptions, red Reducer, obs Observer) (*SVMStepper, error) {
 	m, n := a.Dims()
-	st := &svmState{a: a, b: b, opt: opt, res: &SVMResult{}}
-	st.gamma, st.nu = opt.GammaNu()
-	st.alpha = make([]float64, m)
-	st.x = make([]float64, n)
-	st.margin = make([]float64, m)
+	if err := opt.validate(m, len(b)); err != nil {
+		return nil, err
+	}
+	s := max(1, opt.S)
+	st := &SVMStepper{}
+	sv := &dualSVM{
+		d: &st.Stepper, a: a, b: b, lambda: opt.Lambda, loss: opt.Loss,
+		alpha: make([]float64, m), x: make([]float64, n), margin: make([]float64, m),
+		xP: make([]float64, s), thetaStep: make([]float64, s),
+	}
+	sv.gamma, sv.nu = opt.gammaNu()
 	if opt.Alpha0 != nil {
-		copy(st.alpha, opt.Alpha0)
+		copy(sv.alpha, opt.Alpha0)
 		// Line 2: x₀ = Σ bᵢαᵢAᵢᵀ.
-		for i, ai := range st.alpha {
+		for i, ai := range sv.alpha {
 			if ai != 0 {
-				a.RowTAxpy(i, ai*b[i], st.x)
+				a.RowTAxpy(i, ai*b[i], sv.x)
 			}
 		}
 	}
-	return st
+	st.svm, st.state, st.tol = sv, [][]float64{sv.alpha, sv.x}, opt.Tol
+	st.init(sv, rng.New(opt.Seed), red, obs, opt.Iters, s, opt.TrackEvery, 1)
+	return st, nil
 }
 
-// update applies the projected-Newton coordinate step of Alg. 3 lines
-// 9–15 given the gradient g and curvature eta for coordinate i, returning
-// the dual step θ.
-func (st *svmState) update(i int, g, eta float64) float64 {
-	ai := st.alpha[i]
-	// Line 9: projected gradient; zero means the coordinate is already
+// Run iterates to the budget (or to Tol at a tracking point) and
+// evaluates the final objectives. In a distributed solve they are the
+// global ones and X is this rank's column slice of the primal vector.
+func (st *SVMStepper) Run() (*SVMResult, error) {
+	if err := st.run(); err != nil {
+		return nil, err
+	}
+	sv := st.svm
+	gap, err := st.measure(sv.objectives)
+	if err != nil {
+		return nil, err
+	}
+	return &SVMResult{
+		X: sv.x, Alpha: sv.alpha, Primal: sv.primal, Dual: sv.dual, Gap: gap,
+		History: sv.history, Iters: st.h,
+	}, nil
+}
+
+// dualSVM is Alg. 4: the coordinate recurrences of Alg. 3 unrolled s
+// steps. One batched computation per outer iteration produces the s×s
+// Gram matrix G = YYᵀ over the sampled rows and the hoisted products
+// x'_j = A_j·x_sk (lines 9–10); the inner step reconstructs each gradient
+// via eq. (15) and performs communication-free updates. Reading the
+// in-place updated α yields the collision sum β of eq. (14).
+type dualSVM struct {
+	d            *Stepper
+	a            RowMatrix
+	b            []float64
+	lambda       float64
+	loss         SVMLoss
+	gamma, nu    float64
+	alpha, x     []float64
+	margin       []float64 // scratch for A·x in gap evaluation
+	xP           []float64 // hoisted A_j·x_sk
+	thetaStep    []float64 // θ_t of the current batch
+	prods        [1][]float64
+	primal, dual float64 // the last objectives evaluated
+	history      []GapPoint
+}
+
+func (s *dualSVM) sample(sb int) {
+	m := len(s.alpha)
+	for j := 0; j < sb; j++ {
+		s.d.bt.add(s.d.stream.Intn(m)) // line 5 (same draws as Alg. 3 line 4)
+	}
+}
+
+func (s *dualSVM) local() [][]float64 {
+	rows := s.d.bt.Idx
+	s.a.RowGram(rows, &s.d.gram)
+	s.prods[0] = s.xP[:len(rows)]
+	s.a.RowMulVec(rows, s.x, s.prods[0])
+	return s.prods[:]
+}
+
+// step is the projected-Newton coordinate update of Alg. 3 lines 9–15 on
+// the gradient eq. (15) reconstructs; it returns whether α moved.
+func (s *dualSVM) step(j int) bool {
+	rows, g := s.d.bt.Idx, &s.d.gram
+	i := rows[j]
+	eta := g.At(j, j) + s.gamma // line 11: η_j = ‖A_j‖² + γ
+	// Eq. (15): A_j·x_{sk+j−1} = x'_j + Σ_{t<j} θ_t·b_t·G_{j,t}.
+	dot := s.xP[j]
+	for t := 0; t < j; t++ {
+		if s.thetaStep[t] != 0 {
+			dot += s.thetaStep[t] * s.b[rows[t]] * g.At(j, t)
+		}
+	}
+	ai := s.alpha[i]
+	grad := s.b[i]*dot - 1 + s.gamma*ai
+	theta := 0.0
+	// Line 9: a zero projected gradient means the coordinate is already
 	// optimal under its box constraint.
-	if gt := Clip(ai-g, 0, st.nu) - ai; gt == 0 {
-		return 0
-	}
-	theta := Clip(ai-g/eta, 0, st.nu) - ai // line 11
-	if theta != 0 {
-		st.alpha[i] += theta                  // line 14
-		st.a.RowTAxpy(i, theta*st.b[i], st.x) // line 15: x += θ·bᵢ·Aᵢᵀ
-	}
-	return theta
-}
-
-// trackGap records the duality gap at iteration h; it reports whether the
-// tolerance (if any) has been reached.
-func (st *svmState) trackGap(h int) bool {
-	st.a.MulVec(st.x, st.margin)
-	p, d, gap := SVMObjectives(st.x, st.alpha, st.margin, st.b, st.opt.Lambda, st.gamma, st.opt.Loss)
-	st.res.History = append(st.res.History, GapPoint{Iter: h, Primal: p, Dual: d, Gap: gap})
-	return st.opt.Tol > 0 && gap <= st.opt.Tol
-}
-
-// finish computes the final objectives and assembles the result.
-func (st *svmState) finish(iters int) *SVMResult {
-	st.a.MulVec(st.x, st.margin)
-	p, d, gap := SVMObjectives(st.x, st.alpha, st.margin, st.b, st.opt.Lambda, st.gamma, st.opt.Loss)
-	st.res.X = st.x
-	st.res.Alpha = st.alpha
-	st.res.Primal, st.res.Dual, st.res.Gap = p, d, gap
-	st.res.Iters = iters
-	return st.res
-}
-
-// svmClassic is Alg. 3: one dual coordinate per iteration, one reduction
-// per iteration in the distributed setting (lines 7–8).
-func svmClassic(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	m, _ := a.Dims()
-	st := newSVMState(a, b, &opt)
-	r := rng.New(opt.Seed)
-	one := make([]float64, 1)
-	row := make([]int, 1)
-	for h := 1; h <= opt.Iters; h++ {
-		i := r.Intn(m) // line 4
-		row[0] = i
-		eta := a.RowNormSq(i) + st.gamma // line 7
-		a.RowMulVec(row, st.x, one)
-		g := b[i]*one[0] - 1 + st.gamma*st.alpha[i] // line 8
-		st.update(i, g, eta)
-		if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-			if st.trackGap(h) {
-				return st.finish(h), nil
-			}
+	if clip(ai-grad, 0, s.nu)-ai != 0 {
+		theta = clip(ai-grad/eta, 0, s.nu) - ai // line 11
+		if theta != 0 {
+			s.alpha[i] += theta                // line 14
+			s.a.RowTAxpy(i, theta*s.b[i], s.x) // line 15: x += θ·bᵢ·Aᵢᵀ
 		}
 	}
-	return st.finish(opt.Iters), nil
+	s.thetaStep[j] = theta
+	return theta != 0
 }
 
-// svmSA is Alg. 4: the coordinate recurrences are unrolled S steps. One
-// batched computation per outer iteration produces the s×s Gram matrix
-// G = YYᵀ + γI over the sampled rows and the hoisted products x'_j =
-// A_j·x_sk (lines 9–10); the inner loop reconstructs each gradient via
-// eq. (15) and performs communication-free updates. Reading the in-place
-// updated α yields the collision sum β of eq. (14).
-func svmSA(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	m, _ := a.Dims()
-	st := newSVMState(a, b, &opt)
-	r := rng.New(opt.Seed)
-	s := opt.S
-	rows := make([]int, s)
-	gram := mat.NewDense(s, s)
-	xP := make([]float64, s)
-	thetaStep := make([]float64, s)
-
-	for h := 0; h < opt.Iters; {
-		sb := min(s, opt.Iters-h)
-		for j := 0; j < sb; j++ {
-			rows[j] = r.Intn(m) // line 5 (same draws as Alg. 3)
-		}
-		gb := mat.NewDenseData(sb, sb, gram.Data[:sb*sb])
-		// Lines 9–10: the one batched "communication" of the outer step.
-		a.RowGram(rows[:sb], gb)
-		for j := 0; j < sb; j++ {
-			gb.Set(j, j, gb.At(j, j)+st.gamma)
-		}
-		a.RowMulVec(rows[:sb], st.x, xP[:sb])
-
-		for j := 0; j < sb; j++ {
-			i := rows[j]
-			eta := gb.At(j, j) // line 11: η_j = diag(G)_j
-			// Eq. (15): A_j·x_{sk+j−1} = x'_j + Σ_{t<j} θ_t·b_t·G_{j,t}.
-			dot := xP[j]
-			for t := 0; t < j; t++ {
-				if thetaStep[t] != 0 {
-					dot += thetaStep[t] * b[rows[t]] * gb.At(j, t)
-				}
-			}
-			g := b[i]*dot - 1 + st.gamma*st.alpha[i]
-			thetaStep[j] = st.update(i, g, eta)
-			h++
-			if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-				if st.trackGap(h) {
-					return st.finish(h), nil
-				}
-			}
-		}
+// objectives evaluates primal and dual at the current iterate and
+// returns the duality gap. Distributed, the margins A·x = Σ A_loc·x_loc
+// and ‖x‖² = Σ ‖x_loc‖² are summed over the ranks, so every rank holds
+// the same bits and reaches the same Tol decision.
+func (s *dualSVM) objectives() (float64, error) {
+	s.a.MulVec(s.x, s.margin)
+	if err := s.d.sumVec(s.margin); err != nil {
+		return 0, err
 	}
-	return st.finish(opt.Iters), nil
+	xns, err := s.d.sumScalar(mat.Nrm2Sq(s.x))
+	if err != nil {
+		return 0, err
+	}
+	var gap float64
+	s.primal, s.dual, gap = svmObjectives(xns, s.alpha, s.margin, s.b, s.lambda, s.gamma, s.loss)
+	return gap, nil
+}
+
+func (s *dualSVM) track() (float64, error) {
+	gap, err := s.objectives()
+	s.history = append(s.history, GapPoint{Iter: s.d.h, Primal: s.primal, Dual: s.dual, Gap: gap})
+	return gap, err
 }

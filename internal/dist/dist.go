@@ -2,18 +2,24 @@
 // of internal/mpi: the simulated cluster (goroutine ranks, binomial-tree
 // collectives and an α-β-γ cost model standing in for the Cray XC30 of
 // the evaluation) or a real TCP mesh (Options.Transport; cmd/sarank runs
-// one rank per process). The solvers are written once against mpi.Comm,
-// so both execution modes run identical message DAGs and deterministic
-// configurations produce bitwise-identical trajectories.
+// one rank per process). Both modes run identical message DAGs, so
+// deterministic configurations produce bitwise-identical trajectories.
 //
 // The layouts follow §IV/§VI of the paper exactly: Lasso partitions rows
 // of A across ranks (Fig. 1) and keeps the iterate x replicated; SVM
-// partitions columns and keeps the dual α replicated. Both solvers are
-// written once in the batched synchronization-avoiding form — the
-// classical algorithm is the s = 1 special case, whose single-block batch
-// reduces once per iteration, so the two variants share every line of
-// update arithmetic and their trajectories differ only by the roundoff
-// the paper's Table III quantifies.
+// partitions columns and keeps the dual α replicated. The solvers
+// themselves live in package core, written once in the batched
+// synchronization-avoiding form with the classical algorithm as the
+// s = 1 case: a rank runs core's batch driver over its block of A and
+// plugs into its seam (rank.go) — a Reducer that sums the local Gram and
+// hoisted products with one Allreduce per outer step, and an Observer
+// that charges the α-β-γ model, stamps the trace with modeled seconds and
+// checkpoints at batch boundaries. This package holds only what is
+// distributed: block loading, message packing, the cost formulas, the
+// ablations, checkpoint/restart and the primal gather. No update
+// arithmetic is repeated here, so at P = 1 a run is core's, bit for bit
+// (core_parity_test.go), and across P trajectories differ only by the
+// reduction-tree roundoff the paper's Table III quantifies.
 //
 // Coordinate selection uses the replicated-seed discipline (§III): every
 // rank owns an identically seeded generator, so sampled blocks agree with
@@ -25,7 +31,6 @@ import (
 	"context"
 	"fmt"
 
-	"saco/internal/core"
 	"saco/internal/mat"
 	"saco/internal/mpi"
 )
@@ -228,89 +233,4 @@ func unpackGram(buf []float64, g *mat.Dense, extras [][]float64, full bool) {
 		copy(e, buf[w:])
 		w += len(e)
 	}
-}
-
-// gramWords returns the packed Gram message size for dimension k.
-func gramWords(k int, full bool) int {
-	if full {
-		return k * k
-	}
-	return k * (k + 1) / 2
-}
-
-// blockEig returns λmax of a Gram block with the scalar fast path, like
-// the sequential solvers.
-func blockEig(g *mat.Dense) float64 {
-	if g.R == 1 {
-		return g.Data[0]
-	}
-	return mat.LargestEigSym(g)
-}
-
-// eigFlops is the nominal cost charged for the power-iteration λmax of a
-// µ×µ block (a handful of Gemv sweeps).
-func eigFlops(mu int) float64 {
-	if mu == 1 {
-		return 1
-	}
-	return 20 * float64(mu) * float64(mu)
-}
-
-// bcastBlocks implements the broadcast-indices ablation for the Lasso
-// sampler: rank 0 draws the batch and broadcasts the concatenated,
-// length-prefixed blocks; everyone else decodes. The flattened message
-// is what the replicated-seed discipline saves.
-func bcastBlocks(c *mpi.Comm, smp *core.BlockSampler, sb, muMax int, scratch []float64) ([][]int, error) {
-	buf := scratch[:1+sb*(muMax+1)]
-	if c.Rank() == 0 {
-		w := 0
-		buf[w] = float64(sb)
-		w++
-		for j := 0; j < sb; j++ {
-			blk := smp.Next()
-			buf[w] = float64(len(blk))
-			w++
-			for _, idx := range blk {
-				buf[w] = float64(idx)
-				w++
-			}
-		}
-		for ; w < len(buf); w++ {
-			buf[w] = 0
-		}
-	}
-	if err := c.Bcast(0, buf); err != nil {
-		return nil, err
-	}
-	blocks := make([][]int, 0, sb)
-	w := 1
-	for j := 0; j < int(buf[0]); j++ {
-		l := int(buf[w])
-		w++
-		blk := make([]int, l)
-		for i := range blk {
-			blk[i] = int(buf[w])
-			w++
-		}
-		blocks = append(blocks, blk)
-	}
-	return blocks, nil
-}
-
-// bcastRows implements the broadcast-indices ablation for the SVM row
-// sampler: rank 0 draws sb row ids and broadcasts them.
-func bcastRows(c *mpi.Comm, r interface{ Intn(int) int }, m, sb int, rows []int, scratch []float64) error {
-	buf := scratch[:sb]
-	if c.Rank() == 0 {
-		for j := 0; j < sb; j++ {
-			buf[j] = float64(r.Intn(m))
-		}
-	}
-	if err := c.Bcast(0, buf); err != nil {
-		return err
-	}
-	for j := 0; j < sb; j++ {
-		rows[j] = int(buf[j])
-	}
-	return nil
 }

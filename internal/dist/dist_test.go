@@ -62,6 +62,19 @@ func TestLassoMatchesSequentialCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if p == 1 {
+			// One rank reduces nothing: the rank body is core's driver
+			// plus packing and accounting, bit for bit.
+			if res.Objective != seq.Objective {
+				t.Fatalf("P=1: objective %.17g != sequential %.17g", res.Objective, seq.Objective)
+			}
+			for i := range res.X {
+				if res.X[i] != seq.X[i] {
+					t.Fatalf("P=1: X[%d] %.17g != %.17g", i, res.X[i], seq.X[i])
+				}
+			}
+			continue
+		}
 		// The distributed run reduces partial sums along the collective
 		// tree, so agreement is up to roundoff, not bitwise — the paper's
 		// Table III criterion.
@@ -173,6 +186,18 @@ func TestSVMMatchesSequentialCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if p == 1 {
+			if res.Gap != seq.Gap || res.Primal != seq.Primal || res.Dual != seq.Dual {
+				t.Fatalf("P=1: objectives (%v,%v,%v) != sequential (%v,%v,%v)",
+					res.Primal, res.Dual, res.Gap, seq.Primal, seq.Dual, seq.Gap)
+			}
+			for i := range res.X {
+				if res.X[i] != seq.X[i] {
+					t.Fatalf("P=1: X[%d] %.17g != %.17g", i, res.X[i], seq.X[i])
+				}
+			}
+			continue
+		}
 		if r := relDiff(seq.Gap, res.Gap); r > 1e-6 && math.Abs(seq.Gap-res.Gap) > 1e-9 {
 			t.Fatalf("P=%d: gap %v != sequential %v", p, res.Gap, seq.Gap)
 		}
@@ -194,6 +219,38 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := SVM(d.AsCSR(), d.B, core.SVMOptions{Lambda: 1, Iters: 0}, Options{P: 2}); err == nil {
 		t.Fatal("zero iters must fail")
+	}
+	// Both entry points reject a bad configuration with core's own error,
+	// whatever the rank count.
+	lassoBad := map[string]core.LassoOptions{
+		"zero iters":         {Lambda: 0.1},
+		"negative lambda":    {Lambda: -1, Iters: 10},
+		"short X0":           {Lambda: 0.1, Iters: 10, X0: make([]float64, 3)},
+		"block > n":          {Lambda: 0.1, Iters: 10, BlockSize: 21},
+		"overlapping group":  {Lambda: 0.1, Iters: 10, Groups: [][]int{{0, 1}, {1, 2}}},
+		"group out of range": {Lambda: 0.1, Iters: 10, Groups: [][]int{{0, 20}}},
+	}
+	for name, opt := range lassoBad {
+		_, want := core.Lasso(d.AsCSR().ToCSC(), d.B, opt)
+		for _, p := range []int{1, 3} {
+			_, got := Lasso(d.AsCSR(), d.B, opt, Options{P: p})
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Fatalf("lasso %s, P=%d: dist error %v, core error %v", name, p, got, want)
+			}
+		}
+	}
+	svmBad := map[string]core.SVMOptions{
+		"zero lambda":  {Iters: 10},
+		"short Alpha0": {Lambda: 1, Iters: 10, Alpha0: make([]float64, 3)},
+	}
+	for name, opt := range svmBad {
+		_, want := core.SVM(d.AsCSR(), d.B, opt)
+		for _, p := range []int{1, 3} {
+			_, got := SVM(d.AsCSR(), d.B, opt, Options{P: p})
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Fatalf("svm %s, P=%d: dist error %v, core error %v", name, p, got, want)
+			}
+		}
 	}
 	// More ranks than rows/columns still runs (empty slices are legal).
 	res, err := Lasso(d.AsCSR(), d.B, core.LassoOptions{Lambda: 0.1, Iters: 20, S: 4}, Options{P: 64})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"saco/internal/core"
-	"saco/internal/mat"
 	"saco/internal/mpi"
 	"saco/internal/sparse"
 )
@@ -13,11 +12,11 @@ import (
 // paper's 1D-row layout (Fig. 1): each rank owns a contiguous row block
 // of A (stored as CSC for column sampling) and the matching slice of the
 // residual image, while the iterate x (or z, y when accelerated) is
-// replicated. Per outer iteration the ranks compute local contributions
-// to the batched Gram G = YᵀY and the hoisted products, sum them with one
-// Allreduce, and run s communication-free inner iterations — with
-// opt.S <= 1 this degenerates to the classical one-reduction-per-
-// iteration algorithm, so both variants share all update arithmetic.
+// replicated. Every rank runs core's batch driver over its block; per
+// outer iteration the local contributions to the batched Gram G = YᵀY
+// and the hoisted products are summed with one Allreduce, followed by s
+// communication-free inner iterations — with opt.S <= 1 this is the
+// classical one-reduction-per-iteration algorithm.
 func Lasso(a *sparse.CSR, b []float64, opt core.LassoOptions, cl Options) (*LassoResult, error) {
 	return LassoFrom(CSRSource{a}, b, opt, cl)
 }
@@ -57,11 +56,10 @@ func LassoFrom(src Source, b []float64, opt core.LassoOptions, cl Options) (*Las
 // full replicated result; Stats is left nil for the driver to fill.
 func LassoRank(c *mpi.Comm, src Source, b []float64, opt core.LassoOptions, cl Options) (*LassoResult, error) {
 	m, n := src.Dims()
-	if len(b) != m {
-		return nil, fmt.Errorf("dist: len(b)=%d does not match %d rows", len(b), m)
-	}
-	if opt.Iters <= 0 {
-		return nil, fmt.Errorf("dist: Iters=%d, want positive", opt.Iters)
+	// b is sliced by row range below, so the options are checked against
+	// the whole problem here, before any block is loaded.
+	if err := opt.Validate(m, n, len(b)); err != nil {
+		return nil, err
 	}
 	lo, hi := mpi.BlockRange(m, c.Size(), c.Rank())
 	aLoc, err := src.RowsCSC(lo, hi)
@@ -74,12 +72,22 @@ func LassoRank(c *mpi.Comm, src Source, b []float64, opt core.LassoOptions, cl O
 		// iterates bitwise identical to the sequential-rank run.
 		aLoc = aLoc.WithKernelWorkers(cl.RankWorkers).(*sparse.CSC)
 	}
-	lr := newLassoRank(c, &cl, &opt, aLoc, b[lo:hi], n)
-	lr.ck = newCkptSession(cl.Checkpoint, c, lassoConfig(c, &opt, &cl, m, n))
+	rk := &lassoRank{rank: rank{c: c, cl: &cl, nnz: aLoc.ColNNZ}, images: 1, scalarFlops: 5}
 	if opt.Accelerated {
-		return lr.accelerated()
+		rk.images, rk.scalarFlops = 2, 8
 	}
-	return lr.plain()
+	st, err := core.NewLassoStepper(aLoc, b[lo:hi], opt, rk, rk)
+	if err != nil {
+		return nil, err
+	}
+	if err := rk.start(&st.Stepper, lassoConfig(c, &opt, &cl, m, n)); err != nil {
+		return nil, err
+	}
+	res, err := st.Run()
+	if err != nil {
+		return nil, err
+	}
+	return &LassoResult{X: res.X, Objective: res.Objective, Trace: rk.trace, Iters: res.Iters}, nil
 }
 
 // lassoConfig is the fingerprinted solver configuration: everything that
@@ -96,417 +104,86 @@ func lassoConfig(c *mpi.Comm, opt *core.LassoOptions, cl *Options, m, n int) str
 		opt.X0 != nil, cl.BroadcastIndices, cl.FullGramPack, cl.RSAGAllreduce)
 }
 
-// lassoRank is the per-rank solver state shared by the plain and
-// accelerated variants.
+// lassoRank observes the Lasso recurrences for the cost model.
 type lassoRank struct {
-	c    *mpi.Comm
-	cl   *Options
-	opt  *core.LassoOptions
-	aLoc *sparse.CSC // this rank's row block, column-accessible
-	bLoc []float64
-	n    int
-	g    core.Regularizer
-	smp  *core.BlockSampler
-	s    int
-	mu   int // muMax: largest block the batches can hold
-	bt   *core.SABatch
-	diag *mat.Dense
-	buf  []float64 // Allreduce packing buffer
-	idxS []float64 // broadcast-indices scratch
-	res  *LassoResult
-	ck   *ckptSession // nil when checkpointing is off
+	rank
+	// images is the number of row-partitioned image vectors the solver
+	// maintains (r; or z̃ and ỹ when accelerated): one hoisted product per
+	// batch and one streamed update per inner step each.
+	images int
+	// scalarFlops is the replicated per-coordinate work of an inner step
+	// beside λmax and the correction sums (gradient, prox, deltas).
+	scalarFlops float64
 }
 
-func newLassoRank(c *mpi.Comm, cl *Options, opt *core.LassoOptions, aLoc *sparse.CSC, bLoc []float64, n int) *lassoRank {
-	smp := core.NewBlockSampler(opt, n)
-	s := max(1, opt.S)
-	muMax := smp.MaxBlock()
-	kMax := s * muMax
-	return &lassoRank{
-		c: c, cl: cl, opt: opt, aLoc: aLoc, bLoc: bLoc, n: n,
-		g: opt.Regularizer(), smp: smp, s: s, mu: muMax,
-		bt:   &core.SABatch{Gram: mat.NewDense(kMax, kMax)},
-		diag: mat.NewDense(muMax, muMax),
-		buf:  make([]float64, kMax*kMax+2*kMax),
-		idxS: make([]float64, 1+s*(muMax+1)),
-		res:  &LassoResult{Iters: opt.Iters},
-	}
-}
-
-// sampleBatch agrees on the next sb blocks: replicated-seed draws by
-// default, or rank 0 broadcasting under the BroadcastIndices ablation.
-func (lr *lassoRank) sampleBatch(sb int) error {
-	if lr.cl.BroadcastIndices {
-		blocks, err := bcastBlocks(lr.c, lr.smp, sb, lr.mu, lr.idxS)
-		if err != nil {
+// BatchSampled agrees on the batch — already, by the replicated seed, or
+// by broadcast under the BroadcastIndices ablation — and charges its
+// Gram and product assembly.
+func (r *lassoRank) BatchSampled(bt *core.Batch) error {
+	if r.cl.BroadcastIndices {
+		if err := r.bcastBlocks(bt); err != nil {
 			return err
 		}
-		lr.bt.SetBlocks(blocks)
-		return nil
 	}
-	lr.bt.Sample(lr.smp, sb)
+	r.charge(bt, r.images)
 	return nil
 }
 
-// reduceBatch computes the local Gram and product contributions for the
-// current batch, charges their flops, and allreduces them. extras are
-// the hoisted product vectors (length k each) reduced with the Gram.
-func (lr *lassoRank) reduceBatch(k, sb int, extras [][]float64) error {
-	nnzS := lr.localColNNZ(lr.bt.Cols)
-	// Gram assembly: each of the k(k+1)/2 merges streams two columns, so
-	// the total is ~(k+1)·nnz(S) flops. Batched (s > 1) assembly is the
-	// BLAS-3-like kernel the paper credits for part of the SA speedup;
-	// it runs at the blocked rate while its working set fits cache.
-	// Gram and product assembly partition over the owned rows/columns, so
-	// the hybrid core budget divides their modeled time (the *Parallel
-	// variants are plain Compute at one core).
-	gramFlops := float64(k+1) * float64(nnzS)
-	if sb > 1 {
-		lr.c.ComputeBlockedParallel(gramFlops, k*k+2*nnzS)
-	} else {
-		lr.c.ComputeParallel(gramFlops)
+// bcastBlocks is the broadcast-indices ablation: rank 0 ships its draw
+// as length-prefixed blocks, in a message sized for blocks of the
+// largest kind, and every rank adopts it. The flattened message is what
+// the replicated-seed discipline saves.
+func (r *lassoRank) bcastBlocks(bt *core.Batch) error {
+	sb := bt.Blocks()
+	buf := r.scratch(1 + sb*(bt.MaxBlock+1))
+	if r.c.Rank() == 0 {
+		buf[0] = float64(sb)
+		w := 1
+		for j := 0; j < sb; j++ {
+			blk := bt.Block(j)
+			buf[w] = float64(len(blk))
+			w++
+			for _, idx := range blk {
+				buf[w] = float64(idx)
+				w++
+			}
+		}
+		clear(buf[w:])
 	}
-	lr.c.ComputeParallel(2 * float64(len(extras)) * float64(nnzS))
-
-	words := packGram(lr.bt.Gram, extras, lr.cl.FullGramPack, lr.buf)
-	if err := lr.cl.allreduce(lr.c, lr.buf[:words]); err != nil {
+	if err := r.c.Bcast(0, buf); err != nil {
 		return err
 	}
-	unpackGram(lr.buf[:words], lr.bt.Gram, extras, lr.cl.FullGramPack)
+	w := 1
+	for j := 0; j < sb; j++ {
+		w++ // the length: group sizes are configuration, equal on every rank
+		blk := bt.Block(j)
+		for i := range blk {
+			blk[i] = int(buf[w])
+			w++
+		}
+	}
 	return nil
 }
 
-// localColNNZ sums this rank's nonzeros over the block's columns.
-func (lr *lassoRank) localColNNZ(idx []int) int {
-	nnz := 0
-	for _, j := range idx {
-		nnz += lr.aLoc.ColNNZ(j)
+// StepDone charges one inner step. Redundant scalar work (λmax,
+// correction sums, prox) is per-rank sequential; the image updates
+// stream the owned nonzeros and split over the hybrid core budget.
+func (r *lassoRank) StepDone(bt *core.Batch, j int, _ bool) {
+	idx := bt.Block(j)
+	mu := float64(len(idx))
+	flops := eigFlops(len(idx)) + r.scalarFlops*mu
+	for t := 0; t < j; t++ {
+		flops += 2 * mu * float64(len(bt.Block(t)))
 	}
-	return nnz
+	r.c.Compute(flops)
+	r.c.ComputeParallel(2 * float64(r.images) * float64(r.batchNNZ(idx)))
 }
 
-// track records an objective value at iteration h without charging the
-// instrumentation (the Mark/Restore pair rewinds clock and traffic).
-func (lr *lassoRank) track(h int, value func() (float64, error)) error {
-	mark := lr.c.Mark()
-	sec := lr.c.Elapsed()
-	v, err := value()
-	if err != nil {
-		return err
+// eigFlops is the nominal cost charged for the power-iteration λmax of a
+// µ×µ block (a handful of Gemv sweeps).
+func eigFlops(mu int) float64 {
+	if mu == 1 {
+		return 1
 	}
-	if lr.c.Rank() == 0 {
-		lr.res.Trace = append(lr.res.Trace, TimedPoint{Iter: h, Seconds: sec, Value: v})
-	}
-	lr.c.Restore(mark)
-	return nil
-}
-
-// globalObjective reduces ½‖r‖² over the partitioned residual and adds
-// the replicated penalty.
-func (lr *lassoRank) globalObjective(rLoc, x []float64) (float64, error) {
-	rn, err := lr.c.AllreduceScalar(mpi.Sum, mat.Nrm2Sq(rLoc))
-	if err != nil {
-		return 0, err
-	}
-	return 0.5*rn + lr.g.Value(x), nil
-}
-
-// snap captures this rank's checkpointable state. The vectors are
-// serialized before endBatch returns, so live buffers are safe to pass.
-func (lr *lassoRank) snap(theta float64, vecs ...[]float64) rankCkpt {
-	ck := rankCkpt{
-		Rng:   lr.smp.Stream().State(),
-		Stats: lr.c.RankStats(),
-		Theta: theta,
-		Vecs:  vecs,
-	}
-	if lr.c.Rank() == 0 {
-		ck.Trace = lr.res.Trace
-	}
-	return ck
-}
-
-// restoreCommon reinstates the non-vector state of a checkpoint: the
-// sampler's RNG cursor (replicated-seed discipline: the restored cursor
-// replays the exact draw sequence), the virtual clock and traffic
-// counters, and rank 0's convergence trace.
-func (lr *lassoRank) restoreCommon(ck *rankCkpt) {
-	lr.smp.Stream().SetState(ck.Rng)
-	lr.c.SetRankStats(ck.Stats)
-	if lr.c.Rank() == 0 {
-		lr.res.Trace = append(lr.res.Trace[:0], ck.Trace...)
-	}
-}
-
-// plain is the distributed (SA-)CD/BCD solver; compare core.lassoPlainSA
-// for the sequential inner-loop derivation (eqs. (3)–(5) with θ ≡ 1).
-func (lr *lassoRank) plain() (*LassoResult, error) {
-	opt, aLoc, c := lr.opt, lr.aLoc, lr.c
-	x := make([]float64, lr.n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	rLoc := make([]float64, aLoc.M)
-	h := 0
-	if ck, err := lr.ck.resume(); err != nil {
-		return nil, err
-	} else if ck != nil {
-		// The residual image is incrementally maintained, so it is
-		// restored rather than recomputed: a fresh MulVec could round
-		// differently from the accumulated updates and break bitwise
-		// identity with the uninterrupted run.
-		if err := restoreVecs(ck, x, rLoc); err != nil {
-			return nil, err
-		}
-		lr.restoreCommon(ck)
-		h = ck.Step
-	} else {
-		aLoc.MulVec(x, rLoc)
-		mat.Axpy(-1, lr.bLoc, rLoc)
-	}
-
-	deltas := mat.NewDense(lr.s, lr.mu)
-	rP := make([]float64, lr.s*lr.mu)
-	grad := make([]float64, lr.mu)
-	w := make([]float64, lr.mu)
-	gv := make([]float64, lr.mu)
-
-	for h < opt.Iters {
-		sb := min(lr.s, opt.Iters-h)
-		if err := lr.sampleBatch(sb); err != nil {
-			return nil, err
-		}
-		k := len(lr.bt.Cols)
-		lr.bt.Gram = mat.NewDenseData(k, k, lr.bt.Gram.Data[:k*k])
-		aLoc.ColGram(lr.bt.Cols, lr.bt.Gram)
-		aLoc.ColTMulVec(lr.bt.Cols, rLoc, rP[:k])
-		if err := lr.reduceBatch(k, sb, [][]float64{rP[:k]}); err != nil {
-			return nil, err
-		}
-
-		for j := 0; j < sb; j++ {
-			idx := lr.bt.Blocks[j]
-			mu := len(idx)
-			db := mat.NewDenseData(mu, mu, lr.diag.Data[:mu*mu])
-			lr.bt.DiagBlock(j, db)
-			v := blockEig(db)
-			flops := eigFlops(mu)
-
-			copy(grad[:mu], rP[lr.bt.Offsets[j]:lr.bt.Offsets[j]+mu])
-			for t := 0; t < j; t++ {
-				lr.bt.CrossApply(j, t, 1, deltas.Row(t), grad[:mu])
-				flops += 2 * float64(mu) * float64(len(lr.bt.Blocks[t]))
-			}
-			mat.Gather(w[:mu], x, idx)
-			var eta float64
-			if v > 0 {
-				eta = 1 / v
-				for a2 := 0; a2 < mu; a2++ {
-					gv[a2] = w[a2] - eta*grad[a2]
-				}
-			} else {
-				eta = core.BigEta
-				copy(gv[:mu], w[:mu])
-			}
-			lr.g.Prox(eta, gv[:mu])
-			d := deltas.Row(j)
-			for a2 := 0; a2 < mu; a2++ {
-				d[a2] = gv[a2] - w[a2]
-			}
-			mat.ScatterAdd(x, d[:mu], idx)
-			aLoc.ColMulAdd(idx, d[:mu], rLoc)
-			// Redundant scalar work (eig, prox) is per-rank sequential; the
-			// residual update streams the owned nonzeros and splits over the
-			// hybrid core budget.
-			c.Compute(flops + float64(5*mu))
-			c.ComputeParallel(2 * float64(lr.localColNNZ(idx)))
-			h++
-			if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-				err := lr.track(h, func() (float64, error) { return lr.globalObjective(rLoc, x) })
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := lr.ck.endBatch(h, func() rankCkpt { return lr.snap(0, x, rLoc) }); err != nil {
-			return nil, err
-		}
-	}
-	lr.res.X = x
-	mark := c.Mark()
-	obj, err := lr.globalObjective(rLoc, x)
-	if err != nil {
-		return nil, err
-	}
-	lr.res.Objective = obj
-	c.Restore(mark)
-	return lr.res, nil
-}
-
-// accelerated is the distributed SA-accBCD solver (Alg. 2); compare
-// core.lassoAccSA. z and y are replicated, their images z̃ = A·z − b and
-// ỹ = A·y are row-partitioned like the residual.
-func (lr *lassoRank) accelerated() (*LassoResult, error) {
-	opt, aLoc, c := lr.opt, lr.aLoc, lr.c
-	q := float64(lr.smp.NumBlocks())
-	z := make([]float64, lr.n)
-	if opt.X0 != nil {
-		copy(z, opt.X0)
-	}
-	y := make([]float64, lr.n)
-	ztLoc := make([]float64, aLoc.M)
-	ytLoc := make([]float64, aLoc.M)
-	theta := lr.smp.Theta0()
-	h := 0
-	if ck, err := lr.ck.resume(); err != nil {
-		return nil, err
-	} else if ck != nil {
-		// All four incrementally-maintained vectors and the momentum
-		// parameter are restored, never recomputed (bitwise identity).
-		if err := restoreVecs(ck, z, y, ztLoc, ytLoc); err != nil {
-			return nil, err
-		}
-		lr.restoreCommon(ck)
-		theta = ck.Theta
-		h = ck.Step
-	} else {
-		aLoc.MulVec(z, ztLoc)
-		mat.Axpy(-1, lr.bLoc, ztLoc)
-	}
-
-	kMax := lr.s * lr.mu
-	ytP := make([]float64, kMax)
-	ztP := make([]float64, kMax)
-	deltas := mat.NewDense(lr.s, lr.mu)
-	dCoef := make([]float64, lr.s)
-	thetas := make([]float64, lr.s+1)
-	rvec := make([]float64, lr.mu)
-	w := make([]float64, lr.mu)
-	gv := make([]float64, lr.mu)
-	scaled := make([]float64, lr.mu)
-
-	for h < opt.Iters {
-		sb := min(lr.s, opt.Iters-h)
-		if err := lr.sampleBatch(sb); err != nil {
-			return nil, err
-		}
-		k := len(lr.bt.Cols)
-		lr.bt.Gram = mat.NewDenseData(k, k, lr.bt.Gram.Data[:k*k])
-		thetas[0] = theta
-		for j := 1; j <= sb; j++ {
-			thetas[j] = core.NextTheta(thetas[j-1])
-		}
-		aLoc.ColGram(lr.bt.Cols, lr.bt.Gram)
-		aLoc.ColTMulVec(lr.bt.Cols, ytLoc, ytP[:k])
-		aLoc.ColTMulVec(lr.bt.Cols, ztLoc, ztP[:k])
-		if err := lr.reduceBatch(k, sb, [][]float64{ytP[:k], ztP[:k]}); err != nil {
-			return nil, err
-		}
-
-		for j := 0; j < sb; j++ {
-			idx := lr.bt.Blocks[j]
-			mu := len(idx)
-			db := mat.NewDenseData(mu, mu, lr.diag.Data[:mu*mu])
-			lr.bt.DiagBlock(j, db)
-			v := blockEig(db)
-			flops := eigFlops(mu)
-
-			thPrev := thetas[j]
-			th2 := thPrev * thPrev
-			off := lr.bt.Offsets[j]
-			for a2 := 0; a2 < mu; a2++ {
-				rvec[a2] = th2*ytP[off+a2] + ztP[off+a2]
-			}
-			for t := 0; t < j; t++ {
-				lr.bt.CrossApply(j, t, -(th2*dCoef[t] - 1), deltas.Row(t), rvec[:mu])
-				flops += 2 * float64(mu) * float64(len(lr.bt.Blocks[t]))
-			}
-
-			mat.Gather(w[:mu], z, idx)
-			var eta float64
-			if v > 0 {
-				eta = 1 / (q * thPrev * v)
-				for a2 := 0; a2 < mu; a2++ {
-					gv[a2] = w[a2] - eta*rvec[a2]
-				}
-			} else {
-				eta = core.BigEta
-				copy(gv[:mu], w[:mu])
-			}
-			lr.g.Prox(eta, gv[:mu])
-			d := deltas.Row(j)
-			for a2 := 0; a2 < mu; a2++ {
-				d[a2] = gv[a2] - w[a2]
-			}
-
-			dj := (1 - q*thPrev) / th2
-			dCoef[j] = dj
-			mat.ScatterAdd(z, d[:mu], idx)
-			aLoc.ColMulAdd(idx, d[:mu], ztLoc)
-			mat.ScatterAxpy(-dj, y, d[:mu], idx)
-			for a2 := 0; a2 < mu; a2++ {
-				scaled[a2] = -dj * d[a2]
-			}
-			aLoc.ColMulAdd(idx, scaled[:mu], ytLoc)
-			c.Compute(flops + float64(8*mu))
-			c.ComputeParallel(4 * float64(lr.localColNNZ(idx)))
-
-			h++
-			if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-				thNext := thetas[j+1]
-				err := lr.track(h, func() (float64, error) {
-					return lr.accObjective(thNext, y, z, ytLoc, ztLoc)
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		theta = thetas[sb]
-		if err := lr.ck.endBatch(h, func() rankCkpt { return lr.snap(theta, z, y, ztLoc, ytLoc) }); err != nil {
-			return nil, err
-		}
-	}
-	lr.res.X = accSolution(theta, y, z)
-	mark := c.Mark()
-	rLoc := make([]float64, aLoc.M)
-	accResidual(theta, ytLoc, ztLoc, rLoc)
-	rn, err := c.AllreduceScalar(mpi.Sum, mat.Nrm2Sq(rLoc))
-	if err != nil {
-		return nil, err
-	}
-	lr.res.Objective = 0.5*rn + lr.g.Value(lr.res.X)
-	c.Restore(mark)
-	return lr.res, nil
-}
-
-// accObjective evaluates the implicit iterate's objective: the residual
-// θ²ỹ + z̃ is assembled per rank and its norm reduced, the solution
-// θ²y + z is replicated.
-func (lr *lassoRank) accObjective(theta float64, y, z, ytLoc, ztLoc []float64) (float64, error) {
-	rLoc := make([]float64, len(ytLoc))
-	accResidual(theta, ytLoc, ztLoc, rLoc)
-	rn, err := lr.c.AllreduceScalar(mpi.Sum, mat.Nrm2Sq(rLoc))
-	if err != nil {
-		return 0, err
-	}
-	return 0.5*rn + lr.g.Value(accSolution(theta, y, z)), nil
-}
-
-// accSolution reconstructs x = θ²·y + z (Alg. 1 line 19).
-func accSolution(theta float64, y, z []float64) []float64 {
-	x := make([]float64, len(z))
-	th2 := theta * theta
-	for i := range x {
-		x[i] = th2*y[i] + z[i]
-	}
-	return x
-}
-
-// accResidual writes the local slice of A·x − b = θ²·ỹ + z̃ into dst.
-func accResidual(theta float64, ytLoc, ztLoc, dst []float64) {
-	th2 := theta * theta
-	for i := range dst {
-		dst[i] = th2*ytLoc[i] + ztLoc[i]
-	}
+	return 20 * float64(mu) * float64(mu)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"saco/internal/core"
-	"saco/internal/mat"
 	"saco/internal/mpi"
-	"saco/internal/rng"
 	"saco/internal/sparse"
 )
 
@@ -18,11 +16,11 @@ const tagGatherX = 1
 // SVM trains a linear SVM by dual coordinate descent on the configured
 // cluster with the paper's 1D-column layout (§VI): each rank owns a
 // column block of A and the matching slice of the primal vector x, while
-// the dual α and the labels are replicated. Per outer iteration the
-// ranks compute local contributions to the s×s row Gram G = YYᵀ and the
-// hoisted products x'_j, sum them with one Allreduce, and run s
-// communication-free dual updates — opt.S <= 1 degenerates to the
-// classical one-reduction-per-iteration Alg. 3.
+// the dual α and the labels are replicated. Every rank runs core's batch
+// driver over its block; per outer iteration the local contributions to
+// the s×s row Gram G = YYᵀ and the hoisted products x'_j are summed with
+// one Allreduce, followed by s communication-free dual updates —
+// opt.S <= 1 is the classical one-reduction-per-iteration Alg. 3.
 func SVM(a *sparse.CSR, b []float64, opt core.SVMOptions, cl Options) (*SVMResult, error) {
 	return SVMFrom(CSRSource{a}, b, opt, cl)
 }
@@ -61,15 +59,6 @@ func SVMFrom(src Source, b []float64, opt core.SVMOptions, cl Options) (*SVMResu
 // assembled on rank 0 only; Stats is left nil for the driver to fill.
 func SVMRank(c *mpi.Comm, src Source, b []float64, opt core.SVMOptions, cl Options) (*SVMResult, error) {
 	m, n := src.Dims()
-	if len(b) != m {
-		return nil, fmt.Errorf("dist: len(b)=%d does not match %d rows", len(b), m)
-	}
-	if opt.Iters <= 0 {
-		return nil, fmt.Errorf("dist: Iters=%d, want positive", opt.Iters)
-	}
-	if opt.Lambda <= 0 {
-		return nil, fmt.Errorf("dist: Lambda=%v, want positive", opt.Lambda)
-	}
 	lo, hi := mpi.BlockRange(n, c.Size(), c.Rank())
 	aLoc, err := src.ColsCSR(lo, hi)
 	if err != nil {
@@ -80,182 +69,68 @@ func SVMRank(c *mpi.Comm, src Source, b []float64, opt core.SVMOptions, cl Optio
 		// trajectory bitwise identical to the sequential-rank run.
 		aLoc = aLoc.WithKernelWorkers(cl.RankWorkers).(*sparse.CSR)
 	}
-	gamma, nu := opt.GammaNu()
-
-	alpha := make([]float64, m)
-	xLoc := make([]float64, hi-lo)
-	if opt.Alpha0 != nil {
-		copy(alpha, opt.Alpha0)
-		for i, ai := range alpha {
-			if ai != 0 {
-				aLoc.RowTAxpy(i, ai*b[i], xLoc)
-			}
-		}
+	rk := &svmRank{rank{c: c, cl: &cl, nnz: aLoc.RowNNZ}}
+	st, err := core.NewSVMStepper(aLoc, b, opt, rk, rk)
+	if err != nil {
+		return nil, err
 	}
-
-	r := rng.New(opt.Seed)
-	s := max(1, opt.S)
-	rows := make([]int, s)
-	gram := mat.NewDense(s, s)
-	xP := make([]float64, s)
-	thetaStep := make([]float64, s)
-	buf := make([]float64, s*s+s)
-	idxS := make([]float64, s)
-	marginLoc := make([]float64, m)
-	res := &SVMResult{Iters: opt.Iters}
-
-	// objectives reduces the full margin vector A·x = Σ_ranks A_loc·x_loc
-	// and ‖x‖² = Σ‖x_loc‖², then evaluates primal, dual and gap — all
-	// replicated bitwise, so every rank reaches the same Tol decision.
-	objectives := func() (primal, dual, gap float64, err error) {
-		aLoc.MulVec(xLoc, marginLoc)
-		if err := cl.allreduce(c, marginLoc); err != nil {
-			return 0, 0, 0, err
-		}
-		xns, err := c.AllreduceScalar(mpi.Sum, mat.Nrm2Sq(xLoc))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		primal, dual, gap = core.SVMObjectivesFromParts(xns, alpha, marginLoc, b, opt.Lambda, gamma, opt.Loss)
-		return primal, dual, gap, nil
-	}
-
-	ses := newCkptSession(cl.Checkpoint, c, fmt.Sprintf(
+	err = rk.start(&st.Stepper, fmt.Sprintf(
 		"svm m=%d n=%d p=%d seed=%d iters=%d s=%d lambda=%g loss=%d tol=%g track=%d warm=%t bcast=%t fullgram=%t rsag=%t",
 		m, n, c.Size(), opt.Seed, opt.Iters, opt.S, opt.Lambda, opt.Loss,
 		opt.Tol, opt.TrackEvery, opt.Alpha0 != nil,
 		cl.BroadcastIndices, cl.FullGramPack, cl.RSAGAllreduce))
-	h := 0
-	if ck, err := ses.resume(); err != nil {
+	if err != nil {
 		return nil, err
-	} else if ck != nil {
-		// α and the primal slice are incrementally maintained — restored,
-		// never recomputed, to keep bitwise identity with an
-		// uninterrupted run.
-		if err := restoreVecs(ck, alpha, xLoc); err != nil {
-			return nil, err
-		}
-		r.SetState(ck.Rng)
-		c.SetRankStats(ck.Stats)
-		if c.Rank() == 0 {
-			res.Trace = append(res.Trace[:0], ck.Trace...)
-		}
-		h = ck.Step
 	}
-
-	done := false
-	for h < opt.Iters && !done {
-		sb := min(s, opt.Iters-h)
-		if cl.BroadcastIndices {
-			if err := bcastRows(c, r, m, sb, rows[:sb], idxS); err != nil {
-				return nil, err
-			}
-		} else {
-			for j := 0; j < sb; j++ {
-				rows[j] = r.Intn(m) // replicated draws (Alg. 3 line 4)
-			}
-		}
-		gb := mat.NewDenseData(sb, sb, gram.Data[:sb*sb])
-		// Local contributions to lines 9–10 of Alg. 4, then the one
-		// reduction of the outer iteration.
-		aLoc.RowGram(rows[:sb], gb)
-		aLoc.RowMulVec(rows[:sb], xLoc, xP[:sb])
-		nnzR := 0
-		for j := 0; j < sb; j++ {
-			nnzR += aLoc.RowNNZ(rows[j])
-		}
-		// Kernel flops split over the hybrid core budget (plain Compute at
-		// one core); the scalar dual recurrences below stay sequential.
-		gramFlops := float64(sb+1) * float64(nnzR)
-		if sb > 1 {
-			c.ComputeBlockedParallel(gramFlops, sb*sb+2*nnzR)
-		} else {
-			c.ComputeParallel(gramFlops)
-		}
-		c.ComputeParallel(2 * float64(nnzR))
-		words := packGram(gb, [][]float64{xP[:sb]}, cl.FullGramPack, buf)
-		if err := cl.allreduce(c, buf[:words]); err != nil {
-			return nil, err
-		}
-		unpackGram(buf[:words], gb, [][]float64{xP[:sb]}, cl.FullGramPack)
-		for j := 0; j < sb; j++ {
-			gb.Set(j, j, gb.At(j, j)+gamma) // η_j = ‖A_j‖² + γ, now global
-		}
-
-		for j := 0; j < sb; j++ {
-			i := rows[j]
-			eta := gb.At(j, j)
-			// Eq. (15): A_j·x_{sk+j−1} = x'_j + Σ_{t<j} θ_t·b_t·G_{j,t}.
-			dot := xP[j]
-			for t := 0; t < j; t++ {
-				if thetaStep[t] != 0 {
-					dot += thetaStep[t] * b[rows[t]] * gb.At(j, t)
-				}
-			}
-			g := b[i]*dot - 1 + gamma*alpha[i]
-			flops := 4 + 3*float64(j)
-			// Projected-Newton step (Alg. 3 lines 9–15), replicated; only
-			// the primal update touches rank-local state.
-			theta := 0.0
-			ai := alpha[i]
-			axpyFlops := 0.0
-			if gt := core.Clip(ai-g, 0, nu) - ai; gt != 0 {
-				theta = core.Clip(ai-g/eta, 0, nu) - ai
-				if theta != 0 {
-					alpha[i] += theta
-					aLoc.RowTAxpy(i, theta*b[i], xLoc)
-					axpyFlops = 2 * float64(aLoc.RowNNZ(i))
-				}
-			}
-			thetaStep[j] = theta
-			c.Compute(flops)
-			if axpyFlops > 0 {
-				c.ComputeParallel(axpyFlops)
-			}
-			h++
-			if opt.TrackEvery > 0 && h%opt.TrackEvery == 0 {
-				mark := c.Mark()
-				sec := c.Elapsed()
-				_, _, gap, err := objectives()
-				if err != nil {
-					return nil, err
-				}
-				if c.Rank() == 0 {
-					res.Trace = append(res.Trace, TimedPoint{Iter: h, Seconds: sec, Value: gap})
-				}
-				c.Restore(mark)
-				if opt.Tol > 0 && gap <= opt.Tol {
-					res.Iters = h
-					done = true
-					break
-				}
-			}
-		}
-		if err := ses.endBatch(h, func() rankCkpt {
-			ck := rankCkpt{Rng: r.State(), Stats: c.RankStats(), Vecs: [][]float64{alpha, xLoc}}
-			if c.Rank() == 0 {
-				ck.Trace = res.Trace
-			}
-			return ck
-		}); err != nil {
-			return nil, err
-		}
+	res, err := st.Run()
+	if err != nil {
+		return nil, err
 	}
-
 	// Assemble the primal vector on rank 0 (charged: shipping the model
 	// home is a real cost, and the same one for classic and SA runs).
-	res.X, err = gatherX(c, xLoc, n)
+	x, err := gatherX(c, res.X, n)
 	if err != nil {
 		return nil, err
 	}
-	res.Alpha = alpha
-	mark := c.Mark()
-	res.Primal, res.Dual, res.Gap, err = objectives()
-	if err != nil {
-		return nil, err
+	return &SVMResult{
+		X: x, Alpha: res.Alpha, Primal: res.Primal, Dual: res.Dual, Gap: res.Gap,
+		Trace: rk.trace, Iters: res.Iters,
+	}, nil
+}
+
+// svmRank observes the dual coordinate recurrence for the cost model.
+type svmRank struct{ rank }
+
+// BatchSampled agrees on the batch's rows — already, by the replicated
+// seed, or from rank 0 under the BroadcastIndices ablation — and charges
+// the Gram and the one hoisted product.
+func (r *svmRank) BatchSampled(bt *core.Batch) error {
+	if r.cl.BroadcastIndices {
+		buf := r.scratch(len(bt.Idx))
+		if r.c.Rank() == 0 {
+			for j, i := range bt.Idx {
+				buf[j] = float64(i)
+			}
+		}
+		if err := r.c.Bcast(0, buf); err != nil {
+			return err
+		}
+		for j := range bt.Idx {
+			bt.Idx[j] = int(buf[j])
+		}
 	}
-	c.Restore(mark)
-	return res, nil
+	r.charge(bt, 1)
+	return nil
+}
+
+// StepDone charges one dual update: the scalar recurrence is replicated
+// and sequential; only a step that moved touches rank-local state, the
+// primal slice, and that update splits over the hybrid core budget.
+func (r *svmRank) StepDone(bt *core.Batch, j int, moved bool) {
+	r.c.Compute(4 + 3*float64(j))
+	if flops := 2 * float64(r.nnz(bt.Idx[j])); moved && flops > 0 {
+		r.c.ComputeParallel(flops)
+	}
 }
 
 // gatherX concatenates the per-rank primal slices onto rank 0 in layout

@@ -88,7 +88,7 @@ const (
 // BackendMulticore fans its matrix kernels across the persistent
 // shared-memory worker pool; BackendAsync runs lock-free HOGWILD!-style
 // solver workers against one shared atomic iterate; and the simulated
-// cluster (SimulateLasso / SimulateSVM) models distributed execution,
+// cluster (DistLasso / DistSVM) models distributed execution,
 // optionally hybrid rank×thread via Cluster.RankWorkers. Multicore
 // execution parallelizes only independent output elements with unchanged
 // summation order, so iterates are bitwise identical to the sequential
@@ -204,24 +204,6 @@ func DistSVM(src ClusterSource, b []float64, opt SVMOptions, cluster Cluster) (*
 // MatrixSource adapts an in-memory CSR matrix into a ClusterSource for
 // DistLasso / DistSVM; each rank slices exactly its block from it.
 func MatrixSource(a *CSR) ClusterSource { return dist.CSRSource{A: a} }
-
-// SimulateLasso runs the distributed Lasso solver on the in-process
-// simulated cluster.
-//
-// Deprecated: use DistLasso with MatrixSource(a); it accepts the same
-// Cluster and additionally honors Cluster.Transport.
-func SimulateLasso(a *CSR, b []float64, opt LassoOptions, cluster Cluster) (*DistLassoResult, error) {
-	return DistLasso(MatrixSource(a), b, opt, cluster)
-}
-
-// SimulateSVM runs the distributed SVM solver on the in-process
-// simulated cluster.
-//
-// Deprecated: use DistSVM with MatrixSource(a); it accepts the same
-// Cluster and additionally honors Cluster.Transport.
-func SimulateSVM(a *CSR, b []float64, opt SVMOptions, cluster Cluster) (*DistSVMResult, error) {
-	return DistSVM(MatrixSource(a), b, opt, cluster)
-}
 
 // LambdaMax returns ‖Aᵀb‖_∞, the smallest λ with an all-zero Lasso
 // solution; experiments typically use a fraction of it.
@@ -343,25 +325,6 @@ func BuildStream(svmPath, cacheDir string, opt StreamOptions) (*StreamDataset, e
 // re-ingesting the text file.
 func OpenStream(cacheDir string) (*StreamDataset, error) {
 	return stream.Open(cacheDir)
-}
-
-// SimulateLassoFrom is SimulateLasso over any block source (an
-// out-of-core StreamDataset, or an in-memory CSR via MatrixSource):
-// each rank loads exactly its row block.
-//
-// Deprecated: use DistLasso, which is this function under its
-// transport-neutral name.
-func SimulateLassoFrom(src ClusterSource, b []float64, opt LassoOptions, cluster Cluster) (*DistLassoResult, error) {
-	return DistLasso(src, b, opt, cluster)
-}
-
-// SimulateSVMFrom is SimulateSVM over any block source; each rank
-// assembles its column block with one pass over the source.
-//
-// Deprecated: use DistSVM, which is this function under its
-// transport-neutral name.
-func SimulateSVMFrom(src ClusterSource, b []float64, opt SVMOptions, cluster Cluster) (*DistSVMResult, error) {
-	return DistSVM(src, b, opt, cluster)
 }
 
 // PathPoint is one solution along a Lasso regularization path.

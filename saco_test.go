@@ -43,12 +43,12 @@ func TestPublicAPISVMAndSimulation(t *testing.T) {
 		t.Fatalf("negative duality gap %v", seq.Gap)
 	}
 	// Simulated cluster: SA variant must match and communicate less.
-	classic, err := saco.SimulateSVM(data.AsCSR(), data.B, opt, saco.Cluster{P: 4, Machine: saco.CrayXC30()})
+	classic, err := saco.DistSVM(saco.MatrixSource(data.AsCSR()), data.B, opt, saco.Cluster{P: 4, Machine: saco.CrayXC30()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.S = 32
-	sa, err := saco.SimulateSVM(data.AsCSR(), data.B, opt, saco.Cluster{P: 4, Machine: saco.CrayXC30()})
+	sa, err := saco.DistSVM(saco.MatrixSource(data.AsCSR()), data.B, opt, saco.Cluster{P: 4, Machine: saco.CrayXC30()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestPublicAPISVMAndSimulation(t *testing.T) {
 	}
 }
 
-func TestPublicAPISimulateLassoMachines(t *testing.T) {
+func TestPublicAPIDistLassoMachines(t *testing.T) {
 	data := saco.Regression("demo", 5, 200, 100, 0.1, 6, 0.05)
 	lambda := 0.1 * saco.LambdaMax(data.Cols(), data.B)
 	opt := saco.LassoOptions{Lambda: lambda, Iters: 200, Accelerated: true, Seed: 6, S: 16}
 	for _, m := range []saco.Machine{saco.CrayXC30(), saco.EthernetCluster(), saco.SparkLike()} {
-		res, err := saco.SimulateLasso(data.AsCSR(), data.B, opt, saco.Cluster{P: 4, Machine: m})
+		res, err := saco.DistLasso(saco.MatrixSource(data.AsCSR()), data.B, opt, saco.Cluster{P: 4, Machine: m})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
