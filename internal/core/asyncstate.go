@@ -162,7 +162,7 @@ func (s *AsyncLasso) ObjectiveAt(x []float64) float64 {
 // sampling stream and scratch buffers; one worker must not be stepped
 // from two goroutines, but distinct workers may run concurrently.
 func (s *AsyncLasso) Worker(k int) *AsyncLassoWorker {
-	smp := &blockSampler{r: s.streams[k], n: s.n, mu: s.opt.mu(), groups: s.opt.Groups}
+	smp := newBlockSampler(s.streams[k], &s.opt, s.n)
 	muMax := smp.maxBlock()
 	return &AsyncLassoWorker{
 		s: s, smp: smp,
@@ -171,6 +171,7 @@ func (s *AsyncLasso) Worker(k int) *AsyncLassoWorker {
 		wbuf:  make([]float64, muMax),
 		gv:    make([]float64, muMax),
 		delta: make([]float64, muMax),
+		eig:   make([]float64, 2*muMax),
 	}
 }
 
@@ -181,6 +182,7 @@ type AsyncLassoWorker struct {
 	smp                   *blockSampler
 	gram                  *mat.Dense
 	grad, wbuf, gv, delta []float64
+	eig                   []float64 // blockLargestEig's scratch
 }
 
 // Step performs one (block) proximal coordinate update against the
@@ -194,7 +196,7 @@ func (w *AsyncLassoWorker) Step() {
 	mu := len(idx)
 	gb := mat.NewDenseData(mu, mu, w.gram.Data[:mu*mu])
 	s.ac.ColGram(idx, gb) // read-only: plain kernel is safe
-	v := blockLargestEig(gb)
+	v := blockLargestEig(gb, w.eig)
 	s.ac.ColTMulVecAtomic(idx, s.rv, w.grad[:mu])
 	s.xv.Gather(w.wbuf[:mu], idx)
 	var eta float64

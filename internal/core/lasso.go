@@ -34,20 +34,26 @@ func Lasso(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
 // uniform draws without replacement or one whole group.
 type blockSampler struct {
 	r      *rng.Stream
-	n, mu  int
+	n      int
 	groups [][]int
+	blk    []int       // the µ draws of the last next()
+	swaps  map[int]int // rng.SampleKInto's scratch
 }
 
-func newBlockSampler(opt *LassoOptions, n int) *blockSampler {
-	return &blockSampler{r: rng.New(opt.Seed), n: n, mu: opt.mu(), groups: opt.Groups}
+func newBlockSampler(r *rng.Stream, opt *LassoOptions, n int) *blockSampler {
+	mu := opt.mu()
+	return &blockSampler{r: r, n: n, groups: opt.Groups,
+		blk: make([]int, mu), swaps: make(map[int]int, mu)}
 }
 
-// next returns the next sampled block (Alg. 1 line 5 / Alg. 2 line 6).
+// next returns the next sampled block (Alg. 1 line 5 / Alg. 2 line 6),
+// valid until the following call.
 func (s *blockSampler) next() []int {
 	if s.groups != nil {
 		return s.groups[s.r.Intn(len(s.groups))]
 	}
-	return s.r.SampleK(s.n, s.mu)
+	s.r.SampleKInto(s.n, s.blk, s.swaps)
+	return s.blk
 }
 
 // numBlocks returns q, the block count of the acceleration schedule
@@ -56,7 +62,7 @@ func (s *blockSampler) numBlocks() int {
 	if s.groups != nil {
 		return len(s.groups)
 	}
-	return (s.n + s.mu - 1) / s.mu
+	return (s.n + len(s.blk) - 1) / len(s.blk)
 }
 
 // theta0 returns the initial acceleration parameter (Alg. 1 line 2:
@@ -65,13 +71,13 @@ func (s *blockSampler) theta0() float64 {
 	if s.groups != nil {
 		return 1 / float64(len(s.groups))
 	}
-	return float64(s.mu) / float64(s.n)
+	return float64(len(s.blk)) / float64(s.n)
 }
 
 // maxBlock returns the largest block size the solver must buffer for.
 func (s *blockSampler) maxBlock() int {
 	if s.groups == nil {
-		return s.mu
+		return len(s.blk)
 	}
 	m := 0
 	for _, g := range s.groups {
@@ -96,7 +102,7 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 	if err := opt.Validate(m, n, len(b)); err != nil {
 		return nil, err
 	}
-	smp := newBlockSampler(&opt, n)
+	smp := newBlockSampler(rng.New(opt.Seed), &opt, n)
 	s, muMax := max(1, opt.S), smp.maxBlock()
 	k := s * muMax
 	blk := &lassoBlock{a: a, g: opt.Regularizer(), smp: smp,
@@ -105,6 +111,7 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 		grad:    make([]float64, muMax),
 		w:       make([]float64, muMax),
 		gv:      make([]float64, muMax),
+		eig:     make([]float64, 2*muMax),
 	}
 	st := &LassoStepper{blk: blk}
 	blk.d = &st.Stepper
@@ -159,12 +166,12 @@ func (st *LassoStepper) Run() (*LassoResult, error) {
 const bigEta = 1e300
 
 // blockLargestEig returns λmax of the µ×µ Gram block (Alg. 1 line 10),
-// with the scalar fast path for CD.
-func blockLargestEig(g *mat.Dense) float64 {
+// with the scalar fast path for CD; scratch holds 2µ elements.
+func blockLargestEig(g *mat.Dense, scratch []float64) float64 {
 	if g.R == 1 {
 		return g.Data[0]
 	}
-	return mat.LargestEigSym(g)
+	return mat.LargestEigSymScratch(g, scratch)
 }
 
 // nextTheta advances the acceleration parameter (Alg. 1 line 18):

@@ -33,6 +33,7 @@ type lassoBlock struct {
 	diagBuf []float64
 	grad    []float64 // the block gradient an inner step assembles
 	w, gv   []float64
+	eig     []float64    // blockLargestEig's scratch
 	prods   [2][]float64 // backing of the slice local returns
 	// iterate returns the current x and its residual A·x − b.
 	iterate func() (x, r []float64)
@@ -91,7 +92,7 @@ func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta [
 	for a := 0; a < mu; a++ {
 		copy(l.diag.Row(a), gram.Data[(off+a)*gram.C+off:])
 	}
-	v := blockLargestEig(&l.diag)
+	v := blockLargestEig(&l.diag, l.eig)
 
 	// Reading the in-place-updated x yields the collision sum of eq. (4).
 	w, gv := l.w[:mu], l.gv[:mu]

@@ -113,3 +113,24 @@ func TestObserverIsPure(t *testing.T) {
 		}
 	}
 }
+
+// TestClassicalLassoAllocatesNothingPerIteration pins the s = 1 batch to
+// its buffers: sampling, the 8×8 Gram, the block eigenvalue and the
+// hoisted products all reuse solver-owned scratch, so doubling the
+// iteration count must not add a single allocation.
+func TestClassicalLassoAllocatesNothingPerIteration(t *testing.T) {
+	a, b, lambda := testProblem(7)
+	for _, acc := range []bool{false, true} {
+		allocs := func(iters int) float64 {
+			opt := LassoOptions{Lambda: lambda, BlockSize: 8, S: 1, Iters: iters, Accelerated: acc, Seed: 5}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Lasso(a, b, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(200), allocs(400); long != short {
+			t.Fatalf("accelerated=%v: %v allocations at 200 iterations, %v at 400", acc, short, long)
+		}
+	}
+}

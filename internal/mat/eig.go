@@ -16,6 +16,13 @@ import (
 // (λ₁/λ₂)ᵏ; maxIter 200 with tol 1e-12 is far tighter than the step-size
 // use requires.
 func LargestEigSym(g *Dense) float64 {
+	return LargestEigSymScratch(g, make([]float64, 2*g.R))
+}
+
+// LargestEigSymScratch is LargestEigSym with the two iteration vectors
+// taken from scratch (at least 2·g.R long, contents ignored) instead of
+// allocated: the form for callers that take an eigenvalue per iteration.
+func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	n := g.R
 	if g.C != n {
 		panic(fmt.Sprintf("mat: LargestEigSym non-square %dx%d", g.R, g.C))
@@ -33,12 +40,12 @@ func LargestEigSym(g *Dense) float64 {
 	// Deterministic start with a mild index tilt so the start vector is
 	// never orthogonal to the dominant eigenvector of a permutation-
 	// symmetric matrix.
-	v := make([]float64, n)
+	v, w := scratch[:n], scratch[n:2*n]
+	clear(w) // Gemv forms 0·w[i]: stale NaN or Inf must not reach it
 	for i := range v {
 		v[i] = 1 + float64(i)/float64(n)
 	}
 	Scal(1/Nrm2(v), v)
-	w := make([]float64, n)
 	lambda := 0.0
 	for it := 0; it < maxIter; it++ {
 		Gemv(1, g, v, 0, w)

@@ -130,6 +130,27 @@ func TestCondSym(t *testing.T) {
 	}
 }
 
+// TestLargestEigSymScratchSameBits: the caller-scratch form is the same
+// arithmetic — whatever the scratch held, and with it reused across
+// sizes — and allocates nothing.
+func TestLargestEigSymScratchSameBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	scratch := make([]float64, 2*12)
+	for _, n := range []int{0, 1, 2, 8, 12, 3} {
+		g := randPSD(rng, n)
+		for i := range scratch {
+			scratch[i] = []float64{math.NaN(), math.Inf(-1), -1}[i%3]
+		}
+		if got, want := LargestEigSymScratch(g, scratch), LargestEigSym(g); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: scratch form %v, allocating form %v", n, got, want)
+		}
+	}
+	g := randPSD(rng, 8)
+	if n := testing.AllocsPerRun(10, func() { LargestEigSymScratch(g, scratch) }); n != 0 {
+		t.Fatalf("LargestEigSymScratch allocates %v times per call", n)
+	}
+}
+
 func TestLargestEigDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randPSD(rng, 12)

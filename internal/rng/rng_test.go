@@ -164,6 +164,28 @@ func TestSampleKUniformity(t *testing.T) {
 	}
 }
 
+// TestSampleKIntoSameDraws: the reusable-destination form consumes the
+// stream exactly as SampleK does — equal seeds, equal draws, call after
+// call with one dirty map — and allocates nothing.
+func TestSampleKIntoSameDraws(t *testing.T) {
+	a, b := New(77), New(77)
+	swaps := map[int]int{3: 9, 1000: 1} // cleared by the call
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + iter%40
+		out := make([]int, iter%(n+1))
+		b.SampleKInto(n, out, swaps)
+		for i, want := range a.SampleK(n, len(out)) {
+			if out[i] != want {
+				t.Fatalf("iter %d: SampleKInto drew %v, SampleK drew %d at %d", iter, out, want, i)
+			}
+		}
+	}
+	out := make([]int, 8)
+	if n := testing.AllocsPerRun(50, func() { b.SampleKInto(1_000_000, out, swaps) }); n != 0 {
+		t.Fatalf("SampleKInto allocates %v times per call", n)
+	}
+}
+
 func TestSampleKDeterministicAcrossRanks(t *testing.T) {
 	// The replicated-seed discipline: every "rank" reproduces the same
 	// coordinate choices with no communication.

@@ -15,7 +15,20 @@ func (r *Stream) SampleK(n, k int) []int {
 		panic("rng: SampleK k out of range")
 	}
 	out := make([]int, k)
-	swaps := make(map[int]int, k)
+	r.SampleKInto(n, out, make(map[int]int, k))
+	return out
+}
+
+// SampleKInto is SampleK with k = len(out), writing the draws to out
+// and tracking the swaps in the caller's map, which it clears first. A
+// caller that samples every iteration keeps both and allocates nothing;
+// the draws are those of SampleK(n, len(out)).
+func (r *Stream) SampleKInto(n int, out []int, swaps map[int]int) {
+	k := len(out)
+	if k > n {
+		panic("rng: SampleKInto len(out) out of range")
+	}
+	clear(swaps)
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
 		vi, ok := swaps[i]
@@ -30,7 +43,6 @@ func (r *Stream) SampleK(n, k int) []int {
 		swaps[j] = vi
 		// swaps[i] no longer matters: position i is never revisited.
 	}
-	return out
 }
 
 // Perm returns a full random permutation of [0, n).

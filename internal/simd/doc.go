@@ -1,8 +1,9 @@
 // Package simd is the kernel-dispatch layer for the repository's hot
 // floating-point primitives: the dense dot/axpy pair, the squared norm,
 // the gather-dot and scatter-axpy at the heart of every CSR/CSC kernel,
-// the sorted-merge dot of the Gram assembly, and a fused
-// gather-multiply-accumulate SpMV row loop.
+// the sorted-merge dot of two sparse vectors (sparse-request scoring;
+// the pairwise definition of a Gram entry, kept as its test oracle), and
+// a fused gather-multiply-accumulate SpMV row loop.
 //
 // Every primitive exists in several complete *kernel sets*:
 //

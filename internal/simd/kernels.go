@@ -102,7 +102,8 @@ func (k *Kernels) ScatterAxpy(alpha float64, dst, v []float64, idx []int) {
 
 // MergeDot returns acc + the dot product of two sparse vectors given as
 // strictly increasing (index, value) pairs, via a sorted two-pointer
-// merge — the sparse Gram-entry kernel.
+// merge. Package sparse defines its Gram entries by it (and assembles
+// them without it: sparse/gram.go) and scores sparse requests with it.
 func (k *Kernels) MergeDot(acc float64, ia []int, va []float64, ib []int, vb []float64) float64 {
 	if len(va) < len(ia) || len(vb) < len(ib) {
 		panic("simd: MergeDot index/value length mismatch")

@@ -85,14 +85,22 @@ func (a *CSC) ColTMulVec(cols []int, v []float64, dst []float64) {
 	}
 	// Each dst[k] is an independent column dot with a fixed summation
 	// order, so partitioning the output keeps results bitwise identical.
-	rt.For(a.KernelWorkers(), len(cols), 1, func(lo, hi int) {
-		kr := simd.Active()
-		for k := lo; k < hi; k++ {
-			j := cols[k]
-			p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-			dst[k] = kr.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
-		}
-	})
+	// The closure exists only on the multicore path: it escapes into the
+	// pool, and the s = 1 solvers call this once per iteration.
+	if w := a.KernelWorkers(); w > 1 {
+		rt.For(w, len(cols), 1, func(lo, hi int) { a.colTMulVec(cols, v, dst, lo, hi) })
+	} else {
+		a.colTMulVec(cols, v, dst, 0, len(cols))
+	}
+}
+
+func (a *CSC) colTMulVec(cols []int, v, dst []float64, lo, hi int) {
+	kr := simd.Active()
+	for k := lo; k < hi; k++ {
+		j := cols[k]
+		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
+		dst[k] = kr.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
+	}
 }
 
 // ColMulAdd computes v += A_S·coef, the residual update z̃ += A_h·Δz
@@ -113,34 +121,20 @@ func (a *CSC) ColMulAdd(cols []int, coef []float64, v []float64) {
 
 // ColGram computes dst = A_SᵀA_S for the column set S (|S|×|S|): the µ×µ
 // Gram matrix of Alg. 1 line 8, or the sµ×sµ batched Gram matrix of
-// Alg. 2 line 11 when S concatenates s sampled blocks. Only the upper
-// triangle is computed and then mirrored, matching the paper's footnote 3
-// (symmetry halves the flops and message size).
+// Alg. 2 line 11 when S concatenates s sampled blocks (the same column
+// may then appear twice). Only the upper triangle is computed and then
+// mirrored, matching the paper's footnote 3 (symmetry halves the flops
+// and message size). It is ColGramAcc from +0 accumulators, so every
+// entry has the bits of simd.MergeDot(0, column i, column j).
 func (a *CSC) ColGram(cols []int, dst *mat.Dense) {
-	s := len(cols)
-	if dst.R != s || dst.C != s {
+	if s := len(cols); dst.R != s || dst.C != s {
 		panic("sparse: ColGram dst shape mismatch")
 	}
-	// Rows of the upper triangle are independent; TriangleRanges balances
-	// the shrinking row lengths so the batched sµ×sµ Gram of the SA
-	// solvers spreads evenly over the pool. Entry values are unchanged —
-	// each is still one sorted-merge colDot.
+	dst.Zero()
+	gramAcc(a.KernelWorkers(), a.M, a.ColPtr, a.RowIdx, a.Val, cols, dst)
 	// The mirror writes happen after the parallel join: writing dst(j,i)
 	// from the worker that owns row i lands on cache lines owned by other
 	// workers' rows and bounces the Gram block between cores.
-	gramRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := cols[i]
-			for j := i; j < s; j++ {
-				dst.Set(i, j, a.colDot(ci, cols[j]))
-			}
-		}
-	}
-	if w := a.KernelWorkers(); w > 1 && s >= 4 {
-		rt.Ranges(rt.TriangleRanges(s, w), gramRows)
-	} else {
-		gramRows(0, s)
-	}
 	dst.MirrorUpper()
 }
 
@@ -167,34 +161,20 @@ func (a *CSC) ColTMulVecAcc(cols []int, v []float64, dst []float64) {
 // triangle (mat.Dense.MirrorUpper) after the final block. Like
 // ColTMulVecAcc it threads each entry's accumulator through consecutive
 // row blocks in row order, so Σ_blocks ColGramAcc followed by one mirror
-// is bitwise identical to the in-memory ColGram.
+// is bitwise identical to the in-memory ColGram. The entries come from
+// the sparse-accumulator kernel gramAcc, which adds to dst(i,j) the
+// products of the rows columns i and j share, in ascending row order.
 func (a *CSC) ColGramAcc(cols []int, dst *mat.Dense) {
-	s := len(cols)
-	if dst.R != s || dst.C != s {
+	if s := len(cols); dst.R != s || dst.C != s {
 		panic("sparse: ColGramAcc dst shape mismatch")
 	}
-	for i := 0; i < s; i++ {
-		ci := cols[i]
-		for j := i; j < s; j++ {
-			dst.Set(i, j, a.colDotAcc(ci, cols[j], dst.At(i, j)))
-		}
-	}
+	gramAcc(a.KernelWorkers(), a.M, a.ColPtr, a.RowIdx, a.Val, cols, dst)
 }
 
 // ColNormSqAcc returns acc + ‖A_:j‖² accumulated term by term, the
 // row-block continuation of ColNormSq.
 func (a *CSC) ColNormSqAcc(j int, acc float64) float64 {
 	return simd.Nrm2Sq(acc, a.Val[a.ColPtr[j]:a.ColPtr[j+1]])
-}
-
-// colDot returns A_:i · A_:j via a sorted merge of the two columns.
-func (a *CSC) colDot(i, j int) float64 { return a.colDotAcc(i, j, 0) }
-
-// colDotAcc continues a running dot product over this block's rows.
-func (a *CSC) colDotAcc(i, j int, s float64) float64 {
-	p, pEnd := a.ColPtr[i], a.ColPtr[i+1]
-	q, qEnd := a.ColPtr[j], a.ColPtr[j+1]
-	return simd.MergeDot(s, a.RowIdx[p:pEnd], a.Val[p:pEnd], a.RowIdx[q:qEnd], a.Val[q:qEnd])
 }
 
 // MulVec computes y = A·x by column accumulation.

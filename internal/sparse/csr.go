@@ -130,57 +130,18 @@ func (a *CSR) RowNormSq(row int) float64 {
 
 // RowGram computes dst = A_R·AᵀR for the row set R (|R|×|R|), the s×s Gram
 // matrix of Alg. 4 line 9 (without the γ regularization, which the solver
-// adds on the diagonal). Rows are merged pairwise using the sorted column
-// indices; dst must be |R|×|R|.
+// adds on the diagonal); dst must be |R|×|R| and R may repeat a row. It is
+// CSC.ColGram with rows for columns: the same sparse-accumulator kernel
+// (gramAcc) over the upper triangle from +0 accumulators, so every entry
+// has the bits of simd.MergeDot(0, row i, row j), then one mirror after
+// the parallel join.
 func (a *CSR) RowGram(rows []int, dst *mat.Dense) {
-	s := len(rows)
-	if dst.R != s || dst.C != s {
+	if s := len(rows); dst.R != s || dst.C != s {
 		panic("sparse: RowGram dst shape mismatch")
 	}
-	// Triangle rows are independent and balanced with TriangleRanges;
-	// every entry remains one sorted-merge rowDot, so the s×s SA-SVM Gram
-	// is bitwise identical on every backend.
-	// Only the upper triangle is written inside the parallel region; the
-	// mirror happens after the join. Mirroring inline would write dst(j,i)
-	// from the worker that owns row i — a cache line owned by another
-	// worker's rows — and the resulting false sharing bounces the Gram
-	// block between cores on every entry.
-	gramRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ri := rows[i]
-			for j := i; j < s; j++ {
-				dst.Set(i, j, a.rowDot(ri, rows[j]))
-			}
-		}
-	}
-	if w := a.KernelWorkers(); w > 1 && s >= 4 {
-		rt.Ranges(rt.TriangleRanges(s, w), gramRows)
-	} else {
-		gramRows(0, s)
-	}
+	dst.Zero()
+	gramAcc(a.KernelWorkers(), a.N, a.RowPtr, a.ColIdx, a.Val, rows, dst)
 	dst.MirrorUpper()
-}
-
-// rowDot returns A_i · A_j via a sorted merge of the two rows.
-func (a *CSR) rowDot(i, j int) float64 {
-	p, pEnd := a.RowPtr[i], a.RowPtr[i+1]
-	q, qEnd := a.RowPtr[j], a.RowPtr[j+1]
-	return simd.MergeDot(0, a.ColIdx[p:pEnd], a.Val[p:pEnd], a.ColIdx[q:qEnd], a.Val[q:qEnd])
-}
-
-// RowDot returns A_i · B_j via a sorted merge of row i of a and row j of
-// b, which must share a column space. With a == b and i == j it reduces
-// to the in-matrix rowDot; the two-matrix form lets out-of-core row
-// views (package stream) compute Gram entries between rows that live in
-// different shards with the exact summation order of the in-memory
-// RowGram.
-func RowDot(a *CSR, i int, b *CSR, j int) float64 {
-	if a.N != b.N {
-		panic(fmt.Sprintf("sparse: RowDot column spaces %d and %d differ", a.N, b.N))
-	}
-	p, pEnd := a.RowPtr[i], a.RowPtr[i+1]
-	q, qEnd := b.RowPtr[j], b.RowPtr[j+1]
-	return simd.MergeDot(0, a.ColIdx[p:pEnd], a.Val[p:pEnd], b.ColIdx[q:qEnd], b.Val[q:qEnd])
 }
 
 // SliceRows returns the submatrix of rows [r0, r1) with the same column

@@ -28,6 +28,7 @@ type RowStream struct {
 	// Memoized gather of the last sampled row set.
 	gathered *sparse.CSR
 	rowOf    map[int]int // global row -> gathered row
+	local    []int       // RowGram's sampled rows as gathered rows
 }
 
 // Rows returns the row-access streaming view (for saco.SVM,
@@ -78,22 +79,18 @@ func (v *RowStream) RowMulVec(rows []int, x []float64, dst []float64) {
 	}
 }
 
-// RowGram computes dst = A_R·A_Rᵀ (|R|×|R|) over the gathered sample,
-// entry by entry with the same sorted-merge dots as sparse.CSR.RowGram.
+// RowGram computes dst = A_R·A_Rᵀ (|R|×|R|): sparse.CSR.RowGram on the
+// gathered sample, with the sampled rows mapped to their gathered ids.
 func (v *RowStream) RowGram(rows []int, dst *mat.Dense) {
 	if dst.R != len(rows) || dst.C != len(rows) {
 		panic("stream: RowGram dst shape mismatch")
 	}
 	v.gather(rows)
-	g := v.gathered
-	for i := range rows {
-		gi := v.rowOf[rows[i]]
-		for j := i; j < len(rows); j++ {
-			val := sparse.RowDot(g, gi, g, v.rowOf[rows[j]])
-			dst.Set(i, j, val)
-			dst.Set(j, i, val)
-		}
+	v.local = v.local[:0]
+	for _, r := range rows {
+		v.local = append(v.local, v.rowOf[r])
 	}
+	v.gathered.RowGram(v.local, dst)
 }
 
 // MulVec computes y = A·x with one sequential prefetched pass.
