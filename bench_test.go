@@ -6,21 +6,12 @@
 package saco_test
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"testing"
 
 	"saco"
 	"saco/internal/bench"
-	"saco/internal/mat"
-	"saco/internal/mpi"
-	"saco/internal/rng"
 )
-
-func sizeName(prefix string, n int) string { return fmt.Sprintf("%s=%d", prefix, n) }
-
-func benchDense(n int, data []float64) *mat.Dense { return mat.NewDenseData(n, n, data) }
 
 // benchCfg is the reduced-scale configuration used by every artifact
 // benchmark. Scale/IterScale trade fidelity for wall time; cmd/saexp runs
@@ -211,63 +202,4 @@ func BenchmarkAblations(b *testing.B) {
 		spark = res.Machines[len(res.Machines)-1].Speedup
 	}
 	b.ReportMetric(spark, "spark-speedup")
-}
-
-// --- kernel micro-benchmarks: the per-iteration building blocks ---
-
-// BenchmarkKernelAllreduce measures the simulated collective that forms
-// every iteration's critical path.
-func BenchmarkKernelAllreduce(b *testing.B) {
-	for _, p := range []int{4, 16} {
-		b.Run(sizeName("p", p), func(b *testing.B) {
-			data := make([]float64, 256)
-			_, err := mpi.Run(context.Background(), p, mpi.Zero(), func(c *mpi.Comm) error {
-				for i := 0; i < b.N; i++ {
-					if err := c.Allreduce(mpi.Sum, data); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkKernelGram measures the batched Gram assembly (Alg. 2 line 11),
-// the flop hot spot of the SA solvers.
-func BenchmarkKernelGram(b *testing.B) {
-	data := saco.Regression("gram", 1, 4000, 2000, 0.01, 10, 0)
-	csc := data.CSR.ToCSC()
-	r := rng.New(1)
-	cols := make([]int, 0, 8*32)
-	for j := 0; j < 32; j++ {
-		cols = append(cols, r.SampleK(2000, 8)...)
-	}
-	g := make([]float64, len(cols)*len(cols))
-	gd := benchDense(len(cols), g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csc.ColGram(cols, gd)
-	}
-}
-
-// BenchmarkKernelSolverIteration measures one classical accBCD iteration
-// end to end (sequential).
-func BenchmarkKernelSolverIteration(b *testing.B) {
-	data := saco.Regression("iter", 2, 4000, 2000, 0.01, 10, 0)
-	cols := data.Cols()
-	lambda := 0.1 * saco.LambdaMax(cols, data.B)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := saco.Lasso(cols, data.B, saco.LassoOptions{
-			Lambda: lambda, BlockSize: 8, Iters: 100, Accelerated: true, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100, "iters/op")
 }

@@ -185,9 +185,6 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 		mode = saco.LoadMmap
 	}
 
-	if w := saco.KernelWarning(); w != "" {
-		fmt.Fprintf(stdout, "warning: %s\n", w)
-	}
 	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
 	// runCtx scopes every background loop (refit file replay, /learn

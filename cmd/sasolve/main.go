@@ -246,9 +246,6 @@ func solve(stdout io.Writer, o *options) (err error) {
 		fmt.Fprintf(stdout, "loaded %s: %d points, %d features, %.4g%% nonzero\n",
 			o.dataPath, a.M, a.N, 100*a.Density())
 	}
-	if w := saco.KernelWarning(); w != "" {
-		fmt.Fprintf(stdout, "warning: %s\n", w)
-	}
 	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
 	var x []float64

@@ -42,7 +42,7 @@ var deterministicPkgs = map[string]bool{
 // hotPathPkgs are the solver/kernel packages where wall clocks, global
 // RNG, and GOMAXPROCS-dependent sizing can silently change a
 // trajectory's bitwise class. nondet fires only inside these;
-// measurement harnesses (cmd/sabench, internal/bench) and the serving
+// measurement harnesses (internal/bench) and the serving
 // layer's operational stats are deliberately outside.
 var hotPathPkgs = map[string]bool{
 	"saco/internal/core":      true,

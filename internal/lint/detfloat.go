@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -20,14 +19,12 @@ import (
 //     intermediate rounding step and is not reproducible across
 //     kernel sets).
 //
-// The one sanctioned home for reassociated reductions is
-// internal/simd's opt-in reassoc set (simd/reassoc.go), which is
-// excluded from the deterministic backend matrix and tolerance-gated
-// in tests; that file is exempt.
+// No file is exempt: internal/simd's reductions are the scalar loops,
+// and a deliberate deviation carries a //saco:nolint with its reason.
 var DetFloat = &Analyzer{
 	Name: "detfloat",
-	Doc: "flags multi-accumulator float reductions and math.FMA outside " +
-		"internal/simd's opt-in reassoc set (reduction order defines the bitwise class)",
+	Doc: "flags multi-accumulator float reductions and math.FMA " +
+		"(reduction order defines the bitwise class)",
 	Run: runDetFloat,
 }
 
@@ -36,10 +33,6 @@ func runDetFloat(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if pass.Path == "saco/internal/simd" && filepath.Base(name) == "reassoc.go" {
-			continue // the opt-in reassoc set: reassociation is its contract
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -151,7 +144,7 @@ func detFloatFunc(pass *Pass, body *ast.BlockStmt) {
 				sort.Strings(hit)
 				pass.Report(be.Pos(),
 					"reassociated float reduction: loop accumulators %s are combined after the loop; "+
-						"the split summation order breaks the bitwise class (keep one accumulator, or move the kernel into internal/simd's opt-in reassoc set)",
+						"the split summation order breaks the bitwise class (keep one accumulator)",
 					strings.Join(hit, ", "))
 				return false
 			}

@@ -14,19 +14,14 @@ func TestDetFloat(t *testing.T) {
 	linttest.Run(t, lint.DetFloat, "testdata/detfloat/src", "saco/internal/core")
 }
 
-// cmd/sabench is outside the deterministic set (benchmarks may sum
-// however they like), so the same fixture must produce nothing there.
+// cmd/savet is outside the deterministic set, so the same fixture must
+// produce nothing there.
 func TestDetFloatScope(t *testing.T) {
-	linttest.RunClean(t, lint.DetFloat, "testdata/detfloat/src", "saco/cmd/sabench")
+	linttest.RunClean(t, lint.DetFloat, "testdata/detfloat/src", "saco/cmd/savet")
 }
 
-// The simd reassoc set exemption is the package plus the file name:
-// reassoc.go under saco/internal/simd is silent, the identical file
-// under any other deterministic package is flagged.
-func TestDetFloatReassocExemption(t *testing.T) {
-	linttest.RunClean(t, lint.DetFloat, "testdata/detfloat/reassoc", "saco/internal/simd")
-}
-
-func TestDetFloatReassocShapeElsewhere(t *testing.T) {
-	linttest.Run(t, lint.DetFloat, "testdata/detfloat/reassoc", "saco/internal/core")
+// No package or file name is exempt: a lane-split reduction is flagged
+// under saco/internal/simd too.
+func TestDetFloatNoSimdExemption(t *testing.T) {
+	linttest.Run(t, lint.DetFloat, "testdata/detfloat/reassoc", "saco/internal/simd")
 }

@@ -6,10 +6,9 @@
 // The suite ships five analyzers, each enforcing one invariant the
 // runtime tests assert only by example:
 //
-//   - detfloat: multi-accumulator float64 reductions and math.FMA
-//     outside internal/simd's opt-in reassoc set. Reduction order
-//     defines the bitwise class; a reassociated fold silently moves a
-//     kernel out of it.
+//   - detfloat: multi-accumulator float64 reductions and math.FMA.
+//     Reduction order defines the bitwise class; a reassociated fold
+//     silently moves a kernel out of it.
 //   - mapiter: range over a map in a deterministic package. Go map
 //     order is deliberately random; feeding it into float accumulation,
 //     ordered output, or shard/manifest serialization breaks replay.

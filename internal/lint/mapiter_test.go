@@ -16,5 +16,5 @@ func TestMapIter(t *testing.T) {
 // Outside the deterministic packages map iteration order is nobody's
 // business.
 func TestMapIterScope(t *testing.T) {
-	linttest.RunClean(t, lint.MapIter, "testdata/mapiter/src", "saco/cmd/sabench")
+	linttest.RunClean(t, lint.MapIter, "testdata/mapiter/src", "saco/cmd/savet")
 }

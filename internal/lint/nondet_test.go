@@ -17,5 +17,5 @@ func TestNonDet(t *testing.T) {
 // wall-clock reads there are fine, so the fixture is clean under a cmd
 // import path.
 func TestNonDetScope(t *testing.T) {
-	linttest.RunClean(t, lint.NonDet, "testdata/nondet/src", "saco/cmd/sabench")
+	linttest.RunClean(t, lint.NonDet, "testdata/nondet/src", "saco/cmd/savet")
 }

@@ -1,10 +1,6 @@
-// The internal/simd opt-in reassoc set: the one file where lane-split
-// reductions are the contract (tolerance-gated, excluded from the
-// deterministic matrix). Type-checked as saco/internal/simd with this
-// file name, detfloat must stay silent (linttest.RunClean ignores the
-// want below); re-checked under any other import path, the identical
-// code is flagged — the exemption is the package plus the file name,
-// not the shape.
+// A lane-split reduction, type-checked as saco/internal/simd: detfloat
+// exempts no package and no file name, so the kernel package's own
+// reductions are held to the single-accumulator fold like everyone's.
 package src
 
 func reassocDot(x, y []float64) float64 {

@@ -5,9 +5,7 @@ package src
 import "math"
 
 // The PR 7 false-sharing/reassociation shape: a lane-split reduction
-// with four independent accumulators folded after the loop — exactly
-// the kernel form that is legal only inside internal/simd's opt-in
-// reassoc set.
+// with four independent accumulators folded after the loop.
 func laneSplitDot(x, y []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0

@@ -3,6 +3,8 @@ package mat
 import (
 	"errors"
 	"math"
+
+	rt "saco/internal/runtime"
 )
 
 // ErrNotPD reports that a matrix handed to Cholesky was not (numerically)
@@ -15,12 +17,11 @@ var ErrNotPD = errors.New("mat: matrix is not positive definite")
 // diagnostics that solve small regularized systems.
 //
 // The panel update below the pivot — one dot product per row i, all
-// independent — runs on the shared-memory pool for large matrices,
-// following the package default Workers (Cholesky sits outside the
-// solver hot paths and the simulated ranks, so the per-solve Exec knob
-// does not reach it). Each L[i,j] keeps its sequential summation order,
-// so the factor is bitwise identical for every worker count; a caller
-// that must avoid goroutines entirely can set mat.Workers = 1.
+// independent — runs on the shared-memory pool at GOMAXPROCS width for
+// large matrices (Cholesky sits outside the solver hot paths and the
+// simulated ranks, so the per-solve Exec knob does not reach it). Each
+// L[i,j] keeps its sequential summation order, so the factor is bitwise
+// identical for every worker count.
 func Cholesky(a *Dense) (*Dense, error) {
 	n := a.R
 	if a.C != n {
@@ -38,7 +39,7 @@ func Cholesky(a *Dense) (*Dense, error) {
 		}
 		d = math.Sqrt(d)
 		lj[j] = d
-		ParallelFor(n-(j+1), 128, func(lo, hi int) {
+		rt.For(0, n-(j+1), 128, func(lo, hi int) {
 			for i := j + 1 + lo; i < j+1+hi; i++ {
 				li := l.Row(i)
 				s := a.At(i, j)

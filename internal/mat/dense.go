@@ -190,7 +190,6 @@ func Syrk(alpha float64, a *Dense, beta float64, c *Dense) {
 			Scal(beta, c.Data)
 		}
 	}
-	kr := simd.Active()
 	for k := 0; k < a.R; k++ {
 		row := a.Row(k)
 		for i := 0; i < n; i++ {
@@ -198,7 +197,7 @@ func Syrk(alpha float64, a *Dense, beta float64, c *Dense) {
 			if av == 0 {
 				continue
 			}
-			kr.Axpy(alpha*av, row[i:], c.Row(i)[i:])
+			simd.Axpy(alpha*av, row[i:], c.Row(i)[i:])
 		}
 	}
 	c.MirrorUpper()

@@ -5,250 +5,26 @@ import (
 	"saco/internal/simd"
 )
 
-// This file is the dense-BLAS face of the repository's shared-memory
-// execution layer. The primitives themselves — the persistent worker
-// pool, chunked fork-join (For/Ranges) and the deterministic
-// tree-ordered reduction — live in internal/runtime; the wrappers here
-// preserve this package's historical API and attach the package-default
-// width. Every parallel kernel in mat, sparse and the solvers is built
-// on those primitives under one strict contract: a parallel kernel
-// partitions only *independent output elements* across workers and
-// leaves each element's summation order exactly as in the sequential
-// code. Results are therefore bitwise identical for every worker count
-// — the shared-memory analogue of the paper's "same iterate sequence up
-// to floating-point roundoff" claim, and the property internal/core's
-// backend-equivalence tests pin down.
-//
-// Two layers sit on these primitives with different knobs. The solver
-// hot paths run through the per-matrix kernel views of internal/sparse
-// (CSC/CSR/DenseCols/DenseRows.WithKernelWorkers), selected per solve
-// by core.Exec and sequential by default. The package-level *-Parallel
-// BLAS below (GemvParallel, GemmParallel, GemmTNParallel, SyrkParallel,
-// DotParallel, Nrm2SqParallel) follows the package default Workers —
-// like an OMP_NUM_THREADS-keyed BLAS — and serves dense library work
-// outside the solvers: dataset generation (internal/datagen), the
-// Cholesky panel update, diagnostics. Worker invariance makes either
-// knob safe: no result ever depends on the width chosen.
+// The solver hot paths parallelize through the per-matrix kernel views
+// of internal/sparse (WithKernelWorkers, selected per solve by
+// core.Exec). Dense library work outside the solvers — dataset
+// generation here, the Cholesky panel update in chol.go — runs on
+// internal/runtime's pool at GOMAXPROCS width under the same contract:
+// only independent output elements are partitioned and each keeps its
+// sequential summation order, so no result depends on the width.
 
-// Workers is the default worker count for the shared-memory parallel
-// kernels; explicit-width entry points (ParallelForWorkers, the sparse
-// kernels' per-matrix knob) override it per call. The default 0 resolves
-// to runtime.GOMAXPROCS(0) at each call — not at package init — so
-// GOMAXPROCS changes made after import take effect. Set it positive to
-// pin a width, or to 1 to force every default-width kernel sequential.
-var Workers = 0
-
-// DefaultWorkers returns the effective package-default width: Workers
-// when positive, else GOMAXPROCS at the time of the call.
-func DefaultWorkers() int { return rt.Resolve(Workers) }
-
-// ParallelFor splits [0,n) into contiguous chunks and runs body(lo,hi)
-// on up to DefaultWorkers() executors of the persistent pool. It runs
-// inline when n < 2·minChunk or only one worker is configured, so
-// callers never pay dispatch overhead on the tiny Gram-block operations
-// that dominate the inner loops.
-func ParallelFor(n, minChunk int, body func(lo, hi int)) {
-	rt.For(Workers, n, minChunk, body)
-}
-
-// ParallelForWorkers is ParallelFor with an explicit worker count. w <= 1
-// runs body(0, n) inline: the sequential path is the parallel path with
-// one chunk, so there is exactly one implementation of every kernel.
-// (w = 0 historically meant sequential through the kernelWorkers
-// normalization in internal/sparse; matrices pass widths ≥ 1 here.)
-func ParallelForWorkers(w, n, minChunk int, body func(lo, hi int)) {
-	if w < 1 {
-		w = 1
-	}
-	rt.For(w, n, minChunk, body)
-}
-
-// ParallelRanges runs body on the consecutive half-open ranges
-// [bounds[i], bounds[i+1]), claimed by up to len(bounds)-1 pool
-// executors. It is the building block for load-balanced partitions whose
-// chunk boundaries carry meaning — e.g. TriangleRanges for Gram
-// assembly, where equal index ranges would give the first worker almost
-// all the flops.
-func ParallelRanges(bounds []int, body func(lo, hi int)) {
-	rt.Ranges(bounds, body)
-}
-
-// TriangleRanges partitions rows [0,n) of an upper-triangular loop
-// (row i costs ~n−i) into at most parts ranges of roughly equal pair
-// counts, returning the boundaries for ParallelRanges. The split depends
-// only on n and parts, never on scheduling, so partitioned kernels stay
-// deterministic.
-func TriangleRanges(n, parts int) []int { return rt.TriangleRanges(n, parts) }
-
-// ParallelReduce folds leaf values over [0,n) into a single float64 with
-// a deterministic tree: the range is cut into fixed-size chunks (chunk
-// size depends only on n and minChunk, never on the worker count), leaf
-// computes each chunk's partial, and the partials are combined pairwise
-// along a binary tree in chunk-index order. The result is identical for
-// every value of Workers — including 1 — which is what lets solvers call
-// it from any backend without perturbing iterates. It does NOT generally
-// equal the single left-to-right fold of a plain loop; callers that need
-// that exact order (the distributed runtime's replicated state) must
-// stay sequential.
-func ParallelReduce(n, minChunk int, leaf func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	return rt.Reduce(Workers, n, minChunk, leaf, combine)
-}
-
-// GemvParallel computes y = alpha*A*x + beta*y across Workers goroutines,
-// partitioning rows of A. Row partitioning keeps the output regions
-// disjoint and each row's dot product in sequential order, so the result
-// is bitwise identical to Gemv.
+// GemvParallel computes y = alpha*A*x + beta*y, partitioning rows of A
+// across the pool. Row partitioning keeps the output regions disjoint
+// and each row's dot product in sequential order, so the result is
+// bitwise identical to Gemv.
 func GemvParallel(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
 	if len(x) != a.C || len(y) != a.R {
 		panic("mat: GemvParallel shape mismatch")
 	}
-	ParallelFor(a.R, 256, func(lo, hi int) {
-		k := simd.Active()
+	rt.For(0, a.R, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s := k.Dot(a.Row(i), x)
+			s := simd.Dot(a.Row(i), x)
 			y[i] = alpha*s + beta*y[i]
 		}
 	})
-}
-
-// GemmParallel computes C = alpha*A*B + beta*C, partitioning the rows of
-// C across workers with the same ikj inner ordering as Gemm, so results
-// match Gemm bitwise.
-func GemmParallel(alpha float64, a, b *Dense, beta float64, c *Dense) {
-	if a.C != b.R || c.R != a.R || c.C != b.C {
-		panic("mat: GemmParallel shape mismatch")
-	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			Scal(beta, c.Data)
-		}
-	}
-	ParallelFor(a.R, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				Axpy(alpha*av, b.Row(k), crow)
-			}
-		}
-	})
-}
-
-// GemmTNParallel computes C = alpha*Aᵀ*B + beta*C, partitioning the
-// columns of A (rows of C) across workers. Each worker owns a disjoint
-// row band of C and streams k in the same order as GemmTN, so updates are
-// race-free and bitwise identical to the sequential kernel. This is the
-// parallel Gram-assembly kernel used by the sequential SA solvers for
-// large batches.
-func GemmTNParallel(alpha float64, a, b *Dense, beta float64, c *Dense) {
-	if a.R != b.R || c.R != a.C || c.C != b.C {
-		panic("mat: GemmTNParallel shape mismatch")
-	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			Scal(beta, c.Data)
-		}
-	}
-	ParallelFor(a.C, 8, func(lo, hi int) {
-		for k := 0; k < a.R; k++ {
-			arow := a.Row(k)
-			brow := b.Row(k)
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				Axpy(alpha*av, brow, c.Row(i))
-			}
-		}
-	})
-}
-
-// SyrkParallel computes the symmetric product C = alpha*AᵀA + beta*C like
-// Syrk, partitioning the rows of the upper triangle across workers with
-// TriangleRanges so every worker sees a similar pair count. Each C row is
-// owned by one worker and accumulated in the same k-major order as Syrk,
-// so the result matches Syrk bitwise.
-func SyrkParallel(alpha float64, a *Dense, beta float64, c *Dense) {
-	n := a.C
-	if c.R != n || c.C != n {
-		panic("mat: SyrkParallel shape mismatch")
-	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			Scal(beta, c.Data)
-		}
-	}
-	w := DefaultWorkers()
-	if w > 1 && n >= 8 {
-		ParallelRanges(TriangleRanges(n, w), func(lo, hi int) {
-			syrkRows(alpha, a, c, lo, hi)
-		})
-	} else {
-		syrkRows(alpha, a, c, 0, n)
-	}
-	// Mirror the upper triangle into the lower one, row-partitioned.
-	ParallelFor(n, 64, func(lo, hi int) {
-		for i := max(lo, 1); i < hi; i++ {
-			for j := 0; j < i; j++ {
-				c.Data[i*n+j] = c.Data[j*n+i]
-			}
-		}
-	})
-}
-
-// syrkRows accumulates alpha·AᵀA into the upper-triangle rows [rlo,rhi)
-// of c, streaming A's rows exactly like Syrk. The inner update is the
-// axpy kernel on the row suffix: ci[j] += (alpha·av)·row[j], the same
-// association the scalar loop used.
-func syrkRows(alpha float64, a, c *Dense, rlo, rhi int) {
-	kr := simd.Active()
-	for k := 0; k < a.R; k++ {
-		row := a.Row(k)
-		for i := rlo; i < rhi; i++ {
-			av := row[i]
-			if av == 0 {
-				continue
-			}
-			kr.Axpy(alpha*av, row[i:], c.Row(i)[i:])
-		}
-	}
-}
-
-// DotParallel returns xᵀy via ParallelReduce with a fixed 4096-element
-// chunking. The chunked tree changes the summation order relative to Dot,
-// so results can differ from Dot by O(ε) — but they are identical for
-// every worker count, so callers may use it under any backend. The
-// distributed solvers never use it for replicated state; only the
-// shared-memory API does.
-func DotParallel(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("mat: DotParallel length mismatch")
-	}
-	return ParallelReduce(len(x), 4096,
-		func(lo, hi int) float64 { return simd.Dot(x[lo:hi], y[lo:hi]) },
-		func(a, b float64) float64 { return a + b })
-}
-
-// Nrm2SqParallel returns ‖x‖² with the same fixed-chunk deterministic
-// reduction as DotParallel.
-func Nrm2SqParallel(x []float64) float64 {
-	return ParallelReduce(len(x), 4096,
-		func(lo, hi int) float64 { return simd.Nrm2Sq(0, x[lo:hi]) },
-		func(a, b float64) float64 { return a + b })
-}
-
-// parallelFor is the legacy unexported entry point, kept so existing
-// in-package callers and tests read unchanged.
-func parallelFor(n, minChunk int, body func(lo, hi int)) {
-	ParallelFor(n, minChunk, body)
 }

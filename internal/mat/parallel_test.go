@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -23,57 +24,29 @@ func TestGemvParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestGemmTNParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randDense(rng, 300, 24)
-	b := randDense(rng, 300, 18)
-	c1 := NewDense(24, 18)
-	c2 := NewDense(24, 18)
-	GemmTN(1, a, b, 0, c1)
-	GemmTNParallel(1, a, b, 0, c2)
-	if d := MaxAbsDiff(c1, c2); d > 1e-12 {
-		t.Fatalf("parallel GemmTN differs by %v", d)
+func TestCholeskyWorkerInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	// Build SPD A = MᵀM + n·I, large enough to cross the parallel
+	// threshold of the panel update.
+	n := 300
+	m := randDense(rng, n, n)
+	a := NewDense(n, n)
+	GemmTN(1, m, m, 0, a)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, a.At(i, i)+float64(n))
 	}
-}
-
-func TestDotParallelCloseToSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 100000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
+	// The panel update runs at GOMAXPROCS width.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l1, err := Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !almostEq(Dot(x, y), DotParallel(x, y), 1e-9) {
-		t.Fatalf("DotParallel = %v, Dot = %v", DotParallel(x, y), Dot(x, y))
+	runtime.GOMAXPROCS(8)
+	l8, err := Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestParallelForSmallRunsInline(t *testing.T) {
-	var calls int
-	parallelFor(3, 256, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 3 {
-			t.Fatalf("inline chunk = [%d,%d)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	n := 10000
-	seen := make([]int32, n)
-	parallelFor(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
+	if !l1.Equal(l8) {
+		t.Fatalf("Cholesky factor depends on worker count (max diff %v)", MaxAbsDiff(l1, l8))
 	}
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // The O(n) hot primitives below (Dot, Axpy, Scal, Nrm2Sq, ScatterAxpy,
-// SparseDot) dispatch through internal/simd; the scalar kernel set
-// there is this package's original loops, so the default-dispatch
-// results are bitwise unchanged. Shape checking stays here — the
-// kernels only guard against out-of-bounds, not against caller bugs
-// like mismatched lengths.
+// SparseDot) call internal/simd, whose scalar loops are this package's
+// original ones. Shape checking stays here — the kernels only guard
+// against out-of-bounds, not against caller bugs like mismatched
+// lengths.
 
 // Dot returns the inner product of x and y.
 // It panics if the lengths differ.

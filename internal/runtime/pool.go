@@ -46,7 +46,7 @@ func Resolve(w int) int {
 	if w > 0 {
 		return w
 	}
-	return stdruntime.GOMAXPROCS(0) //saco:nolint nondet width sizes the worker pool only; For chunk geometry and Reduce summation order are fixed independently of it
+	return stdruntime.GOMAXPROCS(0) //saco:nolint nondet width sizes the worker pool only; For chunk geometry is fixed independently of it
 }
 
 // cacheLineItems is one 64-byte cache line of float64s. For-chunk sizes
@@ -358,57 +358,4 @@ func TriangleRanges(n, parts int) []int {
 	}
 	bounds = append(bounds, n)
 	return bounds
-}
-
-// Reduce folds leaf values over [0,n) into a single float64 with a
-// deterministic tree: the range is cut into fixed-size chunks (chunk
-// size depends only on n and minChunk, never on the worker count), leaf
-// computes each chunk's partial, and the partials are combined pairwise
-// along a binary tree in chunk-index order. The result is identical for
-// every width — including 1 — which is what lets solvers call it from
-// any backend without perturbing iterates. It does NOT generally equal
-// the single left-to-right fold of a plain loop; callers that need that
-// exact order (the distributed runtime's replicated state) must stay
-// sequential.
-func (p *Pool) Reduce(w, n, minChunk int, leaf func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	nc := (n + minChunk - 1) / minChunk
-	if nc == 1 {
-		return leaf(0, n)
-	}
-	partial := make([]float64, nc)
-	p.For(w, nc, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo := c * minChunk
-			hi := lo + minChunk
-			if hi > n {
-				hi = n
-			}
-			partial[c] = leaf(lo, hi)
-		}
-	})
-	// Pairwise tree fold in chunk-index order: (p0⊕p1) ⊕ (p2⊕p3) ⊕ ...
-	for nc > 1 {
-		half := nc / 2
-		for i := 0; i < half; i++ {
-			partial[i] = combine(partial[2*i], partial[2*i+1])
-		}
-		if nc%2 == 1 {
-			partial[half] = partial[nc-1]
-			nc = half + 1
-		} else {
-			nc = half
-		}
-	}
-	return partial[0]
-}
-
-// Reduce runs the deterministic tree reduction on the process-wide pool.
-func Reduce(w, n, minChunk int, leaf func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	return defaultPool.Reduce(w, n, minChunk, leaf, combine)
 }

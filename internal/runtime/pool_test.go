@@ -241,32 +241,9 @@ func TestResolveTracksGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestReduceWidthInvariance: the tree reduction must give bit-identical
-// results at every width, including 1.
-func TestReduceWidthInvariance(t *testing.T) {
-	n := 10000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%97)/7.0 - 3.5
-	}
-	leaf := func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += x[i] * x[i]
-		}
-		return s
-	}
-	add := func(a, b float64) float64 { return a + b }
-	ref := Reduce(1, n, 512, leaf, add)
-	for _, w := range []int{2, 3, 8, 0} {
-		if got := Reduce(w, n, 512, leaf, add); got != ref {
-			t.Fatalf("width %d: %v != %v", w, got, ref)
-		}
-	}
-}
-
 // TestTriangleRanges checks coverage and monotonicity of the triangular
-// partitioner for a grid of sizes.
+// partitioner for a grid of sizes, and that a large triangle's parts
+// hold pair counts within 2x of each other.
 func TestTriangleRanges(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 1000} {
 		for _, parts := range []int{1, 2, 3, 8, n + 5} {
@@ -280,6 +257,17 @@ func TestTriangleRanges(t *testing.T) {
 				}
 			}
 		}
+	}
+	const n = 1000
+	b := TriangleRanges(n, 8)
+	minP, maxP := 1<<30, 0
+	for i := 1; i < len(b); i++ {
+		lo, hi := b[i-1], b[i]
+		p := (hi-lo)*n - (hi*(hi-1)-lo*(lo-1))/2
+		minP, maxP = min(minP, p), max(maxP, p)
+	}
+	if maxP > 2*minP {
+		t.Fatalf("triangle partition imbalance %d/%d", maxP, minP)
 	}
 }
 

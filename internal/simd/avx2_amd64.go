@@ -9,8 +9,8 @@ package simd
 // scalar mul-then-add), and lanes never interact, so the result is
 // identical to the scalar loop bit for bit. Reduction kernels are
 // bound by their loop-carried add chain and cannot be vectorized
-// without reassociating, so they inherit the unrolled (bitwise)
-// implementations; the reassoc set is the opt-in for that trade.
+// without reassociating, so they are not part of any set: the scalar
+// loops in scalar.go are their only implementation.
 //
 // The gather/scatter/merge kernels stay in Go on purpose: assembly
 // loops cannot bounds-check idx against x/dst, and the indexed loads
@@ -27,11 +27,7 @@ func newAVX2Set() *Kernels {
 	if !hasAVX2 {
 		return nil
 	}
-	k := *unrolledSet
-	k.name = "avx2"
-	k.axpy = axpyAVX2
-	k.scal = scalAVX2
-	return &k
+	return &Kernels{name: "avx2", axpy: axpyAVX2, scal: scalAVX2}
 }
 
 var avx2Set = newAVX2Set()

@@ -2,5 +2,5 @@
 
 package simd
 
-// No AVX2 on this architecture; dispatch falls back to unrolled.
+// No AVX2 on this architecture; scalar is the only set.
 var avx2Set *Kernels

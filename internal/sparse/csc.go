@@ -95,11 +95,10 @@ func (a *CSC) ColTMulVec(cols []int, v []float64, dst []float64) {
 }
 
 func (a *CSC) colTMulVec(cols []int, v, dst []float64, lo, hi int) {
-	kr := simd.Active()
 	for k := lo; k < hi; k++ {
 		j := cols[k]
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		dst[k] = kr.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
+		dst[k] = simd.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
 	}
 }
 
@@ -112,10 +111,9 @@ func (a *CSC) ColMulAdd(cols []int, coef []float64, v []float64) {
 	if len(v) != a.M || len(coef) != len(cols) {
 		panic("sparse: ColMulAdd shape mismatch")
 	}
-	kr := simd.Active()
 	for k, j := range cols {
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		kr.ScatterAxpy(coef[k], v, a.Val[p0:p1], a.RowIdx[p0:p1])
+		simd.ScatterAxpy(coef[k], v, a.Val[p0:p1], a.RowIdx[p0:p1])
 	}
 }
 
@@ -149,10 +147,9 @@ func (a *CSC) ColTMulVecAcc(cols []int, v []float64, dst []float64) {
 	if len(v) != a.M || len(dst) != len(cols) {
 		panic(fmt.Sprintf("sparse: ColTMulVecAcc shape mismatch A=%dx%d len(v)=%d", a.M, a.N, len(v)))
 	}
-	kr := simd.Active()
 	for k, j := range cols {
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		dst[k] = kr.GatherDot(dst[k], a.Val[p0:p1], a.RowIdx[p0:p1], v)
+		dst[k] = simd.GatherDot(dst[k], a.Val[p0:p1], a.RowIdx[p0:p1], v)
 	}
 }
 
@@ -183,10 +180,9 @@ func (a *CSC) MulVec(x, y []float64) {
 		panic("sparse: CSC.MulVec shape mismatch")
 	}
 	mat.Fill(y, 0)
-	kr := simd.Active()
 	for j := 0; j < a.N; j++ {
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		kr.ScatterAxpy(x[j], y, a.Val[p0:p1], a.RowIdx[p0:p1])
+		simd.ScatterAxpy(x[j], y, a.Val[p0:p1], a.RowIdx[p0:p1])
 	}
 }
 
@@ -197,10 +193,9 @@ func (a *CSC) MulVecT(x, y []float64) {
 		panic("sparse: CSC.MulVecT shape mismatch")
 	}
 	rt.For(a.KernelWorkers(), a.N, 64, func(lo, hi int) {
-		kr := simd.Active()
 		for j := lo; j < hi; j++ {
 			p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-			y[j] = kr.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], x)
+			y[j] = simd.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], x)
 		}
 	})
 }

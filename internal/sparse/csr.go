@@ -86,14 +86,13 @@ func (a *CSR) MulVecT(x, y []float64) {
 		panic(fmt.Sprintf("sparse: MulVecT shape mismatch A=%dx%d len(x)=%d len(y)=%d", a.M, a.N, len(x), len(y)))
 	}
 	mat.Fill(y, 0)
-	k := simd.Active()
 	for i := 0; i < a.M; i++ {
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
 		p0, p1 := a.RowPtr[i], a.RowPtr[i+1]
-		k.ScatterAxpy(xi, y, a.Val[p0:p1], a.ColIdx[p0:p1])
+		simd.ScatterAxpy(xi, y, a.Val[p0:p1], a.ColIdx[p0:p1])
 	}
 }
 
@@ -104,11 +103,10 @@ func (a *CSR) RowMulVec(rows []int, x []float64, dst []float64) {
 		panic("sparse: RowMulVec shape mismatch")
 	}
 	rt.For(a.KernelWorkers(), len(rows), 1, func(lo, hi int) {
-		kr := simd.Active()
 		for k := lo; k < hi; k++ {
 			r := rows[k]
 			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
-			dst[k] = kr.GatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
+			dst[k] = simd.GatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
 		}
 	})
 }

@@ -48,9 +48,8 @@ func (d DenseCols) ColTMulVec(cols []int, v []float64, dst []float64) {
 		for k := klo; k < khi; k++ {
 			dst[k] = 0
 		}
-		kr := simd.Active()
 		for i := 0; i < d.A.R; i++ {
-			kr.GatherAxpy(v[i], dst[klo:khi], d.A.Row(i), cols[klo:khi])
+			simd.GatherAxpy(v[i], dst[klo:khi], d.A.Row(i), cols[klo:khi])
 		}
 	})
 }
@@ -61,9 +60,8 @@ func (d DenseCols) ColMulAdd(cols []int, coef []float64, v []float64) {
 		panic("sparse: DenseCols.ColMulAdd shape mismatch")
 	}
 	rt.For(d.KernelWorkers(), d.A.R, 128, func(lo, hi int) {
-		kr := simd.Active()
 		for i := lo; i < hi; i++ {
-			v[i] += kr.GatherDot(0, coef, cols, d.A.Row(i))
+			v[i] += simd.GatherDot(0, coef, cols, d.A.Row(i))
 		}
 	})
 }
@@ -79,7 +77,6 @@ func (d DenseCols) ColGram(cols []int, dst *mat.Dense) {
 	}
 	dst.Zero()
 	gramRows := func(alo, ahi int) {
-		kr := simd.Active()
 		for i := 0; i < d.A.R; i++ {
 			row := d.A.Row(i)
 			for a := alo; a < ahi; a++ {
@@ -87,7 +84,7 @@ func (d DenseCols) ColGram(cols []int, dst *mat.Dense) {
 				if va == 0 {
 					continue
 				}
-				kr.GatherAxpy(va, dst.Row(a)[a:], row, cols[a:])
+				simd.GatherAxpy(va, dst.Row(a)[a:], row, cols[a:])
 			}
 		}
 	}

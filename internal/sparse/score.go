@@ -48,10 +48,9 @@ func (a *CSR) MulSparseVec(idx []int, val []float64, y []float64) {
 	}
 	checkSparseVec(a.N, idx, val)
 	rt.For(a.KernelWorkers(), a.M, 64, func(lo, hi int) {
-		kr := simd.Active()
 		for i := lo; i < hi; i++ {
 			p, end := a.RowPtr[i], a.RowPtr[i+1]
-			y[i] = kr.MergeDot(0, a.ColIdx[p:end], a.Val[p:end], idx, val)
+			y[i] = simd.MergeDot(0, a.ColIdx[p:end], a.Val[p:end], idx, val)
 		}
 	})
 }

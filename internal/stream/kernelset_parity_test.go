@@ -1,9 +1,6 @@
-// Kernel-set dimension of the determinism matrix: every bitwise
-// internal/simd dispatch set must reproduce the scalar-set solver
-// trajectories exactly, sequential and multicore, Lasso and SVM. The
-// reassociating opt-in set is asserted only tolerance-convergent —
-// running it through the bitwise harness would be a category error, as
-// its summation order is deliberately different.
+// Kernel-set dimension of the determinism matrix: every internal/simd
+// dispatch set must reproduce the scalar-set solver trajectories
+// exactly, sequential and multicore, Lasso and SVM.
 package stream_test
 
 import (
@@ -51,17 +48,6 @@ func TestParityKernelSetsLasso(t *testing.T) {
 		})
 	}
 
-	t.Run("reassoc-tolerance", func(t *testing.T) {
-		testmatrix.WithKernelSet(t, "reassoc")
-		res, err := core.Lasso(a.ToCSC(), d.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd := testmatrix.RelDiff(res.Objective, ref.Objective); rd > 1e-6 {
-			t.Fatalf("reassoc objective drifted: %.17g vs %.17g (rel %.3e)",
-				res.Objective, ref.Objective, rd)
-		}
-	})
 }
 
 func TestParityKernelSetsSVM(t *testing.T) {
@@ -101,15 +87,4 @@ func TestParityKernelSetsSVM(t *testing.T) {
 		})
 	}
 
-	t.Run("reassoc-tolerance", func(t *testing.T) {
-		testmatrix.WithKernelSet(t, "reassoc")
-		res, err := core.SVM(a, d.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd := testmatrix.RelDiff(res.Primal, ref.Primal); rd > 1e-6 {
-			t.Fatalf("reassoc primal drifted: %.17g vs %.17g (rel %.3e)",
-				res.Primal, ref.Primal, rd)
-		}
-	})
 }

@@ -125,14 +125,11 @@ func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 	return forms
 }
 
-// KernelSets enumerates the bitwise kernel-set dimension of the matrix:
-// every deterministic solver configuration must produce bitwise
-// identical trajectories under each of these internal/simd dispatch
-// sets (scalar is the reference; unrolled and, where the CPU supports
-// it, avx2 must reproduce it exactly). The reassociating opt-in set is
-// deliberately absent — it is tolerance-gated, never part of the
-// deterministic matrix.
-func KernelSets() []string { return simd.BitwiseNames() }
+// KernelSets enumerates the kernel-set dimension of the matrix: every
+// deterministic solver configuration must produce bitwise identical
+// trajectories under each internal/simd dispatch set (scalar is the
+// reference; where the CPU supports it, avx2 must reproduce it exactly).
+func KernelSets() []string { return simd.Names() }
 
 // WithKernelSet switches the process-wide kernel dispatch to the named
 // set for the duration of the test, restoring the previous set on

@@ -514,17 +514,8 @@ func Accuracy(a RowMatrix, b, x []float64) float64 {
 	return float64(correct) / float64(len(b))
 }
 
-// KernelSet returns the name of the active internal/simd kernel
-// dispatch set (scalar, unrolled, avx2, or reassoc), chosen at init
-// from CPU capabilities or the SACO_KERNELS environment variable. CLIs
-// surface it so a recorded result names the kernels that produced it.
+// KernelSet returns the name of the active internal/simd kernel set
+// (scalar or avx2), fixed at init from CPU capabilities. Both sets are
+// bitwise identical; CLIs surface the name so a recorded result names
+// the kernels that produced it.
 func KernelSet() string { return simd.Active().Name() }
-
-// KernelSets lists every kernel set available on this machine.
-func KernelSets() []string { return simd.Names() }
-
-// KernelWarning returns a human-readable note when a SACO_KERNELS
-// override was ignored (unknown name or unavailable on this CPU), else
-// the empty string. Libraries never panic on a bad override; CLIs call
-// this to tell the user.
-func KernelWarning() string { return simd.Warning() }
