@@ -53,16 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var mc mpi.Machine
-	switch *machine {
-	case "cray":
-		mc = mpi.CrayXC30()
-	case "ethernet":
-		mc = mpi.EthernetCluster()
-	case "spark":
-		mc = mpi.SparkLike()
-	default:
-		fmt.Fprintf(stderr, "saexp: unknown machine %q\n", *machine)
+	mc, err := mpi.MachineByName(*machine)
+	if err != nil {
+		fmt.Fprintf(stderr, "saexp: %v\n", err)
 		return 2
 	}
 	cfg := bench.Config{Scale: *scale, IterScale: *iters, Machine: mc, Out: stdout, Seed: *seed}

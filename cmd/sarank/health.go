@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,22 +10,24 @@ import (
 
 	"saco/internal/dist"
 	"saco/internal/metrics"
+	"saco/internal/ops"
 )
 
-// healthServer is the per-rank operational surface (-health addr):
+// healthServer is the rank's operational state — its gauges and its
+// newest checkpoint — which the solve path updates unconditionally, and,
+// with -health addr, the listener serving it:
 //
 //	GET /healthz     200 while the process is alive
 //	GET /readyz      200 once the world is joined and solving,
 //	                 503 while dialing or parked at the rendezvous
+//	GET /metrics     Prometheus text exposition of the gauges
 //	GET /checkpoint  JSON of the newest completed checkpoint
 //	                 (dist.CheckpointInfo), 404 before the first save
-//	GET /metrics     Prometheus text exposition
 //
-// A nil *healthServer (no -health flag) is valid: every method is a
-// no-op, so the solve path never branches on whether the surface is up.
+// The first three are internal/ops' shared routes.
 type healthServer struct {
-	ln          net.Listener
-	srv         *http.Server
+	ln          net.Listener // nil without -health
+	srv         *http.Server // nil without -health
 	ready       atomic.Bool
 	last        atomic.Pointer[dist.CheckpointInfo]
 	checkpoints *metrics.Counter
@@ -33,13 +36,10 @@ type healthServer struct {
 	step        *metrics.Gauge
 }
 
-// newHealthServer binds addr and starts serving immediately — liveness
-// must answer while the rank is still parked at the rendezvous. An
-// empty addr returns (nil, nil): the surface is off.
+// newHealthServer creates the rank's gauges and, unless addr is empty,
+// binds it and starts serving immediately — liveness must answer while
+// the rank is still parked at the rendezvous.
 func newHealthServer(addr string, rank int) (*healthServer, error) {
-	if addr == "" {
-		return nil, nil
-	}
 	h := &healthServer{}
 	reg := metrics.NewRegistry()
 	lbl := metrics.Label{Key: "rank", Value: fmt.Sprint(rank)}
@@ -59,17 +59,15 @@ func newHealthServer(addr string, rank int) (*healthServer, error) {
 			}
 			return 0
 		}, lbl)
+	if addr == "" {
+		return h, nil
+	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+	mux := ops.NewMux(reg, nil, func() error {
 		if !h.ready.Load() {
-			http.Error(w, "joining", http.StatusServiceUnavailable)
-			return
+			return errors.New("joining")
 		}
-		fmt.Fprintln(w, "ready")
+		return nil
 	})
 	mux.HandleFunc("/checkpoint", func(w http.ResponseWriter, _ *http.Request) {
 		ck := h.last.Load()
@@ -82,14 +80,13 @@ func newHealthServer(addr string, rank int) (*healthServer, error) {
 			return // client went away mid-write; nothing to salvage
 		}
 	})
-	mux.Handle("/metrics", reg.Handler())
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("health listener on %s: %w", addr, err)
 	}
 	h.ln = ln
-	h.srv = &http.Server{Handler: mux}
+	h.srv = ops.NewServer(mux)
 	go func() {
 		// Serve returns http.ErrServerClosed on shutdown; any earlier
 		// error just means the surface is gone, which /healthz's absence
@@ -101,44 +98,23 @@ func newHealthServer(addr string, rank int) (*healthServer, error) {
 
 // onSave is the dist.Checkpoint.OnSave hook.
 func (h *healthServer) onSave(i dist.CheckpointInfo) {
-	if h == nil {
-		return
-	}
 	h.last.Store(&i)
 	h.checkpoints.Inc()
 	h.step.Set(int64(i.Step))
 }
 
-func (h *healthServer) setReady(ready bool) {
-	if h != nil {
-		h.ready.Store(ready)
-	}
-}
+func (h *healthServer) setReady(ready bool) { h.ready.Store(ready) }
 
-func (h *healthServer) setEpoch(epoch int) {
-	if h != nil {
-		h.epoch.Set(int64(epoch))
-	}
-}
+func (h *healthServer) setEpoch(epoch int) { h.epoch.Set(int64(epoch)) }
 
-func (h *healthServer) noteRestart() {
-	if h != nil {
-		h.restarts.Inc()
-	}
-}
+func (h *healthServer) noteRestart() { h.restarts.Inc() }
 
-// addr returns the bound address ("" when the surface is off) — the
-// :0 form resolves to the real port for tests.
-func (h *healthServer) addr() string {
-	if h == nil {
-		return ""
-	}
-	return h.ln.Addr().String()
-}
+// addr returns the listener's bound address (-health only) — the :0
+// form resolves to the real port for tests.
+func (h *healthServer) addr() string { return h.ln.Addr().String() }
 
 func (h *healthServer) shutdown() {
-	if h == nil {
-		return
+	if h.srv != nil {
+		_ = h.srv.Close() // best-effort teardown on exit
 	}
-	_ = h.srv.Close() // best-effort teardown on exit
 }

@@ -21,8 +21,9 @@
 // its solver state to CRC-checked .sack files at s-step boundaries,
 // -max-restarts lets survivors rejoin at a higher epoch and resume from
 // the agreed checkpoint when a peer is lost, a replacement process is
-// started with the same flags plus -resume, and -health serves
-// /healthz, /readyz, /checkpoint and /metrics for the supervisor.
+// started with the same flags plus -resume, and -health serves the
+// shared internal/ops routes (/healthz, /readyz, /metrics, behind its
+// fixed read/header/idle limits) plus /checkpoint for the supervisor.
 // Recovery is exact: the resumed trajectory is bitwise identical to an
 // uninterrupted run.
 package main
@@ -147,16 +148,9 @@ func solve(stdout, stderr io.Writer, o *options) error {
 	if o.ckptDir == "" && (o.resume || o.maxRestarts > 0) {
 		return usageError{"-resume and -max-restarts require -ckpt-dir"}
 	}
-	var m saco.Machine
-	switch o.machine {
-	case "cray":
-		m = saco.CrayXC30()
-	case "ethernet":
-		m = saco.EthernetCluster()
-	case "spark":
-		m = saco.SparkLike()
-	default:
-		return usageError{fmt.Sprintf("unknown machine %q (cray, ethernet, spark)", o.machine)}
+	m, err := saco.MachineByName(o.machine)
+	if err != nil {
+		return usageError{err.Error()}
 	}
 	switch o.task {
 	case "lasso", "svm":

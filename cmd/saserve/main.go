@@ -25,9 +25,13 @@
 //
 // Endpoints: POST /predict (JSON {"rows":[{"indices":[...1-based...],
 // "values":[...]}]} or LIBSVM lines; cluster mode adds ?model=name),
-// POST /learn (labeled rows, with -learn), GET /healthz, GET /stats,
-// GET /metrics (Prometheus text), and in cluster mode GET /cluster and
-// POST /cluster/members.
+// POST /learn (labeled rows, with -learn), GET /stats (the serving
+// counters and model provenance as JSON), and in cluster mode
+// GET /cluster and POST /cluster/members — mounted next to the shared
+// internal/ops routes GET /healthz and GET /readyz (both 503 until every
+// owned model is servable) and GET /metrics (Prometheus text; /stats
+// reads the same counters). The listener carries internal/ops' fixed
+// read, header and idle limits.
 package main
 
 import (
@@ -37,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -46,6 +49,7 @@ import (
 	"time"
 
 	"saco"
+	"saco/internal/ops"
 )
 
 func main() {
@@ -267,7 +271,7 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := ops.NewServer(srv.Handler())
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())

@@ -139,15 +139,8 @@ func solve(stdout io.Writer, o *options) (err error) {
 	}
 	cluster := saco.Cluster{P: o.simP, RankWorkers: o.rankW}
 	if o.simP > 0 {
-		switch o.machine {
-		case "cray":
-			cluster.Machine = saco.CrayXC30()
-		case "ethernet":
-			cluster.Machine = saco.EthernetCluster()
-		case "spark":
-			cluster.Machine = saco.SparkLike()
-		default:
-			return usageError{fmt.Sprintf("unknown machine %q (cray, ethernet, spark)", o.machine)}
+		if cluster.Machine, err = saco.MachineByName(o.machine); err != nil {
+			return usageError{err.Error()}
 		}
 		switch o.transport {
 		case "", "sim":

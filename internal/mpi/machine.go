@@ -1,5 +1,7 @@
 package mpi
 
+import "fmt"
+
 // Machine holds the α-β-γ cost parameters of the simulated distributed
 // machine. The simulator charges
 //
@@ -67,6 +69,20 @@ func SparkLike() Machine {
 		GammaBlocked: 1.05e-10,
 		CacheWords:   320_000,
 	}
+}
+
+// MachineByName maps the -machine flag value of sasolve, sarank and
+// saexp onto its preset; the error names the accepted values.
+func MachineByName(name string) (Machine, error) {
+	switch name {
+	case "cray":
+		return CrayXC30(), nil
+	case "ethernet":
+		return EthernetCluster(), nil
+	case "spark":
+		return SparkLike(), nil
+	}
+	return Machine{}, fmt.Errorf("unknown machine %q (cray, ethernet, spark)", name)
 }
 
 // Zero is a machine with no costs; useful for tests that only check

@@ -92,7 +92,6 @@ func (s *Server) shedStale(batch []*predictJob, rows int) ([]*predictJob, int) {
 	keep := batch[:0]
 	for _, j := range batch {
 		if now.Sub(j.enq) > s.opt.MaxQueueDelay {
-			s.stats.shed.Add(1)
 			s.met.shed.Inc()
 			j.resp <- predictResult{
 				status:  http.StatusTooManyRequests,
@@ -175,9 +174,6 @@ func (s *Server) scoreGroup(reg *Registry, batch []*predictJob) {
 				j.resp <- predictResult{scores: y[off : off+len(j.cols)], model: m}
 				off += len(j.cols)
 			}
-			s.stats.batches.Add(1)
-			s.stats.rowsScored.Add(uint64(validRows))
-			s.stats.maxBatchRows.Max(uint64(validRows))
 			s.met.batches.Inc()
 			s.met.rows.Add(uint64(validRows))
 			s.met.batchRows.Observe(float64(validRows))

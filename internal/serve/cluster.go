@@ -29,8 +29,10 @@ type ClusterOptions struct {
 	// model directories (default 2s; negative disables the sweep —
 	// tests then drive Rebalance explicitly).
 	RescanEvery time.Duration
-	// Metrics, when set, receives per-model gauges (active version,
-	// registry swaps) and the router's forward counters.
+	// Metrics is the registry the per-model gauges (active version,
+	// registry swaps) and the router's forward counters register in;
+	// nil gives the cluster a registry of its own, which a cluster
+	// server built without one adopts.
 	Metrics *metrics.Registry
 }
 
@@ -61,6 +63,9 @@ func NewCluster(root, self string, peers []string, opt ClusterOptions) (*Cluster
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
+	if opt.Metrics == nil {
+		opt.Metrics = metrics.NewRegistry()
+	}
 	members := append([]string(nil), peers...)
 	found := false
 	for _, p := range members {
@@ -80,11 +85,9 @@ func NewCluster(root, self string, peers []string, opt ClusterOptions) (*Cluster
 		owned: make(map[string]*Registry),
 	}
 	c.router = &shard.Router{Table: c.table, Self: self}
-	if mr := opt.Metrics; mr != nil {
-		c.router.Forwards = mr.Counter("saco_forwards_total", "requests forwarded to the owning replica")
-		c.router.ForwardErrors = mr.Counter("saco_forward_errors_total", "forwards that failed")
-		c.router.Retries = mr.Counter("saco_forward_retries_total", "forward retries after a ring change")
-	}
+	c.router.Forwards = opt.Metrics.Counter("saco_forwards_total", "requests forwarded to the owning replica")
+	c.router.ForwardErrors = opt.Metrics.Counter("saco_forward_errors_total", "forwards that failed")
+	c.router.Retries = opt.Metrics.Counter("saco_forward_retries_total", "forward retries after a ring change")
 	if err := c.Rebalance(); err != nil {
 		return nil, err
 	}
@@ -258,9 +261,6 @@ func (c *Cluster) Rebalance() error {
 // registerGauges exposes per-model registry state; called with mu held.
 func (c *Cluster) registerGauges(name string, reg *Registry) {
 	mr := c.opt.Metrics
-	if mr == nil {
-		return
-	}
 	mr.GaugeFunc("saco_model_active_version", "serving model version per owned model",
 		func() float64 { return float64(reg.Version()) }, metrics.Label{Key: "model", Value: name})
 	mr.GaugeFunc("saco_registry_swaps", "registry pointer swaps per owned model",
@@ -271,9 +271,6 @@ func (c *Cluster) registerGauges(name string, reg *Registry) {
 // held.
 func (c *Cluster) unregisterGauges(name string) {
 	mr := c.opt.Metrics
-	if mr == nil {
-		return
-	}
 	mr.Unregister("saco_model_active_version", metrics.Label{Key: "model", Value: name})
 	mr.Unregister("saco_registry_swaps", metrics.Label{Key: "model", Value: name})
 }

@@ -39,16 +39,28 @@
 //	56+8·nnz  8·nnz     nonzero values (float64 bits)
 //	...     8           CRC-64/ECMA of every preceding byte
 //
-// ReadModel rejects bad magic, unknown versions, truncated or oversized
-// payloads, checksum mismatches, and indices out of order or out of
-// range — a corrupt or half-written file can never become the serving
-// model (the registry additionally publishes via rename, so a watcher
-// never even opens a partial file). The text format (one "%.17g" value
-// per line, the historical sasolve -out format) is read and written for
-// compatibility; %.17g round-trips float64 exactly, so text↔binary
-// conversion is lossless.
+// One decoder (decodeModel) backs every load — ReadModel, LoadModelFile
+// and the mmap mode, which differs only in aliasing the value section
+// instead of copying it. It rejects bad magic, unknown versions,
+// truncated or oversized payloads, checksum mismatches, and indices out
+// of order or out of range — a corrupt or half-written file can never
+// become the serving model (WriteModelFile additionally publishes via
+// stream.WriteFileAtomic's temp file + rename, so a watcher never even
+// opens a partial file). The text format (one "%.17g" value per line) is
+// write-only — `sasolve -out model.txt` still emits it for people to
+// read — and a text file offered as a model is refused with the
+// migration: re-save with `sasolve -out model.sacm`.
 //
 // Registry versions are encoded in the file name (model-%08d.sacm);
 // the watcher polls the directory and hot-swaps the pointer when a
 // higher version appears.
+//
+// # Ops surface
+//
+// Server.Handler mounts /predict, /stats, /learn and /cluster* on the
+// internal/ops mux, which supplies /healthz, /readyz (both 503 until
+// every owned model is servable) and /metrics. The server always counts
+// into a metrics.Registry — Options.Metrics, or its own when that is
+// nil — and that registry is the only ledger: /metrics encodes it as
+// Prometheus text and /stats reads the same counters into JSON.
 package serve

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc64"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -46,8 +49,10 @@ func TestReadModelOverflowingNNZRejected(t *testing.T) {
 // FuzzLoadModel: the .sacm decoder feeds the serving registry from a
 // watched directory, so it must treat every byte stream as hostile —
 // malformed input always returns an error, never a panic, and never an
-// allocation driven by a corrupt header (ReadModel validates the
+// allocation driven by a corrupt header (decodeModel validates the
 // declared nnz against the actual file size before allocating). The
+// copy and the alias (mmap) decodes are one function with a switch; the
+// fuzz holds them to one verdict and, on success, one model. The
 // checked-in corpus under testdata/fuzz/FuzzLoadModel replays on plain
 // `go test`.
 func FuzzLoadModel(f *testing.F) {
@@ -56,7 +61,7 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(valid[:len(valid)-3])           // truncated checksum
 	f.Add(append([]byte{}, valid[8:]...)) // missing magic
 	f.Add([]byte("SACOMDL1"))             // magic only
-	f.Add([]byte("0.5\n-1.25\n0\n"))      // text model (LoadModelFile fallback)
+	f.Add([]byte("0.5\n-1.25\n0\n"))      // text model: refused since the text read path went
 	f.Add([]byte{})
 	corrupt := append([]byte{}, valid...)
 	corrupt[20] ^= 0xff // flip a dims byte under the checksum
@@ -64,31 +69,49 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(overflowingNNZModel())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadModel(bytes.NewReader(data))
-		if err == nil {
-			// An accepted model must satisfy the registry's structural
-			// invariants — validate() is what every load path promises.
-			if verr := m.validate(); verr != nil {
-				t.Fatalf("ReadModel accepted an invalid model: %v", verr)
-			}
-			// And it must round-trip: decode(encode(m)) == m is what
-			// makes the hot-swap artifacts trustworthy.
-			var buf bytes.Buffer
-			if werr := WriteModel(&buf, m); werr != nil {
-				t.Fatalf("re-encode failed: %v", werr)
-			}
-			back, rerr := ReadModel(bytes.NewReader(buf.Bytes()))
-			if rerr != nil {
-				t.Fatalf("re-decode failed: %v", rerr)
-			}
-			if back.Features != m.Features || back.NNZ() != m.NNZ() || back.Kind != m.Kind {
-				t.Fatal("model did not round-trip")
-			}
+		// A fresh allocation is 8-aligned, so a valid image really does
+		// take the aliasing branch on a little-endian host.
+		am, _, aerr := decodeModel(append([]byte(nil), data...), true)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("copy decode says %v, alias decode says %v", err, aerr)
 		}
-		// The text fallback must be equally panic-free.
-		if tm, terr := ReadTextModel(bytes.NewReader(data)); terr == nil {
-			if tm.validate() != nil {
-				t.Fatal("ReadTextModel accepted an invalid model")
+		if err != nil {
+			if !bytes.HasPrefix(data, modelMagic[:]) && !strings.Contains(err.Error(), "sasolve -out model.sacm") {
+				t.Fatalf("non-.sacm input refused without the migration: %v", err)
 			}
+			return
+		}
+		if !reflect.DeepEqual(modelFields(m), modelFields(am)) {
+			t.Fatalf("copy and alias decodes differ:\n copy  %+v\n alias %+v", modelFields(m), modelFields(am))
+		}
+		// An accepted model must satisfy the registry's structural
+		// invariants — validate() is what every load path promises.
+		if verr := m.validate(); verr != nil {
+			t.Fatalf("ReadModel accepted an invalid model: %v", verr)
+		}
+		// And it must round-trip: decode(encode(m)) == m is what
+		// makes the hot-swap artifacts trustworthy.
+		var buf bytes.Buffer
+		if werr := WriteModel(&buf, m); werr != nil {
+			t.Fatalf("re-encode failed: %v", werr)
+		}
+		back, rerr := ReadModel(bytes.NewReader(buf.Bytes()))
+		if rerr != nil {
+			t.Fatalf("re-decode failed: %v", rerr)
+		}
+		if back.Features != m.Features || back.NNZ() != m.NNZ() || back.Kind != m.Kind {
+			t.Fatal("model did not round-trip")
 		}
 	})
+}
+
+// modelFields is a model's decoded content in comparable form: the
+// header fields, the indices, and the values by bit pattern (NaN
+// payloads included).
+func modelFields(m *Model) []any {
+	bits := make([]uint64, len(m.Val))
+	for k, v := range m.Val {
+		bits[k] = math.Float64bits(v)
+	}
+	return []any{m.Kind, m.Features, m.TrainRows, math.Float64bits(m.Lambda), m.Version, m.Idx, bits}
 }

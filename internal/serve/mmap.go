@@ -1,11 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc64"
-	"math"
 	"runtime"
 
 	"saco/internal/stream"
@@ -20,10 +15,11 @@ const (
 	// LoadMmap maps the file read-only and aliases the value payload in
 	// place — the model's Val slice points straight into the page cache,
 	// so loading an N-nonzero model copies the indices but not the
-	// floats, and repeated replicas on one host share the pages. Any
-	// failure to map or alias (unsupported platform, big-endian host,
-	// text-format file) silently falls back to LoadCopy; correctness is
-	// identical either way, only residency differs.
+	// floats, and repeated replicas on one host share the pages. Where
+	// the file cannot be mapped or the values cannot be aliased
+	// (unsupported platform, big-endian host) the load silently copies
+	// instead; correctness is identical either way, only residency
+	// differs.
 	LoadMmap
 )
 
@@ -36,27 +32,23 @@ func (m LoadMode) String() string {
 }
 
 // LoadModelFileMode is LoadModelFile with an explicit materialization
-// mode. The mmap path verifies exactly what the copy path verifies —
-// magic, format version, declared sizes, CRC over the whole payload,
-// index invariants — before trusting a byte of the mapping.
+// mode. Both modes run the one decoder (decodeModel), so the mmap path
+// verifies exactly what the copy path verifies before trusting a byte
+// of the mapping.
 func LoadModelFileMode(path string, mode LoadMode) (*Model, error) {
-	if mode != LoadMmap || !stream.MmapSupported() {
+	if mode != LoadMmap {
 		return LoadModelFile(path)
 	}
 	data, err := stream.MapFile(path)
 	if err != nil {
 		return LoadModelFile(path)
 	}
-	m, ok, err := modelFromMapping(data)
-	if err != nil || !ok {
-		// Not aliasable (or not a whole binary model): release the
-		// mapping and take the copy path, which also handles the text
-		// format. Real corruption fails there identically.
-		stream.UnmapFile(data) //nolint:errcheck // best effort on the bail-out path
-		if err != nil {
-			return nil, err
-		}
-		return LoadModelFile(path)
+	m, aliased, err := decodeModel(data, true)
+	if !aliased {
+		// Rejected, empty, or copied out on an unaliasable platform:
+		// nothing references the mapping.
+		stream.UnmapFile(data) //nolint:errcheck // the verdict on the model stands either way
+		return m, err
 	}
 	// The model's Val slice aliases the mapping: unmap only once the
 	// model itself is unreachable. The registry hands models to readers
@@ -66,58 +58,4 @@ func LoadModelFileMode(path string, mode LoadMode) (*Model, error) {
 		stream.UnmapFile(d) //nolint:errcheck // process teardown reclaims the mapping regardless
 	}, data)
 	return m, nil
-}
-
-// modelFromMapping builds a Model whose Val slice aliases the mapped
-// bytes. ok=false (with nil error) means the mapping cannot back a
-// zero-copy model — wrong magic (could be the text format) or an
-// unaliasable platform — and the caller should fall back; a non-nil
-// error means the file is a provably corrupt binary model.
-func modelFromMapping(data []byte) (*Model, bool, error) {
-	if len(data) < modelHeaderSize+8 || !bytes.Equal(data[:8], modelMagic[:]) {
-		return nil, false, nil
-	}
-	le := binary.LittleEndian
-	if v := le.Uint32(data[8:]); v != modelFormatVersion {
-		return nil, false, fmt.Errorf("serve: unsupported model format version %d (have %d)", v, modelFormatVersion)
-	}
-	nnz := le.Uint64(data[48:])
-	if nnz > uint64(len(data))/16 {
-		return nil, false, fmt.Errorf("serve: model header declares %d nonzeros in a %d-byte file", nnz, len(data))
-	}
-	if want := modelHeaderSize + 16*nnz + 8; uint64(len(data)) != want {
-		return nil, false, fmt.Errorf("serve: model file is %d bytes, header declares %d (nnz=%d)", len(data), want, nnz)
-	}
-	payload := data[:len(data)-8]
-	if got, stored := crc64.Checksum(payload, crcTable), le.Uint64(data[len(data)-8:]); got != stored {
-		return nil, false, fmt.Errorf("serve: model checksum mismatch (stored %016x, computed %016x): corrupted file", stored, got)
-	}
-	m := &Model{
-		Kind:      Kind(le.Uint32(data[12:])),
-		Features:  int(le.Uint64(data[16:])),
-		TrainRows: int(le.Uint64(data[24:])),
-		Lambda:    math.Float64frombits(le.Uint64(data[32:])),
-		Version:   le.Uint64(data[40:]),
-	}
-	if nnz > 0 {
-		// Indices widen uint64→int, so they copy; values are raw IEEE-754
-		// little-endian at offset 56+8·nnz — 8-aligned on a page-aligned
-		// mapping — and alias in place.
-		valOff := modelHeaderSize + 8*int(nnz)
-		vals, ok := stream.AsFloat64LE(data[valOff:], int(nnz))
-		if !ok {
-			return nil, false, nil
-		}
-		m.Val = vals
-		m.Idx = make([]int, nnz)
-		off := modelHeaderSize
-		for k := range m.Idx {
-			m.Idx[k] = int(le.Uint64(data[off:]))
-			off += 8
-		}
-	}
-	if err := m.validate(); err != nil {
-		return nil, false, err
-	}
-	return m, true, nil
 }

@@ -61,30 +61,6 @@ func TestLoadModelFileMmap(t *testing.T) {
 	runtime.KeepAlive(mapped)
 }
 
-// TestLoadModelFileMmapFallbackText: a text-format model under
-// LoadMmap silently takes the copy path — same result, no error.
-func TestLoadModelFileMmapFallbackText(t *testing.T) {
-	m := testModel(KindLasso, 100, 9, 3)
-	path := filepath.Join(t.TempDir(), "m.txt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTextModel(f, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModelFileMode(path, LoadMmap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != KindRaw || got.Features != m.Features || got.NNZ() != m.NNZ() {
-		t.Fatalf("text fallback loaded %+v", got)
-	}
-}
-
 // TestLoadModelFileMmapCorrupt: a flipped payload byte fails the CRC in
 // mmap mode exactly as in copy mode — the mapping is never trusted.
 func TestLoadModelFileMmapCorrupt(t *testing.T) {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -9,12 +8,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"saco/internal/sparse"
+	"saco/internal/stream"
 )
 
 // Kind identifies the problem family a model was trained on. It decides
@@ -23,8 +20,8 @@ import (
 type Kind uint32
 
 const (
-	// KindRaw marks a model of unknown provenance (e.g. loaded from the
-	// text format, which carries no metadata).
+	// KindRaw marks a model of unknown provenance (a bare coefficient
+	// vector wrapped with NewModel).
 	KindRaw Kind = iota
 	// KindLasso is a sparse least-squares model; scores are regression
 	// values.
@@ -165,8 +162,18 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // WriteModel writes m in the versioned binary format.
 func WriteModel(w io.Writer, m *Model) error {
-	if err := m.validate(); err != nil {
+	buf, err := encodeModel(m)
+	if err != nil {
 		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// encodeModel renders m as one .sacm image.
+func encodeModel(m *Model) ([]byte, error) {
+	if err := m.validate(); err != nil {
+		return nil, err
 	}
 	buf := make([]byte, modelHeaderSize+16*len(m.Idx)+8)
 	copy(buf, modelMagic[:])
@@ -188,47 +195,60 @@ func WriteModel(w io.Writer, m *Model) error {
 		off += 8
 	}
 	le.PutUint64(buf[off:], crc64.Checksum(buf[:off], crcTable))
-	_, err := w.Write(buf)
-	return err
+	return buf, nil
 }
 
-// ReadModel reads a binary model, verifying magic, format version,
-// size, checksum and index invariants. Any failure is an error — a
-// corrupt file never yields a partially-trusted model.
+// ReadModel reads a binary model from r; see decodeModel for what is
+// verified.
 func ReadModel(r io.Reader) (*Model, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxModelBytes+1))
 	if err != nil {
 		return nil, err
 	}
+	m, _, err := decodeModel(data, false)
+	return m, err
+}
+
+// decodeModel is the one .sacm decoder: it verifies the reader cap, the
+// magic, the format version, the declared sizes, the checksum over the
+// whole payload and the index invariants before trusting a byte. Any
+// failure is an error — a corrupt file never yields a partially-trusted
+// model.
+//
+// alias asks for Val to alias data's value section in place instead of
+// copying it (the mmap load); aliased reports that it does, and the
+// caller must then keep data alive as long as the model. Where the
+// platform cannot alias (big-endian host, misaligned section) the values
+// are copied out of the same validated bytes.
+func decodeModel(data []byte, alias bool) (m *Model, aliased bool, err error) {
 	if len(data) > maxModelBytes {
-		return nil, fmt.Errorf("serve: model file exceeds the %d-byte reader cap", maxModelBytes)
+		return nil, false, fmt.Errorf("serve: model file exceeds the %d-byte reader cap", maxModelBytes)
+	}
+	if len(data) < 8 || !bytes.Equal(data[:8], modelMagic[:]) {
+		return nil, false, fmt.Errorf("serve: bad magic %q: not a .sacm binary model; the text model format (one value per line) is no longer read — re-save with `sasolve -out model.sacm`", data[:min(8, len(data))])
 	}
 	if len(data) < modelHeaderSize+8 {
-		return nil, fmt.Errorf("serve: model file truncated (%d bytes)", len(data))
-	}
-	if !bytes.Equal(data[:8], modelMagic[:]) {
-		return nil, fmt.Errorf("serve: bad magic %q (not a saco binary model)", data[:8])
+		return nil, false, fmt.Errorf("serve: model file truncated (%d bytes)", len(data))
 	}
 	le := binary.LittleEndian
 	if v := le.Uint32(data[8:]); v != modelFormatVersion {
-		return nil, fmt.Errorf("serve: unsupported model format version %d (have %d)", v, modelFormatVersion)
+		return nil, false, fmt.Errorf("serve: unsupported model format version %d (have %d)", v, modelFormatVersion)
 	}
 	nnz := le.Uint64(data[48:])
 	// Bound nnz by the file length before any arithmetic on it: a
 	// corrupt field near 2⁶⁴/16 would otherwise wrap 16*nnz, slip past
 	// the size equality and drive make() into a panic.
 	if nnz > uint64(len(data))/16 {
-		return nil, fmt.Errorf("serve: model header declares %d nonzeros in a %d-byte file", nnz, len(data))
+		return nil, false, fmt.Errorf("serve: model header declares %d nonzeros in a %d-byte file", nnz, len(data))
 	}
-	want := modelHeaderSize + 16*nnz + 8
-	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("serve: model file is %d bytes, header declares %d (nnz=%d)", len(data), want, nnz)
+	if want := modelHeaderSize + 16*nnz + 8; uint64(len(data)) != want {
+		return nil, false, fmt.Errorf("serve: model file is %d bytes, header declares %d (nnz=%d)", len(data), want, nnz)
 	}
 	payload := data[:len(data)-8]
 	if got, stored := crc64.Checksum(payload, crcTable), le.Uint64(data[len(data)-8:]); got != stored {
-		return nil, fmt.Errorf("serve: model checksum mismatch (stored %016x, computed %016x): corrupted file", stored, got)
+		return nil, false, fmt.Errorf("serve: model checksum mismatch (stored %016x, computed %016x): corrupted file", stored, got)
 	}
-	m := &Model{
+	m = &Model{
 		Kind:      Kind(le.Uint32(data[12:])),
 		Features:  int(le.Uint64(data[16:])),
 		TrainRows: int(le.Uint64(data[24:])),
@@ -236,103 +256,51 @@ func ReadModel(r io.Reader) (*Model, error) {
 		Version:   le.Uint64(data[40:]),
 	}
 	if nnz > 0 {
+		// Indices widen uint64→int, so they always copy; values are raw
+		// IEEE-754 little-endian at offset 56+8·nnz — 8-aligned on a
+		// page-aligned mapping — and can alias in place.
 		m.Idx = make([]int, nnz)
-		m.Val = make([]float64, nnz)
 		off := modelHeaderSize
 		for k := range m.Idx {
 			m.Idx[k] = int(le.Uint64(data[off:]))
 			off += 8
 		}
-		for k := range m.Val {
-			m.Val[k] = math.Float64frombits(le.Uint64(data[off:]))
-			off += 8
+		if alias {
+			m.Val, aliased = stream.AsFloat64LE(data[off:], int(nnz))
+		}
+		if !aliased {
+			m.Val = make([]float64, nnz)
+			for k := range m.Val {
+				m.Val[k] = math.Float64frombits(le.Uint64(data[off:]))
+				off += 8
+			}
 		}
 	}
 	if err := m.validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return m, nil
+	return m, aliased, nil
 }
 
-// WriteModelFile writes the binary format to path through a temp file
-// and a rename, so a reader — in particular a registry watching the
-// directory the model is being trained into — can never observe a
-// partial artifact. The temp file is synced before the rename so a
-// full disk surfaces as an error instead of silent success.
+// WriteModelFile publishes the binary format at path through
+// stream.WriteFileAtomic (temp file, fsync, rename), so a reader — in
+// particular a registry watching the directory the model is being
+// trained into — can never observe a partial artifact, and a full disk
+// surfaces as an error instead of silent success.
 func WriteModelFile(path string, m *Model) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".sacm-*.tmp")
+	buf, err := encodeModel(m)
 	if err != nil {
 		return err
 	}
-	cleanup := func() {
-		f.Close()
-		os.Remove(f.Name())
-	}
-	if err := WriteModel(f, m); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return stream.WriteFileAtomic(path, buf)
 }
 
-// WriteTextModel writes the historical text format: one "%.17g" value
-// per line, dense. %.17g round-trips float64 exactly.
-func WriteTextModel(w io.Writer, m *Model) error {
-	bw := bufio.NewWriter(w)
-	for _, v := range m.Dense() {
-		if _, err := fmt.Fprintf(bw, "%.17g\n", v); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTextModel parses the text format. The result is KindRaw with no
-// lambda/rows provenance — the format predates the header.
-func ReadTextModel(r io.Reader) (*Model, error) {
-	sc := bufio.NewScanner(r)
-	var x []float64
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("serve: text model line %d: %v", line, err)
-		}
-		x = append(x, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return NewModel(KindRaw, x), nil
-}
-
-// LoadModelFile reads a model from path, auto-detecting the binary
-// format by its magic and falling back to the text format.
+// LoadModelFile reads a binary model from path into the heap.
 func LoadModelFile(path string) (*Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= 8 && bytes.Equal(data[:8], modelMagic[:]) {
-		return ReadModel(bytes.NewReader(data))
-	}
-	return ReadTextModel(bytes.NewReader(data))
+	m, _, err := decodeModel(data, false)
+	return m, err
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math/rand"
 	"os"
@@ -66,31 +67,10 @@ func TestModelEmptyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelTextRoundTrip: text ↔ binary conversion is lossless (%.17g
-// round-trips float64 exactly); text carries no provenance, so the
-// reload is KindRaw.
-func TestModelTextRoundTrip(t *testing.T) {
-	m := testModel(KindSVM, 120, 11, 2)
-	var txt bytes.Buffer
-	if err := WriteTextModel(&txt, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTextModel(bytes.NewReader(txt.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != KindRaw || got.Features != m.Features {
-		t.Fatalf("text reload: kind %v features %d", got.Kind, got.Features)
-	}
-	gd, md := got.Dense(), m.Dense()
-	for j := range md {
-		if gd[j] != md[j] {
-			t.Fatalf("coef %d: %v != %v (text round trip must be exact)", j, gd[j], md[j])
-		}
-	}
-}
-
-// TestLoadModelFileAutoDetect: one loader for both formats.
+// TestLoadModelFileAutoDetect: the loader takes the binary format and
+// nothing else — the read side of the historical text format (one
+// value per line, what `sasolve -out model.txt` still writes) is gone,
+// and its refusal names the format and the migration in both load modes.
 func TestLoadModelFileAutoDetect(t *testing.T) {
 	dir := t.TempDir()
 	m := testModel(KindLasso, 80, 9, 3)
@@ -100,23 +80,33 @@ func TestLoadModelFileAutoDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, err := LoadModelFile(bin); err != nil || got.Kind != KindLasso {
-		t.Fatalf("binary autodetect: %v (%+v)", err, got)
+		t.Fatalf("binary load: %v (%+v)", err, got)
 	}
 
-	txt := filepath.Join(dir, "m.txt")
-	f, err := os.Create(txt)
-	if err != nil {
-		t.Fatal(err)
+	var txt strings.Builder
+	for _, v := range m.Dense() {
+		fmt.Fprintf(&txt, "%.17g\n", v)
 	}
-	if err := WriteTextModel(f, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModelFile(txt)
-	if err != nil || got.Kind != KindRaw || got.Features != m.Features {
-		t.Fatalf("text autodetect: %v (%+v)", err, got)
+	for _, tc := range []struct{ name, body string }{
+		{"text model", txt.String()},
+		{"one-value text model", "0.5\n"},
+		{"empty file", ""},
+	} {
+		path := filepath.Join(dir, "m.txt")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []LoadMode{LoadCopy, LoadMmap} {
+			_, err := LoadModelFileMode(path, mode)
+			if err == nil {
+				t.Fatalf("%s under %v: accepted", tc.name, mode)
+			}
+			for _, want := range []string{"text model format", "sasolve -out model.sacm"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s under %v: error %q does not mention %q", tc.name, mode, err, want)
+				}
+			}
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if ok429.Load() == 0 {
 		t.Fatal("starved server shed nothing — admission control inactive")
 	}
-	if shed := s.stats.shed.Load(); shed != ok429.Load() {
+	if shed := s.met.shed.Value(); shed != ok429.Load() {
 		t.Fatalf("server shed count %d, driver observed %d 429s", shed, ok429.Load())
 	}
 

@@ -4,15 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"saco/internal/libsvm"
 	"saco/internal/metrics"
+	"saco/internal/ops"
 	"saco/internal/simd"
 )
 
@@ -53,9 +54,12 @@ type Options struct {
 	// and the buffer feeding it. Typical use: start RefitStream.
 	OnLearn func(model string, reg *Registry, buf *LearnBuffer)
 
-	// Metrics, when set, receives the serving instruments (request and
-	// shed counters, batch size/latency histograms, queue depth) and is
-	// exposed at /metrics in the Prometheus text format.
+	// Metrics is the registry the serving instruments (request and shed
+	// counters, batch size/latency histograms, queue depth) register in;
+	// /metrics encodes it as Prometheus text and /stats reads the same
+	// counters as JSON. Set it to share one registry with other
+	// components of the process; nil gives the server a registry of its
+	// own (a cluster server: its cluster's).
 	Metrics *metrics.Registry
 }
 
@@ -72,6 +76,9 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
 	}
+	if o.Metrics == nil {
+		o.Metrics = metrics.NewRegistry()
+	}
 	return o
 }
 
@@ -80,31 +87,9 @@ func (o Options) withDefaults() Options {
 // client keeps probing.
 const retryAfterSeconds = "1"
 
-// maxUint64 is an atomic running maximum.
-type maxUint64 struct{ v atomic.Uint64 }
-
-func (m *maxUint64) Max(x uint64) {
-	for {
-		cur := m.v.Load()
-		if x <= cur || m.v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-func (m *maxUint64) Load() uint64 { return m.v.Load() }
-
-// serverStats are the monotone counters /stats reports.
-type serverStats struct {
-	requests     atomic.Uint64
-	rowsScored   atomic.Uint64
-	batches      atomic.Uint64
-	errors       atomic.Uint64
-	shed         atomic.Uint64
-	maxBatchRows maxUint64
-}
-
-// serveMetrics is the optional wiring into a metrics.Registry; the
-// zero value (all nil) is inert, so every call site is branch-free.
+// serveMetrics are the server's instruments in its metrics.Registry —
+// the one ledger of serving events: /metrics encodes the registry,
+// /stats reads the same counters.
 type serveMetrics struct {
 	requests      *metrics.Counter
 	errors        *metrics.Counter
@@ -118,9 +103,6 @@ type serveMetrics struct {
 }
 
 func newServeMetrics(mr *metrics.Registry) serveMetrics {
-	if mr == nil {
-		return serveMetrics{}
-	}
 	return serveMetrics{
 		requests:      mr.Counter("saco_requests_total", "predict requests received"),
 		errors:        mr.Counter("saco_request_errors_total", "predict requests answered with an error"),
@@ -136,7 +118,7 @@ func newServeMetrics(mr *metrics.Registry) serveMetrics {
 
 // Server answers prediction traffic against a Registry (single-model
 // mode) or a Cluster's owned slice of a model fleet. Construct with
-// NewServer or NewClusterServer, mount Handler on an http.Server,
+// NewServer or NewClusterServer, listen with ops.NewServer(Handler()),
 // Close when done.
 type Server struct {
 	reg     *Registry // single-model mode; nil in cluster mode
@@ -146,7 +128,6 @@ type Server struct {
 	jobs    chan *predictJob
 	stop    chan struct{}
 	done    chan struct{}
-	stats   serverStats
 	learn   *learnSet
 	start   time.Time
 }
@@ -165,10 +146,14 @@ func NewClusterServer(c *Cluster, opt Options) *Server {
 }
 
 func newServer(reg *Registry, c *Cluster, opt Options) *Server {
+	if opt.Metrics == nil && c != nil {
+		opt.Metrics = c.opt.Metrics
+	}
+	opt = opt.withDefaults()
 	s := &Server{
 		reg:     reg,
 		cluster: c,
-		opt:     opt.withDefaults(),
+		opt:     opt,
 		met:     newServeMetrics(opt.Metrics),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -178,10 +163,8 @@ func newServer(reg *Registry, c *Cluster, opt Options) *Server {
 	if s.opt.LearnCap > 0 {
 		s.learn = newLearnSet(s.opt.LearnCap)
 	}
-	if mr := s.opt.Metrics; mr != nil {
-		mr.GaugeFunc("saco_queue_depth", "predict jobs queued for the dispatcher",
-			func() float64 { return float64(len(s.jobs)) })
-	}
+	opt.Metrics.GaugeFunc("saco_queue_depth", "predict jobs queued for the dispatcher",
+		func() float64 { return float64(len(s.jobs)) })
 	go s.dispatch()
 	return s
 }
@@ -193,11 +176,12 @@ func (s *Server) Close() {
 	<-s.done
 }
 
-// Handler returns the route table.
+// Handler returns the route table: the serving routes mounted next to
+// the shared ops routes (/healthz and /readyz both answer from
+// servable, /metrics encodes the server's registry).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := ops.NewMux(s.opt.Metrics, s.servable, s.servable)
 	mux.HandleFunc("/predict", s.handlePredict)
-	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
 	if s.learn != nil {
 		mux.HandleFunc("/learn", s.handleLearn)
@@ -205,9 +189,6 @@ func (s *Server) Handler() http.Handler {
 	if s.cluster != nil {
 		mux.HandleFunc("/cluster", s.handleClusterStatus)
 		mux.HandleFunc("/cluster/members", s.handleClusterMembers)
-	}
-	if s.opt.Metrics != nil {
-		mux.Handle("/metrics", s.opt.Metrics.Handler())
 	}
 	return mux
 }
@@ -283,7 +264,6 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, body []byte, cr
 // cluster mode the request is first routed to the replica owning
 // ?model=.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.stats.requests.Add(1)
 	s.met.requests.Inc()
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST a JSON or LIBSVM body to /predict")
@@ -356,9 +336,8 @@ func (s *Server) predictLocal(w http.ResponseWriter, r *http.Request, reg *Regis
 }
 
 // shedReply is the admission-control refusal: 429, Retry-After, and a
-// tick on both the shed ledgers.
+// tick on the shed counter.
 func (s *Server) shedReply(w http.ResponseWriter, why string) {
-	s.stats.shed.Add(1)
 	s.met.shed.Inc()
 	w.Header().Set("Retry-After", retryAfterSeconds)
 	s.fail(w, http.StatusTooManyRequests, "overloaded: "+why)
@@ -477,28 +456,23 @@ func parseLIBSVMRows(body []byte, withLabels bool) (parsedRows, error) {
 
 // fail writes a plain-text error and counts it.
 func (s *Server) fail(w http.ResponseWriter, status int, msg string) {
-	s.stats.errors.Add(1)
 	s.met.errors.Inc()
 	http.Error(w, msg, status)
 }
 
-// handleHealthz is the liveness/readiness probe: 200 once every model
-// this replica owns is servable (in single-model mode: the one model),
-// 503 before.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// servable is the liveness and readiness probe: nil once every model
+// this replica owns is servable (in single-model mode: the one model).
+func (s *Server) servable() error {
 	if s.cluster != nil {
 		if missing := s.cluster.missingModels(); len(missing) > 0 {
-			http.Error(w, "no model loaded for: "+strings.Join(missing, ", "), http.StatusServiceUnavailable)
-			return
+			return errors.New("no model loaded for: " + strings.Join(missing, ", "))
 		}
-		fmt.Fprintln(w, "ok")
-		return
+		return nil
 	}
 	if s.reg.Current() == nil {
-		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
-		return
+		return errors.New("no model loaded")
 	}
-	fmt.Fprintln(w, "ok")
+	return nil
 }
 
 // statsResponse is the /stats reply.
@@ -511,7 +485,6 @@ type statsResponse struct {
 	Requests      uint64  `json:"requests"`
 	RowsScored    uint64  `json:"rows_scored"`
 	Batches       uint64  `json:"batches"`
-	MaxBatchRows  uint64  `json:"max_batch_rows"`
 	Errors        uint64  `json:"errors"`
 	Shed          uint64  `json:"shed"`
 	Publishes     uint64  `json:"registry_publishes"`
@@ -524,16 +497,16 @@ type statsResponse struct {
 	Kernels string `json:"kernels"`
 }
 
-// handleStats reports the serving counters and the current model's
+// handleStats reports the serving counters — the values /metrics
+// encodes, read from the same instruments — and the current model's
 // provenance.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := statsResponse{
-		Requests:      s.stats.requests.Load(),
-		RowsScored:    s.stats.rowsScored.Load(),
-		Batches:       s.stats.batches.Load(),
-		MaxBatchRows:  s.stats.maxBatchRows.Load(),
-		Errors:        s.stats.errors.Load(),
-		Shed:          s.stats.shed.Load(),
+		Requests:      s.met.requests.Value(),
+		RowsScored:    s.met.rows.Value(),
+		Batches:       s.met.batches.Value(),
+		Errors:        s.met.errors.Value(),
+		Shed:          s.met.shed.Value(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Kernels:       simd.Active().Name(),
 	}

@@ -49,9 +49,6 @@ import (
 // A "segment" is a row for CSR shards and a column for CSC shards; its
 // idx entries are column indices (CSR) or block-local row indices (CSC).
 //
-// Version-1 shards ("SACOSHv1": rows uint32, nnz uint64, then fixed-width
-// rowptr/colidx/vals) remain readable; new stores always write v2.
-//
 // Manifest file (manifest.bin), version 2 — dataset metadata plus the
 // label vector (labels stay resident; at paper scale they are ~20 MB vs
 // ~4 GB of matrix data):
@@ -69,17 +66,16 @@ import (
 //	shards    nshards × { rows uint32, nnz uint64 }
 //	labels    m × float64
 //
-// Version-1 manifests ("SACOSMv1", no layout/codec trailer) open as
-// CSR/raw. Column indices are stored in (at most) 32 bits, which caps the
+// Column indices are stored in (at most) 32 bits, which caps the
 // feature space at 2³²−1 — 1000× the paper's widest dataset.
+//
+// The version-1 encodings have no read path any more; badMagic refuses
+// them by name.
 const (
-	shardMagicV1  = "SACOSHv1"
-	shardMagicV2  = "SACOSHv2"
-	manifestMagic = "SACOSMv1"
-	manifestV2    = "SACOSMv2"
-	manifestName  = "manifest.bin"
+	shardMagicV2 = "SACOSHv2"
+	manifestV2   = "SACOSMv2"
+	manifestName = "manifest.bin"
 
-	shardHeaderV1 = 20
 	shardHeaderV2 = 48
 
 	// MaxFeatures is the widest column space the shard encoding holds.
@@ -90,9 +86,8 @@ const (
 type Layout uint8
 
 const (
-	// LayoutCSR spills row-major shards: row-ptr / col-idx / val. The
-	// historical (v1) arrangement; row views decode it natively, column
-	// views convert per load.
+	// LayoutCSR spills row-major shards: row-ptr / col-idx / val. Row
+	// views decode it natively, column views convert per load.
 	LayoutCSR Layout = iota
 	// LayoutCSC spills column-major shards: col-ptr / row-idx / val.
 	// Column views (the Lasso access pattern) decode it natively with
@@ -291,15 +286,13 @@ func cscFromBlock(rowPtr, colIdx []int, vals []float64) *sparse.CSC {
 // must then keep the backing mapping alive. Every structural invariant is
 // re-validated because the bytes come from disk.
 func decodeShard(data []byte, n int, allowZeroCopy bool) (block shardBlock, refsData bool, err error) {
-	if len(data) >= 8 && string(data[:8]) == shardMagicV1 {
-		csr, err := decodeShardV1(data, n)
-		return shardBlock{csr: csr}, false, err
+	// Magic before length: a version-1 shard can be shorter than a v2
+	// header and must still be refused by name.
+	if len(data) >= 8 && string(data[:8]) != shardMagicV2 {
+		return shardBlock{}, false, fmt.Errorf("stream: %v", badMagic("shard", data[:8]))
 	}
 	if len(data) < shardHeaderV2 {
 		return shardBlock{}, false, fmt.Errorf("stream: short shard header (%d bytes)", len(data))
-	}
-	if string(data[:8]) != shardMagicV2 {
-		return shardBlock{}, false, fmt.Errorf("stream: bad shard magic %q", data[:8])
 	}
 	le := binary.LittleEndian
 	layout := Layout(data[8])
@@ -472,44 +465,15 @@ func decodeShard(data []byte, n int, allowZeroCopy bool) (block shardBlock, refs
 	return shardBlock{csr: csr}, refsData, nil
 }
 
-// decodeShardV1 decodes the version-1 row-major fixed-width format, kept
-// readable so pre-v2 shard caches keep working.
-func decodeShardV1(data []byte, n int) (*sparse.CSR, error) {
-	if len(data) < shardHeaderV1 {
-		return nil, fmt.Errorf("stream: short v1 shard header (%d bytes)", len(data))
+// badMagic is the error for a file that does not start with the magic
+// its reader expects. The version-1 store encodings ("SACOSHv1" shards,
+// "SACOSMv1" manifests) are named, with the migration: a shard store is
+// a cache of its LIBSVM source, so it is rebuilt, not converted.
+func badMagic(what string, magic []byte) error {
+	if m := string(magic); m == "SACOSHv1" || m == "SACOSMv1" {
+		return fmt.Errorf("version-1 %s (%s) is no longer readable: delete the cache directory and re-ingest the LIBSVM source", what, m)
 	}
-	le := binary.LittleEndian
-	rows64 := uint64(le.Uint32(data[8:]))
-	nnz64 := le.Uint64(data[12:])
-	// Bound nnz by the file length before the size arithmetic: a corrupt
-	// field near 2⁶⁴/12 would otherwise wrap `want`, slip past the
-	// equality and drive make() into a panic (the v2 decoder has the
-	// same guard).
-	if nnz64 > uint64(len(data))/12 {
-		return nil, fmt.Errorf("stream: v1 shard header declares %d nonzeros in a %d-byte file", nnz64, len(data))
-	}
-	want := uint64(shardHeaderV1) + 8*(rows64+1) + 4*nnz64 + 8*nnz64
-	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("stream: v1 shard is %d bytes, header declares %d (rows=%d nnz=%d)", len(data), want, rows64, nnz64)
-	}
-	rows, nnz := int(rows64), int(nnz64)
-	rowPtr := make([]int, rows+1)
-	off := shardHeaderV1
-	for k := range rowPtr {
-		rowPtr[k] = int(le.Uint64(data[off:]))
-		off += 8
-	}
-	colIdx := make([]int, nnz)
-	for k := range colIdx {
-		colIdx[k] = int(le.Uint32(data[off:]))
-		off += 4
-	}
-	vals := make([]float64, nnz)
-	for k := range vals {
-		vals[k] = math.Float64frombits(le.Uint64(data[off:]))
-		off += 8
-	}
-	return sparse.NewCSR(rows, n, rowPtr, colIdx, vals)
+	return fmt.Errorf("bad %s magic %q", what, magic)
 }
 
 // readShardFile loads and decodes one shard in copy mode: the file bytes
@@ -594,7 +558,7 @@ func writeChunked(w io.Writer, buf []byte, count, width int, put func(k int, b [
 	return nil
 }
 
-// readManifest loads the metadata of a previously built dataset, v1 or v2.
+// readManifest loads the metadata of a previously built dataset.
 func readManifest(dir string) (*Dataset, error) {
 	f, err := os.Open(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -602,18 +566,15 @@ func readManifest(dir string) (*Dataset, error) {
 	}
 	defer f.Close() //saco:nolint commerr read-only fd; a close failure after a successful read cannot lose data
 	br := bufio.NewReaderSize(f, 1<<20)
-	var hdr [56]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	var hdr [64]byte
+	if _, err := io.ReadFull(br, hdr[:8]); err != nil {
 		return nil, fmt.Errorf("stream: %s: short manifest: %v", dir, err)
 	}
-	version := 0
-	switch string(hdr[:8]) {
-	case manifestMagic:
-		version = 1
-	case manifestV2:
-		version = 2
-	default:
-		return nil, fmt.Errorf("stream: %s: bad manifest magic %q", dir, hdr[:8])
+	if string(hdr[:8]) != manifestV2 {
+		return nil, fmt.Errorf("stream: %s: %v", dir, badMagic("manifest", hdr[:8]))
+	}
+	if _, err := io.ReadFull(br, hdr[8:]); err != nil {
+		return nil, fmt.Errorf("stream: %s: short manifest: %v", dir, err)
 	}
 	d := &Dataset{
 		dir:       dir,
@@ -624,16 +585,10 @@ func readManifest(dir string) (*Dataset, error) {
 		srcSize:   int64(binary.LittleEndian.Uint64(hdr[40:])),
 		srcMTime:  int64(binary.LittleEndian.Uint64(hdr[48:])),
 	}
-	if version == 2 {
-		var tail [8]byte
-		if _, err := io.ReadFull(br, tail[:]); err != nil {
-			return nil, fmt.Errorf("stream: %s: short v2 manifest trailer: %v", dir, err)
-		}
-		d.layout = Layout(tail[0])
-		d.codec = Codec(tail[1])
-		if d.layout > LayoutCSC || d.codec > CodecDelta {
-			return nil, fmt.Errorf("stream: %s: unknown manifest layout/codec %d/%d", dir, tail[0], tail[1])
-		}
+	d.layout = Layout(hdr[56])
+	d.codec = Codec(hdr[57])
+	if d.layout > LayoutCSC || d.codec > CodecDelta {
+		return nil, fmt.Errorf("stream: %s: unknown manifest layout/codec %d/%d", dir, hdr[56], hdr[57])
 	}
 	nshards := int(binary.LittleEndian.Uint32(hdr[36:]))
 	d.shards = make([]ShardInfo, nshards)

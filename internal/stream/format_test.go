@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,105 +163,63 @@ func TestMaxIndexColumnCSR(t *testing.T) {
 	}
 }
 
-// TestV1StoreStillReadable hand-writes a version-1 store (the PR 3
-// fixed-width CSR format) and checks the v2 reader opens and decodes it.
-func TestV1StoreStillReadable(t *testing.T) {
-	dir := t.TempDir()
-	rowPtr := []int{0, 2, 2, 3}
-	colIdx := []int{0, 3, 1}
-	vals := []float64{1.5, -2, math.Pi}
-	labels := []float64{1, -1, 1}
-	writeV1Shard(t, shardPath(dir, 0), rowPtr, colIdx, vals)
-	writeV1Manifest(t, dir, 3, 4, 3, 4, []ShardInfo{{Rows: 3, NNZ: 3}}, labels)
-
-	ds, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Layout() != LayoutCSR || ds.Codec() != CodecRaw {
-		t.Fatalf("v1 store decoded as %v/%v", ds.Layout(), ds.Codec())
-	}
-	want, err := sparse.NewCSR(3, 4, rowPtr, colIdx, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDatasetEquals(t, ds, want, labels)
-	// The column view still works (conversion path).
-	if got := ds.Cols().ColNormSq(0); got != 1.5*1.5 {
-		t.Fatalf("ColNormSq(0) = %v", got)
-	}
-}
-
-// writeV1Shard emits the PR 3 shard encoding byte for byte.
-func writeV1Shard(t *testing.T, path string, rowPtr, colIdx []int, vals []float64) {
+// assertV1Refused checks what every refusal of a version-1 store file
+// must say: which format it met and how to get off it.
+func assertV1Refused(t *testing.T, err error, magic string) {
 	t.Helper()
-	le := binary.LittleEndian
-	var buf bytes.Buffer
-	var hdr [20]byte
-	copy(hdr[:], "SACOSHv1")
-	le.PutUint32(hdr[8:], uint32(len(rowPtr)-1))
-	le.PutUint64(hdr[12:], uint64(len(vals)))
-	buf.Write(hdr[:])
-	var w8 [8]byte
-	for _, v := range rowPtr {
-		le.PutUint64(w8[:], uint64(v))
-		buf.Write(w8[:])
+	if err == nil {
+		t.Fatalf("%s input accepted", magic)
 	}
-	var w4 [4]byte
-	for _, v := range colIdx {
-		le.PutUint32(w4[:], uint32(v))
-		buf.Write(w4[:])
-	}
-	for _, v := range vals {
-		le.PutUint64(w8[:], math.Float64bits(v))
-		buf.Write(w8[:])
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"version-1", magic, "delete the cache directory and re-ingest"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s refusal does not mention %q: %v", magic, want, err)
+		}
 	}
 }
 
-// writeV1Manifest emits the PR 3 manifest encoding byte for byte.
-func writeV1Manifest(t *testing.T, dir string, m, n int, nnz int64, blockRows int, shards []ShardInfo, labels []float64) {
-	t.Helper()
-	le := binary.LittleEndian
-	var buf bytes.Buffer
-	var hdr [56]byte
-	copy(hdr[:], "SACOSMv1")
-	le.PutUint64(hdr[8:], uint64(m))
-	le.PutUint64(hdr[16:], uint64(n))
-	le.PutUint64(hdr[24:], uint64(nnz))
-	le.PutUint32(hdr[32:], uint32(blockRows))
-	le.PutUint32(hdr[36:], uint32(len(shards)))
-	buf.Write(hdr[:])
-	var rec [12]byte
-	for _, sh := range shards {
-		le.PutUint32(rec[:], uint32(sh.Rows))
-		le.PutUint64(rec[4:], uint64(sh.NNZ))
-		buf.Write(rec[:])
-	}
-	var w8 [8]byte
-	for _, v := range labels {
-		le.PutUint64(w8[:], math.Float64bits(v))
-		buf.Write(w8[:])
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+// TestV1StoreRefused: the version-1 read paths are gone. A v1 manifest
+// fails Open and a v1 shard under a current manifest fails its load —
+// in both read modes — with an error naming the format and the
+// migration, never a generic "bad magic".
+func TestV1StoreRefused(t *testing.T) {
+	t.Run("manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		data := append([]byte("SACOSMv1"), make([]byte, 48)...) // a complete, empty v1 header
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		assertV1Refused(t, err, "SACOSMv1")
+	})
+	for _, mode := range []ReadMode{ReadCopy, ReadMmap} {
+		t.Run("shard/"+mode.String(), func(t *testing.T) {
+			ds := buildText(t, "1 1:1.5 4:-2\n-1 2:3\n", BuildOptions{})
+			defer ds.Close()
+			data := append([]byte("SACOSHv1"), make([]byte, 20)...) // rows = 0, nnz = 0, one row pointer
+			if err := os.WriteFile(shardPath(ds.Dir(), 0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ds.SetReadMode(mode)
+			it := ds.Blocks()
+			if it.Next() {
+				t.Fatal("a version-1 shard was decoded")
+			}
+			assertV1Refused(t, it.Err(), "SACOSHv1")
+		})
 	}
 }
 
-// TestV1ShardOverflowingNNZRejected: a corrupt v1 nnz field near
-// 2⁶⁴/12 used to wrap the declared-size arithmetic past the length
-// equality and panic in make(); it must be an error.
+// TestV1ShardOverflowingNNZRejected: a v1 shard whose nnz field sits near
+// 2⁶⁴/12 once wrapped the v1 decoder's declared-size arithmetic; with
+// that decoder gone the magic alone refuses it, before any header field
+// is read.
 func TestV1ShardOverflowingNNZRejected(t *testing.T) {
-	k := 4 // 12·nnz ≡ 12k (mod 2⁶⁴) when nnz = 2⁶² + k, since 12·2⁶² = 3·2⁶⁴
-	data := make([]byte, shardHeaderV1+8+12*k)
+	k := 4
+	data := make([]byte, 20+8+12*k)
 	copy(data, "SACOSHv1")
-	binary.LittleEndian.PutUint32(data[8:], 0) // rows = 0 → 8·(rows+1) = 8
 	binary.LittleEndian.PutUint64(data[12:], 1<<62+uint64(k))
-	if _, _, err := decodeShard(data, 4, false); err == nil {
-		t.Fatal("wrapping v1 nnz accepted")
-	}
+	_, _, err := decodeShard(data, 4, false)
+	assertV1Refused(t, err, "SACOSHv1")
 }
 
 // urlLikeText synthesizes a dataset with the paper's url characteristics:
@@ -568,6 +525,9 @@ func FuzzDecodeShard(f *testing.F) {
 		block, _, err := decodeShard(data, 6, false)
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, []byte("SACOSHv1")) {
+			t.Fatal("a version-1 shard was decoded")
 		}
 		if block.csr == nil && block.csc == nil {
 			t.Fatal("no error and no block")

@@ -14,8 +14,8 @@ var hostLittleEndian = func() bool {
 // asFloat64LE reinterprets b as n little-endian float64 values without
 // copying. It returns (nil, false) when the platform cannot alias the
 // bytes safely: big-endian hosts, or a section that is not 8-byte
-// aligned (v2 shards pad the vals section to alignment, so mapped
-// sections qualify; v1 shards and foreign buffers may not). The returned
+// aligned (shards pad the vals section to alignment, so mapped
+// sections qualify; foreign buffers may not). The returned
 // slice aliases b — the caller owns keeping b's backing memory alive and
 // must treat the floats as read-only.
 func asFloat64LE(b []byte, n int) ([]float64, bool) {

@@ -219,6 +219,10 @@ func EthernetCluster() Machine { return mpi.EthernetCluster() }
 // millisecond synchronization latency (§VII).
 func SparkLike() Machine { return mpi.SparkLike() }
 
+// MachineByName maps a -machine flag value (cray, ethernet, spark) onto
+// its preset; the error names the accepted values.
+func MachineByName(name string) (Machine, error) { return mpi.MachineByName(name) }
+
 // NewCOO returns an m×n coordinate-format builder; convert with ToCSR.
 func NewCOO(m, n int) *COO { return sparse.NewCOO(m, n) }
 
@@ -385,7 +389,9 @@ type (
 	// ServeOptions tunes the scoring server (batch size, linger window,
 	// kernel workers).
 	ServeOptions = serve.Options
-	// ServeServer answers /predict, /healthz and /stats.
+	// ServeServer answers /predict, /stats (and /learn, /cluster*) next
+	// to the shared ops routes /healthz, /readyz and /metrics; /stats is
+	// a JSON view of the counters /metrics encodes.
 	ServeServer = serve.Server
 	// RefitOptions tunes the live lock-free refit loop.
 	RefitOptions = serve.RefitOptions
@@ -429,8 +435,9 @@ const (
 // nonzeros.
 func NewModel(kind ModelKind, x []float64) *Model { return serve.NewModel(kind, x) }
 
-// LoadModel reads a model file, auto-detecting the versioned binary
-// format (by magic) or the text format (one value per line).
+// LoadModel reads a model file in the versioned binary format (.sacm).
+// The text format (one value per line) is no longer read; re-save such
+// a model with `sasolve -out model.sacm`.
 func LoadModel(path string) (*Model, error) { return serve.LoadModelFile(path) }
 
 // SaveModel writes a model in the versioned binary format (sparse
@@ -474,13 +481,15 @@ func RefitStream(ctx context.Context, reg *ModelRegistry, buf *LearnBuffer, opt 
 	return serve.RefitStream(ctx, reg, buf, opt)
 }
 
-// NewMetricsRegistry returns an empty metrics registry; pass it to
-// ServeOptions.Metrics / ServeClusterOptions.Metrics and mount its
-// Handler (the serving layer mounts it at /metrics automatically).
+// NewMetricsRegistry returns an empty metrics registry. Pass one to
+// ServeOptions.Metrics / ServeClusterOptions.Metrics to have the serving
+// layer count into (and serve at /metrics) a registry the caller also
+// registers its own series in; left nil, the server makes its own.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// NewServer starts a scoring server over a registry; mount Handler()
-// on an http.Server (or use cmd/saserve).
+// NewServer starts a scoring server over a registry; serve Handler()
+// on a listener of your own (or use cmd/saserve, which listens with
+// internal/ops' fixed connection limits).
 func NewServer(reg *ModelRegistry, opt ServeOptions) *ServeServer { return serve.NewServer(reg, opt) }
 
 // Refit streams labeled rows into a lock-free HOGWILD! solver warm-
