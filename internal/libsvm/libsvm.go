@@ -9,16 +9,27 @@
 // CSR does not fit in memory at all, package stream ingests the same
 // format into an out-of-core shard store through the RowParser exported
 // here.
+//
+// There is one tokenizer: RowParser.ParseBytes, one pass over the raw
+// bytes of a line, allocating nothing once its buffers are warm. Read,
+// stream's ingestion, serve's /predict and /learn bodies and the string
+// form Parse all call it, so no caller splits fields or looks for a
+// label on its own. White space is unicode.IsSpace, as it was when the
+// fields were split by package strings: U+0085, U+00A0, U+2028 … count.
 package libsvm
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"saco/internal/sparse"
 )
@@ -46,44 +57,75 @@ type RowParser struct {
 	maxCol int
 }
 
-// Parse parses one non-empty, non-comment data line, returning its
+// Parse is ParseBytes on a string, with the label required.
+func (p *RowParser) Parse(line string, lineNo int) (float64, error) {
+	label, _, err := p.ParseBytes(unsafe.Slice(unsafe.StringData(line), len(line)), lineNo, false)
+	return label, err
+}
+
+// ParseBytes parses one non-empty, non-comment data line, returning its
 // label. lineNo is used only for error messages. Feature indices must be
 // ≥ 1 and strictly increasing; duplicate and out-of-order indices are
 // rejected with a line-numbered error because they break the CSR
 // invariant (strictly increasing columns within a row) every downstream
 // kernel relies on.
-func (p *RowParser) Parse(line string, lineNo int) (float64, error) {
+//
+// With optionalLabel a first field containing ':' is the first feature
+// and the label is 0 (request rows carry none); labeled reports which
+// it was, and is valid even when err is not nil. Without it the first
+// field is always the label. line is only read, never retained.
+func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (label float64, labeled bool, err error) {
 	p.Cols = p.Cols[:0]
 	p.Vals = p.Vals[:0]
 	p.maxCol = -1
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return 0, fmt.Errorf("libsvm: line %d: empty row", lineNo)
-	}
-	label, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("libsvm: line %d: bad label %q: %v", lineNo, fields[0], err)
-	}
-	prev := -1
-	for _, f := range fields[1:] {
-		colon := strings.IndexByte(f, ':')
+	prev, first := -1, true
+	for i := 0; ; {
+		if i = skipSpace(line, i); i == len(line) {
+			break
+		}
+		start := i
+		// A field runs to the next white space, which no byte in
+		// ['!', 0x7f] can start: skip words of eight such bytes (any other
+		// byte sets a high bit in the expression), then finish by the byte.
+		for i+8 <= len(line) {
+			w := binary.LittleEndian.Uint64(line[i:])
+			if ((w-lsb*'!')&^w|w)&(lsb<<7) != 0 {
+				break
+			}
+			i += 8
+		}
+		for i < len(line) && spaceAt(line, i) == 0 {
+			i++
+		}
+		colon := bytes.IndexByte(line[start:i], ':')
+		// A view, not a copy: strconv clones what its errors quote.
+		f := unsafe.String(&line[start], i-start)
+		if first {
+			first = false
+			if labeled = !optionalLabel || colon < 0; labeled {
+				if label, err = strconv.ParseFloat(f, 64); err != nil {
+					return 0, true, fmt.Errorf("libsvm: line %d: bad label %q: %v", lineNo, f, err)
+				}
+				continue
+			}
+		}
 		if colon <= 0 {
-			return 0, fmt.Errorf("libsvm: line %d: bad feature %q", lineNo, f)
+			return 0, labeled, fmt.Errorf("libsvm: line %d: bad feature %q", lineNo, f)
 		}
 		idx, err := strconv.Atoi(f[:colon])
 		if err != nil || idx < 1 {
-			return 0, fmt.Errorf("libsvm: line %d: bad index %q", lineNo, f[:colon])
+			return 0, labeled, fmt.Errorf("libsvm: line %d: bad index %q", lineNo, f[:colon])
 		}
 		v, err := strconv.ParseFloat(f[colon+1:], 64)
 		if err != nil {
-			return 0, fmt.Errorf("libsvm: line %d: bad value %q: %v", lineNo, f[colon+1:], err)
+			return 0, labeled, fmt.Errorf("libsvm: line %d: bad value %q: %v", lineNo, f[colon+1:], err)
 		}
 		col := idx - 1
 		switch {
 		case col == prev:
-			return 0, fmt.Errorf("libsvm: line %d: duplicate index %d", lineNo, idx)
+			return 0, labeled, fmt.Errorf("libsvm: line %d: duplicate index %d", lineNo, idx)
 		case col < prev:
-			return 0, fmt.Errorf("libsvm: line %d: index %d out of order after %d", lineNo, idx, prev+1)
+			return 0, labeled, fmt.Errorf("libsvm: line %d: index %d out of order after %d", lineNo, idx, prev+1)
 		}
 		prev = col
 		p.maxCol = col
@@ -92,7 +134,43 @@ func (p *RowParser) Parse(line string, lineNo int) (float64, error) {
 			p.Vals = append(p.Vals, v)
 		}
 	}
-	return label, nil
+	if first {
+		return 0, false, fmt.Errorf("libsvm: line %d: empty row", lineNo)
+	}
+	return label, labeled, nil
+}
+
+// lsb has the lowest bit of each byte of a word set.
+const lsb = 0x0101010101010101
+
+// skipSpace returns the index of the first byte of b at or after i that
+// does not start a white-space rune, len(b) when there is none.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && spaceAt(b, i) > 0 {
+		i += spaceAt(b, i)
+	}
+	return i
+}
+
+// asciiSpace is 1 at the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// spaceAt returns the width in bytes of the white-space rune at b[i],
+// or 0 when the rune there (or the invalid byte) is not white space.
+func spaceAt(b []byte, i int) int {
+	if c := b[i]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
+	}
+	return wideSpace(b, i)
+}
+
+// wideSpace is spaceAt for a rune outside ASCII, kept apart so that
+// spaceAt inlines.
+func wideSpace(b []byte, i int) int {
+	if r, w := utf8.DecodeRune(b[i:]); unicode.IsSpace(r) {
+		return w
+	}
+	return 0
 }
 
 // MaxCol returns the largest parsed column index of the last Parse
@@ -104,8 +182,13 @@ func (p *RowParser) MaxCol() int { return p.maxCol }
 // Skip reports whether a raw input line carries no data (blank or
 // comment) and should not reach Parse.
 func Skip(line string) bool {
-	line = strings.TrimSpace(line)
-	return line == "" || strings.HasPrefix(line, "#")
+	return SkipBytes(unsafe.Slice(unsafe.StringData(line), len(line)))
+}
+
+// SkipBytes is Skip on the raw bytes of a line.
+func SkipBytes(line []byte) bool {
+	i := skipSpace(line, 0)
+	return i == len(line) || line[i] == '#'
 }
 
 // Read parses a LIBSVM stream. n is the number of features; pass 0 to
@@ -130,11 +213,11 @@ func read(r io.Reader, n, cap int) (*sparse.CSR, []float64, error) {
 	)
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if Skip(line) {
+		line := sc.Bytes()
+		if SkipBytes(line) {
 			continue
 		}
-		label, err := parser.Parse(line, lineNo)
+		label, _, err := parser.ParseBytes(line, lineNo, false)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"saco/internal/sparse"
@@ -26,67 +27,64 @@ import (
 // set the dispatcher sheds jobs that already overstayed it before
 // spending kernel time on them.
 
-// predictJob is one request's parsed rows plus its reply channel.
-type predictJob struct {
-	reg    *Registry // the model registry this job scores against
-	cols   [][]int   // per row: 0-based, strictly increasing
-	vals   [][]float64
-	maxCol int       // largest index across rows, -1 when all rows empty
-	enq    time.Time // when the handler enqueued the job (shedding deadline)
-	resp   chan predictResult
-}
-
-// predictResult is what the dispatcher sends back: scores against one
-// model version, or an HTTP-ready error.
-type predictResult struct {
-	scores  []float64
-	model   *Model
-	status  int // non-zero = error
-	errText string
+// batcher is the dispatcher goroutine's own state, reused from batch to
+// batch: the jobs of the batch being collected, the linger timer, and
+// the rows and scores a group of more than one job is gathered into.
+type batcher struct {
+	jobs  []*predictJob
+	timer *time.Timer
+	asm   rowSet
+	y     []float64
 }
 
 // dispatch is the batcher loop: take one job, linger BatchWindow for
 // companions (up to MaxBatch rows), shed the stale, score the rest.
 func (s *Server) dispatch() {
 	defer close(s.done)
+	b := &batcher{timer: time.NewTimer(s.opt.BatchWindow)}
+	b.timer.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
 		case j := <-s.jobs:
-			batch := []*predictJob{j}
-			rows := len(j.cols)
+			b.jobs = append(b.jobs[:0], j)
+			rows := j.rows()
 			if rows < s.opt.MaxBatch {
-				timer := time.NewTimer(s.opt.BatchWindow)
+				b.timer.Reset(s.opt.BatchWindow)
 			collect:
 				for rows < s.opt.MaxBatch {
 					select {
 					case j2 := <-s.jobs:
-						batch = append(batch, j2)
-						rows += len(j2.cols)
-					case <-timer.C:
+						b.jobs = append(b.jobs, j2)
+						rows += j2.rows()
+					case <-b.timer.C:
 						break collect
 					}
 				}
-				timer.Stop()
+				b.timer.Stop()
 			}
-			batch, rows = s.shedStale(batch, rows)
+			batch := s.shedStale(b.jobs)
 			if len(batch) == 0 {
 				continue
 			}
 			begin := time.Now()
-			s.scoreBatch(batch)
+			s.scoreBatch(b, batch)
 			s.met.batchLatency.Observe(time.Since(begin).Seconds())
 		}
 	}
 }
 
+// A job belongs to its handler again the moment its reply is sent — the
+// handler may recycle it at once — so nothing below reads a job after
+// sending on its resp.
+
 // shedStale drops jobs that waited past MaxQueueDelay, answering each
 // with 429 + Retry-After: their latency budget is spent, so kernel time
 // is better given to the rest of the batch.
-func (s *Server) shedStale(batch []*predictJob, rows int) ([]*predictJob, int) {
+func (s *Server) shedStale(batch []*predictJob) []*predictJob {
 	if s.opt.MaxQueueDelay <= 0 {
-		return batch, rows
+		return batch
 	}
 	now := time.Now()
 	keep := batch[:0]
@@ -97,36 +95,39 @@ func (s *Server) shedStale(batch []*predictJob, rows int) ([]*predictJob, int) {
 				status:  http.StatusTooManyRequests,
 				errText: fmt.Sprintf("overloaded: job queued longer than %v", s.opt.MaxQueueDelay),
 			}
-			rows -= len(j.cols)
 			continue
 		}
 		keep = append(keep, j)
 	}
-	return keep, rows
+	return keep
 }
 
 // scoreBatch partitions the batch by registry — a cluster replica's
-// batch can mix models — preserving arrival order, and scores each
-// group against one atomic load of its registry.
-func (s *Server) scoreBatch(batch []*predictJob) {
-	// First-appearance order, not map iteration: grouping must be
-	// deterministic for the batched==sequential contract's sake.
-	var order []*Registry
-	groups := make(map[*Registry][]*predictJob, 1)
-	for _, j := range batch {
-		if _, ok := groups[j.reg]; !ok {
-			order = append(order, j.reg)
+// batch can mix models — and scores each group against one atomic load
+// of its registry. Groups go in order of first appearance and keep
+// arrival order inside (grouping must be deterministic for the
+// batched==sequential contract's sake); a batch on one registry, the
+// usual case, is one group with nothing moved or allocated.
+func (s *Server) scoreBatch(b *batcher, batch []*predictJob) {
+	for len(batch) > 0 {
+		reg, n := batch[0].reg, 0
+		var rest []*predictJob
+		for _, j := range batch {
+			if j.reg == reg {
+				batch[n] = j
+				n++
+			} else {
+				rest = append(rest, j)
+			}
 		}
-		groups[j.reg] = append(groups[j.reg], j)
-	}
-	for _, reg := range order {
-		s.scoreGroup(reg, groups[reg])
+		s.scoreGroup(b, reg, batch[:n])
+		batch = rest
 	}
 }
 
 // scoreGroup scores every job in the group against one atomic load of
 // the group's serving model.
-func (s *Server) scoreGroup(reg *Registry, batch []*predictJob) {
+func (s *Server) scoreGroup(b *batcher, reg *Registry, batch []*predictJob) {
 	m := reg.Current()
 	if m == nil {
 		for _, j := range batch {
@@ -137,8 +138,8 @@ func (s *Server) scoreGroup(reg *Registry, batch []*predictJob) {
 
 	// Per-job dimensionality check against this batch's model snapshot;
 	// oversized requests fail alone, not the whole batch.
-	valid := batch[:0:0]
-	validRows := 0
+	valid := batch[:0]
+	rows := 0
 	for _, j := range batch {
 		if j.maxCol >= m.Features {
 			j.resp <- predictResult{
@@ -148,41 +149,46 @@ func (s *Server) scoreGroup(reg *Registry, batch []*predictJob) {
 			continue
 		}
 		valid = append(valid, j)
-		validRows += len(j.cols)
+		rows += j.rows()
 	}
 	if len(valid) == 0 {
 		return
 	}
 
-	// Assemble the batch matrix and make the one kernel call.
-	rowPtr := make([]int, 1, validRows+1)
-	var colIdx []int
-	var vals []float64
-	for _, j := range valid {
-		for r := range j.cols {
-			colIdx = append(colIdx, j.cols[r]...)
-			vals = append(vals, j.vals[r]...)
-			rowPtr = append(rowPtr, len(vals))
-		}
-	}
-	a, err := sparse.NewCSR(validRows, m.Features, rowPtr, colIdx, vals)
-	if err == nil {
-		y := make([]float64, validRows)
-		if err = m.Score(a, s.opt.Workers, y); err == nil {
-			off := 0
-			for _, j := range valid {
-				j.resp <- predictResult{scores: y[off : off+len(j.cols)], model: m}
-				off += len(j.cols)
+	// The batch matrix and the one kernel call. A job alone in its group
+	// (every full-sized request) is scored where it lies; several are
+	// gathered into the batcher's buffers and their scores copied back.
+	rowPtr, colIdx, vals, y := valid[0].rowPtr, valid[0].colIdx, valid[0].vals, valid[0].scores
+	if asm := &b.asm; len(valid) > 1 {
+		asm.rowPtr, asm.colIdx, asm.vals = append(asm.rowPtr[:0], 0), asm.colIdx[:0], asm.vals[:0]
+		for _, j := range valid {
+			for _, end := range j.rowPtr[1:] {
+				asm.rowPtr = append(asm.rowPtr, len(asm.vals)+end)
 			}
-			s.met.batches.Inc()
-			s.met.rows.Add(uint64(validRows))
-			s.met.batchRows.Observe(float64(validRows))
-			return
+			asm.colIdx = append(asm.colIdx, j.colIdx...)
+			asm.vals = append(asm.vals, j.vals...)
 		}
+		b.y = slices.Grow(b.y[:0], rows)[:rows]
+		rowPtr, colIdx, vals, y = asm.rowPtr, asm.colIdx, asm.vals, b.y
 	}
-	// Assembly or scoring rejected the batch wholesale (malformed rows
-	// slipping past parsing would be a server bug; report, don't hang).
+	a, err := sparse.NewCSR(rows, m.Features, rowPtr, colIdx, vals)
+	if err == nil {
+		err = m.Score(a, s.opt.Workers, y)
+	}
+	res := predictResult{model: m}
+	if err != nil {
+		// Assembly or scoring rejected the batch wholesale (malformed rows
+		// slipping past parsing would be a server bug; report, don't hang).
+		res = predictResult{status: http.StatusInternalServerError, errText: err.Error()}
+	} else {
+		s.met.batches.Inc()
+		s.met.rows.Add(uint64(rows))
+		s.met.batchRows.Observe(float64(rows))
+	}
 	for _, j := range valid {
-		j.resp <- predictResult{status: http.StatusInternalServerError, errText: err.Error()}
+		if err == nil && len(valid) > 1 {
+			y = y[copy(j.scores, y):]
+		}
+		j.resp <- res
 	}
 }

@@ -55,6 +55,40 @@
 // the watcher polls the directory and hot-swaps the pointer when a
 // higher version appears.
 //
+// # Request path
+//
+// A LIBSVM /predict request is one pass over its bytes, with no heap
+// allocation per row or per token:
+//
+//	read → tokenize → enqueue → score → append-encode
+//
+// The handler takes a predictJob off the server's bounded free list and
+// reads the body into the job's buffer (sized from Content-Length,
+// behind http.MaxBytesReader: only an oversized body is 413, any other
+// read failure is 400). libsvm.RowParser.ParseBytes — the one LIBSVM
+// tokenizer; serve splits no fields of its own — fills the job's flat
+// CSR arrays (rowPtr/colIdx/vals) straight from those bytes; the JSON
+// body fills the same arrays. The job goes on the dispatcher's queue
+// and the handler waits on the job's reply channel. The dispatcher
+// scores a job that is alone in its group (every request of MaxBatch
+// rows or more, and any that found no companion in the window) where it
+// lies, into the job's scores; jobs sharing a batch are gathered into
+// the dispatcher's own reused buffers and their scores copied back. The handler appends the reply to the job's output
+// buffer — byte for byte what encoding/json would write — sends it in
+// one Write, and puts the job back. A score JSON cannot carry (NaN,
+// ±Inf) makes the reply a 422 naming the row.
+//
+// Ownership: every buffer belongs to the job, and the job to exactly one
+// goroutine at a time — the handler until the enqueue, the dispatcher
+// until it sends on the reply channel (it reads nothing of a job after
+// that send), the handler again after the receive. Only the handler
+// that received a job's result, or never enqueued it, recycles it; a
+// handler answering 503 on shutdown, and one whose request was
+// forwarded to another replica, drop theirs instead. The free list holds
+// at most jobFreeSlots jobs and refuses one grown past
+// maxPooledJobBytes. /learn runs the same read and parse on a pooled
+// job, then copies the rows out, because a LearnBuffer retains them.
+//
 // # Ops surface
 //
 // Server.Handler mounts /predict, /stats, /learn and /cluster* on the

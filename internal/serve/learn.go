@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -121,56 +121,60 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST labeled JSON or LIBSVM rows to /learn")
 		return
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
+	job := s.readJob(w, r)
+	if job == nil {
 		return
 	}
-	s.resolve(w, r, body, true, func(name string, reg *Registry) {
+	s.resolve(w, r, job.body, true, func(name string, reg *Registry) {
 		if reg == nil {
 			s.fail(w, http.StatusNotFound, fmt.Sprintf("model %q has no registry on this replica", name))
-			return
+		} else {
+			s.learnLocal(w, r, name, reg, job)
 		}
-		s.learnLocal(w, r, name, reg, body)
+		s.putJob(job)
 	})
 }
 
-func (s *Server) learnLocal(w http.ResponseWriter, r *http.Request, name string, reg *Registry, body []byte) {
-	var rows parsedRows
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		rows, err = parseJSONRows(body, true)
-	} else {
-		rows, err = parseLIBSVMRows(body, true)
-	}
-	if err != nil {
+// learnLocal parses the job's body and stages its rows. The buffer
+// retains what it is offered, so the rows are copied out of the pooled
+// job: one flat copy per array, cut into the per-row views Offer takes.
+func (s *Server) learnLocal(w http.ResponseWriter, r *http.Request, name string, reg *Registry, job *predictJob) {
+	if err := job.parse(r, job.body, true); err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(rows.labels) == 0 {
+	n := job.rows()
+	if n == 0 {
 		s.fail(w, http.StatusBadRequest, "no rows in request")
 		return
 	}
 	// Dimensionality gate at ingest: rows wider than the serving model
 	// would poison the whole refit dataset cycles later; reject them
 	// while the client can still tell which request was wrong.
-	if m := reg.Current(); m != nil && rows.maxCol >= m.Features {
+	if m := reg.Current(); m != nil && job.maxCol >= m.Features {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Sprintf("feature index %d exceeds model dimensionality %d", rows.maxCol+1, m.Features))
+			fmt.Sprintf("feature index %d exceeds model dimensionality %d", job.maxCol+1, m.Features))
 		return
 	}
 	buf, created := s.learn.buffer(name)
 	if created && s.opt.OnLearn != nil {
 		s.opt.OnLearn(name, reg, buf)
 	}
-	if !buf.Offer(rows.cols, rows.vals, rows.labels) {
-		s.met.learnRejected.Add(uint64(len(rows.labels)))
+	colIdx, flat := slices.Clone(job.colIdx), slices.Clone(job.vals)
+	cols, vals := make([][]int, n), make([][]float64, n)
+	for i := range cols {
+		lo, hi := job.rowPtr[i], job.rowPtr[i+1]
+		cols[i], vals[i] = colIdx[lo:hi:hi], flat[lo:hi:hi]
+	}
+	if !buf.Offer(cols, vals, slices.Clone(job.labels)) {
+		s.met.learnRejected.Add(uint64(n))
 		s.shedReply(w, fmt.Sprintf("learn buffer full (%d/%d rows)", buf.Len(), buf.Cap()))
 		return
 	}
-	s.met.learnRows.Add(uint64(len(rows.labels)))
+	s.met.learnRows.Add(uint64(n))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(learnResponse{Accepted: len(rows.labels), Buffered: buf.Len()}) //nolint:errcheck
+	json.NewEncoder(w).Encode(learnResponse{Accepted: n, Buffered: buf.Len()}) //nolint:errcheck
 }
 
 // refitStreamHistory bounds the dataset RefitStream accumulates, as a

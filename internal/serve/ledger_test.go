@@ -64,9 +64,10 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 			// holds it at the send until the test receives, so the queue
 			// behind it fills deterministically.
 			parked := &predictJob{
-				reg: reg, maxCol: 2, enq: time.Now().Add(time.Hour),
-				cols: [][]int{{0, 2}}, vals: [][]float64{{0.5, 1.25}},
-				resp: make(chan predictResult),
+				reg: reg, enq: time.Now().Add(time.Hour),
+				rowSet: rowSet{rowPtr: []int{0, 2}, colIdx: []int{0, 2}, vals: []float64{0.5, 1.25}, maxCol: 2},
+				scores: make([]float64, 1),
+				resp:   make(chan predictResult),
 			}
 			s.jobs <- parked
 			waitFor(t, "the dispatcher to take the parked job", func() bool { return len(s.jobs) == 0 })

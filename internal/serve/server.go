@@ -1,17 +1,14 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
-	"saco/internal/libsvm"
 	"saco/internal/metrics"
 	"saco/internal/ops"
 	"saco/internal/simd"
@@ -126,6 +123,7 @@ type Server struct {
 	opt     Options
 	met     serveMetrics
 	jobs    chan *predictJob
+	free    chan *predictJob // idle request state, see readJob
 	stop    chan struct{}
 	done    chan struct{}
 	learn   *learnSet
@@ -160,6 +158,7 @@ func newServer(reg *Registry, c *Cluster, opt Options) *Server {
 		start:   time.Now(),
 	}
 	s.jobs = make(chan *predictJob, s.opt.QueueDepth)
+	s.free = make(chan *predictJob, jobFreeSlots)
 	if s.opt.LearnCap > 0 {
 		s.learn = newLearnSet(s.opt.LearnCap)
 	}
@@ -193,42 +192,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// predictResponse is the /predict reply.
-type predictResponse struct {
-	// ModelVersion is the registry version every score in this reply
-	// was computed against — exactly one, never a mix.
-	ModelVersion uint64 `json:"model_version"`
-	// Scores are the decision values A·x, one per request row.
-	Scores []float64 `json:"scores"`
-	// Labels are sign(score), present only for classifier models.
-	Labels []int `json:"labels,omitempty"`
-}
-
-// jsonRow is one request row in the JSON body: parallel 1-based
-// indices (LIBSVM convention) and values.
-type jsonRow struct {
-	Indices []int     `json:"indices"`
-	Values  []float64 `json:"values"`
-}
-
-// jsonPredictRequest is the JSON body: {"rows": [{"indices": [1,7],
-// "values": [0.5, 1.0]}, ...]}. /learn adds a parallel "labels" array.
-type jsonPredictRequest struct {
-	Rows   []jsonRow `json:"rows"`
-	Labels []float64 `json:"labels,omitempty"`
-}
-
-// readBody drains the request body under the size cap, reporting the
-// failure to the client itself. ok=false means the response is written.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
-	if err != nil {
-		s.fail(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
-		return nil, false
-	}
-	return body, true
-}
-
 // resolve routes a model-name-addressed request: in cluster mode the
 // name is required and resolved against the shard ring (forwarding to
 // the owner when it is not this replica); in single-model mode local
@@ -259,79 +222,63 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, body []byte, cr
 	})
 }
 
-// handlePredict parses the body (JSON or LIBSVM lines by Content-Type),
-// enqueues the rows on the micro-batcher, and waits for its verdict. In
-// cluster mode the request is first routed to the replica owning
-// ?model=.
+// handlePredict reads the body into pooled request state, parses it
+// (JSON or LIBSVM lines by Content-Type), enqueues the rows on the
+// micro-batcher, and waits for its verdict. In cluster mode the request
+// is first routed to the replica owning ?model=.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Inc()
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST a JSON or LIBSVM body to /predict")
 		return
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
+	job := s.readJob(w, r)
+	if job == nil {
 		return
 	}
-	s.resolve(w, r, body, false, func(name string, reg *Registry) {
+	// A job goes back to the free list only from here, once nothing else
+	// can hold it: a forwarded request leaves its body with the HTTP
+	// client, so that job is dropped.
+	s.resolve(w, r, job.body, false, func(name string, reg *Registry) {
 		if reg == nil {
 			s.fail(w, http.StatusNotFound, fmt.Sprintf("model %q has no registry on this replica", name))
+		} else if !s.predictLocal(w, r, reg, job) {
 			return
 		}
-		s.predictLocal(w, r, reg, body)
+		s.putJob(job)
 	})
 }
 
-// predictLocal runs the parse → enqueue → wait cycle against one
-// registry. The enqueue is non-blocking: a full queue is an immediate
-// 429 with Retry-After (admission control), never a blocked handler.
-func (s *Server) predictLocal(w http.ResponseWriter, r *http.Request, reg *Registry, body []byte) {
-	job := &predictJob{reg: reg, maxCol: -1, enq: time.Now(), resp: make(chan predictResult, 1)}
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		err = job.parseJSON(body)
-	} else {
-		err = job.parseLIBSVM(body)
-	}
-	if err != nil {
+// predictLocal runs the parse → enqueue → wait → encode cycle against
+// one registry. The enqueue is non-blocking: a full queue is an immediate
+// 429 with Retry-After (admission control), never a blocked handler. It
+// reports whether the job is the handler's alone again: not after a
+// shutdown reply, when the dispatcher may still be scoring into it.
+func (s *Server) predictLocal(w http.ResponseWriter, r *http.Request, reg *Registry, job *predictJob) bool {
+	if err := job.parse(r, job.body, false); err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
-		return
+		return true
 	}
-	if len(job.cols) == 0 {
+	if job.rows() == 0 {
 		s.fail(w, http.StatusBadRequest, "no rows in request")
-		return
+		return true
 	}
+	job.reg, job.enq = reg, time.Now()
+	job.scores = slices.Grow(job.scores[:0], job.rows())[:job.rows()]
 
 	select {
 	case s.jobs <- job:
 	default:
 		s.shedReply(w, "dispatcher queue full")
-		return
+		return true
 	}
 	select {
 	case res := <-job.resp:
-		if res.status != 0 {
-			if res.status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", retryAfterSeconds)
-			}
-			s.fail(w, res.status, res.errText)
-			return
-		}
-		resp := predictResponse{ModelVersion: res.model.Version, Scores: res.scores}
-		if res.model.Kind.Classifier() {
-			resp.Labels = make([]int, len(res.scores))
-			for i, v := range res.scores {
-				if v >= 0 {
-					resp.Labels[i] = 1
-				} else {
-					resp.Labels[i] = -1
-				}
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp) //nolint:errcheck // client gone = nothing to do
+		s.reply(w, job, res)
+		return true
 	case <-s.stop:
 		s.fail(w, http.StatusServiceUnavailable, "server shutting down")
+		return false
 	}
 }
 
@@ -341,117 +288,6 @@ func (s *Server) shedReply(w http.ResponseWriter, why string) {
 	s.met.shed.Inc()
 	w.Header().Set("Retry-After", retryAfterSeconds)
 	s.fail(w, http.StatusTooManyRequests, "overloaded: "+why)
-}
-
-// parseJSON fills the job from the JSON body format.
-func (j *predictJob) parseJSON(body []byte) error {
-	req, err := parseJSONRows(body, false)
-	if err != nil {
-		return err
-	}
-	j.cols, j.vals, j.maxCol = req.cols, req.vals, req.maxCol
-	return nil
-}
-
-// parsedRows is the common parsed form of a JSON or LIBSVM body.
-type parsedRows struct {
-	cols   [][]int
-	vals   [][]float64
-	labels []float64
-	maxCol int
-}
-
-// parseJSONRows parses the JSON body; withLabels additionally requires
-// one label per row (the /learn contract).
-func parseJSONRows(body []byte, withLabels bool) (parsedRows, error) {
-	out := parsedRows{maxCol: -1}
-	var req jsonPredictRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return out, fmt.Errorf("bad JSON body: %v", err)
-	}
-	if withLabels && len(req.Labels) != len(req.Rows) {
-		return out, fmt.Errorf("%d labels for %d rows (learn requires one label per row)", len(req.Labels), len(req.Rows))
-	}
-	for r, row := range req.Rows {
-		if len(row.Indices) != len(row.Values) {
-			return out, fmt.Errorf("row %d: %d indices for %d values", r, len(row.Indices), len(row.Values))
-		}
-		cols := make([]int, len(row.Indices))
-		prev := 0
-		for k, idx := range row.Indices {
-			if idx < 1 {
-				return out, fmt.Errorf("row %d: index %d (indices are 1-based, LIBSVM convention)", r, idx)
-			}
-			if idx <= prev {
-				return out, fmt.Errorf("row %d: index %d out of order after %d (must be strictly increasing)", r, idx, prev)
-			}
-			prev = idx
-			cols[k] = idx - 1
-			if cols[k] > out.maxCol {
-				out.maxCol = cols[k]
-			}
-		}
-		out.cols = append(out.cols, cols)
-		out.vals = append(out.vals, append([]float64(nil), row.Values...))
-	}
-	if withLabels {
-		out.labels = append([]float64(nil), req.Labels...)
-	}
-	return out, nil
-}
-
-// parseLIBSVM fills the job from LIBSVM-format lines. A leading label
-// field is accepted and ignored (so training files can be replayed
-// against /predict verbatim); lines of bare index:value pairs work too.
-func (j *predictJob) parseLIBSVM(body []byte) error {
-	rows, err := parseLIBSVMRows(body, false)
-	if err != nil {
-		return err
-	}
-	j.cols, j.vals, j.maxCol = rows.cols, rows.vals, rows.maxCol
-	return nil
-}
-
-// parseLIBSVMRows parses LIBSVM lines; withLabels requires every line
-// to carry a leading label (the /learn contract), otherwise a missing
-// label is synthesized so training files replay against /predict.
-func parseLIBSVMRows(body []byte, withLabels bool) (parsedRows, error) {
-	out := parsedRows{maxCol: -1}
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<16), 1<<26)
-	var parser libsvm.RowParser
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if libsvm.Skip(line) {
-			continue
-		}
-		// A first field without ':' is a label; otherwise synthesize one
-		// so the shared grammar applies.
-		fields := strings.Fields(line)
-		if len(fields) > 0 && strings.Contains(fields[0], ":") {
-			if withLabels {
-				return out, fmt.Errorf("line %d: learn rows require a leading label", lineNo)
-			}
-			line = "0 " + line
-		}
-		label, err := parser.Parse(line, lineNo)
-		if err != nil {
-			return out, err
-		}
-		out.cols = append(out.cols, append([]int(nil), parser.Cols...))
-		out.vals = append(out.vals, append([]float64(nil), parser.Vals...))
-		if withLabels {
-			out.labels = append(out.labels, label)
-		}
-		if c := parser.MaxCol(); c > out.maxCol {
-			out.maxCol = c
-		}
-	}
-	return out, sc.Err()
 }
 
 // fail writes a plain-text error and counts it.
@@ -549,12 +385,13 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST a JSON member list to /cluster/members")
 		return
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
+	job := s.readJob(w, r)
+	if job == nil {
 		return
 	}
+	defer s.putJob(job)
 	var req clusterMembersRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(job.body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
 		return
 	}

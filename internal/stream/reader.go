@@ -112,9 +112,8 @@ func build(r io.Reader, dir string, opt BuildOptions, srcSize, srcMTime int64) (
 		}
 		atEOF := err == io.EOF
 		lineNo++
-		text := string(line) // one conversion shared by Skip and Parse
-		if !libsvm.Skip(text) {
-			label, perr := parser.Parse(text, lineNo)
+		if !libsvm.SkipBytes(line) {
+			label, _, perr := parser.ParseBytes(line, lineNo, false)
 			if perr != nil {
 				return nil, perr
 			}
