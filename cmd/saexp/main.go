@@ -7,9 +7,10 @@
 //
 //	saexp [flags] experiment...
 //
-// Experiments: table1 table2 fig2 table3 fig3 fig4 fig5 table5 ablations
-// all. Flags -scale and -iters trade fidelity for speed; -machine picks
-// the modeled platform (cray, ethernet, spark).
+// Experiments: table1 table2 table4 fig2 table3 fig3 fig4 fig5 table5
+// ablations, and all (every distinct one: table4 and table3 print what
+// table2 and fig2 print). Flags -scale and -iters trade fidelity for
+// speed; -machine picks the modeled platform (cray, ethernet, spark).
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"saco/internal/bench"
@@ -46,11 +48,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	exps := fs.Args()
-	if len(exps) == 0 {
-		fmt.Fprintln(stderr, "usage: saexp [flags] {table1|table2|fig2|table3|fig3|fig4|fig5|table5|ablations|all}...")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintf(stderr, "usage: saexp [flags] {%s|all}...\n", strings.Join(names, "|"))
 		fs.PrintDefaults()
 		return 2
+	}
+	var requested []experiment
+	for _, name := range fs.Args() {
+		found := false
+		for _, e := range experiments {
+			if e.name == name || (name == "all" && e.inAll) {
+				requested = append(requested, e)
+				found = true
+			}
+		}
+		if !found {
+			fmt.Fprintf(stderr, "saexp: unknown experiment %q (%s, all)\n", name, strings.Join(names, ", "))
+			return 2
+		}
 	}
 
 	mc, err := mpi.MachineByName(*machine)
@@ -59,47 +78,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg := bench.Config{Scale: *scale, IterScale: *iters, Machine: mc, Out: stdout, Seed: *seed}
-
-	type experiment struct {
-		name string
-		run  func(bench.Config) error
-	}
-	wrap2 := func(f func(bench.Config) (*bench.Fig2Result, error)) func(bench.Config) error {
-		return func(c bench.Config) error { _, err := f(c); return err }
-	}
-	exptab := []experiment{
-		{"table1", func(c bench.Config) error { _, err := bench.Table1(c); return err }},
-		{"table2", func(c bench.Config) error { _, err := bench.Tables2and4(c); return err }},
-		{"table4", func(c bench.Config) error { _, err := bench.Tables2and4(c); return err }},
-		{"fig2", wrap2(bench.Fig2)},
-		{"table3", wrap2(bench.Table3)},
-		{"fig3", func(c bench.Config) error { _, err := bench.Fig3(c); return err }},
-		{"fig4", func(c bench.Config) error { _, err := bench.Fig4(c); return err }},
-		{"fig5", func(c bench.Config) error { _, err := bench.Fig5(c); return err }},
-		{"table5", func(c bench.Config) error { _, err := bench.Table5(c); return err }},
-		{"ablations", func(c bench.Config) error { _, err := bench.Ablations(c); return err }},
-	}
-	lookup := map[string]func(bench.Config) error{}
-	for _, e := range exptab {
-		lookup[e.name] = e.run
-	}
-
-	requested := exps
-	if len(exps) == 1 && exps[0] == "all" {
-		requested = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "table5", "ablations"}
-	}
-	for _, name := range requested {
-		runExp, ok := lookup[name]
-		if !ok {
-			fmt.Fprintf(stderr, "saexp: unknown experiment %q\n", name)
-			return 2
-		}
+	for _, e := range requested {
 		start := time.Now()
-		if err := runExp(cfg); err != nil {
-			fmt.Fprintf(stderr, "saexp: %s: %v\n", name, err)
+		if err := e.run(cfg); err != nil {
+			fmt.Fprintf(stderr, "saexp: %s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "\n[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "\n[%s completed in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// experiment is one name saexp accepts.
+type experiment struct {
+	name  string
+	inAll bool // table3 and table4 print what fig2 and table2 print, so "all" skips them
+	run   func(bench.Config) error
+}
+
+// experiments is the one experiment table: the usage line, the lookup
+// and the expansion of "all" read it.
+var experiments = []experiment{
+	{"table1", true, printing(bench.Table1)},
+	{"table2", true, printing(bench.Tables2and4)},
+	{"table4", false, printing(bench.Tables2and4)},
+	{"fig2", true, printing(bench.Fig2)},
+	{"table3", false, printing(bench.Fig2)},
+	{"fig3", true, printing(bench.Fig3)},
+	{"fig4", true, printing(bench.Fig4)},
+	{"fig5", true, printing(bench.Fig5)},
+	{"table5", true, printing(bench.Table5)},
+	{"ablations", true, printing(bench.Ablations)},
+}
+
+// printing runs a generator for what it renders to Config.Out; saexp has
+// no use for the structured result.
+func printing[R any](gen func(bench.Config) (R, error)) func(bench.Config) error {
+	return func(c bench.Config) error { _, err := gen(c); return err }
 }

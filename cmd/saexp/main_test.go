@@ -21,6 +21,16 @@ func TestNoExperimentsExitsWithUsage(t *testing.T) {
 	if !strings.Contains(stderr, "usage: saexp") || !strings.Contains(stderr, "-machine") {
 		t.Fatalf("stderr %q lacks the usage", stderr)
 	}
+	// The usage line is printed from the experiment table, so it names
+	// everything the lookup accepts.
+	for _, e := range experiments {
+		if !strings.Contains(stderr, e.name+"|") {
+			t.Fatalf("usage line omits %q: %q", e.name, stderr)
+		}
+	}
+	if !strings.Contains(stderr, "|all}") {
+		t.Fatalf("usage line omits all: %q", stderr)
+	}
 }
 
 func TestUnknownExperimentExitsWithUsage(t *testing.T) {
@@ -28,8 +38,31 @@ func TestUnknownExperimentExitsWithUsage(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
 	}
-	if !strings.Contains(stderr, `unknown experiment "table99"`) {
-		t.Fatalf("stderr %q lacks the experiment error", stderr)
+	if !strings.Contains(stderr, `unknown experiment "table99"`) || !strings.Contains(stderr, "table4, ") {
+		t.Fatalf("stderr %q lacks the experiment error with the accepted names", stderr)
+	}
+}
+
+// TestAllExpandsWhereverItAppears: "all" is a name like any other, not
+// only a lone argument — `saexp table1 all` runs table1, then every
+// distinct experiment (table1 again, but neither table4 nor table3,
+// which print what table2 and fig2 print).
+func TestAllExpandsWhereverItAppears(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-scale", "0.02", "-iters", "0.02", "table1", "all")
+	if code != 0 {
+		t.Fatalf("run failed (%d): %s", code, stderr)
+	}
+	for _, e := range experiments {
+		want := 0
+		if e.inAll {
+			want = 1
+		}
+		if e.name == "table1" {
+			want = 2
+		}
+		if got := strings.Count(stdout, "["+e.name+" completed in"); got != want {
+			t.Fatalf("%s ran %d times, want %d", e.name, got, want)
+		}
 	}
 }
 

@@ -125,6 +125,7 @@ type options struct {
 	lambdaFrac, lambda, tol float64
 	accel                   bool
 	loss, machine           string
+	svmLoss                 saco.SVMLoss // parsed from loss by solve
 	ckptDir, health         string
 	ckptEvery, maxRestarts  int
 	resume                  bool
@@ -156,6 +157,9 @@ func solve(stdout, stderr io.Writer, o *options) error {
 	case "lasso", "svm":
 	default:
 		return usageError{fmt.Sprintf("unknown task %q (lasso, svm)", o.task)}
+	}
+	if o.svmLoss, err = saco.ParseSVMLoss(o.loss); err != nil {
+		return usageError{err.Error()}
 	}
 
 	a, b, err := saco.LoadLIBSVM(o.dataPath, 0)
@@ -266,12 +270,8 @@ func (o *options) joinAndSolve(stdout io.Writer, a *saco.CSR, b []float64, m sac
 			fmt.Fprintf(stdout, "final objective %.6e  (lambda=%.4g)\n", res.Objective, lam)
 		}
 	case "svm":
-		l := saco.SVML1
-		if o.loss == "l2" {
-			l = saco.SVML2
-		}
 		opt := saco.SVMOptions{
-			Lambda: o.lambda, Loss: l, Iters: o.iters, S: o.s, Seed: o.seed,
+			Lambda: o.lambda, Loss: o.svmLoss, Iters: o.iters, S: o.s, Seed: o.seed,
 			TrackEvery: o.track, Tol: o.tol,
 		}
 		res, err := dist.SVMRank(c, src, b, opt, cl)

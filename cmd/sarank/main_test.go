@@ -160,6 +160,8 @@ func TestUsageErrors(t *testing.T) {
 		{"no data", []string{"-rank", "0", "-size", "2", "-addr", "x"}, "-data is required"},
 		{"bad machine", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-machine", "abacus"}, `unknown machine "abacus"`},
 		{"bad task", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "ridge"}, `unknown task "ridge"`},
+		{"bad loss case", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "svm", "-loss", "L2"}, `unknown loss "L2" (l1, l2)`},
+		{"bad loss name", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "svm", "-loss", "squared"}, `unknown loss "squared" (l1, l2)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

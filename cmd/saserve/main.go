@@ -251,7 +251,7 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 		srv = saco.NewClusterServer(cl, opt)
 	} else {
 		var err error
-		reg, err = saco.OpenModelRegistryMode(c.modelDir, mode)
+		reg, err = saco.OpenModelRegistry(c.modelDir, mode)
 		if err != nil {
 			return err
 		}

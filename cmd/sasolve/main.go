@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		iters      = fs.Int("iters", 1000, "iterations H")
 		s          = fs.Int("s", 1, "recurrence unrolling parameter (1 = classical)")
 		seed       = fs.Uint64("seed", 42, "sampling seed")
-		outPath    = fs.String("out", "", "write the model vector here (text, one value per line; a .sacm/.bin suffix selects the versioned binary model format saserve serves)")
+		outPath    = fs.String("out", "", "write the model here in the versioned binary format (.sacm) saserve serves, whatever the file's suffix")
 		track      = fs.Int("track", 0, "print convergence every N iterations")
 		lambdaFrac = fs.Float64("lambda-frac", 0.1, "lasso: lambda as a fraction of ||A'b||_inf")
 		mu         = fs.Int("mu", 1, "lasso: block size")
@@ -64,8 +63,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		transport  = fs.String("transport", "sim", "distributed runs: rank transport, sim (in-process simulated world) or tcp (real loopback TCP mesh; trajectories are bitwise identical)")
 		machine    = fs.String("machine", "cray", "simulated platform: cray, ethernet, spark")
 		rankW      = fs.Int("rank-workers", 0, "simulated runs: per-rank core budget for hybrid rank x thread execution (0/1 = flat MPI)")
-		backend    = fs.String("backend", "", "local backend: sequential, multicore or async (default sequential; -workers alone implies multicore)")
-		workers    = fs.Int("workers", 0, "local backend width; with -backend, 0 or -1 = all cores; without it, legacy semantics: 0 = sequential, -1/N = multicore")
+		backend    = fs.String("backend", "sequential", "local backend: sequential, multicore or async")
+		workers    = fs.Int("workers", 0, "width of -backend multicore|async (0 or -1 = all cores); a usage error with the sequential backend")
 		streaming  = fs.Bool("stream", false, "solve out of core: spill the dataset to row-block shards and stream them (bounded memory)")
 		blockRows  = fs.Int("block-rows", 8192, "streaming: rows per shard")
 		cacheDir   = fs.String("cache-dir", "", "streaming: shard cache directory (reused if it holds a manifest; default: a temp dir removed on exit)")
@@ -133,6 +132,10 @@ func solve(stdout io.Writer, o *options) (err error) {
 	case "lasso", "svm", "pegasos":
 	default:
 		return usageError{fmt.Sprintf("unknown task %q (lasso, svm, pegasos)", o.task)}
+	}
+	loss, err := saco.ParseSVMLoss(o.loss)
+	if err != nil {
+		return usageError{err.Error()}
 	}
 	if o.dataPath == "" {
 		return usageError{"-data is required"}
@@ -289,12 +292,8 @@ func solve(stdout io.Writer, o *options) (err error) {
 		x = res.X
 	case "svm":
 		modelKind, modelLambda = saco.KindSVM, o.lambda
-		l := saco.SVML1
-		if o.loss == "l2" {
-			l = saco.SVML2
-		}
 		opt := saco.SVMOptions{
-			Lambda: o.lambda, Loss: l, Iters: o.iters, S: o.s, Seed: o.seed,
+			Lambda: o.lambda, Loss: loss, Iters: o.iters, S: o.s, Seed: o.seed,
 			TrackEvery: o.track, Tol: o.tol, Exec: exec,
 		}
 		if o.simP > 0 {
@@ -353,21 +352,14 @@ func solve(stdout io.Writer, o *options) (err error) {
 	}
 
 	if o.outPath != "" {
-		if binaryModelPath(o.outPath) {
-			m := saco.NewModel(modelKind, x)
-			m.TrainRows = trainRows
-			m.Lambda = modelLambda
-			if err := saco.SaveModel(o.outPath, m); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "binary model written to %s (%s, %d/%d nonzero)\n",
-				o.outPath, modelKind, m.NNZ(), m.Features)
-		} else {
-			if err := writeModel(o.outPath, x); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "model written to %s\n", o.outPath)
+		m := saco.NewModel(modelKind, x)
+		m.TrainRows = trainRows
+		m.Lambda = modelLambda
+		if err := saco.SaveModel(o.outPath, m); err != nil {
+			return err
 		}
+		fmt.Fprintf(stdout, "binary model written to %s (%s, %d/%d nonzero)\n",
+			o.outPath, modelKind, m.NNZ(), m.Features)
 	}
 
 	if rss, ok := peakRSS(); ok {
@@ -396,51 +388,15 @@ func solve(stdout io.Writer, o *options) (err error) {
 	return nil
 }
 
-// binaryModelPath reports whether -out asks for the versioned binary
-// model format (.sacm / .bin) instead of the historical text format —
-// the artifact cmd/saserve serves and refits.
-func binaryModelPath(path string) bool {
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".sacm", ".bin":
-		return true
-	}
-	return false
-}
-
-// writeModel writes the solution vector, one value per line, checking
-// the buffered writes and the close (a full disk must not report
-// success).
-func writeModel(path string, x []float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	for _, v := range x {
-		if _, err := fmt.Fprintf(bw, "%.17g\n", v); err != nil {
-			f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
-	}
-	return f.Close()
-}
-
-// resolveBackend maps the -backend/-workers pair onto an Exec. The
-// explicit -backend flag wins; without it the historical -workers
-// semantics hold (0 = sequential, anything else = multicore at that
-// width, -1 = all cores).
+// resolveBackend maps the -backend/-workers pair onto an Exec. -workers
+// is the width of the multicore and async backends only: setting it with
+// the sequential backend is refused rather than silently ignored.
 func resolveBackend(backend string, workers int) (saco.Exec, error) {
 	switch backend {
-	case "":
-		if workers != 0 {
-			return saco.Multicore(workers), nil
-		}
-		return saco.Exec{}, nil
 	case "sequential":
+		if workers != 0 {
+			return saco.Exec{}, usageError{fmt.Sprintf("-workers %d needs a parallel backend: add -backend multicore (or async)", workers)}
+		}
 		return saco.Exec{}, nil
 	case "multicore":
 		return saco.Multicore(workers), nil

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -248,52 +247,45 @@ func TestCacheDirReuse(t *testing.T) {
 	}
 }
 
-// TestModelOutput checks the -out vector file on the streaming path.
+// TestModelOutput checks the -out model on the streaming path.
 func TestModelOutput(t *testing.T) {
 	path := writeTinyDataset(t)
-	outPath := filepath.Join(t.TempDir(), "model.txt")
+	outPath := filepath.Join(t.TempDir(), "model.sacm")
 	code, _, stderr := runCLI(t, "-data", path, "-task", "lasso", "-iters", "20",
 		"-stream", "-block-rows", "3", "-out", outPath)
 	if code != 0 {
 		t.Fatalf("run failed: %s", stderr)
 	}
-	data, err := os.ReadFile(outPath)
+	m, err := saco.LoadModel(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 4 { // four features
-		t.Fatalf("model has %d lines, want 4", len(lines))
+	if m.Features != 4 || m.TrainRows != 6 {
+		t.Fatalf("model is %d features from %d rows, want 4 from 6", m.Features, m.TrainRows)
 	}
 }
 
-// TestBinaryModelOutput: a .sacm -out writes the versioned binary
-// format with provenance — the exact text-model coefficients, the task
-// kind and the resolved lambda — and the facade loader round-trips it.
+// TestBinaryModelOutput: -out writes the versioned binary format with
+// provenance — the task kind, the training rows and the resolved lambda
+// — whatever the file is called: a model.txt is the same bytes as a
+// model.sacm, and the facade loader round-trips both.
 func TestBinaryModelOutput(t *testing.T) {
 	path := writeTinyDataset(t)
 	dir := t.TempDir()
 	txtPath := filepath.Join(dir, "model.txt")
 	binPath := filepath.Join(dir, "model.sacm")
-	if code, _, stderr := runCLI(t, "-data", path, "-task", "lasso", "-iters", "40", "-out", txtPath); code != 0 {
-		t.Fatalf("text run failed: %s", stderr)
+	for _, out := range []string{txtPath, binPath} {
+		code, stdout, stderr := runCLI(t, "-data", path, "-task", "lasso", "-iters", "40", "-out", out)
+		if code != 0 {
+			t.Fatalf("-out %s failed: %s", out, stderr)
+		}
+		if !strings.Contains(stdout, "binary model written to "+out) {
+			t.Fatalf("stdout %q lacks the binary write report", stdout)
+		}
 	}
-	code, stdout, stderr := runCLI(t, "-data", path, "-task", "lasso", "-iters", "40", "-out", binPath)
-	if code != 0 {
-		t.Fatalf("binary run failed: %s", stderr)
-	}
-	if !strings.Contains(stdout, "binary model written to") {
-		t.Fatalf("stdout %q lacks the binary write report", stdout)
-	}
-
-	bm, err := saco.LoadModel(binPath)
+	bm, err := saco.LoadModel(txtPath)
 	if err != nil {
-		t.Fatal(err)
-	}
-	// The text file is output for people: nothing loads it back, and the
-	// refusal says how to get a loadable model.
-	if _, err := saco.LoadModel(txtPath); err == nil || !strings.Contains(err.Error(), "sasolve -out model.sacm") {
-		t.Fatalf("text model load: %v, want a refusal naming the migration", err)
+		t.Fatalf("-out model.txt is not a loadable model: %v", err)
 	}
 	if bm.Kind != saco.KindLasso {
 		t.Fatalf("kind: binary %v", bm.Kind)
@@ -305,14 +297,12 @@ func TestBinaryModelOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, td := bm.Dense(), strings.Fields(string(txt))
-	if len(bd) != len(td) {
-		t.Fatalf("widths %d vs %d", len(bd), len(td))
+	bin, err := os.ReadFile(binPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for j := range bd {
-		if v, err := strconv.ParseFloat(td[j], 64); err != nil || bd[j] != v {
-			t.Fatalf("coef %d: binary %v != text %q (same solve must produce identical models)", j, bd[j], td[j])
-		}
+	if !bytes.Equal(txt, bin) {
+		t.Fatal("the -out suffix changed the bytes written (same solve must produce identical models)")
 	}
 
 	// SVM task stamps its kind too.
@@ -326,6 +316,50 @@ func TestBinaryModelOutput(t *testing.T) {
 	}
 	if sm.Kind != saco.KindSVM || sm.Lambda != 1 {
 		t.Fatalf("svm model: kind %v lambda %v", sm.Kind, sm.Lambda)
+	}
+}
+
+// TestWorkersIsTheParallelWidth: -workers means one thing, the width of
+// -backend multicore|async. Alone it is refused with the fix, not run
+// sequentially; with the multicore backend the solve is bitwise the
+// sequential one.
+func TestWorkersIsTheParallelWidth(t *testing.T) {
+	path := writeTinyDataset(t)
+	args := []string{"-data", path, "-task", "lasso", "-iters", "50", "-s", "4", "-mu", "2"}
+	code, _, stderr := runCLI(t, append(args, "-workers", "4")...)
+	if code != 2 || !strings.Contains(stderr, "-backend multicore") {
+		t.Fatalf("-workers 4 alone: exit %d, stderr %q; want 2 and the -backend hint", code, stderr)
+	}
+	code, seq, stderr := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("sequential run failed (%d): %s", code, stderr)
+	}
+	code, par, stderr := runCLI(t, append(args, "-backend", "multicore", "-workers", "4")...)
+	if code != 0 {
+		t.Fatalf("multicore run failed (%d): %s", code, stderr)
+	}
+	if got, want := finalObjective(t, par), finalObjective(t, seq); got != want {
+		t.Fatalf("multicore objective %q != sequential %q", got, want)
+	}
+}
+
+// TestLossValidation: -loss accepts exactly l1 and l2; anything else is
+// a usage error naming them instead of a silent hinge fit.
+func TestLossValidation(t *testing.T) {
+	path := writeTinyDataset(t)
+	for _, tc := range []struct {
+		loss string
+		code int
+	}{
+		{"l1", 0}, {"l2", 0}, {"L2", 2}, {"squared", 2}, {"", 2},
+	} {
+		code, _, stderr := runCLI(t, "-data", path, "-task", "svm", "-iters", "30", "-loss", tc.loss)
+		if code != tc.code {
+			t.Fatalf("-loss %q: exit %d, want %d: %s", tc.loss, code, tc.code, stderr)
+		}
+		if tc.code == 2 && !strings.Contains(stderr, "(l1, l2)") {
+			t.Fatalf("-loss %q: stderr %q does not list the accepted values", tc.loss, stderr)
+		}
 	}
 }
 

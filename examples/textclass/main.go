@@ -38,7 +38,7 @@ func main() {
 			p.Iter, p.Primal, p.Dual, p.Gap)
 	}
 	fmt.Printf("training accuracy: %.1f%%, support vectors: %d/%d\n\n",
-		100*accuracy(data, res.X), res.SupportVectors(), m)
+		100*saco.Accuracy(data.Rows(), data.B, res.X), res.SupportVectors(), m)
 
 	// Cluster comparison: classical vs SA at several s (Table V style).
 	cluster := saco.Cluster{P: 24, Machine: saco.CrayXC30()}
@@ -57,17 +57,4 @@ func main() {
 		fmt.Printf("  SA-SVM-L1 s=%-4d modeled time %.4es  (%.2fx)\n",
 			s, sa.ModeledSeconds(), classic.ModeledSeconds()/sa.ModeledSeconds())
 	}
-}
-
-func accuracy(data *saco.Dataset, x []float64) float64 {
-	m, _ := data.Dims()
-	margins := make([]float64, m)
-	data.Rows().MulVec(x, margins)
-	correct := 0
-	for i, v := range margins {
-		if v*data.B[i] > 0 {
-			correct++
-		}
-	}
-	return float64(correct) / float64(m)
 }

@@ -27,28 +27,6 @@ func TestPublicAPILassoPath(t *testing.T) {
 	}
 }
 
-func TestPublicAPICASVM(t *testing.T) {
-	data := saco.Classification("ca", 21, 200, 40, 0.2, 0.02)
-	model, err := saco.TrainCASVM(data.AsCSR(), data.B, saco.CASVMOptions{
-		Clusters: 3,
-		Seed:     1,
-		Local:    saco.SVMOptions{Lambda: 1, Iters: 3000, Seed: 2, S: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := model.PredictAll(data.AsCSR())
-	correct := 0
-	for i, s := range scores {
-		if s*data.B[i] > 0 {
-			correct++
-		}
-	}
-	if correct < 140 {
-		t.Fatalf("CA-SVM accuracy %d/200 too low", correct)
-	}
-}
-
 func TestPublicAPIMulticoreBackend(t *testing.T) {
 	data := saco.Regression("mc", 31, 300, 120, 0.15, 8, 0.05)
 	lambda := 0.1 * saco.LambdaMax(data.Cols(), data.B)
@@ -107,7 +85,7 @@ func TestPublicAPIServe(t *testing.T) {
 	m := saco.NewModel(saco.KindLasso, res.X)
 	m.Lambda = lambda
 	m.TrainRows = a.M
-	reg, err := saco.OpenModelRegistry(dir)
+	reg, err := saco.OpenModelRegistry(dir, saco.LoadCopy)
 	if err != nil {
 		t.Fatal(err)
 	}

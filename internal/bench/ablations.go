@@ -65,31 +65,25 @@ func Ablations(cfg Config) (*AblationsResult, error) {
 		})
 	}
 
-	base := copt
-	base.S = 1
+	var sGrid []int
+	for _, s := range []int{4, 16, 64, 256} {
+		if s <= h {
+			sGrid = append(sGrid, s)
+		}
+	}
 	for _, m := range []mpi.Machine{mpi.CrayXC30(), mpi.EthernetCluster(), mpi.SparkLike()} {
-		classic, err := dist.Lasso(a, b, base, dist.Options{P: 16, Machine: m})
+		classic, sa, best, err := sweepS(sGrid, func(s int) (*dist.LassoResult, error) {
+			opt := copt
+			opt.S = s
+			return dist.Lasso(a, b, opt, dist.Options{P: 16, Machine: m})
+		})
 		if err != nil {
 			return nil, err
 		}
-		bestT, bestS := -1.0, 1
-		for _, s := range []int{4, 16, 64, 256} {
-			if s > h {
-				continue
-			}
-			opt := base
-			opt.S = s
-			res, err := dist.Lasso(a, b, opt, dist.Options{P: 16, Machine: m})
-			if err != nil {
-				return nil, err
-			}
-			if t := res.ModeledSeconds(); bestT < 0 || t < bestT {
-				bestT, bestS = t, s
-			}
-		}
+		bestT := sa[best].ModeledSeconds()
 		out.Machines = append(out.Machines, MachineRow{
 			Machine: m.Name, Classic: classic.ModeledSeconds(), SA: bestT,
-			Speedup: classic.ModeledSeconds() / bestT, BestS: bestS,
+			Speedup: classic.ModeledSeconds() / bestT, BestS: sGrid[best],
 		})
 	}
 

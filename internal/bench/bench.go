@@ -1,9 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§IV and §VI) on the synthetic dataset replicas and the
 // simulated Cray XC30. Each experiment function returns a structured
-// result and can render it as text; cmd/saexp is the CLI front end and
-// the repository-root benchmarks exercise the same harness under
-// `go test -bench`.
+// result and can render it as text; cmd/saexp is the CLI front end.
 //
 // Scaling note: the experiments run the paper's parameter grids on
 // scaled-down replicas (see internal/datagen) and rank counts (the paper
@@ -74,12 +72,35 @@ type Series struct {
 	Values []float64
 }
 
-// Final returns the last value of the series.
-func (s *Series) Final() float64 {
-	if len(s.Values) == 0 {
-		return 0
+// sweepS runs solve classically (s = 1) and at every s of sGrid — the
+// comparison every timing experiment makes — and returns the results
+// with the index of the SA run fastest by modeled time (the first, on
+// ties). sGrid must not be empty.
+func sweepS[R interface{ ModeledSeconds() float64 }](sGrid []int, solve func(s int) (R, error)) (classic R, sa []R, best int, err error) {
+	if classic, err = solve(1); err != nil {
+		return classic, nil, 0, err
 	}
-	return s.Values[len(s.Values)-1]
+	for i, s := range sGrid {
+		res, err := solve(s)
+		if err != nil {
+			return classic, nil, 0, err
+		}
+		sa = append(sa, res)
+		if res.ModeledSeconds() < sa[best].ModeledSeconds() {
+			best = i
+		}
+	}
+	return classic, sa, best, nil
+}
+
+// clampS caps every s of a legend grid at the iteration budget h (the
+// scaled-down smoke runs have fewer iterations than the paper's s).
+func clampS(ss []int, h int) []int {
+	out := make([]int, len(ss))
+	for i, s := range ss {
+		out[i] = min(s, h)
+	}
+	return out
 }
 
 // lassoData loads a Lasso replica and picks λ = 0.1·‖Aᵀb‖_∞ (see

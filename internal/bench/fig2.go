@@ -113,6 +113,3 @@ func (r *Fig2Result) render(cfg Config) {
 	}
 	t.write(cfg.Out, "Table III: final relative objective error, SA vs non-SA (machine eps 2.2e-16)")
 }
-
-// Table3 returns just the Table III values (running the Fig. 2 workloads).
-func Table3(cfg Config) (*Fig2Result, error) { return Fig2(cfg) }

@@ -73,28 +73,20 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 				Lambda: lambda, BlockSize: m.mu, Iters: h,
 				Accelerated: m.acc, Seed: cfg.Seed, TrackEvery: track,
 			}
-			classic, err := dist.Lasso(a, b, base, dist.Options{P: spec.p, Machine: cfg.Machine})
+			sGrid := clampS(m.ss[:], h)
+			classic, sa, best, err := sweepS(sGrid, func(s int) (*dist.LassoResult, error) {
+				opt := base
+				opt.S = s
+				return dist.Lasso(a, b, opt, dist.Options{P: spec.p, Machine: cfg.Machine})
+			})
 			if err != nil {
 				return nil, err
 			}
 			panel.Series = append(panel.Series, timedSeries(methodName(m.acc, m.mu, 1), classic.Trace))
-			bestTime := -1.0
-			for _, s := range m.ss {
-				if s > h {
-					s = h
-				}
-				opt := base
-				opt.S = s
-				saRes, err := dist.Lasso(a, b, opt, dist.Options{P: spec.p, Machine: cfg.Machine})
-				if err != nil {
-					return nil, err
-				}
-				panel.Series = append(panel.Series, timedSeries(methodName(m.acc, m.mu, s), saRes.Trace))
-				if t := saRes.ModeledSeconds(); bestTime < 0 || t < bestTime {
-					bestTime = t
-				}
+			for i, saRes := range sa {
+				panel.Series = append(panel.Series, timedSeries(methodName(m.acc, m.mu, sGrid[i]), saRes.Trace))
 			}
-			panel.Speedup[methodName(m.acc, m.mu, 1)] = classic.ModeledSeconds() / bestTime
+			panel.Speedup[methodName(m.acc, m.mu, 1)] = classic.ModeledSeconds() / sa[best].ModeledSeconds()
 		}
 		out.Panels = append(out.Panels, panel)
 	}

@@ -65,51 +65,34 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 		base := core.LassoOptions{Lambda: lambda, BlockSize: 1, Iters: h, Accelerated: true, Seed: cfg.Seed}
 		panel := Fig4Panel{Name: spec.name}
 
-		// Panels a–d: strong scaling at each P, SA at its measured-best s.
+		// Panels a–d: strong scaling at each P, SA at its measured-best s;
+		// panels e–h: the breakdown across the s grid of the largest P's
+		// sweep.
 		sGrid := sValuesUpTo(spec.sMax, h)
-		for _, p := range spec.ps {
-			classic, err := dist.Lasso(a, b, base, dist.Options{P: p, Machine: cfg.Machine})
-			if err != nil {
-				return nil, err
-			}
-			bestT, bestS := -1.0, 1
-			for _, s := range sGrid {
+		for i, p := range spec.ps {
+			classic, sa, best, err := sweepS(sGrid, func(s int) (*dist.LassoResult, error) {
 				opt := base
 				opt.S = s
-				saRes, err := dist.Lasso(a, b, opt, dist.Options{P: p, Machine: cfg.Machine})
-				if err != nil {
-					return nil, err
-				}
-				if t := saRes.ModeledSeconds(); bestT < 0 || t < bestT {
-					bestT, bestS = t, s
-				}
-			}
-			panel.Scaling = append(panel.Scaling, ScalePoint{
-				P: p, ClassicSeconds: classic.ModeledSeconds(), SASeconds: bestT, SBest: bestS,
+				return dist.Lasso(a, b, opt, dist.Options{P: p, Machine: cfg.Machine})
 			})
-		}
-
-		// Panels e–h: breakdown at the largest P across the s grid.
-		pMax := spec.ps[len(spec.ps)-1]
-		classic, err := dist.Lasso(a, b, base, dist.Options{P: pMax, Machine: cfg.Machine})
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sGrid {
-			opt := base
-			opt.S = s
-			saRes, err := dist.Lasso(a, b, opt, dist.Options{P: pMax, Machine: cfg.Machine})
 			if err != nil {
 				return nil, err
 			}
-			panel.Speedups = append(panel.Speedups, SpeedupPoint{
-				S:           s,
-				Total:       classic.ModeledSeconds() / saRes.ModeledSeconds(),
-				Comm:        safeDiv(classic.Stats.MaxComm(), saRes.Stats.MaxComm()),
-				Comp:        safeDiv(classic.Stats.MaxComp(), saRes.Stats.MaxComp()),
-				SecondsSA:   saRes.ModeledSeconds(),
-				SecondsBase: classic.ModeledSeconds(),
+			panel.Scaling = append(panel.Scaling, ScalePoint{
+				P: p, ClassicSeconds: classic.ModeledSeconds(), SASeconds: sa[best].ModeledSeconds(), SBest: sGrid[best],
 			})
+			if i == len(spec.ps)-1 {
+				for j, saRes := range sa {
+					panel.Speedups = append(panel.Speedups, SpeedupPoint{
+						S:           sGrid[j],
+						Total:       classic.ModeledSeconds() / saRes.ModeledSeconds(),
+						Comm:        safeDiv(classic.Stats.MaxComm(), saRes.Stats.MaxComm()),
+						Comp:        safeDiv(classic.Stats.MaxComp(), saRes.Stats.MaxComp()),
+						SecondsSA:   saRes.ModeledSeconds(),
+						SecondsBase: classic.ModeledSeconds(),
+					})
+				}
+			}
 		}
 		out.Panels = append(out.Panels, panel)
 	}

@@ -16,10 +16,6 @@ func newTable(header ...string) *table { return &table{header: header} }
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addf(format string, args ...any) {
-	t.add(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 func (t *table) write(w io.Writer, title string) {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {

@@ -58,25 +58,16 @@ func Table5(cfg Config) (*Table5Result, error) {
 		m, _ := a.Dims()
 		h := cfg.iters(spec.epochs * m)
 		base := core.SVMOptions{Lambda: 1, Loss: core.SVML1, Iters: h, Seed: cfg.Seed}
-		classic, err := dist.SVM(a, b, base, dist.Options{P: spec.p, Machine: cfg.Machine})
+		sGrid := clampS(spec.sChoices, h)
+		classic, sa, best, err := sweepS(sGrid, func(s int) (*dist.SVMResult, error) {
+			opt := base
+			opt.S = s
+			return dist.SVM(a, b, opt, dist.Options{P: spec.p, Machine: cfg.Machine})
+		})
 		if err != nil {
 			return nil, err
 		}
-		bestT, bestS := -1.0, 1
-		for _, s := range spec.sChoices {
-			if s > h {
-				s = h
-			}
-			opt := base
-			opt.S = s
-			saRes, err := dist.SVM(a, b, opt, dist.Options{P: spec.p, Machine: cfg.Machine})
-			if err != nil {
-				return nil, err
-			}
-			if t := saRes.ModeledSeconds(); bestT < 0 || t < bestT {
-				bestT, bestS = t, s
-			}
-		}
+		bestT := sa[best].ModeledSeconds()
 		var minF, maxF float64
 		for i, r := range classic.Stats.PerRank {
 			if i == 0 || r.Flops < minF {
@@ -93,7 +84,7 @@ func Table5(cfg Config) (*Table5Result, error) {
 		out.Rows = append(out.Rows, Table5Row{
 			Dataset: spec.name, P: spec.p, Iters: h,
 			ClassicSeconds: classic.ModeledSeconds(), SASeconds: bestT,
-			SBest: bestS, Speedup: classic.ModeledSeconds() / bestT,
+			SBest: sGrid[best], Speedup: classic.ModeledSeconds() / bestT,
 			FinalGap: classic.Gap, FlopImbalance: imb,
 		})
 	}

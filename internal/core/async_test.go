@@ -314,15 +314,15 @@ func TestAsyncDamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.Damping() != 1 {
-		t.Fatalf("1-worker Damping() = %v", st1.Damping())
+	if st1.damp != 1 {
+		t.Fatalf("1-worker damp = %v", st1.damp)
 	}
 	st2, err := NewAsyncLasso(csc, data.B, 4*asyncDampGrace, LassoOptions{Lambda: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := st2.Damping(); d >= 1 || d < 0.5 {
-		t.Fatalf("wide Damping() = %v, want in [0.5, 1)", d)
+	if d := st2.damp; d >= 1 || d < 0.5 {
+		t.Fatalf("wide damp = %v, want in [0.5, 1)", d)
 	}
 }
 

@@ -124,21 +124,9 @@ func NewAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*As
 	}, nil
 }
 
-// Workers returns the worker count the state was built for.
-func (s *AsyncLasso) Workers() int { return len(s.streams) }
-
-// Damping returns the step-size scale applied to every worker's step
-// (1 for a single worker or unknown density; see asyncDamping).
-func (s *AsyncLasso) Damping() float64 { return s.damp }
-
-// X returns the live atomic coefficient vector the workers update.
-// Element reads are atomic but a multi-element read is not a consistent
-// cut; consumers wanting a publishable model should use SnapshotX and
-// treat the copy as the model.
-func (s *AsyncLasso) X() *mat.AtomicVec { return s.xv }
-
 // SnapshotX copies the live iterate into dst (allocated when nil) with
-// atomic element loads.
+// atomic element loads: each read is atomic but the copy is not a
+// consistent cut of a vector the workers are still updating.
 func (s *AsyncLasso) SnapshotX(dst []float64) []float64 { return s.xv.Snapshot(dst) }
 
 // Objective evaluates the objective from the maintained residual. It is
@@ -271,16 +259,6 @@ func NewAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*AsyncS
 		streams: asyncStreams(opt.Seed, workers),
 	}, nil
 }
-
-// Workers returns the worker count the state was built for.
-func (s *AsyncSVM) Workers() int { return len(s.streams) }
-
-// Damping returns the step-size scale applied to every worker's step.
-func (s *AsyncSVM) Damping() float64 { return s.damp }
-
-// X returns the live atomic primal vector (see AsyncLasso.X for the
-// consistency caveat).
-func (s *AsyncSVM) X() *mat.AtomicVec { return s.xv }
 
 // SnapshotX copies the live primal vector into dst (allocated when nil).
 func (s *AsyncSVM) SnapshotX(dst []float64) []float64 { return s.xv.Snapshot(dst) }

@@ -149,6 +149,18 @@ func (l SVMLoss) String() string {
 	return "svm-l1"
 }
 
+// ParseSVMLoss maps a -loss flag value ("l1", "l2") onto an SVMLoss; the
+// error names the accepted values.
+func ParseSVMLoss(s string) (SVMLoss, error) {
+	switch s {
+	case "l1":
+		return SVML1, nil
+	case "l2":
+		return SVML2, nil
+	}
+	return 0, fmt.Errorf("unknown loss %q (l1, l2)", s)
+}
+
 // SVMOptions configures the dual coordinate-descent SVM solvers.
 type SVMOptions struct {
 	// Lambda is the penalty parameter λ of eq. (10) (the C of Hsieh et

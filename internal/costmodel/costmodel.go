@@ -1,9 +1,9 @@
 // Package costmodel implements the closed-form algorithm costs of Table I
 // of the paper: flops (F), memory (M), latency (L) and message size (W)
 // along the critical path for classical and synchronization-avoiding
-// block coordinate descent, plus the SVM analogues. Combined with a
-// machine model (α, β, γ) it predicts running times, the optimal
-// recurrence-unrolling parameter s, and the speedup curves of Fig. 4.
+// block coordinate descent. Combined with a machine model (α, β, γ) it
+// predicts running times and the optimal recurrence-unrolling
+// parameter s.
 package costmodel
 
 import (
@@ -25,17 +25,14 @@ type Problem struct {
 	HalfPack bool    // send only the Gram upper triangle (paper §III fn. 3)
 }
 
-// effectiveCores normalizes a per-rank core budget: 0 and 1 both mean
+// cores returns the effective per-rank core budget: 0 and 1 both mean
 // flat MPI.
-func effectiveCores(c int) float64 {
-	if c > 1 {
-		return float64(c)
+func (pb Problem) cores() float64 {
+	if pb.Cores > 1 {
+		return float64(pb.Cores)
 	}
 	return 1
 }
-
-// cores returns the effective per-rank core budget.
-func (pb Problem) cores() float64 { return effectiveCores(pb.Cores) }
 
 // logP returns ⌈log₂P⌉, the round count of the binomial-tree collectives.
 func (pb Problem) logP() float64 {
@@ -148,32 +145,6 @@ func (pb Problem) WithP(p int) Problem {
 	return pb
 }
 
-// WithCores returns a copy of the problem with a different per-rank core
-// budget.
-func (pb Problem) WithCores(c int) Problem {
-	pb.Cores = c
-	return pb
-}
-
-// HybridSpeedup returns the modeled speedup of the hybrid rank×thread
-// configuration over its flat (one core per rank) counterpart at equal
-// rank count — the gain -rank-workers buys without changing the
-// communication pattern.
-func (pb Problem) HybridSpeedup(mc mpi.Machine) float64 {
-	return pb.WithCores(1).Time(mc) / pb.Time(mc)
-}
-
-// Speedup returns the modeled speedup of this configuration over its
-// classical (s = 1) counterpart: the total, communication-only, and
-// computation-only ratios plotted in Fig. 4e–h.
-func (pb Problem) Speedup(mc mpi.Machine) (total, comm, comp float64) {
-	base := pb.WithS(1)
-	total = base.Time(mc) / pb.Time(mc)
-	comm = safeRatio(base.CommTime(mc), pb.CommTime(mc))
-	comp = safeRatio(base.CompTime(mc), pb.CompTime(mc))
-	return total, comm, comp
-}
-
 // OptimalS returns the s in [1, sMax] minimizing modeled time. The
 // analytic optimum balances the latency saving H/s·α·logP against the
 // bandwidth growth H·s·µ²·β·logP, giving s* ≈ √(α/(µ²β)); this function
@@ -186,93 +157,4 @@ func OptimalS(pb Problem, mc mpi.Machine, sMax int) int {
 		}
 	}
 	return best
-}
-
-// SVMProblem models the dual coordinate-descent SVM (Alg. 3 vs Alg. 4):
-// one coordinate per iteration, 1D-column partitioning, an s×s Gram
-// matrix per outer iteration.
-type SVMProblem struct {
-	M       int     // data points
-	N       int     // features
-	Density float64 // f
-	H       int     // iterations
-	S       int     // unrolling (1 = classical)
-	P       int     // processors
-	Cores   int     // per-rank core budget for hybrid rank×thread runs (0/1 = flat MPI)
-}
-
-// Flops per processor: each inner step touches one row (f·n/P nonzeros
-// locally); the batched Gram costs s²·f·n/P per outer iteration.
-func (pb SVMProblem) Flops() float64 {
-	fnP := pb.Density * float64(pb.N) / float64(pb.P)
-	perOuter := 2*float64(pb.S*pb.S)*fnP + 2*float64(pb.S)*fnP
-	return math.Ceil(float64(pb.H)/float64(pb.S)) * perOuter
-}
-
-// LatencyMessages on the critical path: 2·logP per outer iteration.
-func (pb SVMProblem) LatencyMessages() float64 {
-	lp := Problem{P: pb.P}.logP
-	return math.Ceil(float64(pb.H)/float64(pb.S)) * 2 * lp()
-}
-
-// BandwidthWords on the critical path: the s×s Gram (plus s hoisted dot
-// products) through 2·logP rounds per outer iteration.
-func (pb SVMProblem) BandwidthWords() float64 {
-	lp := Problem{P: pb.P}.logP
-	words := float64(pb.S*pb.S) + float64(pb.S)
-	return math.Ceil(float64(pb.H)/float64(pb.S)) * words * 2 * lp()
-}
-
-// Time returns the modeled running time: F·γ + L·α + W·β. The SVM
-// kernels are all data-parallel over the owned column block, so the
-// hybrid core budget divides the whole flop term.
-func (pb SVMProblem) Time(mc mpi.Machine) float64 {
-	gamma := mc.GammaStream
-	if pb.S > 1 {
-		ws := pb.S * pb.S
-		if mc.CacheWords == 0 || ws <= mc.CacheWords {
-			gamma = mc.GammaBlocked
-		}
-	}
-	cr := effectiveCores(pb.Cores)
-	return pb.Flops()/cr*gamma + pb.LatencyMessages()*mc.Alpha + pb.BandwidthWords()*mc.Beta
-}
-
-// WithS returns a copy with a different unrolling factor.
-func (pb SVMProblem) WithS(s int) SVMProblem {
-	pb.S = s
-	return pb
-}
-
-// WithCores returns a copy with a different per-rank core budget.
-func (pb SVMProblem) WithCores(c int) SVMProblem {
-	pb.Cores = c
-	return pb
-}
-
-// Speedup returns the modeled speedup over the classical variant.
-func (pb SVMProblem) Speedup(mc mpi.Machine) float64 {
-	return pb.WithS(1).Time(mc) / pb.Time(mc)
-}
-
-// OptimalSVMS returns the s in [1, sMax] minimizing the modeled SA-SVM
-// time, the SVM counterpart of OptimalS.
-func OptimalSVMS(pb SVMProblem, mc mpi.Machine, sMax int) int {
-	best, bestT := 1, math.Inf(1)
-	for s := 1; s <= sMax; s++ {
-		if t := pb.WithS(s).Time(mc); t < bestT {
-			best, bestT = s, t
-		}
-	}
-	return best
-}
-
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return a / b
 }

@@ -109,7 +109,7 @@ func TestRestartBackoffDeterministicAndCapped(t *testing.T) {
 func TestCkptSessionAgreesOnMinStep(t *testing.T) {
 	dir := t.TempDir()
 	cfg := &Checkpoint{Dir: dir, Every: 1, Resume: true}
-	_, err := mpi.Run(nil, 2, mpi.CrayXC30(), func(c *mpi.Comm) error {
+	_, err := mpi.RunWorld(nil, 2, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
 		s := newCkptSession(cfg, c, "cfg")
 		// Rank 0 completes two boundaries, rank 1 three — the ≤ 1
 		// interval drift the batch structure guarantees.
@@ -152,7 +152,7 @@ func TestCkptSessionFreshStartCases(t *testing.T) {
 		{"foreign fingerprint", func(r int) string { return fmt.Sprintf("cfg-%d", r) }, func(int) bool { return true }},
 	} {
 		dir := t.TempDir()
-		_, err := mpi.Run(nil, 2, mpi.CrayXC30(), func(c *mpi.Comm) error {
+		_, err := mpi.RunWorld(nil, 2, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
 			if tc.save(c.Rank()) {
 				s := newCkptSession(&Checkpoint{Dir: dir, Every: 1}, c, tc.config(c.Rank()))
 				err := s.endBatch(10, func() rankCkpt { return rankCkpt{} })
@@ -182,7 +182,7 @@ func TestCkptSessionFreshStartCases(t *testing.T) {
 // files, so a crash mid-save can never destroy the only good checkpoint.
 func TestCkptSlotRotation(t *testing.T) {
 	dir := t.TempDir()
-	_, err := mpi.Run(nil, 1, mpi.CrayXC30(), func(c *mpi.Comm) error {
+	_, err := mpi.RunWorld(nil, 1, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
 		var paths []string
 		s := newCkptSession(&Checkpoint{Dir: dir, Every: 2, OnSave: func(i CheckpointInfo) {
 			paths = append(paths, filepath.Base(i.Path))

@@ -18,7 +18,6 @@ var deterministicPkgs = map[string]bool{
 	"saco/internal/mat":        true,
 	"saco/internal/sparse":     true,
 	"saco/internal/simd":       true,
-	"saco/internal/casvm":      true,
 	"saco/internal/dist":       true,
 	"saco/internal/mpi":        true,
 	"saco/internal/stream":     true,
@@ -49,7 +48,6 @@ var hotPathPkgs = map[string]bool{
 	"saco/internal/mat":       true,
 	"saco/internal/sparse":    true,
 	"saco/internal/simd":      true,
-	"saco/internal/casvm":     true,
 	"saco/internal/dist":      true,
 	"saco/internal/mpi":       true,
 	"saco/internal/stream":    true,

@@ -103,22 +103,6 @@ func EigSymJacobi(a *Dense) []float64 {
 	return eig
 }
 
-// CondSym returns the 2-norm condition number λmax/λmin of a symmetric
-// positive-definite matrix, or +Inf when the smallest eigenvalue is not
-// positive. Used to diagnose ill-conditioned s·µ Gram matrices, the
-// numerical-stability risk the paper examines in §IV-A.
-func CondSym(a *Dense) float64 {
-	eig := EigSymJacobi(a)
-	if len(eig) == 0 {
-		return 1
-	}
-	lmin, lmax := eig[0], eig[len(eig)-1]
-	if lmin <= 0 {
-		return math.Inf(1)
-	}
-	return lmax / lmin
-}
-
 func jacobiRotate(w *Dense, p, q int) {
 	n := w.R
 	apq := w.At(p, q)

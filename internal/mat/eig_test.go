@@ -119,17 +119,6 @@ func TestLargestEigUpperBoundsRayleighProperty(t *testing.T) {
 	}
 }
 
-func TestCondSym(t *testing.T) {
-	g := NewDenseData(2, 2, []float64{2, 1, 1, 2}) // cond = 3
-	if got := CondSym(g); !almostEq(got, 3, 1e-10) {
-		t.Fatalf("CondSym = %v, want 3", got)
-	}
-	singular := NewDenseData(2, 2, []float64{1, 1, 1, 1})
-	if got := CondSym(singular); !math.IsInf(got, 1) {
-		t.Fatalf("CondSym(singular) = %v, want +Inf", got)
-	}
-}
-
 // TestLargestEigSymScratchSameBits: the caller-scratch form is the same
 // arithmetic — whatever the scratch held, and with it reused across
 // sizes — and allocates nothing.

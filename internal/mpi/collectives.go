@@ -39,7 +39,6 @@ const (
 	kindReduce = iota
 	kindBcast
 	kindBarrier
-	kindGather
 )
 
 func (c *Comm) collTag(kind int) int {
@@ -170,69 +169,6 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// Gather concatenates equal-length blocks on root: the result holds rank
-// i's block at offset i*len(local). Non-root ranks return nil. Binomial
-// tree with doubling block ranges.
-func (c *Comm) Gather(root int, local []float64) ([]float64, error) {
-	p, r := c.Size(), c.Rank()
-	blk := len(local)
-	if p == 1 {
-		out := make([]float64, blk)
-		copy(out, local)
-		return out, nil
-	}
-	tag := c.collTag(kindGather)
-	vr := (r - root + p) % p
-	// acc holds the blocks of a contiguous virtual-rank range [vr, ...).
-	acc := make([]float64, blk, blk*nextPow2(p))
-	copy(acc, local)
-	for dist := 1; dist < p; dist <<= 1 {
-		if vr&dist != 0 {
-			dst := ((vr - dist) + root) % p
-			if err := c.Send(dst, tag, acc); err != nil {
-				return nil, err
-			}
-			break
-		}
-		if vr+dist < p {
-			src := ((vr + dist) + root) % p
-			in, err := c.Recv(src, tag)
-			if err != nil {
-				return nil, err
-			}
-			acc = append(acc, in...)
-		}
-	}
-	if vr != 0 {
-		return nil, nil
-	}
-	// acc is ordered by virtual rank; rotate back to actual rank order.
-	out := make([]float64, blk*p)
-	for v := 0; v < p; v++ {
-		actual := (v + root) % p
-		copy(out[actual*blk:(actual+1)*blk], acc[v*blk:(v+1)*blk])
-	}
-	return out, nil
-}
-
-// Allgather concatenates equal-length blocks and replicates the result on
-// every rank (Gather to rank 0 followed by Bcast).
-func (c *Comm) Allgather(local []float64) ([]float64, error) {
-	p := c.Size()
-	blk := len(local)
-	full, err := c.Gather(0, local)
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() != 0 {
-		full = make([]float64, blk*p)
-	}
-	if err := c.Bcast(0, full); err != nil {
-		return nil, err
-	}
-	return full, nil
-}
-
 // scratch1 returns the reusable single-element buffer for scalar
 // reductions, avoiding a heap allocation per call in tight solver loops.
 func (c *Comm) scratch1() []float64 {
@@ -240,12 +176,4 @@ func (c *Comm) scratch1() []float64 {
 		c.one = make([]float64, 1)
 	}
 	return c.one
-}
-
-func nextPow2(p int) int {
-	n := 1
-	for n < p {
-		n <<= 1
-	}
-	return n
 }

@@ -22,15 +22,11 @@
 package mpi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
-
-// World is kept as a historical name for the simulated cluster; the
-// runtime now speaks to any Transport. See Run, RunTCP and DialTCP.
 
 // RankStats is the per-rank accounting of one run.
 type RankStats struct {
@@ -42,8 +38,8 @@ type RankStats struct {
 	Words    int64   // 8-byte words sent
 }
 
-// Stats summarizes a completed run. Single-process drivers (Run,
-// RunHybrid, RunTCP) fill PerRank for the whole world; a rank running
+// Stats summarizes a completed run. The single-process driver (RunWorld)
+// fills PerRank for the whole world; a rank running
 // alone in its own process (cmd/sarank over DialTCP) only knows itself,
 // so PerRank holds just the local rank and Local is true.
 type Stats struct {
@@ -124,20 +120,13 @@ type Comm struct {
 // the given machine model with a per-rank core budget of cores (clamped
 // to at least 1). It is the entry point for external transports — a
 // cmd/sarank process wraps its DialTCP endpoint here; the in-process
-// drivers (Run, RunHybrid, RunTCP) call it for every rank goroutine.
+// driver (RunWorld) calls it for every rank goroutine.
 func NewComm(t Transport, m Machine, cores int) *Comm {
 	if cores < 1 {
 		cores = 1
 	}
 	return &Comm{t: t, machine: m, cores: cores}
 }
-
-// CloseTransport tears down this rank's endpoint immediately, before
-// the driver's own deferred close: an abrupt departure from the world.
-// Peers blocked on this rank fail fast with a *PeerError. Drivers use it
-// for early shutdown; the fault-injection tests use it to simulate a
-// dying rank.
-func (c *Comm) CloseTransport() error { return c.t.Close() }
 
 // Rank returns this rank's id in [0, Size).
 func (c *Comm) Rank() int { return c.t.Rank() }
@@ -162,30 +151,6 @@ func (c *Comm) RankStats() RankStats { return c.st }
 // recovered run's modeled stats are bitwise identical to an
 // uninterrupted run's.
 func (c *Comm) SetRankStats(st RankStats) { c.st = st }
-
-// Run executes body on p simulated ranks and returns the per-rank
-// statistics. It is the moral equivalent of mpirun: body is the SPMD
-// program. The first error returned by any rank aborts the run's result;
-// ranks blocked on a failed peer fail fast with a *PeerError (no rank is
-// left blocked on a vanished peer forever), and the root-cause error is
-// preferred over the induced peer errors.
-func Run(ctx context.Context, p int, m Machine, body func(c *Comm) error) (*Stats, error) {
-	return RunHybrid(ctx, p, 1, m, body)
-}
-
-// RunHybrid is Run with a per-rank core budget: every rank owns cores
-// threads, the hybrid MPI×threads configuration of modern MPI codes (the
-// paper's natural extension; cf. ROADMAP). The budget has two effects,
-// both the rank program's to apply: kernels may actually run on that
-// many shared-memory workers (see dist.Options.RankWorkers), and
-// parallelizable work charged through ComputeParallel /
-// ComputeBlockedParallel advances the virtual clock by flops/cores — the
-// model's assumption of perfectly scaling intra-rank kernels.
-// Communication costs are unchanged: one message per rank pair, exactly
-// like a one-rank-per-node MPI+OpenMP layout.
-func RunHybrid(ctx context.Context, p, cores int, m Machine, body func(c *Comm) error) (*Stats, error) {
-	return RunWorld(ctx, p, m, WorldOptions{Cores: cores}, body)
-}
 
 // runWorld drives one single-process world: it spawns p rank
 // goroutines, each over its own transport endpoint, runs body as the
@@ -298,10 +263,6 @@ func (c *Comm) Compute(flops float64) {
 	c.st.Flops += flops
 }
 
-// Cores returns this rank's core budget (1 unless the run was started
-// with RunHybrid or an explicit NewComm budget).
-func (c *Comm) Cores() int { return c.cores }
-
 // ComputeParallel charges flops of kernel work that fans out across the
 // rank's core budget: the full flops are counted as work performed, but
 // the clock advances by only flops/cores at the streaming rate. Use it
@@ -315,21 +276,13 @@ func (c *Comm) ComputeParallel(flops float64) {
 	c.st.Flops += flops
 }
 
-// ComputeBlocked charges flops of blocked (BLAS-3-like) work with the
-// given working set. If the working set exceeds the machine's cache the
-// streaming rate applies — the cache knee behind the paper's observation
-// that computation speedups of SA vanish for very large s.
-func (c *Comm) ComputeBlocked(flops float64, workingSetWords int) {
-	t := flops * c.machine.gammaFor(true, workingSetWords)
-	c.st.Clock += t
-	c.st.CompTime += t
-	c.st.Flops += flops
-}
-
-// ComputeBlockedParallel is ComputeBlocked across the rank's core
-// budget: flops/cores at the blocked (or, past the cache knee, the
-// streaming) rate. The working set is not divided — the cores cooperate
-// on one shared block, as the pool's partitioned Gram kernels do.
+// ComputeBlockedParallel charges flops of blocked (BLAS-3-like) work
+// with the given working set across the rank's core budget: flops/cores
+// at the blocked rate, or at the streaming rate when the working set
+// exceeds the machine's cache — the cache knee behind the paper's
+// observation that computation speedups of SA vanish for very large s.
+// The working set is not divided — the cores cooperate on one shared
+// block, as the pool's partitioned Gram kernels do.
 func (c *Comm) ComputeBlockedParallel(flops float64, workingSetWords int) {
 	t := flops / float64(c.cores) * c.machine.gammaFor(true, workingSetWords)
 	c.st.Clock += t

@@ -95,7 +95,7 @@ func TestDropAtSendTripsPeerDeadline(t *testing.T) {
 func TestDelayAtRecvIsBenign(t *testing.T) {
 	// A straggler changes wall time only: the run still completes and
 	// the modeled stats are untouched (virtual clocks ignore sleeps).
-	ref, err := mpi.Run(nil, 3, mpi.CrayXC30(), body(5))
+	ref, err := mpi.RunWorld(nil, 3, mpi.CrayXC30(), mpi.WorldOptions{}, body(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ var bg = context.Background()
 // execute identical message DAGs and deliver identical results.
 var transports = []struct {
 	name string
-	run  func(ctx context.Context, p, cores int, m Machine, body func(c *Comm) error) (*Stats, error)
+	opt  WorldOptions
 }{
-	{"sim", RunHybrid},
-	{"tcp", RunTCP},
+	{"sim", WorldOptions{}},
+	{"tcp", WorldOptions{TCP: &TCPOptions{}}},
 }

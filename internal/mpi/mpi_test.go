@@ -40,7 +40,7 @@ func TestBlockRange(t *testing.T) {
 }
 
 func TestSendRecvPingPong(t *testing.T) {
-	stats, err := Run(bg, 2, Zero(), func(c *Comm) error {
+	stats, err := RunWorld(bg, 2, Zero(), WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 7, []float64{1, 2, 3}); err != nil {
 				return err
@@ -70,7 +70,7 @@ func TestSendRecvPingPong(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
-	_, err := Run(bg, 2, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 2, Zero(), WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{42}
 			c.Send(1, 0, buf)
@@ -98,7 +98,7 @@ func TestAllreduceSumAllSizes(t *testing.T) {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			results := make([][]float64, p)
-			_, err := Run(bg, p, Zero(), func(c *Comm) error {
+			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
 				data := []float64{float64(c.Rank() + 1), float64(c.Rank() * 2), -1}
 				c.Allreduce(Sum, data)
 				results[c.Rank()] = data
@@ -127,7 +127,7 @@ func TestAllreduceSumAllSizes(t *testing.T) {
 }
 
 func TestAllreduceMax(t *testing.T) {
-	_, err := Run(bg, 5, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 5, Zero(), WorldOptions{}, func(c *Comm) error {
 		data := []float64{float64(c.Rank()), -float64(c.Rank())}
 		c.Allreduce(Max, data)
 		if data[0] != 4 || data[1] != 0 {
@@ -141,7 +141,7 @@ func TestAllreduceMax(t *testing.T) {
 }
 
 func TestAllreduceScalar(t *testing.T) {
-	_, err := Run(bg, 4, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 4, Zero(), WorldOptions{}, func(c *Comm) error {
 		got, err := c.AllreduceScalar(Sum, 1.5)
 		if err != nil {
 			return err
@@ -166,7 +166,7 @@ func TestAllreduceScalar(t *testing.T) {
 func TestBcastFromEveryRoot(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 6, 8} {
 		for root := 0; root < p; root++ {
-			_, err := Run(bg, p, Zero(), func(c *Comm) error {
+			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
 				data := make([]float64, 4)
 				if c.Rank() == root {
 					for i := range data {
@@ -191,7 +191,7 @@ func TestBcastFromEveryRoot(t *testing.T) {
 func TestReduceToEveryRoot(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8} {
 		for root := 0; root < p; root++ {
-			_, err := Run(bg, p, Zero(), func(c *Comm) error {
+			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
 				data := []float64{1}
 				c.Reduce(root, Sum, data)
 				if c.Rank() == root && data[0] != float64(p) {
@@ -206,61 +206,9 @@ func TestReduceToEveryRoot(t *testing.T) {
 	}
 }
 
-func TestGatherAllRootsAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		for root := 0; root < p; root++ {
-			_, err := Run(bg, p, Zero(), func(c *Comm) error {
-				local := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
-				out, err := c.Gather(root, local)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					if out != nil {
-						return errors.New("non-root got data")
-					}
-					return nil
-				}
-				for r := 0; r < p; r++ {
-					if out[2*r] != float64(r) || out[2*r+1] != float64(r*10) {
-						return fmt.Errorf("block %d = %v", r, out[2*r:2*r+2])
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	for _, p := range testPs {
-		_, err := Run(bg, p, Zero(), func(c *Comm) error {
-			out, err := c.Allgather([]float64{float64(c.Rank() + 1)})
-			if err != nil {
-				return err
-			}
-			if len(out) != p {
-				return fmt.Errorf("len=%d", len(out))
-			}
-			for r := 0; r < p; r++ {
-				if out[r] != float64(r+1) {
-					return fmt.Errorf("rank %d: out=%v", c.Rank(), out)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
 func TestBarrierNoDeadlockAndOrdering(t *testing.T) {
 	// Ranks do asymmetric pre-barrier work; the barrier must still match.
-	_, err := Run(bg, 8, CrayXC30(), func(c *Comm) error {
+	_, err := RunWorld(bg, 8, CrayXC30(), WorldOptions{}, func(c *Comm) error {
 		for i := 0; i < c.Rank(); i++ {
 			c.Compute(1e6)
 		}
@@ -277,7 +225,7 @@ func TestBarrierNoDeadlockAndOrdering(t *testing.T) {
 // receiver expecting tag 2) must fail with a tagged *PeerError naming
 // both ranks — historically this panicked the whole world.
 func TestTagMismatchError(t *testing.T) {
-	_, err := Run(bg, 2, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 2, Zero(), WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []float64{1})
 		}
@@ -301,7 +249,7 @@ func TestTagMismatchError(t *testing.T) {
 
 func TestRunErrorPropagation(t *testing.T) {
 	want := errors.New("boom")
-	_, err := Run(bg, 3, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 3, Zero(), WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return want
 		}
@@ -310,14 +258,14 @@ func TestRunErrorPropagation(t *testing.T) {
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Run(bg, 0, Zero(), func(*Comm) error { return nil }); err == nil {
+	if _, err := RunWorld(bg, 0, Zero(), WorldOptions{}, func(*Comm) error { return nil }); err == nil {
 		t.Fatal("expected error for p=0")
 	}
 }
 
 func TestVirtualClockSingleMessage(t *testing.T) {
 	m := Machine{Alpha: 1e-6, Beta: 1e-9}
-	stats, err := Run(bg, 2, m, func(c *Comm) error {
+	stats, err := RunWorld(bg, 2, m, WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 1000))
 		} else {
@@ -339,10 +287,10 @@ func TestVirtualClockSingleMessage(t *testing.T) {
 
 func TestVirtualClockComputeKinds(t *testing.T) {
 	m := CrayXC30()
-	stats, err := Run(bg, 1, m, func(c *Comm) error {
-		c.Compute(1e6)                     // stream rate
-		c.ComputeBlocked(1e6, 1000)        // fits in cache: blocked rate
-		c.ComputeBlocked(1e6, 100_000_000) // blows cache: stream rate
+	stats, err := RunWorld(bg, 1, m, WorldOptions{}, func(c *Comm) error {
+		c.Compute(1e6)                             // stream rate
+		c.ComputeBlockedParallel(1e6, 1000)        // fits in cache: blocked rate
+		c.ComputeBlockedParallel(1e6, 100_000_000) // blows cache: stream rate
 		return nil
 	})
 	if err != nil {
@@ -360,7 +308,7 @@ func TestVirtualClockComputeKinds(t *testing.T) {
 func TestAllreduceLatencyScalesLogP(t *testing.T) {
 	m := Machine{Alpha: 1e-3} // latency only
 	clock := func(p int) float64 {
-		stats, err := Run(bg, p, m, func(c *Comm) error {
+		stats, err := RunWorld(bg, p, m, WorldOptions{}, func(c *Comm) error {
 			c.Allreduce(Sum, []float64{1})
 			return nil
 		})
@@ -378,7 +326,7 @@ func TestAllreduceLatencyScalesLogP(t *testing.T) {
 }
 
 func TestAllreduceMessageCount(t *testing.T) {
-	stats, err := Run(bg, 8, Zero(), func(c *Comm) error {
+	stats, err := RunWorld(bg, 8, Zero(), WorldOptions{}, func(c *Comm) error {
 		c.Allreduce(Sum, []float64{1})
 		return nil
 	})
@@ -393,7 +341,7 @@ func TestAllreduceMessageCount(t *testing.T) {
 
 func TestDeterministicClocks(t *testing.T) {
 	run := func() (float64, float64) {
-		stats, err := Run(bg, 6, CrayXC30(), func(c *Comm) error {
+		stats, err := RunWorld(bg, 6, CrayXC30(), WorldOptions{}, func(c *Comm) error {
 			data := make([]float64, 64)
 			for i := range data {
 				data[i] = float64(c.Rank()*64 + i)
@@ -437,7 +385,7 @@ func TestAllreduceSumProperty(t *testing.T) {
 			}
 		}
 		ok := true
-		_, err := Run(bg, p, Zero(), func(c *Comm) error {
+		_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
 			data := append([]float64(nil), inputs[c.Rank()]...)
 			c.Allreduce(Sum, data)
 			for i := range data {
@@ -470,7 +418,7 @@ func TestMachinePresets(t *testing.T) {
 
 func TestElapsedAndMachineAccessors(t *testing.T) {
 	m := CrayXC30()
-	_, err := Run(bg, 2, m, func(c *Comm) error {
+	_, err := RunWorld(bg, 2, m, WorldOptions{}, func(c *Comm) error {
 		if c.Machine().Name != m.Name {
 			return errors.New("machine accessor mismatch")
 		}
@@ -495,9 +443,9 @@ func TestElapsedAndMachineAccessors(t *testing.T) {
 // exactly RunHybrid with one core.
 func TestRunHybridComputeParallel(t *testing.T) {
 	m := Machine{GammaStream: 1e-9, GammaBlocked: 2.5e-10, CacheWords: 1000}
-	stats, err := RunHybrid(bg, 1, 4, m, func(c *Comm) error {
-		if c.Cores() != 4 {
-			return fmt.Errorf("Cores() = %d", c.Cores())
+	stats, err := RunWorld(bg, 1, m, WorldOptions{Cores: 4}, func(c *Comm) error {
+		if c.cores != 4 {
+			return fmt.Errorf("cores = %d", c.cores)
 		}
 		c.Compute(1e6)                         // 1e6·γs
 		c.ComputeParallel(1e6)                 // 1e6/4·γs
@@ -516,9 +464,9 @@ func TestRunHybridComputeParallel(t *testing.T) {
 		t.Fatalf("flops = %v, want full work counted", stats.PerRank[0].Flops)
 	}
 
-	flat, err := Run(bg, 1, m, func(c *Comm) error {
-		if c.Cores() != 1 {
-			return fmt.Errorf("flat Cores() = %d", c.Cores())
+	flat, err := RunWorld(bg, 1, m, WorldOptions{}, func(c *Comm) error {
+		if c.cores != 1 {
+			return fmt.Errorf("flat cores = %d", c.cores)
 		}
 		c.Compute(1e6)
 		c.ComputeParallel(1e6) // = Compute at one core
@@ -530,9 +478,9 @@ func TestRunHybridComputeParallel(t *testing.T) {
 	if got, want := flat.MaxClock(), 2e6*m.GammaStream; math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("flat clock = %v, want %v", got, want)
 	}
-	if _, err := RunHybrid(bg, 1, 0, m, func(c *Comm) error {
-		if c.Cores() != 1 {
-			return fmt.Errorf("cores clamp: %d", c.Cores())
+	if _, err := RunWorld(bg, 1, m, WorldOptions{Cores: 0}, func(c *Comm) error {
+		if c.cores != 1 {
+			return fmt.Errorf("cores clamp: %d", c.cores)
 		}
 		return nil
 	}); err != nil {

@@ -13,7 +13,7 @@ func TestAllreduceRSAGMatchesBinomial(t *testing.T) {
 			p, n := p, n
 			t.Run(fmt.Sprintf("p=%d,n=%d", p, n), func(t *testing.T) {
 				results := make([][]float64, p)
-				_, err := Run(bg, p, Zero(), func(c *Comm) error {
+				_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
 					data := make([]float64, n)
 					for i := range data {
 						// Integer-valued so any summation order is exact.
@@ -53,7 +53,7 @@ func TestAllreduceRSAGMatchesBinomial(t *testing.T) {
 }
 
 func TestAllreduceRSAGMax(t *testing.T) {
-	_, err := Run(bg, 6, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 6, Zero(), WorldOptions{}, func(c *Comm) error {
 		data := make([]float64, 40)
 		for i := range data {
 			data[i] = float64(c.Rank()*40 + i)
@@ -76,7 +76,7 @@ func TestAllreduceRSAGMax(t *testing.T) {
 func TestAllreduceRSAGBandwidthAdvantage(t *testing.T) {
 	m := Machine{Alpha: 1e-6, Beta: 1e-9}
 	clock := func(n int, rsag bool) float64 {
-		stats, err := Run(bg, 8, m, func(c *Comm) error {
+		stats, err := RunWorld(bg, 8, m, WorldOptions{}, func(c *Comm) error {
 			data := make([]float64, n)
 			if rsag {
 				c.AllreduceRSAG(Sum, data)
@@ -114,7 +114,7 @@ func TestAllreduceRSAGProperty(t *testing.T) {
 		var got, want [][]float64
 		run := func(rsag bool, dst *[][]float64) bool {
 			*dst = make([][]float64, p)
-			_, err := Run(bg, p, Zero(), func(c *Comm) error {
+			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
 				data := mk(c.Rank())
 				if rsag {
 					c.AllreduceRSAG(Sum, data)

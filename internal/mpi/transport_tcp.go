@@ -539,19 +539,8 @@ func (t *transportTCP) Close() error {
 	return nil
 }
 
-// RunTCP executes body on p ranks connected over a loopback TCP mesh
-// within this process: the networked twin of RunHybrid, used by the
-// transport-parity tests and anywhere a real-socket run of an SPMD
-// program is wanted without spawning processes. The rendezvous listens
-// on an ephemeral loopback port. Deterministic programs produce
-// bitwise-identical results and modeled stats to RunHybrid — the
-// transports carry the same message DAG and piggybacked clocks.
-func RunTCP(ctx context.Context, p, cores int, m Machine, body func(c *Comm) error) (*Stats, error) {
-	return RunWorld(ctx, p, m, WorldOptions{Cores: cores, TCP: &TCPOptions{}}, body)
-}
-
 // bootTCPRoot builds rank 0's endpoint over an already-bound listener
-// (RunTCP's ephemeral-port case; DialTCP binds its own from an address).
+// (RunWorld's ephemeral-port case; DialTCP binds its own from an address).
 func bootTCPRoot(ctx context.Context, ln net.Listener, size int, opt *TCPOptions) (Transport, error) {
 	o := opt.withDefaults()
 	ctx, cancel := context.WithTimeout(ctx, o.RendezvousTimeout)

@@ -19,7 +19,7 @@ func TestRecvFromFinishedPeerFailsFast(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
-				_, err := tr.run(bg, 2, 1, Zero(), func(c *Comm) error {
+				_, err := RunWorld(bg, 2, Zero(), tr.opt, func(c *Comm) error {
 					if c.Rank() == 0 {
 						return nil // finish without ever sending
 					}
@@ -58,7 +58,7 @@ func TestRecvFromFinishedPeerFailsFast(t *testing.T) {
 func TestFinishedPeerDrainsInFlight(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
-			_, err := tr.run(bg, 2, 1, Zero(), func(c *Comm) error {
+			_, err := RunWorld(bg, 2, Zero(), tr.opt, func(c *Comm) error {
 				if c.Rank() == 0 {
 					return c.Send(1, 3, []float64{7}) // send and finish immediately
 				}
@@ -91,14 +91,14 @@ func TestTornConnectionCleanError(t *testing.T) {
 	sabotage := errors.New("sabotaged")
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunTCP(bg, 4, 1, Zero(), func(c *Comm) error {
+		_, err := RunWorld(bg, 4, Zero(), WorldOptions{TCP: &TCPOptions{}}, func(c *Comm) error {
 			if err := c.Barrier(); err != nil { // everyone is up
 				return err
 			}
 			if c.Rank() == 2 {
 				// Tear the mesh down without the courtesy of finishing
 				// the program: peers mid-recv see the connection die.
-				c.CloseTransport()
+				c.t.Close()
 				return sabotage
 			}
 			err := c.Allreduce(Sum, make([]float64, 1024))
@@ -223,7 +223,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, 2, Zero(), func(c *Comm) error {
+		_, err := RunWorld(ctx, 2, Zero(), WorldOptions{}, func(c *Comm) error {
 			if c.Rank() == 0 {
 				<-ctx.Done() // hold the rank open so nobody closes cleanly
 				return ctx.Err()
@@ -248,7 +248,7 @@ func TestRunCancellation(t *testing.T) {
 // many TCP segments, checking the length-prefixed framing end to end.
 func TestTCPSendRecvLargePayload(t *testing.T) {
 	const n = 1 << 18 // 2 MiB payload
-	_, err := RunTCP(bg, 2, 1, Zero(), func(c *Comm) error {
+	_, err := RunWorld(bg, 2, Zero(), WorldOptions{TCP: &TCPOptions{}}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			data := make([]float64, n)
 			for i := range data {

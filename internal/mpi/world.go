@@ -11,8 +11,13 @@ import (
 // and machine model. The zero value is the plain simulated world with
 // sequential ranks.
 type WorldOptions struct {
-	// Cores is the per-rank core budget (RunHybrid semantics); values
-	// below 1 mean one core.
+	// Cores is the per-rank core budget, the hybrid MPI×threads
+	// configuration: kernels may run on that many shared-memory workers
+	// (dist.Options.RankWorkers) and work charged through
+	// ComputeParallel / ComputeBlockedParallel advances the virtual
+	// clock by flops/cores. Communication costs are unchanged — one
+	// message per rank pair, like a one-rank-per-node MPI+OpenMP layout.
+	// Values below 1 mean one core.
 	Cores int
 	// TCP, when non-nil, runs the world over a loopback TCP mesh
 	// instead of the simulated channel world, with the given transport
@@ -27,12 +32,14 @@ type WorldOptions struct {
 	Wrap func(rank int, t Transport) Transport
 }
 
-// RunWorld executes body on p ranks within this process, over either the
-// simulated channel world or a loopback TCP mesh (opt.TCP). It is the
-// general driver behind Run, RunHybrid and RunTCP, and the only one that
-// exposes the transport wrap seam. Error semantics match Run: ranks
-// blocked on a failed peer fail fast with a *PeerError, and firstError
-// prefers the root cause.
+// RunWorld executes body — the SPMD program, as under mpirun — on p
+// ranks within this process, over either the simulated channel world or
+// a loopback TCP mesh (opt.TCP); both carry the same message DAG and
+// piggybacked clocks, so a deterministic program's results and modeled
+// stats are bitwise identical across them. The first error returned by
+// any rank aborts the run's result; ranks blocked on a failed peer fail
+// fast with a *PeerError (none is left blocked on a vanished peer), and
+// the root-cause error is preferred over the induced peer errors.
 func RunWorld(ctx context.Context, p int, m Machine, opt WorldOptions, body func(c *Comm) error) (*Stats, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mpi: RunWorld with p=%d", p)

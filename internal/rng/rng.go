@@ -41,11 +41,6 @@ func New(seed uint64) *Stream {
 	return &st
 }
 
-// Fork returns a new independent stream derived from this one. It is used
-// to give each dataset generator or experiment its own stream without
-// correlating sequences.
-func (r *Stream) Fork() *Stream { return New(r.Uint64()) }
-
 // State is a portable snapshot of a Stream's position: the xoshiro256**
 // words plus the polar method's cached variate. Checkpoint codecs
 // serialize it so a restarted solver resumes the exact sampling sequence

@@ -38,15 +38,6 @@ func TestZeroSeedIsUsable(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	a := New(7)
-	f1 := a.Fork()
-	f2 := a.Fork()
-	if f1.Uint64() == f2.Uint64() && f1.Uint64() == f2.Uint64() {
-		t.Fatal("forked streams appear identical")
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	counts := make([]int, 5)
@@ -203,35 +194,6 @@ func TestSampleKDeterministicAcrossRanks(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if seen[v] {
-			t.Fatalf("duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(12)
-	xs := []int{1, 2, 2, 3, 9}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(xs)
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed contents: %v", xs)
 	}
 }
 

@@ -44,24 +44,3 @@ func (r *Stream) SampleKInto(n int, out []int, swaps map[int]int) {
 		// swaps[i] no longer matters: position i is never revisited.
 	}
 }
-
-// Perm returns a full random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *Stream) Shuffle(xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}

@@ -14,7 +14,8 @@ const hardCap = 1024
 // Pool is a persistent shared-memory worker pool. Workers are spawned
 // lazily up to the requested width (never more than hardCap), park on a
 // shared channel, and live for the life of the pool. The zero value is
-// not usable; construct with NewPool or use the package-level Default.
+// not usable; construct with NewPool (the package-level For and Ranges
+// run on a shared process-wide pool).
 type Pool struct {
 	work    chan *job
 	free    chan *job
@@ -32,12 +33,9 @@ func NewPool() *Pool {
 
 // defaultPool is the process-wide pool every package-level entry point
 // dispatches to. One pool is the point: solver kernels, BLAS helpers and
-// cluster-parallel training all share the same parked workers instead of
-// each spawning their own.
+// batch scoring all share the same parked workers instead of each
+// spawning their own.
 var defaultPool = NewPool()
-
-// Default returns the process-wide pool.
-func Default() *Pool { return defaultPool }
 
 // Resolve normalizes a requested width: w > 0 is taken as-is, anything
 // else means runtime.GOMAXPROCS(0) at the time of the call — not at
@@ -188,8 +186,8 @@ func (p *Pool) ensure(w int) {
 // undelivered queue entries, or helpers mid-chunk. Blocking outright
 // here can deadlock when the caller is itself a pool worker — every
 // worker can be parked in this join while the queue holds the very
-// entries that would release them (e.g. cluster-parallel CA-SVM whose
-// local solves use multicore kernels). So the waiting caller drains the
+// entries that would release them (e.g. a region whose body runs
+// multicore kernels of its own). So the waiting caller drains the
 // queue instead: its own job's entries are cancelled (nobody else needs
 // to consume them), other jobs' entries are executed on the spot. Each
 // drained entry either resolves one of this job's references or makes

@@ -133,12 +133,6 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Self returns this replica's advertised address.
-func (c *Cluster) Self() string { return c.self }
-
-// Router returns the request router.
-func (c *Cluster) Router() *shard.Router { return c.router }
-
 // Ring returns the current ring.
 func (c *Cluster) Ring() *shard.Ring { return c.table.Current() }
 

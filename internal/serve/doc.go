@@ -39,7 +39,7 @@
 //	56+8·nnz  8·nnz     nonzero values (float64 bits)
 //	...     8           CRC-64/ECMA of every preceding byte
 //
-// One decoder (decodeModel) backs every load — ReadModel, LoadModelFile
+// One decoder (decodeModel) backs every load — LoadModelFile
 // and the mmap mode, which differs only in aliasing the value section
 // instead of copying it. It rejects bad magic, unknown versions,
 // truncated or oversized payloads, checksum mismatches, and indices out

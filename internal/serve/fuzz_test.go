@@ -16,11 +16,11 @@ func fuzzSeedModel() []byte {
 	m.TrainRows = 7
 	m.Lambda = 0.3
 	m.Version = 4
-	var buf bytes.Buffer
-	if err := WriteModel(&buf, m); err != nil {
+	buf, err := encodeModel(m)
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // overflowingNNZModel builds a file whose nnz field is 2⁶⁰+k so that
@@ -41,7 +41,7 @@ func overflowingNNZModel() []byte {
 // TestReadModelOverflowingNNZRejected pins the overflow guard as a
 // plain unit test (the fuzz corpus carries the same seed).
 func TestReadModelOverflowingNNZRejected(t *testing.T) {
-	if _, err := ReadModel(bytes.NewReader(overflowingNNZModel())); err == nil {
+	if _, _, err := decodeModel(overflowingNNZModel(), false); err == nil {
 		t.Fatal("wrapping nnz header accepted")
 	}
 }
@@ -68,7 +68,7 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(corrupt)
 	f.Add(overflowingNNZModel())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadModel(bytes.NewReader(data))
+		m, _, err := decodeModel(data, false)
 		// A fresh allocation is 8-aligned, so a valid image really does
 		// take the aliasing branch on a little-endian host.
 		am, _, aerr := decodeModel(append([]byte(nil), data...), true)
@@ -87,15 +87,15 @@ func FuzzLoadModel(f *testing.F) {
 		// An accepted model must satisfy the registry's structural
 		// invariants — validate() is what every load path promises.
 		if verr := m.validate(); verr != nil {
-			t.Fatalf("ReadModel accepted an invalid model: %v", verr)
+			t.Fatalf("decodeModel accepted an invalid model: %v", verr)
 		}
 		// And it must round-trip: decode(encode(m)) == m is what
 		// makes the hot-swap artifacts trustworthy.
-		var buf bytes.Buffer
-		if werr := WriteModel(&buf, m); werr != nil {
+		buf, werr := encodeModel(m)
+		if werr != nil {
 			t.Fatalf("re-encode failed: %v", werr)
 		}
-		back, rerr := ReadModel(bytes.NewReader(buf.Bytes()))
+		back, _, rerr := decodeModel(buf, false)
 		if rerr != nil {
 			t.Fatalf("re-decode failed: %v", rerr)
 		}

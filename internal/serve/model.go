@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"math"
 	"os"
 	"sync"
@@ -160,16 +159,6 @@ const (
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// WriteModel writes m in the versioned binary format.
-func WriteModel(w io.Writer, m *Model) error {
-	buf, err := encodeModel(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // encodeModel renders m as one .sacm image.
 func encodeModel(m *Model) ([]byte, error) {
 	if err := m.validate(); err != nil {
@@ -196,17 +185,6 @@ func encodeModel(m *Model) ([]byte, error) {
 	}
 	le.PutUint64(buf[off:], crc64.Checksum(buf[:off], crcTable))
 	return buf, nil
-}
-
-// ReadModel reads a binary model from r; see decodeModel for what is
-// verified.
-func ReadModel(r io.Reader) (*Model, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxModelBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := decodeModel(data, false)
-	return m, err
 }
 
 // decodeModel is the one .sacm decoder: it verifies the reader cap, the

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -32,11 +31,11 @@ func testModel(kind Kind, n, nnz int, seed int64) *Model {
 func TestModelBinaryRoundTrip(t *testing.T) {
 	m := testModel(KindLasso, 300, 17, 1)
 	m.Version = 42
-	var buf bytes.Buffer
-	if err := WriteModel(&buf, m); err != nil {
+	buf, err := encodeModel(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadModel(bytes.NewReader(buf.Bytes()))
+	got, _, err := decodeModel(buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +53,11 @@ func TestModelBinaryRoundTrip(t *testing.T) {
 // TestModelEmptyRoundTrip: the all-zero model (λ ≥ λmax) is legal.
 func TestModelEmptyRoundTrip(t *testing.T) {
 	m := NewModel(KindLasso, make([]float64, 50))
-	var buf bytes.Buffer
-	if err := WriteModel(&buf, m); err != nil {
+	buf, err := encodeModel(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadModel(bytes.NewReader(buf.Bytes()))
+	got, _, err := decodeModel(buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +115,15 @@ func TestLoadModelFileAutoDetect(t *testing.T) {
 // mismatch).
 func TestModelRejectsCorruption(t *testing.T) {
 	m := testModel(KindLasso, 200, 13, 4)
-	var buf bytes.Buffer
-	if err := WriteModel(&buf, m); err != nil {
+	good, err := encodeModel(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
 
 	reject := func(name string, mutate func([]byte) []byte, wantSub string) {
 		t.Helper()
 		data := mutate(append([]byte(nil), good...))
-		_, err := ReadModel(bytes.NewReader(data))
+		_, _, err := decodeModel(data, false)
 		if err == nil {
 			t.Fatalf("%s: accepted", name)
 		}

@@ -160,9 +160,6 @@ func (d *Dataset) NumShards() int { return len(d.shards) }
 // BlockRows returns the rows-per-shard of the build.
 func (d *Dataset) BlockRows() int { return d.blockRows }
 
-// Shards returns the shard table.
-func (d *Dataset) Shards() []ShardInfo { return d.shards }
-
 // Dir returns the cache directory holding the shards and manifest.
 func (d *Dataset) Dir() string { return d.dir }
 

@@ -30,12 +30,16 @@
 //	res, err := saco.Lasso(data.Cols(), data.B, saco.LassoOptions{
 //		Lambda: lambda, BlockSize: 8, Iters: 2000, Accelerated: true, S: 64,
 //	})
+//
+// The facade carries what something calls: every exported function here
+// has a caller under cmd/, examples/ or in a README snippet
+// (TestFacadeNamesHaveCallers), and type aliases and constants exist to
+// name the parameters, results and option values of those functions.
 package saco
 
 import (
 	"context"
 
-	"saco/internal/casvm"
 	"saco/internal/core"
 	"saco/internal/datagen"
 	"saco/internal/dist"
@@ -137,8 +141,6 @@ type (
 	CSR = sparse.CSR
 	// CSC is a compressed sparse column matrix (implements ColMatrix).
 	CSC = sparse.CSC
-	// COO is a coordinate-format sparse matrix builder.
-	COO = sparse.COO
 	// Dataset is a generated or loaded problem instance.
 	Dataset = datagen.Dataset
 )
@@ -212,19 +214,9 @@ func LambdaMax(a ColMatrix, b []float64) float64 { return core.LambdaMaxL1(a, b)
 // CrayXC30 models the paper's evaluation platform.
 func CrayXC30() Machine { return mpi.CrayXC30() }
 
-// EthernetCluster models a commodity 10 GbE cluster.
-func EthernetCluster() Machine { return mpi.EthernetCluster() }
-
-// SparkLike models a bulk-synchronous analytics framework with
-// millisecond synchronization latency (§VII).
-func SparkLike() Machine { return mpi.SparkLike() }
-
 // MachineByName maps a -machine flag value (cray, ethernet, spark) onto
 // its preset; the error names the accepted values.
 func MachineByName(name string) (Machine, error) { return mpi.MachineByName(name) }
-
-// NewCOO returns an m×n coordinate-format builder; convert with ToCSR.
-func NewCOO(m, n int) *COO { return sparse.NewCOO(m, n) }
 
 // LoadLIBSVM reads a LIBSVM-format file (the format of every dataset in
 // the paper's Tables II and IV). features = 0 infers the width.
@@ -309,6 +301,9 @@ func ParseStreamLayout(s string) (StreamLayout, error) { return stream.ParseLayo
 // ParseStreamCodec maps a flag value ("raw", "delta") onto a StreamCodec.
 func ParseStreamCodec(s string) (StreamCodec, error) { return stream.ParseCodec(s) }
 
+// ParseSVMLoss maps a flag value ("l1", "l2") onto an SVMLoss.
+func ParseSVMLoss(s string) (SVMLoss, error) { return core.ParseSVMLoss(s) }
+
 // ConvertStream re-spills an existing shard store into dstDir with a
 // different layout and/or codec in one bounded-memory pass (e.g. the
 // CSR→CSC transpose that makes streamed Lasso conversion-free). The
@@ -345,30 +340,6 @@ func LassoPath(a ColMatrix, b []float64, lambdas []float64, opt LassoOptions) ([
 // offers no duality-gap certificate.
 func PegasosSVM(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
 	return core.PegasosSVM(a, b, opt)
-}
-
-// CA-SVM types: the communication-eliminating scheme of You et al. (§II)
-// with this library's (SA-)dual-CD as the local solver.
-type (
-	// CASVMOptions configures TrainCASVM.
-	CASVMOptions = casvm.Options
-	// CASVMModel is a trained clustered SVM.
-	CASVMModel = casvm.Model
-)
-
-// TrainCASVM k-means-partitions the data and trains one local SVM per
-// cluster with zero inter-cluster communication, trading accuracy for
-// the eliminated synchronization (CA-SVM, IPDPS 2015). Set
-// opt.Local.S > 1 to make each local solver synchronization-avoiding —
-// the composition the paper suggests in §II.
-func TrainCASVM(a *CSR, b []float64, opt CASVMOptions) (*CASVMModel, error) {
-	return casvm.Train(a, b, opt)
-}
-
-// LassoDualityGap returns a rigorous suboptimality certificate for an L1
-// solution x with residual r = A·x − b.
-func LassoDualityGap(a ColMatrix, b, x, r []float64, lambda float64) float64 {
-	return core.LassoDualityGap(a, b, x, r, lambda)
 }
 
 // Model-serving types (internal/serve): a versioned binary model
@@ -444,13 +415,10 @@ func LoadModel(path string) (*Model, error) { return serve.LoadModelFile(path) }
 // coefficients, provenance header, checksum).
 func SaveModel(path string, m *Model) error { return serve.WriteModelFile(path, m) }
 
-// OpenModelRegistry opens (creating if needed) a model directory and
-// serves the newest valid version in it.
-func OpenModelRegistry(dir string) (*ModelRegistry, error) { return serve.OpenRegistry(dir) }
-
-// OpenModelRegistryMode is OpenModelRegistry with an explicit artifact
-// load mode (LoadCopy or LoadMmap).
-func OpenModelRegistryMode(dir string, mode LoadMode) (*ModelRegistry, error) {
+// OpenModelRegistry opens (creating if needed) a model directory with
+// the given artifact load mode (LoadCopy or LoadMmap) and serves the
+// newest valid version in it.
+func OpenModelRegistry(dir string, mode LoadMode) (*ModelRegistry, error) {
 	return serve.OpenRegistryMode(dir, mode)
 }
 
@@ -468,10 +436,6 @@ func NewCluster(root, self string, peers []string, opt ServeClusterOptions) (*Se
 func NewClusterServer(c *ServeCluster, opt ServeOptions) *ServeServer {
 	return serve.NewClusterServer(c, opt)
 }
-
-// NewLearnBuffer returns a staging buffer holding at most capRows
-// labeled rows (capRows <= 0 uses the serving default).
-func NewLearnBuffer(capRows int) *LearnBuffer { return serve.NewLearnBuffer(capRows) }
 
 // RefitStream drains a LearnBuffer on a cadence into a lock-free
 // HOGWILD! refit over a sliding window of recent rows, publishing a
