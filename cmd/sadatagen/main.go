@@ -8,7 +8,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"strings"
 
 	"saco"
+	"saco/cmd/internal/cli"
 	"saco/internal/datagen"
 )
 
@@ -23,41 +23,32 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole program behind a testable seam: it parses args on
-// its own FlagSet, writes to the given streams, and returns the process
-// exit code instead of calling os.Exit (the same shape as sasolve's).
+// run is the whole program behind cli.Main's testable seam.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("sadatagen", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
-		name  = fs.String("name", "", "replica name (required); one of: "+strings.Join(datagen.ReplicaNames(), ", "))
-		scale = fs.Float64("scale", 1, "dimension scale multiplier")
-		seed  = fs.Uint64("seed", 42, "generation seed")
-		out   = fs.String("out", "", "output path (required)")
+		name, out string
+		scale     float64
+		seed      uint64
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
+	return cli.Main("sadatagen", args, stderr, func(fs *flag.FlagSet) {
+		fs.StringVar(&name, "name", "", "replica name (required); one of: "+strings.Join(datagen.ReplicaNames(), ", "))
+		fs.Float64Var(&scale, "scale", 1, "dimension scale multiplier")
+		fs.Uint64Var(&seed, "seed", 42, "generation seed")
+		fs.StringVar(&out, "out", "", "output path (required)")
+	}, func([]string) error {
+		if name == "" || out == "" {
+			return cli.Usagef("-name and -out are required")
 		}
-		return 2
-	}
-	if *name == "" || *out == "" {
-		fmt.Fprintln(stderr, "sadatagen: -name and -out are required")
-		fs.PrintDefaults()
-		return 2
-	}
-	d, err := saco.Replica(*name, *scale, *seed)
-	if err != nil {
-		fmt.Fprintf(stderr, "sadatagen: %v\n", err)
-		return 1
-	}
-	a := d.AsCSR()
-	if err := saco.SaveLIBSVM(*out, a, d.B); err != nil {
-		fmt.Fprintf(stderr, "sadatagen: %v\n", err)
-		return 1
-	}
-	m, n := d.Dims()
-	fmt.Fprintf(stdout, "wrote %s: %d points, %d features, %d nonzeros (%.4g%%)\n",
-		*out, m, n, d.NNZ(), 100*d.Density())
-	return 0
+		d, err := saco.Replica(name, scale, seed)
+		if err != nil {
+			return err
+		}
+		if err := saco.SaveLIBSVM(out, d.AsCSR(), d.B); err != nil {
+			return err
+		}
+		m, n := d.Dims()
+		fmt.Fprintf(stdout, "wrote %s: %d points, %d features, %d nonzeros (%.4g%%)\n",
+			out, m, n, d.NNZ(), 100*d.Density())
+		return nil
+	})
 }

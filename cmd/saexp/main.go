@@ -14,7 +14,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"saco/cmd/internal/cli"
 	"saco/internal/bench"
 	"saco/internal/mpi"
 )
@@ -30,63 +30,53 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole program behind a testable seam: it parses args on
-// its own FlagSet, writes to the given streams, and returns the process
-// exit code instead of calling os.Exit (the same shape as sasolve's).
+// run is the whole program behind cli.Main's testable seam.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("saexp", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
-		scale   = fs.Float64("scale", 1, "dataset scale multiplier")
-		iters   = fs.Float64("iters", 1, "iteration-count multiplier")
-		seed    = fs.Uint64("seed", 0, "experiment seed (0 = default)")
-		machine = fs.String("machine", "cray", "modeled platform: cray, ethernet, spark")
+		scale, iters float64
+		seed         uint64
+		machine      string
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
+	return cli.Main("saexp", args, stderr, func(fs *flag.FlagSet) {
+		fs.Float64Var(&scale, "scale", 1, "dataset scale multiplier")
+		fs.Float64Var(&iters, "iters", 1, "iteration-count multiplier")
+		fs.Uint64Var(&seed, "seed", 0, "experiment seed (0 = default)")
+		fs.StringVar(&machine, "machine", "cray", "modeled platform: cray, ethernet, spark")
+	}, func(requested []string) error {
+		names := make([]string, len(experiments))
+		for i, e := range experiments {
+			names[i] = e.name
 		}
-		return 2
-	}
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
-		names[i] = e.name
-	}
-	if fs.NArg() == 0 {
-		fmt.Fprintf(stderr, "usage: saexp [flags] {%s|all}...\n", strings.Join(names, "|"))
-		fs.PrintDefaults()
-		return 2
-	}
-	var requested []experiment
-	for _, name := range fs.Args() {
-		found := false
-		for _, e := range experiments {
-			if e.name == name || (name == "all" && e.inAll) {
-				requested = append(requested, e)
-				found = true
+		if len(requested) == 0 {
+			return cli.Usagef("no experiment named; usage: saexp [flags] {%s|all}...", strings.Join(names, "|"))
+		}
+		var todo []experiment
+		for _, name := range requested {
+			found := false
+			for _, e := range experiments {
+				if e.name == name || (name == "all" && e.inAll) {
+					todo = append(todo, e)
+					found = true
+				}
+			}
+			if !found {
+				return cli.Usagef("unknown experiment %q (%s, all)", name, strings.Join(names, ", "))
 			}
 		}
-		if !found {
-			fmt.Fprintf(stderr, "saexp: unknown experiment %q (%s, all)\n", name, strings.Join(names, ", "))
-			return 2
+		mc, err := mpi.MachineByName(machine)
+		if err != nil {
+			return cli.Usagef("%v", err)
 		}
-	}
-
-	mc, err := mpi.MachineByName(*machine)
-	if err != nil {
-		fmt.Fprintf(stderr, "saexp: %v\n", err)
-		return 2
-	}
-	cfg := bench.Config{Scale: *scale, IterScale: *iters, Machine: mc, Out: stdout, Seed: *seed}
-	for _, e := range requested {
-		start := time.Now()
-		if err := e.run(cfg); err != nil {
-			fmt.Fprintf(stderr, "saexp: %s: %v\n", e.name, err)
-			return 1
+		cfg := bench.Config{Scale: scale, IterScale: iters, Machine: mc, Out: stdout, Seed: seed}
+		for _, e := range todo {
+			start := time.Now()
+			if err := e.run(cfg); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+			fmt.Fprintf(stdout, "\n[%s completed in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Fprintf(stdout, "\n[%s completed in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
-	}
-	return 0
+		return nil
+	})
 }
 
 // experiment is one name saexp accepts.

@@ -36,7 +36,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,8 +46,10 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unicode"
 
 	"saco"
+	"saco/cmd/internal/cli"
 	"saco/internal/ops"
 )
 
@@ -58,130 +59,81 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// usageError marks a bad invocation (printed with the flag defaults,
-// exit 2).
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
-// run is the whole program behind a testable seam: parse on a private
-// FlagSet, serve until ctx is cancelled, return the exit code.
+// run is the whole program behind cli.Main's testable seam: serve until
+// ctx is cancelled, return the exit code.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("saserve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		modelDir    = fs.String("models", "", "model registry directory (required); cluster mode shards its subdirectories")
-		addr        = fs.String("addr", ":8700", "HTTP listen address")
-		watch       = fs.Duration("watch", 2*time.Second, "poll the model directory this often for new versions")
-		maxBatch    = fs.Int("max-batch", 256, "max rows coalesced into one scoring kernel call")
-		batchWindow = fs.Duration("batch-window", 500*time.Microsecond, "micro-batch linger window after the first request of a batch")
-		workers     = fs.Int("workers", 0, "scoring kernel width on the persistent pool (0 = all cores)")
-		queueDepth  = fs.Int("queue-depth", 1024, "dispatcher queue bound; a full queue answers 429 immediately")
-		maxQDelay   = fs.Duration("max-queue-delay", 0, "shed requests queued longer than this before scoring (0 = never)")
-		mmapLoad    = fs.Bool("mmap", false, "serve model coefficients zero-copy from page-mapped artifacts (falls back to copy)")
-		clusterMode = fs.Bool("cluster", false, "shard the models under -models across -peers by consistent hashing")
-		self        = fs.String("self", "", "this replica's advertised host:port on the ring (required with -cluster)")
-		peers       = fs.String("peers", "", "comma-separated replica addresses forming the cluster (self is added if missing)")
-		vnodes      = fs.Int("vnodes", 0, "virtual nodes per ring member (0 = library default)")
-		learnOn     = fs.Bool("learn", false, "accept labeled rows over POST /learn and refit the live model on them")
-		learnCap    = fs.Int("learn-cap", 65536, "labeled rows buffered per model for /learn before backpressure")
-		refitPath   = fs.String("refit", "", "LIBSVM file of labeled rows to refit the live model on (optional)")
-		refitEvery  = fs.Duration("refit-every", 2*time.Second, "publish a new model version this often while refitting")
-		refitW      = fs.Int("refit-workers", 0, "lock-free refit solver workers (0 = all cores)")
-		refitKind   = fs.String("refit-task", "", "refit task when the model is untyped: lasso, svm or pegasos (default: from the model header)")
-		refitLambda = fs.Float64("refit-lambda", 0, "refit regularization override (0 = the model header's lambda)")
-		refitMu     = fs.Int("refit-mu", 1, "refit lasso block size")
-		refitSeed   = fs.Uint64("refit-seed", 42, "refit sampling seed")
-		refitPubs   = fs.Int("refit-publishes", 0, "stop refitting after this many publishes (0 = run until shutdown)")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	err := serveMain(ctx, stdout, &config{
-		modelDir: *modelDir, addr: *addr, watch: *watch,
-		maxBatch: *maxBatch, batchWindow: *batchWindow, workers: *workers,
-		queueDepth: *queueDepth, maxQueueDelay: *maxQDelay, mmap: *mmapLoad,
-		cluster: *clusterMode, self: *self, peers: *peers, vnodes: *vnodes,
-		learn: *learnOn, learnCap: *learnCap,
-		refitPath: *refitPath, refitEvery: *refitEvery, refitW: *refitW,
-		refitKind: *refitKind, refitLambda: *refitLambda, refitMu: *refitMu,
-		refitSeed: *refitSeed, refitPubs: *refitPubs,
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "saserve: %v\n", err)
-		var ue usageError
-		if errors.As(err, &ue) {
-			fs.PrintDefaults()
-			return 2
-		}
-		return 1
-	}
-	return 0
+	var c config
+	return cli.Main("saserve", args, stderr, c.bind, func([]string) error { return c.serve(ctx, stdout) })
 }
 
-// config carries the parsed flags.
+// config is the parsed command line; the flags that are a library
+// option are bound straight into it.
 type config struct {
-	modelDir, addr  string
-	watch           time.Duration
-	maxBatch        int
-	batchWindow     time.Duration
-	workers         int
-	queueDepth      int
-	maxQueueDelay   time.Duration
-	mmap            bool
-	cluster         bool
-	self, peers     string
-	vnodes          int
-	learn           bool
-	learnCap        int
-	refitPath       string
-	refitEvery      time.Duration
-	refitW, refitMu int
-	refitKind       string
-	refitLambda     float64
-	refitSeed       uint64
-	refitPubs       int
+	modelDir, addr       string
+	watch                time.Duration
+	serving              saco.ServeOptions
+	refit                saco.RefitOptions
+	mmap, cluster, learn bool
+	self, peers          string
+	vnodes, learnCap     int
+	refitPath, refitKind string
 }
 
-// splitPeers parses the -peers comma list, dropping empty entries.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.modelDir, "models", "", "model registry directory (required); cluster mode shards its subdirectories")
+	fs.StringVar(&c.addr, "addr", ":8700", "HTTP listen address")
+	fs.DurationVar(&c.watch, "watch", 2*time.Second, "poll the model directory this often for new versions")
+	fs.IntVar(&c.serving.MaxBatch, "max-batch", 256, "max rows coalesced into one scoring kernel call")
+	fs.DurationVar(&c.serving.BatchWindow, "batch-window", 500*time.Microsecond, "micro-batch linger window after the first request of a batch")
+	fs.IntVar(&c.serving.Workers, "workers", 0, "scoring kernel width on the persistent pool (0 = all cores)")
+	fs.IntVar(&c.serving.QueueDepth, "queue-depth", 1024, "dispatcher queue bound; a full queue answers 429 immediately")
+	fs.DurationVar(&c.serving.MaxQueueDelay, "max-queue-delay", 0, "shed requests queued longer than this before scoring (0 = never)")
+	fs.BoolVar(&c.mmap, "mmap", false, "serve model coefficients zero-copy from page-mapped artifacts (falls back to copy)")
+	fs.BoolVar(&c.cluster, "cluster", false, "shard the models under -models across -peers by consistent hashing")
+	fs.StringVar(&c.self, "self", "", "this replica's advertised host:port on the ring (required with -cluster)")
+	fs.StringVar(&c.peers, "peers", "", "comma-separated replica addresses forming the cluster (self is added if missing)")
+	fs.IntVar(&c.vnodes, "vnodes", 0, "virtual nodes per ring member (0 = library default)")
+	fs.BoolVar(&c.learn, "learn", false, "accept labeled rows over POST /learn and refit the live model on them")
+	fs.IntVar(&c.learnCap, "learn-cap", 65536, "labeled rows buffered per model for /learn before backpressure")
+	fs.StringVar(&c.refitPath, "refit", "", "LIBSVM file of labeled rows to refit the live model on (optional)")
+	fs.DurationVar(&c.refit.Every, "refit-every", 2*time.Second, "publish a new model version this often while refitting")
+	fs.IntVar(&c.refit.Workers, "refit-workers", 0, "lock-free refit solver workers (0 = all cores)")
+	fs.StringVar(&c.refitKind, "refit-task", "", "refit task when the model is untyped: lasso, svm or pegasos (default: from the model header)")
+	fs.Float64Var(&c.refit.Lambda, "refit-lambda", 0, "refit regularization override (0 = the model header's lambda)")
+	fs.IntVar(&c.refit.BlockSize, "refit-mu", 1, "refit lasso block size")
+	fs.Uint64Var(&c.refit.Seed, "refit-seed", 42, "refit sampling seed")
+	fs.IntVar(&c.refit.MaxPublishes, "refit-publishes", 0, "stop refitting after this many publishes (0 = run until shutdown)")
 }
 
-// serveMain opens the registry (or joins the cluster), mounts the
-// server, and runs the watcher and (optionally) the refit loop until
-// ctx is cancelled.
-func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
+// serve opens the registry (or joins the cluster), mounts the server,
+// and runs the watcher and (optionally) the refit loop until ctx is
+// cancelled.
+func (c *config) serve(ctx context.Context, stdout io.Writer) error {
 	if c.modelDir == "" {
-		return usageError{"-models is required"}
+		return cli.Usagef("-models is required")
 	}
-	kind := saco.KindRaw
+	// Both live-refit modes (the -learn streams, the -refit file) run on
+	// these options; -refit-publishes bounds only the file replay (a
+	// stream publishes once per cycle, for as long as rows arrive).
+	refit := c.refit
+	refit.Log = stdout
 	switch c.refitKind {
 	case "":
 	case "lasso":
-		kind = saco.KindLasso
+		refit.Kind = saco.KindLasso
 	case "svm":
-		kind = saco.KindSVM
+		refit.Kind = saco.KindSVM
 	case "pegasos":
-		kind = saco.KindPegasos
+		refit.Kind = saco.KindPegasos
 	default:
-		return usageError{fmt.Sprintf("unknown -refit-task %q (lasso, svm, pegasos)", c.refitKind)}
+		return cli.Usagef("unknown -refit-task %q (lasso, svm, pegasos)", c.refitKind)
 	}
 	if c.cluster {
 		if c.self == "" {
-			return usageError{"-self is required with -cluster"}
+			return cli.Usagef("-self is required with -cluster")
 		}
 		if c.refitPath != "" {
-			return usageError{"-refit is file-based and single-model; with -cluster use -learn"}
+			return cli.Usagef("-refit is file-based and single-model; with -cluster use -learn")
 		}
 	}
 	mode := saco.LoadCopy
@@ -203,15 +155,13 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 	}()
 
 	mr := saco.NewMetricsRegistry()
-	opt := saco.ServeOptions{
-		MaxBatch: c.maxBatch, BatchWindow: c.batchWindow, Workers: c.workers,
-		QueueDepth: c.queueDepth, MaxQueueDelay: c.maxQueueDelay,
-		Metrics: mr,
-	}
+	opt := c.serving
+	opt.Metrics = mr
 	if c.learn {
 		opt.LearnCap = c.learnCap
-		refitSteps := mr.Counter("saco_refit_steps_total", "lock-free refit solver steps")
-		refitPubsC := mr.Counter("saco_refit_publishes_total", "model versions published by live refits")
+		stream := refit
+		stream.Steps = mr.Counter("saco_refit_steps_total", "lock-free refit solver steps")
+		stream.Publishes = mr.Counter("saco_refit_publishes_total", "model versions published by live refits")
 		opt.OnLearn = func(name string, reg *saco.ModelRegistry, buf *saco.LearnBuffer) {
 			label := name
 			if label == "" {
@@ -221,11 +171,7 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 			learners.Add(1)
 			go func() {
 				defer learners.Done()
-				err := saco.RefitStream(runCtx, reg, buf, saco.RefitOptions{
-					Every: c.refitEvery, Workers: c.refitW, Seed: c.refitSeed,
-					BlockSize: c.refitMu, Lambda: c.refitLambda, Kind: kind,
-					Steps: refitSteps, Publishes: refitPubsC, Log: stdout,
-				})
+				err := saco.RefitStream(runCtx, reg, buf, stream)
 				if err != nil && runCtx.Err() == nil {
 					fmt.Fprintf(stdout, "learn refit %s failed: %v\n", label, err)
 				}
@@ -238,7 +184,9 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 		reg *saco.ModelRegistry
 	)
 	if c.cluster {
-		cl, err := saco.NewCluster(c.modelDir, c.self, splitPeers(c.peers), saco.ServeClusterOptions{
+		// -peers is a comma list; blanks and empty entries are dropped.
+		peers := strings.FieldsFunc(c.peers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		cl, err := saco.NewCluster(c.modelDir, c.self, peers, saco.ServeClusterOptions{
 			VNodes: c.vnodes, Mode: mode, RescanEvery: c.watch, Metrics: mr,
 		})
 		if err != nil {
@@ -288,14 +236,8 @@ func serveMain(ctx context.Context, stdout io.Writer, c *config) error {
 			hs.Close()
 			return fmt.Errorf("loading -refit data: %w", err)
 		}
-		fmt.Fprintf(stdout, "refitting on %s: %d rows, publishing every %v\n", c.refitPath, a.M, c.refitEvery)
-		go func() {
-			refitDone <- saco.Refit(runCtx, reg, a, b, saco.RefitOptions{
-				Every: c.refitEvery, Workers: c.refitW, Seed: c.refitSeed,
-				BlockSize: c.refitMu, Lambda: c.refitLambda, Kind: kind,
-				MaxPublishes: c.refitPubs, Log: stdout,
-			})
-		}()
+		fmt.Fprintf(stdout, "refitting on %s: %d rows, publishing every %v\n", c.refitPath, a.M, refit.Every)
+		go func() { refitDone <- saco.Refit(runCtx, reg, a, b, refit) }()
 	}
 
 	shutdown := func() error {

@@ -15,7 +15,7 @@
 package main
 
 import (
-	"errors"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -27,143 +27,92 @@ import (
 	"strings"
 
 	"saco"
+	"saco/cmd/internal/cli"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// usageError marks a bad invocation: run prints the flag defaults and
-// exits 2, like flag's own parse failures.
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
-// run is the whole program behind a testable seam: it parses args on
-// its own FlagSet, writes to the given streams, and returns the process
-// exit code instead of calling os.Exit.
+// run is the whole program behind cli.Main's testable seam.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("sasolve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		dataPath   = fs.String("data", "", "LIBSVM input file (required)")
-		task       = fs.String("task", "lasso", "lasso, svm or pegasos")
-		iters      = fs.Int("iters", 1000, "iterations H")
-		s          = fs.Int("s", 1, "recurrence unrolling parameter (1 = classical)")
-		seed       = fs.Uint64("seed", 42, "sampling seed")
-		outPath    = fs.String("out", "", "write the model here in the versioned binary format (.sacm) saserve serves, whatever the file's suffix")
-		track      = fs.Int("track", 0, "print convergence every N iterations")
-		lambdaFrac = fs.Float64("lambda-frac", 0.1, "lasso: lambda as a fraction of ||A'b||_inf")
-		mu         = fs.Int("mu", 1, "lasso: block size")
-		accel      = fs.Bool("accel", false, "lasso: Nesterov acceleration")
-		lambda     = fs.Float64("lambda", 1, "svm: penalty parameter")
-		loss       = fs.String("loss", "l1", "svm: l1 (hinge) or l2 (squared hinge)")
-		tol        = fs.Float64("tol", 0, "svm: stop at this duality gap")
-		simP       = fs.Int("simulate", 0, "run on a distributed cluster with this many ranks (0 = local)")
-		transport  = fs.String("transport", "sim", "distributed runs: rank transport, sim (in-process simulated world) or tcp (real loopback TCP mesh; trajectories are bitwise identical)")
-		machine    = fs.String("machine", "cray", "simulated platform: cray, ethernet, spark")
-		rankW      = fs.Int("rank-workers", 0, "simulated runs: per-rank core budget for hybrid rank x thread execution (0/1 = flat MPI)")
-		backend    = fs.String("backend", "sequential", "local backend: sequential, multicore or async")
-		workers    = fs.Int("workers", 0, "width of -backend multicore|async (0 or -1 = all cores); a usage error with the sequential backend")
-		streaming  = fs.Bool("stream", false, "solve out of core: spill the dataset to row-block shards and stream them (bounded memory)")
-		blockRows  = fs.Int("block-rows", 8192, "streaming: rows per shard")
-		cacheDir   = fs.String("cache-dir", "", "streaming: shard cache directory (reused if it holds a manifest; default: a temp dir removed on exit)")
-		layout     = fs.String("layout", "csr", "streaming ingest: shard layout, csr or csc (csc makes Lasso column access conversion-free)")
-		codec      = fs.String("codec", "raw", "streaming ingest: shard codec, raw or delta (delta-varint roughly halves url-like shard bytes)")
-		useMmap    = fs.Bool("mmap", false, "streaming: read shards via mmap instead of copying (zero-copy raw vals; falls back to copy reads where unsupported)")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the solve to this file")
-		memProf    = fs.String("memprofile", "", "write a heap profile after the solve to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0 // -h is a successful invocation, like flag.ExitOnError's os.Exit(0)
-		}
-		return 2
-	}
-	err := solve(stdout, &options{
-		dataPath: *dataPath, task: *task, iters: *iters, s: *s, seed: *seed,
-		outPath: *outPath, track: *track, lambdaFrac: *lambdaFrac, mu: *mu,
-		accel: *accel, lambda: *lambda, loss: *loss, tol: *tol, simP: *simP,
-		transport: *transport, machine: *machine, rankW: *rankW,
-		backend: *backend, workers: *workers,
-		streaming: *streaming, blockRows: *blockRows, cacheDir: *cacheDir,
-		layout: *layout, codec: *codec, useMmap: *useMmap,
-		cpuProf: *cpuProf, memProf: *memProf,
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "sasolve: %v\n", err)
-		var ue usageError
-		if errors.As(err, &ue) {
-			fs.PrintDefaults()
-			return 2
-		}
-		return 1
-	}
-	return 0
+	var o options
+	return cli.Main("sasolve", args, stderr, o.bind, func([]string) error { return o.solve(stdout) })
 }
 
-// options carries the parsed flags into solve.
+// options is the parsed command line: the problem (cli.Spec, shared
+// with sarank) and what is sasolve's own — where the solve runs, how
+// the data is held, and what is written besides the report.
 type options struct {
-	dataPath, task, outPath    string
-	iters, s, track, mu        int
-	seed                       uint64
-	lambdaFrac, lambda, tol    float64
-	accel                      bool
-	loss, transport, machine   string
-	simP, rankW, workers       int
-	backend                    string
-	streaming                  bool
-	blockRows                  int
-	layout, codec              string
-	useMmap                    bool
-	cacheDir, cpuProf, memProf string
+	cli.Spec
+	outPath            string
+	simP, rankW        int
+	transport, backend string
+	workers            int
+	streaming, useMmap bool
+	blockRows          int
+	cacheDir           string
+	layout, codec      string
+	cpuProf, memProf   string
+}
+
+func (o *options) bind(fs *flag.FlagSet) {
+	o.Spec.Bind(fs, "lasso", "svm", "pegasos")
+	fs.StringVar(&o.outPath, "out", "", "write the model here in the versioned binary format (.sacm) saserve serves, whatever the file's suffix")
+	fs.IntVar(&o.simP, "simulate", 0, "run on a distributed cluster with this many ranks (0 = local)")
+	fs.StringVar(&o.transport, "transport", "sim", "distributed runs: rank transport, sim (in-process simulated world) or tcp (real loopback TCP mesh; trajectories are bitwise identical)")
+	fs.IntVar(&o.rankW, "rank-workers", 0, "simulated runs: per-rank core budget for hybrid rank x thread execution (0/1 = flat MPI)")
+	fs.StringVar(&o.backend, "backend", "sequential", "local backend: sequential, multicore or async")
+	fs.IntVar(&o.workers, "workers", 0, "width of -backend multicore|async (0 or -1 = all cores); a usage error with the sequential backend")
+	fs.BoolVar(&o.streaming, "stream", false, "solve out of core: spill the dataset to row-block shards and stream them (bounded memory)")
+	fs.IntVar(&o.blockRows, "block-rows", 8192, "streaming: rows per shard")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "streaming: shard cache directory (reused if it holds a manifest; default: a temp dir removed on exit)")
+	fs.StringVar(&o.layout, "layout", "csr", "streaming ingest: shard layout, csr or csc (csc makes Lasso column access conversion-free)")
+	fs.StringVar(&o.codec, "codec", "raw", "streaming ingest: shard codec, raw or delta (delta-varint roughly halves url-like shard bytes)")
+	fs.BoolVar(&o.useMmap, "mmap", false, "streaming: read shards via mmap instead of copying (zero-copy raw vals; falls back to copy reads where unsupported)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the solve to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile after the solve to this file")
+}
+
+// dataset is the loaded training data — resident or streamed from the
+// shard cache — as the three views the solvers take.
+type dataset struct {
+	cols   func() saco.ColMatrix // built on demand: the resident CSC is a full transpose
+	rows   saco.RowMatrix
+	source saco.ClusterSource
+	b      []float64
 }
 
 // solve validates the options and runs one fit end to end. All exits
 // flow back through error returns, so deferred cleanup (profiles, temp
-// shard caches) always runs — unlike the old os.Exit path, which could
-// leave a truncated CPU profile behind.
-func solve(stdout io.Writer, o *options) (err error) {
+// shard caches) always runs.
+func (o *options) solve(stdout io.Writer) (err error) {
 	exec, err := resolveBackend(o.backend, o.workers)
 	if err != nil {
 		return err
 	}
-	switch o.task {
-	case "lasso", "svm", "pegasos":
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	cluster := saco.Cluster{P: o.simP, RankWorkers: o.rankW, Machine: o.Machine}
+	switch o.transport {
+	case "", "sim":
+		cluster.Transport = saco.TransportSim
+	case "tcp":
+		cluster.Transport = saco.TransportTCP
 	default:
-		return usageError{fmt.Sprintf("unknown task %q (lasso, svm, pegasos)", o.task)}
-	}
-	loss, err := saco.ParseSVMLoss(o.loss)
-	if err != nil {
-		return usageError{err.Error()}
-	}
-	if o.dataPath == "" {
-		return usageError{"-data is required"}
-	}
-	cluster := saco.Cluster{P: o.simP, RankWorkers: o.rankW}
-	if o.simP > 0 {
-		if cluster.Machine, err = saco.MachineByName(o.machine); err != nil {
-			return usageError{err.Error()}
-		}
-		switch o.transport {
-		case "", "sim":
-			cluster.Transport = saco.TransportSim
-		case "tcp":
-			cluster.Transport = saco.TransportTCP
-		default:
-			return usageError{fmt.Sprintf("unknown transport %q (sim, tcp)", o.transport)}
-		}
+		return cli.Usagef("unknown transport %q (sim, tcp)", o.transport)
 	}
 	if o.streaming && exec.Backend == saco.BackendAsync {
-		return usageError{"-stream runs the solver sequentially (streamed shards have no atomic kernels); drop -backend async"}
+		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no atomic kernels); drop -backend async")
 	}
 	layout, err := saco.ParseStreamLayout(o.layout)
 	if err != nil {
-		return usageError{fmt.Sprintf("unknown layout %q (csr, csc)", o.layout)}
+		return cli.Usagef("unknown layout %q (csr, csc)", o.layout)
 	}
 	codec, err := saco.ParseStreamCodec(o.codec)
 	if err != nil {
-		return usageError{fmt.Sprintf("unknown codec %q (raw, delta)", o.codec)}
+		return cli.Usagef("unknown codec %q (raw, delta)", o.codec)
 	}
 
 	if o.cpuProf != "" {
@@ -186,12 +135,7 @@ func solve(stdout io.Writer, o *options) (err error) {
 	}
 
 	// Load the data: resident CSR, or the out-of-core shard cache.
-	var (
-		ds *saco.StreamDataset
-		a  *saco.CSR
-		b  []float64
-	)
-	trainRows := 0
+	var d dataset
 	if o.streaming {
 		dir := o.cacheDir
 		if dir == "" {
@@ -202,125 +146,63 @@ func solve(stdout io.Writer, o *options) (err error) {
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
-		if _, statErr := os.Stat(filepath.Join(dir, "manifest.bin")); statErr == nil {
-			ds, err = saco.OpenStream(dir)
-			if err != nil {
-				return err
-			}
-			if !ds.SourceMatches(o.dataPath) {
-				return fmt.Errorf("shard cache %s was built from different data than %s (size or mtime changed); delete the cache or pick another -cache-dir", dir, o.dataPath)
-			}
-			fmt.Fprintf(stdout, "reusing shard cache %s\n", dir)
-		} else {
-			ds, err = saco.BuildStream(o.dataPath, dir, saco.StreamOptions{
-				BlockRows: o.blockRows, Layout: layout, Codec: codec,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if o.useMmap {
-			ds.SetReadMode(saco.StreamMmap)
-		}
-		b = ds.B
-		m, n := ds.Dims()
-		trainRows = m
-		fmt.Fprintf(stdout, "streaming %s: %d points, %d features, %.4g%% nonzero, %d shards x %d rows\n",
-			o.dataPath, m, n, 100*ds.Density(), ds.NumShards(), ds.BlockRows())
-		// Reused caches keep their ingest-time layout/codec, so report
-		// the manifest's values rather than the flags'.
-		if bytes, err := ds.ShardBytes(); err == nil {
-			fmt.Fprintf(stdout, "shards: layout=%s codec=%s read=%s, %.1f MiB on disk\n",
-				ds.Layout(), ds.Codec(), ds.ReadMode(), float64(bytes)/(1<<20))
-		}
-	} else {
-		a, b, err = saco.LoadLIBSVM(o.dataPath, 0)
+		ds, err := o.openStream(stdout, dir, layout, codec)
 		if err != nil {
 			return err
 		}
-		trainRows = a.M
-		fmt.Fprintf(stdout, "loaded %s: %d points, %d features, %.4g%% nonzero\n",
-			o.dataPath, a.M, a.N, 100*a.Density())
+		d = dataset{func() saco.ColMatrix { return ds.Cols() }, ds.Rows(), ds, ds.B}
+	} else {
+		a, b, err := o.Load(stdout)
+		if err != nil {
+			return err
+		}
+		d = dataset{func() saco.ColMatrix { return a.ToCSC() }, a, saco.MatrixSource(a), b}
 	}
 	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
 	var x []float64
-	modelKind := saco.KindRaw
-	modelLambda := 0.0
-	switch o.task {
+	var kind saco.ModelKind
+	lambda := o.Lambda
+	switch o.Task {
 	case "lasso":
-		var cols saco.ColMatrix
-		if o.streaming {
-			cols = ds.Cols()
-		} else {
-			cols = a.ToCSC()
-		}
-		lam := o.lambdaFrac * saco.LambdaMax(cols, b)
-		modelKind, modelLambda = saco.KindLasso, lam
-		opt := saco.LassoOptions{
-			Lambda: lam, BlockSize: o.mu, Iters: o.iters, S: o.s,
-			Accelerated: o.accel, Seed: o.seed, TrackEvery: o.track, Exec: exec,
-		}
+		cols := d.cols()
+		opt := o.LassoOptions(cols, d.b)
+		opt.Exec = exec
+		kind, lambda = saco.KindLasso, opt.Lambda
 		if o.simP > 0 {
-			var src saco.ClusterSource
-			if o.streaming {
-				src = ds
-			} else {
-				src = saco.MatrixSource(a)
-			}
-			res, err := saco.DistLasso(src, b, opt, cluster)
+			res, err := saco.DistLasso(d.source, d.b, opt, cluster)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "%s P=%d%s (%s): modeled time %.4es, %d messages, %d words\n",
-				runLabel(cluster), o.simP, hybridSuffix(o.rankW), cluster.Machine.Name, res.ModeledSeconds(),
-				res.Stats.TotalMsgs(), res.Stats.TotalWords())
-			fmt.Fprintf(stdout, "final objective %.6e  (lambda=%.4g)\n", res.Objective, lam)
+			o.ReportLasso(stdout, who(cluster), res, lambda)
 			x = res.X
 			break
 		}
-		res, err := saco.Lasso(cols, b, opt)
+		res, err := saco.Lasso(cols, d.b, opt)
 		if err != nil {
 			return err
 		}
 		for _, p := range res.History {
-			fmt.Fprintf(stdout, "iter %8d  objective %.6e\n", p.Iter, p.Value)
+			cli.Point(stdout, "objective", p.Iter, p.Value)
 		}
 		_, n := cols.Dims()
 		fmt.Fprintf(stdout, "final objective %.6e  selected features %d/%d  (lambda=%.4g)\n",
-			res.Objective, res.NNZ(), n, lam)
+			res.Objective, res.NNZ(), n, lambda)
 		x = res.X
 	case "svm":
-		modelKind, modelLambda = saco.KindSVM, o.lambda
-		opt := saco.SVMOptions{
-			Lambda: o.lambda, Loss: loss, Iters: o.iters, S: o.s, Seed: o.seed,
-			TrackEvery: o.track, Tol: o.tol, Exec: exec,
-		}
+		kind = saco.KindSVM
+		opt := o.SVMOptions()
+		opt.Exec = exec
 		if o.simP > 0 {
-			var src saco.ClusterSource
-			if o.streaming {
-				src = ds
-			} else {
-				src = saco.MatrixSource(a)
-			}
-			res, err := saco.DistSVM(src, b, opt, cluster)
+			res, err := saco.DistSVM(d.source, d.b, opt, cluster)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "%s P=%d%s (%s): modeled time %.4es, %d messages, %d words\n",
-				runLabel(cluster), o.simP, hybridSuffix(o.rankW), cluster.Machine.Name, res.ModeledSeconds(),
-				res.Stats.TotalMsgs(), res.Stats.TotalWords())
-			fmt.Fprintf(stdout, "final duality gap %.6e after %d iterations\n", res.Gap, res.Iters)
+			o.ReportSVM(stdout, who(cluster), res)
 			x = res.X
 			break
 		}
-		var rows saco.RowMatrix
-		if o.streaming {
-			rows = ds.Rows()
-		} else {
-			rows = a
-		}
-		res, err := saco.SVM(rows, b, opt)
+		res, err := saco.SVM(d.rows, d.b, opt)
 		if err != nil {
 			return err
 		}
@@ -331,15 +213,9 @@ func solve(stdout io.Writer, o *options) (err error) {
 			res.Gap, res.Iters, res.SupportVectors())
 		x = res.X
 	case "pegasos":
-		modelKind, modelLambda = saco.KindPegasos, o.lambda
-		var rows saco.RowMatrix
-		if o.streaming {
-			rows = ds.Rows()
-		} else {
-			rows = a
-		}
-		res, err := saco.PegasosSVM(rows, b, saco.SVMOptions{
-			Lambda: o.lambda, Iters: o.iters, Seed: o.seed, TrackEvery: o.track, Exec: exec,
+		kind = saco.KindPegasos
+		res, err := saco.PegasosSVM(d.rows, d.b, saco.SVMOptions{
+			Lambda: o.Lambda, Iters: o.Iters, Seed: o.Seed, TrackEvery: o.Track, Exec: exec,
 		})
 		if err != nil {
 			return err
@@ -352,14 +228,14 @@ func solve(stdout io.Writer, o *options) (err error) {
 	}
 
 	if o.outPath != "" {
-		m := saco.NewModel(modelKind, x)
-		m.TrainRows = trainRows
-		m.Lambda = modelLambda
+		m := saco.NewModel(kind, x)
+		m.TrainRows = len(d.b)
+		m.Lambda = lambda
 		if err := saco.SaveModel(o.outPath, m); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "binary model written to %s (%s, %d/%d nonzero)\n",
-			o.outPath, modelKind, m.NNZ(), m.Features)
+			o.outPath, kind, m.NNZ(), m.Features)
 	}
 
 	if rss, ok := peakRSS(); ok {
@@ -371,21 +247,51 @@ func solve(stdout io.Writer, o *options) (err error) {
 	}
 
 	if o.memProf != "" {
-		f, err := os.Create(o.memProf)
-		if err != nil {
-			return err
-		}
 		runtime.GC() // settle allocations so the profile shows retained heap
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
+		var prof bytes.Buffer
+		if err := pprof.WriteHeapProfile(&prof); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(o.memProf, prof.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "heap profile written to %s\n", o.memProf)
 	}
 	return nil
+}
+
+// openStream opens the shard cache in dir when it holds a manifest built
+// from -data, ingests -data into it otherwise, and reports what the
+// solve will stream.
+func (o *options) openStream(stdout io.Writer, dir string, layout saco.StreamLayout, codec saco.StreamCodec) (*saco.StreamDataset, error) {
+	var ds *saco.StreamDataset
+	var err error
+	if _, statErr := os.Stat(filepath.Join(dir, "manifest.bin")); statErr == nil {
+		if ds, err = saco.OpenStream(dir); err != nil {
+			return nil, err
+		}
+		if !ds.SourceMatches(o.Data) {
+			return nil, fmt.Errorf("shard cache %s was built from different data than %s (size or mtime changed); delete the cache or pick another -cache-dir", dir, o.Data)
+		}
+		fmt.Fprintf(stdout, "reusing shard cache %s\n", dir)
+	} else if ds, err = saco.BuildStream(o.Data, dir, saco.StreamOptions{
+		BlockRows: o.blockRows, Layout: layout, Codec: codec,
+	}); err != nil {
+		return nil, err
+	}
+	if o.useMmap {
+		ds.SetReadMode(saco.StreamMmap)
+	}
+	m, n := ds.Dims()
+	fmt.Fprintf(stdout, "streaming %s: %d points, %d features, %.4g%% nonzero, %d shards x %d rows\n",
+		o.Data, m, n, 100*ds.Density(), ds.NumShards(), ds.BlockRows())
+	// Reused caches keep their ingest-time layout/codec, so report
+	// the manifest's values rather than the flags'.
+	if bytes, err := ds.ShardBytes(); err == nil {
+		fmt.Fprintf(stdout, "shards: layout=%s codec=%s read=%s, %.1f MiB on disk\n",
+			ds.Layout(), ds.Codec(), ds.ReadMode(), float64(bytes)/(1<<20))
+	}
+	return ds, nil
 }
 
 // resolveBackend maps the -backend/-workers pair onto an Exec. -workers
@@ -395,7 +301,7 @@ func resolveBackend(backend string, workers int) (saco.Exec, error) {
 	switch backend {
 	case "sequential":
 		if workers != 0 {
-			return saco.Exec{}, usageError{fmt.Sprintf("-workers %d needs a parallel backend: add -backend multicore (or async)", workers)}
+			return saco.Exec{}, cli.Usagef("-workers %d needs a parallel backend: add -backend multicore (or async)", workers)
 		}
 		return saco.Exec{}, nil
 	case "multicore":
@@ -403,26 +309,24 @@ func resolveBackend(backend string, workers int) (saco.Exec, error) {
 	case "async":
 		return saco.Async(workers), nil
 	default:
-		return saco.Exec{}, usageError{fmt.Sprintf("unknown backend %q (sequential, multicore, async)", backend)}
+		return saco.Exec{}, cli.Usagef("unknown backend %q (sequential, multicore, async)", backend)
 	}
 }
 
-// runLabel names the distributed execution backend in the stats line:
-// "simulated" keeps the historical output for the default in-process
-// world, "distributed tcp" marks runs whose ranks exchanged real bytes.
-func runLabel(cluster saco.Cluster) string {
-	if cluster.Transport == saco.TransportTCP {
-		return "distributed tcp"
+// who names the distributed execution in the cost line: "simulated"
+// keeps the historical output for the default in-process world,
+// "distributed tcp" marks runs whose ranks exchanged real bytes, and a
+// hybrid run appends its rank×thread shape.
+func who(c saco.Cluster) string {
+	s := "simulated"
+	if c.Transport == saco.TransportTCP {
+		s = "distributed tcp"
 	}
-	return "simulated"
-}
-
-// hybridSuffix renders the rank×thread shape of a hybrid simulated run.
-func hybridSuffix(rankWorkers int) string {
-	if rankWorkers > 1 {
-		return fmt.Sprintf("x%d cores", rankWorkers)
+	s += fmt.Sprintf(" P=%d", c.P)
+	if c.RankWorkers > 1 {
+		s += fmt.Sprintf("x%d cores", c.RankWorkers)
 	}
-	return ""
+	return s
 }
 
 // peakRSS returns the process's high-water resident set size in bytes

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -372,4 +376,91 @@ func finalObjective(t *testing.T, out string) string {
 	}
 	t.Fatalf("no final objective in %q", out)
 	return ""
+}
+
+// trackedLines returns the "iter …" convergence lines of a run's stdout.
+func trackedLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "iter ") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestSimulateTrackMatchesSarank: -simulate P -track N prints rank 0's
+// tracked points through the reporter sarank uses, so the lines of the
+// simulated world, of the in-process TCP mesh and of a real 3-process
+// sarank cluster given the same flags are the same bytes. (Before the
+// shared reporter, sasolve paid for every tracked objective and printed
+// none.)
+func TestSimulateTrackMatchesSarank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the sarank binary and runs a 3-process loopback cluster")
+	}
+	sarank := filepath.Join(t.TempDir(), "sarank")
+	if out, err := exec.Command("go", "build", "-o", sarank, "saco/cmd/sarank").CombinedOutput(); err != nil {
+		t.Fatalf("building sarank: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	reg := saco.Regression("track-lasso", 23, 200, 100, 0.15, 6, 0.05)
+	cls := saco.Classification("track-svm", 29, 160, 80, 0.2, 0.1)
+	for _, tc := range []struct {
+		task, what string
+		d          *saco.Dataset
+		flags      []string
+	}{
+		{"lasso", "objective", reg, []string{"-lambda-frac", "0.1", "-mu", "4", "-s", "8", "-accel", "-iters", "400", "-seed", "7", "-track", "80"}},
+		{"svm", "gap", cls, []string{"-lambda", "1e-3", "-s", "8", "-iters", "300", "-seed", "3", "-track", "60"}},
+	} {
+		t.Run(tc.task, func(t *testing.T) {
+			path := filepath.Join(dir, tc.task+".svm")
+			if err := saco.SaveLIBSVM(path, tc.d.AsCSR(), tc.d.B); err != nil {
+				t.Fatal(err)
+			}
+			common := append([]string{"-task", tc.task, "-data", path}, tc.flags...)
+
+			code, sim, stderr := runCLI(t, append(common, "-simulate", "3")...)
+			if code != 0 {
+				t.Fatalf("-simulate 3 failed (%d): %s", code, stderr)
+			}
+			want := trackedLines(sim)
+			if len(want) != 5 || !strings.Contains(want[0], "  "+tc.what+" ") {
+				t.Fatalf("-simulate 3 -track printed %q, want 5 tracked %s lines", want, tc.what)
+			}
+			code, tcp, stderr := runCLI(t, append(common, "-simulate", "3", "-transport", "tcp")...)
+			if code != 0 {
+				t.Fatalf("-transport tcp failed (%d): %s", code, stderr)
+			}
+			if got := trackedLines(tcp); !slices.Equal(got, want) {
+				t.Fatalf("tracked lines differ, tcp vs sim:\n%q\n%q", got, want)
+			}
+
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+			outs := make([]bytes.Buffer, 3)
+			errs := make([]bytes.Buffer, 3)
+			ranks := make([]*exec.Cmd, 3)
+			for r := range ranks {
+				ranks[r] = exec.Command(sarank, append([]string{"-rank", fmt.Sprint(r), "-size", "3", "-addr", addr}, common...)...)
+				ranks[r].Stdout, ranks[r].Stderr = &outs[r], &errs[r]
+				if err := ranks[r].Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r, cmd := range ranks {
+				if err := cmd.Wait(); err != nil {
+					t.Errorf("sarank rank %d: %v\n%s", r, err, errs[r].String())
+				}
+			}
+			if got := trackedLines(outs[0].String()); !slices.Equal(got, want) {
+				t.Fatalf("tracked lines differ, sarank cluster vs sasolve -simulate:\n%q\n%q", got, want)
+			}
+		})
+	}
 }

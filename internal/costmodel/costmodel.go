@@ -21,17 +21,7 @@ type Problem struct {
 	H        int     // iterations
 	S        int     // recurrence unrolling parameter (1 = classical)
 	P        int     // processors
-	Cores    int     // per-rank core budget for hybrid rank×thread runs (0/1 = flat MPI)
 	HalfPack bool    // send only the Gram upper triangle (paper §III fn. 3)
-}
-
-// cores returns the effective per-rank core budget: 0 and 1 both mean
-// flat MPI.
-func (pb Problem) cores() float64 {
-	if pb.Cores > 1 {
-		return float64(pb.Cores)
-	}
-	return 1
 }
 
 // logP returns ⌈log₂P⌉, the round count of the binomial-tree collectives.
@@ -105,19 +95,15 @@ func (pb Problem) Time(mc mpi.Machine) float64 {
 	return comp + comm
 }
 
-// CompTime returns the modeled computation component of Time. With a
-// per-rank core budget (hybrid rank×thread runs) the data-parallel terms
-// — Gram assembly and the streamed products over the owned row block —
-// divide by Cores; the µ³ eigensolve every rank performs redundantly
-// does not, which is why hybrid speedup saturates once the redundant
-// scalar work dominates (Amdahl inside the rank).
+// CompTime returns the modeled computation component of Time: Gram
+// assembly and the streamed products over the owned row block, plus the
+// µ³ eigensolve every rank performs redundantly.
 func (pb Problem) CompTime(mc mpi.Machine) float64 {
 	fmP := pb.Density * float64(pb.M) / float64(pb.P)
 	mu := float64(pb.Mu)
 	k := float64(pb.S) * mu
-	cr := pb.cores()
-	gramFlops := float64(pb.H) * 2 * float64(pb.S) * mu * mu * fmP / cr
-	streamFlops := float64(pb.H) * (2*mu*fmP/cr + mu*mu*mu)
+	gramFlops := float64(pb.H) * 2 * float64(pb.S) * mu * mu * fmP
+	streamFlops := float64(pb.H) * (2*mu*fmP + mu*mu*mu)
 	gamma := mc.GammaStream
 	if pb.S*pb.Mu > 1 {
 		ws := int(k*k) + int(2*k*fmP)

@@ -181,38 +181,3 @@ func TestP1HasNoCommunication(t *testing.T) {
 		t.Fatal("P=1 comm time nonzero")
 	}
 }
-
-// TestHybridCores pins the hybrid rank×thread model: the per-rank core
-// budget divides only the data-parallel flop terms, so time strictly
-// decreases with cores while communication is untouched, and the
-// redundant µ³ eigensolve bounds the achievable speedup (Amdahl inside
-// the rank).
-func TestHybridCores(t *testing.T) {
-	mc := mpi.CrayXC30()
-	pb := Problem{M: 1 << 20, N: 1 << 18, Density: 1e-3, Mu: 8, H: 1000, S: 16, P: 64, HalfPack: true}
-	prev := pb.Time(mc)
-	for _, c := range []int{2, 4, 16} {
-		hy := pb
-		hy.Cores = c
-		if got := hy.Time(mc); got >= prev {
-			t.Fatalf("cores=%d: time %v not below %v", c, got, prev)
-		} else {
-			prev = got
-		}
-		if hy.CommTime(mc) != pb.CommTime(mc) {
-			t.Fatalf("cores=%d: communication time changed", c)
-		}
-		if s := pb.Time(mc) / hy.Time(mc); s <= 1 || s > float64(c) {
-			t.Fatalf("cores=%d: hybrid speedup %v outside (1, %d]", c, s, c)
-		}
-	}
-	// Redundant scalar work does not scale: with enormous µ³ relative to
-	// the kernel terms, the hybrid speedup collapses toward 1.
-	tiny := Problem{M: 64, N: 1 << 18, Density: 1e-5, Mu: 64, H: 100, S: 1, P: 64}
-	wide := tiny
-	wide.Cores = 64
-	if s := tiny.Time(mc) / wide.Time(mc); s > 1.5 {
-		t.Fatalf("Amdahl bound violated: speedup %v on eig-dominated problem", s)
-	}
-
-}

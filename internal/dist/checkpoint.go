@@ -172,9 +172,6 @@ func decodeCkpt(data []byte, fp uint64, rank, size int) (*rankCkpt, error) {
 	if len(data) < len(sackMagic)+4+8 || string(data[:8]) != sackMagic {
 		return nil, errors.New("dist: not a checkpoint file")
 	}
-	if len(data) < 8+8 {
-		return nil, errors.New("dist: short checkpoint")
-	}
 	body, tail := data[:len(data)-8], data[len(data)-8:]
 	if crc64.Checksum(body, sackCRC) != le.Uint64(tail) {
 		return nil, errors.New("dist: checkpoint checksum mismatch")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"saco/internal/mat"
 	"saco/internal/rng"
 	"saco/internal/sparse"
 )
@@ -167,7 +168,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.ToDense().Equal(back.ToDense()) {
+	if mat.MaxAbsDiff(a.ToDense(), back.ToDense()) != 0 {
 		t.Fatal("matrix changed in round trip")
 	}
 	for i := range labels {
@@ -199,7 +200,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.ToDense().Equal(back.ToDense()) || bl[2] != 1 {
+	if mat.MaxAbsDiff(a.ToDense(), back.ToDense()) != 0 || bl[2] != 1 {
 		t.Fatal("file round trip mismatch")
 	}
 	if _, _, err := ReadFile(filepath.Join(dir, "missing"), 0); err == nil {
@@ -231,7 +232,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !a.ToDense().Equal(back.ToDense()) {
+		if mat.MaxAbsDiff(a.ToDense(), back.ToDense()) != 0 {
 			return false
 		}
 		for i := range labels {

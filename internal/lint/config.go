@@ -30,6 +30,7 @@ var deterministicPkgs = map[string]bool{
 	"saco/internal/metrics":    true,
 	"saco/internal/shard":      true,
 	"saco/internal/testmatrix": true,
+	"saco/cmd/internal/cli":    true,
 	"saco/cmd/sasolve":         true,
 	"saco/cmd/sarank":          true,
 	"saco/cmd/saserve":         true,

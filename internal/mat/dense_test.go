@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randDense(rng *rand.Rand, r, c int) *Dense {
@@ -27,16 +26,12 @@ func TestDenseBasics(t *testing.T) {
 		t.Fatalf("Row = %v", row)
 	}
 	b := a.Clone()
-	if !a.Equal(b) {
+	if MaxAbsDiff(a, b) != 0 {
 		t.Fatal("Clone not equal")
 	}
 	b.Set(0, 0, 1)
-	if a.Equal(b) || a.At(0, 0) != 0 {
+	if MaxAbsDiff(a, b) != 1 || a.At(0, 0) != 0 {
 		t.Fatal("Clone aliases original")
-	}
-	at := a.T()
-	if at.R != 3 || at.C != 2 || at.At(1, 0) != 5 || at.At(2, 1) != -2 {
-		t.Fatal("transpose wrong")
 	}
 	a.Zero()
 	for _, v := range a.Data {
@@ -62,142 +57,6 @@ func TestGemvAgainstManual(t *testing.T) {
 	Gemv(2, a, x, 1, y) // y = 2*A*x + y = 2*[-2,-2] + [10,20]
 	if y[0] != 6 || y[1] != 16 {
 		t.Fatalf("Gemv = %v", y)
-	}
-}
-
-func TestGemvTAgainstExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randDense(rng, 7, 5)
-	x := make([]float64, 7)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y1 := make([]float64, 5)
-	y2 := make([]float64, 5)
-	GemvT(1.5, a, x, 0, y1)
-	Gemv(1.5, a.T(), x, 0, y2)
-	for i := range y1 {
-		if !almostEq(y1[i], y2[i], 1e-12) {
-			t.Fatalf("GemvT[%d] = %v, want %v", i, y1[i], y2[i])
-		}
-	}
-	// beta path: y_new = Aᵀx + 0.5*y_prev, with y_prev = 1.5*Aᵀx.
-	Copy(y2, y1)
-	GemvT(1, a, x, 0.5, y1)
-	for i := range y1 {
-		want := y2[i]/1.5 + 0.5*y2[i]
-		if !almostEq(y1[i], want, 1e-12) {
-			t.Fatalf("GemvT beta path [%d] = %v, want %v", i, y1[i], want)
-		}
-	}
-}
-
-func TestGemmAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randDense(rng, 4, 6)
-	b := randDense(rng, 6, 3)
-	c := NewDense(4, 3)
-	Gemm(1, a, b, 0, c)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			var want float64
-			for k := 0; k < 6; k++ {
-				want += a.At(i, k) * b.At(k, j)
-			}
-			if !almostEq(c.At(i, j), want, 1e-12) {
-				t.Fatalf("Gemm[%d,%d] = %v, want %v", i, j, c.At(i, j), want)
-			}
-		}
-	}
-}
-
-func TestGemmTNMatchesGemmOfTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randDense(rng, 8, 4)
-	b := randDense(rng, 8, 5)
-	c1 := NewDense(4, 5)
-	c2 := NewDense(4, 5)
-	GemmTN(1, a, b, 0, c1)
-	Gemm(1, a.T(), b, 0, c2)
-	if d := MaxAbsDiff(c1, c2); d > 1e-12 {
-		t.Fatalf("GemmTN differs from Gemm(Aᵀ,B) by %v", d)
-	}
-}
-
-func TestSyrkMatchesGemmTN(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randDense(rng, 9, 6)
-	c1 := NewDense(6, 6)
-	c2 := NewDense(6, 6)
-	Syrk(2, a, 0, c1)
-	GemmTN(2, a, a, 0, c2)
-	if d := MaxAbsDiff(c1, c2); d > 1e-11 {
-		t.Fatalf("Syrk differs from GemmTN by %v", d)
-	}
-	// Symmetry of the result.
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if c1.At(i, j) != c1.At(j, i) {
-				t.Fatalf("Syrk result not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestSubmatrixCopy(t *testing.T) {
-	a := NewDenseData(3, 4, []float64{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-	})
-	dst := NewDense(2, 2)
-	SubmatrixCopy(dst, a, 1, 1)
-	want := NewDenseData(2, 2, []float64{6, 7, 10, 11})
-	if !dst.Equal(want) {
-		t.Fatalf("SubmatrixCopy = %v", dst.Data)
-	}
-}
-
-// Property: (A·B)·x == A·(B·x) for random shapes.
-func TestGemmAssociativityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(6)
-		k := 1 + rng.Intn(6)
-		n := 1 + rng.Intn(6)
-		a := randDense(rng, m, k)
-		b := randDense(rng, k, n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		ab := NewDense(m, n)
-		Gemm(1, a, b, 0, ab)
-		y1 := make([]float64, m)
-		Gemv(1, ab, x, 0, y1)
-		bx := make([]float64, k)
-		Gemv(1, b, x, 0, bx)
-		y2 := make([]float64, m)
-		Gemv(1, a, bx, 0, y2)
-		for i := range y1 {
-			if !almostEq(y1[i], y2[i], 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGemmBetaAccumulate(t *testing.T) {
-	a := NewDenseData(1, 1, []float64{2})
-	b := NewDenseData(1, 1, []float64{3})
-	c := NewDenseData(1, 1, []float64{10})
-	Gemm(1, a, b, 2, c) // 2*10 + 6
-	if c.At(0, 0) != 26 {
-		t.Fatalf("Gemm beta = %v", c.At(0, 0))
 	}
 }
 

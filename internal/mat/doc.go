@@ -1,7 +1,7 @@
 // Package mat provides the small dense linear-algebra kernel set needed by
 // the synchronization-avoiding coordinate-descent solvers: BLAS-1 vector
-// operations, BLAS-2/3 matrix products, symmetric eigensolvers for the
-// (block) Gram matrices, and a Cholesky factorization.
+// operations, the BLAS-2 matrix-vector product, and symmetric
+// eigensolvers for the (block) Gram matrices.
 //
 // The package substitutes for the Intel MKL BLAS used by the paper
 // ("Avoiding Synchronization in First-Order Methods for Sparse Convex

@@ -11,7 +11,13 @@ import (
 func randPSD(rng *rand.Rand, n int) *Dense {
 	a := randDense(rng, n+2, n)
 	g := NewDense(n, n)
-	Syrk(1, a, 0, g)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < a.R; k++ {
+				g.Data[i*n+j] += a.At(k, i) * a.At(k, j)
+			}
+		}
+	}
 	return g
 }
 

@@ -8,10 +8,10 @@ import (
 // The solver hot paths parallelize through the per-matrix kernel views
 // of internal/sparse (WithKernelWorkers, selected per solve by
 // core.Exec). Dense library work outside the solvers — dataset
-// generation here, the Cholesky panel update in chol.go — runs on
-// internal/runtime's pool at GOMAXPROCS width under the same contract:
-// only independent output elements are partitioned and each keeps its
-// sequential summation order, so no result depends on the width.
+// generation — runs on internal/runtime's pool at GOMAXPROCS width under
+// the same contract: only independent output elements are partitioned
+// and each keeps its sequential summation order, so no result depends on
+// the width.
 
 // GemvParallel computes y = alpha*A*x + beta*y, partitioning rows of A
 // across the pool. Row partitioning keeps the output regions disjoint

@@ -86,37 +86,6 @@ func AmaxAbs(x []float64) float64 {
 	return m
 }
 
-// Add computes dst = x + y element-wise.
-// It panics if the lengths differ.
-func Add(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mat: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// Sub computes dst = x - y element-wise.
-// It panics if the lengths differ.
-func Sub(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mat: Sub length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
-// Copy copies src into dst and panics if the lengths differ. It exists so
-// call sites read as linear algebra rather than builtin slice plumbing.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("mat: Copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {

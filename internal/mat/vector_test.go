@@ -123,24 +123,6 @@ func TestAsumAmax(t *testing.T) {
 	}
 }
 
-func TestAddSubCopy(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{3, 5}
-	dst := make([]float64, 2)
-	Add(dst, x, y)
-	if dst[0] != 4 || dst[1] != 7 {
-		t.Fatalf("Add = %v", dst)
-	}
-	Sub(dst, y, x)
-	if dst[0] != 2 || dst[1] != 3 {
-		t.Fatalf("Sub = %v", dst)
-	}
-	Copy(dst, x)
-	if dst[0] != 1 || dst[1] != 2 {
-		t.Fatalf("Copy = %v", dst)
-	}
-}
-
 func TestGatherScatter(t *testing.T) {
 	src := []float64{10, 20, 30, 40}
 	idx := []int{3, 1}

@@ -130,6 +130,25 @@ func TransportEpoch(t Transport) int {
 	return 0
 }
 
+// newTransportTCP allocates rank's endpoint of a size-rank world, with
+// no connection made yet.
+func newTransportTCP(rank, size int, o TCPOptions) *transportTCP {
+	t := &transportTCP{
+		rank:   rank,
+		size:   size,
+		opt:    o,
+		epoch:  max(o.Epoch, 0),
+		conns:  make([]net.Conn, size),
+		inbox:  make([]chan Message, size),
+		rerr:   make([]error, size),
+		closed: make(chan struct{}),
+	}
+	for i := range t.inbox {
+		t.inbox[i] = make(chan Message, 64)
+	}
+	return t
+}
+
 // DialTCP establishes one rank's endpoint of a TCP world of the given
 // size. addr is the rendezvous address: rank 0 listens on it, every
 // other rank dials it (retrying until the rendezvous timeout, so ranks
@@ -145,19 +164,7 @@ func DialTCP(ctx context.Context, rank, size int, addr string, opt *TCPOptions) 
 	}
 	ctx, cancel := context.WithTimeout(ctx, o.RendezvousTimeout)
 	defer cancel()
-	t := &transportTCP{
-		rank:   rank,
-		size:   size,
-		opt:    o,
-		epoch:  max(o.Epoch, 0),
-		conns:  make([]net.Conn, size),
-		inbox:  make([]chan Message, size),
-		rerr:   make([]error, size),
-		closed: make(chan struct{}),
-	}
-	for i := range t.inbox {
-		t.inbox[i] = make(chan Message, 64)
-	}
+	t := newTransportTCP(rank, size, o)
 	var err error
 	if rank == 0 {
 		err = t.bootstrapRoot(ctx, addr)
@@ -398,7 +405,7 @@ func readCtl(conn net.Conn, v any) error {
 // Data frames: [u32 payload words][i64 tag][u64 clock bits][payload LE].
 const (
 	frameHdrBytes = 4 + 8 + 8
-	maxFrameWords = 1 << 27 // 1 GiB of payload; anything larger is corruption
+	maxFrameWords = 1 << 27 // 1 GiB of payload: Send refuses more, and a reader seeing more calls it corruption
 )
 
 // Rank returns this endpoint's rank.
@@ -413,6 +420,13 @@ func (t *transportTCP) Size() int { return t.size }
 func (t *transportTCP) Send(dst int, msg Message) error {
 	if dst < 0 || dst >= t.size || dst == t.rank {
 		return fmt.Errorf("mpi: rank %d: send to invalid rank %d of %d", t.rank, dst, t.size)
+	}
+	if len(msg.Data) > maxFrameWords {
+		// Refused here, where the cause is known: the receiver could only
+		// call it corruption, and a length of 2³² or more would wrap the
+		// frame's uint32 into a short frame that desynchronizes the stream.
+		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag,
+			Err: fmt.Errorf("payload of %d words exceeds the %d-word frame limit", len(msg.Data), maxFrameWords)}
 	}
 	conn := t.conns[dst]
 	need := frameHdrBytes + 8*len(msg.Data)
@@ -545,19 +559,7 @@ func bootTCPRoot(ctx context.Context, ln net.Listener, size int, opt *TCPOptions
 	o := opt.withDefaults()
 	ctx, cancel := context.WithTimeout(ctx, o.RendezvousTimeout)
 	defer cancel()
-	t := &transportTCP{
-		rank:   0,
-		size:   size,
-		opt:    o,
-		epoch:  max(o.Epoch, 0),
-		conns:  make([]net.Conn, size),
-		inbox:  make([]chan Message, size),
-		rerr:   make([]error, size),
-		closed: make(chan struct{}),
-	}
-	for i := range t.inbox {
-		t.inbox[i] = make(chan Message, 64)
-	}
+	t := newTransportTCP(0, size, o)
 	err := t.acceptPeers(ctx, ln)
 	ln.Close() // rendezvous is over either way
 	if err != nil {

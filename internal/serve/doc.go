@@ -87,7 +87,7 @@
 // forwarded to another replica, drop theirs instead. The free list holds
 // at most jobFreeSlots jobs and refuses one grown past
 // maxPooledJobBytes. /learn runs the same read and parse on a pooled
-// job, then copies the rows out, because a LearnBuffer retains them.
+// job; LearnBuffer.Offer copies the rows into its own flat arrays.
 //
 // # Ops surface
 //

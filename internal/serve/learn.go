@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -26,6 +25,50 @@ import (
 // is not set by the caller (saserve defaults the flag to this).
 const DefaultLearnCap = 65536
 
+// labeledRows is labeled sparse rows in flat CSR arrays — the shape
+// rowSet parses a request into and sparse.NewCSR takes: row r is
+// colIdx/vals[rowPtr[r]:rowPtr[r+1]] with label labels[r]. The zero
+// value holds no rows.
+type labeledRows struct {
+	rowPtr []int
+	colIdx []int
+	vals   []float64
+	labels []float64
+}
+
+// append copies the rows of src onto the end.
+func (f *labeledRows) append(src labeledRows) {
+	if len(src.labels) == 0 {
+		return
+	}
+	if len(f.rowPtr) == 0 {
+		f.rowPtr = append(f.rowPtr, 0)
+	}
+	lo, hi := src.rowPtr[0], src.rowPtr[len(src.labels)]
+	shift := len(f.colIdx) - lo
+	for _, p := range src.rowPtr[1 : len(src.labels)+1] {
+		f.rowPtr = append(f.rowPtr, p+shift)
+	}
+	f.colIdx = append(f.colIdx, src.colIdx[lo:hi]...)
+	f.vals = append(f.vals, src.vals[lo:hi]...)
+	f.labels = append(f.labels, src.labels...)
+}
+
+// keepLast drops the oldest rows beyond the newest n, rebasing rowPtr so
+// the survivors start at offset 0 again.
+func (f *labeledRows) keepLast(n int) {
+	drop := len(f.labels) - n
+	if drop <= 0 {
+		return
+	}
+	off := f.rowPtr[drop]
+	f.rowPtr = f.rowPtr[drop:]
+	for i := range f.rowPtr {
+		f.rowPtr[i] -= off
+	}
+	f.colIdx, f.vals, f.labels = f.colIdx[off:], f.vals[off:], f.labels[drop:]
+}
+
 // LearnBuffer is a bounded, mutex-guarded staging area of labeled rows
 // between the /learn handler and a refit consumer. Offers are
 // all-or-nothing: a request's rows are accepted together or refused
@@ -34,9 +77,7 @@ const DefaultLearnCap = 65536
 type LearnBuffer struct {
 	mu      sync.Mutex
 	capRows int
-	cols    [][]int
-	vals    [][]float64
-	labels  []float64
+	rows    labeledRows
 }
 
 // NewLearnBuffer builds a buffer holding at most capRows rows
@@ -55,30 +96,30 @@ func (l *LearnBuffer) Cap() int { return l.capRows }
 func (l *LearnBuffer) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.labels)
+	return len(l.rows.labels)
 }
 
-// Offer appends the rows if they all fit, reporting whether they were
-// taken. The slices are retained; callers must not reuse them.
-func (l *LearnBuffer) Offer(cols [][]int, vals [][]float64, labels []float64) bool {
+// Offer appends the len(labels) rows held in CSR arrays (row r is
+// colIdx/vals[rowPtr[r]:rowPtr[r+1]], columns 0-based and ascending) if
+// they all fit, reporting whether they were taken. The rows are copied:
+// the caller keeps its slices.
+func (l *LearnBuffer) Offer(rowPtr, colIdx []int, vals, labels []float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.labels)+len(labels) > l.capRows {
+	if len(l.rows.labels)+len(labels) > l.capRows {
 		return false
 	}
-	l.cols = append(l.cols, cols...)
-	l.vals = append(l.vals, vals...)
-	l.labels = append(l.labels, labels...)
+	l.rows.append(labeledRows{rowPtr, colIdx, vals, labels})
 	return true
 }
 
-// Drain takes everything buffered, leaving the buffer empty.
-func (l *LearnBuffer) Drain() (cols [][]int, vals [][]float64, labels []float64) {
+// drain takes everything buffered, leaving the buffer empty.
+func (l *LearnBuffer) drain() labeledRows {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cols, vals, labels = l.cols, l.vals, l.labels
-	l.cols, l.vals, l.labels = nil, nil, nil
-	return cols, vals, labels
+	rows := l.rows
+	l.rows = labeledRows{}
+	return rows
 }
 
 // learnSet owns the per-model learn buffers; the first accepted rows
@@ -135,9 +176,8 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// learnLocal parses the job's body and stages its rows. The buffer
-// retains what it is offered, so the rows are copied out of the pooled
-// job: one flat copy per array, cut into the per-row views Offer takes.
+// learnLocal parses the job's body and stages its rows; Offer copies
+// them out of the pooled job.
 func (s *Server) learnLocal(w http.ResponseWriter, r *http.Request, name string, reg *Registry, job *predictJob) {
 	if err := job.parse(r, job.body, true); err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
@@ -160,13 +200,7 @@ func (s *Server) learnLocal(w http.ResponseWriter, r *http.Request, name string,
 	if created && s.opt.OnLearn != nil {
 		s.opt.OnLearn(name, reg, buf)
 	}
-	colIdx, flat := slices.Clone(job.colIdx), slices.Clone(job.vals)
-	cols, vals := make([][]int, n), make([][]float64, n)
-	for i := range cols {
-		lo, hi := job.rowPtr[i], job.rowPtr[i+1]
-		cols[i], vals[i] = colIdx[lo:hi:hi], flat[lo:hi:hi]
-	}
-	if !buf.Offer(cols, vals, slices.Clone(job.labels)) {
+	if !buf.Offer(job.rowPtr, job.colIdx, job.vals, job.labels) {
 		s.met.learnRejected.Add(uint64(n))
 		s.shedReply(w, fmt.Sprintf("learn buffer full (%d/%d rows)", buf.Len(), buf.Cap()))
 		return
@@ -194,9 +228,7 @@ func RefitStream(ctx context.Context, reg *Registry, buf *LearnBuffer, opt Refit
 		every = 2 * time.Second
 	}
 	maxRows := refitStreamHistory * buf.Cap()
-	var cols [][]int
-	var vals [][]float64
-	var labels []float64
+	var window labeledRows
 	wait := func(d time.Duration) bool {
 		select {
 		case <-ctx.Done():
@@ -206,25 +238,19 @@ func RefitStream(ctx context.Context, reg *Registry, buf *LearnBuffer, opt Refit
 		}
 	}
 	for {
-		c, v, b := buf.Drain()
-		if len(b) == 0 && len(labels) == 0 {
+		window.append(buf.drain())
+		if len(window.labels) == 0 {
 			if !wait(every / 4) {
 				return nil
 			}
 			continue
 		}
-		cols = append(cols, c...)
-		vals = append(vals, v...)
-		labels = append(labels, b...)
-		if len(labels) > maxRows {
-			drop := len(labels) - maxRows
-			cols, vals, labels = cols[drop:], vals[drop:], labels[drop:]
-		}
-		a, err := assembleCSR(cols, vals, labels, reg.Current())
+		window.keepLast(maxRows)
+		a, err := window.matrix(reg.Current())
 		if err == nil {
 			cycle := opt
 			cycle.MaxPublishes = 1
-			err = Refit(ctx, reg, a, labels, cycle)
+			err = Refit(ctx, reg, a, window.labels, cycle)
 		}
 		if ctx.Err() != nil {
 			return nil
@@ -240,28 +266,17 @@ func RefitStream(ctx context.Context, reg *Registry, buf *LearnBuffer, opt Refit
 	}
 }
 
-// assembleCSR builds the refit matrix from accumulated rows, sized to
-// the serving model's dimensionality when one exists (Refit requires
-// the match) and to the data's own width otherwise.
-func assembleCSR(cols [][]int, vals [][]float64, labels []float64, cur *Model) (*sparse.CSR, error) {
+// matrix views the rows as the refit matrix, sized to the serving
+// model's dimensionality when one exists (Refit requires the match) and
+// to the data's own width otherwise. It aliases f's arrays: it is valid
+// until the next append or keepLast.
+func (f *labeledRows) matrix(cur *Model) (*sparse.CSR, error) {
 	n := 0
-	for _, row := range cols {
-		for _, j := range row {
-			if j+1 > n {
-				n = j + 1
-			}
-		}
+	for _, j := range f.colIdx {
+		n = max(n, j+1)
 	}
-	if cur != nil && cur.Features > n {
-		n = cur.Features
+	if cur != nil {
+		n = max(n, cur.Features)
 	}
-	rowPtr := make([]int, 1, len(labels)+1)
-	var colIdx []int
-	var flat []float64
-	for r := range cols {
-		colIdx = append(colIdx, cols[r]...)
-		flat = append(flat, vals[r]...)
-		rowPtr = append(rowPtr, len(flat))
-	}
-	return sparse.NewCSR(len(labels), n, rowPtr, colIdx, flat)
+	return sparse.NewCSR(len(f.labels), n, f.rowPtr, f.colIdx, f.vals)
 }

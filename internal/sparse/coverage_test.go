@@ -26,7 +26,7 @@ func TestAccessorsAndConversions(t *testing.T) {
 	if c.ColNNZ(3) != c.ColPtr[4]-c.ColPtr[3] {
 		t.Fatal("ColNNZ")
 	}
-	if !c.ToDense().Equal(a.ToDense()) {
+	if mat.MaxAbsDiff(c.ToDense(), a.ToDense()) != 0 {
 		t.Fatal("CSC.ToDense mismatch")
 	}
 
@@ -57,19 +57,9 @@ func TestCSCMulVecBothWays(t *testing.T) {
 			t.Fatalf("CSC.MulVec[%d]", i)
 		}
 	}
-	v := randVec(rng, 12)
-	w1 := make([]float64, 8)
-	w2 := make([]float64, 8)
-	a.MulVecT(v, w1)
-	c.MulVecT(v, w2)
-	for i := range w1 {
-		if !approxEq(w1[i], w2[i], 1e-12) {
-			t.Fatalf("CSC.MulVecT[%d]", i)
-		}
-	}
 }
 
-func TestDenseViewDimsAndMulVecT(t *testing.T) {
+func TestDenseViewDimsAndMulVec(t *testing.T) {
 	d := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	dc := DenseCols{A: d}
 	dr := DenseRows{A: d}
@@ -83,11 +73,6 @@ func TestDenseViewDimsAndMulVecT(t *testing.T) {
 	dc.MulVec([]float64{1, 1, 1}, y)
 	if y[0] != 6 || y[1] != 15 {
 		t.Fatalf("DenseCols.MulVec = %v", y)
-	}
-	w := make([]float64, 3)
-	dc.MulVecT([]float64{1, 1}, w)
-	if w[0] != 5 || w[1] != 7 || w[2] != 9 {
-		t.Fatalf("DenseCols.MulVecT = %v", w)
 	}
 	x := make([]float64, 3)
 	dr.RowTAxpy(1, 2, x)
@@ -111,13 +96,6 @@ func TestZeroCoefficientFastPaths(t *testing.T) {
 	for _, e := range v {
 		if e != 0 {
 			t.Fatal("ColMulAdd with zero coef changed v")
-		}
-	}
-	y := make([]float64, 6)
-	a.MulVecT(make([]float64, 10), y)
-	for _, e := range y {
-		if e != 0 {
-			t.Fatal("MulVecT of zero vector nonzero")
 		}
 	}
 }

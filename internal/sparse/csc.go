@@ -186,20 +186,6 @@ func (a *CSC) MulVec(x, y []float64) {
 	}
 }
 
-// MulVecT computes y = Aᵀ·x, partitioning output columns across the
-// kernel workers (each y[j] keeps its sequential summation order).
-func (a *CSC) MulVecT(x, y []float64) {
-	if len(x) != a.M || len(y) != a.N {
-		panic("sparse: CSC.MulVecT shape mismatch")
-	}
-	rt.For(a.KernelWorkers(), a.N, 64, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-			y[j] = simd.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], x)
-		}
-	})
-}
-
 // ToCSR converts to compressed sparse row format.
 func (a *CSC) ToCSR() *CSR {
 	rowPtr := make([]int, a.M+1)

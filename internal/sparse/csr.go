@@ -80,22 +80,6 @@ func (a *CSR) MulVec(x, y []float64) {
 	})
 }
 
-// MulVecT computes y = Aᵀ·x. len(x) must be M and len(y) must be N.
-func (a *CSR) MulVecT(x, y []float64) {
-	if len(x) != a.M || len(y) != a.N {
-		panic(fmt.Sprintf("sparse: MulVecT shape mismatch A=%dx%d len(x)=%d len(y)=%d", a.M, a.N, len(x), len(y)))
-	}
-	mat.Fill(y, 0)
-	for i := 0; i < a.M; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		p0, p1 := a.RowPtr[i], a.RowPtr[i+1]
-		simd.ScatterAxpy(xi, y, a.Val[p0:p1], a.ColIdx[p0:p1])
-	}
-}
-
 // RowMulVec computes dst[k] = A_{rows[k]} · x, the batched row-vector dot
 // products the SVM solvers need (Alg. 4 line 10: x' = Yᵀ·x).
 func (a *CSR) RowMulVec(rows []int, x []float64, dst []float64) {

@@ -108,9 +108,6 @@ func (d DenseCols) MulVec(x, y []float64) {
 	})
 }
 
-// MulVecT computes y = Aᵀ·x.
-func (d DenseCols) MulVecT(x, y []float64) { mat.GemvT(1, d.A, x, 0, y) }
-
 // DenseRows adapts a dense matrix to the row-sampling access pattern of
 // the dual coordinate-descent SVM solvers. Workers selects the kernel
 // worker count (0 or 1 = sequential).

@@ -363,13 +363,9 @@ func (c *shardCache) loadShard(i int, mode ReadMode) (block shardBlock, region [
 			munmapFile(data)
 			return block, nil, false, nil
 		}
-		if !mmapSupported {
-			// Expected on these platforms; degrade quietly.
-			block, err := readShardFile(path, c.d.n)
-			return block, nil, true, err
-		}
-		// A real mmap failure on a supporting platform: fall back, but
-		// count it so operators can see the degradation.
+		// No mapping — the platform has none, or a real mmap failure on
+		// one that does: read a copy, and report the fallback so the
+		// caller counts it where operators can see the degradation.
 		block, err := readShardFile(path, c.d.n)
 		return block, nil, true, err
 	}

@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"os"
@@ -243,23 +241,11 @@ func encodeShard(layout Layout, codec Codec, block shardBlock) []byte {
 // padTo8 returns the zero-padding that aligns off to an 8-byte boundary.
 func padTo8(off int) int { return (8 - off%8) % 8 }
 
-// writeShard spills one encoded row block, syncing before close so a full
-// disk cannot masquerade as a successful build.
+// writeShard spills one encoded row block through the durable seam:
+// a full disk cannot masquerade as a successful build, and a crash never
+// leaves a torn shard under the final name.
 func writeShard(path string, layout Layout, codec Codec, block shardBlock) error {
-	data := encodeShard(layout, codec, block)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
-	}
-	return f.Close()
+	return WriteFileAtomic(path, encodeShard(layout, codec, block))
 }
 
 // cscFromBlock transposes one CSR row block into block-local CSC with the
@@ -491,146 +477,112 @@ func readShardFile(path string, n int) (shardBlock, error) {
 	return block, nil
 }
 
-// writeManifest persists the dataset metadata and labels, syncing before
-// close so a full disk cannot masquerade as a successful build.
-func writeManifest(d *Dataset) (err error) {
-	f, err := os.Create(filepath.Join(d.dir, manifestName))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var hdr [64]byte
-	copy(hdr[:], manifestV2)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(d.m))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(d.n))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(d.nnz))
-	binary.LittleEndian.PutUint32(hdr[32:], uint32(d.blockRows))
-	binary.LittleEndian.PutUint32(hdr[36:], uint32(len(d.shards)))
-	binary.LittleEndian.PutUint64(hdr[40:], uint64(d.srcSize))
-	binary.LittleEndian.PutUint64(hdr[48:], uint64(d.srcMTime))
-	hdr[56] = byte(d.layout)
-	hdr[57] = byte(d.codec)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
-	}
-	var rec [12]byte
+// manifestHeader is the fixed-width prefix of manifest.bin; the shard
+// table (12 bytes a shard) and the labels (8 bytes a row) follow it.
+const manifestHeader = 64
+
+// writeManifest publishes the dataset metadata and labels. It is the last
+// write of a build and goes through the durable seam, so a directory
+// holds either no manifest.bin (the build did not finish) or a whole one.
+func writeManifest(d *Dataset) error {
+	le := binary.LittleEndian
+	img := make([]byte, manifestHeader, manifestHeader+12*len(d.shards)+8*len(d.B))
+	copy(img, manifestV2)
+	le.PutUint64(img[8:], uint64(d.m))
+	le.PutUint64(img[16:], uint64(d.n))
+	le.PutUint64(img[24:], uint64(d.nnz))
+	le.PutUint32(img[32:], uint32(d.blockRows))
+	le.PutUint32(img[36:], uint32(len(d.shards)))
+	le.PutUint64(img[40:], uint64(d.srcSize))
+	le.PutUint64(img[48:], uint64(d.srcMTime))
+	img[56] = byte(d.layout)
+	img[57] = byte(d.codec)
 	for _, sh := range d.shards {
-		binary.LittleEndian.PutUint32(rec[:], uint32(sh.Rows))
-		binary.LittleEndian.PutUint64(rec[4:], uint64(sh.NNZ))
-		if _, err := bw.Write(rec[:]); err != nil {
-			f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-			return err
-		}
+		img = le.AppendUint32(img, uint32(sh.Rows))
+		img = le.AppendUint64(img, uint64(sh.NNZ))
 	}
-	buf := make([]byte, 8*4096)
-	if err := writeChunked(bw, buf, len(d.B), 8, func(k int, b []byte) {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(d.B[k]))
-	}); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
+	for _, v := range d.B {
+		img = le.AppendUint64(img, math.Float64bits(v))
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //saco:nolint commerr best-effort close on an already-failing path; the first error is propagating and the success path checks Close
-		return err
-	}
-	return f.Close()
+	return WriteFileAtomic(filepath.Join(d.dir, manifestName), img)
 }
 
-// writeChunked encodes count fixed-width elements through a bounded
-// scratch buffer, so spilling never doubles the block's memory.
-func writeChunked(w io.Writer, buf []byte, count, width int, put func(k int, b []byte)) error {
-	per := len(buf) / width
-	for base := 0; base < count; base += per {
-		end := min(base+per, count)
-		b := buf[:(end-base)*width]
-		for k := base; k < end; k++ {
-			put(k, b[(k-base)*width:])
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// manifestError reports a manifest.bin whose fields contradict each
+// other or the file's size.
+type manifestError struct{ dir, msg string }
+
+func (e *manifestError) Error() string { return "stream: " + e.dir + ": corrupt manifest: " + e.msg }
 
 // readManifest loads the metadata of a previously built dataset.
 func readManifest(dir string) (*Dataset, error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() //saco:nolint commerr read-only fd; a close failure after a successful read cannot lose data
-	br := bufio.NewReaderSize(f, 1<<20)
-	var hdr [64]byte
-	if _, err := io.ReadFull(br, hdr[:8]); err != nil {
-		return nil, fmt.Errorf("stream: %s: short manifest: %v", dir, err)
+	return decodeManifest(dir, data)
+}
+
+// decodeManifest parses a manifest image. The bytes come from disk, so
+// the header is not trusted: the shard count and the row count must
+// account for the file's size exactly before anything is allocated from
+// them, and the shard table must be the even split Dataset.locate
+// divides by.
+func decodeManifest(dir string, data []byte) (*Dataset, error) {
+	corrupt := func(format string, args ...any) (*Dataset, error) {
+		return nil, &manifestError{dir, fmt.Sprintf(format, args...)}
 	}
-	if string(hdr[:8]) != manifestV2 {
-		return nil, fmt.Errorf("stream: %s: %v", dir, badMagic("manifest", hdr[:8]))
+	// Magic before length: a version-1 manifest header is shorter than
+	// this one and must still be refused by name.
+	if len(data) >= 8 && string(data[:8]) != manifestV2 {
+		return nil, fmt.Errorf("stream: %s: %v", dir, badMagic("manifest", data[:8]))
 	}
-	if _, err := io.ReadFull(br, hdr[8:]); err != nil {
-		return nil, fmt.Errorf("stream: %s: short manifest: %v", dir, err)
+	if len(data) < manifestHeader {
+		return corrupt("%d bytes, shorter than the header", len(data))
+	}
+	le := binary.LittleEndian
+	m, n := le.Uint64(data[8:]), le.Uint64(data[16:])
+	blockRows, nshards := int(le.Uint32(data[32:])), int(le.Uint32(data[36:]))
+	body := uint64(len(data) - manifestHeader)
+	if m > body/8 || 12*uint64(nshards)+8*m != body {
+		return corrupt("header declares %d shards and %d rows, which is not the %d bytes that follow it", nshards, m, body)
+	}
+	if n > MaxFeatures {
+		return corrupt("%d features exceed the shard format's cap", n)
+	}
+	if blockRows < 1 {
+		return corrupt("blockRows is 0")
 	}
 	d := &Dataset{
-		dir:       dir,
-		m:         int(binary.LittleEndian.Uint64(hdr[8:])),
-		n:         int(binary.LittleEndian.Uint64(hdr[16:])),
-		nnz:       int64(binary.LittleEndian.Uint64(hdr[24:])),
-		blockRows: int(binary.LittleEndian.Uint32(hdr[32:])),
-		srcSize:   int64(binary.LittleEndian.Uint64(hdr[40:])),
-		srcMTime:  int64(binary.LittleEndian.Uint64(hdr[48:])),
+		dir: dir, m: int(m), n: int(n),
+		nnz:       int64(le.Uint64(data[24:])),
+		blockRows: blockRows,
+		srcSize:   int64(le.Uint64(data[40:])),
+		srcMTime:  int64(le.Uint64(data[48:])),
+		layout:    Layout(data[56]),
+		codec:     Codec(data[57]),
+		shards:    make([]ShardInfo, nshards),
+		B:         make([]float64, m),
 	}
-	d.layout = Layout(hdr[56])
-	d.codec = Codec(hdr[57])
 	if d.layout > LayoutCSC || d.codec > CodecDelta {
-		return nil, fmt.Errorf("stream: %s: unknown manifest layout/codec %d/%d", dir, hdr[56], hdr[57])
+		return corrupt("unknown layout/codec %d/%d", data[56], data[57])
 	}
-	nshards := int(binary.LittleEndian.Uint32(hdr[36:]))
-	d.shards = make([]ShardInfo, nshards)
+	table := data[manifestHeader:]
 	row0 := 0
-	var rec [12]byte
 	for i := range d.shards {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("stream: %s: shard table: %v", dir, err)
+		rows := int(le.Uint32(table[12*i:]))
+		if last := i == nshards-1; rows < 1 || rows > blockRows || (!last && rows != blockRows) {
+			return corrupt("shard %d of %d holds %d rows, blockRows is %d", i, nshards, rows, blockRows)
 		}
-		d.shards[i] = ShardInfo{
-			Row0: row0,
-			Rows: int(binary.LittleEndian.Uint32(rec[:])),
-			NNZ:  int64(binary.LittleEndian.Uint64(rec[4:])),
-		}
-		row0 += d.shards[i].Rows
+		d.shards[i] = ShardInfo{Row0: row0, Rows: rows, NNZ: int64(le.Uint64(table[12*i+4:]))}
+		row0 += rows
 	}
 	if row0 != d.m {
-		return nil, fmt.Errorf("stream: %s: shard rows sum to %d, manifest says %d", dir, row0, d.m)
+		return corrupt("shard rows sum to %d, header says %d", row0, d.m)
 	}
-	d.B = make([]float64, d.m)
-	buf := make([]byte, 8*4096)
-	if err := readChunked(br, buf, d.m, 8, func(k int, b []byte) {
-		d.B[k] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}); err != nil {
-		return nil, fmt.Errorf("stream: %s: labels: %v", dir, err)
+	labels := table[12*nshards:]
+	for k := range d.B {
+		d.B[k] = math.Float64frombits(le.Uint64(labels[8*k:]))
 	}
 	d.cache = newShardCache(d, defaultCacheShards)
 	return d, nil
-}
-
-// readChunked is the decoding mirror of writeChunked.
-func readChunked(r io.Reader, buf []byte, count, width int, get func(k int, b []byte)) error {
-	per := len(buf) / width
-	for base := 0; base < count; base += per {
-		end := min(base+per, count)
-		b := buf[:(end-base)*width]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return err
-		}
-		for k := base; k < end; k++ {
-			get(k, b[(k-base)*width:])
-		}
-	}
-	return nil
 }

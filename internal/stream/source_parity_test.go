@@ -12,6 +12,7 @@ import (
 	"saco/internal/datagen"
 	"saco/internal/dist"
 	"saco/internal/libsvm"
+	"saco/internal/mat"
 	"saco/internal/sparse"
 	"saco/internal/stream"
 )
@@ -45,7 +46,7 @@ func TestSourceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.ToDense().Equal(got.ToDense()) {
+		if mat.MaxAbsDiff(want.ToDense(), got.ToDense()) != 0 {
 			t.Fatalf("RowsCSC[%d,%d) differs", r[0], r[1])
 		}
 	}
@@ -55,7 +56,7 @@ func TestSourceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.ToDense().Equal(got.ToDense()) {
+		if mat.MaxAbsDiff(want.ToDense(), got.ToDense()) != 0 {
 			t.Fatalf("ColsCSR[%d,%d) differs", r[0], r[1])
 		}
 	}

@@ -74,7 +74,7 @@ func TestBuildMatchesInMemoryRead(t *testing.T) {
 		if rows != a.M {
 			t.Fatalf("epoch %d reassembled %d rows", epoch, rows)
 		}
-		if !got.Equal(a.ToDense()) {
+		if mat.MaxAbsDiff(got, a.ToDense()) != 0 {
 			t.Fatalf("epoch %d reassembly differs", epoch)
 		}
 		it.Reset()
