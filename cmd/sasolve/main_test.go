@@ -185,6 +185,22 @@ func TestMissingFileExitsOne(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputExitsOne: a NaN or Inf in the data is a data error
+// naming its line, on both data paths — not a solve that reports a NaN
+// objective and exits 0.
+func TestNonFiniteInputExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nan.svm")
+	if err := os.WriteFile(path, []byte("1 1:1 2:0.5\n-1 2:-1\n1 1:nan 2:1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-stream"}} {
+		code, _, stderr := runCLI(t, append([]string{"-data", path, "-task", "lasso", "-iters", "20"}, extra...)...)
+		if code != 1 || !strings.Contains(stderr, `line 3: bad value "nan": not finite`) {
+			t.Fatalf("%v: exit %d, stderr %q; want 1 naming line 3", extra, code, stderr)
+		}
+	}
+}
+
 // TestStreamMatchesInMemory runs the same tiny solve through both data
 // paths and asserts identical reported objectives (the CLI face of the
 // bitwise-parity contract).

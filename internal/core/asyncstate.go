@@ -170,7 +170,7 @@ type AsyncLassoWorker struct {
 	smp                   *blockSampler
 	gram                  *mat.Dense
 	grad, wbuf, gv, delta []float64
-	eig                   []float64 // blockLargestEig's scratch
+	eig                   []float64 // mat.LargestEigSymScratch's scratch
 }
 
 // Step performs one (block) proximal coordinate update against the
@@ -184,7 +184,7 @@ func (w *AsyncLassoWorker) Step() {
 	mu := len(idx)
 	gb := mat.NewDenseData(mu, mu, w.gram.Data[:mu*mu])
 	s.ac.ColGram(idx, gb) // read-only: plain kernel is safe
-	v := blockLargestEig(gb, w.eig)
+	v := mat.LargestEigSymScratch(gb, w.eig)
 	s.ac.ColTMulVecAtomic(idx, s.rv, w.grad[:mu])
 	s.xv.Gather(w.wbuf[:mu], idx)
 	var eta float64

@@ -165,15 +165,6 @@ func (st *LassoStepper) Run() (*LassoResult, error) {
 // ∞·0 products.
 const bigEta = 1e300
 
-// blockLargestEig returns λmax of the µ×µ Gram block (Alg. 1 line 10),
-// with the scalar fast path for CD; scratch holds 2µ elements.
-func blockLargestEig(g *mat.Dense, scratch []float64) float64 {
-	if g.R == 1 {
-		return g.Data[0]
-	}
-	return mat.LargestEigSymScratch(g, scratch)
-}
-
 // nextTheta advances the acceleration parameter (Alg. 1 line 18):
 // θ⁺ = (√(θ⁴+4θ²) − θ²)/2.
 func nextTheta(theta float64) float64 {

@@ -170,9 +170,9 @@ func DenseRegression(name string, seed uint64, m, n, k int, sigma float64) *Data
 	a := denseMatrix(r, m, n)
 	x := plantSparse(r, n, k)
 	b := make([]float64, m)
-	// Row-partitioned and bitwise identical to Gemv, so replica content
-	// is unchanged while the big dense replicas (epsilon, gisette)
-	// generate at pool speed.
+	// Row-partitioned with each row dot in sequential order, so replica
+	// content does not depend on the pool width while the big dense
+	// replicas (epsilon, gisette) generate at pool speed.
 	mat.GemvParallel(1, a, x, 0, b)
 	for i := range b {
 		b[i] += sigma * r.NormFloat64()

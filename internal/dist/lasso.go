@@ -180,7 +180,7 @@ func (r *lassoRank) StepDone(bt *core.Batch, j int, _ bool) {
 }
 
 // eigFlops is the nominal cost charged for the power-iteration λmax of a
-// µ×µ block (a handful of Gemv sweeps).
+// µ×µ block (a handful of passes over it).
 func eigFlops(mu int) float64 {
 	if mu == 1 {
 		return 1

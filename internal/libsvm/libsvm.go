@@ -68,7 +68,8 @@ func (p *RowParser) Parse(line string, lineNo int) (float64, error) {
 // ≥ 1 and strictly increasing; duplicate and out-of-order indices are
 // rejected with a line-numbered error because they break the CSR
 // invariant (strictly increasing columns within a row) every downstream
-// kernel relies on.
+// kernel relies on. The label and every value must be finite: one NaN or
+// ±Inf row would poison every solve, stream build and refit it reaches.
 //
 // With optionalLabel a first field containing ':' is the first feature
 // and the label is 0 (request rows carry none); labeled reports which
@@ -106,6 +107,9 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 				if label, err = strconv.ParseFloat(f, 64); err != nil {
 					return 0, true, fmt.Errorf("libsvm: line %d: bad label %q: %v", lineNo, f, err)
 				}
+				if !finite(label) {
+					return 0, true, fmt.Errorf("libsvm: line %d: bad label %q: not finite", lineNo, f)
+				}
 				continue
 			}
 		}
@@ -119,6 +123,9 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 		v, err := strconv.ParseFloat(f[colon+1:], 64)
 		if err != nil {
 			return 0, labeled, fmt.Errorf("libsvm: line %d: bad value %q: %v", lineNo, f[colon+1:], err)
+		}
+		if !finite(v) {
+			return 0, labeled, fmt.Errorf("libsvm: line %d: bad value %q: not finite", lineNo, f[colon+1:])
 		}
 		col := idx - 1
 		switch {
@@ -139,6 +146,11 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 	}
 	return label, labeled, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf, the values
+// strconv.ParseFloat accepts ("nan", "inf", "infinity") that no data
+// row may carry: v − v is 0 exactly for finite v and NaN otherwise.
+func finite(v float64) bool { return v-v == 0 }
 
 // lsb has the lowest bit of each byte of a word set.
 const lsb = 0x0101010101010101

@@ -54,6 +54,8 @@ func TestReadErrors(t *testing.T) {
 		"1 0:1\n",     // index < 1
 		"1 x:1\n",     // bad index
 		"1 1:zz\n",    // bad value
+		"1 1:nan\n",   // non-finite value
+		"inf 1:1\n",   // non-finite label
 		"1 2:1 1:2\n", // decreasing indices
 		"1 1\n",       // missing colon
 	}

@@ -10,8 +10,9 @@ import (
 
 // The oracle: the strings.Fields-based row parser and strings.TrimSpace
 // skip test that RowParser.Parse and Skip were before the byte-level
-// tokenizer replaced them, kept verbatim so the differential tests can
-// hold the tokenizer to the grammar they defined.
+// tokenizer replaced them, kept verbatim — apart from the finiteness
+// rule both gained later — so the differential tests can hold the
+// tokenizer to the grammar they defined.
 
 type oracleRow struct {
 	cols   []int
@@ -29,6 +30,9 @@ func oracleParse(line string, lineNo int) (float64, oracleRow, error) {
 	if err != nil {
 		return 0, row, fmt.Errorf("libsvm: line %d: bad label %q: %v", lineNo, fields[0], err)
 	}
+	if math.IsNaN(label) || math.IsInf(label, 0) {
+		return 0, row, fmt.Errorf("libsvm: line %d: bad label %q: not finite", lineNo, fields[0])
+	}
 	prev := -1
 	for _, f := range fields[1:] {
 		colon := strings.IndexByte(f, ':')
@@ -42,6 +46,9 @@ func oracleParse(line string, lineNo int) (float64, oracleRow, error) {
 		v, err := strconv.ParseFloat(f[colon+1:], 64)
 		if err != nil {
 			return 0, row, fmt.Errorf("libsvm: line %d: bad value %q: %v", lineNo, f[colon+1:], err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, row, fmt.Errorf("libsvm: line %d: bad value %q: not finite", lineNo, f[colon+1:])
 		}
 		col := idx - 1
 		switch {
@@ -97,6 +104,7 @@ var differentialLines = []string{
 	"1 1:0x1p-2 2:1_0 3:infinity 4:-nan",
 	"1 1:1e999 2:1e-999",
 	"nan 1:1", "inf", "0x10 2:1",
+	"1 1:nan 2:1", "1 1:1 2:-Inf", "1:+infinity", "-infinity 1:1", "1 1:1e308 2:-1e308 3:5e-324",
 	"1 5:1 5:2", "1 5:0 5:0", "1 5:1 2:1", "1 5:0 2:0",
 	"#", " #x", "x#", "",
 	"1 1:1 # trailing comment is a bad feature",

@@ -61,22 +61,6 @@ func (a *Dense) MirrorUpper() {
 	}
 }
 
-// Gemv computes y = alpha*A*x + beta*y.
-// A is r-by-c, x has length c, y has length r.
-func Gemv(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
-	if len(x) != a.C || len(y) != a.R {
-		panic(fmt.Sprintf("mat: Gemv shape mismatch A=%dx%d len(x)=%d len(y)=%d", a.R, a.C, len(x), len(y)))
-	}
-	for i := 0; i < a.R; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = alpha*s + beta*y[i]
-	}
-}
-
 // MaxAbsDiff returns max |a_ij - b_ij|; it panics on shape mismatch.
 func MaxAbsDiff(a, b *Dense) float64 {
 	if a.R != b.R || a.C != b.C {

@@ -54,9 +54,9 @@ func TestGemvAgainstManual(t *testing.T) {
 	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	x := []float64{1, 0, -1}
 	y := []float64{10, 20}
-	Gemv(2, a, x, 1, y) // y = 2*A*x + y = 2*[-2,-2] + [10,20]
+	GemvParallel(2, a, x, 1, y) // y = 2*A*x + y = 2*[-2,-2] + [10,20]
 	if y[0] != 6 || y[1] != 16 {
-		t.Fatalf("Gemv = %v", y)
+		t.Fatalf("GemvParallel = %v", y)
 	}
 }
 

@@ -15,6 +15,10 @@ import (
 // For PSD Gram matrices power iteration converges geometrically in
 // (λ₁/λ₂)ᵏ; maxIter 200 with tol 1e-12 is far tighter than the step-size
 // use requires.
+//
+// One iteration is one pass over g (n² multiply-adds) plus the n divides
+// of the overflow-safe norm: the product g·v that gives the Rayleigh
+// quotient vᵀgv is also the next power step, so it is formed once.
 func LargestEigSym(g *Dense) float64 {
 	return LargestEigSymScratch(g, make([]float64, 2*g.R))
 }
@@ -41,21 +45,20 @@ func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	// never orthogonal to the dominant eigenvector of a permutation-
 	// symmetric matrix.
 	v, w := scratch[:n], scratch[n:2*n]
-	clear(w) // Gemv forms 0·w[i]: stale NaN or Inf must not reach it
 	for i := range v {
 		v[i] = 1 + float64(i)/float64(n)
 	}
 	Scal(1/Nrm2(v), v)
+	_, nrm := powerStep(g, v, w)
 	lambda := 0.0
 	for it := 0; it < maxIter; it++ {
-		Gemv(1, g, v, 0, w)
-		nrm := Nrm2(w)
 		if nrm == 0 {
 			return 0 // g is the zero matrix
 		}
 		Scal(1/nrm, w)
 		v, w = w, v
-		next := rayleigh(g, v, w)
+		var next float64
+		next, nrm = powerStep(g, v, w)
 		if math.Abs(next-lambda) <= tol*math.Max(1, math.Abs(next)) {
 			return next
 		}
@@ -64,10 +67,24 @@ func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	return lambda
 }
 
-// rayleigh returns vᵀgv using scratch for the intermediate product.
-func rayleigh(g *Dense, v, scratch []float64) float64 {
-	Gemv(1, g, v, 0, scratch)
-	return Dot(v, scratch)
+// powerStep writes w = g·v and returns, from the same pass, the
+// Rayleigh quotient vᵀw and ‖w‖₂. Each sum keeps the order and start
+// value of the kernel that defines it — the row dots and the quotient
+// Dot's, left to right from 0; the norm Nrm2's update — so the results
+// are bitwise Dot(v, w) and Nrm2(w).
+func powerStep(g *Dense, v, w []float64) (rq, nrm float64) {
+	n := len(v)
+	scale, ssq := 0.0, 1.0
+	for i := range w {
+		var s float64
+		for j, x := range g.Data[i*n : (i+1)*n] {
+			s += x * v[j]
+		}
+		w[i] = s
+		rq += v[i] * s
+		scale, ssq = nrm2Acc(scale, ssq, s)
+	}
+	return rq, scale * math.Sqrt(ssq)
 }
 
 // EigSymJacobi computes all eigenvalues of the symmetric matrix a using the

@@ -16,7 +16,7 @@ import (
 // GemvParallel computes y = alpha*A*x + beta*y, partitioning rows of A
 // across the pool. Row partitioning keeps the output regions disjoint
 // and each row's dot product in sequential order, so the result is
-// bitwise identical to Gemv.
+// bitwise that of the one-goroutine row-dot loop at any pool width.
 func GemvParallel(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
 	if len(x) != a.C || len(y) != a.R {
 		panic("mat: GemvParallel shape mismatch")

@@ -12,13 +12,15 @@ func TestGemvParallelMatchesSequential(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	y1 := make([]float64, 1200)
-	y2 := make([]float64, 1200)
-	Gemv(1.3, a, x, 0, y1)
-	GemvParallel(1.3, a, x, 0, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("row %d: parallel %v != sequential %v", i, y2[i], y1[i])
+	y := make([]float64, 1200)
+	GemvParallel(1.3, a, x, 0, y)
+	for i := range y {
+		var s float64
+		for j, v := range a.Row(i) {
+			s += v * x[j]
+		}
+		if want := 1.3 * s; y[i] != want {
+			t.Fatalf("row %d: parallel %v != sequential %v", i, y[i], want)
 		}
 	}
 }

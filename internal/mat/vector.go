@@ -40,23 +40,26 @@ func Scal(alpha float64, x []float64) {
 // Nrm2 returns the Euclidean norm of x, guarding against overflow
 // and underflow by scaling (as in the reference BLAS dnrm2).
 func Nrm2(x []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
+	scale, ssq := 0.0, 1.0
 	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = nrm2Acc(scale, ssq, v)
 	}
 	return scale * math.Sqrt(ssq)
+}
+
+// nrm2Acc folds v into Nrm2's running state: the norm so far is
+// scale·√ssq, with scale the largest |v| seen.
+func nrm2Acc(scale, ssq, v float64) (float64, float64) {
+	if v == 0 {
+		return scale, ssq
+	}
+	a := math.Abs(v)
+	if scale < a {
+		r := scale / a
+		return a, 1 + ssq*r*r
+	}
+	r := a / scale
+	return scale, ssq + r*r
 }
 
 // Nrm2Sq returns the squared Euclidean norm of x. Unlike Nrm2 it does not

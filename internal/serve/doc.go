@@ -66,7 +66,8 @@
 // behind http.MaxBytesReader: only an oversized body is 413, any other
 // read failure is 400). libsvm.RowParser.ParseBytes — the one LIBSVM
 // tokenizer; serve splits no fields of its own — fills the job's flat
-// CSR arrays (rowPtr/colIdx/vals) straight from those bytes; the JSON
+// CSR arrays (rowPtr/colIdx/vals) straight from those bytes, and refuses
+// a NaN or Inf input with a 400 naming the line; the JSON
 // body fills the same arrays. The job goes on the dispatcher's queue
 // and the handler waits on the job's reply channel. The dispatcher
 // scores a job that is alone in its group (every request of MaxBatch
@@ -74,8 +75,8 @@
 // lies, into the job's scores; jobs sharing a batch are gathered into
 // the dispatcher's own reused buffers and their scores copied back. The handler appends the reply to the job's output
 // buffer — byte for byte what encoding/json would write — sends it in
-// one Write, and puts the job back. A score JSON cannot carry (NaN,
-// ±Inf) makes the reply a 422 naming the row.
+// one Write, and puts the job back. A score JSON cannot carry (an
+// overflow to ±Inf, or NaN from it) makes the reply a 422 naming the row.
 //
 // Ownership: every buffer belongs to the job, and the job to exactly one
 // goroutine at a time — the handler until the enqueue, the dispatcher

@@ -116,7 +116,8 @@ var differentialBodies = []string{
 	"1 1:1\n2 3:1 3:2\n",      // duplicate on line 2
 	"1 1:1\n\n# c\n2 5:1 2:1", // out of order on line 4
 	"nan 1:1\n",
-	"1\n2\n", // label-only rows: empty rows, maxCol -1
+	"1:1\n1:inf 2:1\n", // non-finite value on line 2
+	"1\n2\n",           // label-only rows: empty rows, maxCol -1
 	"1:1\xc2\n\xe2\x80\n",
 	":\n", "1:\n", "x\n", "1:1 2\n", "\r", "#\n",
 	"",
@@ -199,7 +200,9 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 
 // TestNonFiniteScoreIsAnError: a score JSON cannot carry answers 422
 // naming the row and ticks the error counter. Before the append encoder
-// json.Encoder failed silently and the client got 200 with no body.
+// json.Encoder failed silently and the client got 200 with no body. A
+// NaN or Inf input never gets that far: the tokenizer refuses it, 400
+// naming the line.
 func TestNonFiniteScoreIsAnError(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -210,15 +213,18 @@ func TestNonFiniteScoreIsAnError(t *testing.T) {
 	}
 	s := NewServer(reg, Options{Workers: 1})
 	ts := newHTTPServer(t, s)
-	for body, wantRow := range map[string]string{
-		"2:1\n1:1e308\n":   "row 1 ",
-		"1:NaN\n":          "row 0 ",
-		"2:1\n2:2\n2:-Inf": "row 2 ",
+	for body, want := range map[string]struct {
+		status int
+		text   string
+	}{
+		"2:1\n1:1e308\n":   {http.StatusUnprocessableEntity, "row 1 "},
+		"1:NaN\n":          {http.StatusBadRequest, `line 1: bad value "NaN": not finite`},
+		"2:1\n2:2\n2:-Inf": {http.StatusBadRequest, `line 3: bad value "-Inf": not finite`},
 	} {
 		before := s.met.errors.Value()
 		st, data := post(t, ts.URL+"/predict", "text/plain", []byte(body))
-		if st != http.StatusUnprocessableEntity || !strings.Contains(string(data), wantRow) {
-			t.Fatalf("%q: %d %q, want 422 naming %q", body, st, data, wantRow)
+		if st != want.status || !strings.Contains(string(data), want.text) {
+			t.Fatalf("%q: %d %q, want %d naming %q", body, st, data, want.status, want.text)
 		}
 		if got := s.met.errors.Value(); got != before+1 {
 			t.Fatalf("%q: errors counter %d -> %d, want +1", body, before, got)

@@ -82,7 +82,7 @@ func TestMulVecMatchesDense(t *testing.T) {
 	y1 := make([]float64, 20)
 	y2 := make([]float64, 20)
 	a.MulVec(x, y1)
-	mat.Gemv(1, d, x, 0, y2)
+	mat.GemvParallel(1, d, x, 0, y2)
 	for i := range y1 {
 		if !approxEq(y1[i], y2[i], 1e-12) {
 			t.Fatalf("MulVec[%d] = %v, want %v", i, y1[i], y2[i])
@@ -370,7 +370,7 @@ func TestColGramPSDProperty(t *testing.T) {
 		for probe := 0; probe < 4; probe++ {
 			v := randVec(rng, k)
 			w := make([]float64, k)
-			mat.Gemv(1, g, v, 0, w)
+			mat.GemvParallel(1, g, v, 0, w)
 			if mat.Dot(v, w) < -1e-9 {
 				return false
 			}

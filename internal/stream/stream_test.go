@@ -338,6 +338,8 @@ func TestBuildRejectsBadRows(t *testing.T) {
 		{"1 5:1 2:1\n", "line 1: index 2 out of order"},
 		{"x 1:1\n", "bad label"},
 		{"1 0:2\n", "bad index"},
+		{"1 1:1\n1 1:nan 2:1\n", `line 2: bad value "nan": not finite`},
+		{"-Inf 1:1\n", `line 1: bad label "-Inf": not finite`},
 	}
 	for _, tc := range cases {
 		_, err := Build(strings.NewReader(tc.in), t.TempDir(), BuildOptions{BlockRows: 4})
