@@ -1,19 +1,16 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"saco/internal/mpi"
 	"saco/internal/rng"
-	"saco/internal/stream"
+	"saco/internal/wire"
 )
 
 // Checkpoint configures deterministic rank checkpointing: at s-step
@@ -69,7 +66,8 @@ type CheckpointInfo struct {
 	Path    string `json:"path"`    // the published .sack file
 }
 
-// The .sack on-disk format, all little-endian:
+// The .sack on-disk format, all little-endian, encoded and decoded
+// through internal/wire:
 //
 //	8  magic "SACKPT1\n"
 //	u32 version
@@ -87,8 +85,6 @@ const (
 	sackMagic   = "SACKPT1\n"
 	sackVersion = 1
 )
-
-var sackCRC = crc64.MakeTable(crc64.ECMA)
 
 // rankCkpt is one rank's decoded solver state at an s-step boundary.
 type rankCkpt struct {
@@ -112,55 +108,46 @@ func ckptFingerprint(config string) uint64 {
 }
 
 func encodeCkpt(fp uint64, rank, size int, ck *rankCkpt) []byte {
-	n := 8 + 4 + 8 + 4 + 4 + 8 + 8 + (4*8 + 8 + 1) + (4*8 + 2*8) + 8 + 4
+	n := 160 + 24*len(ck.Trace) // fixed fields, trace and trailer; vectors below
 	for _, v := range ck.Vecs {
 		n += 4 + 8*len(v)
 	}
-	n += 4 + len(ck.Trace)*(8+8+8) + 8
-	buf := make([]byte, 0, n)
-	le := binary.LittleEndian
-	u32 := func(v uint32) { buf = le.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = le.AppendUint64(buf, v) }
-	f64 := func(v float64) { buf = le.AppendUint64(buf, math.Float64bits(v)) }
-
-	buf = append(buf, sackMagic...)
-	u32(sackVersion)
-	u64(fp)
-	u32(uint32(rank))
-	u32(uint32(size))
-	u64(uint64(ck.Step))
-	u64(uint64(ck.Batches))
-	for _, w := range ck.Rng.S {
-		u64(w)
+	w := wire.Writer{B: make([]byte, 0, n)}
+	w.Bytes([]byte(sackMagic))
+	w.U32(sackVersion)
+	w.U64(fp)
+	w.U32(uint32(rank))
+	w.U32(uint32(size))
+	w.U64(uint64(ck.Step))
+	w.U64(uint64(ck.Batches))
+	for _, s := range ck.Rng.S {
+		w.U64(s)
 	}
-	f64(ck.Rng.Spare)
+	w.F64(ck.Rng.Spare)
 	if ck.Rng.HasSpare {
-		buf = append(buf, 1)
+		w.U8(1)
 	} else {
-		buf = append(buf, 0)
+		w.U8(0)
 	}
-	f64(ck.Stats.Clock)
-	f64(ck.Stats.CompTime)
-	f64(ck.Stats.CommTime)
-	f64(ck.Stats.Flops)
-	u64(uint64(ck.Stats.Msgs))
-	u64(uint64(ck.Stats.Words))
-	f64(ck.Theta)
-	u32(uint32(len(ck.Vecs)))
+	w.F64(ck.Stats.Clock)
+	w.F64(ck.Stats.CompTime)
+	w.F64(ck.Stats.CommTime)
+	w.F64(ck.Stats.Flops)
+	w.U64(uint64(ck.Stats.Msgs))
+	w.U64(uint64(ck.Stats.Words))
+	w.F64(ck.Theta)
+	w.U32(uint32(len(ck.Vecs)))
 	for _, v := range ck.Vecs {
-		u32(uint32(len(v)))
-		for _, x := range v {
-			f64(x)
-		}
+		w.U32(uint32(len(v)))
+		w.F64s(v)
 	}
-	u32(uint32(len(ck.Trace)))
+	w.U32(uint32(len(ck.Trace)))
 	for _, p := range ck.Trace {
-		u64(uint64(p.Iter))
-		f64(p.Seconds)
-		f64(p.Value)
+		w.U64(uint64(p.Iter))
+		w.F64(p.Seconds)
+		w.F64(p.Value)
 	}
-	u64(crc64.Checksum(buf, sackCRC))
-	return buf
+	return wire.CRC64.Seal(w.B)
 }
 
 // decodeCkpt validates and decodes a .sack image for the given
@@ -168,92 +155,53 @@ func encodeCkpt(fp uint64, rank, size int, ck *rankCkpt) []byte {
 // fingerprint, identity — is an error; callers treat corrupt slots as
 // absent and fall back to the other slot.
 func decodeCkpt(data []byte, fp uint64, rank, size int) (*rankCkpt, error) {
-	le := binary.LittleEndian
-	if len(data) < len(sackMagic)+4+8 || string(data[:8]) != sackMagic {
+	if len(data) < len(sackMagic) || string(data[:len(sackMagic)]) != sackMagic {
 		return nil, errors.New("dist: not a checkpoint file")
 	}
-	body, tail := data[:len(data)-8], data[len(data)-8:]
-	if crc64.Checksum(body, sackCRC) != le.Uint64(tail) {
-		return nil, errors.New("dist: checkpoint checksum mismatch")
-	}
-	off := 8
-	u32 := func() uint32 { v := le.Uint32(body[off:]); off += 4; return v }
-	u64 := func() uint64 { v := le.Uint64(body[off:]); off += 8; return v }
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	// The CRC has validated the length implicitly, but keep the reads
-	// bounded anyway: a truncated-then-rechecksummed file must not panic.
-	need := func(n int) error {
-		if off+n > len(body) {
-			return errors.New("dist: truncated checkpoint")
-		}
-		return nil
-	}
-	if err := need(4 + 8 + 4 + 4 + 8 + 8 + 4*8 + 8 + 1 + 6*8 + 8 + 4); err != nil {
+	body, err := wire.CRC64.Open(".sack", data)
+	if err != nil {
 		return nil, err
 	}
-	if v := u32(); v != sackVersion {
-		return nil, fmt.Errorf("dist: checkpoint version %d, want %d", v, sackVersion)
+	r := wire.NewReader(".sack", body)
+	r.Bytes("magic", len(sackMagic))
+	if v := r.U32("version"); v != sackVersion {
+		r.Fail("version", "%d, want %d", v, sackVersion)
 	}
-	if got := u64(); got != fp {
-		return nil, errors.New("dist: checkpoint is from a different solver configuration")
+	if r.U64("fingerprint") != fp {
+		r.Fail("fingerprint", "from a different solver configuration")
 	}
-	if r := int(u32()); r != rank {
-		return nil, fmt.Errorf("dist: checkpoint belongs to rank %d, not %d", r, rank)
+	if v := r.U32("rank"); int(v) != rank {
+		r.Fail("rank", "belongs to rank %d, not %d", v, rank)
 	}
-	if s := int(u32()); s != size {
-		return nil, fmt.Errorf("dist: checkpoint world size %d, want %d", s, size)
+	if v := r.U32("size"); int(v) != size {
+		r.Fail("size", "world size %d, want %d", v, size)
 	}
-	ck := &rankCkpt{Step: int(u64()), Batches: int(u64())}
+	ck := &rankCkpt{Step: int(r.U64("step")), Batches: int(r.U64("batches"))}
 	for i := range ck.Rng.S {
-		ck.Rng.S[i] = u64()
+		ck.Rng.S[i] = r.U64("rng state")
 	}
-	ck.Rng.Spare = f64()
-	if body[off] > 1 {
-		return nil, fmt.Errorf("dist: checkpoint RNG flag %d is not 0 or 1", body[off])
+	ck.Rng.Spare = r.F64("rng spare")
+	switch r.U8("rng has-spare") {
+	case 0:
+	case 1:
+		ck.Rng.HasSpare = true
+	default:
+		r.Fail("rng has-spare", "not 0 or 1")
 	}
-	ck.Rng.HasSpare = body[off] == 1
-	off++
-	ck.Stats.Clock = f64()
-	ck.Stats.CompTime = f64()
-	ck.Stats.CommTime = f64()
-	ck.Stats.Flops = f64()
-	ck.Stats.Msgs = int64(u64())
-	ck.Stats.Words = int64(u64())
-	ck.Theta = f64()
-	// Every vector costs at least its 4-byte length, so the bytes left
-	// bound nv before it sizes an allocation.
-	nv := int(u32())
-	if err := need(4 * nv); err != nil {
-		return nil, err
-	}
-	ck.Vecs = make([][]float64, nv)
+	ck.Stats = mpi.RankStats{Clock: r.F64("clock"), CompTime: r.F64("comp"), CommTime: r.F64("comm"),
+		Flops: r.F64("flops"), Msgs: int64(r.U64("msgs")), Words: int64(r.U64("words"))}
+	ck.Theta = r.F64("theta")
+	ck.Vecs = make([][]float64, r.Count("nvec", uint64(r.U32("nvec")), 4))
 	for i := range ck.Vecs {
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		l := int(u32())
-		if err := need(8 * l); err != nil {
-			return nil, err
-		}
-		v := make([]float64, l)
-		for j := range v {
-			v[j] = f64()
-		}
-		ck.Vecs[i] = v
+		ck.Vecs[i] = make([]float64, r.Count("vec len", uint64(r.U32("vec len")), 8))
+		r.F64s("vec", ck.Vecs[i])
 	}
-	if err := need(4); err != nil {
-		return nil, err
-	}
-	nt := int(u32())
-	if err := need(24 * nt); err != nil {
-		return nil, err
-	}
-	ck.Trace = make([]TimedPoint, nt)
+	ck.Trace = make([]TimedPoint, r.Count("ntrace", uint64(r.U32("ntrace")), 24))
 	for i := range ck.Trace {
-		ck.Trace[i] = TimedPoint{Iter: int(u64()), Seconds: f64(), Value: f64()}
+		ck.Trace[i] = TimedPoint{Iter: int(r.U64("iter")), Seconds: r.F64("seconds"), Value: r.F64("value")}
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("dist: %d trailing bytes in checkpoint", len(body)-off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
@@ -355,7 +303,7 @@ func (s *ckptSession) endBatch(h int, snap func() rankCkpt) error {
 	ck.Batches = s.batches
 	slot := (s.batches / every) % 2
 	path := s.slotPath(slot)
-	if err := stream.WriteFileAtomic(path, encodeCkpt(s.fp, s.c.Rank(), s.c.Size(), &ck)); err != nil {
+	if err := wire.WriteFile(path, encodeCkpt(s.fp, s.c.Rank(), s.c.Size(), &ck)); err != nil {
 		return fmt.Errorf("dist: rank %d checkpoint at step %d: %w", s.c.Rank(), h, err)
 	}
 	if s.cfg.OnSave != nil {

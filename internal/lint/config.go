@@ -21,6 +21,7 @@ var deterministicPkgs = map[string]bool{
 	"saco/internal/dist":       true,
 	"saco/internal/mpi":        true,
 	"saco/internal/stream":     true,
+	"saco/internal/wire":       true,
 	"saco/internal/runtime":    true,
 	"saco/internal/rng":        true,
 	"saco/internal/costmodel":  true,
@@ -59,10 +60,11 @@ var hotPathPkgs = map[string]bool{
 
 // fileErrPkgs are the packages where a dropped (*os.File).Close or
 // .Sync error loses data or hides a short write: the streaming stack,
-// the LIBSVM reader/writer, the distributed loaders, and every CLI.
+// the LIBSVM reader/writer, the distributed loaders, the atomic file
+// writer every binary format publishes through, and every CLI.
 func inFileErrScope(path string) bool {
 	switch path {
-	case "saco/internal/stream", "saco/internal/libsvm", "saco/internal/dist":
+	case "saco/internal/stream", "saco/internal/libsvm", "saco/internal/dist", "saco/internal/wire":
 		return true
 	}
 	return strings.HasPrefix(path, "saco/cmd/")

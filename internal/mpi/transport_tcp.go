@@ -2,15 +2,15 @@ package mpi
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"sync"
 	"time"
+
+	"saco/internal/wire"
 )
 
 // TCPOptions tunes the networked transport. The zero value (or a nil
@@ -379,10 +379,10 @@ func writeCtl(conn net.Conn, v any) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 4+len(body))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(body)))
-	copy(buf[4:], body)
-	_, err = conn.Write(buf)
+	w := wire.Writer{B: make([]byte, 0, 4+len(body))}
+	w.U32(uint32(len(body)))
+	w.Bytes(body)
+	_, err = conn.Write(w.B)
 	return err
 }
 
@@ -391,7 +391,8 @@ func readCtl(conn net.Conn, v any) error {
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	r := wire.NewReader("control message", hdr[:])
+	n := r.U32("length")
 	if n > maxCtlBytes {
 		return fmt.Errorf("control message of %d bytes exceeds limit", n)
 	}
@@ -406,6 +407,9 @@ func readCtl(conn net.Conn, v any) error {
 const (
 	frameHdrBytes = 4 + 8 + 8
 	maxFrameWords = 1 << 27 // 1 GiB of payload: Send refuses more, and a reader seeing more calls it corruption
+	// frameChunk caps how far the receive buffer grows ahead of the bytes
+	// that have arrived, so a header alone cannot make a reader allocate.
+	frameChunk = 1 << 20
 )
 
 // Rank returns this endpoint's rank.
@@ -429,17 +433,14 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 			Err: fmt.Errorf("payload of %d words exceeds the %d-word frame limit", len(msg.Data), maxFrameWords)}
 	}
 	conn := t.conns[dst]
-	need := frameHdrBytes + 8*len(msg.Data)
-	if cap(t.wbuf) < need {
-		t.wbuf = make([]byte, need)
+	if need := frameHdrBytes + 8*len(msg.Data); cap(t.wbuf) < need {
+		t.wbuf = make([]byte, 0, need)
 	}
-	buf := t.wbuf[:need]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(msg.Data)))
-	binary.LittleEndian.PutUint64(buf[4:12], uint64(int64(msg.Tag)))
-	binary.LittleEndian.PutUint64(buf[12:20], math.Float64bits(msg.Clock))
-	for i, v := range msg.Data {
-		binary.LittleEndian.PutUint64(buf[frameHdrBytes+8*i:], math.Float64bits(v))
-	}
+	w := wire.Writer{B: t.wbuf[:0]}
+	w.U32(uint32(len(msg.Data)))
+	w.U64(uint64(int64(msg.Tag)))
+	w.F64(msg.Clock)
+	w.F64s(msg.Data)
 	// A failed deadline set means the connection is already dead (closed
 	// or torn down); report it as the peer failure it is rather than
 	// silently writing without pacing and blocking on a wedged socket.
@@ -447,7 +448,7 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag,
 			Err: fmt.Errorf("set write deadline: %w", err)}
 	}
-	if _, err := conn.Write(buf); err != nil {
+	if _, err := conn.Write(w.B); err != nil {
 		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag, Err: err}
 	}
 	return nil
@@ -463,30 +464,20 @@ func (t *transportTCP) reader(p int) {
 	for {
 		_, err := io.ReadFull(conn, hdr[:])
 		if err == nil {
-			words := binary.LittleEndian.Uint32(hdr[0:4])
+			h := wire.NewReader("frame", hdr[:])
+			words := h.U32("words")
+			msg := Message{Tag: int(int64(h.U64("tag"))), Clock: h.F64("clock")}
 			if words > maxFrameWords {
 				err = fmt.Errorf("frame of %d words exceeds limit", words)
-			} else {
-				need := 8 * int(words)
-				if cap(payload) < need {
-					payload = make([]byte, need)
-				}
-				_, err = io.ReadFull(conn, payload[:need])
-				if err == nil {
-					msg := Message{
-						Tag:   int(int64(binary.LittleEndian.Uint64(hdr[4:12]))),
-						Clock: math.Float64frombits(binary.LittleEndian.Uint64(hdr[12:20])),
-						Data:  make([]float64, words),
-					}
-					for i := range msg.Data {
-						msg.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-					}
-					select {
-					case t.inbox[p] <- msg:
-						continue
-					case <-t.closed:
-						return
-					}
+			} else if payload, err = readGrowing(conn, payload, 8*int(words)); err == nil {
+				msg.Data = make([]float64, words)
+				r := wire.NewReader("frame", payload)
+				r.F64s("payload", msg.Data)
+				select {
+				case t.inbox[p] <- msg:
+					continue
+				case <-t.closed:
+					return
 				}
 			}
 		}
@@ -501,6 +492,28 @@ func (t *transportTCP) reader(p int) {
 		close(t.inbox[p]) // only this goroutine sends on the inbox
 		return
 	}
+}
+
+// readGrowing reads exactly n bytes into buf's backing array. A buffer
+// already large enough is reused as is; otherwise it grows only as bytes
+// arrive, by at most max(frameChunk, bytes so far) at a time, so a peer
+// that declares a huge frame and then stops sending costs one chunk, not
+// the declared size, and a real one costs O(n) copying.
+func readGrowing(conn io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(n-len(buf), max(len(buf), frameChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(conn, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 func (t *transportTCP) readErr(p int) error {

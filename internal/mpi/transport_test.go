@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 	"time"
+
+	"saco/internal/wire"
 )
 
 // TestRecvFromFinishedPeerFailsFast is the regression test for the
@@ -272,5 +275,36 @@ func TestTCPSendRecvLargePayload(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameHeaderAloneAllocatesLittle: a peer that declares a frame of
+// maxFrameWords words (1 GiB) and then closes must surface as a
+// *PeerError, and the receiver must not have allocated for the bytes
+// that never arrived.
+func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
+	local, remote := net.Pipe()
+	tr := newTransportTCP(0, 2, (&TCPOptions{}).withDefaults())
+	tr.conns[1] = local
+	defer tr.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go tr.reader(1)
+	go func() {
+		var w wire.Writer
+		w.U32(maxFrameWords)
+		w.U64(5)
+		w.F64(0)
+		remote.Write(w.B) //nolint:errcheck // the receiver's error is what the test checks
+		remote.Close()
+	}()
+	_, err := tr.Recv(1)
+	runtime.ReadMemStats(&after)
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Peer != 1 {
+		t.Fatalf("Recv after a header-only frame: %v, want a *PeerError from rank 1", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+		t.Fatalf("a %d-word header with no payload made the receiver allocate %d bytes", maxFrameWords, grew)
 	}
 }

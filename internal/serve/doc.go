@@ -24,7 +24,8 @@
 // # Model file format (.sacm, version 1)
 //
 // A model is a sparse coefficient vector plus provenance, stored
-// little-endian with a trailing checksum:
+// little-endian with a trailing checksum, encoded and decoded through
+// internal/wire (its Writer, its bounded Reader and its CRC64 trailer):
 //
 //	offset  size        field
 //	0       8           magic "SACOMDL1"
@@ -42,12 +43,14 @@
 // There is one load path: LoadModelFile refuses a file over the reader
 // cap from its size alone, reads the rest into the heap, and hands the
 // bytes to the one decoder (decodeModel), which copies every index and
-// value out. It rejects bad magic, unknown versions, truncated or
-// oversized payloads, checksum mismatches, and indices out of order or
-// out of range — a corrupt or half-written file can never become the
-// serving model (WriteModelFile additionally publishes via
-// stream.WriteFileAtomic's temp file + rename, so a watcher never even
-// opens a partial file). The old text format (one value per line) is
+// value out. It rejects bad magic, checksum mismatches, unknown
+// versions, an nnz the bytes left cannot hold, trailing bytes, and
+// indices out of order or out of range — a corrupt or half-written file
+// can never become the serving model (WriteModelFile additionally
+// publishes via wire.WriteFile's temp file + rename, so a watcher never
+// even opens a partial file). The bytes are those of every earlier
+// build: a version-1 file written before internal/wire existed loads and
+// re-encodes to itself. The old text format (one value per line) is
 // refused with the migration: re-save with `sasolve -out model.sacm`.
 //
 // Registry versions are encoded in the file name (model-%08d.sacm);

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc64"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"saco/internal/wire"
 )
 
 // fuzzSeedModel renders a small valid binary model for the seed corpus.
@@ -29,13 +31,12 @@ func fuzzSeedModel() []byte {
 // panic instead of an error.
 func overflowingNNZModel() []byte {
 	const k = 3
-	data := make([]byte, modelHeaderSize+16*k+8)
-	copy(data, modelMagic[:])
+	data := make([]byte, modelHeaderSize+16*k)
+	copy(data, modelMagic)
 	le := binary.LittleEndian
 	le.PutUint32(data[8:], modelFormatVersion)
 	le.PutUint64(data[48:], 1<<60+k)
-	le.PutUint64(data[len(data)-8:], crc64.Checksum(data[:len(data)-8], crcTable))
-	return data
+	return wire.CRC64.Seal(data)
 }
 
 // TestReadModelOverflowingNNZRejected pins the overflow guard as a
@@ -48,11 +49,12 @@ func TestReadModelOverflowingNNZRejected(t *testing.T) {
 
 // FuzzLoadModel: the .sacm decoder feeds the serving registry from a
 // watched directory, so it must treat every byte stream as hostile —
-// malformed input always returns an error, never a panic, and never an
-// allocation driven by a corrupt header (decodeModel validates the
-// declared nnz against the actual file size before allocating). The
-// checked-in corpus under testdata/fuzz/FuzzLoadModel replays on plain
-// `go test`.
+// malformed input always returns an error, never a panic, and a refusal
+// never allocates in proportion to a corrupt header (decodeModel bounds
+// the declared nnz by the bytes left before allocating). The harness
+// recomputes the trailer over the fuzzed image, so a mutation reaches
+// the decoder past the checksum. The checked-in corpus under
+// testdata/fuzz/FuzzLoadModel replays on plain `go test`.
 func FuzzLoadModel(f *testing.F) {
 	valid := fuzzSeedModel()
 	f.Add(valid)
@@ -66,10 +68,19 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(corrupt)
 	f.Add(overflowingNNZModel())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 8 {
+			data = wire.CRC64.Seal(append([]byte(nil), data[:len(data)-8]...))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		m, err := decodeModel(data)
+		runtime.ReadMemStats(&after)
 		if err != nil {
-			if !bytes.HasPrefix(data, modelMagic[:]) && !strings.Contains(err.Error(), "sasolve -out model.sacm") {
+			if !bytes.HasPrefix(data, []byte(modelMagic)) && !strings.Contains(err.Error(), "sasolve -out model.sacm") {
 				t.Fatalf("non-.sacm input refused without the migration: %v", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("refusing a %d-byte model allocated %d bytes: %v", len(data), grew, err)
 			}
 			return
 		}

@@ -1,17 +1,13 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
-	"math"
 	"os"
 	"sync"
 
 	"saco/internal/sparse"
-	"saco/internal/stream"
+	"saco/internal/wire"
 )
 
 // Kind identifies the problem family a model was trained on. It decides
@@ -147,90 +143,70 @@ func (m *Model) validate() error {
 }
 
 // Binary format constants (layout documented in doc.go).
-var modelMagic = [8]byte{'S', 'A', 'C', 'O', 'M', 'D', 'L', '1'}
-
 const (
+	modelMagic         = "SACOMDL1"
 	modelFormatVersion = 1
-	modelHeaderSize    = 56 // magic through nnz
 	// maxModelBytes bounds how large a model file LoadModelFile will
 	// read (1 << 31 covers ~134M nonzeros — far past any dataset in the
 	// paper).
 	maxModelBytes = 1 << 31
 )
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // encodeModel renders m as one .sacm image.
 func encodeModel(m *Model) ([]byte, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, modelHeaderSize+16*len(m.Idx)+8)
-	copy(buf, modelMagic[:])
-	le := binary.LittleEndian
-	le.PutUint32(buf[8:], modelFormatVersion)
-	le.PutUint32(buf[12:], uint32(m.Kind))
-	le.PutUint64(buf[16:], uint64(m.Features))
-	le.PutUint64(buf[24:], uint64(m.TrainRows))
-	le.PutUint64(buf[32:], math.Float64bits(m.Lambda))
-	le.PutUint64(buf[40:], m.Version)
-	le.PutUint64(buf[48:], uint64(len(m.Idx)))
-	off := modelHeaderSize
+	w := wire.Writer{B: make([]byte, 0, 56+16*len(m.Idx)+8)} // header, indices and values, trailer
+	w.Bytes([]byte(modelMagic))
+	w.U32(modelFormatVersion)
+	w.U32(uint32(m.Kind))
+	w.U64(uint64(m.Features))
+	w.U64(uint64(m.TrainRows))
+	w.F64(m.Lambda)
+	w.U64(m.Version)
+	w.U64(uint64(len(m.Idx)))
 	for _, j := range m.Idx {
-		le.PutUint64(buf[off:], uint64(j))
-		off += 8
+		w.U64(uint64(j))
 	}
-	for _, v := range m.Val {
-		le.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	le.PutUint64(buf[off:], crc64.Checksum(buf[:off], crcTable))
-	return buf, nil
+	w.F64s(m.Val)
+	return wire.CRC64.Seal(w.B), nil
 }
 
 // decodeModel is the one .sacm decoder: it verifies the magic, the
-// format version, the declared sizes, the checksum over the whole
-// payload and the index invariants before trusting a byte. Any failure
-// is an error — a corrupt file never yields a partially-trusted model.
-// The reader cap is LoadModelFile's: it applies before the read.
+// checksum over the whole payload, the format version, the declared
+// sizes and the index invariants before trusting a byte. Any failure is
+// an error — a corrupt file never yields a partially-trusted model. The
+// reader cap is LoadModelFile's: it applies before the read.
 func decodeModel(data []byte) (*Model, error) {
-	if len(data) < 8 || !bytes.Equal(data[:8], modelMagic[:]) {
+	if len(data) < len(modelMagic) || string(data[:len(modelMagic)]) != modelMagic {
 		return nil, fmt.Errorf("serve: bad magic %q: not a .sacm binary model; the text model format (one value per line) is no longer read — re-save with `sasolve -out model.sacm`", data[:min(8, len(data))])
 	}
-	if len(data) < modelHeaderSize+8 {
-		return nil, fmt.Errorf("serve: model file truncated (%d bytes)", len(data))
+	body, err := wire.CRC64.Open(".sacm", data)
+	if err != nil {
+		return nil, fmt.Errorf("serve: corrupted model file: %w", err)
 	}
-	le := binary.LittleEndian
-	if v := le.Uint32(data[8:]); v != modelFormatVersion {
-		return nil, fmt.Errorf("serve: unsupported model format version %d (have %d)", v, modelFormatVersion)
-	}
-	nnz := le.Uint64(data[48:])
-	// Bound nnz by the file length before any arithmetic on it: a
-	// corrupt field near 2⁶⁴/16 would otherwise wrap 16*nnz, slip past
-	// the size equality and drive make() into a panic.
-	if nnz > uint64(len(data))/16 {
-		return nil, fmt.Errorf("serve: model header declares %d nonzeros in a %d-byte file", nnz, len(data))
-	}
-	if want := modelHeaderSize + 16*nnz + 8; uint64(len(data)) != want {
-		return nil, fmt.Errorf("serve: model file is %d bytes, header declares %d (nnz=%d)", len(data), want, nnz)
-	}
-	payload := data[:len(data)-8]
-	if got, stored := crc64.Checksum(payload, crcTable), le.Uint64(data[len(data)-8:]); got != stored {
-		return nil, fmt.Errorf("serve: model checksum mismatch (stored %016x, computed %016x): corrupted file", stored, got)
+	r := wire.NewReader(".sacm", body)
+	r.Bytes("magic", len(modelMagic))
+	if v := r.U32("version"); v != modelFormatVersion {
+		r.Fail("version", "unsupported model format version %d (have %d)", v, modelFormatVersion)
 	}
 	m := &Model{
-		Kind:      Kind(le.Uint32(data[12:])),
-		Features:  int(le.Uint64(data[16:])),
-		TrainRows: int(le.Uint64(data[24:])),
-		Lambda:    math.Float64frombits(le.Uint64(data[32:])),
-		Version:   le.Uint64(data[40:]),
+		Kind:      Kind(r.U32("kind")),
+		Features:  int(r.U64("features")),
+		TrainRows: int(r.U64("train rows")),
+		Lambda:    r.F64("lambda"),
+		Version:   r.U64("model version"),
 	}
+	nnz := r.Count("nnz", r.U64("nnz"), 16)
 	m.Idx = make([]int, nnz)
-	m.Val = make([]float64, nnz)
-	vals := data[modelHeaderSize+8*nnz:]
 	for k := range m.Idx {
-		m.Idx[k] = int(le.Uint64(data[modelHeaderSize+8*k:]))
-		m.Val[k] = math.Float64frombits(le.Uint64(vals[8*k:]))
+		m.Idx[k] = int(r.U64("indices"))
+	}
+	m.Val = make([]float64, nnz)
+	r.F64s("values", m.Val)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -239,7 +215,7 @@ func decodeModel(data []byte) (*Model, error) {
 }
 
 // WriteModelFile publishes the binary format at path through
-// stream.WriteFileAtomic (temp file, fsync, rename), so a reader — in
+// wire.WriteFile (temp file, fsync, rename), so a reader — in
 // particular a registry watching the directory the model is being
 // trained into — can never observe a partial artifact, and a full disk
 // surfaces as an error instead of silent success.
@@ -248,7 +224,7 @@ func WriteModelFile(path string, m *Model) error {
 	if err != nil {
 		return err
 	}
-	return stream.WriteFileAtomic(path, buf)
+	return wire.WriteFile(path, buf)
 }
 
 // LoadModelFile reads a binary model from path into the heap. The size

@@ -1,18 +1,21 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"saco/internal/sparse"
+	"saco/internal/wire"
 )
+
+// modelHeaderSize is the .sacm header: magic through nnz.
+const modelHeaderSize = 56
 
 // testModel builds a deterministic sparse model.
 func testModel(kind Kind, n, nnz int, seed int64) *Model {
@@ -165,8 +168,9 @@ func TestModelRejectsCorruption(t *testing.T) {
 		d[modelHeaderSize+8*len(m.Idx)+3] ^= 0x40
 		return d
 	}, "checksum")
-	reject("truncated", func(d []byte) []byte { return d[:len(d)-9] }, "declares")
-	reject("appended garbage", func(d []byte) []byte { return append(d, 0xff) }, "declares")
+	reject("truncated", func(d []byte) []byte { return d[:len(d)-9] }, "checksum")
+	reject("truncated body", func(d []byte) []byte { return wire.CRC64.Seal(d[:len(d)-9]) }, "declares")
+	reject("appended garbage", func(d []byte) []byte { return wire.CRC64.Seal(append(d[:len(d)-8], 0xff)) }, "trailing")
 	reject("bad magic", func(d []byte) []byte { d[0] = 'X'; return d }, "magic")
 	reject("future version", func(d []byte) []byte {
 		d[8] = 99
@@ -189,12 +193,45 @@ func TestModelRejectsCorruption(t *testing.T) {
 	}, "increasing")
 }
 
-// rechecksum fixes up the trailing CRC after a deliberate header
-// mutation, so the test reaches the validation being targeted instead
-// of the checksum gate.
+// rechecksum recomputes the trailing CRC after a deliberate mutation, so
+// the test reaches the validation being targeted instead of the checksum
+// gate.
 func rechecksum(d []byte) []byte {
-	binary.LittleEndian.PutUint64(d[len(d)-8:], crc64.Checksum(d[:len(d)-8], crcTable))
-	return d
+	return wire.CRC64.Seal(append([]byte(nil), d[:len(d)-8]...))
+}
+
+// TestModelReadsOlderBuilds: the FuzzLoadModel seed-00-valid corpus file
+// is a .sacm image written by the encoder that predates internal/wire.
+// It must decode to the model it was written from and re-encode to the
+// same bytes, so a registry keeps serving models across an upgrade.
+func TestModelReadsOlderBuilds(t *testing.T) {
+	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadModel", "seed-00-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(corpus)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("unexpected corpus file:\n%s", corpus)
+	}
+	img, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeModel([]byte(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Model{Kind: KindLasso, Features: 5, TrainRows: 7, Lambda: 0.3, Version: 4, Idx: []int{1, 3, 4}, Val: []float64{1.5, -2, 0.25}}
+	if got := fmt.Sprint(modelFields(m)); got != fmt.Sprint(modelFields(want)) {
+		t.Fatalf("decoded %s, want %s", got, fmt.Sprint(modelFields(want)))
+	}
+	back, err := encodeModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back) != img {
+		t.Fatalf("re-encoded model differs from the stored image:\n got  %x\n want %x", back, img)
+	}
 }
 
 // randRequestCSR builds random sparse request rows of width n.

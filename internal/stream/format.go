@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -9,24 +8,24 @@ import (
 	"path/filepath"
 
 	"saco/internal/sparse"
+	"saco/internal/wire"
 )
 
-// On-disk layout, version 2 (all fixed-width fields little-endian).
+// On-disk layout, version 3: all fixed-width fields little-endian, every
+// file encoded and decoded through internal/wire and sealed with a
+// CRC-32 (IEEE) trailer that is verified before a field is decoded.
 //
 // Shard file (shard-NNNNN.bin) — one contiguous row block, stored either
 // row-major (CSR) or column-major (CSC), with a per-shard codec flag:
 //
-//	magic    [8]byte  "SACOSHv2"
+//	magic    [8]byte  "SACOSHv3"
 //	layout   uint8    0 = CSR, 1 = CSC
 //	codec    uint8    0 = raw, 1 = delta-varint
-//	reserved uint16
 //	rows     uint32   block row count
 //	cols     uint32   stored column width (CSC only; the decoder pads the
 //	                  column pointer out to the dataset width, so shards
 //	                  never spend bytes on trailing empty columns)
 //	nnz      uint64
-//	ptrBytes uint64   byte length of the ptr section
-//	idxBytes uint64   byte length of the idx section
 //	ptr      section  raw: (segments+1) × uint64 offsets
 //	                  delta: segments × uvarint segment lengths
 //	idx      section  raw: nnz × uint32
@@ -35,22 +34,23 @@ import (
 //	                  increasing within a segment, so every difference
 //	                  is ≥ 1 and url-like skewed index distributions
 //	                  collapse to one byte per entry
-//	pad      to an 8-byte boundary (layout only: no reader depends on
-//	                  the alignment, but every v2 shard carries it)
 //	vals     section  raw: nnz × float64 IEEE-754 bits
 //	                  delta: nnz × uvarint(byte-reversed float64 bits) —
 //	                  exact (bit-for-bit) for every value, and short for
 //	                  the low-entropy values real LIBSVM files hold
 //	                  (binary ±1 features, small integers, halves)
+//	crc      uint32   CRC-32 of every preceding byte
 //
 // A "segment" is a row for CSR shards and a column for CSC shards; its
 // idx entries are column indices (CSR) or block-local row indices (CSC).
+// The sections follow each other with no length fields: the counts in
+// the header delimit them, and the image must end exactly at the trailer.
 //
-// Manifest file (manifest.bin), version 2 — dataset metadata plus the
+// Manifest file (manifest.bin), version 3 — dataset metadata plus the
 // label vector (labels stay resident; at paper scale they are ~20 MB vs
 // ~4 GB of matrix data):
 //
-//	magic     [8]byte  "SACOSMv2"
+//	magic     [8]byte  "SACOSMv3"
 //	m, n      uint64
 //	nnz       uint64
 //	blockRows uint32
@@ -59,21 +59,19 @@ import (
 //	srcMTime  int64              source mtime, unix nanos (0 = unrecorded)
 //	layout    uint8
 //	codec     uint8
-//	reserved  [6]byte
 //	shards    nshards × { rows uint32, nnz uint64 }
 //	labels    m × float64
+//	crc       uint32             CRC-32 of every preceding byte
 //
 // Column indices are stored in (at most) 32 bits, which caps the
 // feature space at 2³²−1 — 1000× the paper's widest dataset.
 //
-// The version-1 encodings have no read path any more; badMagic refuses
-// them by name.
+// The version-1 and version-2 encodings have no read path; badMagic
+// refuses them by name.
 const (
-	shardMagicV2 = "SACOSHv2"
-	manifestV2   = "SACOSMv2"
-	manifestName = "manifest.bin"
-
-	shardHeaderV2 = 48
+	shardMagic    = "SACOSHv3"
+	manifestMagic = "SACOSMv3"
+	manifestName  = "manifest.bin"
 
 	// MaxFeatures is the widest column space the shard encoding holds.
 	MaxFeatures = 1<<32 - 1
@@ -178,72 +176,46 @@ func encodeShard(layout Layout, codec Codec, block shardBlock) []byte {
 		segPtr, idx, vals, rows = a.RowPtr, a.ColIdx, a.Val, a.M
 	}
 
-	var ptrSec, idxSec, valSec []byte
-	switch codec {
-	case CodecDelta:
-		ptrSec = make([]byte, 0, len(segPtr))
+	// Sized for the raw encoding (26-byte header, sections, trailer); a
+	// delta shard is usually far smaller.
+	w := wire.Writer{B: make([]byte, 0, 26+8*len(segPtr)+12*len(vals)+4)}
+	w.Bytes([]byte(shardMagic))
+	w.U8(uint8(layout))
+	w.U8(uint8(codec))
+	w.U32(uint32(rows))
+	w.U32(uint32(cols))
+	w.U64(uint64(len(vals)))
+	if codec == CodecDelta {
 		for s := 0; s+1 < len(segPtr); s++ {
-			ptrSec = binary.AppendUvarint(ptrSec, uint64(segPtr[s+1]-segPtr[s]))
+			w.Uvarint(uint64(segPtr[s+1] - segPtr[s]))
 		}
-		idxSec = make([]byte, 0, len(idx)*2)
 		for s := 0; s+1 < len(segPtr); s++ {
-			prev := -1
+			prev := 0
 			for p := segPtr[s]; p < segPtr[s+1]; p++ {
-				if prev < 0 {
-					idxSec = binary.AppendUvarint(idxSec, uint64(idx[p]))
-				} else {
-					idxSec = binary.AppendUvarint(idxSec, uint64(idx[p]-prev))
-				}
+				w.Uvarint(uint64(idx[p] - prev))
 				prev = idx[p]
 			}
 		}
-		valSec = make([]byte, 0, len(vals)*4)
 		for _, v := range vals {
-			valSec = binary.AppendUvarint(valSec, bits.ReverseBytes64(math.Float64bits(v)))
+			w.Uvarint(bits.ReverseBytes64(math.Float64bits(v)))
 		}
-	default:
-		ptrSec = make([]byte, 8*len(segPtr))
-		for k, v := range segPtr {
-			binary.LittleEndian.PutUint64(ptrSec[8*k:], uint64(v))
+	} else {
+		for _, v := range segPtr {
+			w.U64(uint64(v))
 		}
-		idxSec = make([]byte, 4*len(idx))
-		for k, v := range idx {
-			binary.LittleEndian.PutUint32(idxSec[4*k:], uint32(v))
+		for _, v := range idx {
+			w.U32(uint32(v))
 		}
-		valSec = make([]byte, 8*len(vals))
-		for k, v := range vals {
-			binary.LittleEndian.PutUint64(valSec[8*k:], math.Float64bits(v))
-		}
+		w.F64s(vals)
 	}
-
-	le := binary.LittleEndian
-	pad := padTo8(shardHeaderV2 + len(ptrSec) + len(idxSec))
-	out := make([]byte, 0, shardHeaderV2+len(ptrSec)+len(idxSec)+pad+len(valSec))
-	var hdr [shardHeaderV2]byte
-	copy(hdr[:], shardMagicV2)
-	hdr[8] = byte(layout)
-	hdr[9] = byte(codec)
-	le.PutUint32(hdr[12:], uint32(rows))
-	le.PutUint32(hdr[16:], uint32(cols))
-	le.PutUint64(hdr[20:], uint64(len(vals)))
-	le.PutUint64(hdr[28:], uint64(len(ptrSec)))
-	le.PutUint64(hdr[36:], uint64(len(idxSec)))
-	out = append(out, hdr[:]...)
-	out = append(out, ptrSec...)
-	out = append(out, idxSec...)
-	out = append(out, make([]byte, pad)...)
-	out = append(out, valSec...)
-	return out
+	return wire.CRC32.Seal(w.B)
 }
-
-// padTo8 returns the zero-padding that aligns off to an 8-byte boundary.
-func padTo8(off int) int { return (8 - off%8) % 8 }
 
 // writeShard spills one encoded row block through the durable seam:
 // a full disk cannot masquerade as a successful build, and a crash never
 // leaves a torn shard under the final name.
 func writeShard(path string, layout Layout, codec Codec, block shardBlock) error {
-	return WriteFileAtomic(path, encodeShard(layout, codec, block))
+	return wire.WriteFile(path, encodeShard(layout, codec, block))
 }
 
 // cscFromBlock transposes one CSR row block into block-local CSC with the
@@ -269,161 +241,93 @@ func cscFromBlock(rowPtr, colIdx []int, vals []float64) *sparse.CSC {
 // data. Every structural invariant is re-validated because the bytes
 // come from disk.
 func decodeShard(data []byte, n int) (shardBlock, error) {
-	// Magic before length: a version-1 shard can be shorter than a v2
-	// header and must still be refused by name.
-	if len(data) >= 8 && string(data[:8]) != shardMagicV2 {
+	// Magic before the checksum: an older shard fails the trailer and
+	// must still be refused by name.
+	if len(data) >= 8 && string(data[:8]) != shardMagic {
 		return shardBlock{}, fmt.Errorf("stream: %v", badMagic("shard", data[:8]))
 	}
-	if len(data) < shardHeaderV2 {
-		return shardBlock{}, fmt.Errorf("stream: short shard header (%d bytes)", len(data))
+	body, err := wire.CRC32.Open("shard", data)
+	if err != nil {
+		return shardBlock{}, err
 	}
-	le := binary.LittleEndian
-	layout := Layout(data[8])
-	codec := Codec(data[9])
-	if layout > LayoutCSC {
-		return shardBlock{}, fmt.Errorf("stream: unknown shard layout %d", data[8])
+	r := wire.NewReader("shard", body)
+	r.Bytes("magic", len(shardMagic))
+	layout, codec := Layout(r.U8("layout")), Codec(r.U8("codec"))
+	rows, cols, nnz64 := int(r.U32("rows")), int(r.U32("cols")), r.U64("nnz")
+	if layout > LayoutCSC || codec > CodecDelta {
+		r.Fail("layout", "unknown layout/codec %d/%d", layout, codec)
 	}
-	if codec > CodecDelta {
-		return shardBlock{}, fmt.Errorf("stream: unknown shard codec %d", data[9])
-	}
-	rows := int(le.Uint32(data[12:]))
-	cols := int(le.Uint32(data[16:]))
-	nnz64 := le.Uint64(data[20:])
-	ptrBytes64 := le.Uint64(data[28:])
-	idxBytes64 := le.Uint64(data[36:])
-	body := uint64(len(data) - shardHeaderV2)
-	if nnz64 > body || ptrBytes64 > body || idxBytes64 > body {
-		return shardBlock{}, fmt.Errorf("stream: shard header declares %d nnz / %d+%d section bytes, file body is %d bytes", nnz64, ptrBytes64, idxBytes64, body)
-	}
-	nnz, ptrBytes, idxBytes := int(nnz64), int(ptrBytes64), int(idxBytes64)
-
-	segs := rows
+	segs, ptrLen := rows, rows+1
 	if layout == LayoutCSC {
-		segs = cols
+		// CSC column pointers are padded out to the dataset width, so
+		// trailing empty columns cost no disk bytes.
+		segs, ptrLen = cols, n+1
 		if cols > n {
-			return shardBlock{}, fmt.Errorf("stream: shard stores %d columns, dataset has %d", cols, n)
+			r.Fail("cols", "%d columns stored, dataset has %d", cols, n)
 		}
+	}
+	// Bound the counts by the bytes left before allocating from them: a
+	// raw segment costs 8 bytes and a raw entry 12 (index and value);
+	// every varint costs at least one.
+	raw := codec == CodecRaw
+	segW, nnzW := 1, 2
+	if raw {
+		segW, nnzW = 8, 12
+	}
+	r.Count("segments", uint64(segs), segW)
+	nnz := r.Count("nnz", nnz64, nnzW)
+	if err := r.Err(); err != nil {
+		return shardBlock{}, err
 	}
 
-	// Validate section sizes before any nnz- or segment-proportional
-	// allocation, so a corrupt header cannot drive memory use.
-	switch codec {
-	case CodecRaw:
-		if ptrBytes != 8*(segs+1) || idxBytes != 4*nnz {
-			return shardBlock{}, fmt.Errorf("stream: raw shard sections %d+%d bytes, want %d+%d", ptrBytes, idxBytes, 8*(segs+1), 4*nnz)
-		}
-	default:
-		// Varint sections: every segment length and every index costs at
-		// least one byte.
-		if segs > ptrBytes || nnz > idxBytes {
-			return shardBlock{}, fmt.Errorf("stream: delta shard declares %d segments / %d nnz in %d/%d section bytes", segs, nnz, ptrBytes, idxBytes)
-		}
-	}
-	pad := padTo8(shardHeaderV2 + ptrBytes + idxBytes)
-	valOff := shardHeaderV2 + ptrBytes + idxBytes + pad
-	if valOff > len(data) {
-		return shardBlock{}, fmt.Errorf("stream: shard truncated before the vals section")
-	}
-	valSec := data[valOff:]
-	if codec == CodecRaw && len(valSec) != 8*nnz {
-		return shardBlock{}, fmt.Errorf("stream: raw vals section %d bytes, want %d", len(valSec), 8*nnz)
-	}
-	if codec == CodecDelta && nnz > len(valSec) {
-		return shardBlock{}, fmt.Errorf("stream: delta vals section %d bytes for %d values", len(valSec), nnz)
-	}
-
-	// ptr section → segment offsets. CSC column pointers are padded out
-	// to the dataset width so trailing empty columns cost no disk bytes.
-	ptrLen := segs + 1
-	if layout == LayoutCSC {
-		ptrLen = n + 1
-	}
+	// ptr section → segment offsets, each within [0, nnz]; NewCSR and
+	// NewCSC check that they are monotone and end at nnz.
 	segPtr := make([]int, ptrLen)
-	ptrSec := data[shardHeaderV2 : shardHeaderV2+ptrBytes]
-	if codec == CodecDelta {
-		off := 0
-		for s := 0; s < segs; s++ {
-			v, k := binary.Uvarint(ptrSec[off:])
-			if k <= 0 || v > uint64(nnz) {
-				return shardBlock{}, fmt.Errorf("stream: corrupt segment length at segment %d", s)
-			}
-			off += k
-			segPtr[s+1] = segPtr[s] + int(v)
+	if raw && r.U64("ptr") != 0 {
+		r.Fail("ptr", "does not start at 0")
+	}
+	for s := 1; s <= segs; s++ {
+		base, v := 0, uint64(0)
+		if raw {
+			v = r.U64("ptr")
+		} else {
+			base, v = segPtr[s-1], r.Uvarint("ptr")
 		}
-		if off != len(ptrSec) {
-			return shardBlock{}, fmt.Errorf("stream: %d trailing bytes after the ptr section", len(ptrSec)-off)
+		if v > uint64(nnz-base) {
+			r.Fail("ptr", "segment %d ends past nnz %d", s-1, nnz)
+			break
 		}
-	} else {
-		if v := le.Uint64(ptrSec); v != 0 {
-			return shardBlock{}, fmt.Errorf("stream: ptr[0] = %d, want 0", v)
-		}
-		for s := 1; s <= segs; s++ {
-			v := le.Uint64(ptrSec[8*s:])
-			if v > uint64(nnz) {
-				return shardBlock{}, fmt.Errorf("stream: ptr[%d] = %d exceeds nnz %d", s, v, nnz)
-			}
-			segPtr[s] = int(v)
-		}
+		segPtr[s] = base + int(v)
 	}
 	for s := segs; s < ptrLen-1; s++ {
 		segPtr[s+1] = segPtr[s]
 	}
-	if segPtr[ptrLen-1] != nnz {
-		return shardBlock{}, fmt.Errorf("stream: ptr ends at %d, nnz is %d", segPtr[ptrLen-1], nnz)
-	}
 
-	// idx section.
 	idx := make([]int, nnz)
-	idxSec := data[shardHeaderV2+ptrBytes : shardHeaderV2+ptrBytes+idxBytes]
-	if codec == CodecDelta {
-		off := 0
+	if raw {
+		for k := range idx {
+			idx[k] = int(r.U32("idx"))
+		}
+	} else {
 		for s := 0; s < segs; s++ {
-			prev := -1
+			prev := 0
 			for p := segPtr[s]; p < segPtr[s+1]; p++ {
-				v, k := binary.Uvarint(idxSec[off:])
-				if k <= 0 {
-					return shardBlock{}, fmt.Errorf("stream: corrupt index varint in segment %d", s)
-				}
-				off += k
-				if prev < 0 {
-					idx[p] = int(v)
-				} else {
-					idx[p] = prev + int(v)
-				}
-				if idx[p] < 0 {
-					return shardBlock{}, fmt.Errorf("stream: index overflow in segment %d", s)
-				}
+				idx[p] = prev + int(r.Uvarint("idx"))
 				prev = idx[p]
 			}
 		}
-		if off != len(idxSec) {
-			return shardBlock{}, fmt.Errorf("stream: %d trailing bytes after the idx section", len(idxSec)-off)
-		}
-	} else {
-		for k := range idx {
-			idx[k] = int(le.Uint32(idxSec[4*k:]))
-		}
 	}
 
-	// vals section.
 	vals := make([]float64, nnz)
-	if codec == CodecRaw {
-		for k := range vals {
-			vals[k] = math.Float64frombits(le.Uint64(valSec[8*k:]))
-		}
+	if raw {
+		r.F64s("vals", vals)
 	} else {
-		off := 0
 		for k := range vals {
-			v, n := binary.Uvarint(valSec[off:])
-			if n <= 0 {
-				return shardBlock{}, fmt.Errorf("stream: corrupt value varint at entry %d", k)
-			}
-			off += n
-			vals[k] = math.Float64frombits(bits.ReverseBytes64(v))
+			vals[k] = math.Float64frombits(bits.ReverseBytes64(r.Uvarint("vals")))
 		}
-		if off != len(valSec) {
-			return shardBlock{}, fmt.Errorf("stream: %d trailing bytes after the vals section", len(valSec)-off)
-		}
+	}
+	if err := r.Done(); err != nil {
+		return shardBlock{}, err
 	}
 
 	if layout == LayoutCSC {
@@ -441,12 +345,14 @@ func decodeShard(data []byte, n int) (shardBlock, error) {
 }
 
 // badMagic is the error for a file that does not start with the magic
-// its reader expects. The version-1 store encodings ("SACOSHv1" shards,
-// "SACOSMv1" manifests) are named, with the migration: a shard store is
-// a cache of its LIBSVM source, so it is rebuilt, not converted.
+// its reader expects. The older store encodings ("SACOSHv1"/"SACOSHv2"
+// shards, "SACOSMv1"/"SACOSMv2" manifests) are named, with the
+// migration: a shard store is a cache of its LIBSVM source, so it is
+// rebuilt, not converted.
 func badMagic(what string, magic []byte) error {
-	if m := string(magic); m == "SACOSHv1" || m == "SACOSMv1" {
-		return fmt.Errorf("version-1 %s (%s) is no longer readable: delete the cache directory and re-ingest the LIBSVM source", what, m)
+	switch m := string(magic); m {
+	case "SACOSHv1", "SACOSMv1", "SACOSHv2", "SACOSMv2":
+		return fmt.Errorf("version-%c %s (%s) is no longer readable: delete the cache directory and re-ingest the LIBSVM source", m[7], what, m)
 	}
 	return fmt.Errorf("bad %s magic %q", what, magic)
 }
@@ -463,7 +369,7 @@ func (d *Dataset) readShardFile(i int) (shardBlock, error) {
 	}
 	block, err := decodeShard(data, d.n)
 	if err != nil {
-		return shardBlock{}, fmt.Errorf("stream: %s: %v", path, err)
+		return shardBlock{}, fmt.Errorf("stream: %s: %w", path, err)
 	}
 	got := ShardInfo{Row0: d.shards[i].Row0}
 	if block.csc != nil {
@@ -488,10 +394,6 @@ func (e *shardMismatchError) Error() string {
 	return "stream: " + e.path + " holds " + e.msg + ": delete the cache directory and re-ingest"
 }
 
-// manifestHeader is the fixed-width prefix of manifest.bin; the shard
-// table (12 bytes a shard) and the labels (8 bytes a row) follow it.
-const manifestHeader = 64
-
 // startStore creates a store directory and removes any manifest.bin in
 // it before the first shard spills. A rebuild overwrites shards in
 // place, so a build that fails partway must leave no manifest rather
@@ -511,33 +413,24 @@ func startStore(dir string) error {
 // removal first, a directory holds either no manifest.bin (the build did
 // not finish) or a whole one describing exactly the shards beside it.
 func writeManifest(d *Dataset) error {
-	le := binary.LittleEndian
-	img := make([]byte, manifestHeader, manifestHeader+12*len(d.shards)+8*len(d.B))
-	copy(img, manifestV2)
-	le.PutUint64(img[8:], uint64(d.m))
-	le.PutUint64(img[16:], uint64(d.n))
-	le.PutUint64(img[24:], uint64(d.nnz))
-	le.PutUint32(img[32:], uint32(d.blockRows))
-	le.PutUint32(img[36:], uint32(len(d.shards)))
-	le.PutUint64(img[40:], uint64(d.srcSize))
-	le.PutUint64(img[48:], uint64(d.srcMTime))
-	img[56] = byte(d.layout)
-	img[57] = byte(d.codec)
+	w := wire.Writer{B: make([]byte, 0, 58+12*len(d.shards)+8*len(d.B)+4)}
+	w.Bytes([]byte(manifestMagic))
+	w.U64(uint64(d.m))
+	w.U64(uint64(d.n))
+	w.U64(uint64(d.nnz))
+	w.U32(uint32(d.blockRows))
+	w.U32(uint32(len(d.shards)))
+	w.U64(uint64(d.srcSize))
+	w.U64(uint64(d.srcMTime))
+	w.U8(uint8(d.layout))
+	w.U8(uint8(d.codec))
 	for _, sh := range d.shards {
-		img = le.AppendUint32(img, uint32(sh.Rows))
-		img = le.AppendUint64(img, uint64(sh.NNZ))
+		w.U32(uint32(sh.Rows))
+		w.U64(uint64(sh.NNZ))
 	}
-	for _, v := range d.B {
-		img = le.AppendUint64(img, math.Float64bits(v))
-	}
-	return WriteFileAtomic(filepath.Join(d.dir, manifestName), img)
+	w.F64s(d.B)
+	return wire.WriteFile(filepath.Join(d.dir, manifestName), wire.CRC32.Seal(w.B))
 }
-
-// manifestError reports a manifest.bin whose fields contradict each
-// other or the file's size.
-type manifestError struct{ dir, msg string }
-
-func (e *manifestError) Error() string { return "stream: " + e.dir + ": corrupt manifest: " + e.msg }
 
 // readManifest loads the metadata of a previously built dataset.
 func readManifest(dir string) (*Dataset, error) {
@@ -549,70 +442,62 @@ func readManifest(dir string) (*Dataset, error) {
 }
 
 // decodeManifest parses a manifest image. The bytes come from disk, so
-// the header is not trusted: the shard count and the row count must
-// account for the file's size exactly before anything is allocated from
-// them, and the shard table must be the even split Dataset.locate
-// divides by.
+// the header is not trusted: the shard count and the row count are
+// bounded by the bytes left before anything is allocated from them, the
+// image must end exactly at its trailer, and the shard table must be the
+// even split Dataset.locate divides by.
 func decodeManifest(dir string, data []byte) (*Dataset, error) {
-	corrupt := func(format string, args ...any) (*Dataset, error) {
-		return nil, &manifestError{dir, fmt.Sprintf(format, args...)}
-	}
-	// Magic before length: a version-1 manifest header is shorter than
-	// this one and must still be refused by name.
-	if len(data) >= 8 && string(data[:8]) != manifestV2 {
+	// Magic before the checksum, as for shards.
+	if len(data) >= 8 && string(data[:8]) != manifestMagic {
 		return nil, fmt.Errorf("stream: %s: %v", dir, badMagic("manifest", data[:8]))
 	}
-	if len(data) < manifestHeader {
-		return corrupt("%d bytes, shorter than the header", len(data))
+	body, err := wire.CRC32.Open("manifest", data)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %s: %w", dir, err)
 	}
-	le := binary.LittleEndian
-	m, n := le.Uint64(data[8:]), le.Uint64(data[16:])
-	blockRows, nshards := int(le.Uint32(data[32:])), int(le.Uint32(data[36:]))
-	body := uint64(len(data) - manifestHeader)
-	if m > body/8 || 12*uint64(nshards)+8*m != body {
-		return corrupt("header declares %d shards and %d rows, which is not the %d bytes that follow it", nshards, m, body)
+	r := wire.NewReader("manifest", body)
+	r.Bytes("magic", len(manifestMagic))
+	m, n, nnz := r.U64("m"), r.U64("n"), r.U64("nnz")
+	blockRows, nshards := int(r.U32("blockRows")), r.U32("nshards")
+	d := &Dataset{
+		dir: dir, n: int(n), nnz: int64(nnz), blockRows: blockRows,
+		srcSize:  int64(r.U64("srcSize")),
+		srcMTime: int64(r.U64("srcMTime")),
+		layout:   Layout(r.U8("layout")),
+		codec:    Codec(r.U8("codec")),
 	}
 	if n > MaxFeatures {
-		return corrupt("%d features exceed the shard format's cap", n)
+		r.Fail("n", "%d features exceed the shard format's cap", n)
 	}
 	if blockRows < 1 {
-		return corrupt("blockRows is 0")
-	}
-	d := &Dataset{
-		dir: dir, m: int(m), n: int(n),
-		nnz:       int64(le.Uint64(data[24:])),
-		blockRows: blockRows,
-		srcSize:   int64(le.Uint64(data[40:])),
-		srcMTime:  int64(le.Uint64(data[48:])),
-		layout:    Layout(data[56]),
-		codec:     Codec(data[57]),
-		shards:    make([]ShardInfo, nshards),
-		B:         make([]float64, m),
+		r.Fail("blockRows", "is 0")
 	}
 	if d.layout > LayoutCSC || d.codec > CodecDelta {
-		return corrupt("unknown layout/codec %d/%d", data[56], data[57])
+		r.Fail("layout", "unknown layout/codec %d/%d", d.layout, d.codec)
 	}
-	table := data[manifestHeader:]
-	row0 := 0
+	d.shards = make([]ShardInfo, r.Count("nshards", uint64(nshards), 12))
 	// nnzLeft counts the header's nonzeros down shard by shard, so the
 	// table's sum is checked without ever being formed (no overflow).
-	nnzLeft := le.Uint64(data[24:])
+	row0, nnzLeft := 0, nnz
 	for i := range d.shards {
-		rows, nnz := int(le.Uint32(table[12*i:])), le.Uint64(table[12*i+4:])
-		if last := i == nshards-1; rows < 1 || rows > blockRows || (!last && rows != blockRows) || nnz > nnzLeft {
-			return corrupt("shard %d of %d holds %d rows / %d nonzeros; blockRows is %d, %d of the header's nonzeros remain",
-				i, nshards, rows, nnz, blockRows, nnzLeft)
+		rows, snnz := int(r.U32("shard rows")), r.U64("shard nnz")
+		if last := i == len(d.shards)-1; rows < 1 || rows > blockRows || (!last && rows != blockRows) || snnz > nnzLeft {
+			r.Fail("shards", "shard %d of %d holds %d rows / %d nonzeros; blockRows is %d, %d of the header's nonzeros remain",
+				i, nshards, rows, snnz, blockRows, nnzLeft)
+			break
 		}
-		nnzLeft -= nnz
-		d.shards[i] = ShardInfo{Row0: row0, Rows: rows, NNZ: int64(nnz)}
+		nnzLeft -= snnz
+		d.shards[i] = ShardInfo{Row0: row0, Rows: rows, NNZ: int64(snnz)}
 		row0 += rows
 	}
-	if row0 != d.m || nnzLeft != 0 {
-		return corrupt("shard table sums to %d rows and %d nonzeros, header says %d and %d", row0, uint64(d.nnz)-nnzLeft, d.m, d.nnz)
+	if uint64(row0) != m || nnzLeft != 0 {
+		r.Fail("shards", "table sums to %d rows and %d nonzeros, header says %d and %d", row0, nnz-nnzLeft, m, nnz)
 	}
-	labels := table[12*nshards:]
-	for k := range d.B {
-		d.B[k] = math.Float64frombits(le.Uint64(labels[8*k:]))
+	d.m = r.Count("m", m, 8)
+	d.B = make([]float64, d.m)
+	r.F64s("labels", d.B)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("stream: %s: %w", dir, err)
 	}
 	d.cache = newShardCache(d, defaultCacheShards)
 	return d, nil

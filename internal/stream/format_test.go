@@ -3,9 +3,11 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"saco/internal/libsvm"
 	"saco/internal/rng"
 	"saco/internal/sparse"
+	"saco/internal/wire"
 )
 
 // layoutCodecCases is the full format cross-product every round-trip
@@ -163,14 +166,14 @@ func TestMaxIndexColumnCSR(t *testing.T) {
 	}
 }
 
-// assertV1Refused checks what every refusal of a version-1 store file
+// assertOldRefused checks what every refusal of an older store file
 // must say: which format it met and how to get off it.
-func assertV1Refused(t *testing.T, err error, magic string) {
+func assertOldRefused(t *testing.T, err error, magic string) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s input accepted", magic)
 	}
-	for _, want := range []string{"version-1", magic, "delete the cache directory and re-ingest"} {
+	for _, want := range []string{"version-" + magic[7:], magic, "delete the cache directory and re-ingest"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s refusal does not mention %q: %v", magic, want, err)
 		}
@@ -189,7 +192,7 @@ func TestV1StoreRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := Open(dir)
-		assertV1Refused(t, err, "SACOSMv1")
+		assertOldRefused(t, err, "SACOSMv1")
 	})
 	t.Run("shard/copy", func(t *testing.T) {
 		ds := buildText(t, "1 1:1.5 4:-2\n-1 2:3\n", BuildOptions{})
@@ -202,8 +205,63 @@ func TestV1StoreRefused(t *testing.T) {
 		if it.Next() {
 			t.Fatal("a version-1 shard was decoded")
 		}
-		assertV1Refused(t, it.Err(), "SACOSHv1")
+		assertOldRefused(t, it.Err(), "SACOSHv1")
 	})
+}
+
+// TestV2StoreRefused: a version-2 store, which has no checksum trailer,
+// is refused by name like a version-1 one — a v2 shard under a current
+// manifest fails its load, and a v2 manifest fails Open.
+func TestV2StoreRefused(t *testing.T) {
+	ds := buildText(t, "1 1:1.5 4:-2\n-1 2:3\n", BuildOptions{})
+	defer ds.Close()
+	for _, f := range []struct{ path, magic string }{
+		{shardPath(ds.Dir(), 0), "SACOSHv2"},
+		{filepath.Join(ds.Dir(), manifestName), "SACOSMv2"},
+	} {
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, f.magic)
+		if err := os.WriteFile(f.path, data[:len(data)-4], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it := ds.Blocks()
+	if it.Next() {
+		t.Fatal("a version-2 shard was decoded")
+	}
+	assertOldRefused(t, it.Err(), "SACOSHv2")
+	_, err := Open(ds.Dir())
+	assertOldRefused(t, err, "SACOSMv2")
+}
+
+// TestShardBitFlipRefused: one flipped bit in a shard's vals section —
+// the last section, right before the trailer — fails the load with a
+// checksum error naming the shard file, in every layout × codec, instead
+// of decoding to silently different values.
+func TestShardBitFlipRefused(t *testing.T) {
+	for _, lc := range layoutCodecCases {
+		ds := buildText(t, "1 1:1.5 4:-2\n-1 2:3\n", BuildOptions{Layout: lc.layout, Codec: lc.codec})
+		path := shardPath(ds.Dir(), 0)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-5] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		it := ds.Blocks()
+		if it.Next() {
+			t.Fatalf("%v/%v: a shard with a flipped value bit was decoded", lc.layout, lc.codec)
+		}
+		var we *wire.Error
+		if err := it.Err(); !errors.As(err, &we) || we.Field != "CRC-32" || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%v/%v: load error %v, want a checksum *wire.Error naming %s", lc.layout, lc.codec, err, path)
+		}
+	}
 }
 
 // TestV1ShardOverflowingNNZRejected: a v1 shard whose nnz field sits near
@@ -216,7 +274,7 @@ func TestV1ShardOverflowingNNZRejected(t *testing.T) {
 	copy(data, "SACOSHv1")
 	binary.LittleEndian.PutUint64(data[12:], 1<<62+uint64(k))
 	_, err := decodeShard(data, 4)
-	assertV1Refused(t, err, "SACOSHv1")
+	assertOldRefused(t, err, "SACOSHv1")
 }
 
 // urlLikeText synthesizes a dataset with the paper's url characteristics:
@@ -445,8 +503,10 @@ func TestConvertStore(t *testing.T) {
 	}
 }
 
-// FuzzDecodeShard: arbitrary bytes must produce an error, never a panic
-// or an unbounded allocation.
+// FuzzDecodeShard: arbitrary bytes must produce an error, never a panic,
+// and a refusal must not allocate in proportion to a header field. The
+// harness recomputes the trailer over the fuzzed image, so a mutation
+// reaches the decoder past the checksum.
 func FuzzDecodeShard(f *testing.F) {
 	row := shardBlock{csr: &sparse.CSR{M: 2, N: 6, RowPtr: []int{0, 2, 3}, ColIdx: []int{1, 4, 5}, Val: []float64{1, -2, 0.5}}}
 	col := shardBlock{csc: cscFromBlock([]int{0, 2, 3}, []int{1, 4, 5}, []float64{1, -2, 0.5})}
@@ -457,8 +517,17 @@ func FuzzDecodeShard(f *testing.F) {
 	f.Add([]byte("SACOSHv1"))
 	f.Add([]byte("SACOSHv2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			data = wire.CRC32.Seal(append([]byte(nil), data[:len(data)-4]...))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		block, err := decodeShard(data, 6)
+		runtime.ReadMemStats(&after)
 		if err != nil {
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("refusing a %d-byte shard allocated %d bytes: %v", len(data), grew, err)
+			}
 			return
 		}
 		if bytes.HasPrefix(data, []byte("SACOSHv1")) {

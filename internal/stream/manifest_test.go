@@ -9,7 +9,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"saco/internal/wire"
 )
+
+// shardTable is the offset of a manifest's shard table.
+const shardTable = 58
 
 // realManifest builds a 5-row store in 2-row shards (so the shard table
 // is 2, 2, 1) and returns its directory and manifest bytes.
@@ -30,10 +35,13 @@ func realManifest(t testing.TB) (string, []byte) {
 
 // TestCorruptManifestRefused: manifest.bin is outside input. Every
 // header lie below once drove an allocation, a division or an index from
-// the lie itself; each must now come back from Open as a *manifestError
+// the lie itself; each is written under a recomputed checksum, so it
+// reaches the decoder, and must come back from Open as a *wire.Error
 // without panicking and without allocating in proportion to the lie.
+// A lie under the old checksum is refused by the trailer itself.
 func TestCorruptManifestRefused(t *testing.T) {
 	dir, good := realManifest(t)
+	body := good[:len(good)-4]
 	le := binary.LittleEndian
 	cases := []struct {
 		name   string
@@ -46,11 +54,11 @@ func TestCorruptManifestRefused(t *testing.T) {
 		{"uneven shard table", func(b []byte) []byte {
 			// 2,2,1 → 1,2,2: still sums to m, but row 1 no longer lives
 			// where locate's division says.
-			le.PutUint32(b[manifestHeader:], 1)
-			le.PutUint32(b[manifestHeader+24:], 2)
+			le.PutUint32(b[shardTable:], 1)
+			le.PutUint32(b[shardTable+24:], 2)
 			return b
 		}},
-		{"empty shard", func(b []byte) []byte { le.PutUint32(b[manifestHeader+24:], 0); return b }},
+		{"empty shard", func(b []byte) []byte { le.PutUint32(b[shardTable+24:], 0); return b }},
 		{"truncated labels", func(b []byte) []byte { return b[:len(b)-8] }},
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
 		{"truncated header", func(b []byte) []byte { return b[:40] }},
@@ -59,27 +67,30 @@ func TestCorruptManifestRefused(t *testing.T) {
 		{"header nnz off the table's sum", func(b []byte) []byte { le.PutUint64(b[24:], 6); return b }},
 		{"shard nnz wrapping to the header", func(b []byte) []byte {
 			// 2,2,1 → 2⁶⁴−1,5,1: the sum is 5 only modulo 2⁶⁴.
-			le.PutUint64(b[manifestHeader+4:], ^uint64(0))
-			le.PutUint64(b[manifestHeader+16:], 5)
+			le.PutUint64(b[shardTable+4:], ^uint64(0))
+			le.PutUint64(b[shardTable+16:], 5)
 			return b
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.mutate(append([]byte(nil), good...))
-			if err := os.WriteFile(filepath.Join(dir, manifestName), bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			ds, err := Open(dir)
-			runtime.ReadMemStats(&after)
-			var me *manifestError
-			if !errors.As(err, &me) {
-				t.Fatalf("Open returned (%v, %v), want a *manifestError", ds, err)
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-				t.Fatalf("refusing a %d-byte manifest allocated %d bytes", len(bad), grew)
+			bad := tc.mutate(append([]byte(nil), body...))
+			bad = bad[:len(bad):len(bad)] // each image below appends to its own copy
+			for _, img := range [][]byte{wire.CRC32.Seal(bad), append(bad, good[len(good)-4:]...)} {
+				if err := os.WriteFile(filepath.Join(dir, manifestName), img, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				ds, err := Open(dir)
+				runtime.ReadMemStats(&after)
+				var we *wire.Error
+				if !errors.As(err, &we) || we.Format != "manifest" || !strings.Contains(err.Error(), dir) {
+					t.Fatalf("Open returned (%v, %v), want a *wire.Error naming the directory", ds, err)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+					t.Fatalf("refusing a %d-byte manifest allocated %d bytes", len(img), grew)
+				}
 			}
 		})
 	}
@@ -111,7 +122,7 @@ func (f failingReader) Read(p []byte) (int, error) {
 }
 
 // TestInterruptedBuildLeavesNoManifest: the manifest is the last file
-// published and goes through WriteFileAtomic, so a build that stops after
+// published and goes through wire.WriteFile, so a build that stops after
 // writing shards leaves a directory Open refuses — no manifest.bin, torn
 // or otherwise — and no temp file under a final name.
 func TestInterruptedBuildLeavesNoManifest(t *testing.T) {
@@ -184,17 +195,29 @@ func TestInterruptedRebuildRefused(t *testing.T) {
 	}
 }
 
-// FuzzReadManifest: no manifest image may panic the decoder, and one it
-// accepts must describe a store locate can divide.
+// FuzzReadManifest: no manifest image may panic the decoder or make a
+// refusal allocate in proportion to a header field, and one it accepts
+// must describe a store locate can divide. The harness recomputes the
+// trailer over the fuzzed image, so a mutation reaches the decoder past
+// the checksum.
 func FuzzReadManifest(f *testing.F) {
 	_, good := realManifest(f)
 	f.Add(good)
-	f.Add(good[:manifestHeader])
+	f.Add(wire.CRC32.Seal(append([]byte(nil), good[:shardTable]...)))
 	f.Add([]byte("SACOSMv1"))
 	f.Add([]byte("SACOSMv2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			data = wire.CRC32.Seal(append([]byte(nil), data[:len(data)-4]...))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		d, err := decodeManifest("fuzz", data)
+		runtime.ReadMemStats(&after)
 		if err != nil {
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("refusing a %d-byte manifest allocated %d bytes: %v", len(data), grew, err)
+			}
 			return
 		}
 		if len(d.B) != d.m || d.blockRows < 1 {

@@ -1,4 +1,4 @@
-package stream
+package wire
 
 import (
 	"fmt"
@@ -6,15 +6,14 @@ import (
 	"path/filepath"
 )
 
-// WriteFileAtomic publishes data at path through the write seam the
-// shard store uses for its own files: write to a same-directory temp
+// WriteFile publishes data at path: write to a same-directory temp
 // file, fsync it, then rename over the destination. A reader never
 // observes a torn file — it sees either the previous content or the
 // complete new one — and a full disk cannot masquerade as a successful
-// write. The checkpoint layer (internal/dist) writes its .sack files
-// through this seam so a rank killed mid-save leaves its last good
-// checkpoint intact.
-func WriteFileAtomic(path string, data []byte) error {
+// write. Shards, manifests, .sack checkpoints and .sacm models are all
+// published through it, so a process killed mid-save leaves its last
+// good file intact.
+func WriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -39,7 +38,7 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp) //nolint:errcheck // best-effort removal of the temp file
-		return fmt.Errorf("stream: publish %s: %w", path, err)
+		return fmt.Errorf("wire: publish %s: %w", path, err)
 	}
 	return nil
 }

@@ -1,4 +1,4 @@
-package stream
+package wire
 
 import (
 	"bytes"
@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-func TestWriteFileAtomicRoundTrip(t *testing.T) {
+func TestWriteFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.sack")
 	want := []byte("generation one")
-	if err := WriteFileAtomic(path, want); err != nil {
+	if err := WriteFile(path, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -23,7 +23,7 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	}
 	// Overwrite: the rename must replace, not append or fail.
 	want2 := []byte("generation two, longer than the first")
-	if err := WriteFileAtomic(path, want2); err != nil {
+	if err := WriteFile(path, want2); err != nil {
 		t.Fatal(err)
 	}
 	got, err = os.ReadFile(path)
@@ -43,8 +43,8 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicFailsIntoMissingDir(t *testing.T) {
-	if err := WriteFileAtomic(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x")); err == nil {
+func TestWriteFileFailsIntoMissingDir(t *testing.T) {
+	if err := WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x")); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
 }
