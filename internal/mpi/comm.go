@@ -231,7 +231,8 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 // time (sender completion), so waiting is charged as communication. A
 // mismatched tag fails fast with a *PeerError naming both ranks (a
 // mismatched SPMD program, caught instead of silently misdelivered), as
-// does a peer that vanished without sending.
+// does a peer that vanished without sending. The payload is valid until
+// the next Recv from src (see Transport.Recv): copy what must outlive it.
 func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	msg, err := c.t.Recv(src)
 	if err != nil {

@@ -40,6 +40,17 @@ type Transport interface {
 	// Recv blocks for the next message from src, in send order. A
 	// vanished peer (finished goroutine, torn connection) fails fast
 	// with a *PeerError instead of blocking forever.
+	//
+	// The returned payload is valid until the next Recv from the same
+	// src: a transport may then recycle it for a later message (the TCP
+	// mesh does, so its steady state allocates nothing; the simulated
+	// world hands out a fresh copy each time, which conforms). Every
+	// caller consumes the payload before its next Recv from that rank:
+	// Comm.Recv passes it on under the same contract, Reduce and
+	// AllreduceRSAG combine it into their buffer, Bcast,
+	// AllreduceRSAG's post-phase and dist's gatherX copy it out, Barrier
+	// drops it, and the fault injector and the benchmark's tracing
+	// decorator pass it through after reading only its length.
 	Recv(src int) (Message, error)
 	// Close releases the endpoint. In the simulated world it marks the
 	// rank finished so peers blocked on it fail fast; over TCP it tears

@@ -76,33 +76,57 @@ func (o *TCPOptions) withDefaults() TCPOptions {
 
 // helloMsg is the bootstrap control message: a peer's hello to rank 0
 // and the ident a mesh dialer presents. Control messages are
-// length-prefixed JSON; data frames are binary (see writeFrame).
+// length-prefixed JSON; data frames are binary (see appendFrame).
 type helloMsg struct {
-	Rank  int    `json:"rank"`
-	Size  int    `json:"size"`
-	Addr  string `json:"addr,omitempty"`
-	Epoch int    `json:"epoch"` // negative: unknown, join any generation
+	Rank    int    `json:"rank"`
+	Size    int    `json:"size"`
+	Addr    string `json:"addr,omitempty"`
+	Epoch   int    `json:"epoch"`   // negative: unknown, join any generation
+	Version int    `json:"version"` // the data-frame format; absent (0) before checksummed frames
 }
 
 // worldMsg is the descriptor rank 0 broadcasts once every peer has said
 // hello: the mesh addresses of all ranks. Addrs[0] is unused (every rank
 // is already connected to rank 0 via its hello connection).
 type worldMsg struct {
-	Size  int      `json:"size"`
-	Addrs []string `json:"addrs"`
-	Epoch int      `json:"epoch"` // the agreed control-plane generation
+	Size    int      `json:"size"`
+	Addrs   []string `json:"addrs"`
+	Epoch   int      `json:"epoch"`   // the agreed control-plane generation
+	Version int      `json:"version"` // the data-frame format rank 0 speaks
+}
+
+// frameVersion is the data-frame format this build speaks, carried by
+// every rendezvous hello and world descriptor (a mesh ident needs none:
+// its sender already passed rank 0's check). Format 1 added the CRC-32
+// trailer; builds before it send no version field, which decodes as 0.
+// A mixed cluster is refused at the rendezvous, naming both formats,
+// instead of failing on its first frame.
+const frameVersion = 1
+
+// checkVersion refuses a control message whose frame format is not this
+// build's; what names the sender.
+func checkVersion(what string, v int) error {
+	if v != frameVersion {
+		return fmt.Errorf("%s speaks frame format %d, this build speaks %d", what, v, frameVersion)
+	}
+	return nil
 }
 
 // transportTCP is the networked Transport: a full mesh of TCP
-// connections, one per rank pair, with length-prefixed frames
-// [u32 words][i64 tag][u64 clock bits][payload float64 LE]. A per-peer
-// reader goroutine feeds an inbox channel, so Recv is a channel wait
-// with a deadline and a torn connection surfaces as a sticky error, not
-// a hang. Bootstrap: rank 0 listens at the rendezvous address, peers
-// dial (with retry), exchange hellos, and rank 0 broadcasts the world
-// descriptor; the hello connection is reused as the 0↔r data
-// connection, and within the mesh the lower rank listens while the
-// higher rank dials.
+// connections, one per rank pair, carrying frames
+// [u32 words][i64 tag][u64 clock bits][payload float64 LE][u32 CRC-32],
+// the checksum covering everything before it. A per-peer reader
+// goroutine verifies and decodes each frame into a payload recycled
+// through that peer's free list and feeds an inbox channel, so Recv is a
+// channel wait with a deadline and a torn connection or a corrupt frame
+// surfaces as a sticky error, not a hang or a different trajectory. In
+// steady state neither side allocates: Send encodes into one reused
+// buffer, the reader reads into one reused buffer per peer, and Recv
+// arms one reused timer only when it has to wait. Bootstrap: rank 0
+// listens at the rendezvous address, peers dial (with retry), exchange
+// hellos, and rank 0 broadcasts the world descriptor; the hello
+// connection is reused as the 0↔r data connection, and within the mesh
+// the lower rank listens while the higher rank dials.
 type transportTCP struct {
 	rank, size int
 	opt        TCPOptions
@@ -114,7 +138,21 @@ type transportTCP struct {
 	closed     chan struct{}
 	closeOnce  sync.Once
 	wbuf       []byte // send serialization buffer (single sender goroutine)
+	// free[p] holds payloads the rank is done with, for p's reader to
+	// decode into; held[p] is the payload the last Recv from p returned,
+	// valid until the next Recv from p hands it back. A bounded channel,
+	// not a sync.Pool, for sparse.gramFree's reason: a GC cycle would
+	// empty a pool and the next frame would allocate again.
+	free  []chan []float64
+	held  [][]float64
+	timer *time.Timer // Recv's deadline, armed only when it must wait
 }
+
+// payloadFreeSlots bounds each peer's free list. In lockstep SPMD
+// traffic two or three payloads per peer circulate (one held by the
+// rank, one being decoded, one queued); a burst that queued more drops
+// the surplus as the rank catches up.
+const payloadFreeSlots = 4
 
 // Epoch returns the world's agreed control-plane generation (see
 // TCPOptions.Epoch). A supervised process passes Epoch+1 when it
@@ -142,9 +180,12 @@ func newTransportTCP(rank, size int, o TCPOptions) *transportTCP {
 		inbox:  make([]chan Message, size),
 		rerr:   make([]error, size),
 		closed: make(chan struct{}),
+		free:   make([]chan []float64, size),
+		held:   make([][]float64, size),
 	}
 	for i := range t.inbox {
 		t.inbox[i] = make(chan Message, 64)
+		t.free[i] = make(chan []float64, payloadFreeSlots)
 	}
 	return t
 }
@@ -225,6 +266,10 @@ func (t *transportTCP) acceptPeers(ctx context.Context, ln net.Listener) error {
 			conn.Close()
 			continue
 		}
+		if err := checkVersion(fmt.Sprintf("peer rank %d", hello.Rank), hello.Version); err != nil {
+			conn.Close()
+			return err
+		}
 		if hello.Size != t.size {
 			conn.Close()
 			return fmt.Errorf("peer rank %d joined with world size %d, want %d", hello.Rank, hello.Size, t.size)
@@ -240,7 +285,7 @@ func (t *transportTCP) acceptPeers(ctx context.Context, ln net.Listener) error {
 		addrs[hello.Rank] = hello.Addr
 		have++
 	}
-	world := worldMsg{Size: t.size, Addrs: addrs, Epoch: t.epoch}
+	world := worldMsg{Size: t.size, Addrs: addrs, Epoch: t.epoch, Version: frameVersion}
 	for p := 1; p < t.size; p++ {
 		if err := writeCtl(t.conns[p], world); err != nil {
 			return fmt.Errorf("send world descriptor to rank %d: %w", p, err)
@@ -271,12 +316,15 @@ func (t *transportTCP) bootstrapPeer(ctx context.Context, addr string) error {
 		return fmt.Errorf("dial rendezvous %s: %w", addr, err)
 	}
 	t.conns[0] = root
-	if err := writeCtl(root, helloMsg{Rank: t.rank, Size: t.size, Addr: advertise, Epoch: t.opt.Epoch}); err != nil {
+	if err := writeCtl(root, helloMsg{Rank: t.rank, Size: t.size, Addr: advertise, Epoch: t.opt.Epoch, Version: frameVersion}); err != nil {
 		return fmt.Errorf("send hello: %w", err)
 	}
 	var world worldMsg
 	if err := readCtl(root, &world); err != nil {
 		return fmt.Errorf("read world descriptor: %w", err)
+	}
+	if err := checkVersion("world descriptor", world.Version); err != nil {
+		return err
 	}
 	if world.Size != t.size || len(world.Addrs) != t.size {
 		return fmt.Errorf("world descriptor size %d, want %d", world.Size, t.size)
@@ -403,14 +451,68 @@ func readCtl(conn net.Conn, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-// Data frames: [u32 payload words][i64 tag][u64 clock bits][payload LE].
+// Data frames: [u32 payload words][i64 tag][u64 clock bits][payload LE]
+// sealed with a wire.CRC32 trailer over all of it.
 const (
 	frameHdrBytes = 4 + 8 + 8
 	maxFrameWords = 1 << 27 // 1 GiB of payload: Send refuses more, and a reader seeing more calls it corruption
-	// frameChunk caps how far the receive buffer grows ahead of the bytes
-	// that have arrived, so a header alone cannot make a reader allocate.
-	frameChunk = 1 << 20
+	// The receive buffer grows only as bytes arrive: by the bytes so far,
+	// at least frameChunkMin and at most frameChunk at a time, so a header
+	// alone cannot make a reader allocate more than frameChunkMin.
+	frameChunkMin = 64 << 10
+	frameChunk    = 1 << 20
 )
+
+// appendFrame appends msg's sealed frame to b. Send encodes through it
+// and every frame readFrame accepts re-encodes through it byte for byte.
+func appendFrame(b []byte, msg Message) []byte {
+	w := wire.Writer{B: b}
+	w.U32(uint32(len(msg.Data)))
+	w.U64(uint64(int64(msg.Tag)))
+	w.F64(msg.Clock)
+	w.F64s(msg.Data)
+	return wire.CRC32.Seal(w.B)
+}
+
+// readFrame reads one frame from r into buf's backing array, verifies
+// its checksum and decodes the payload into dst's backing array when it
+// is large enough (a fresh slice otherwise). It returns the message and
+// buf holding exactly the frame's bytes. io.EOF means r ended cleanly
+// before a frame; a frame cut short is io.ErrUnexpectedEOF, and a frame
+// declaring more than maxFrameWords or failing its checksum is a
+// *wire.Error. Nothing is sized from the frame until its bytes arrived
+// and checked out.
+func readFrame(r io.Reader, buf []byte, dst []float64) (Message, []byte, error) {
+	buf, err := readGrowing(r, buf[:0], frameHdrBytes)
+	if err != nil {
+		return Message{}, buf, err
+	}
+	h := wire.NewReader("frame", buf)
+	words := h.U32("words")
+	if words > maxFrameWords {
+		h.Fail("words", "%d words exceed the %d-word frame limit", words, maxFrameWords)
+		return Message{}, buf, h.Err()
+	}
+	buf, err = readGrowing(r, buf, frameHdrBytes+8*int(words)+4)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return Message{}, buf, err
+	}
+	body, err := wire.CRC32.Open("frame", buf)
+	if err != nil {
+		return Message{}, buf, err
+	}
+	b := wire.NewReader("frame", body[4:])
+	msg := Message{Tag: int(int64(b.U64("tag"))), Clock: b.F64("clock")}
+	if cap(dst) < int(words) {
+		dst = make([]float64, words)
+	}
+	msg.Data = dst[:words]
+	b.F64s("payload", msg.Data)
+	return msg, buf, b.Done()
+}
 
 // Rank returns this endpoint's rank.
 func (t *transportTCP) Rank() int { return t.rank }
@@ -433,14 +535,10 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 			Err: fmt.Errorf("payload of %d words exceeds the %d-word frame limit", len(msg.Data), maxFrameWords)}
 	}
 	conn := t.conns[dst]
-	if need := frameHdrBytes + 8*len(msg.Data); cap(t.wbuf) < need {
+	if need := frameHdrBytes + 8*len(msg.Data) + 4; cap(t.wbuf) < need {
 		t.wbuf = make([]byte, 0, need)
 	}
-	w := wire.Writer{B: t.wbuf[:0]}
-	w.U32(uint32(len(msg.Data)))
-	w.U64(uint64(int64(msg.Tag)))
-	w.F64(msg.Clock)
-	w.F64s(msg.Data)
+	t.wbuf = appendFrame(t.wbuf[:0], msg)
 	// A failed deadline set means the connection is already dead (closed
 	// or torn down); report it as the peer failure it is rather than
 	// silently writing without pacing and blocking on a wedged socket.
@@ -448,62 +546,59 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag,
 			Err: fmt.Errorf("set write deadline: %w", err)}
 	}
-	if _, err := conn.Write(w.B); err != nil {
+	if _, err := conn.Write(t.wbuf); err != nil {
 		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag, Err: err}
 	}
 	return nil
 }
 
-// reader pulls frames from peer p's connection into its inbox. On any
-// read error it records the sticky cause and closes the inbox, so every
-// later Recv from p fails immediately instead of waiting out a timeout.
+// reader pulls frames from peer p's connection into its inbox, decoding
+// each into a payload from p's free list. On any read error — a torn
+// connection or a frame refused by readFrame — it records the sticky
+// cause and closes the inbox, so every later Recv from p fails
+// immediately instead of waiting out a timeout, and no refused frame is
+// ever delivered.
 func (t *transportTCP) reader(p int) {
 	conn := t.conns[p]
-	var hdr [frameHdrBytes]byte
-	var payload []byte
+	var buf []byte
 	for {
-		_, err := io.ReadFull(conn, hdr[:])
-		if err == nil {
-			h := wire.NewReader("frame", hdr[:])
-			words := h.U32("words")
-			msg := Message{Tag: int(int64(h.U64("tag"))), Clock: h.F64("clock")}
-			if words > maxFrameWords {
-				err = fmt.Errorf("frame of %d words exceeds limit", words)
-			} else if payload, err = readGrowing(conn, payload, 8*int(words)); err == nil {
-				msg.Data = make([]float64, words)
-				r := wire.NewReader("frame", payload)
-				r.F64s("payload", msg.Data)
-				select {
-				case t.inbox[p] <- msg:
-					continue
-				case <-t.closed:
-					return
-				}
+		var dst []float64
+		select {
+		case dst = <-t.free[p]:
+		default:
+		}
+		msg, b, err := readFrame(conn, buf, dst)
+		buf = b
+		if err != nil {
+			if err == io.EOF {
+				// The peer closed its end cleanly: it finished (or its
+				// process exited) without sending what we may still expect.
+				err = ErrPeerGone
 			}
+			t.mu.Lock()
+			t.rerr[p] = err
+			t.mu.Unlock()
+			close(t.inbox[p]) // only this goroutine sends on the inbox
+			return
 		}
-		if err == io.EOF {
-			// The peer closed its end cleanly: it finished (or its
-			// process exited) without sending what we may still expect.
-			err = ErrPeerGone
+		select {
+		case t.inbox[p] <- msg:
+		case <-t.closed:
+			return
 		}
-		t.mu.Lock()
-		t.rerr[p] = err
-		t.mu.Unlock()
-		close(t.inbox[p]) // only this goroutine sends on the inbox
-		return
 	}
 }
 
-// readGrowing reads exactly n bytes into buf's backing array. A buffer
-// already large enough is reused as is; otherwise it grows only as bytes
-// arrive, by at most max(frameChunk, bytes so far) at a time, so a peer
-// that declares a huge frame and then stops sending costs one chunk, not
-// the declared size, and a real one costs O(n) copying.
+// readGrowing extends buf to exactly n bytes read from conn, reusing
+// buf's backing array when it is large enough. Otherwise it grows only
+// as bytes arrive, by the bytes so far clamped to [frameChunkMin,
+// frameChunk], so a peer that declares a huge frame and then stops
+// sending costs one small chunk, not the declared size, and a real one
+// costs O(n) copying.
 func readGrowing(conn io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), len(buf)+min(n-len(buf), max(len(buf), frameChunk)))
+			grown := make([]byte, len(buf), len(buf)+min(n-len(buf), frameChunk, max(len(buf), frameChunkMin)))
 			copy(grown, buf)
 			buf = grown
 		}
@@ -526,30 +621,59 @@ func (t *transportTCP) readErr(p int) error {
 }
 
 // Recv waits for peer src's next frame under the receive deadline. A
-// torn connection, a vanished peer, a closed endpoint and a silent peer
-// all surface as a *PeerError naming both ranks.
+// torn connection, a vanished peer, a corrupt frame, a closed endpoint
+// and a silent peer all surface as a *PeerError naming both ranks. The
+// payload returned by the previous Recv from src goes back to src's
+// free list first (the Transport contract: it is valid until then).
+// Only a Recv that finds the inbox empty arms the endpoint's one timer;
+// Go 1.23 timer semantics (go.mod says 1.24) guarantee that Reset
+// discards any tick left from an earlier expiry.
 func (t *transportTCP) Recv(src int) (Message, error) {
 	if src < 0 || src >= t.size || src == t.rank {
 		return Message{}, fmt.Errorf("mpi: rank %d: recv from invalid rank %d of %d", t.rank, src, t.size)
 	}
-	var timeout <-chan time.Time
-	if t.opt.RecvTimeout > 0 {
-		timer := time.NewTimer(t.opt.RecvTimeout)
-		defer timer.Stop()
-		timeout = timer.C
+	if d := t.held[src]; d != nil {
+		t.held[src] = nil
+		select {
+		case t.free[src] <- d:
+		default: // the list is full: drop it
+		}
 	}
 	select {
 	case msg, ok := <-t.inbox[src]:
-		if !ok {
-			return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv", Err: t.readErr(src)}
+		return t.deliver(src, msg, ok)
+	default:
+	}
+	var timeout <-chan time.Time
+	if t.opt.RecvTimeout > 0 {
+		if t.timer == nil {
+			t.timer = time.NewTimer(t.opt.RecvTimeout)
+		} else {
+			t.timer.Reset(t.opt.RecvTimeout)
 		}
-		return msg, nil
+		defer t.timer.Stop()
+		timeout = t.timer.C
+	}
+	select {
+	case msg, ok := <-t.inbox[src]:
+		return t.deliver(src, msg, ok)
 	case <-t.closed:
 		return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv", Err: net.ErrClosed}
 	case <-timeout:
 		return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv",
 			Err: fmt.Errorf("no frame within %v: %w", t.opt.RecvTimeout, os.ErrDeadlineExceeded)}
 	}
+}
+
+// deliver completes a Recv from src that took msg off the inbox (ok
+// false: the reader closed it), holding the payload until the next Recv
+// from src.
+func (t *transportTCP) deliver(src int, msg Message, ok bool) (Message, error) {
+	if !ok {
+		return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv", Err: t.readErr(src)}
+	}
+	t.held[src] = msg.Data
+	return msg, nil
 }
 
 // Close tears down the connection mesh. Idempotent; safe to call from a
