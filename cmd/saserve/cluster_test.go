@@ -221,7 +221,7 @@ func TestServeLearnCycle(t *testing.T) {
 	url, out, shutdown := startServer(t,
 		"-models", dir, "-watch", "20ms",
 		"-learn", "-learn-cap", "1024",
-		"-refit-task", "lasso", "-refit-every", "30ms", "-refit-workers", "2", "-refit-lambda", "0.01")
+		"-refit-task", "lasso", "-refit-every", "30ms", "-refit-lambda", "0.01")
 	defer shutdown()
 
 	// y = 2·x1 on a 3-feature design.

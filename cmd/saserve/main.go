@@ -11,10 +11,10 @@
 //
 // Publishing a higher-numbered model file into the directory hot-swaps
 // it under live traffic (the watcher polls every -watch); running with
-// -refit keeps HOGWILD! solver workers training on the given rows and
-// publishes a new version every -refit-every, while -learn accepts
-// labeled rows over POST /learn into a bounded buffer drained by the
-// same live refit.
+// -refit keeps the sequential solver training on the given rows and
+// publishes a new version every -refit-every, while -learn instead
+// accepts labeled rows over POST /learn into a bounded buffer drained by
+// the same live refit.
 //
 // Cluster mode (-cluster) shards a fleet of named models — one
 // subdirectory of -models per model — across a static peer list
@@ -96,8 +96,7 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.learnCap, "learn-cap", 65536, "labeled rows buffered per model for /learn before backpressure")
 	fs.StringVar(&c.refitPath, "refit", "", "LIBSVM file of labeled rows to refit the live model on (optional)")
 	fs.DurationVar(&c.refit.Every, "refit-every", 2*time.Second, "publish a new model version this often while refitting")
-	fs.IntVar(&c.refit.Workers, "refit-workers", 0, "lock-free refit solver workers (0 = all cores)")
-	fs.StringVar(&c.refitKind, "refit-task", "", "refit task when the model is untyped: lasso, svm or pegasos (default: from the model header)")
+	fs.StringVar(&c.refitKind, "refit-task", "", "refit task when the model is untyped: lasso or svm (default: from the model header)")
 	fs.Float64Var(&c.refit.Lambda, "refit-lambda", 0, "refit regularization override (0 = the model header's lambda)")
 	fs.IntVar(&c.refit.BlockSize, "refit-mu", 1, "refit lasso block size")
 	fs.Uint64Var(&c.refit.Seed, "refit-seed", 42, "refit sampling seed")
@@ -122,10 +121,8 @@ func (c *config) serve(ctx context.Context, stdout io.Writer) error {
 		refit.Kind = saco.KindLasso
 	case "svm":
 		refit.Kind = saco.KindSVM
-	case "pegasos":
-		refit.Kind = saco.KindPegasos
 	default:
-		return cli.Usagef("unknown -refit-task %q (lasso, svm, pegasos)", c.refitKind)
+		return cli.Usagef("unknown -refit-task %q (lasso, svm)", c.refitKind)
 	}
 	if c.cluster {
 		if c.self == "" {
@@ -134,6 +131,9 @@ func (c *config) serve(ctx context.Context, stdout io.Writer) error {
 		if c.refitPath != "" {
 			return cli.Usagef("-refit is file-based and single-model; with -cluster use -learn")
 		}
+	}
+	if c.refitPath != "" && c.learn {
+		return cli.Usagef("-refit and -learn would run two trainers on one registry; use one of them")
 	}
 	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
@@ -154,7 +154,7 @@ func (c *config) serve(ctx context.Context, stdout io.Writer) error {
 	if c.learn {
 		opt.LearnCap = c.learnCap
 		stream := refit
-		stream.Steps = mr.Counter("saco_refit_steps_total", "lock-free refit solver steps")
+		stream.Steps = mr.Counter("saco_refit_steps_total", "refit solver steps")
 		stream.Publishes = mr.Counter("saco_refit_publishes_total", "model versions published by live refits")
 		opt.OnLearn = func(name string, reg *saco.ModelRegistry, buf *saco.LearnBuffer) {
 			label := name

@@ -47,10 +47,23 @@ func TestBadFlags(t *testing.T) {
 	if code := run(ctx, nil, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-models is required") {
 		t.Fatalf("missing -models: %q", errb.String())
 	}
+	// pegasos is a task value whose trainer was removed.
+	for _, task := range []string{"ridge", "pegasos"} {
+		errb.Reset()
+		if code := run(ctx, []string{"-models", t.TempDir(), "-refit-task", task}, &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), `unknown -refit-task "`+task+`" (lasso, svm)`) {
+			t.Fatalf("refit task %s: %q", task, errb.String())
+		}
+	}
 	errb.Reset()
-	if code := run(ctx, []string{"-models", t.TempDir(), "-refit-task", "ridge"}, &out, &errb); code != 2 ||
-		!strings.Contains(errb.String(), "unknown -refit-task") {
-		t.Fatalf("bad refit task: %q", errb.String())
+	if code := run(ctx, []string{"-models", t.TempDir(), "-refit-workers", "2"}, &out, &errb); code != 2 {
+		t.Fatalf("-refit-workers: exit %d, want 2 (the refit is sequential)", code)
+	}
+	// Two trainers on one registry would interleave their versions.
+	errb.Reset()
+	if code := run(ctx, []string{"-models", t.TempDir(), "-refit", "x.svm", "-learn"}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "-refit and -learn") {
+		t.Fatalf("-refit with -learn: exit %d, stderr %q", code, errb.String())
 	}
 	errb.Reset()
 	if code := run(ctx, []string{"-h"}, &out, &errb); code != 0 {
@@ -217,7 +230,7 @@ func TestServeRefitCycle(t *testing.T) {
 
 	url, out, shutdown := startServer(t,
 		"-models", dir, "-watch", "20ms",
-		"-refit", svm, "-refit-every", "30ms", "-refit-publishes", "2", "-refit-workers", "2")
+		"-refit", svm, "-refit-every", "30ms", "-refit-publishes", "2")
 	defer shutdown()
 
 	statsVersion(t, url, 3) // initial + 2 refit publishes

@@ -57,7 +57,7 @@ type options struct {
 }
 
 func (o *options) bind(fs *flag.FlagSet) {
-	o.Spec.Bind(fs, "lasso", "svm", "pegasos")
+	o.Spec.Bind(fs, "lasso", "svm")
 	fs.StringVar(&o.outPath, "out", "", "write the model here in the versioned binary format (.sacm) saserve serves, whatever the file's suffix")
 	fs.IntVar(&o.simP, "simulate", 0, "run on a distributed cluster with this many ranks (0 = local)")
 	fs.StringVar(&o.transport, "transport", "sim", "distributed runs: rank transport, sim (in-process simulated world) or tcp (real loopback TCP mesh; trajectories are bitwise identical)")
@@ -213,19 +213,6 @@ func (o *options) solve(stdout io.Writer) (err error) {
 		}
 		fmt.Fprintf(stdout, "final duality gap %.6e after %d iterations, %d support vectors\n",
 			res.Gap, res.Iters, res.SupportVectors())
-		x = res.X
-	case "pegasos":
-		kind = saco.KindPegasos
-		res, err := saco.PegasosSVM(d.rows, d.b, saco.SVMOptions{
-			Lambda: o.Lambda, Iters: o.Iters, Seed: o.Seed, TrackEvery: o.Track, Exec: exec,
-		})
-		if err != nil {
-			return err
-		}
-		for _, p := range res.History {
-			fmt.Fprintf(stdout, "iter %8d  primal %.6e\n", p.Iter, p.Primal)
-		}
-		fmt.Fprintf(stdout, "final primal objective %.6e (SGD baseline, no certificate)\n", res.Primal)
 		x = res.X
 	}
 

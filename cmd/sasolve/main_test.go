@@ -51,13 +51,17 @@ func TestUnknownBackendExitsWithUsage(t *testing.T) {
 	}
 }
 
+// TestUnknownTaskExitsWithUsage also covers pegasos, a task value whose
+// trainer was removed: the error lists the accepted values.
 func TestUnknownTaskExitsWithUsage(t *testing.T) {
-	code, _, stderr := runCLI(t, "-data", "x.svm", "-task", "ridge")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, `unknown task "ridge"`) || !strings.Contains(stderr, "-task") {
-		t.Fatalf("stderr %q lacks the task error + usage", stderr)
+	for _, task := range []string{"ridge", "pegasos"} {
+		code, _, stderr := runCLI(t, "-data", "x.svm", "-task", task)
+		if code != 2 {
+			t.Fatalf("-task %s: exit code %d, want 2", task, code)
+		}
+		if !strings.Contains(stderr, `unknown task "`+task+`" (lasso, svm)`) || !strings.Contains(stderr, "-task") {
+			t.Fatalf("-task %s: stderr %q lacks the task error + usage", task, stderr)
+		}
 	}
 }
 

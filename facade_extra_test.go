@@ -121,7 +121,7 @@ func TestPublicAPIServe(t *testing.T) {
 
 	// Live refit publishes a new version against the same registry.
 	if err := saco.Refit(context.Background(), reg, a, data.B, saco.RefitOptions{
-		Every: 20 * time.Millisecond, Workers: 2, MaxPublishes: 1, Seed: 9,
+		Every: 20 * time.Millisecond, MaxPublishes: 1, Seed: 9,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"saco/internal/mat"
 	"saco/internal/rng"
 )
 
@@ -70,21 +69,21 @@ func splitIters(total, w, k int) int {
 // interleaved updates replace the sequential ordering; the step
 // (1/λmax of the sampled block) is scaled by the collision damping of
 // asyncDamping at high worker counts. The worker loop itself lives in
-// the exported AsyncLasso stepper (asyncstate.go), which the serving
-// refit drives open-endedly; this entry runs a fixed budget and joins.
+// the asyncLasso stepper (asyncstate.go); this entry runs a fixed budget
+// and joins.
 func lassoAsync(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
-	w := opt.Exec.AsyncWorkers()
+	w := opt.Exec.asyncWorkers()
 	if w > opt.Iters {
 		w = opt.Iters
 	}
-	st, err := NewAsyncLasso(a, b, w, opt)
+	st, err := newAsyncLasso(a, b, w, opt)
 	if err != nil {
 		return nil, err
 	}
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
-		go func(wk *AsyncLassoWorker, iters int) {
+		go func(wk *asyncLassoWorker, iters int) {
 			defer wg.Done()
 			for h := 0; h < iters; h++ {
 				wk.Step()
@@ -109,18 +108,18 @@ func lassoAsync(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error
 // kept exactly inside its box by a compare-and-swap and the primal
 // updated by atomic adds.
 func svmAsync(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	w := opt.Exec.AsyncWorkers()
+	w := opt.Exec.asyncWorkers()
 	if w > opt.Iters {
 		w = opt.Iters
 	}
-	st, err := NewAsyncSVM(a, b, w, opt)
+	st, err := newAsyncSVM(a, b, w, opt)
 	if err != nil {
 		return nil, err
 	}
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
-		go func(wk *AsyncSVMWorker, iters int) {
+		go func(wk *asyncSVMWorker, iters int) {
 			defer wg.Done()
 			for h := 0; h < iters; h++ {
 				wk.Step()
@@ -133,59 +132,5 @@ func svmAsync(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
 	res.X = st.SnapshotX(nil)
 	res.Alpha = st.SnapshotAlpha(nil)
 	res.Primal, res.Dual, res.Gap = st.ObjectivesAt(res.X, res.Alpha)
-	return res, nil
-}
-
-// pegasosAsync is the synchronization-free Pegasos variant: parameter
-// mixing (Zinkevich et al.). The multiplicative shrink of the Pegasos
-// step touches every coordinate each iteration, which no sparse atomic
-// update can express, so instead of sharing the iterate each worker runs
-// an independent full Pegasos chain on its share of the iterations and
-// the chains' solutions are averaged once at the end — zero communication
-// during the run, one reduction after it, converging to the same
-// objective (the average of near-optimal points of a convex objective is
-// near-optimal).
-func pegasosAsync(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	m, _ := a.Dims()
-	if err := opt.validate(m, len(b)); err != nil {
-		return nil, err
-	}
-	w := opt.Exec.AsyncWorkers()
-	if w > opt.Iters {
-		w = opt.Iters
-	}
-	streams := asyncStreams(opt.Seed, w)
-
-	results := make([]*SVMResult, w)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			chain := opt
-			chain.Exec = Exec{}
-			chain.Seed = opt.Seed // chain 0 replays the sequential run
-			if k > 0 {
-				chain.Seed = streams[k].Uint64()
-			}
-			chain.Iters = splitIters(opt.Iters, w, k)
-			chain.TrackEvery = 0
-			results[k], errs[k] = PegasosSVM(a, b, chain)
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	x := make([]float64, len(results[0].X))
-	for _, r := range results {
-		mat.Axpy(1/float64(w), r.X, x)
-	}
-	res := &SVMResult{Iters: opt.Iters, X: x}
-	res.Primal = pegasosPrimal(a, b, x, opt.Lambda, opt.Loss)
 	return res, nil
 }

@@ -160,29 +160,6 @@ func TestSVMAsyncConverges(t *testing.T) {
 	}
 }
 
-// TestPegasosAsyncConverges checks the parameter-mixing Pegasos variant
-// reaches the neighbourhood of the sequential solution (SGD noise makes
-// a 1e-6 bound meaningless here; the deterministic acceptance presets
-// are Lasso and dual-CD SVM).
-func TestPegasosAsyncConverges(t *testing.T) {
-	data := datagen.Classification("async-peg", 23, 300, 50, 0.3, 0.1)
-	a := data.AsCSR()
-	// Not reduced under -short: each of the 4 chains needs its full SGD
-	// share to converge, and the whole test costs well under a second.
-	iters := 60000
-	seq, err := PegasosSVM(a, data.B, SVMOptions{Lambda: 1, Iters: iters, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PegasosSVM(a, data.B, SVMOptions{Lambda: 1, Iters: iters, Seed: 2, Exec: asyncExec(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := relDiff(got.Primal, seq.Primal); d > 0.05 {
-		t.Fatalf("mixed primal %.6e vs sequential %.6e (rel %.3e)", got.Primal, seq.Primal, d)
-	}
-}
-
 // colOnly and rowOnly hide everything but the plain access interface,
 // modelling a matrix type without atomic kernels.
 type colOnly struct{ ColMatrix }
@@ -310,14 +287,14 @@ func TestAsyncDamping(t *testing.T) {
 	// matrix must report damp < 1, a 1-worker solve exactly 1.
 	data := datagen.Regression("async-damp", 43, 80, 30, 0.3, 5, 0.05)
 	csc := data.AsCSR().ToCSC()
-	st1, err := NewAsyncLasso(csc, data.B, 1, LassoOptions{Lambda: 0.1})
+	st1, err := newAsyncLasso(csc, data.B, 1, LassoOptions{Lambda: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.damp != 1 {
 		t.Fatalf("1-worker damp = %v", st1.damp)
 	}
-	st2, err := NewAsyncLasso(csc, data.B, 4*asyncDampGrace, LassoOptions{Lambda: 0.1})
+	st2, err := newAsyncLasso(csc, data.B, 4*asyncDampGrace, LassoOptions{Lambda: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +353,10 @@ func TestAsyncHighWorkerCount(t *testing.T) {
 	}
 }
 
-// TestAsyncLassoStepperMatchesSolver pins the exported stepper surface
-// the serving refit drives: manually stepping a 1-worker AsyncLasso for
-// the full budget reproduces the batch BackendAsync solve (and hence
-// the sequential solver) bit for bit, and the live snapshots expose the
-// same state.
+// TestAsyncLassoStepperMatchesSolver pins the worker steppers the async
+// backend runs: manually stepping a 1-worker asyncLasso / asyncSVM for
+// the full budget reproduces the sequential solver bit for bit, and the
+// snapshots expose the same state.
 func TestAsyncLassoStepperMatchesSolver(t *testing.T) {
 	data := datagen.Regression("async-step", 59, 150, 60, 0.25, 6, 0.05)
 	a := data.AsCSR().ToCSC()
@@ -389,7 +365,7 @@ func TestAsyncLassoStepperMatchesSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewAsyncLasso(a, data.B, 1, opt)
+	st, err := newAsyncLasso(a, data.B, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,9 +377,6 @@ func TestAsyncLassoStepperMatchesSolver(t *testing.T) {
 	if obj := st.Objective(); obj != ref.Objective {
 		t.Fatalf("stepped objective %v != %v", obj, ref.Objective)
 	}
-	if obj := st.ObjectiveAt(st.SnapshotX(nil)); relDiff(obj, ref.Objective) > 1e-12 {
-		t.Fatalf("recomputed objective %v vs %v", obj, ref.Objective)
-	}
 
 	cdata := datagen.Classification("async-step-svm", 61, 120, 40, 0.3, 0.05)
 	sopt := SVMOptions{Lambda: 1, Loss: SVML2, Iters: 900, Seed: 5}
@@ -411,7 +384,7 @@ func TestAsyncLassoStepperMatchesSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sst, err := NewAsyncSVM(cdata.AsCSR(), cdata.B, 1, sopt)
+	sst, err := newAsyncSVM(cdata.AsCSR(), cdata.B, 1, sopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,13 +407,13 @@ func TestBackendAsyncString(t *testing.T) {
 	if BackendAsync.String() != "async" {
 		t.Fatalf("BackendAsync.String() = %q", BackendAsync.String())
 	}
-	if (Exec{Backend: BackendAsync, Workers: 3}).AsyncWorkers() != 3 {
+	if (Exec{Backend: BackendAsync, Workers: 3}).asyncWorkers() != 3 {
 		t.Fatal("explicit async width ignored")
 	}
 	if (Exec{Backend: BackendAsync}).workers() != 1 {
 		t.Fatal("async solves must run sequential kernels per worker")
 	}
-	if w := (Exec{Backend: BackendAsync}).AsyncWorkers(); w < 1 {
+	if w := (Exec{Backend: BackendAsync}).asyncWorkers(); w < 1 {
 		t.Fatalf("default async width %d", w)
 	}
 }

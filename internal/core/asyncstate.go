@@ -8,16 +8,10 @@ import (
 	"saco/internal/rng"
 )
 
-// This file exports the HOGWILD! solver loop as a steppable state
-// machine. The batch entry points (Lasso/SVM with BackendAsync) run a
-// fixed iteration budget and join; a model-serving refit loop instead
-// needs to keep solver workers running indefinitely against a live
-// coefficient vector while a publisher thread snapshots it — so the
-// worker inner loop is factored into AsyncLasso/AsyncSVM plus
-// per-worker Step methods, and async.go drives exactly these steppers.
-// That identity is what keeps the exported surface pinned by the async
-// backend's tests: a single worker stepping an AsyncLasso replays the
-// sequential solver bit for bit.
+// This file holds the HOGWILD! solver state: the shared atomic vectors
+// (asyncLasso, asyncSVM) and the per-worker steppers async.go runs one
+// goroutine each. A single worker stepping an asyncLasso replays the
+// sequential solver bit for bit, the anchor the async tests pin.
 
 // asyncDampGrace is the worker count below which no step damping is
 // applied. The HOGWILD! regime the async tests pin — small worker
@@ -62,32 +56,30 @@ func densityOf(a interface{ Dims() (int, int) }) float64 {
 	return 0
 }
 
-// AsyncLasso is the shared state of a lock-free (HOGWILD!) coordinate-
+// asyncLasso is the shared state of a lock-free (HOGWILD!) coordinate-
 // descent Lasso solve: one atomic iterate x and one atomic residual
-// image r = A·x − b, updated by any number of AsyncLassoWorker steppers
-// with no locks and no barriers. Construct with NewAsyncLasso, obtain
+// image r = A·x − b, updated by any number of asyncLassoWorker steppers
+// with no locks and no barriers. Construct with newAsyncLasso, obtain
 // one worker per goroutine with Worker, and call Step in any
-// interleaving; X exposes the live coefficient vector so a serving
-// layer can snapshot models mid-training.
-type AsyncLasso struct {
+// interleaving.
+type asyncLasso struct {
 	ac      asyncColMatrix
-	b       []float64
 	opt     LassoOptions
 	g       Regularizer
-	m, n    int
+	n       int
 	damp    float64
 	xv, rv  *mat.AtomicVec
 	streams []*rng.Stream
 }
 
-// NewAsyncLasso validates the problem and builds the shared async state
-// for the given worker count. opt.Iters is not consumed here — the
-// caller decides how many Steps each worker takes; opt.X0 seeds the
+// newAsyncLasso builds the shared async state of an already validated
+// problem for the given worker count. opt.Iters is not consumed here —
+// the caller decides how many Steps each worker takes; opt.X0 seeds the
 // live iterate (warm start), and opt.Seed fixes the sampling streams
 // (worker 0's stream is the sequential solver's stream, the bitwise
 // anchor). Accelerated variants have no async analogue and are
 // rejected, as are matrices without atomic kernels.
-func NewAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*AsyncLasso, error) {
+func newAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*asyncLasso, error) {
 	if opt.Accelerated {
 		return nil, errors.New("core: BackendAsync does not support the accelerated Lasso variants (acceleration needs an ordered θ-schedule); use plain CD/BCD or a deterministic backend")
 	}
@@ -96,13 +88,6 @@ func NewAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*As
 		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSC and sparse.DenseCols do)", a)
 	}
 	m, n := a.Dims()
-	vopt := opt
-	if vopt.Iters <= 0 {
-		vopt.Iters = 1 // the stepper has no iteration budget to validate
-	}
-	if err := vopt.Validate(m, n, len(b)); err != nil {
-		return nil, err
-	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -115,8 +100,8 @@ func NewAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*As
 	a.MulVec(x, r)
 	mat.Axpy(-1, b, r) // r = A·x0 − b
 
-	return &AsyncLasso{
-		ac: ac, b: b, opt: opt, g: opt.Regularizer(), m: m, n: n,
+	return &asyncLasso{
+		ac: ac, opt: opt, g: opt.Regularizer(), n: n,
 		damp:    asyncDamping(workers, opt.mu(), densityOf(a)),
 		xv:      mat.NewAtomicVecFrom(x),
 		rv:      mat.NewAtomicVecFrom(r),
@@ -127,32 +112,22 @@ func NewAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*As
 // SnapshotX copies the live iterate into dst (allocated when nil) with
 // atomic element loads: each read is atomic but the copy is not a
 // consistent cut of a vector the workers are still updating.
-func (s *AsyncLasso) SnapshotX(dst []float64) []float64 { return s.xv.Snapshot(dst) }
+func (s *asyncLasso) SnapshotX(dst []float64) []float64 { return s.xv.Snapshot(dst) }
 
 // Objective evaluates the objective from the maintained residual. It is
 // exact when the workers are quiescent; mid-flight it is an estimate
 // racing the updates.
-func (s *AsyncLasso) Objective() float64 {
+func (s *asyncLasso) Objective() float64 {
 	return LassoObjective(s.rv.Snapshot(nil), s.xv.Snapshot(nil), s.g)
-}
-
-// ObjectiveAt evaluates the exact objective of an arbitrary iterate x
-// (typically a SnapshotX taken while workers run), recomputing the
-// residual from scratch rather than trusting the racy maintained one.
-func (s *AsyncLasso) ObjectiveAt(x []float64) float64 {
-	r := make([]float64, s.m)
-	s.ac.MulVec(x, r)
-	mat.Axpy(-1, s.b, r)
-	return LassoObjective(r, x, s.g)
 }
 
 // Worker returns stepper k (0 ≤ k < Workers). Each worker owns its
 // sampling stream and scratch buffers; one worker must not be stepped
 // from two goroutines, but distinct workers may run concurrently.
-func (s *AsyncLasso) Worker(k int) *AsyncLassoWorker {
+func (s *asyncLasso) Worker(k int) *asyncLassoWorker {
 	smp := newBlockSampler(s.streams[k], &s.opt, s.n)
 	muMax := smp.maxBlock()
-	return &AsyncLassoWorker{
+	return &asyncLassoWorker{
 		s: s, smp: smp,
 		gram:  mat.NewDense(muMax, muMax),
 		grad:  make([]float64, muMax),
@@ -163,10 +138,10 @@ func (s *AsyncLasso) Worker(k int) *AsyncLassoWorker {
 	}
 }
 
-// AsyncLassoWorker is one HOGWILD! solver worker: private sampling
+// asyncLassoWorker is one HOGWILD! solver worker: private sampling
 // stream and scratch, shared atomic iterate and residual.
-type AsyncLassoWorker struct {
-	s                     *AsyncLasso
+type asyncLassoWorker struct {
+	s                     *asyncLasso
 	smp                   *blockSampler
 	gram                  *mat.Dense
 	grad, wbuf, gv, delta []float64
@@ -178,7 +153,7 @@ type AsyncLassoWorker struct {
 // atomic residual, prox, and scatter the delta back with atomic adds.
 // The step size is 1/λmax of the sampled block scaled by the collision
 // damping.
-func (w *AsyncLassoWorker) Step() {
+func (w *asyncLassoWorker) Step() {
 	s := w.s
 	idx := w.smp.next()
 	mu := len(idx)
@@ -205,36 +180,29 @@ func (w *AsyncLassoWorker) Step() {
 	s.ac.ColMulAddAtomic(idx, w.delta[:mu], s.rv)
 }
 
-// AsyncSVM is the shared state of the lock-free asynchronous dual
+// asyncSVM is the shared state of the lock-free asynchronous dual
 // coordinate-descent SVM (PASSCoDe-Atomic): atomic dual vector α kept
 // exactly in its box by CAS, atomic primal x updated by atomic adds.
-type AsyncSVM struct {
+type asyncSVM struct {
 	ar        asyncRowMatrix
 	b         []float64
 	opt       SVMOptions
 	gamma, nu float64
-	m, n      int
+	m         int
 	damp      float64
 	av, xv    *mat.AtomicVec
 	streams   []*rng.Stream
 }
 
-// NewAsyncSVM validates the problem and builds the shared async state.
-// opt.Iters is not consumed (callers budget Steps themselves);
+// newAsyncSVM builds the shared async state of an already validated
+// problem. opt.Iters is not consumed (callers budget Steps themselves);
 // opt.Alpha0 warm-starts the dual, with the primal rebuilt to match.
-func NewAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*AsyncSVM, error) {
+func newAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*asyncSVM, error) {
 	ar, ok := a.(asyncRowMatrix)
 	if !ok {
 		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSR and sparse.DenseRows do)", a)
 	}
 	m, n := a.Dims()
-	vopt := opt
-	if vopt.Iters <= 0 {
-		vopt.Iters = 1
-	}
-	if err := vopt.validate(m, len(b)); err != nil {
-		return nil, err
-	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -251,8 +219,8 @@ func NewAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*AsyncS
 		}
 	}
 
-	return &AsyncSVM{
-		ar: ar, b: b, opt: opt, gamma: gamma, nu: nu, m: m, n: n,
+	return &asyncSVM{
+		ar: ar, b: b, opt: opt, gamma: gamma, nu: nu, m: m,
 		damp:    asyncDamping(workers, 1, densityOf(a)),
 		av:      mat.NewAtomicVecFrom(alpha),
 		xv:      mat.NewAtomicVecFrom(x),
@@ -261,28 +229,28 @@ func NewAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*AsyncS
 }
 
 // SnapshotX copies the live primal vector into dst (allocated when nil).
-func (s *AsyncSVM) SnapshotX(dst []float64) []float64 { return s.xv.Snapshot(dst) }
+func (s *asyncSVM) SnapshotX(dst []float64) []float64 { return s.xv.Snapshot(dst) }
 
 // SnapshotAlpha copies the live dual vector into dst (allocated when
 // nil).
-func (s *AsyncSVM) SnapshotAlpha(dst []float64) []float64 { return s.av.Snapshot(dst) }
+func (s *asyncSVM) SnapshotAlpha(dst []float64) []float64 { return s.av.Snapshot(dst) }
 
 // ObjectivesAt evaluates primal, dual and gap for an (x, α) snapshot
 // pair, recomputing the margins from scratch.
-func (s *AsyncSVM) ObjectivesAt(x, alpha []float64) (primal, dual, gap float64) {
+func (s *asyncSVM) ObjectivesAt(x, alpha []float64) (primal, dual, gap float64) {
 	margins := make([]float64, s.m)
 	s.ar.MulVec(x, margins)
 	return SVMObjectives(x, alpha, margins, s.b, s.opt.Lambda, s.gamma, s.opt.Loss)
 }
 
 // Worker returns stepper k (0 ≤ k < Workers); one worker per goroutine.
-func (s *AsyncSVM) Worker(k int) *AsyncSVMWorker {
-	return &AsyncSVMWorker{s: s, r: s.streams[k]}
+func (s *asyncSVM) Worker(k int) *asyncSVMWorker {
+	return &asyncSVMWorker{s: s, r: s.streams[k]}
 }
 
-// AsyncSVMWorker is one lock-free dual-CD worker.
-type AsyncSVMWorker struct {
-	s *AsyncSVM
+// asyncSVMWorker is one lock-free dual-CD worker.
+type asyncSVMWorker struct {
+	s *asyncSVM
 	r *rng.Stream
 }
 
@@ -290,7 +258,7 @@ type AsyncSVMWorker struct {
 // stale primal read, keeping α exactly inside its box with a CAS loop.
 // The collision damping divides the step (multiplies the curvature), so
 // high worker counts take proportionally smaller steps.
-func (w *AsyncSVMWorker) Step() {
+func (w *asyncSVMWorker) Step() {
 	s := w.s
 	i := w.r.Intn(s.m)
 	eta := (s.ar.RowNormSq(i) + s.gamma) / s.damp

@@ -37,8 +37,8 @@ const (
 	// BackendAsync runs Exec.Workers lock-free solver workers against a
 	// shared atomic iterate with per-worker RNG streams: no barriers, no
 	// locks, convergent but not deterministic. Supported by the plain
-	// Lasso solvers (CD/BCD), the dual-CD SVM and Pegasos; matrices must
-	// provide atomic kernels (sparse.CSC / sparse.CSR do).
+	// Lasso solvers (CD/BCD) and the dual-CD SVM; matrices must provide
+	// atomic kernels (sparse.CSC / sparse.CSR do).
 	BackendAsync
 )
 
@@ -75,11 +75,9 @@ func (e Exec) workers() int {
 	return e.width()
 }
 
-// AsyncWorkers returns the solver worker count of an async solve
-// (1 for non-async backends). Exported for callers of the async
-// stepper hooks (NewAsyncLasso / NewAsyncSVM), which take an explicit
-// worker count.
-func (e Exec) AsyncWorkers() int {
+// asyncWorkers returns the solver worker count of an async solve
+// (1 for non-async backends).
+func (e Exec) asyncWorkers() int {
 	if e.Backend != BackendAsync {
 		return 1
 	}

@@ -1,11 +1,8 @@
 // Package serve is the lock-free model-serving layer: it turns the
 // solvers' coefficient vectors into versioned model artifacts and
 // answers prediction traffic against them while a background trainer
-// refits the live model without ever taking a lock.
-//
-// The paper's core trade — replace synchronization with atomic updates
-// that stay convergent — applies to serving directly. Three lock-free
-// mechanisms compose here:
+// refits the live model, and the scoring path never takes a lock.
+// Three mechanisms compose here:
 //
 //   - Registry holds the current model behind an atomic pointer.
 //     Readers (request handlers) load it wait-free; a publish is one
@@ -15,11 +12,11 @@
 //     sparse matrix and scores it with one batched kernel call on the
 //     persistent internal/runtime pool, amortizing dispatch across the
 //     batch exactly like the solvers' Gram kernels.
-//   - Refit drives the exported core.AsyncLasso / core.AsyncSVM HOGWILD
-//     steppers against a live atomic coefficient vector and snapshots
-//     it into a new registry version on a fixed cadence: training and
-//     serving share one lock-free vector, with immutable snapshots as
-//     the only hand-off.
+//   - Refit runs the sequential core.Stepper open-endedly and, from its
+//     Observer, publishes the live iterate as a new registry version on
+//     a fixed cadence. Each version is bitwise the core.Lasso / core.SVM
+//     solve at the iteration count its log line names; the immutable
+//     model is the only hand-off.
 //
 // # Model file format (.sacm, version 1)
 //
@@ -30,7 +27,7 @@
 //	offset  size        field
 //	0       8           magic "SACOMDL1"
 //	8       4           format version (uint32, = 1)
-//	12      4           problem kind (uint32: 0 raw, 1 lasso, 2 svm, 3 pegasos)
+//	12      4           problem kind (uint32: 0 raw, 1 lasso, 2 svm; 3, pegasos, is refused)
 //	16      8           features n (uint64)
 //	24      8           training rows m (uint64, informational)
 //	32      8           lambda (float64 bits)
@@ -52,6 +49,8 @@
 // build: a version-1 file written before internal/wire existed loads and
 // re-encodes to itself. The old text format (one value per line) is
 // refused with the migration: re-save with `sasolve -out model.sacm`.
+// So is kind 3, written by the removed Pegasos trainer: retrain with
+// `sasolve -task svm -out`.
 //
 // Registry versions are encoded in the file name (model-%08d.sacm);
 // the watcher polls the directory and hot-swaps the pointer when a

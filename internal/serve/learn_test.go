@@ -113,11 +113,10 @@ func TestRefitStreamPublishes(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- RefitStream(ctx, reg, buf, RefitOptions{
-			Kind:    KindLasso,
-			Lambda:  0.01,
-			Every:   30 * time.Millisecond,
-			Workers: 2,
-			Seed:    1,
+			Kind:   KindLasso,
+			Lambda: 0.01,
+			Every:  30 * time.Millisecond,
+			Seed:   1,
 		})
 	}()
 	deadline := time.Now().Add(10 * time.Second)

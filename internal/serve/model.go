@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,10 +25,12 @@ const (
 	KindLasso
 	// KindSVM is a linear SVM; scores are margins, sign(score) the label.
 	KindSVM
-	// KindPegasos is a Pegasos-trained SVM; scores are margins.
-	KindPegasos
 	kindEnd
 )
+
+// kindPegasos is the retired kind of models the removed Pegasos trainer
+// wrote; the decoder refuses it by name.
+const kindPegasos Kind = 3
 
 // String names the kind for logs, stats and flags.
 func (k Kind) String() string {
@@ -36,15 +39,13 @@ func (k Kind) String() string {
 		return "lasso"
 	case KindSVM:
 		return "svm"
-	case KindPegasos:
-		return "pegasos"
 	default:
 		return "raw"
 	}
 }
 
 // Classifier reports whether sign(score) is a class label.
-func (k Kind) Classifier() bool { return k == KindSVM || k == KindPegasos }
+func (k Kind) Classifier() bool { return k == KindSVM }
 
 // Model is one immutable trained coefficient vector plus provenance.
 // Fields are set at construction and never mutated afterwards — the
@@ -52,7 +53,7 @@ func (k Kind) Classifier() bool { return k == KindSVM || k == KindPegasos }
 // immutability is what makes the atomic-pointer hand-off torn-read
 // free.
 type Model struct {
-	// Kind is the problem family (lasso, svm, pegasos, raw).
+	// Kind is the problem family (lasso, svm, raw).
 	Kind Kind
 	// Features is the model dimensionality n; requests with indices
 	// beyond it are rejected.
@@ -135,6 +136,9 @@ func (m *Model) validate() error {
 			return fmt.Errorf("serve: model index %d out of range (dim mismatch: %d features declared)", j, m.Features)
 		}
 		prev = j
+	}
+	if m.Kind == kindPegasos {
+		return errors.New("serve: model kind 3 (pegasos) is no longer served: the Pegasos trainer was removed; retrain with `sasolve -task svm -out`")
 	}
 	if m.Kind >= kindEnd {
 		return fmt.Errorf("serve: unknown model kind %d", uint32(m.Kind))

@@ -111,6 +111,50 @@ func TestLoadModelFileAutoDetect(t *testing.T) {
 	}
 }
 
+// TestModelKindPegasosRefused: kind 3 is what the removed Pegasos
+// trainer wrote. A hand-written kind-3 image is refused by name with
+// the migration, and a registry skips it as it skips any artifact it
+// cannot load, serving the older model instead.
+func TestModelKindPegasosRefused(t *testing.T) {
+	var w wire.Writer
+	w.Bytes([]byte(modelMagic))
+	w.U32(modelFormatVersion)
+	w.U32(3)   // kind: pegasos
+	w.U64(4)   // features
+	w.U64(6)   // training rows
+	w.F64(1)   // lambda
+	w.U64(2)   // model version
+	w.U64(1)   // nnz
+	w.U64(2)   // index
+	w.F64(0.5) // value
+	img := wire.CRC64.Seal(w.B)
+
+	dir := t.TempDir()
+	if err := WriteModelFile(filepath.Join(dir, fmt.Sprintf(modelFilePattern, 1)), testModel(KindSVM, 4, 2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf(modelFilePattern, 2))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadModelFile(path)
+	if err == nil {
+		t.Fatal("kind-3 model accepted")
+	}
+	for _, want := range []string{"pegasos", "sasolve -task svm -out"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	reg, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := reg.Current(); m == nil || m.Version != 1 || m.Kind != KindSVM {
+		t.Fatalf("registry serves %+v, want the version-1 svm model", m)
+	}
+}
+
 // TestLoadModelFileOversizeRefusedUnread: a file past the reader cap is
 // refused from its size alone. Registry.Poll retries a bad newer version
 // every watch tick, so reading such a file whole each time would cost

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"math"
 	"time"
 
 	"saco/internal/core"
@@ -13,29 +13,26 @@ import (
 	"saco/internal/sparse"
 )
 
-// The live refit loop: HOGWILD! solver workers run open-endedly against
-// one lock-free atomic coefficient vector (the exported core.AsyncLasso
-// / core.AsyncSVM steppers) while a publisher thread snapshots that
-// vector on a fixed cadence and hands each snapshot to the registry as
-// a new immutable version. Training and serving thus share a single
-// synchronization-free vector; the only hand-off is the atomic pointer
-// swap of a publish, so scoring traffic is never blocked — not by the
-// trainer, not by the publisher.
+// The live refit: the one sequential core.Stepper (plain CD/BCD, S = 1)
+// runs open-endedly on the calling goroutine, and its Observer publishes
+// the live iterate into the registry on a fixed cadence. A published
+// version is therefore bitwise the core.Lasso / core.SVM solve at the
+// iteration count its log line names. Scoring traffic is never blocked:
+// a publish is one immutable model behind the registry's atomic pointer
+// swap.
 
 // RefitOptions configures a live refit.
 type RefitOptions struct {
 	// Every is the publish cadence (default 2s).
 	Every time.Duration
-	// Workers is the HOGWILD worker count (0 = GOMAXPROCS).
-	Workers int
-	// Seed drives the workers' sampling streams.
+	// Seed drives the solver's sampling stream.
 	Seed uint64
 	// BlockSize is the Lasso block size µ (default 1).
 	BlockSize int
 	// Lambda overrides the regularization strength; 0 inherits the
 	// serving model's recorded lambda.
 	Lambda float64
-	// Loss selects the SVM loss for KindSVM/KindPegasos refits.
+	// Loss selects the SVM loss for KindSVM refits.
 	Loss core.SVMLoss
 	// Kind overrides the task; KindRaw (the zero value) infers it from
 	// the serving model.
@@ -53,16 +50,22 @@ type RefitOptions struct {
 	Publishes *metrics.Counter
 }
 
-// Refit streams the labeled rows (a, b) into a lock-free solver warm-
-// started from the serving model and publishes snapshots of the live
-// coefficient vector until ctx is cancelled (a final quiescent snapshot
-// is flushed on the way out) or MaxPublishes is reached.
+// refitCheckEvery is how many iterations pass between two looks at the
+// clock and the context: steps are cheap, so the checks are amortized.
+const refitCheckEvery = 64
+
+// errRefitDone ends the Stepper's Run once the refit has published its
+// last version.
+var errRefitDone = errors.New("serve: refit done")
+
+// Refit trains on the labeled rows (a, b) and publishes the live
+// iterate every opt.Every until ctx is cancelled (the iterate at that
+// point is published on the way out) or MaxPublishes is reached.
 //
 // Lasso refits warm-start X0 from the serving model's coefficients.
-// SVM/Pegasos refits retrain the dual from scratch on the new rows (a
-// published primal vector cannot be decomposed back into dual
-// variables), publishing primal snapshots; Pegasos models keep their
-// kind, scored identically.
+// SVM refits retrain the dual from scratch on the new rows (a published
+// primal vector cannot be decomposed back into dual variables),
+// publishing the primal iterate.
 func Refit(ctx context.Context, reg *Registry, a *sparse.CSR, b []float64, opt RefitOptions) error {
 	cur := reg.Current()
 	kind := opt.Kind
@@ -75,130 +78,107 @@ func Refit(ctx context.Context, reg *Registry, a *sparse.CSR, b []float64, opt R
 	if cur != nil && a.N != cur.Features {
 		return fmt.Errorf("serve: refit data has %d features, serving model has %d", a.N, cur.Features)
 	}
+	if a.M == 0 {
+		return errors.New("serve: no rows to refit on")
+	}
 	lambda := opt.Lambda
 	if lambda == 0 && cur != nil {
 		lambda = cur.Lambda
 	}
-	workers := opt.Workers
-	every := opt.Every
-	if every <= 0 {
-		every = 2 * time.Second
+	if opt.Every <= 0 {
+		opt.Every = 2 * time.Second
 	}
+	pub := &refitPublisher{ctx: ctx, reg: reg, opt: opt, kind: kind, lambda: lambda, rows: len(b),
+		next: time.Now().Add(opt.Every)}
 
-	// Build the solver-specific stepper behind a uniform pair of
-	// closures; everything after this is solver-agnostic.
-	var (
-		newWorker func(k int) func() // per-worker Step closure
-		snapshot  func() []float64
-		objective func(x []float64) float64
-		nWorkers  int
-	)
+	var err error
 	switch kind {
 	case KindLasso:
-		lopt := core.LassoOptions{
-			Lambda: lambda, BlockSize: opt.BlockSize, Seed: opt.Seed,
-			Exec: core.Exec{Backend: core.BackendAsync, Workers: workers},
-		}
+		lopt := core.LassoOptions{Lambda: lambda, BlockSize: opt.BlockSize, Seed: opt.Seed, Iters: math.MaxInt}
 		if cur != nil {
 			lopt.X0 = cur.Dense()
 		}
-		w := lopt.Exec.AsyncWorkers()
-		st, err := core.NewAsyncLasso(a.ToCSC(), b, w, lopt)
-		if err != nil {
-			return err
+		var st *core.LassoStepper
+		if st, err = core.NewLassoStepper(a.ToCSC(), b, lopt, nil, pub); err == nil {
+			_, err = st.Run()
 		}
-		nWorkers = w
-		newWorker = func(k int) func() { wk := st.Worker(k); return wk.Step }
-		snapshot = func() []float64 { return st.SnapshotX(nil) }
-		objective = st.ObjectiveAt
-	case KindSVM, KindPegasos:
-		sopt := core.SVMOptions{
-			Lambda: lambda, Loss: opt.Loss, Seed: opt.Seed,
-			Exec: core.Exec{Backend: core.BackendAsync, Workers: workers},
-		}
-		w := sopt.Exec.AsyncWorkers()
-		st, err := core.NewAsyncSVM(a, b, w, sopt)
-		if err != nil {
-			return err
-		}
-		nWorkers = w
-		newWorker = func(k int) func() { wk := st.Worker(k); return wk.Step }
-		snapshot = func() []float64 { return st.SnapshotX(nil) }
-		objective = func(x []float64) float64 {
-			p, _, _ := st.ObjectivesAt(x, st.SnapshotAlpha(nil))
-			return p
+	case KindSVM:
+		pub.x = 1 // the Stepper's state is (α, x)
+		sopt := core.SVMOptions{Lambda: lambda, Loss: opt.Loss, Seed: opt.Seed, Iters: math.MaxInt}
+		var st *core.SVMStepper
+		if st, err = core.NewSVMStepper(a, b, sopt, nil, pub); err == nil {
+			_, err = st.Run()
 		}
 	default:
 		return fmt.Errorf("serve: cannot refit a %s model", kind)
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for k := 0; k < nWorkers; k++ {
-		step := newWorker(k)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Steps are cheap; amortize the cancellation check (and
-				// the step counter tick) over a run of them.
-				for i := 0; i < 64; i++ {
-					step()
-				}
-				opt.Steps.Add(64)
-				select {
-				case <-runCtx.Done():
-					return
-				default:
-				}
-			}
-		}()
-	}
-
-	publish := func(quiescent bool) error {
-		x := snapshot()
-		m := NewModel(kind, x)
-		m.TrainRows = len(b)
-		m.Lambda = lambda
-		v, err := reg.Publish(m)
-		if err != nil {
-			return err
-		}
-		opt.Publishes.Inc()
-		if opt.Log != nil {
-			state := "live"
-			if quiescent {
-				state = "final"
-			}
-			fmt.Fprintf(opt.Log, "refit: published version %d (%s snapshot, objective %.6e, nnz %d/%d, %d workers)\n",
-				v, state, objective(x), m.NNZ(), m.Features, nWorkers)
-		}
+	if errors.Is(err, errRefitDone) {
 		return nil
 	}
+	return err
+}
 
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	published := 0
-	for {
-		select {
-		case <-ctx.Done():
-			// Quiesce the workers, flush one exact final model.
-			cancel()
-			wg.Wait()
-			return publish(true)
-		case <-ticker.C:
-			if err := publish(false); err != nil {
-				cancel()
-				wg.Wait()
-				return err
-			}
-			published++
-			if opt.MaxPublishes > 0 && published >= opt.MaxPublishes {
-				cancel()
-				wg.Wait()
-				return nil
-			}
-		}
+// refitPublisher is the refit's core.Observer: it publishes the live
+// primal iterate state[x] from BatchDone and ends the solve with
+// errRefitDone after the last publish.
+type refitPublisher struct {
+	ctx       context.Context
+	reg       *Registry
+	opt       RefitOptions
+	kind      Kind
+	lambda    float64
+	rows      int
+	x         int       // index of the primal iterate in the Stepper's state
+	next      time.Time // when the next live publish is due
+	published int
+}
+
+func (p *refitPublisher) BatchSampled(*core.Batch) error  { return nil }
+func (p *refitPublisher) StepDone(*core.Batch, int, bool) {}
+func (p *refitPublisher) BeginMeasure()                   {}
+func (p *refitPublisher) EndMeasure()                     {}
+func (p *refitPublisher) Tracked(int, float64)            {}
+
+// BatchDone looks at the context and the clock every refitCheckEvery
+// iterations (at S = 1 a batch is one iteration): a cancelled context
+// publishes the final iterate and stops, an elapsed cadence publishes
+// the live one.
+func (p *refitPublisher) BatchDone(h int, _ float64, state [][]float64) error {
+	if h%refitCheckEvery != 0 {
+		return nil
 	}
+	p.opt.Steps.Add(refitCheckEvery)
+	final := p.ctx.Err() != nil
+	if !final && time.Now().Before(p.next) {
+		return nil
+	}
+	if err := p.publish(h, state[p.x], final); err != nil {
+		return err
+	}
+	if final || (p.opt.MaxPublishes > 0 && p.published >= p.opt.MaxPublishes) {
+		return errRefitDone
+	}
+	p.next = time.Now().Add(p.opt.Every)
+	return nil
+}
+
+func (p *refitPublisher) publish(h int, x []float64, final bool) error {
+	m := NewModel(p.kind, x)
+	m.TrainRows = p.rows
+	m.Lambda = p.lambda
+	v, err := p.reg.Publish(m)
+	if err != nil {
+		return err
+	}
+	p.published++
+	p.opt.Publishes.Inc()
+	if p.opt.Log != nil {
+		state := "live"
+		if final {
+			state = "final"
+		}
+		fmt.Fprintf(p.opt.Log, "refit: published version %d after %d iterations (%s, nnz %d/%d)\n",
+			v, h, state, m.NNZ(), m.Features)
+	}
+	return nil
 }

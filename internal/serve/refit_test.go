@@ -9,6 +9,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 
 	"saco/internal/core"
 	"saco/internal/datagen"
+	"saco/internal/sparse"
 )
 
 // relDiff is the relative difference used by the convergence checks.
@@ -53,7 +57,7 @@ func TestRefitLassoConverges(t *testing.T) {
 
 	var log bytes.Buffer
 	err = Refit(context.Background(), reg, a, data.B, RefitOptions{
-		Every: 30 * time.Millisecond, Workers: 2, Seed: 3,
+		Every: 30 * time.Millisecond, Seed: 3,
 		MaxPublishes: 3, Log: &log,
 	})
 	if err != nil {
@@ -102,7 +106,7 @@ func TestRefitSVMConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = Refit(context.Background(), reg, a, data.B, RefitOptions{
-		Every: 40 * time.Millisecond, Workers: 2, Seed: 5,
+		Every: 40 * time.Millisecond, Seed: 5,
 		Loss: core.SVML2, MaxPublishes: 2,
 	})
 	if err != nil {
@@ -135,8 +139,100 @@ func svmPrimal(a interface{ MulVec(x, y []float64) }, b, x []float64) float64 {
 	return loss + norm/2 // λ = 1: λ/2·‖x‖² with the paper's scaling
 }
 
-// TestRefitErrors pins the refusal surface: no inferable task, and a
-// feature-width mismatch with the serving model.
+// TestRefitBitwise: every version a refit publishes is bit for bit the
+// model of the core solve run with the same options for the iteration
+// count its log line names — for Lasso warm-started from the serving
+// model (ended by MaxPublishes), and for SVM trained from scratch (ended
+// by cancellation, so the final publish is covered too).
+func TestRefitBitwise(t *testing.T) {
+	ldata := datagen.Regression("refit-bitwise", 23, 120, 30, 0.3, 5, 0.05)
+	la := ldata.AsCSR()
+	lambda := 0.1 * core.LambdaMaxL1(la.ToCSC(), ldata.B)
+	x0 := make([]float64, la.N)
+	for j := range x0 {
+		x0[j] = 0.1 * float64(j%4)
+	}
+	init := NewModel(KindLasso, x0)
+	init.Lambda = lambda
+	checkRefitBitwise(t, context.Background(), init, la, ldata.B,
+		RefitOptions{Every: 10 * time.Millisecond, Seed: 3, BlockSize: 2, MaxPublishes: 3},
+		func(h int) ([]float64, error) {
+			res, err := core.Lasso(la.ToCSC(), ldata.B, core.LassoOptions{
+				Lambda: lambda, BlockSize: 2, Seed: 3, Iters: h, X0: init.Dense(),
+			})
+			if err != nil {
+				return nil, err
+			}
+			return res.X, nil
+		})
+
+	cdata := datagen.Classification("refit-bitwise-svm", 29, 120, 30, 0.3, 0.05)
+	ca := cdata.AsCSR()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	checkRefitBitwise(t, ctx, nil, ca, cdata.B,
+		RefitOptions{Every: 10 * time.Millisecond, Seed: 5, Kind: KindSVM, Lambda: 1, Loss: core.SVML1},
+		func(h int) ([]float64, error) {
+			res, err := core.SVM(ca, cdata.B, core.SVMOptions{Lambda: 1, Loss: core.SVML1, Seed: 5, Iters: h})
+			if err != nil {
+				return nil, err
+			}
+			return res.X, nil
+		})
+}
+
+// checkRefitBitwise runs a refit over a registry serving init (none when
+// nil) and compares every published version, read back from disk, with
+// the model of solve(h) for the iteration count h its log line names.
+func checkRefitBitwise(t *testing.T, ctx context.Context, init *Model, a *sparse.CSR, b []float64, opt RefitOptions, solve func(h int) ([]float64, error)) {
+	t.Helper()
+	reg, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init != nil {
+		if _, err := reg.Publish(init); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kind, lambda := opt.Kind, opt.Lambda
+	if init != nil && kind == KindRaw {
+		kind = init.Kind
+	}
+	if init != nil && lambda == 0 {
+		lambda = init.Lambda
+	}
+	var log bytes.Buffer
+	opt.Log = &log
+	if err := Refit(ctx, reg, a, b, opt); err != nil {
+		t.Fatal(err)
+	}
+	lines := regexp.MustCompile(`refit: published version (\d+) after (\d+) iterations`).FindAllStringSubmatch(log.String(), -1)
+	if len(lines) < 2 {
+		t.Fatalf("want at least two publishes, log:\n%s", log.String())
+	}
+	for _, ln := range lines {
+		v, _ := strconv.ParseUint(ln[1], 10, 64)
+		h, _ := strconv.Atoi(ln[2])
+		got, err := LoadModelFile(filepath.Join(reg.Dir(), fmt.Sprintf(modelFilePattern, v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := solve(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewModel(kind, x)
+		want.TrainRows, want.Lambda, want.Version = len(b), lambda, v
+		if g, w := fmt.Sprint(modelFields(got)), fmt.Sprint(modelFields(want)); g != w {
+			t.Fatalf("version %d after %d iterations:\n got  %s\n want %s", v, h, g, w)
+		}
+	}
+}
+
+// TestRefitErrors pins the refusal surface: no inferable task, a
+// feature-width mismatch with the serving model, and no rows (an empty
+// -refit file; the solver's sampler cannot draw from zero rows).
 func TestRefitErrors(t *testing.T) {
 	data := datagen.Regression("refit-err", 13, 40, 20, 0.3, 4, 0.05)
 	a := data.AsCSR()
@@ -162,10 +258,19 @@ func TestRefitErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "features") {
 		t.Fatalf("dim mismatch: %v", err)
 	}
+
+	none, err := sparse.NewCSR(0, a.N, []int{0}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Refit(context.Background(), empty, none, nil, RefitOptions{Kind: KindSVM, Lambda: 1}); err == nil ||
+		!strings.Contains(err.Error(), "no rows") {
+		t.Fatalf("empty data: %v", err)
+	}
 }
 
-// TestRefitContextCancel: cancelling the context quiesces the workers
-// and flushes one final exact model.
+// TestRefitContextCancel: cancelling the context stops the solver and
+// flushes one final model.
 func TestRefitContextCancel(t *testing.T) {
 	data := datagen.Regression("refit-cancel", 17, 80, 25, 0.3, 4, 0.05)
 	a := data.AsCSR()
@@ -182,7 +287,7 @@ func TestRefitContextCancel(t *testing.T) {
 	defer cancel()
 	// Publish cadence far beyond the deadline: the only publish is the
 	// final flush.
-	if err := Refit(ctx, reg, a, data.B, RefitOptions{Every: time.Hour, Workers: 2}); err != nil {
+	if err := Refit(ctx, reg, a, data.B, RefitOptions{Every: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Version() != 2 {
@@ -221,7 +326,7 @@ func TestServeWhileRefitting(t *testing.T) {
 	refitDone := make(chan error, 1)
 	go func() {
 		refitDone <- Refit(context.Background(), reg, a, data.B, RefitOptions{
-			Every: 15 * time.Millisecond, Workers: 2, Seed: 7, MaxPublishes: 4,
+			Every: 15 * time.Millisecond, Seed: 7, MaxPublishes: 4,
 		})
 	}()
 

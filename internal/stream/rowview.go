@@ -31,8 +31,7 @@ type RowStream struct {
 	local    []int       // RowGram's sampled rows as gathered rows
 }
 
-// Rows returns the row-access streaming view (for saco.SVM,
-// saco.PegasosSVM).
+// Rows returns the row-access streaming view (for saco.SVM).
 func (d *Dataset) Rows() *RowStream {
 	return &RowStream{d: d, rowOf: make(map[int]int)}
 }

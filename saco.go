@@ -251,7 +251,7 @@ func Replica(name string, scale float64, seed uint64) (*Dataset, error) {
 // Out-of-core streaming dataset types (internal/stream): LIBSVM inputs
 // ingested into row-block shards on disk so paper-scale matrices solve
 // in bounded memory. StreamDataset.Cols() / .Rows() plug into Lasso,
-// LassoPath, SVM and PegasosSVM; sequential-backend trajectories are
+// LassoPath and SVM; sequential-backend trajectories are
 // bitwise identical to the in-memory solvers. Streaming v2 adds a
 // column-major spill layout (LayoutCSC — column solves perform zero
 // CSR→CSC conversions) and a delta-varint shard codec (CodecDelta —
@@ -328,19 +328,12 @@ func LassoPath(a ColMatrix, b []float64, lambdas []float64, opt LassoOptions) ([
 	return core.LassoPath(a, b, lambdas, opt)
 }
 
-// PegasosSVM is the primal stochastic-subgradient baseline (the P-packSVM
-// family of the paper's §II); it optimizes the same objective as SVM but
-// offers no duality-gap certificate.
-func PegasosSVM(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	return core.PegasosSVM(a, b, opt)
-}
-
 // Model-serving types (internal/serve): a versioned binary model
 // format, a registry that hot-swaps model versions through an atomic
 // pointer, an HTTP scoring server that micro-batches concurrent
-// requests into pooled kernel calls, and a live HOGWILD! refit that
-// shares one lock-free coefficient vector between training and
-// publishing. See cmd/saserve for the binary.
+// requests into pooled kernel calls, and a live refit on the
+// sequential solver whose published versions are bitwise the batch
+// solve at their iteration count. See cmd/saserve for the binary.
 type (
 	// Model is one immutable trained coefficient vector plus provenance
 	// (kind, dims, lambda, registry version).
@@ -357,7 +350,7 @@ type (
 	// to the shared ops routes /healthz, /readyz and /metrics; /stats is
 	// a JSON view of the counters /metrics encodes.
 	ServeServer = serve.Server
-	// RefitOptions tunes the live lock-free refit loop.
+	// RefitOptions tunes the live refit (cadence, seed, task, lambda).
 	RefitOptions = serve.RefitOptions
 	// ServeCluster shards a fleet of named models across a static peer
 	// list with a consistent-hash ring; each replica owns a slice of
@@ -378,10 +371,9 @@ type (
 
 // Model kinds.
 const (
-	KindRaw     = serve.KindRaw
-	KindLasso   = serve.KindLasso
-	KindSVM     = serve.KindSVM
-	KindPegasos = serve.KindPegasos
+	KindRaw   = serve.KindRaw
+	KindLasso = serve.KindLasso
+	KindSVM   = serve.KindSVM
 )
 
 // NewModel builds a Model from a dense coefficient vector, keeping the
@@ -418,9 +410,9 @@ func NewClusterServer(c *ServeCluster, opt ServeOptions) *ServeServer {
 	return serve.NewClusterServer(c, opt)
 }
 
-// RefitStream drains a LearnBuffer on a cadence into a lock-free
-// HOGWILD! refit over a sliding window of recent rows, publishing a
-// model version per productive cycle until ctx is cancelled. It is the
+// RefitStream drains a LearnBuffer on a cadence into a live refit over
+// a sliding window of recent rows, publishing a model version per
+// productive cycle until ctx is cancelled. It is the
 // consumer behind POST /learn (start it from ServeOptions.OnLearn).
 func RefitStream(ctx context.Context, reg *ModelRegistry, buf *LearnBuffer, opt RefitOptions) error {
 	return serve.RefitStream(ctx, reg, buf, opt)
@@ -437,9 +429,10 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // internal/ops' fixed connection limits).
 func NewServer(reg *ModelRegistry, opt ServeOptions) *ServeServer { return serve.NewServer(reg, opt) }
 
-// Refit streams labeled rows into a lock-free HOGWILD! solver warm-
-// started from the registry's serving model and publishes snapshots of
-// the live coefficient vector until ctx is cancelled.
+// Refit trains the sequential solver on labeled rows, warm-started from
+// the registry's serving model (Lasso), and publishes its live iterate
+// on a cadence until ctx is cancelled; every version is bitwise
+// Lasso / SVM at the iteration count its log line names.
 func Refit(ctx context.Context, reg *ModelRegistry, a *CSR, b []float64, opt RefitOptions) error {
 	return serve.Refit(ctx, reg, a, b, opt)
 }
