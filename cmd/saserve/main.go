@@ -135,7 +135,6 @@ func (c *config) serve(ctx context.Context, stdout io.Writer) error {
 	if c.refitPath != "" && c.learn {
 		return cli.Usagef("-refit and -learn would run two trainers on one registry; use one of them")
 	}
-	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
 	// runCtx scopes every background loop (refit file replay, /learn
 	// refit streams); stop() on shutdown ends them all, and run returns

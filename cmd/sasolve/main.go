@@ -160,7 +160,6 @@ func (o *options) solve(stdout io.Writer) (err error) {
 		}
 		d = dataset{func() saco.ColMatrix { return a.ToCSC() }, a, saco.MatrixSource(a), b}
 	}
-	fmt.Fprintf(stdout, "kernels: %s\n", saco.KernelSet())
 
 	var x []float64
 	var kind saco.ModelKind

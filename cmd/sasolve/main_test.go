@@ -125,19 +125,6 @@ func TestUnknownCodecExitsWithUsage(t *testing.T) {
 	}
 }
 
-// TestReportsKernelSet: every solve names the internal/simd dispatch
-// set it ran on, so a recorded log identifies the kernels behind it.
-func TestReportsKernelSet(t *testing.T) {
-	path := writeTinyDataset(t)
-	code, out, stderr := runCLI(t, "-data", path, "-task", "lasso", "-iters", "20")
-	if code != 0 {
-		t.Fatalf("run failed (%d): %s", code, stderr)
-	}
-	if want := "kernels: " + saco.KernelSet() + "\n"; !strings.Contains(out, want) {
-		t.Fatalf("output lacks %q: %q", want, out)
-	}
-}
-
 // TestStreamLayoutCodecParity is the CLI face of the format matrix: the
 // same solve through every layout × codec combination must report a
 // byte-identical objective line, and the streaming report must name the

@@ -17,14 +17,6 @@ type guardedField struct {
 	why             string
 }
 
-// guardedVar is a package-level variable documented atomic-only,
-// referenced legally only from its home file.
-type guardedVar struct {
-	pkg, name string
-	home      string
-	why       string
-}
-
 // The registry of atomic-only storage. Each entry names an invariant
 // one of the -race CI gates proves at runtime; this analyzer keeps new
 // code from ever reaching those gates with a plain load or store.
@@ -56,60 +48,34 @@ var guardedFields = []guardedField{
 	},
 }
 
-var guardedVars = []guardedVar{
-	{
-		pkg: "saco/internal/simd", name: "active",
-		home: "kernels.go",
-		why:  "the kernel dispatch pointer: swaps go through Use so numerics never change mid-call",
-	},
-}
-
 // AtomicGuard enforces the registry above.
 var AtomicGuard = &Analyzer{
 	Name: "atomicguard",
 	Doc: "flags direct loads/stores of fields documented atomic-only (mat.AtomicVec storage, " +
 		"the serve registry model pointer, the shard ring pointer, metrics histogram stripes, " +
-		"simd's dispatch pointer, runtime pool taken[] claims)",
+		"runtime pool taken[] claims)",
 	Run: runAtomicGuard,
 }
 
 func runAtomicGuard(pass *Pass) error {
 	inspectStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			g, ok := fieldGuard(pass, n)
-			if !ok {
-				return true
-			}
-			file := filepath.Base(pass.Fset.Position(n.Pos()).Filename)
-			if file != g.home {
-				pass.Report(n.Pos(),
-					"direct access to %s.%s.%s outside its home file %s: %s — use the accessor methods",
-					g.pkg, g.typ, g.field, g.home, g.why)
-				return true
-			}
-			if g.atomicElems {
-				checkAtomicIndex(pass, n, g, stack)
-			}
-		case *ast.Ident:
-			v, ok := pass.Info.Uses[n].(*types.Var)
-			if !ok || v.Pkg() == nil {
-				return true
-			}
-			for _, g := range guardedVars {
-				if v.Pkg().Path() != g.pkg || v.Name() != g.name {
-					continue
-				}
-				if v.Parent() != v.Pkg().Scope() {
-					continue // a local that happens to share the name
-				}
-				file := filepath.Base(pass.Fset.Position(n.Pos()).Filename)
-				if file != g.home {
-					pass.Report(n.Pos(),
-						"direct access to %s.%s outside its home file %s: %s",
-						g.pkg, g.name, g.home, g.why)
-				}
-			}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		g, ok := fieldGuard(pass, sel)
+		if !ok {
+			return true
+		}
+		file := filepath.Base(pass.Fset.Position(sel.Pos()).Filename)
+		if file != g.home {
+			pass.Report(sel.Pos(),
+				"direct access to %s.%s.%s outside its home file %s: %s — use the accessor methods",
+				g.pkg, g.typ, g.field, g.home, g.why)
+			return true
+		}
+		if g.atomicElems {
+			checkAtomicIndex(pass, sel, g, stack)
 		}
 		return true
 	})

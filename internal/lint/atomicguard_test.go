@@ -15,13 +15,6 @@ func TestAtomicGuardFields(t *testing.T) {
 	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/mat", "saco/internal/mat")
 }
 
-// The package-variable rule for simd's dispatch pointer: loads and
-// swaps outside kernels.go are flagged, accessors and shadowing locals
-// are not.
-func TestAtomicGuardVars(t *testing.T) {
-	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/simd", "saco/internal/simd")
-}
-
 // The metrics histogram stripes: the audited accessors in histogram.go
 // touch them freely (the cells are atomics themselves); any other file
 // is out of contract even for structural peeks.
@@ -39,7 +32,6 @@ func TestAtomicGuardShardTable(t *testing.T) {
 // unrelated package define their own unguarded types and are clean.
 func TestAtomicGuardScope(t *testing.T) {
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/mat", "saco/internal/core")
-	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/simd", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/metrics", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/shardring", "saco/internal/core")
 }

@@ -16,8 +16,8 @@ import (
 //     variables which are later combined with + (the classic
 //     lane-split reduction: s0..s3 summed after the loop), and
 //   - any call to math.FMA (fused multiply-add contracts the
-//     intermediate rounding step and is not reproducible across
-//     kernel sets).
+//     intermediate rounding step, so it does not reproduce the
+//     separate multiply and add of the reference loops).
 //
 // No file is exempt: internal/simd's reductions are the scalar loops,
 // and a deliberate deviation carries a //saco:nolint with its reason.
@@ -37,7 +37,7 @@ func runDetFloat(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				if isPkgFunc(pass.Info, n, "math", "FMA") {
-					pass.Report(n.Pos(), "math.FMA contracts the intermediate rounding and is not bitwise-reproducible across kernel sets; use a*b+c via the dispatched kernels instead")
+					pass.Report(n.Pos(), "math.FMA contracts the intermediate rounding and does not reproduce the reference loops' separate multiply and add; write a*b+c or call the internal/simd kernels instead")
 				}
 			case *ast.FuncDecl:
 				if n.Body != nil {

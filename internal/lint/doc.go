@@ -24,9 +24,9 @@
 //     made these error-return for a reason.
 //   - atomicguard: direct access to fields documented atomic-only
 //     (mat.AtomicVec's bit storage, the serve registry's model pointer,
-//     internal/simd's dispatch pointer, the runtime pool's taken[]
-//     claims) outside their audited home file, and non-atomic element
-//     access even inside it.
+//     the shard ring pointer, the metrics histogram stripes, the
+//     runtime pool's taken[] claims) outside their audited home file,
+//     and non-atomic element access even inside it.
 //
 // Findings are suppressed per line with
 //

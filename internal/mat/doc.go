@@ -1,4 +1,4 @@
-// Package mat provides the small dense linear-algebra kernel set needed by
+// Package mat provides the small dense linear-algebra kernels needed by
 // the synchronization-avoiding coordinate-descent solvers: BLAS-1 vector
 // operations, the BLAS-2 matrix-vector product, and symmetric
 // eigensolvers for the (block) Gram matrices.

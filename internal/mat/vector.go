@@ -7,8 +7,8 @@ import (
 	"saco/internal/simd"
 )
 
-// The O(n) hot primitives below (Dot, Axpy, Scal, Nrm2Sq, ScatterAxpy,
-// SparseDot) call internal/simd, whose scalar loops are this package's
+// The O(n) hot primitives below (Dot, Axpy, Scal, Nrm2Sq, ScatterAxpy)
+// call internal/simd, whose scalar loops are this package's
 // original ones. Shape checking stays here — the kernels only guard
 // against out-of-bounds, not against caller bugs like mismatched
 // lengths.
@@ -123,16 +123,4 @@ func ScatterAxpy(alpha float64, dst, v []float64, idx []int) {
 		panic("mat: ScatterAxpy length mismatch")
 	}
 	simd.ScatterAxpy(alpha, dst, v, idx)
-}
-
-// SparseDot returns Σ_k val[k]·x[idx[k]] — the inner product of a dense
-// vector with a sparse vector given as (index, value) pairs. It is the
-// per-row primitive of the dense-batch × sparse-model scoring kernel:
-// only the model's nonzero coordinates are touched, so scoring a dense
-// row against a k-sparse Lasso model costs O(k) instead of O(n).
-func SparseDot(x []float64, idx []int, val []float64) float64 {
-	if len(idx) != len(val) {
-		panic(fmt.Sprintf("mat: SparseDot index/value length mismatch %d != %d", len(idx), len(val)))
-	}
-	return simd.GatherDot(0, val, idx, x)
 }

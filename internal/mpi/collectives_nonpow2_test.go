@@ -26,7 +26,7 @@ func TestReduceNonPow2AllRoots(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			for _, p := range nonPow2Ps {
 				for root := 0; root < p; root++ {
-					_, err := RunWorld(bg, p, Zero(), tr.opt, func(c *Comm) error {
+					_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
 						data := []float64{float64(c.Rank() + 1), float64((c.Rank() + 1) * (c.Rank() + 1))}
 						if err := c.Reduce(root, Sum, data); err != nil {
 							return err
@@ -57,7 +57,7 @@ func TestBcastNonPow2LastRootChain(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			for _, p := range nonPow2Ps {
 				root := p - 1
-				_, err := RunWorld(bg, p, Zero(), tr.opt, func(c *Comm) error {
+				_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
 					data := make([]float64, 7)
 					if c.Rank() == root {
 						for i := range data {
@@ -103,7 +103,7 @@ func TestAllreduceRSAGNonPow2Boundaries(t *testing.T) {
 						continue
 					}
 					results := make([][]float64, p)
-					_, err := RunWorld(bg, p, Zero(), tr.opt, func(c *Comm) error {
+					_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
 						data := make([]float64, n)
 						for i := range data {
 							// Integer-valued so any combine order is exact.
@@ -177,7 +177,7 @@ func TestMixedCollectiveSequenceNonPow2(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			for _, p := range nonPow2Ps {
-				_, err := RunWorld(bg, p, Zero(), tr.opt, func(c *Comm) error {
+				_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
 					v := []float64{1}
 					if err := c.Reduce(p/2, Sum, v); err != nil {
 						return err

@@ -74,7 +74,7 @@ func TestTCPAllreduceAllocatesNothing(t *testing.T) {
 	for _, words := range []int{52, 8512} {
 		const runs = 100
 		var allocs float64
-		_, err := RunWorld(bg, 2, Zero(), WorldOptions{TCP: &TCPOptions{}}, func(c *Comm) error {
+		_, err := RunWorld(bg, 2, Machine{}, WorldOptions{TCP: &TCPOptions{}}, func(c *Comm) error {
 			buf := make([]float64, words)
 			for i := range buf {
 				buf[i] = float64(c.Rank()*words + i)

@@ -85,10 +85,6 @@ func MachineByName(name string) (Machine, error) {
 	return Machine{}, fmt.Errorf("unknown machine %q (cray, ethernet, spark)", name)
 }
 
-// Zero is a machine with no costs; useful for tests that only check
-// algebraic results.
-func Zero() Machine { return Machine{Name: "zero"} }
-
 // gammaFor returns the per-flop cost for blocked work with the given
 // working set, applying the cache knee.
 func (m Machine) gammaFor(blocked bool, workingSetWords int) float64 {

@@ -40,7 +40,7 @@ func TestBlockRange(t *testing.T) {
 }
 
 func TestSendRecvPingPong(t *testing.T) {
-	stats, err := RunWorld(bg, 2, Zero(), WorldOptions{}, func(c *Comm) error {
+	stats, err := RunWorld(bg, 2, Machine{}, WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 7, []float64{1, 2, 3}); err != nil {
 				return err
@@ -70,7 +70,7 @@ func TestSendRecvPingPong(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
-	_, err := RunWorld(bg, 2, Zero(), WorldOptions{}, func(c *Comm) error {
+	_, err := RunWorld(bg, 2, Machine{}, WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{42}
 			c.Send(1, 0, buf)
@@ -98,7 +98,7 @@ func TestAllreduceSumAllSizes(t *testing.T) {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			results := make([][]float64, p)
-			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
+			_, err := RunWorld(bg, p, Machine{}, WorldOptions{}, func(c *Comm) error {
 				data := []float64{float64(c.Rank() + 1), float64(c.Rank() * 2), -1}
 				c.Allreduce(Sum, data)
 				results[c.Rank()] = data
@@ -127,7 +127,7 @@ func TestAllreduceSumAllSizes(t *testing.T) {
 }
 
 func TestAllreduceMax(t *testing.T) {
-	_, err := RunWorld(bg, 5, Zero(), WorldOptions{}, func(c *Comm) error {
+	_, err := RunWorld(bg, 5, Machine{}, WorldOptions{}, func(c *Comm) error {
 		data := []float64{float64(c.Rank()), -float64(c.Rank())}
 		c.Allreduce(Max, data)
 		if data[0] != 4 || data[1] != 0 {
@@ -141,7 +141,7 @@ func TestAllreduceMax(t *testing.T) {
 }
 
 func TestAllreduceScalar(t *testing.T) {
-	_, err := RunWorld(bg, 4, Zero(), WorldOptions{}, func(c *Comm) error {
+	_, err := RunWorld(bg, 4, Machine{}, WorldOptions{}, func(c *Comm) error {
 		got, err := c.AllreduceScalar(Sum, 1.5)
 		if err != nil {
 			return err
@@ -166,7 +166,7 @@ func TestAllreduceScalar(t *testing.T) {
 func TestBcastFromEveryRoot(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 6, 8} {
 		for root := 0; root < p; root++ {
-			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
+			_, err := RunWorld(bg, p, Machine{}, WorldOptions{}, func(c *Comm) error {
 				data := make([]float64, 4)
 				if c.Rank() == root {
 					for i := range data {
@@ -191,7 +191,7 @@ func TestBcastFromEveryRoot(t *testing.T) {
 func TestReduceToEveryRoot(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8} {
 		for root := 0; root < p; root++ {
-			_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
+			_, err := RunWorld(bg, p, Machine{}, WorldOptions{}, func(c *Comm) error {
 				data := []float64{1}
 				c.Reduce(root, Sum, data)
 				if c.Rank() == root && data[0] != float64(p) {
@@ -225,7 +225,7 @@ func TestBarrierNoDeadlockAndOrdering(t *testing.T) {
 // receiver expecting tag 2) must fail with a tagged *PeerError naming
 // both ranks — historically this panicked the whole world.
 func TestTagMismatchError(t *testing.T) {
-	_, err := RunWorld(bg, 2, Zero(), WorldOptions{}, func(c *Comm) error {
+	_, err := RunWorld(bg, 2, Machine{}, WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []float64{1})
 		}
@@ -249,7 +249,7 @@ func TestTagMismatchError(t *testing.T) {
 
 func TestRunErrorPropagation(t *testing.T) {
 	want := errors.New("boom")
-	_, err := RunWorld(bg, 3, Zero(), WorldOptions{}, func(c *Comm) error {
+	_, err := RunWorld(bg, 3, Machine{}, WorldOptions{}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return want
 		}
@@ -258,7 +258,7 @@ func TestRunErrorPropagation(t *testing.T) {
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := RunWorld(bg, 0, Zero(), WorldOptions{}, func(*Comm) error { return nil }); err == nil {
+	if _, err := RunWorld(bg, 0, Machine{}, WorldOptions{}, func(*Comm) error { return nil }); err == nil {
 		t.Fatal("expected error for p=0")
 	}
 }
@@ -326,7 +326,7 @@ func TestAllreduceLatencyScalesLogP(t *testing.T) {
 }
 
 func TestAllreduceMessageCount(t *testing.T) {
-	stats, err := RunWorld(bg, 8, Zero(), WorldOptions{}, func(c *Comm) error {
+	stats, err := RunWorld(bg, 8, Machine{}, WorldOptions{}, func(c *Comm) error {
 		c.Allreduce(Sum, []float64{1})
 		return nil
 	})
@@ -385,7 +385,7 @@ func TestAllreduceSumProperty(t *testing.T) {
 			}
 		}
 		ok := true
-		_, err := RunWorld(bg, p, Zero(), WorldOptions{}, func(c *Comm) error {
+		_, err := RunWorld(bg, p, Machine{}, WorldOptions{}, func(c *Comm) error {
 			data := append([]float64(nil), inputs[c.Rank()]...)
 			c.Allreduce(Sum, data)
 			for i := range data {

@@ -27,7 +27,7 @@ func TestTCPSendRefusesOversizedPayload(t *testing.T) {
 	defer syscall.Munmap(mem) //nolint:errcheck // test teardown
 	huge := unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), words)
 
-	_, err = RunWorld(bg, 2, Zero(), WorldOptions{TCP: &TCPOptions{}}, func(c *Comm) error {
+	_, err = RunWorld(bg, 2, Machine{}, WorldOptions{TCP: &TCPOptions{}}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			in, err := c.Recv(0, 2)
 			if err != nil || len(in) != 1 || in[0] != 7 {

@@ -11,7 +11,6 @@ import (
 
 	"saco/internal/metrics"
 	"saco/internal/ops"
-	"saco/internal/simd"
 )
 
 // Options tunes the serving layer; the zero value is usable.
@@ -327,10 +326,6 @@ type statsResponse struct {
 	Swaps         uint64  `json:"registry_swaps"`
 	OwnedModels   int     `json:"owned_models,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Kernels names the internal/simd dispatch set scoring every batch,
-	// so a recorded benchmark or incident capture identifies the kernels
-	// that served it.
-	Kernels string `json:"kernels"`
 }
 
 // handleStats reports the serving counters — the values /metrics
@@ -344,7 +339,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Errors:        s.met.errors.Value(),
 		Shed:          s.met.shed.Value(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Kernels:       simd.Active().Name(),
 	}
 	if s.cluster != nil {
 		resp.OwnedModels = len(s.cluster.Owned())

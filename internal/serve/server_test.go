@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"saco/internal/simd"
 )
 
 // newTestServer wires a registry-backed server into httptest.
@@ -402,9 +400,6 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	}
 	if st.ModelVersion != 1 || st.ModelKind != "lasso" || st.Features != n || st.ModelNNZ != m.NNZ() {
 		t.Fatalf("stats model block wrong: %+v", st)
-	}
-	if st.Kernels != simd.Active().Name() {
-		t.Fatalf("stats kernels = %q, want %q", st.Kernels, simd.Active().Name())
 	}
 }
 

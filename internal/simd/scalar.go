@@ -5,23 +5,25 @@ import "fmt"
 // The scalar loops: the repository's original pure-Go kernels, moved
 // here verbatim from internal/mat and internal/sparse. These bodies are
 // the bitwise reference — the deterministic backend matrix is defined
-// by their summation orders, and the avx2 set's two kernels are tested
-// against scalarAxpy/scalarScal. Do not "improve" them: a lane-split
-// or fused reduction changes every trajectory (and detfloat flags it).
+// by their summation orders. Do not "improve" them: a lane-split or
+// fused reduction changes every trajectory (and detfloat flags it).
 
-var scalarSet = &Kernels{
-	name: "scalar",
-	axpy: scalarAxpy,
-	scal: scalarScal,
-}
-
-func scalarAxpy(alpha float64, x, y []float64) {
+// Axpy computes y[i] += alpha·x[i] over len(x) elements; alpha == 0 is
+// a no-op (see the package contract). len(y) must be at least len(x).
+func Axpy(alpha float64, x, y []float64) {
+	if len(y) < len(x) {
+		panic(fmt.Sprintf("simd: Axpy len(y)=%d < len(x)=%d", len(y), len(x)))
+	}
+	if alpha == 0 {
+		return
+	}
 	for i, v := range x {
 		y[i] += alpha * v
 	}
 }
 
-func scalarScal(alpha float64, x []float64) {
+// Scal computes x[i] *= alpha in place.
+func Scal(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}

@@ -3,20 +3,17 @@ package simd_test
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
 	"saco/internal/simd"
 )
 
-// Lengths cover 0..3× the widest vector width (8 float64s per AVX2
-// iteration pair) plus a few larger sizes, so every tail path from 0
-// to 7 leftovers is hit both before and after full blocks.
+// Lengths run from empty through odd and power-of-two sizes to 100.
 var testLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33, 64, 100}
 
-// Offsets shift slices off their allocation start so the asm kernels
-// see unaligned bases.
+// Offsets shift slices off their allocation start so the kernels see
+// unaligned bases.
 var testOffsets = []int{0, 1, 3}
 
 var testAlphas = []float64{1, -1, 0.5, 2.25, 1e-300, -3.75}
@@ -73,8 +70,7 @@ func slicesEq(a, b []float64, eq func(x, y float64) bool) bool {
 
 // The oracles: the left-to-right loops whose summation order defines
 // the deterministic backend matrix, with the alpha == 0 no-op contract.
-// The package's kernels must reproduce them bit for bit under every
-// set.
+// The package's kernels must reproduce them bit for bit.
 
 func refDot(x, y []float64) float64 {
 	var s float64
@@ -131,148 +127,80 @@ func refScatterAxpy(alpha float64, dst, v []float64, idx []int) {
 	}
 }
 
-// defaultSet is the set a fresh process selected, captured before any
-// test calls Use.
-var defaultSet = simd.Active().Name()
-
-// useSet makes the named set the active one for the rest of the test,
-// so Axpy and Scal dispatch to it.
-func useSet(t *testing.T, name string) {
-	t.Helper()
-	prev := simd.Active().Name()
-	if err := simd.Use(name); err != nil {
-		t.Fatalf("Use(%q): %v", name, err)
-	}
-	t.Cleanup(func() {
-		if err := simd.Use(prev); err != nil {
-			t.Fatalf("restoring kernel set %q: %v", prev, err)
-		}
-	})
-}
-
-// forEachSet runs body once per available kernel set, as a subtest
-// named after the set and with the set active.
-func forEachSet(t *testing.T, body func(t *testing.T)) {
-	for _, name := range simd.Names() {
-		t.Run(name, func(t *testing.T) {
-			useSet(t, name)
-			body(t)
-		})
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	want := []string{"scalar"}
-	if simd.HasAVX2() {
-		want = append(want, "avx2")
-	}
-	if got := simd.Names(); !slices.Equal(got, want) {
-		t.Errorf("Names() = %v, want %v (HasAVX2=%v)", got, want, simd.HasAVX2())
-	}
-	if _, ok := simd.Lookup("avx2"); ok != simd.HasAVX2() {
-		t.Errorf("avx2 registered=%v but HasAVX2()=%v", ok, simd.HasAVX2())
-	}
-}
-
-// TestDefaultSet pins which set a fresh process selects: avx2 exactly
-// when the CPU and OS support it, scalar everywhere else.
+// TestDefaultSet pins the name the repo benchmark reports in its header
+// through the Active shim: scalar.
 func TestDefaultSet(t *testing.T) {
-	want := "scalar"
-	if simd.HasAVX2() {
-		want = "avx2"
-	}
-	if defaultSet != want {
-		t.Errorf("default Active() = %q, want %q (HasAVX2=%v)", defaultSet, want, simd.HasAVX2())
-	}
-}
-
-func TestUse(t *testing.T) {
-	orig := simd.Active().Name()
-	useSet(t, orig) // restores orig on cleanup
-	if err := simd.Use("no-such-set"); err == nil {
-		t.Fatalf("Use of unknown set did not error")
-	}
-	if got := simd.Active().Name(); got != orig {
-		t.Fatalf("failed Use switched the active set to %q", got)
-	}
-	for _, name := range simd.Names() {
-		if err := simd.Use(name); err != nil {
-			t.Fatalf("Use(%q): %v", name, err)
-		}
-		if got := simd.Active().Name(); got != name {
-			t.Fatalf("Active()=%q after Use(%q)", got, name)
-		}
+	if got := simd.Active().Name(); got != "scalar" {
+		t.Errorf("Active().Name() = %q, want scalar", got)
 	}
 }
 
 // TestBitwiseParity is the core property: on finite data, every kernel
-// reproduces the scalar reference bit for bit under every set, across
-// all tail lengths, unaligned bases and alphas.
+// reproduces the reference loop bit for bit, across lengths, unaligned
+// bases and alphas.
 func TestBitwiseParity(t *testing.T) {
-	forEachSet(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(7))
-		for _, n := range testLens {
-			for _, off := range testOffsets {
-				x := offsetCopy(randSlice(rng, n), off)
-				y := offsetCopy(randSlice(rng, n), off)
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range testLens {
+		for _, off := range testOffsets {
+			x := offsetCopy(randSlice(rng, n), off)
+			y := offsetCopy(randSlice(rng, n), off)
 
-				if got, want := simd.Dot(x, y), refDot(x, y); !bitsEq(got, want) {
-					t.Fatalf("Dot n=%d off=%d: got %x want %x", n, off, got, want)
+			if got, want := simd.Dot(x, y), refDot(x, y); !bitsEq(got, want) {
+				t.Fatalf("Dot n=%d off=%d: got %x want %x", n, off, got, want)
+			}
+			for _, acc := range []float64{0, 1.5, -2.25} {
+				if got, want := simd.Nrm2Sq(acc, x), refNrm2Sq(acc, x); !bitsEq(got, want) {
+					t.Fatalf("Nrm2Sq n=%d off=%d acc=%g: got %x want %x", n, off, acc, got, want)
 				}
-				for _, acc := range []float64{0, 1.5, -2.25} {
-					if got, want := simd.Nrm2Sq(acc, x), refNrm2Sq(acc, x); !bitsEq(got, want) {
-						t.Fatalf("Nrm2Sq n=%d off=%d acc=%g: got %x want %x", n, off, acc, got, want)
-					}
+			}
+			for _, alpha := range testAlphas {
+				yk, yr := offsetCopy(y, off), offsetCopy(y, off)
+				simd.Axpy(alpha, x, yk)
+				refAxpy(alpha, x, yr)
+				if !slicesEq(yk, yr, bitsEq) {
+					t.Fatalf("Axpy n=%d off=%d alpha=%g mismatch", n, off, alpha)
 				}
-				for _, alpha := range testAlphas {
-					yk, yr := offsetCopy(y, off), offsetCopy(y, off)
-					simd.Axpy(alpha, x, yk)
-					refAxpy(alpha, x, yr)
-					if !slicesEq(yk, yr, bitsEq) {
-						t.Fatalf("Axpy n=%d off=%d alpha=%g mismatch", n, off, alpha)
-					}
-					xk, xr := offsetCopy(x, off), offsetCopy(x, off)
-					simd.Scal(alpha, xk)
-					refScal(alpha, xr)
-					if !slicesEq(xk, xr, bitsEq) {
-						t.Fatalf("Scal n=%d off=%d alpha=%g mismatch", n, off, alpha)
-					}
+				xk, xr := offsetCopy(x, off), offsetCopy(x, off)
+				simd.Scal(alpha, xk)
+				refScal(alpha, xr)
+				if !slicesEq(xk, xr, bitsEq) {
+					t.Fatalf("Scal n=%d off=%d alpha=%g mismatch", n, off, alpha)
 				}
+			}
 
-				if n > 0 {
-					idx := randIdx(rng, n, n)
-					val := randSlice(rng, n)
-					if got, want := simd.GatherDot(0.5, val, idx, x), refGatherDot(0.5, val, idx, x); !bitsEq(got, want) {
-						t.Fatalf("GatherDot n=%d off=%d: got %x want %x", n, off, got, want)
-					}
-					dk, dr := offsetCopy(y, off), offsetCopy(y, off)
-					simd.GatherAxpy(0.5, dk, x, idx)
-					refGatherAxpy(0.5, dr, x, idx)
-					if !slicesEq(dk, dr, bitsEq) {
-						t.Fatalf("GatherAxpy n=%d off=%d mismatch", n, off)
-					}
-					sk, sr := offsetCopy(y, off), offsetCopy(y, off)
-					simd.ScatterAxpy(-1.5, sk, val, idx)
-					refScatterAxpy(-1.5, sr, val, idx)
-					if !slicesEq(sk, sr, bitsEq) {
-						t.Fatalf("ScatterAxpy n=%d off=%d mismatch", n, off)
-					}
+			if n > 0 {
+				idx := randIdx(rng, n, n)
+				val := randSlice(rng, n)
+				if got, want := simd.GatherDot(0.5, val, idx, x), refGatherDot(0.5, val, idx, x); !bitsEq(got, want) {
+					t.Fatalf("GatherDot n=%d off=%d: got %x want %x", n, off, got, want)
+				}
+				dk, dr := offsetCopy(y, off), offsetCopy(y, off)
+				simd.GatherAxpy(0.5, dk, x, idx)
+				refGatherAxpy(0.5, dr, x, idx)
+				if !slicesEq(dk, dr, bitsEq) {
+					t.Fatalf("GatherAxpy n=%d off=%d mismatch", n, off)
+				}
+				sk, sr := offsetCopy(y, off), offsetCopy(y, off)
+				simd.ScatterAxpy(-1.5, sk, val, idx)
+				refScatterAxpy(-1.5, sr, val, idx)
+				if !slicesEq(sk, sr, bitsEq) {
+					t.Fatalf("ScatterAxpy n=%d off=%d mismatch", n, off)
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestSpecialValues pushes NaN, ±Inf, ±0 and denormal payloads through
-// every set: each must match the reference exactly up to NaN payload
+// the kernels: each must match the reference exactly up to NaN payload
 // identity (see bitsEqNaN).
 func TestSpecialValues(t *testing.T) {
 	specials := []float64{
 		math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
 		0, math.Copysign(0, -1), 5e-324, -5e-324, 1.5, -2.5,
 	}
-	// Cycle the special values through a 19-element vector so blocks and
-	// tails both see them.
+	// Cycle the special values through a 19-element vector so every
+	// position sees each of them.
 	mk := func(rot int) []float64 {
 		s := make([]float64, 19)
 		for i := range s {
@@ -280,64 +208,59 @@ func TestSpecialValues(t *testing.T) {
 		}
 		return s
 	}
-	forEachSet(t, func(t *testing.T) {
-		for rot := 0; rot < len(specials); rot++ {
-			x, y := mk(rot), mk(rot+3)
-			got, want := simd.Dot(x, y), refDot(x, y)
-			if !bitsEqNaN(got, want) {
-				t.Fatalf("Dot rot=%d: got %x want %x", rot, got, want)
-			}
-			for _, alpha := range []float64{1, -0.5} {
-				yk, yr := append([]float64(nil), y...), append([]float64(nil), y...)
-				simd.Axpy(alpha, x, yk)
-				refAxpy(alpha, x, yr)
-				if !slicesEq(yk, yr, bitsEqNaN) {
-					t.Fatalf("Axpy rot=%d alpha=%g mismatch", rot, alpha)
-				}
+	for rot := 0; rot < len(specials); rot++ {
+		x, y := mk(rot), mk(rot+3)
+		got, want := simd.Dot(x, y), refDot(x, y)
+		if !bitsEqNaN(got, want) {
+			t.Fatalf("Dot rot=%d: got %x want %x", rot, got, want)
+		}
+		for _, alpha := range []float64{1, -0.5} {
+			yk, yr := append([]float64(nil), y...), append([]float64(nil), y...)
+			simd.Axpy(alpha, x, yk)
+			refAxpy(alpha, x, yr)
+			if !slicesEq(yk, yr, bitsEqNaN) {
+				t.Fatalf("Axpy rot=%d alpha=%g mismatch", rot, alpha)
 			}
 		}
-	})
+	}
 }
 
 // TestAlphaZeroNoOp pins the unified alpha == 0 contract: the Axpy
 // family leaves the destination untouched — exact bits, including NaN
-// payloads and -0 — in every kernel set. Scal is deliberately outside
-// the family.
+// payloads and -0. Scal is deliberately outside the family.
 func TestAlphaZeroNoOp(t *testing.T) {
 	poison := []float64{
 		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.25, -3,
 	}
 	src := []float64{math.Inf(1), math.NaN(), 2, -4, 8, 16}
 	idx := []int{5, 0, 3, 1, 4, 2}
-	forEachSet(t, func(t *testing.T) {
-		check := func(op string, f func(dst []float64)) {
-			dst := append([]float64(nil), poison...)
-			f(dst)
-			for i := range dst {
-				if !bitsEq(dst[i], poison[i]) {
-					t.Fatalf("%s(alpha=0) modified dst[%d]: %x -> %x",
-						op, i, math.Float64bits(poison[i]), math.Float64bits(dst[i]))
-				}
+	check := func(op string, f func(dst []float64)) {
+		dst := append([]float64(nil), poison...)
+		f(dst)
+		for i := range dst {
+			if !bitsEq(dst[i], poison[i]) {
+				t.Fatalf("%s(alpha=0) modified dst[%d]: %x -> %x",
+					op, i, math.Float64bits(poison[i]), math.Float64bits(dst[i]))
 			}
 		}
-		check("Axpy", func(dst []float64) { simd.Axpy(0, src, dst) })
-		check("GatherAxpy", func(dst []float64) { simd.GatherAxpy(0, dst, src, idx) })
-		check("ScatterAxpy", func(dst []float64) { simd.ScatterAxpy(0, dst, src, idx) })
+	}
+	check("Axpy", func(dst []float64) { simd.Axpy(0, src, dst) })
+	check("GatherAxpy", func(dst []float64) { simd.GatherAxpy(0, dst, src, idx) })
+	check("ScatterAxpy", func(dst []float64) { simd.ScatterAxpy(0, dst, src, idx) })
 
-		// Scal(0, x) really zeroes (and 0·Inf, 0·NaN are NaN).
-		x := append([]float64(nil), poison...)
-		simd.Scal(0, x)
-		for i, v := range x {
-			orig := poison[i]
-			if math.IsNaN(orig) || math.IsInf(orig, 0) {
-				if !math.IsNaN(v) {
-					t.Fatalf("Scal(0) of %g gave %g, want NaN", orig, v)
-				}
-			} else if v != 0 {
-				t.Fatalf("Scal(0) left x[%d]=%g", i, v)
+	// Scal(0, x) really zeroes (and 0·Inf, 0·NaN are NaN).
+	x := append([]float64(nil), poison...)
+	simd.Scal(0, x)
+	for i, v := range x {
+		orig := poison[i]
+		if math.IsNaN(orig) || math.IsInf(orig, 0) {
+			if !math.IsNaN(v) {
+				t.Fatalf("Scal(0) of %g gave %g, want NaN", orig, v)
 			}
+		} else if v != 0 {
+			t.Fatalf("Scal(0) left x[%d]=%g", i, v)
 		}
-	})
+	}
 }
 
 // TestScatterAxpyDuplicates pins accumulate-in-index-order semantics

@@ -36,8 +36,8 @@
 // multiply exactly as in a merge), in the same order (ascending index,
 // since operand j is walked in storage order), onto the same initial
 // accumulator (+0, or the running dst(i,j) for ColGramAcc). There is a
-// single accumulator per entry, so there is nothing for a kernel set to
-// vectorize and no per-set variant. What changes is the work: a merge
+// single accumulator per entry, so there is nothing to vectorize
+// without reassociating, and no variant. What changes is the work: a merge
 // walks both operands for every pair, k(k+1)/2 · (nnz_i + nnz_j) index
 // comparisons; the gather walks operand j only and compares nothing.
 //

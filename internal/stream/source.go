@@ -168,11 +168,9 @@ func (d *Dataset) sliceRowsCSCNative(lo, hi int) (*sparse.CSC, error) {
 	return &sparse.CSC{M: hi - lo, N: d.n, ColPtr: colPtr, RowIdx: rowIdx, Val: vals}, nil
 }
 
-// sliceRowsCSR concatenates the shard fragments covering rows [lo, hi).
+// sliceRowsCSR concatenates the shard fragments covering rows [lo, hi),
+// which RowsCSC has checked.
 func (d *Dataset) sliceRowsCSR(lo, hi int) (*sparse.CSR, error) {
-	if lo < 0 || hi < lo || hi > d.m {
-		return nil, fmt.Errorf("stream: RowsCSC [%d,%d) out of range", lo, hi)
-	}
 	rowPtr := make([]int, 1, hi-lo+1)
 	var colIdx []int
 	var vals []float64

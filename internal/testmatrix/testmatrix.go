@@ -28,7 +28,6 @@ import (
 	"saco/internal/core"
 	"saco/internal/dist"
 	"saco/internal/libsvm"
-	"saco/internal/simd"
 	"saco/internal/sparse"
 	"saco/internal/stream"
 )
@@ -107,29 +106,6 @@ func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 		}
 	}
 	return forms
-}
-
-// KernelSets enumerates the kernel-set dimension of the matrix: every
-// deterministic solver configuration must produce bitwise identical
-// trajectories under each internal/simd dispatch set (scalar is the
-// reference; where the CPU supports it, avx2 must reproduce it exactly).
-func KernelSets() []string { return simd.Names() }
-
-// WithKernelSet switches the process-wide kernel dispatch to the named
-// set for the duration of the test, restoring the previous set on
-// cleanup. Tests that use it cannot run in parallel with each other —
-// dispatch is process-wide by design.
-func WithKernelSet(tb testing.TB, name string) {
-	tb.Helper()
-	prev := simd.Active().Name()
-	if err := simd.Use(name); err != nil {
-		tb.Fatalf("switching kernel set: %v", err)
-	}
-	tb.Cleanup(func() {
-		if err := simd.Use(prev); err != nil {
-			tb.Fatalf("restoring kernel set %q: %v", prev, err)
-		}
-	})
 }
 
 // TransportKinds enumerates the mpi transports of the ROADMAP backend

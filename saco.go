@@ -47,7 +47,6 @@ import (
 	"saco/internal/metrics"
 	"saco/internal/mpi"
 	"saco/internal/serve"
-	"saco/internal/simd"
 	"saco/internal/sparse"
 	"saco/internal/stream"
 )
@@ -460,9 +459,3 @@ func Accuracy(a RowMatrix, b, x []float64) float64 {
 	}
 	return float64(correct) / float64(len(b))
 }
-
-// KernelSet returns the name of the active internal/simd kernel set
-// (scalar or avx2), fixed at init from CPU capabilities. Both sets are
-// bitwise identical; CLIs surface the name so a recorded result names
-// the kernels that produced it.
-func KernelSet() string { return simd.Active().Name() }
