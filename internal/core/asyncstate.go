@@ -134,7 +134,7 @@ func (s *asyncLasso) Worker(k int) *asyncLassoWorker {
 		wbuf:  make([]float64, muMax),
 		gv:    make([]float64, muMax),
 		delta: make([]float64, muMax),
-		eig:   make([]float64, 2*muMax),
+		eig:   make([]float64, muMax*muMax+3*muMax),
 	}
 }
 

@@ -6,10 +6,14 @@ import (
 	"testing"
 )
 
-// The classical loops (Alg. 1 plain and accelerated, Alg. 3) used to be
-// their own functions; they are now the s = 1 case of the batch driver.
-// The tables below are the outputs of the deleted loops, recorded bit
-// for bit before the deletion, so S <= 1 keeps reproducing them exactly.
+// The classical algorithms (Alg. 1 plain and accelerated, Alg. 3) are
+// the s = 1 case of the batch driver, and S = 0 and S = 1 must give the
+// same bits. The tables below pin those bits. The µ = 1 Lasso rows and
+// the SVM rows compute no block eigenvalue (a 1×1 block is its own), so
+// they are still the outputs of the original standalone loops. The µ = 4
+// Lasso rows were recorded when the block Lipschitz constant moved from
+// power iteration to tridiagonalization + bisection, which changed the
+// step size at rounding level.
 
 const fnvOffset = 14695981039346656037
 
@@ -40,17 +44,17 @@ func TestClassicalLassoGolden(t *testing.T) {
 		objective, x, traces uint64
 	}{
 		{1, false, 1, 0x4027c85a2a4bde8b, 0xaef781c577e93310, 0x1300b6c9feb0500c},
-		{1, false, 4, 0x4027c4e1b8b12a68, 0x077b56b80b81f3dd, 0xba6ccf51917c5720},
+		{1, false, 4, 0x4027c4e1b8b12a68, 0x98e14c91ee11c09c, 0xd502e304d4a65ef1},
 		{1, true, 1, 0x40285be5e1ba8525, 0xc5dde99e0e852d11, 0xf64632aa6d213094},
-		{1, true, 4, 0x402810016e96e02a, 0xd4cf62faf3b5d11e, 0x48912b19f7e48e41},
+		{1, true, 4, 0x402810016e96e056, 0x956d9b7c228132d6, 0x962185bb37f29be7},
 		{2, false, 1, 0x403d6ad5ca7ee970, 0xe35e85650b5b0071, 0x889106b0547318b2},
-		{2, false, 4, 0x403cd316a7333c7a, 0x23568ba5933774db, 0xec861bfdf9e72bda},
+		{2, false, 4, 0x403cd316a9ce6d77, 0x32472aaa0614fcce, 0x76d4d88bfaf857b6},
 		{2, true, 1, 0x403e5702daf8393e, 0xdda472d639fc6375, 0xf6afba8c06e9b0af},
-		{2, true, 4, 0x403d00fb6578de94, 0x3fb013fcf6765cc2, 0x972078d2e45fe4df},
+		{2, true, 4, 0x403d00fb6571a75c, 0x14e2c84e0eae7165, 0xf97070c4cb3f6892},
 		{3, false, 1, 0x402b02b470c0e323, 0xc7e5da2dce4e2007, 0x78847451d5f556d3},
-		{3, false, 4, 0x4025153a8a61f4da, 0x4b57bb3c83810e18, 0xb5e43ce95fbdec86},
+		{3, false, 4, 0x4025153a8a61f4dd, 0xe972d3ba2b866338, 0x9ceb55b86ba5604f},
 		{3, true, 1, 0x402debd0e1db8a6e, 0x383430b4e04a86b1, 0x32ec0ed2c531d462},
-		{3, true, 4, 0x402527b6cdba7c40, 0x7f61d2b31fe9cf8c, 0x32158c7873defce4},
+		{3, true, 4, 0x402527b6cdb85e20, 0xe255d1964b1f1b00, 0x1cdd9467770906a1},
 	}
 	for _, g := range golden {
 		a, b, lambda := testProblem(g.seed)

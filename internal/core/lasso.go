@@ -111,7 +111,7 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 		grad:    make([]float64, muMax),
 		w:       make([]float64, muMax),
 		gv:      make([]float64, muMax),
-		eig:     make([]float64, 2*muMax),
+		eig:     make([]float64, muMax*muMax+3*muMax),
 	}
 	st := &LassoStepper{blk: blk}
 	blk.d = &st.Stepper

@@ -179,8 +179,10 @@ func (r *lassoRank) StepDone(bt *core.Batch, j int, _ bool) {
 	r.c.ComputeParallel(2 * float64(r.images) * float64(r.batchNNZ(idx)))
 }
 
-// eigFlops is the nominal cost charged for the power-iteration λmax of a
-// µ×µ block (a handful of passes over it).
+// eigFlops is the nominal cost charged for the λmax of a µ×µ block. The
+// charge predates the direct method (about (4/3)µ³ flops plus ~50 Sturm
+// counts of 3µ, within 2× of it at the benchmark's µ = 8) and is kept so
+// modeled clocks keep their values.
 func eigFlops(mu int) float64 {
 	if mu == 1 {
 		return 1

@@ -3,6 +3,12 @@
 // operations, the BLAS-2 matrix-vector product, and symmetric
 // eigensolvers for the (block) Gram matrices.
 //
+// The solvers' step size comes from LargestEigSym: Householder reduction
+// of the block to tridiagonal form, then Sturm-sequence bisection for
+// its largest eigenvalue, a fixed O(µ³) cost with no convergence test on
+// the spectrum. The cyclic Jacobi method (EigSymJacobi) computes every
+// eigenvalue and is the tests' oracle for it.
+//
 // The package substitutes for the Intel MKL BLAS used by the paper
 // ("Avoiding Synchronization in First-Order Methods for Sparse Convex
 // Optimization", Devarakonda et al., IPDPS 2018). Only float64 is

@@ -5,92 +5,208 @@ import (
 	"math"
 )
 
-// LargestEigSym returns the largest eigenvalue of the symmetric
-// positive-semidefinite matrix g using power iteration. The solvers call
-// this on the µ×µ Gram blocks AᵀᵢAᵢ (Alg. 1 line 10 and Alg. 2 line 14 of
-// the paper) to obtain the optimal Lipschitz constant.
+// LargestEigSym returns the algebraic largest eigenvalue of the
+// symmetric matrix g. The solvers call this on the µ×µ Gram blocks AᵀᵢAᵢ
+// (Alg. 1 line 10 and Alg. 2 line 14 of the paper) to obtain the optimal
+// Lipschitz constant, whose reciprocal is the step size.
 //
-// The start vector and iteration schedule are deterministic so that every
-// simulated rank computes a bitwise-identical result from identical input.
-// For PSD Gram matrices power iteration converges geometrically in
-// (λ₁/λ₂)ᵏ; maxIter 200 with tol 1e-12 is far tighter than the step-size
-// use requires.
+// The method is direct, with no convergence test on the spectrum: g is
+// reduced to a symmetric tridiagonal T by n−2 Householder reflections
+// (about (4/3)n³ flops), and T's largest eigenvalue is bracketed by
+// Sturm-sequence bisection from its Gershgorin interval until the
+// bracket is within 2·eps·‖T‖. The result is the eigenvalue to rounding,
+// never an underestimate beyond it, so 1/λ is the safe step.
 //
-// One iteration is one pass over g (n² multiply-adds) plus the n divides
-// of the overflow-safe norm: the product g·v that gives the Rayleigh
-// quotient vᵀgv is also the next power step, so it is formed once.
+// g is first scaled, exactly, by a power of two that puts its largest
+// entry in [½, 1), and the eigenvalue is scaled back by the same power:
+// no intermediate can overflow, so every finite input gives a finite
+// result or ±Inf (the eigenvalue itself overflowing). A matrix with a
+// NaN or ±Inf entry gives NaN; the zero matrix gives 0. Only symmetric
+// input is meaningful: both triangles are read.
 func LargestEigSym(g *Dense) float64 {
-	return LargestEigSymScratch(g, make([]float64, 2*g.R))
+	return LargestEigSymScratch(g, make([]float64, eigScratchLen(g.R)))
 }
 
-// LargestEigSymScratch is LargestEigSym with the two iteration vectors
-// taken from scratch (at least 2·g.R long, contents ignored) instead of
-// allocated: the form for callers that take an eigenvalue per iteration.
+// LargestEigSymScratch is LargestEigSym with its working storage taken
+// from scratch instead of allocated: the form for callers that take an
+// eigenvalue per iteration. scratch must hold at least n² + 3n words for
+// an n×n g (its contents are ignored and overwritten); g is not written.
 func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	n := g.R
 	if g.C != n {
 		panic(fmt.Sprintf("mat: LargestEigSym non-square %dx%d", g.R, g.C))
 	}
-	switch n {
-	case 0:
+	if need := eigScratchLen(n); len(scratch) < need {
+		panic(fmt.Sprintf("mat: LargestEigSymScratch of a %dx%d matrix needs %d scratch words (n² + 3n), got %d", n, n, need, len(scratch)))
+	}
+	var amax float64
+	for _, x := range g.Data[:n*n] {
+		ax := math.Abs(x)
+		if !(ax <= math.MaxFloat64) {
+			return math.NaN() // NaN or ±Inf entry
+		}
+		amax = max(amax, ax)
+	}
+	if amax == 0 {
 		return 0
-	case 1:
-		return g.Data[0]
 	}
-	const (
-		maxIter = 200
-		tol     = 1e-12
-	)
-	// Deterministic start with a mild index tilt so the start vector is
-	// never orthogonal to the dominant eigenvector of a permutation-
-	// symmetric matrix.
-	v, w := scratch[:n], scratch[n:2*n]
-	for i := range v {
-		v[i] = 1 + float64(i)/float64(n)
-	}
-	Scal(1/Nrm2(v), v)
-	_, nrm := powerStep(g, v, w)
-	lambda := 0.0
-	for it := 0; it < maxIter; it++ {
-		if nrm == 0 {
-			return 0 // g is the zero matrix
-		}
-		Scal(1/nrm, w)
-		v, w = w, v
-		var next float64
-		next, nrm = powerStep(g, v, w)
-		if math.Abs(next-lambda) <= tol*math.Max(1, math.Abs(next)) {
-			return next
-		}
-		lambda = next
-	}
-	return lambda
+	// Scale by 2^k so that the largest |entry| is in [½, 1). 2^k itself
+	// may not be a float64 (k ≤ 1074 for a subnormal amax), so it is
+	// applied in two halves; both are exact for every entry that stays
+	// normal, and the ones that do not are below eps·‖g‖.
+	_, e := math.Frexp(amax)
+	k := -e
+	a := scratch[:n*n]
+	copy(a, g.Data)
+	Scal(math.Ldexp(1, k/2), a)
+	Scal(math.Ldexp(1, k-k/2), a)
+	d, off, off2 := tridiagonalize(a, n, scratch[n*n:])
+	return math.Ldexp(largestTridiag(d, off, off2), -k)
 }
 
-// powerStep writes w = g·v and returns, from the same pass, the
-// Rayleigh quotient vᵀw and ‖w‖₂. Each sum keeps the order and start
-// value of the kernel that defines it — the row dots and the quotient
-// Dot's, left to right from 0; the norm Nrm2's update — so the results
-// are bitwise Dot(v, w) and Nrm2(w).
-func powerStep(g *Dense, v, w []float64) (rq, nrm float64) {
-	n := len(v)
-	scale, ssq := 0.0, 1.0
-	for i := range w {
-		var s float64
-		for j, x := range g.Data[i*n : (i+1)*n] {
-			s += x * v[j]
+// eigScratchLen is the scratch LargestEigSymScratch needs for an n×n
+// matrix: the working copy and the diagonal, off-diagonal and squared
+// off-diagonal of its tridiagonal form.
+func eigScratchLen(n int) int { return n*n + 3*n }
+
+// tridiagonalize reduces the symmetric n×n row-major a, in place, to the
+// tridiagonal T = QᵀaQ with n−2 Householder reflections, and returns T's
+// diagonal d, off-diagonal e (e[i] couples rows i and i+1) and e², all
+// carved from work (3n words).
+//
+// Reflection k maps column k below the diagonal to (β, 0, …, 0) in the
+// LAPACK dlarfg form: v = x/(x₀−β) with v₀ = 1 and τ = (β−x₀)/β ∈ [1, 2],
+// so every |vᵢ| ≤ 1 even when ‖x‖ is tiny. v is stored over row k's tail,
+// which by symmetry is column k and is not read again. The trailing block
+// is then updated by the symmetric rank-2 form A −= v·wᵀ + w·vᵀ with
+// p = τ·A·v and w = p − (τ/2)(pᵀv)·v; each entry's update is the same
+// two products in either order, so the block stays exactly symmetric.
+func tridiagonalize(a []float64, n int, work []float64) (d, e, e2 []float64) {
+	d, e, e2 = work[:n], work[n:2*n], work[2*n:3*n]
+	w := d // d is only written after the last reflection
+	// Column n−2 has one entry below the diagonal, so its step takes
+	// the small-sigma branch: it only records the last off-diagonal.
+	for k := 0; k < n-1; k++ {
+		m := n - k - 1
+		x := a[k*n+k+1 : (k+1)*n]
+		var sigma float64
+		for _, xi := range x[1:] {
+			sigma += xi * xi
 		}
-		w[i] = s
-		rq += v[i] * s
-		scale, ssq = nrm2Acc(scale, ssq, s)
+		// A tail this small is dropped: that moves no eigenvalue by more
+		// than 2⁻¹⁰⁰, far below eps·‖T‖ (‖T‖ ≥ ½ after scaling). A larger
+		// sigma is a normal number, accurate to rounding; a subnormal
+		// one would make β and τ disagree and the reflection
+		// non-orthogonal.
+		if sigma <= 0x1p-200 {
+			e[k] = x[0]
+			continue
+		}
+		beta := -math.Copysign(math.Sqrt(x[0]*x[0]+sigma), x[0])
+		tau := (beta - x[0]) / beta
+		inv := 1 / (x[0] - beta)
+		e[k] = beta
+		x[0] = 1
+		for i := 1; i < m; i++ {
+			x[i] *= inv
+		}
+		var pv float64
+		for i := 0; i < m; i++ {
+			var s float64
+			for j, r := range a[(k+1+i)*n+k+1 : (k+2+i)*n] {
+				s += r * x[j]
+			}
+			s *= tau
+			w[i] = s
+			pv += s * x[i]
+		}
+		half := 0.5 * tau * pv
+		for i := 0; i < m; i++ {
+			w[i] -= half * x[i]
+		}
+		for i := 0; i < m; i++ {
+			row := a[(k+1+i)*n+k+1 : (k+2+i)*n]
+			vi, wi := x[i], w[i]
+			for j := range row {
+				row[j] -= vi*w[j] + wi*x[j]
+			}
+		}
 	}
-	return rq, scale * math.Sqrt(ssq)
+	for i := 0; i < n; i++ {
+		d[i] = a[i*n+i]
+	}
+	for i := 0; i < n-1; i++ {
+		e2[i] = e[i] * e[i]
+	}
+	return d, e, e2
+}
+
+// largestTridiag returns the largest eigenvalue of the symmetric
+// tridiagonal T with diagonal d and off-diagonal e (e2 = e²), whose
+// entries are at most n in magnitude. The bracket starts at
+// [max dᵢ, max(dᵢ + |eᵢ₋₁| + |eᵢ|)]: a diagonal entry is a Rayleigh
+// quotient, and the upper end is Gershgorin's. Each halving keeps
+// λmax ∈ [lo, hi], so a diagonal T (lo == hi) is returned exactly. The
+// upper end is returned: the step 1/λ must not exceed 1/λmax by more
+// than rounding.
+func largestTridiag(d, e, e2 []float64) float64 {
+	const (
+		eps = 0x1p-52
+		// The first bracket is at most ‖T‖ wide, so 52 halvings reach
+		// 2·eps·‖T‖; the cap only bounds a loop on input that broke
+		// that arithmetic.
+		maxBisect = 64
+	)
+	n := len(d)
+	lo, hi, tnorm := math.Inf(-1), math.Inf(-1), 0.0
+	for i, di := range d {
+		var r float64
+		if i > 0 {
+			r += math.Abs(e[i-1])
+		}
+		if i < n-1 {
+			r += math.Abs(e[i])
+		}
+		lo, hi, tnorm = max(lo, di), max(hi, di+r), max(tnorm, math.Abs(di)+r)
+	}
+	for it := 0; it < maxBisect && hi-lo > 2*eps*tnorm; it++ {
+		mid := lo + 0.5*(hi-lo)
+		if mid <= lo || mid >= hi {
+			break // the bracket stopped shrinking
+		}
+		if sturmBelow(d, e2, mid) == n {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// sturmBelow counts T's eigenvalues below x: by Sylvester's law of
+// inertia, the negative pivots qᵢ = dᵢ − x − e²ᵢ₋₁/qᵢ₋₁ of the LDLᵀ
+// factorization of T − x·I. A zero pivot is nudged to −pivmin, and so
+// counted, before it divides: the next quotient is never 0/0. An
+// infinite pivot only zeroes the next quotient, which is the right
+// limit. The count is read from the sign bit so it costs no branch.
+func sturmBelow(d, e2 []float64, x float64) int {
+	const pivmin = 0x1p-1022
+	c, q := 0, d[0]-x
+	for i := 1; ; i++ {
+		if q == 0 {
+			q = -pivmin
+		}
+		c += int(math.Float64bits(q) >> 63)
+		if i == len(d) {
+			return c
+		}
+		q = d[i] - x - e2[i-1]/q
+	}
 }
 
 // EigSymJacobi computes all eigenvalues of the symmetric matrix a using the
-// cyclic Jacobi method, returning them in ascending order. It is used as a
-// cross-check oracle for LargestEigSym in tests and by the condition-number
-// diagnostics for SA Gram matrices. a is not modified.
+// cyclic Jacobi method, returning them in ascending order. It is the
+// tests' oracle for LargestEigSym. a is not modified.
 func EigSymJacobi(a *Dense) []float64 {
 	n := a.R
 	if a.C != n {

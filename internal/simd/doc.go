@@ -22,8 +22,8 @@
 //   - Axpy on 16 384 words: 2.9–3.2 µs with AVX2, 7.6–8.7 µs with the
 //     loop. A Lasso solve calls it once (r = A·x0 − b), a ~5 µs gap in
 //     a 37–100 ms benchmark op.
-//   - Scal runs on µ-word vectors once per power iteration, where a
-//     call into assembly buys nothing.
+//   - Scal runs twice per block eigenvalue, on the µ²-word copy of a
+//     Gram block, where a call into assembly buys nothing.
 //   - Dense-row SVM solves (DenseRows.RowTAxpy, one Axpy per sampled
 //     row) on the gisette and duke replicas, which no benchmark
 //     workload runs: the loop is 12–14 % slower at s = 1 and 1–4 %
