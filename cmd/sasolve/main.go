@@ -11,7 +11,8 @@
 // With -stream the input is ingested once into an on-disk shard cache
 // (see internal/stream) and solved out of core: peak memory is about
 // two row blocks plus solver state instead of the whole matrix, and the
-// sequential trajectory is bitwise identical to the in-memory run.
+// sequential trajectory is bitwise identical to the in-memory run. The
+// task picks the shard layout: column-major for lasso, row-major for svm.
 package main
 
 import (
@@ -52,7 +53,6 @@ type options struct {
 	streaming          bool
 	blockRows          int
 	cacheDir           string
-	layout, codec      string
 	cpuProf, memProf   string
 }
 
@@ -67,8 +67,6 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&o.streaming, "stream", false, "solve out of core: spill the dataset to row-block shards and stream them (bounded memory)")
 	fs.IntVar(&o.blockRows, "block-rows", 8192, "streaming: rows per shard")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "streaming: shard cache directory (reused if it holds a manifest; default: a temp dir removed on exit)")
-	fs.StringVar(&o.layout, "layout", "csr", "streaming ingest: shard layout, csr or csc (csc makes Lasso column access conversion-free)")
-	fs.StringVar(&o.codec, "codec", "raw", "streaming ingest: shard codec, raw or delta (delta-varint roughly halves url-like shard bytes)")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the solve to this file")
 	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile after the solve to this file")
 }
@@ -105,14 +103,6 @@ func (o *options) solve(stdout io.Writer) (err error) {
 	if o.streaming && exec.Backend == saco.BackendAsync {
 		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no atomic kernels); drop -backend async")
 	}
-	layout, err := saco.ParseStreamLayout(o.layout)
-	if err != nil {
-		return cli.Usagef("unknown layout %q (csr, csc)", o.layout)
-	}
-	codec, err := saco.ParseStreamCodec(o.codec)
-	if err != nil {
-		return cli.Usagef("unknown codec %q (raw, delta)", o.codec)
-	}
 
 	if o.cpuProf != "" {
 		f, err := os.Create(o.cpuProf)
@@ -145,7 +135,7 @@ func (o *options) solve(stdout io.Writer) (err error) {
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
-		ds, err := o.openStream(stdout, dir, layout, codec)
+		ds, err := o.openStream(stdout, dir)
 		if err != nil {
 			return err
 		}
@@ -249,9 +239,10 @@ func (o *options) solve(stdout io.Writer) (err error) {
 }
 
 // openStream opens the shard cache in dir when it holds a manifest built
-// from -data, ingests -data into it otherwise, and reports what the
-// solve will stream.
-func (o *options) openStream(stdout io.Writer, dir string, layout saco.StreamLayout, codec saco.StreamCodec) (*saco.StreamDataset, error) {
+// from -data, ingests -data into it otherwise — in the layout the task
+// reads, CSC for lasso's columns and CSR for svm's rows — and reports
+// what the solve will stream.
+func (o *options) openStream(stdout io.Writer, dir string) (*saco.StreamDataset, error) {
 	var ds *saco.StreamDataset
 	var err error
 	if _, statErr := os.Stat(filepath.Join(dir, "manifest.bin")); statErr == nil {
@@ -262,19 +253,22 @@ func (o *options) openStream(stdout io.Writer, dir string, layout saco.StreamLay
 			return nil, fmt.Errorf("shard cache %s was built from different data than %s (size or mtime changed); delete the cache or pick another -cache-dir", dir, o.Data)
 		}
 		fmt.Fprintf(stdout, "reusing shard cache %s\n", dir)
-	} else if ds, err = saco.BuildStream(o.Data, dir, saco.StreamOptions{
-		BlockRows: o.blockRows, Layout: layout, Codec: codec,
-	}); err != nil {
-		return nil, err
+	} else {
+		layout := saco.LayoutCSR
+		if o.Task == "lasso" {
+			layout = saco.LayoutCSC
+		}
+		if ds, err = saco.BuildStream(o.Data, dir, saco.StreamOptions{BlockRows: o.blockRows, Layout: layout}); err != nil {
+			return nil, err
+		}
 	}
 	m, n := ds.Dims()
 	fmt.Fprintf(stdout, "streaming %s: %d points, %d features, %.4g%% nonzero, %d shards x %d rows\n",
 		o.Data, m, n, 100*ds.Density(), ds.NumShards(), ds.BlockRows())
-	// Reused caches keep their ingest-time layout/codec, so report
-	// the manifest's values rather than the flags'.
+	// A reused cache keeps its ingest-time layout (the solve converts
+	// per load and stays bitwise), so report the manifest's.
 	if bytes, err := ds.ShardBytes(); err == nil {
-		fmt.Fprintf(stdout, "shards: layout=%s codec=%s, %.1f MiB on disk\n",
-			ds.Layout(), ds.Codec(), float64(bytes)/(1<<20))
+		fmt.Fprintf(stdout, "shards: layout=%s, %.1f MiB on disk\n", ds.Layout(), float64(bytes)/(1<<20))
 	}
 	return ds, nil
 }

@@ -105,55 +105,77 @@ func TestStreamRejectsAsync(t *testing.T) {
 	}
 }
 
-func TestUnknownLayoutExitsWithUsage(t *testing.T) {
-	code, _, stderr := runCLI(t, "-data", "x.svm", "-stream", "-layout", "coo")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, `unknown layout "coo"`) {
-		t.Fatalf("stderr %q lacks the layout error", stderr)
-	}
-}
-
-func TestUnknownCodecExitsWithUsage(t *testing.T) {
-	code, _, stderr := runCLI(t, "-data", "x.svm", "-stream", "-codec", "zstd")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, `unknown codec "zstd"`) {
-		t.Fatalf("stderr %q lacks the codec error", stderr)
-	}
-}
-
-// TestStreamLayoutCodecParity is the CLI face of the format matrix: the
-// same solve through every layout × codec combination must report a
-// byte-identical objective line, and the streaming report must name the
-// active layout/codec and the shard bytes.
-func TestStreamLayoutCodecParity(t *testing.T) {
+// TestStreamTaskLayout is the CLI face of the streamed store: -stream
+// spills the layout the task reads (csc for lasso's columns, csr for
+// svm's rows), names it in the report, and prints the in-memory run's
+// final line byte for byte — locally and under -simulate 2, whose rank
+// loaders take the one block-loader path. A cache built by one task and
+// reused by the other keeps its layout, converts per load, and still
+// matches.
+func TestStreamTaskLayout(t *testing.T) {
 	path := writeTinyDataset(t)
-	args := []string{"-data", path, "-task", "lasso", "-iters", "50", "-s", "4", "-mu", "2"}
-	code, mem, stderr := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("in-memory run failed (%d): %s", code, stderr)
+	tasks := []struct {
+		task, layout string
+		flags        []string
+	}{
+		{"lasso", "csc", []string{"-iters", "50", "-s", "4", "-mu", "2"}},
+		{"svm", "csr", []string{"-iters", "60", "-s", "4"}},
 	}
-	want := finalObjective(t, mem)
-	for _, layout := range []string{"csr", "csc"} {
-		for _, codec := range []string{"raw", "delta"} {
-			run := append(append([]string{}, args...),
-				"-stream", "-block-rows", "2", "-layout", layout, "-codec", codec)
-			code, out, stderr := runCLI(t, run...)
+	caches := make(map[string]string) // task -> the cache its stream run built
+	for _, tc := range tasks {
+		caches[tc.task] = t.TempDir()
+		for _, where := range [][]string{nil, {"-simulate", "2"}} {
+			args := append(append([]string{"-data", path, "-task", tc.task}, tc.flags...), where...)
+			code, mem, stderr := runCLI(t, args...)
 			if code != 0 {
-				t.Fatalf("%s/%s failed (%d): %s", layout, codec, code, stderr)
+				t.Fatalf("%s %v in memory failed (%d): %s", tc.task, where, code, stderr)
 			}
-			if got := finalObjective(t, out); got != want {
-				t.Fatalf("%s/%s: objective %q != %q", layout, codec, got, want)
+			code, str, stderr := runCLI(t, append(args, "-stream", "-block-rows", "2", "-cache-dir", caches[tc.task])...)
+			if code != 0 {
+				t.Fatalf("%s %v streamed failed (%d): %s", tc.task, where, code, stderr)
 			}
-			report := "shards: layout=" + layout + " codec=" + codec + ", "
-			if !strings.Contains(out, report) {
-				t.Fatalf("%s/%s: output lacks %q: %q", layout, codec, report, out)
+			if report := "shards: layout=" + tc.layout + ", "; !strings.Contains(str, report) {
+				t.Fatalf("%s %v: output lacks %q: %q", tc.task, where, report, str)
 			}
-			if !strings.Contains(out, "MiB on disk") {
-				t.Fatalf("output lacks the shard-bytes report: %q", out)
+			if got, want := finalLine(t, str), finalLine(t, mem); got != want {
+				t.Fatalf("%s %v: streamed %q != in-memory %q", tc.task, where, got, want)
+			}
+		}
+	}
+	// Cross reuse: each task solves over the cache the other one built.
+	for i, tc := range tasks {
+		other := tasks[1-i]
+		args := append([]string{"-data", path, "-task", tc.task}, tc.flags...)
+		code, mem, stderr := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%s in memory failed (%d): %s", tc.task, code, stderr)
+		}
+		code, str, stderr := runCLI(t, append(args, "-stream", "-cache-dir", caches[other.task])...)
+		if code != 0 {
+			t.Fatalf("%s over the %s cache failed (%d): %s", tc.task, other.task, code, stderr)
+		}
+		if !strings.Contains(str, "reusing shard cache") || !strings.Contains(str, "layout="+other.layout+", ") {
+			t.Fatalf("%s did not reuse the %s cache in its layout: %q", tc.task, other.layout, str)
+		}
+		if got, want := finalLine(t, str), finalLine(t, mem); got != want {
+			t.Fatalf("%s over the %s cache: %q != in-memory %q", tc.task, other.layout, got, want)
+		}
+	}
+}
+
+// TestEmptyInputExitsOne: a data file with no rows is a data error on
+// every path — each task, in memory, streamed and streamed under a
+// simulated cluster — never a panic.
+func TestEmptyInputExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.svm")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []string{"lasso", "svm"} {
+		for _, extra := range [][]string{nil, {"-stream"}, {"-stream", "-simulate", "2"}} {
+			code, _, stderr := runCLI(t, append([]string{"-data", path, "-task", task, "-iters", "20"}, extra...)...)
+			if code != 1 || strings.Contains(stderr, "panic") || !strings.Contains(stderr, "core: ") {
+				t.Fatalf("%s %v: exit %d, stderr %q; want 1 with a core: error", task, extra, code, stderr)
 			}
 		}
 	}
@@ -206,8 +228,8 @@ func TestStreamMatchesInMemory(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("streaming run failed (%d): %s", code, stderr)
 	}
-	objMem := finalObjective(t, mem)
-	objStr := finalObjective(t, str)
+	objMem := finalLine(t, mem)
+	objStr := finalLine(t, str)
 	if objMem != objStr {
 		t.Fatalf("objectives differ: %q vs %q", objMem, objStr)
 	}
@@ -341,7 +363,7 @@ func TestWorkersIsTheParallelWidth(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("multicore run failed (%d): %s", code, stderr)
 	}
-	if got, want := finalObjective(t, par), finalObjective(t, seq); got != want {
+	if got, want := finalLine(t, par), finalLine(t, seq); got != want {
 		t.Fatalf("multicore objective %q != sequential %q", got, want)
 	}
 }
@@ -366,14 +388,16 @@ func TestLossValidation(t *testing.T) {
 	}
 }
 
-func finalObjective(t *testing.T, out string) string {
+// finalLine returns a run's "final …" line: the objective of a lasso
+// solve, the duality gap of an svm one.
+func finalLine(t *testing.T, out string) string {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "final objective") {
+		if strings.HasPrefix(line, "final ") {
 			return line
 		}
 	}
-	t.Fatalf("no final objective in %q", out)
+	t.Fatalf("no final line in %q", out)
 	return ""
 }
 

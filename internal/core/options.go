@@ -205,6 +205,9 @@ func (o *SVMOptions) validate(m int, lenB int) error {
 	if lenB != m {
 		return fmt.Errorf("core: len(b)=%d does not match %d rows", lenB, m)
 	}
+	if m == 0 {
+		return errors.New("core: SVM needs at least one row to sample")
+	}
 	if o.Iters <= 0 {
 		return errors.New("core: Iters must be positive")
 	}

@@ -10,10 +10,10 @@ import (
 // ColStream is the out-of-core core.ColMatrix view of a Dataset: the
 // access pattern of the Lasso CD/BCD solvers (sampled column Grams,
 // products against the row-partitioned residual, residual updates)
-// computed one shard at a time. On a LayoutCSC store every kernel
-// consumes the shards in their native column-major decoded form —
-// zero CSR→CSC conversions (CacheStats.Conversions stays 0); on a
-// LayoutCSR store each shard converts once per load, as before.
+// computed one shard at a time. LayoutCSC is its layout: every kernel
+// consumes the shards in their native column-major decoded form, with
+// zero CSR→CSC conversions (CacheStats.Conversions stays 0). On a
+// LayoutCSR store each shard converts once per load, bitwise the same.
 //
 // Bitwise contract: with the sequential backend, every kernel threads
 // its accumulators through the shards in row order — ColGram continues

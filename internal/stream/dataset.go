@@ -15,26 +15,33 @@
 //     of the simulated cluster, so paper-scale replicas need never
 //     materialize the full CSR.
 //
-// Streaming v2 adds two orthogonal knobs, both preserving the bitwise
-// contract:
+// A store has one encoding — fixed-width sections — and one of two
+// layouts, chosen by the solver that reads it. The paper reads the
+// matrix in one orientation per solver: Lasso samples columns of a
+// 1D-row layout (Fig. 1), the SVM samples rows of a 1D-column one (§VI).
+// So LayoutCSC is Lasso's layout (the column views decode it natively,
+// with zero CSR→CSC conversions) and LayoutCSR is the SVM's; the
+// dist.Source block loaders take one CSR path on either layout. A solve
+// over the other layout converts each shard per load
+// (CacheStats.Conversions counts them) and keeps its bits.
+// BenchmarkStreamSolve is the measurement behind the rule — 16 shards of
+// 1024 rows, the 2-shard cache, -cpu 1 on a 2-vCPU Intel Xeon, range of
+// 3 runs of 3 solves each:
 //
-//   - Layout: shards spill row-major (LayoutCSR) or column-major
-//     (LayoutCSC). A CSC store is decoded natively by the column views,
-//     so streamed Lasso runs perform zero CSR→CSC conversions
-//     (CacheStats.Conversions counts the cross-layout loads that remain).
-//   - Codec: CodecRaw fixed-width sections, or CodecDelta varint
-//     segment lengths / index deltas / byte-reversed value bits —
-//     roughly half the shard bytes on url-like skewed inputs, exact
-//     round-trip either way.
+//	                                        csr         csc
+//	Lasso (acc, µ 8, s 16, 256 it) uniform  4.2–5.2 s   2.6–4.1 s
+//	                               url-like 15.6–17.2 s 10.8–13.9 s
+//	SVM (s 64, 2048 it)            uniform  0.20–0.27 s 0.37–0.42 s
+//	                               url-like 0.57–0.79 s 1.14–1.50 s
 //
 // There is one read path: a shard file is read into a transient heap
 // buffer, decoded into fresh slices, and checked against its manifest
 // entry, so an evicted block holds no file resource and nothing needs
 // releasing but the in-flight prefetch.
 //
-// The memory model: peak resident matrix data ≈ CacheShards blocks
-// (default 2: the block in use plus the prefetched one) regardless of
-// file size, plus solver state (iterate vectors and the s·µ batch).
+// The memory model: peak resident matrix data ≈ defaultCacheShards (2)
+// blocks — the block in use plus the prefetched one — regardless of file
+// size, plus solver state (iterate vectors and the s·µ batch).
 // This is the substrate the ROADMAP's "out-of-core / streaming datasets
 // for cmd/sasolve" item asks for; the 1D-row partitioning mirrors the
 // paper's Fig. 1 layout, with shards standing in for ranks' row blocks.
@@ -48,8 +55,8 @@ import (
 	"saco/internal/sparse"
 )
 
-// defaultCacheShards is the default loaded-shard budget: the shard being
-// consumed plus one being prefetched.
+// defaultCacheShards is the loaded-shard budget of every Dataset: the
+// shard being consumed plus one being prefetched.
 const defaultCacheShards = 2
 
 // ShardInfo locates one spilled row block.
@@ -96,7 +103,6 @@ type Dataset struct {
 	nnz       int64
 	blockRows int
 	layout    Layout
-	codec     Codec
 	shards    []ShardInfo
 
 	// srcSize/srcMTime identify the source file of a BuildFile
@@ -139,11 +145,7 @@ func (d *Dataset) Dir() string { return d.dir }
 // Layout returns the store's shard arrangement (row- or column-major).
 func (d *Dataset) Layout() Layout { return d.layout }
 
-// Codec returns the store's shard section encoding.
-func (d *Dataset) Codec() Codec { return d.codec }
-
-// ShardBytes returns the total on-disk size of the shard files — the
-// number the delta codec roughly halves on url-like inputs.
+// ShardBytes returns the total on-disk size of the shard files.
 func (d *Dataset) ShardBytes() (int64, error) {
 	var total int64
 	for i := range d.shards {
@@ -181,11 +183,6 @@ func (d *Dataset) SourceMatches(path string) bool {
 	return st.Size() == d.srcSize && st.ModTime().UnixNano() == d.srcMTime
 }
 
-// SetCacheShards sets the loaded-shard budget of the views (minimum 2:
-// one consumed, one prefetched). Larger budgets help the row views,
-// whose sampled accesses are not sequential.
-func (d *Dataset) SetCacheShards(k int) { d.cache.setMax(k) }
-
 // locate maps a global row to (shard index, local row). Shards hold
 // exactly blockRows rows apart from the last, so this is a division.
 func (d *Dataset) locate(i int) (int, int) {
@@ -206,7 +203,6 @@ type shardCache struct {
 	d *Dataset
 
 	mu      sync.Mutex
-	max     int
 	entries map[int]*cacheEntry
 	tick    int64
 	st      CacheStats
@@ -245,18 +241,8 @@ type prefetchResult struct {
 	err   error
 }
 
-func newShardCache(d *Dataset, max int) *shardCache {
-	return &shardCache{d: d, max: max, entries: make(map[int]*cacheEntry), pfIdx: -1}
-}
-
-func (c *shardCache) setMax(k int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if k < defaultCacheShards {
-		k = defaultCacheShards
-	}
-	c.max = k
-	c.evictLocked(-1)
+func newShardCache(d *Dataset) *shardCache {
+	return &shardCache{d: d, entries: make(map[int]*cacheEntry), pfIdx: -1}
 }
 
 func (c *shardCache) stats() CacheStats {
@@ -361,7 +347,7 @@ func (c *shardCache) insertLocked(i int, block shardBlock) *cacheEntry {
 // load/eviction counters — is identical on every run even when two
 // entries share a use tick; map iteration order never leaks out.
 func (c *shardCache) evictLocked(keep int) {
-	for len(c.entries) > c.max {
+	for len(c.entries) > defaultCacheShards {
 		victim, oldest := -1, int64(1<<62)
 		//saco:nolint mapiter min-selection with a deterministic (used, idx) tie-break: the result is iteration-order-invariant
 		for idx, e := range c.entries {

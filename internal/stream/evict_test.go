@@ -2,8 +2,8 @@ package stream
 
 import "testing"
 
-func cacheWith(max int, used map[int]int64) *shardCache {
-	c := &shardCache{max: max, entries: make(map[int]*cacheEntry), pfIdx: -1}
+func cacheWith(used map[int]int64) *shardCache {
+	c := &shardCache{entries: make(map[int]*cacheEntry), pfIdx: -1}
 	for idx, u := range used {
 		c.entries[idx] = &cacheEntry{used: u}
 	}
@@ -25,7 +25,7 @@ func keys(c *shardCache) map[int]bool {
 // entry the map yielded first).
 func TestEvictTieBreaksOnLowestIndex(t *testing.T) {
 	for rep := 0; rep < 50; rep++ {
-		c := cacheWith(2, map[int]int64{0: 7, 1: 7, 2: 7, 3: 7, 4: 7})
+		c := cacheWith(map[int]int64{0: 7, 1: 7, 2: 7, 3: 7, 4: 7})
 		c.evictLocked(-1)
 		got := keys(c)
 		if !got[3] || !got[4] || len(got) != 2 {
@@ -40,7 +40,7 @@ func TestEvictTieBreaksOnLowestIndex(t *testing.T) {
 // The entry just produced is spared even when it ties as oldest.
 func TestEvictSparesKeep(t *testing.T) {
 	for rep := 0; rep < 50; rep++ {
-		c := cacheWith(2, map[int]int64{0: 7, 1: 7, 2: 7, 3: 7})
+		c := cacheWith(map[int]int64{0: 7, 1: 7, 2: 7, 3: 7})
 		c.evictLocked(0)
 		got := keys(c)
 		if !got[0] || !got[3] || len(got) != 2 {
@@ -52,7 +52,7 @@ func TestEvictSparesKeep(t *testing.T) {
 // With distinct ticks the tie-break never fires and plain LRU order
 // decides: oldest ticks go first regardless of index.
 func TestEvictLRUOrder(t *testing.T) {
-	c := cacheWith(2, map[int]int64{0: 40, 1: 10, 2: 30, 3: 20})
+	c := cacheWith(map[int]int64{0: 40, 1: 10, 2: 30, 3: 20})
 	c.evictLocked(-1)
 	got := keys(c)
 	if !got[0] || !got[2] || len(got) != 2 {

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -16,29 +14,20 @@ import (
 // CRC-32 (IEEE) trailer that is verified before a field is decoded.
 //
 // Shard file (shard-NNNNN.bin) — one contiguous row block, stored either
-// row-major (CSR) or column-major (CSC), with a per-shard codec flag:
+// row-major (CSR) or column-major (CSC):
 //
 //	magic    [8]byte  "SACOSHv3"
 //	layout   uint8    0 = CSR, 1 = CSC
-//	codec    uint8    0 = raw, 1 = delta-varint
+//	codec    uint8    always 0 (raw sections); a 1 marks the retired
+//	                  delta-varint encoding, which is refused
 //	rows     uint32   block row count
 //	cols     uint32   stored column width (CSC only; the decoder pads the
 //	                  column pointer out to the dataset width, so shards
 //	                  never spend bytes on trailing empty columns)
 //	nnz      uint64
-//	ptr      section  raw: (segments+1) × uint64 offsets
-//	                  delta: segments × uvarint segment lengths
-//	idx      section  raw: nnz × uint32
-//	                  delta: per segment, uvarint(first) then
-//	                  uvarint(difference) — indices are strictly
-//	                  increasing within a segment, so every difference
-//	                  is ≥ 1 and url-like skewed index distributions
-//	                  collapse to one byte per entry
-//	vals     section  raw: nnz × float64 IEEE-754 bits
-//	                  delta: nnz × uvarint(byte-reversed float64 bits) —
-//	                  exact (bit-for-bit) for every value, and short for
-//	                  the low-entropy values real LIBSVM files hold
-//	                  (binary ±1 features, small integers, halves)
+//	ptr      section  (segments+1) × uint64 offsets
+//	idx      section  nnz × uint32
+//	vals     section  nnz × float64 IEEE-754 bits
 //	crc      uint32   CRC-32 of every preceding byte
 //
 // A "segment" is a row for CSR shards and a column for CSC shards; its
@@ -58,7 +47,7 @@ import (
 //	srcSize   uint64             source file size (0 = unrecorded)
 //	srcMTime  int64              source mtime, unix nanos (0 = unrecorded)
 //	layout    uint8
-//	codec     uint8
+//	codec     uint8              always 0, as in the shards
 //	shards    nshards × { rows uint32, nnz uint64 }
 //	labels    m × float64
 //	crc       uint32             CRC-32 of every preceding byte
@@ -67,7 +56,7 @@ import (
 // feature space at 2³²−1 — 1000× the paper's widest dataset.
 //
 // The version-1 and version-2 encodings have no read path; badMagic
-// refuses them by name.
+// refuses them by name, and layoutAndCodec refuses a delta-coded v3 store.
 const (
 	shardMagic    = "SACOSHv3"
 	manifestMagic = "SACOSMv3"
@@ -77,12 +66,15 @@ const (
 	MaxFeatures = 1<<32 - 1
 )
 
-// Layout selects how a shard store arranges each row block on disk.
+// Layout selects how a shard store arranges each row block on disk. The
+// solver that reads the store decides: a layout is worth choosing only
+// per task (see the package doc for the measurement).
 type Layout uint8
 
 const (
 	// LayoutCSR spills row-major shards: row-ptr / col-idx / val. Row
-	// views decode it natively, column views convert per load.
+	// views (the SVM access pattern) decode it natively, column views
+	// convert per load.
 	LayoutCSR Layout = iota
 	// LayoutCSC spills column-major shards: col-ptr / row-idx / val.
 	// Column views (the Lasso access pattern) decode it natively with
@@ -90,56 +82,12 @@ const (
 	LayoutCSC
 )
 
-// String names the layout for flags and reports.
+// String names the layout for reports.
 func (l Layout) String() string {
 	if l == LayoutCSC {
 		return "csc"
 	}
 	return "csr"
-}
-
-// ParseLayout maps a flag value onto a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "csr":
-		return LayoutCSR, nil
-	case "csc":
-		return LayoutCSC, nil
-	}
-	return 0, fmt.Errorf("stream: unknown layout %q (csr, csc)", s)
-}
-
-// Codec selects the shard section encoding.
-type Codec uint8
-
-const (
-	// CodecRaw stores fixed-width sections (uint64 ptr, uint32 idx,
-	// float64 vals).
-	CodecRaw Codec = iota
-	// CodecDelta stores varint segment lengths, varint index deltas and
-	// varint byte-reversed value bits: exact round-trip, and roughly
-	// half the bytes on url-like inputs (skewed indices, low-entropy
-	// values).
-	CodecDelta
-)
-
-// String names the codec for flags and reports.
-func (c Codec) String() string {
-	if c == CodecDelta {
-		return "delta"
-	}
-	return "raw"
-}
-
-// ParseCodec maps a flag value onto a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "raw":
-		return CodecRaw, nil
-	case "delta":
-		return CodecDelta, nil
-	}
-	return 0, fmt.Errorf("stream: unknown codec %q (raw, delta)", s)
 }
 
 // shardPath names shard i inside the dataset directory.
@@ -156,11 +104,10 @@ type shardBlock struct {
 }
 
 // encodeShard serializes one row block. For LayoutCSR the block arrives
-// as CSR arrays; for LayoutCSC the caller transposes first (cscFromBlock)
-// and rowPtr/colIdx are ignored. The encoder builds the whole shard in
-// one buffer — the block is already resident, and shard sizes are bounded
-// by BlockRows.
-func encodeShard(layout Layout, codec Codec, block shardBlock) []byte {
+// as CSR arrays; for LayoutCSC the caller transposes first (cscFromBlock).
+// The encoder builds the whole shard in one buffer — the block is
+// already resident, and shard sizes are bounded by BlockRows.
+func encodeShard(layout Layout, block shardBlock) []byte {
 	var (
 		segPtr []int // segment offsets (rowPtr or colPtr)
 		idx    []int // colIdx or rowIdx
@@ -176,46 +123,29 @@ func encodeShard(layout Layout, codec Codec, block shardBlock) []byte {
 		segPtr, idx, vals, rows = a.RowPtr, a.ColIdx, a.Val, a.M
 	}
 
-	// Sized for the raw encoding (26-byte header, sections, trailer); a
-	// delta shard is usually far smaller.
+	// 26-byte header, sections, trailer.
 	w := wire.Writer{B: make([]byte, 0, 26+8*len(segPtr)+12*len(vals)+4)}
 	w.Bytes([]byte(shardMagic))
 	w.U8(uint8(layout))
-	w.U8(uint8(codec))
+	w.U8(0) // codec: raw
 	w.U32(uint32(rows))
 	w.U32(uint32(cols))
 	w.U64(uint64(len(vals)))
-	if codec == CodecDelta {
-		for s := 0; s+1 < len(segPtr); s++ {
-			w.Uvarint(uint64(segPtr[s+1] - segPtr[s]))
-		}
-		for s := 0; s+1 < len(segPtr); s++ {
-			prev := 0
-			for p := segPtr[s]; p < segPtr[s+1]; p++ {
-				w.Uvarint(uint64(idx[p] - prev))
-				prev = idx[p]
-			}
-		}
-		for _, v := range vals {
-			w.Uvarint(bits.ReverseBytes64(math.Float64bits(v)))
-		}
-	} else {
-		for _, v := range segPtr {
-			w.U64(uint64(v))
-		}
-		for _, v := range idx {
-			w.U32(uint32(v))
-		}
-		w.F64s(vals)
+	for _, v := range segPtr {
+		w.U64(uint64(v))
 	}
+	for _, v := range idx {
+		w.U32(uint32(v))
+	}
+	w.F64s(vals)
 	return wire.CRC32.Seal(w.B)
 }
 
 // writeShard spills one encoded row block through the durable seam:
 // a full disk cannot masquerade as a successful build, and a crash never
 // leaves a torn shard under the final name.
-func writeShard(path string, layout Layout, codec Codec, block shardBlock) error {
-	return wire.WriteFile(path, encodeShard(layout, codec, block))
+func writeShard(path string, layout Layout, block shardBlock) error {
+	return wire.WriteFile(path, encodeShard(layout, block))
 }
 
 // cscFromBlock transposes one CSR row block into block-local CSC with the
@@ -235,6 +165,21 @@ func cscFromBlock(rowPtr, colIdx []int, vals []float64) *sparse.CSC {
 	return a.ToCSC()
 }
 
+// layoutAndCodec reads the two format bytes every shard and manifest
+// header carries. The codec byte of a store this package writes is 0;
+// a 1 is a store from the retired delta-varint codec, refused with the
+// migration, like an older version's magic.
+func layoutAndCodec(r *wire.Reader) Layout {
+	layout, codec := Layout(r.U8("layout")), r.U8("codec")
+	switch {
+	case codec == 1:
+		r.Fail("codec", "delta-coded store: delete the cache directory and re-ingest")
+	case layout > LayoutCSC || codec != 0:
+		r.Fail("layout", "unknown layout/codec %d/%d", layout, codec)
+	}
+	return layout
+}
+
 // decodeShard decodes one shard file. n is the dataset's global column
 // count (shards do not record it). Exactly one of the returned blocks is
 // non-nil, matching the shard's stored layout; it shares no memory with
@@ -252,11 +197,8 @@ func decodeShard(data []byte, n int) (shardBlock, error) {
 	}
 	r := wire.NewReader("shard", body)
 	r.Bytes("magic", len(shardMagic))
-	layout, codec := Layout(r.U8("layout")), Codec(r.U8("codec"))
+	layout := layoutAndCodec(&r)
 	rows, cols, nnz64 := int(r.U32("rows")), int(r.U32("cols")), r.U64("nnz")
-	if layout > LayoutCSC || codec > CodecDelta {
-		r.Fail("layout", "unknown layout/codec %d/%d", layout, codec)
-	}
 	segs, ptrLen := rows, rows+1
 	if layout == LayoutCSC {
 		// CSC column pointers are padded out to the dataset width, so
@@ -267,15 +209,9 @@ func decodeShard(data []byte, n int) (shardBlock, error) {
 		}
 	}
 	// Bound the counts by the bytes left before allocating from them: a
-	// raw segment costs 8 bytes and a raw entry 12 (index and value);
-	// every varint costs at least one.
-	raw := codec == CodecRaw
-	segW, nnzW := 1, 2
-	if raw {
-		segW, nnzW = 8, 12
-	}
-	r.Count("segments", uint64(segs), segW)
-	nnz := r.Count("nnz", nnz64, nnzW)
+	// segment costs 8 bytes and an entry 12 (index and value).
+	r.Count("segments", uint64(segs), 8)
+	nnz := r.Count("nnz", nnz64, 12)
 	if err := r.Err(); err != nil {
 		return shardBlock{}, err
 	}
@@ -283,49 +219,27 @@ func decodeShard(data []byte, n int) (shardBlock, error) {
 	// ptr section → segment offsets, each within [0, nnz]; NewCSR and
 	// NewCSC check that they are monotone and end at nnz.
 	segPtr := make([]int, ptrLen)
-	if raw && r.U64("ptr") != 0 {
+	if r.U64("ptr") != 0 {
 		r.Fail("ptr", "does not start at 0")
 	}
 	for s := 1; s <= segs; s++ {
-		base, v := 0, uint64(0)
-		if raw {
-			v = r.U64("ptr")
-		} else {
-			base, v = segPtr[s-1], r.Uvarint("ptr")
-		}
-		if v > uint64(nnz-base) {
+		v := r.U64("ptr")
+		if v > uint64(nnz) {
 			r.Fail("ptr", "segment %d ends past nnz %d", s-1, nnz)
 			break
 		}
-		segPtr[s] = base + int(v)
+		segPtr[s] = int(v)
 	}
 	for s := segs; s < ptrLen-1; s++ {
 		segPtr[s+1] = segPtr[s]
 	}
 
 	idx := make([]int, nnz)
-	if raw {
-		for k := range idx {
-			idx[k] = int(r.U32("idx"))
-		}
-	} else {
-		for s := 0; s < segs; s++ {
-			prev := 0
-			for p := segPtr[s]; p < segPtr[s+1]; p++ {
-				idx[p] = prev + int(r.Uvarint("idx"))
-				prev = idx[p]
-			}
-		}
+	for k := range idx {
+		idx[k] = int(r.U32("idx"))
 	}
-
 	vals := make([]float64, nnz)
-	if raw {
-		r.F64s("vals", vals)
-	} else {
-		for k := range vals {
-			vals[k] = math.Float64frombits(bits.ReverseBytes64(r.Uvarint("vals")))
-		}
-	}
+	r.F64s("vals", vals)
 	if err := r.Done(); err != nil {
 		return shardBlock{}, err
 	}
@@ -423,7 +337,7 @@ func writeManifest(d *Dataset) error {
 	w.U64(uint64(d.srcSize))
 	w.U64(uint64(d.srcMTime))
 	w.U8(uint8(d.layout))
-	w.U8(uint8(d.codec))
+	w.U8(0) // codec: raw
 	for _, sh := range d.shards {
 		w.U32(uint32(sh.Rows))
 		w.U64(uint64(sh.NNZ))
@@ -463,17 +377,13 @@ func decodeManifest(dir string, data []byte) (*Dataset, error) {
 		dir: dir, n: int(n), nnz: int64(nnz), blockRows: blockRows,
 		srcSize:  int64(r.U64("srcSize")),
 		srcMTime: int64(r.U64("srcMTime")),
-		layout:   Layout(r.U8("layout")),
-		codec:    Codec(r.U8("codec")),
+		layout:   layoutAndCodec(&r),
 	}
 	if n > MaxFeatures {
 		r.Fail("n", "%d features exceed the shard format's cap", n)
 	}
 	if blockRows < 1 {
 		r.Fail("blockRows", "is 0")
-	}
-	if d.layout > LayoutCSC || d.codec > CodecDelta {
-		r.Fail("layout", "unknown layout/codec %d/%d", d.layout, d.codec)
 	}
 	d.shards = make([]ShardInfo, r.Count("nshards", uint64(nshards), 12))
 	// nnzLeft counts the header's nonzeros down shard by shard, so the
@@ -499,6 +409,6 @@ func decodeManifest(dir string, data []byte) (*Dataset, error) {
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("stream: %s: %w", dir, err)
 	}
-	d.cache = newShardCache(d, defaultCacheShards)
+	d.cache = newShardCache(d)
 	return d, nil
 }

@@ -297,31 +297,42 @@ func assertSVMBitwise(t *testing.T, got, want *core.SVMResult) {
 }
 
 // TestParityStreamedConversionCounters closes the loop on the matrix's
-// layout promise at harness level: the CSC×(codec×mode) cells above ran
-// column solves natively. Re-run one sequential cell per layout here
-// and assert the counter split (CSC: zero conversions; CSR: one per
-// shard load).
+// layout promise at harness level, in both directions: each task has its
+// layout, and a solve over it never converts a shard. Re-run one
+// sequential cell per task × layout and assert the counter split — a
+// Lasso solve (column access) converts nothing on a CSC store and every
+// shard load on a CSR one; an SVM solve (row access) converts nothing on
+// a CSR store and does convert on a CSC one.
 func TestParityStreamedConversionCounters(t *testing.T) {
-	d := datagen.Regression("parity-conv", 29, 192, 48, 0.12, 6, 0.1)
-	a := d.AsCSR()
-	forms := testmatrix.Forms(t, a, d.B, 32)
-	opt := lassoOpts()
-	for _, f := range forms {
-		if !f.Streamed() {
-			continue
-		}
-		if _, err := core.Lasso(f.Col, d.B, opt); err != nil {
-			t.Fatal(err)
-		}
-		st := f.Dataset.CacheStats()
-		if f.Dataset.Layout() == stream.LayoutCSC && st.Conversions != 0 {
-			t.Fatalf("%s: %d conversions on a CSC store (%+v)", f.Name, st.Conversions, st)
-		}
-		if f.Dataset.Layout() == stream.LayoutCSR && st.Conversions == 0 {
-			t.Fatalf("%s: CSR store reported no conversions (%+v)", f.Name, st)
-		}
-		if st.Loads > st.Misses+1 {
-			t.Fatalf("%s: prefetch double-read (%+v)", f.Name, st)
+	reg := datagen.Regression("parity-conv", 29, 192, 48, 0.12, 6, 0.1)
+	cls := datagen.Classification("parity-conv-svm", 31, 192, 48, 0.12, 0.05)
+	for _, task := range []struct {
+		name  string
+		own   stream.Layout // the layout the task reads natively
+		forms []testmatrix.Form
+		solve func(f testmatrix.Form) error
+	}{
+		{"lasso", stream.LayoutCSC, testmatrix.Forms(t, reg.AsCSR(), reg.B, 32),
+			func(f testmatrix.Form) error { _, err := core.Lasso(f.Col, reg.B, lassoOpts()); return err }},
+		{"svm", stream.LayoutCSR, testmatrix.Forms(t, cls.AsCSR(), cls.B, 32),
+			func(f testmatrix.Form) error { _, err := core.SVM(f.Row, cls.B, svmOpts()); return err }},
+	} {
+		for _, f := range task.forms {
+			if !f.Streamed() {
+				continue
+			}
+			if err := task.solve(f); err != nil {
+				t.Fatal(err)
+			}
+			st := f.Dataset.CacheStats()
+			if native := f.Dataset.Layout() == task.own; native != (st.Conversions == 0) {
+				t.Fatalf("%s on %s: %d conversions, native layout %t (%+v)", task.name, f.Name, st.Conversions, native, st)
+			}
+			// Lasso's passes are sequential, so every load is consumed by
+			// one miss; the SVM's sampled rows make no such promise.
+			if task.name == "lasso" && st.Loads > st.Misses+1 {
+				t.Fatalf("%s: prefetch double-read (%+v)", f.Name, st)
+			}
 		}
 	}
 }

@@ -17,24 +17,16 @@ type BuildOptions struct {
 	// Features declares the column count; 0 infers it from the largest
 	// index seen (like libsvm.Read).
 	Features int
-	// CacheShards is the loaded-shard budget of the dataset's views;
-	// values below 2 (one consumed + one prefetched) are raised to 2.
-	CacheShards int
 	// Layout selects row-major (LayoutCSR, the zero value) or
-	// column-major (LayoutCSC) shards. Column solves over a CSC store
-	// skip the per-load CSR→CSC conversion entirely.
+	// column-major (LayoutCSC) shards: pick the one the solver reads —
+	// CSC for Lasso's column access, CSR for the SVM's row access. A
+	// solve over the other layout stays bitwise, converting per load.
 	Layout Layout
-	// Codec selects fixed-width (CodecRaw, the zero value) or
-	// delta-varint (CodecDelta) shard sections.
-	Codec Codec
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.BlockRows <= 0 {
 		o.BlockRows = 8192
-	}
-	if o.CacheShards < defaultCacheShards {
-		o.CacheShards = defaultCacheShards
 	}
 	return o
 }
@@ -60,8 +52,7 @@ func build(r io.Reader, dir string, opt BuildOptions, srcSize, srcMTime int64) (
 		return nil, err
 	}
 	d := &Dataset{
-		dir: dir, n: opt.Features, blockRows: opt.BlockRows,
-		layout: opt.Layout, codec: opt.Codec,
+		dir: dir, n: opt.Features, blockRows: opt.BlockRows, layout: opt.Layout,
 		srcSize: srcSize, srcMTime: srcMTime,
 	}
 
@@ -89,7 +80,7 @@ func build(r io.Reader, dir string, opt BuildOptions, srcSize, srcMTime int64) (
 			// transpose a CSR store pays per load, paid once at ingest.
 			block = shardBlock{csc: cscFromBlock(rowPtr, colIdx, vals)}
 		}
-		if err := writeShard(shardPath(dir, len(d.shards)), opt.Layout, opt.Codec, block); err != nil {
+		if err := writeShard(shardPath(dir, len(d.shards)), opt.Layout, block); err != nil {
 			return err
 		}
 		d.shards = append(d.shards, info)
@@ -146,7 +137,7 @@ func build(r io.Reader, dir string, opt BuildOptions, srcSize, srcMTime int64) (
 	} else if maxCol >= d.n {
 		return nil, fmt.Errorf("libsvm: index %d exceeds declared features %d", maxCol+1, d.n)
 	}
-	d.cache = newShardCache(d, opt.CacheShards)
+	d.cache = newShardCache(d)
 	if err := writeManifest(d); err != nil {
 		return nil, err
 	}

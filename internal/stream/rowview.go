@@ -9,9 +9,11 @@ import (
 
 // RowStream is the out-of-core core.RowMatrix view of a Dataset: the
 // access pattern of the dual coordinate-descent SVM solvers (sampled
-// row Grams, hoisted row·x products, rank-one primal updates). Rows
-// live whole inside one shard (the 1D-row partitioning), so every row
-// kernel reproduces the in-memory sparse.CSR arithmetic exactly and
+// row Grams, hoisted row·x products, rank-one primal updates).
+// LayoutCSR is its layout: shards decode straight to the rows it reads,
+// and a LayoutCSC store converts each shard once per load. Rows live
+// whole inside one shard (the 1D-row partitioning), so every row kernel
+// reproduces the in-memory sparse.CSR arithmetic exactly and
 // sequential-backend trajectories are bitwise identical.
 //
 // Sampled access is not sequential, so the view batches: RowGram and
@@ -21,7 +23,7 @@ import (
 // RowGram + RowMulVec + s RowTAxpy sequence then costs one pass over
 // the covering shards instead of one load per touched row. Single-row
 // calls outside the memoized set (classical s = 1 solves) fall back to
-// the shard cache; raise Dataset.SetCacheShards if that thrashes.
+// the shard cache.
 type RowStream struct {
 	d *Dataset
 

@@ -420,23 +420,6 @@ func TestBuildNoTrailingNewline(t *testing.T) {
 	}
 }
 
-func TestSetCacheShards(t *testing.T) {
-	ds, a, _ := buildFixture(t, 230, 40, 16) // 15 shards
-	ds.SetCacheShards(64)
-	ds.SetCacheShards(1) // clamped to 2, must evict down without losing data
-	x := make([]float64, a.N)
-	x[0] = 1
-	y1 := make([]float64, a.M)
-	y2 := make([]float64, a.M)
-	a.MulVec(x, y1)
-	ds.Rows().MulVec(x, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("MulVec differs at %d after cache resize", i)
-		}
-	}
-}
-
 func TestSourceMatches(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "data.svm")
@@ -480,35 +463,33 @@ func TestSourceMatches(t *testing.T) {
 
 func TestShardValuesExact(t *testing.T) {
 	// Exact float64 round-trip through the shard encoding, including
-	// values that decimal text would mangle — in every layout × codec.
+	// values that decimal text would mangle — in both layouts.
 	vals := []float64{math.Pi, -math.SmallestNonzeroFloat64, 1e300, -0.1, 3}
 	rowPtr := []int{0, len(vals)}
 	cols := []int{0, 1, 2, 3, 4}
-	for _, layout := range []Layout{LayoutCSR, LayoutCSC} {
-		for _, codec := range []Codec{CodecRaw, CodecDelta} {
-			dir := t.TempDir()
-			block := shardBlock{csr: &sparse.CSR{M: 1, N: 5, RowPtr: rowPtr, ColIdx: cols, Val: vals}}
-			if layout == LayoutCSC {
-				block = shardBlock{csc: cscFromBlock(rowPtr, cols, vals)}
-			}
-			if err := writeShard(shardPath(dir, 0), layout, codec, block); err != nil {
-				t.Fatal(err)
-			}
-			one := &Dataset{dir: dir, n: 5, shards: []ShardInfo{{Rows: 1, NNZ: int64(len(vals))}}}
-			back, err := one.readShardFile(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []float64
-			if layout == LayoutCSC {
-				got = back.csc.ToCSR().Val
-			} else {
-				got = back.csr.Val
-			}
-			for k, v := range vals {
-				if got[k] != v {
-					t.Fatalf("%v/%v val %d: %v != %v", layout, codec, k, got[k], v)
-				}
+	for _, layout := range layouts {
+		dir := t.TempDir()
+		block := shardBlock{csr: &sparse.CSR{M: 1, N: 5, RowPtr: rowPtr, ColIdx: cols, Val: vals}}
+		if layout == LayoutCSC {
+			block = shardBlock{csc: cscFromBlock(rowPtr, cols, vals)}
+		}
+		if err := writeShard(shardPath(dir, 0), layout, block); err != nil {
+			t.Fatal(err)
+		}
+		one := &Dataset{dir: dir, n: 5, shards: []ShardInfo{{Rows: 1, NNZ: int64(len(vals))}}}
+		back, err := one.readShardFile(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		if layout == LayoutCSC {
+			got = back.csc.ToCSR().Val
+		} else {
+			got = back.csr.Val
+		}
+		for k, v := range vals {
+			if got[k] != v {
+				t.Fatalf("%v val %d: %v != %v", layout, k, got[k], v)
 			}
 		}
 	}

@@ -2,8 +2,7 @@
 // determinism matrix so parity tests can run every execution backend
 // (sequential, multicore, simulated, hybrid rank×thread, async) over
 // every data representation (in-memory CSR/CSC, dense views, and
-// streamed stores in each layout × codec) from one
-// table-driven loop. It is a test-support package: production code must
+// streamed stores in each layout) from one table-driven loop. It is a test-support package: production code must
 // not import it.
 //
 // The matrix contract it encodes:
@@ -35,7 +34,7 @@ import (
 // Form is one dataset representation under test, with every view a
 // backend could need. Views that a form cannot provide are nil.
 type Form struct {
-	// Name labels the subtest (e.g. "stream-csc-delta-copy").
+	// Name labels the subtest (e.g. "stream-csc-raw-copy").
 	Name string
 	// Col is the column-access view (Lasso family).
 	Col core.ColMatrix
@@ -56,10 +55,11 @@ type Form struct {
 func (f Form) Streamed() bool { return f.Dataset != nil }
 
 // Forms materializes every representation of (a, b): the in-memory
-// sparse pair, the dense views, and one streamed store per layout ×
-// codec (each ingested from the same LIBSVM rendering of a, with labels
-// verified bitwise). Streamed stores live in tb.TempDir and close on
-// cleanup. Their names end in "-copy", after the one shard read path.
+// sparse pair, the dense views, and one streamed store per layout (each
+// ingested from the same LIBSVM rendering of a, with labels verified
+// bitwise). Streamed stores live in tb.TempDir and close on cleanup.
+// Their names carry "raw", the one shard encoding, and end in "-copy",
+// after the one shard read path.
 func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 	tb.Helper()
 	dense := a.ToDense()
@@ -80,30 +80,28 @@ func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 	}
 	text := buf.Bytes()
 	for _, layout := range []stream.Layout{stream.LayoutCSR, stream.LayoutCSC} {
-		for _, codec := range []stream.Codec{stream.CodecRaw, stream.CodecDelta} {
-			ds, err := stream.Build(bytes.NewReader(text), tb.TempDir(), stream.BuildOptions{
-				BlockRows: blockRows, Features: a.N, Layout: layout, Codec: codec,
-			})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			tb.Cleanup(ds.Close)
-			if m, n := ds.Dims(); m != a.M || n != a.N {
-				tb.Fatalf("streamed store %dx%d, want %dx%d", m, n, a.M, a.N)
-			}
-			for i := range b {
-				if ds.B[i] != b[i] {
-					tb.Fatalf("label %d did not survive the text round trip", i)
-				}
-			}
-			forms = append(forms, Form{
-				Name:    fmt.Sprintf("stream-%v-%v-copy", layout, codec),
-				Col:     ds.Cols(),
-				Row:     ds.Rows(),
-				Source:  ds,
-				Dataset: ds,
-			})
+		ds, err := stream.Build(bytes.NewReader(text), tb.TempDir(), stream.BuildOptions{
+			BlockRows: blockRows, Features: a.N, Layout: layout,
+		})
+		if err != nil {
+			tb.Fatal(err)
 		}
+		tb.Cleanup(ds.Close)
+		if m, n := ds.Dims(); m != a.M || n != a.N {
+			tb.Fatalf("streamed store %dx%d, want %dx%d", m, n, a.M, a.N)
+		}
+		for i := range b {
+			if ds.B[i] != b[i] {
+				tb.Fatalf("label %d did not survive the text round trip", i)
+			}
+		}
+		forms = append(forms, Form{
+			Name:    fmt.Sprintf("stream-%v-raw-copy", layout),
+			Col:     ds.Cols(),
+			Row:     ds.Rows(),
+			Source:  ds,
+			Dataset: ds,
+		})
 	}
 	return forms
 }

@@ -48,9 +48,6 @@ func (w *Writer) F64s(v []float64) {
 	}
 }
 
-// Uvarint appends v as a minimal unsigned varint.
-func (w *Writer) Uvarint(v uint64) { w.B = binary.AppendUvarint(w.B, v) }
-
 // Bytes appends b verbatim.
 func (w *Writer) Bytes(b []byte) { w.B = append(w.B, b...) }
 
@@ -145,21 +142,6 @@ func (r *Reader) F64s(field string, dst []float64) {
 			dst[i] = math.Float64frombits(le.Uint64(p[8*i:]))
 		}
 	}
-}
-
-// Uvarint reads an unsigned varint. Only the minimal encoding Writer
-// produces is accepted, so every accepted image re-encodes to itself.
-func (r *Reader) Uvarint(field string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.Fail(field, "corrupt varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
 }
 
 // Count checks a count read from the image before anything is sized by

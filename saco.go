@@ -251,25 +251,23 @@ func Replica(name string, scale float64, seed uint64) (*Dataset, error) {
 // ingested into row-block shards on disk so paper-scale matrices solve
 // in bounded memory. StreamDataset.Cols() / .Rows() plug into Lasso,
 // LassoPath and SVM; sequential-backend trajectories are
-// bitwise identical to the in-memory solvers. Streaming v2 adds a
-// column-major spill layout (LayoutCSC — column solves perform zero
-// CSR→CSC conversions) and a delta-varint shard codec (CodecDelta —
-// roughly half the bytes on url-like inputs).
+// bitwise identical to the in-memory solvers. A store spills in one of
+// two layouts, and the task picks it: column-major (LayoutCSC) for
+// Lasso, whose column solves then perform zero CSR→CSC conversions, and
+// row-major (LayoutCSR) for the SVM. Either task solves bitwise over
+// either layout; the other one only costs a conversion per shard load.
 type (
 	// StreamDataset is an out-of-core dataset spilled to a shard cache
 	// directory.
 	StreamDataset = stream.Dataset
 	// StreamOptions configures an out-of-core ingestion (block rows,
-	// feature count, spill layout, shard codec).
+	// feature count, spill layout).
 	StreamOptions = stream.BuildOptions
 	// StreamBlock is one CSR row block of a sequential pass.
 	StreamBlock = stream.Block
 	// StreamLayout selects row-major (LayoutCSR) or column-major
 	// (LayoutCSC) shards.
 	StreamLayout = stream.Layout
-	// StreamCodec selects fixed-width (CodecRaw) or delta-varint
-	// (CodecDelta) shard sections.
-	StreamCodec = stream.Codec
 	// StreamCacheStats is a snapshot of the shard cache's decision
 	// counters (hits, misses, loads, prefetches, conversions).
 	StreamCacheStats = stream.CacheStats
@@ -279,35 +277,19 @@ type (
 	ClusterSource = dist.Source
 )
 
-// Streaming layout and codec selectors.
+// Streaming layout selectors.
 const (
-	LayoutCSR  = stream.LayoutCSR
-	LayoutCSC  = stream.LayoutCSC
-	CodecRaw   = stream.CodecRaw
-	CodecDelta = stream.CodecDelta
+	LayoutCSR = stream.LayoutCSR
+	LayoutCSC = stream.LayoutCSC
 )
-
-// ParseStreamLayout maps a flag value ("csr", "csc") onto a StreamLayout.
-func ParseStreamLayout(s string) (StreamLayout, error) { return stream.ParseLayout(s) }
-
-// ParseStreamCodec maps a flag value ("raw", "delta") onto a StreamCodec.
-func ParseStreamCodec(s string) (StreamCodec, error) { return stream.ParseCodec(s) }
 
 // ParseSVMLoss maps a flag value ("l1", "l2") onto an SVMLoss.
 func ParseSVMLoss(s string) (SVMLoss, error) { return core.ParseSVMLoss(s) }
 
-// ConvertStream re-spills an existing shard store into dstDir with a
-// different layout and/or codec in one bounded-memory pass (e.g. the
-// CSR→CSC transpose that makes streamed Lasso conversion-free). The
-// conversion is exact: trajectories over the converted store are
-// bitwise identical.
-func ConvertStream(src *StreamDataset, dstDir string, layout StreamLayout, codec StreamCodec) (*StreamDataset, error) {
-	return stream.Convert(src, dstDir, layout, codec)
-}
-
 // BuildStream ingests a LIBSVM file into cacheDir in bounded memory,
-// spilling row-block shards; peak resident matrix data is about
-// opt.CacheShards blocks regardless of file size.
+// spilling row-block shards; peak resident matrix data is about two
+// blocks (the one in use and the prefetched one) regardless of file
+// size.
 func BuildStream(svmPath, cacheDir string, opt StreamOptions) (*StreamDataset, error) {
 	return stream.BuildFile(svmPath, cacheDir, opt)
 }
