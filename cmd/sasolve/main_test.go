@@ -105,6 +105,56 @@ func TestStreamRejectsAsync(t *testing.T) {
 	}
 }
 
+// TestEveryFlagHasOneMeaning: a flag combination that would silently
+// ignore one of its flags is a usage error naming both.
+func TestEveryFlagHasOneMeaning(t *testing.T) {
+	path := writeTinyDataset(t)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-simulate", "-2"}, []string{"-simulate -2"}},
+		{[]string{"-transport", "tcp"}, []string{"-transport tcp", "-simulate"}},
+		{[]string{"-rank-workers", "2"}, []string{"-rank-workers 2", "-simulate"}},
+		{[]string{"-simulate", "2", "-backend", "multicore"}, []string{"-simulate", "-backend multicore"}},
+		{[]string{"-simulate", "2", "-backend", "async", "-workers", "2"}, []string{"-simulate", "-backend async"}},
+		{[]string{"-stream", "-backend", "multicore"}, []string{"-stream", "-backend multicore"}},
+	} {
+		code, _, stderr := runCLI(t, append([]string{"-data", path, "-iters", "10"}, tc.args...)...)
+		if code != 2 {
+			t.Fatalf("%q: exit %d, want 2: %s", tc.args, code, stderr)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr, w) {
+				t.Fatalf("%q: stderr %q does not name %q", tc.args, stderr, w)
+			}
+		}
+	}
+}
+
+// TestUnrollingAboveItersIsClamped: no batch holds more than -iters
+// blocks, so -s 100000 -iters 10 sizes nothing by s and prints the
+// final line of -s 10, for both tasks, locally and distributed.
+func TestUnrollingAboveItersIsClamped(t *testing.T) {
+	path := writeTinyDataset(t)
+	for _, task := range []string{"lasso", "svm"} {
+		for _, where := range [][]string{nil, {"-simulate", "2"}} {
+			args := append([]string{"-data", path, "-task", task, "-iters", "10"}, where...)
+			code, huge, stderr := runCLI(t, append(args, "-s", "100000")...)
+			if code != 0 {
+				t.Fatalf("%s %q -s 100000: exit %d: %s", task, where, code, stderr)
+			}
+			code, want, stderr := runCLI(t, append(args, "-s", "10")...)
+			if code != 0 {
+				t.Fatalf("%s %q -s 10: exit %d: %s", task, where, code, stderr)
+			}
+			if got, want := finalLine(t, huge), finalLine(t, want); got != want {
+				t.Fatalf("%s %q: -s 100000 printed %q, -s 10 %q", task, where, got, want)
+			}
+		}
+	}
+}
+
 // TestStreamTaskLayout is the CLI face of the streamed store: -stream
 // spills the layout the task reads (csc for lasso's columns, csr for
 // svm's rows), names it in the report, and prints the in-memory run's

@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("%6s  %10s  %14s  %14s  %8s\n", "P", "best s", "accCD (model)", "SA-accCD", "speedup")
 	pb := costmodel.Problem{
 		M: 2396130, N: 3231961, Density: 0.000036,
-		Mu: 1, H: 100000, S: 1, P: 3072, HalfPack: true,
+		Mu: 1, H: 100000, S: 1, P: 3072,
 	}
 	mc := saco.CrayXC30()
 	for _, p := range []int{3072, 6144, 12288} {

@@ -33,9 +33,9 @@ type AblationsResult struct {
 }
 
 // Ablations quantifies the paper's design choices on the news20 workload:
-// replicated-seed coordinate agreement vs broadcasting indices, symmetric
-// half-packing of the Gram message (§III fn. 3), and the machine-latency
-// sensitivity of the SA speedup (§VII).
+// the paper's communication (replicated-seed coordinate agreement, the
+// half-packed Gram of §III fn. 3) against Rabenseifner's allreduce, and
+// the machine-latency sensitivity of the SA speedup (§VII).
 func Ablations(cfg Config) (*AblationsResult, error) {
 	cfg = cfg.withDefaults()
 	_, a, b, lambda, err := lassoData("news20", cfg)
@@ -51,8 +51,6 @@ func Ablations(cfg Config) (*AblationsResult, error) {
 		opt  dist.Options
 	}{
 		{"SA s=16, replicated seed, half-pack Gram", dist.Options{P: 16, Machine: cfg.Machine}},
-		{"SA s=16, broadcast indices", dist.Options{P: 16, Machine: cfg.Machine, BroadcastIndices: true}},
-		{"SA s=16, full Gram pack", dist.Options{P: 16, Machine: cfg.Machine, FullGramPack: true}},
 		{"SA s=16, Rabenseifner allreduce", dist.Options{P: 16, Machine: cfg.Machine, RSAGAllreduce: true}},
 	} {
 		res, err := dist.Lasso(a, b, copt, v.opt)

@@ -181,17 +181,10 @@ func TestAblationsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Design) != 4 || len(res.Machines) != 3 {
+	if len(res.Design) != 2 || len(res.Machines) != 3 {
 		t.Fatalf("rows %d/%d", len(res.Design), len(res.Machines))
 	}
-	base := res.Design[0]
-	if res.Design[1].Words <= base.Words {
-		t.Fatal("broadcast-indices ablation should cost more words")
-	}
-	if res.Design[2].Words <= base.Words {
-		t.Fatal("full-pack ablation should cost more words")
-	}
-	if res.Design[3].Seconds <= 0 {
+	if res.Design[1].Seconds <= 0 {
 		t.Fatal("RSAG ablation missing")
 	}
 	// Speedup should grow with machine latency: Cray < Ethernet < Spark.

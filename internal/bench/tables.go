@@ -30,7 +30,6 @@ func Table1(cfg Config) (*Table1Result, error) {
 	cfg = cfg.withDefaults()
 	pb := costmodel.Problem{
 		M: 15935, N: 62061, Density: 0.0013, Mu: 8, H: 10000, S: 1, P: 768,
-		HalfPack: true,
 	}
 	res := &Table1Result{Problem: pb, OptimalS: costmodel.OptimalS(pb, cfg.Machine, 2048)}
 	for _, s := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512} {

@@ -103,7 +103,8 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 		return nil, err
 	}
 	smp := newBlockSampler(rng.New(opt.Seed), &opt, n)
-	s, muMax := max(1, opt.S), smp.maxBlock()
+	// No batch holds more than Iters blocks, so neither does a buffer.
+	s, muMax := max(1, min(opt.S, opt.Iters)), smp.maxBlock()
 	k := s * muMax
 	blk := &lassoBlock{a: a, g: opt.Regularizer(), smp: smp,
 		deltas:  mat.NewDense(s, muMax),

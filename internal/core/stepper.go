@@ -25,8 +25,6 @@ type Batch struct {
 	Idx []int
 	// Off holds the block boundaries: block j is Idx[Off[j]:Off[j+1]].
 	Off []int
-	// MaxBlock is the largest block any batch of the solve can hold.
-	MaxBlock int
 }
 
 // Blocks returns the number of sampled blocks (inner steps) of the batch.
@@ -65,9 +63,8 @@ type Reducer interface {
 // the solve unobserved.
 type Observer interface {
 	// BatchSampled is called once the batch's blocks are drawn, before
-	// any kernel touches them. The index-broadcast ablation of package
-	// dist overwrites bt.Idx here with the (identical) draw of rank 0.
-	BatchSampled(bt *Batch) error
+	// any kernel touches them.
+	BatchSampled(bt *Batch)
 	// StepDone is called after inner step j of the batch; moved reports
 	// whether the step changed the iterate.
 	StepDone(bt *Batch, j int, moved bool)
@@ -124,7 +121,7 @@ func (d *Stepper) init(rec recurrence, stream *rng.Stream, red Reducer, obs Obse
 	d.rec, d.stream, d.red, d.obs = rec, stream, red, obs
 	d.iters, d.s, d.trackEvery = iters, s, trackEvery
 	k := s * maxBlock
-	d.bt = Batch{Idx: make([]int, 0, k), Off: make([]int, 0, s+1), MaxBlock: maxBlock}
+	d.bt = Batch{Idx: make([]int, 0, k), Off: make([]int, 0, s+1)}
 	d.gramBuf = make([]float64, k*k)
 }
 
@@ -148,9 +145,7 @@ func (d *Stepper) run() error {
 		d.bt.reset()
 		d.rec.sample(sb)
 		if d.obs != nil {
-			if err := d.obs.BatchSampled(&d.bt); err != nil {
-				return err
-			}
+			d.obs.BatchSampled(&d.bt)
 		}
 		k := len(d.bt.Idx)
 		d.gram.R, d.gram.C, d.gram.Data = k, k, d.gramBuf[:k*k]

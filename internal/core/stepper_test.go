@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // countingObserver counts the driver's events and touches nothing.
 type countingObserver struct {
@@ -8,10 +11,7 @@ type countingObserver struct {
 	lastH                                              int
 }
 
-func (o *countingObserver) BatchSampled(bt *Batch) error {
-	o.batches++
-	return nil
-}
+func (o *countingObserver) BatchSampled(bt *Batch) { o.batches++ }
 
 func (o *countingObserver) StepDone(bt *Batch, j int, moved bool) {
 	o.steps++
@@ -132,5 +132,63 @@ func TestClassicalLassoAllocatesNothingPerIteration(t *testing.T) {
 		if short, long := allocs(200), allocs(400); long != short {
 			t.Fatalf("accelerated=%v: %v allocations at 200 iterations, %v at 400", acc, short, long)
 		}
+	}
+}
+
+// TestBatchBuffersClampToIters: no batch holds more than Iters blocks,
+// so an S far above Iters must neither size the solver's buffers (a
+// (S·µ)² Gram would be 128 MiB here) nor move a bit of the S = Iters
+// solve.
+func TestBatchBuffersClampToIters(t *testing.T) {
+	const huge, iters = 4096, 8
+	allocated := func(build func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := build(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	a, b, lambda := testProblem(8)
+	lopt := LassoOptions{Lambda: lambda, BlockSize: 1, Iters: iters, S: huge, Accelerated: true, Seed: 4}
+	var lst *LassoStepper
+	if n := allocated(func() (err error) { lst, err = NewLassoStepper(a, b, lopt, nil, nil); return err }); n >= 1<<20 {
+		t.Fatalf("NewLassoStepper with S=%d, Iters=%d allocated %d bytes", huge, iters, n)
+	}
+	lgot, err := lst.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lopt.S = iters
+	lwant, err := Lasso(a, b, lopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, "lasso X", lgot.X, lwant.X)
+	if lgot.Objective != lwant.Objective {
+		t.Fatalf("lasso objective %v at S=%d, %v at S=%d", lgot.Objective, huge, lwant.Objective, iters)
+	}
+
+	ra, rb := svmProblem(8)
+	sopt := SVMOptions{Lambda: 1, Iters: iters, S: huge, Seed: 4}
+	var sst *SVMStepper
+	if n := allocated(func() (err error) { sst, err = NewSVMStepper(ra, rb, sopt, nil, nil); return err }); n >= 1<<20 {
+		t.Fatalf("NewSVMStepper with S=%d, Iters=%d allocated %d bytes", huge, iters, n)
+	}
+	sgot, err := sst.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopt.S = iters
+	swant, err := SVM(ra, rb, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, "svm X", sgot.X, swant.X)
+	sameFloats(t, "svm Alpha", sgot.Alpha, swant.Alpha)
+	if sgot.Gap != swant.Gap {
+		t.Fatalf("svm gap %v at S=%d, %v at S=%d", sgot.Gap, huge, swant.Gap, iters)
 	}
 }

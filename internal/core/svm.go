@@ -43,7 +43,7 @@ func NewSVMStepper(a RowMatrix, b []float64, opt SVMOptions, red Reducer, obs Ob
 	if err := opt.validate(m, len(b)); err != nil {
 		return nil, err
 	}
-	s := max(1, opt.S)
+	s := max(1, min(opt.S, opt.Iters)) // no batch holds more than Iters rows
 	st := &SVMStepper{}
 	sv := &dualSVM{
 		d: &st.Stepper, a: a, b: b, lambda: opt.Lambda, loss: opt.Loss,

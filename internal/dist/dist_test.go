@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"saco/internal/core"
@@ -44,7 +45,7 @@ func TestLassoClassicVsSA(t *testing.T) {
 		if saRes.ModeledSeconds() <= 0 || classic.ModeledSeconds() <= 0 {
 			t.Fatalf("acc=%v: non-positive modeled time", acc)
 		}
-		if classic.NNZ() == 0 {
+		if !slices.ContainsFunc(classic.X, func(v float64) bool { return v != 0 }) {
 			t.Fatalf("acc=%v: no features selected", acc)
 		}
 	}
@@ -102,23 +103,6 @@ func TestLassoTraceAndAblations(t *testing.T) {
 	for i, p := range base.Trace {
 		if p.Seconds <= 0 || (i > 0 && p.Seconds <= base.Trace[i-1].Seconds) {
 			t.Fatalf("trace seconds not increasing: %+v", base.Trace)
-		}
-	}
-
-	// The ablations pay strictly more words for the same iterates.
-	for name, o := range map[string]Options{
-		"broadcast-indices": {P: 4, Machine: mpi.CrayXC30(), BroadcastIndices: true},
-		"full-gram-pack":    {P: 4, Machine: mpi.CrayXC30(), FullGramPack: true},
-	} {
-		res, err := Lasso(d.AsCSR(), d.B, opt, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Objective != base.Objective {
-			t.Fatalf("%s: objective %v != base %v (same sampled blocks, same math)", name, res.Objective, base.Objective)
-		}
-		if res.Stats.TotalWords() <= base.Stats.TotalWords() {
-			t.Fatalf("%s: words %d not above base %d", name, res.Stats.TotalWords(), base.Stats.TotalWords())
 		}
 	}
 

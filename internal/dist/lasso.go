@@ -98,10 +98,10 @@ func lassoConfig(c *mpi.Comm, opt *core.LassoOptions, cl *Options, m, n int) str
 		variant = "acc"
 	}
 	return fmt.Sprintf(
-		"lasso/%s m=%d n=%d p=%d seed=%d iters=%d s=%d mu=%d groups=%d reg=%t lambda=%g track=%d warm=%t bcast=%t fullgram=%t rsag=%t",
+		"lasso/%s m=%d n=%d p=%d seed=%d iters=%d s=%d mu=%d groups=%d reg=%t lambda=%g track=%d warm=%t rsag=%t",
 		variant, m, n, c.Size(), opt.Seed, opt.Iters, opt.S, opt.BlockSize,
 		len(opt.Groups), opt.Reg != nil, opt.Lambda, opt.TrackEvery,
-		opt.X0 != nil, cl.BroadcastIndices, cl.FullGramPack, cl.RSAGAllreduce)
+		opt.X0 != nil, cl.RSAGAllreduce)
 }
 
 // lassoRank observes the Lasso recurrences for the cost model.
@@ -116,54 +116,9 @@ type lassoRank struct {
 	scalarFlops float64
 }
 
-// BatchSampled agrees on the batch — already, by the replicated seed, or
-// by broadcast under the BroadcastIndices ablation — and charges its
-// Gram and product assembly.
-func (r *lassoRank) BatchSampled(bt *core.Batch) error {
-	if r.cl.BroadcastIndices {
-		if err := r.bcastBlocks(bt); err != nil {
-			return err
-		}
-	}
-	r.charge(bt, r.images)
-	return nil
-}
-
-// bcastBlocks is the broadcast-indices ablation: rank 0 ships its draw
-// as length-prefixed blocks, in a message sized for blocks of the
-// largest kind, and every rank adopts it. The flattened message is what
-// the replicated-seed discipline saves.
-func (r *lassoRank) bcastBlocks(bt *core.Batch) error {
-	sb := bt.Blocks()
-	buf := r.scratch(1 + sb*(bt.MaxBlock+1))
-	if r.c.Rank() == 0 {
-		buf[0] = float64(sb)
-		w := 1
-		for j := 0; j < sb; j++ {
-			blk := bt.Block(j)
-			buf[w] = float64(len(blk))
-			w++
-			for _, idx := range blk {
-				buf[w] = float64(idx)
-				w++
-			}
-		}
-		clear(buf[w:])
-	}
-	if err := r.c.Bcast(0, buf); err != nil {
-		return err
-	}
-	w := 1
-	for j := 0; j < sb; j++ {
-		w++ // the length: group sizes are configuration, equal on every rank
-		blk := bt.Block(j)
-		for i := range blk {
-			blk[i] = int(buf[w])
-			w++
-		}
-	}
-	return nil
-}
+// BatchSampled charges the Gram and product assembly of a batch every
+// rank drew alike from the replicated seed.
+func (r *lassoRank) BatchSampled(bt *core.Batch) { r.charge(bt, r.images) }
 
 // StepDone charges one inner step. Redundant scalar work (λmax,
 // correction sums, prox) is per-rank sequential; the image updates

@@ -19,7 +19,7 @@ type rank struct {
 	nnz   func(i int) int
 	st    *core.Stepper
 	ck    *ckptSession  // nil when checkpointing is off
-	buf   []float64     // Allreduce packing and index-broadcast scratch
+	buf   []float64     // Allreduce packing scratch
 	mark  mpi.StatsMark // where BeginMeasure found clock and traffic
 	trace []TimedPoint  // rank 0 only
 }
@@ -63,11 +63,11 @@ func (r *rank) start(st *core.Stepper, config string) error {
 // travel as a single packed message.
 func (r *rank) SumBatch(gram *mat.Dense, prods [][]float64) error {
 	buf := r.scratch((gram.R + len(prods)) * gram.R)
-	words := packGram(gram, prods, r.cl.FullGramPack, buf)
+	words := packGram(gram, prods, buf)
 	if err := r.cl.allreduce(r.c, buf[:words]); err != nil {
 		return err
 	}
-	unpackGram(buf[:words], gram, prods, r.cl.FullGramPack)
+	unpackGram(buf[:words], gram, prods)
 	return nil
 }
 

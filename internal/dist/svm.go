@@ -75,10 +75,9 @@ func SVMRank(c *mpi.Comm, src Source, b []float64, opt core.SVMOptions, cl Optio
 		return nil, err
 	}
 	err = rk.start(&st.Stepper, fmt.Sprintf(
-		"svm m=%d n=%d p=%d seed=%d iters=%d s=%d lambda=%g loss=%d tol=%g track=%d warm=%t bcast=%t fullgram=%t rsag=%t",
+		"svm m=%d n=%d p=%d seed=%d iters=%d s=%d lambda=%g loss=%d tol=%g track=%d warm=%t rsag=%t",
 		m, n, c.Size(), opt.Seed, opt.Iters, opt.S, opt.Lambda, opt.Loss,
-		opt.Tol, opt.TrackEvery, opt.Alpha0 != nil,
-		cl.BroadcastIndices, cl.FullGramPack, cl.RSAGAllreduce))
+		opt.Tol, opt.TrackEvery, opt.Alpha0 != nil, cl.RSAGAllreduce))
 	if err != nil {
 		return nil, err
 	}
@@ -101,27 +100,9 @@ func SVMRank(c *mpi.Comm, src Source, b []float64, opt core.SVMOptions, cl Optio
 // svmRank observes the dual coordinate recurrence for the cost model.
 type svmRank struct{ rank }
 
-// BatchSampled agrees on the batch's rows — already, by the replicated
-// seed, or from rank 0 under the BroadcastIndices ablation — and charges
-// the Gram and the one hoisted product.
-func (r *svmRank) BatchSampled(bt *core.Batch) error {
-	if r.cl.BroadcastIndices {
-		buf := r.scratch(len(bt.Idx))
-		if r.c.Rank() == 0 {
-			for j, i := range bt.Idx {
-				buf[j] = float64(i)
-			}
-		}
-		if err := r.c.Bcast(0, buf); err != nil {
-			return err
-		}
-		for j := range bt.Idx {
-			bt.Idx[j] = int(buf[j])
-		}
-	}
-	r.charge(bt, 1)
-	return nil
-}
+// BatchSampled charges the Gram and the one hoisted product of a batch
+// every rank drew alike from the replicated seed.
+func (r *svmRank) BatchSampled(bt *core.Batch) { r.charge(bt, 1) }
 
 // StepDone charges one dual update: the scalar recurrence is replicated
 // and sequential; only a step that moved touches rank-local state, the

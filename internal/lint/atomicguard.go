@@ -37,9 +37,9 @@ var guardedFields = []guardedField{
 		why:  "the serving model pointer: readers must load it wait-free through Current",
 	},
 	{
-		pkg: "saco/internal/metrics", typ: "Histogram", field: "shards",
+		pkg: "saco/internal/metrics", typ: "Histogram", field: "counts",
 		home: "histogram.go",
-		why:  "striped lock-free histogram counters: Observe and the snapshot methods are the only audited access",
+		why:  "lock-free histogram bucket counters: Observe and snapshot are the only audited access",
 	},
 	{
 		pkg: "saco/internal/shard", typ: "Table", field: "cur",
@@ -52,7 +52,7 @@ var guardedFields = []guardedField{
 var AtomicGuard = &Analyzer{
 	Name: "atomicguard",
 	Doc: "flags direct loads/stores of fields documented atomic-only (mat.AtomicVec storage, " +
-		"the serve registry model pointer, the shard ring pointer, metrics histogram stripes, " +
+		"the serve registry model pointer, the shard ring pointer, metrics histogram counters, " +
 		"runtime pool taken[] claims)",
 	Run: runAtomicGuard,
 }

@@ -15,7 +15,7 @@ func TestAtomicGuardFields(t *testing.T) {
 	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/mat", "saco/internal/mat")
 }
 
-// The metrics histogram stripes: the audited accessors in histogram.go
+// The metrics histogram counters: the audited accessors in histogram.go
 // touch them freely (the cells are atomics themselves); any other file
 // is out of contract even for structural peeks.
 func TestAtomicGuardMetricsShards(t *testing.T) {

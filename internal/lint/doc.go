@@ -24,7 +24,7 @@
 //     made these error-return for a reason.
 //   - atomicguard: direct access to fields documented atomic-only
 //     (mat.AtomicVec's bit storage, the serve registry's model pointer,
-//     the shard ring pointer, the metrics histogram stripes, the
+//     the shard ring pointer, the metrics histogram counters, the
 //     runtime pool's taken[] claims) outside their audited home file,
 //     and non-atomic element access even inside it.
 //

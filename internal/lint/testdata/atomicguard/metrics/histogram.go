@@ -1,41 +1,28 @@
-// Fixture for the metrics histogram stripe rule, type-checked as
+// Fixture for the metrics histogram counter rule, type-checked as
 // saco/internal/metrics. This file is the guarded field's home
 // (histogram.go): the audited Observe/snapshot accessors live here and
-// may touch the stripes freely — the striped cells are themselves
-// atomics.
+// may touch the counters freely — the cells are themselves atomics.
 package src
 
 import "sync/atomic"
 
-type histShard struct {
+type Histogram struct {
 	counts  []atomic.Uint64
 	sumBits atomic.Uint64
 }
 
-type Histogram struct {
-	shards []histShard
-	cursor atomic.Uint64
-}
-
 func newHistogram(buckets int) *Histogram {
-	h := &Histogram{shards: make([]histShard, 8)}
-	for i := range h.shards {
-		h.shards[i].counts = make([]atomic.Uint64, buckets+1)
-	}
-	return h
+	return &Histogram{counts: make([]atomic.Uint64, buckets+1)}
 }
 
 func (h *Histogram) Observe(bucket int) {
-	s := &h.shards[h.cursor.Add(1)&7]
-	s.counts[bucket].Add(1)
+	h.counts[bucket].Add(1)
 }
 
-func (h *Histogram) Count() uint64 {
+func (h *Histogram) count() uint64 {
 	var n uint64
-	for i := range h.shards {
-		for j := range h.shards[i].counts {
-			n += h.shards[i].counts[j].Load()
-		}
+	for j := range h.counts {
+		n += h.counts[j].Load()
 	}
 	return n
 }

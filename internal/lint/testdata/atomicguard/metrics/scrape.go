@@ -1,16 +1,16 @@
-// A second file of the same package: the stripes are reachable only
+// A second file of the same package: the counters are reachable only
 // through the audited accessors in histogram.go — even a structural
 // peek names storage this file has no business holding.
 package src
 
-func stripeCount(h *Histogram) int {
-	return len(h.shards) // want "outside its home file"
+func bucketCount(h *Histogram) int {
+	return len(h.counts) // want "outside its home file"
 }
 
 func drainFirst(h *Histogram) uint64 {
-	return h.shards[0].sumBits.Load() // want "outside its home file"
+	return h.counts[0].Load() // want "outside its home file"
 }
 
 func throughAccessor(h *Histogram) uint64 {
-	return h.Count()
+	return h.count()
 }

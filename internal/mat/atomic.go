@@ -43,11 +43,6 @@ func (v *AtomicVec) Load(i int) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&v.bits[i]))
 }
 
-// Store atomically writes element i.
-func (v *AtomicVec) Store(i int, x float64) {
-	atomic.StoreUint64(&v.bits[i], math.Float64bits(x))
-}
-
 // Add atomically performs v[i] += delta via a CAS loop. Concurrent adds
 // to one element serialize in some order; none is lost.
 func (v *AtomicVec) Add(i int, delta float64) {

@@ -10,10 +10,7 @@ func TestAtomicVecBasics(t *testing.T) {
 	if v.Len() != 3 || v.Load(1) != 0 {
 		t.Fatal("zero init")
 	}
-	v.Store(1, 2.5)
-	if v.Load(1) != 2.5 {
-		t.Fatal("store/load")
-	}
+	v.Add(1, 2.5)
 	v.Add(1, -1.25)
 	if v.Load(1) != 1.25 {
 		t.Fatal("add")

@@ -9,9 +9,10 @@
 //   - Counters and gauges are single atomic words; incrementing one on
 //     the request path costs one uncontended atomic add and never takes
 //     a lock.
-//   - Histograms stripe their bucket counters across cache-line-padded
-//     shards so concurrent observers do not serialize on one hot line;
-//     a scrape sums the shards in fixed shard order.
+//   - A histogram is one atomic counter per bucket plus a CAS-added
+//     sum. Its observers run on the serving dispatcher's one goroutine,
+//     so the counters are uncontended and the sum adds in observation
+//     order.
 //   - Bucket boundaries are fixed at construction, so the exposition
 //     layout — which series exist, in which order, with which "le"
 //     labels — is deterministic across runs and replicas. Only the

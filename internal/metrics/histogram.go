@@ -19,46 +19,18 @@ var DefLatencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 // two through the dispatcher's default MaxBatch.
 var DefSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// histShards stripes a histogram's counters so concurrent observers on
-// different cores do not serialize on one cache line. Power of two so
-// the cursor masks instead of dividing.
-const histShards = 8
-
-// histShard is one stripe: per-bucket observation counts (not
-// cumulative; cumulation happens at scrape) plus the float64-bits sum.
-// The trailing pad keeps adjacent shards off each other's cache lines —
-// the counts arrays are separate allocations, but sumBits/cursor fields
-// of neighbouring shards would otherwise share one.
-type histShard struct {
-	counts  []atomic.Uint64 // len(buckets)+1; last cell is +Inf
-	sumBits atomic.Uint64   // float64 bits, CAS-added
-	_       [4]uint64
-}
-
-// add accumulates v into the shard's sum with a CAS loop — the same
-// lock-free float addition the HOGWILD iterate uses.
-func (s *histShard) add(v float64) {
-	for {
-		old := s.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Histogram counts observations into fixed buckets. Buckets are upper
 // bounds (le semantics), strictly increasing, frozen at construction;
 // the implicit +Inf bucket catches the rest. Observe is lock-free: one
-// atomic add on a striped counter plus one CAS-add on the striped sum.
+// atomic add on a bucket counter plus one CAS-add on the sum.
 //
-// The shards field is atomic-only storage audited in this file (see
+// The counts field is atomic-only storage audited in this file (see
 // internal/lint's atomicguard registry): all access goes through
-// Observe and the snapshot methods below.
+// Observe and snapshot below.
 type Histogram struct {
 	buckets []float64
-	shards  []histShard
-	cursor  atomic.Uint64 // round-robin shard cursor
+	counts  []atomic.Uint64 // len(buckets)+1, not cumulative; last cell is +Inf
+	sumBits atomic.Uint64   // float64 bits, CAS-added
 }
 
 // newHistogram validates and freezes the bucket bounds.
@@ -68,14 +40,10 @@ func newHistogram(buckets []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram buckets not strictly increasing at %v", buckets[i]))
 		}
 	}
-	h := &Histogram{
+	return &Histogram{
 		buckets: append([]float64(nil), buckets...),
-		shards:  make([]histShard, histShards),
+		counts:  make([]atomic.Uint64, len(buckets)+1),
 	}
-	for i := range h.shards {
-		h.shards[i].counts = make([]atomic.Uint64, len(buckets)+1)
-	}
-	return h
 }
 
 // Observe records one value. Nil receivers ignore the call.
@@ -85,54 +53,27 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// Smallest bucket whose bound is >= v (le semantics); past the last
 	// bound lands in the +Inf cell.
-	b := sort.SearchFloat64s(h.buckets, v)
-	s := &h.shards[h.cursor.Add(1)&(histShards-1)]
-	s.counts[b].Add(1)
-	s.add(v)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.shards {
-		for j := range h.shards[i].counts {
-			n += h.shards[i].counts[j].Load()
+	h.counts[sort.SearchFloat64s(h.buckets, v)].Add(1)
+	for {
+		old := h.sumBits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + v)
+		if h.sumBits.CompareAndSwap(old, next) {
+			return
 		}
 	}
-	return n
 }
 
-// Sum returns the sum of all observed values. Shards are reduced in
-// fixed shard order; which shard an observation landed in is scheduling
-// -dependent, so the float sum is operational, not bitwise-reproducible.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	var sum float64
-	for i := range h.shards {
-		sum += math.Float64frombits(h.shards[i].sumBits.Load())
-	}
-	return sum
-}
-
-// snapshot folds the shards into cumulative bucket counts (Prometheus
-// exposition semantics), the total count and the value sum.
+// snapshot returns the cumulative bucket counts (Prometheus exposition
+// semantics), the total count and the value sum.
 func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
-	cum = make([]uint64, len(h.buckets)+1)
-	for i := range h.shards {
-		for j := range h.shards[i].counts {
-			cum[j] += h.shards[i].counts[j].Load()
+	cum = make([]uint64, len(h.counts))
+	for j := range h.counts {
+		cum[j] = h.counts[j].Load()
+		if j > 0 {
+			cum[j] += cum[j-1]
 		}
-		sum += math.Float64frombits(h.shards[i].sumBits.Load())
 	}
-	for j := 1; j < len(cum); j++ {
-		cum[j] += cum[j-1]
-	}
-	return cum, cum[len(cum)-1], sum
+	return cum, cum[len(cum)-1], math.Float64frombits(h.sumBits.Load())
 }
 
 // write renders the _bucket/_sum/_count series. name may carry a

@@ -80,7 +80,7 @@ func (c *Counter) write(w io.Writer, name string) error {
 }
 
 // Gauge is a settable int64 level (queue depth, active version). The
-// zero value is usable; nil ignores Set/Add.
+// zero value is usable; nil ignores Set.
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge value.
@@ -88,21 +88,6 @@ func (g *Gauge) Set(n int64) {
 	if g != nil {
 		g.v.Store(n)
 	}
-}
-
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 func (g *Gauge) write(w io.Writer, name string) error {

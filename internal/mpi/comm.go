@@ -134,9 +134,6 @@ func (c *Comm) Rank() int { return c.t.Rank() }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.t.Size() }
 
-// Machine returns the cost model in effect.
-func (c *Comm) Machine() Machine { return c.machine }
-
 // Elapsed returns this rank's virtual clock in seconds.
 func (c *Comm) Elapsed() float64 { return c.st.Clock }
 

@@ -79,9 +79,6 @@ func (in *Injector) Wrap(rank int, t mpi.Transport) mpi.Transport {
 // "kill at half the run".
 func (in *Injector) Sends() int64 { return in.sends.Load() }
 
-// Recvs is Sends for Recv calls.
-func (in *Injector) Recvs() int64 { return in.recvs.Load() }
-
 // Fired reports whether the one-shot fault has been injected.
 func (in *Injector) Fired() bool { return in.fired.Load() }
 

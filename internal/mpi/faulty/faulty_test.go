@@ -33,8 +33,8 @@ func TestCleanPlanCountsOps(t *testing.T) {
 	if in.Fired() {
 		t.Fatal("clean plan fired")
 	}
-	if in.Sends() == 0 || in.Recvs() == 0 {
-		t.Fatalf("no traffic observed: sends=%d recvs=%d", in.Sends(), in.Recvs())
+	if in.Sends() == 0 {
+		t.Fatal("no traffic observed")
 	}
 }
 

@@ -419,7 +419,7 @@ func TestMachinePresets(t *testing.T) {
 func TestElapsedAndMachineAccessors(t *testing.T) {
 	m := CrayXC30()
 	_, err := RunWorld(bg, 2, m, WorldOptions{}, func(c *Comm) error {
-		if c.Machine().Name != m.Name {
+		if c.machine.Name != m.Name {
 			return errors.New("machine accessor mismatch")
 		}
 		before := c.Elapsed()

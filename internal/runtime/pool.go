@@ -322,10 +322,6 @@ func Ranges(bounds []int, body func(lo, hi int)) {
 	defaultPool.Ranges(bounds, body)
 }
 
-// Workers reports how many persistent workers the pool has spawned so
-// far (they are created on demand, up to the largest width requested).
-func (p *Pool) Workers() int { return int(p.spawned.Load()) }
-
 // TriangleRanges partitions rows [0,n) of an upper-triangular loop
 // (row i costs ~n−i) into at most parts ranges of roughly equal pair
 // counts, returning the boundaries for Ranges. The split depends only on

@@ -218,7 +218,7 @@ func TestWorkersPersist(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.For(4, 1000, 1, func(lo, hi int) {})
 	}
-	if w := p.Workers(); w > 3 {
+	if w := p.spawned.Load(); w > 3 {
 		t.Fatalf("pool spawned %d workers for width-4 regions", w)
 	}
 }

@@ -133,7 +133,7 @@ type refitPublisher struct {
 	published int
 }
 
-func (p *refitPublisher) BatchSampled(*core.Batch) error  { return nil }
+func (p *refitPublisher) BatchSampled(*core.Batch)        {}
 func (p *refitPublisher) StepDone(*core.Batch, int, bool) {}
 func (p *refitPublisher) BeginMeasure()                   {}
 func (p *refitPublisher) EndMeasure()                     {}

@@ -214,7 +214,7 @@ func checkRefitBitwise(t *testing.T, ctx context.Context, init *Model, a *sparse
 	for _, ln := range lines {
 		v, _ := strconv.ParseUint(ln[1], 10, 64)
 		h, _ := strconv.Atoi(ln[2])
-		got, err := LoadModelFile(filepath.Join(reg.Dir(), fmt.Sprintf(modelFilePattern, v)))
+		got, err := LoadModelFile(filepath.Join(reg.dir, fmt.Sprintf(modelFilePattern, v)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func TestServeWhileRefitting(t *testing.T) {
 				}
 				// Verify against the immutable on-disk artifact of the named
 				// version: a mixed-version score cannot match it.
-				mv, err := LoadModelFile(fmt.Sprintf("%s/model-%08d.sacm", reg.Dir(), pr.ModelVersion))
+				mv, err := LoadModelFile(fmt.Sprintf("%s/model-%08d.sacm", reg.dir, pr.ModelVersion))
 				if err != nil {
 					errCh <- fmt.Errorf("client %d: version %d not on disk: %v", c, pr.ModelVersion, err)
 					return

@@ -77,9 +77,6 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return r, nil
 }
 
-// Dir returns the registry directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Current returns the serving model, or nil before the first publish.
 // The load is wait-free; the result is immutable.
 func (r *Registry) Current() *Model { return r.cur.Load() }

@@ -26,9 +26,6 @@ func TestAccessorsAndConversions(t *testing.T) {
 	if c.ColNNZ(3) != c.ColPtr[4]-c.ColPtr[3] {
 		t.Fatal("ColNNZ")
 	}
-	if mat.MaxAbsDiff(c.ToDense(), a.ToDense()) != 0 {
-		t.Fatal("CSC.ToDense mismatch")
-	}
 
 	coo := NewCOO(3, 2)
 	if m, n := coo.Dims(); m != 3 || n != 2 {
@@ -38,7 +35,7 @@ func TestAccessorsAndConversions(t *testing.T) {
 	if coo.NNZ() != 1 {
 		t.Fatal("COO.NNZ")
 	}
-	if coo.ToCSC().ToDense().At(1, 1) != 4 {
+	if coo.ToCSC().ToCSR().ToDense().At(1, 1) != 4 {
 		t.Fatal("COO.ToCSC")
 	}
 }

@@ -210,14 +210,3 @@ func (a *CSC) ToCSR() *CSR {
 	}
 	return &CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
-
-// ToDense expands to a dense matrix.
-func (a *CSC) ToDense() *mat.Dense {
-	d := mat.NewDense(a.M, a.N)
-	for j := 0; j < a.N; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			d.Set(a.RowIdx[p], j, a.Val[p])
-		}
-	}
-	return d
-}

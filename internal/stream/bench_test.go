@@ -41,8 +41,8 @@ func BenchmarkBlockPass(b *testing.B) {
 		if err := it.Err(); err != nil {
 			b.Fatal(err)
 		}
-		if nnz != ds.NNZ() {
-			b.Fatalf("pass saw %d nonzeros, want %d", nnz, ds.NNZ())
+		if nnz != ds.nnz {
+			b.Fatalf("pass saw %d nonzeros, want %d", nnz, ds.nnz)
 		}
 	}
 }

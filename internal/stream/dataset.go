@@ -122,9 +122,6 @@ func Open(dir string) (*Dataset, error) { return readManifest(dir) }
 // Dims returns (rows, columns).
 func (d *Dataset) Dims() (int, int) { return d.m, d.n }
 
-// NNZ returns the stored nonzero count.
-func (d *Dataset) NNZ() int64 { return d.nnz }
-
 // Density returns NNZ/(M·N).
 func (d *Dataset) Density() float64 {
 	if d.m == 0 || d.n == 0 {
@@ -138,9 +135,6 @@ func (d *Dataset) NumShards() int { return len(d.shards) }
 
 // BlockRows returns the rows-per-shard of the build.
 func (d *Dataset) BlockRows() int { return d.blockRows }
-
-// Dir returns the cache directory holding the shards and manifest.
-func (d *Dataset) Dir() string { return d.dir }
 
 // Layout returns the store's shard arrangement (row- or column-major).
 func (d *Dataset) Layout() Layout { return d.layout }

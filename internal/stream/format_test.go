@@ -38,8 +38,8 @@ func assertDatasetEquals(t *testing.T, ds *Dataset, a *sparse.CSR, labels []floa
 	if m, n := ds.Dims(); m != a.M || n != a.N {
 		t.Fatalf("dims %dx%d, want %dx%d", m, n, a.M, a.N)
 	}
-	if ds.NNZ() != int64(a.NNZ()) {
-		t.Fatalf("nnz %d, want %d", ds.NNZ(), a.NNZ())
+	if ds.nnz != int64(a.NNZ()) {
+		t.Fatalf("nnz %d, want %d", ds.nnz, a.NNZ())
 	}
 	for i, v := range labels {
 		if ds.B[i] != v {
@@ -112,7 +112,7 @@ func TestShardRoundTripProperties(t *testing.T) {
 				assertDatasetEquals(t, ds, a, labels)
 				// Reopen from the manifest and check again: the round
 				// trip must also survive the on-disk metadata.
-				back, err := Open(ds.Dir())
+				back, err := Open(ds.dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestV1StoreRefused(t *testing.T) {
 		ds := buildText(t, "1 1:1.5 4:-2\n-1 2:3\n", BuildOptions{})
 		defer ds.Close()
 		data := append([]byte("SACOSHv1"), make([]byte, 20)...) // rows = 0, nnz = 0, one row pointer
-		if err := os.WriteFile(shardPath(ds.Dir(), 0), data, 0o644); err != nil {
+		if err := os.WriteFile(shardPath(ds.dir, 0), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		it := ds.Blocks()
@@ -245,8 +245,8 @@ func TestV2StoreRefused(t *testing.T) {
 				path string
 				edit func([]byte) []byte
 			}{
-				{shardPath(ds.Dir(), 0), tc.shard},
-				{filepath.Join(ds.Dir(), manifestName), tc.manifest},
+				{shardPath(ds.dir, 0), tc.shard},
+				{filepath.Join(ds.dir, manifestName), tc.manifest},
 			} {
 				data, err := os.ReadFile(f.path)
 				if err != nil {
@@ -261,7 +261,7 @@ func TestV2StoreRefused(t *testing.T) {
 				t.Fatal("a retired shard was decoded")
 			}
 			assertRefused(t, it.Err(), tc.shardWants)
-			_, err := Open(ds.Dir())
+			_, err := Open(ds.dir)
 			assertRefused(t, err, tc.manifestWants)
 		})
 	}
@@ -287,7 +287,7 @@ func assertRefused(t *testing.T, err error, wants []string) {
 func TestShardBitFlipRefused(t *testing.T) {
 	for _, layout := range layouts {
 		ds := buildText(t, "1 1:1.5 4:-2\n-1 2:3\n", BuildOptions{Layout: layout})
-		path := shardPath(ds.Dir(), 0)
+		path := shardPath(ds.dir, 0)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -318,7 +318,7 @@ func TestParityStreamedConversionCounters(t *testing.T) {
 			func(f testmatrix.Form) error { _, err := core.SVM(f.Row, cls.B, svmOpts()); return err }},
 	} {
 		for _, f := range task.forms {
-			if !f.Streamed() {
+			if f.Dataset == nil {
 				continue
 			}
 			if err := task.solve(f); err != nil {

@@ -46,7 +46,7 @@ func TestSourceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mat.MaxAbsDiff(want.ToDense(), got.ToDense()) != 0 {
+		if mat.MaxAbsDiff(want.ToCSR().ToDense(), got.ToCSR().ToDense()) != 0 {
 			t.Fatalf("RowsCSC[%d,%d) differs", r[0], r[1])
 		}
 	}

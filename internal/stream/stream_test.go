@@ -41,8 +41,8 @@ func TestBuildMatchesInMemoryRead(t *testing.T) {
 	if m, n := ds.Dims(); m != a.M || n != a.N {
 		t.Fatalf("dims %dx%d, want %dx%d", m, n, a.M, a.N)
 	}
-	if ds.NNZ() != int64(a.NNZ()) {
-		t.Fatalf("nnz %d, want %d", ds.NNZ(), a.NNZ())
+	if ds.nnz != int64(a.NNZ()) {
+		t.Fatalf("nnz %d, want %d", ds.nnz, a.NNZ())
 	}
 	if ds.NumShards() != (230+31)/32 {
 		t.Fatalf("shards %d", ds.NumShards())
@@ -83,12 +83,12 @@ func TestBuildMatchesInMemoryRead(t *testing.T) {
 
 func TestOpenRoundTrip(t *testing.T) {
 	ds, a, b := buildFixture(t, 100, 30, 16)
-	back, err := Open(ds.Dir())
+	back, err := Open(ds.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, n := back.Dims(); m != a.M || n != a.N || back.NNZ() != ds.NNZ() || back.BlockRows() != 16 {
-		t.Fatalf("manifest mismatch: %dx%d nnz=%d block=%d", m, n, back.NNZ(), back.BlockRows())
+	if m, n := back.Dims(); m != a.M || n != a.N || back.nnz != ds.nnz || back.BlockRows() != 16 {
+		t.Fatalf("manifest mismatch: %dx%d nnz=%d block=%d", m, n, back.nnz, back.BlockRows())
 	}
 	for i := range b {
 		if back.B[i] != b[i] {
@@ -371,8 +371,8 @@ func TestBuildLongLine(t *testing.T) {
 	if m, nn := ds.Dims(); m != 2 || nn != n {
 		t.Fatalf("dims %dx%d", m, nn)
 	}
-	if ds.NNZ() != int64(n+1) {
-		t.Fatalf("nnz %d", ds.NNZ())
+	if ds.nnz != int64(n+1) {
+		t.Fatalf("nnz %d", ds.nnz)
 	}
 	if got := ds.Cols().ColNormSq(0); got != 5 { // 1² + 2²
 		t.Fatalf("ColNormSq(0) = %v", got)

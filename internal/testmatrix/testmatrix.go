@@ -51,9 +51,6 @@ type Form struct {
 	Dataset *stream.Dataset
 }
 
-// Streamed reports whether the form is an out-of-core store.
-func (f Form) Streamed() bool { return f.Dataset != nil }
-
 // Forms materializes every representation of (a, b): the in-memory
 // sparse pair, the dense views, and one streamed store per layout (each
 // ingested from the same LIBSVM rendering of a, with labels verified
