@@ -159,8 +159,9 @@ func (a *CSC) ColTMulVecAcc(cols []int, v []float64, dst []float64) {
 // ColTMulVecAcc it threads each entry's accumulator through consecutive
 // row blocks in row order, so Σ_blocks ColGramAcc followed by one mirror
 // is bitwise identical to the in-memory ColGram. The entries come from
-// the sparse-accumulator kernel gramAcc, which adds to dst(i,j) the
-// products of the rows columns i and j share, in ascending row order.
+// gramAcc, which links the block's sampled columns into one list per
+// row and reads each column once, adding to dst(i,j) the products of
+// the rows columns i and j share, in ascending row order.
 func (a *CSC) ColGramAcc(cols []int, dst *mat.Dense) {
 	if s := len(cols); dst.R != s || dst.C != s {
 		panic("sparse: ColGramAcc dst shape mismatch")

@@ -113,10 +113,11 @@ func (a *CSR) RowNormSq(row int) float64 {
 // RowGram computes dst = A_R·AᵀR for the row set R (|R|×|R|), the s×s Gram
 // matrix of Alg. 4 line 9 (without the γ regularization, which the solver
 // adds on the diagonal); dst must be |R|×|R| and R may repeat a row. It is
-// CSC.ColGram with rows for columns: the same sparse-accumulator kernel
-// (gramAcc) over the upper triangle from +0 accumulators, so every entry
-// has the bits of simd.MergeDot(0, row i, row j), then one mirror after
-// the parallel join.
+// CSC.ColGram with rows for columns: the same kernel (gramAcc: the rows
+// linked into one list per column, each row read once) over the upper
+// triangle from +0 accumulators, so every entry has the bits of
+// simd.MergeDot(0, row i, row j), then one mirror after the parallel
+// join.
 func (a *CSR) RowGram(rows []int, dst *mat.Dense) {
 	if s := len(rows); dst.R != s || dst.C != s {
 		panic("sparse: RowGram dst shape mismatch")

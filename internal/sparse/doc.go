@@ -20,29 +20,39 @@
 //
 // Every sparse Gram — CSC.ColGram, CSC.ColGramAcc (the streamed row-block
 // continuation), CSR.RowGram, and through it stream.RowStream.RowGram —
-// is one sparse-accumulator kernel (gram.go). For output row i it
-// scatters operand i (a sampled column or row) once into a dense
-// workspace and sets one marker bit per stored index; entry (i, j ≥ i)
-// is then a masked gather over operand j's index list: where the marker
-// is set, add vi·vj to the entry's accumulator. The operand is un-
-// scattered (its marker words cleared) before the next row.
+// is one kernel (gram.go), Gustavson's row-wise sparse product with the
+// operands linked into one list per index. A worker that owns output
+// rows [lo, hi) pushes operands hi−1 … lo onto the lists, each in
+// storage order. Just before operand i's entry (r, x) is pushed, r's
+// list holds the entries (r, v) of exactly the operands j ∈ (i, hi) that
+// store r, so walking it adds x·v to dst(i, j), and x·x goes to a
+// diagonal register. Operands past the range (other workers' rows) are
+// then scanned once each: a marker bit per index says whether r has a
+// list, and a marked index walks its whole list into column j of the
+// worker's rows. Every operand is read once per worker, and every match
+// costs one list step, so a Gram is nnz + matches instead of a merge per
+// pair.
 //
 // The result is bitwise what the pairwise definition gives — one
 // two-pointer merge dot (simd.MergeDot) per entry, which is what this
 // package computed before and what the tests keep as their oracle —
 // because the three things that fix a floating-point sum are unchanged:
-// the same matches (the indices both operands store; the marker, not a
-// zero in the value workspace, decides, so stored zeros, −0, ±Inf and NaN
-// multiply exactly as in a merge), in the same order (ascending index,
-// since operand j is walked in storage order), onto the same initial
-// accumulator (+0, or the running dst(i,j) for ColGramAcc). There is a
-// single accumulator per entry, so there is nothing to vectorize
-// without reassociating, and no variant. What changes is the work: a merge
-// walks both operands for every pair, k(k+1)/2 · (nnz_i + nnz_j) index
-// comparisons; the gather walks operand j only and compares nothing.
+// the same matches (the indices both operands store; list membership,
+// not a zero in a value workspace, decides, so stored zeros, −0, ±Inf
+// and NaN multiply exactly as in a merge), in the same order (ascending
+// index: a walk is driven by operand i's or operand j's storage order,
+// and both lists are sorted), onto the same initial accumulator (+0, or
+// the running dst(i,j) for ColGramAcc). The products are vi·vj, left
+// operand first. There is a single accumulator per entry, so there is
+// nothing to vectorize without reassociating, and no variant.
 //
-// Workspaces (8 bytes + 1 bit per index) come from a process-wide free
-// list, one per concurrent Gram worker, never from the matrix: HOGWILD
-// workers and pool workers assemble Grams on one shared *CSC at once.
-// After the first call a Gram allocates nothing.
+// Workspaces come from a process-wide free list, one per concurrent
+// Gram worker, never from the matrix: HOGWILD workers and pool workers
+// assemble Grams on one shared *CSC at once. One costs 4 bytes + 1 bit
+// per index (list heads and markers) plus 16 bytes per scattered entry
+// (int32 link, int32 operand slot, float64 value); it grows to the
+// largest batch seen and never shrinks, and after the first call a Gram
+// allocates nothing. The links are int32, so a worker's operands may
+// store at most 2³¹−1 entries; a larger batch panics before it scatters
+// anything, and so does an index outside [0, dim).
 package sparse

@@ -14,7 +14,7 @@ import (
 	"saco/internal/simd"
 )
 
-// The pairwise definition the sparse-accumulator kernel replaced, kept
+// The pairwise definition the Gram kernel replaced, kept
 // as the test oracle: entry (i, j ≥ i) continues dst(i,j) with one
 // two-pointer merge dot of operands sel[i] and sel[j].
 func oracleGramAcc(ptr, idx []int, val []float64, sel []int, dst *mat.Dense) {
@@ -198,16 +198,19 @@ func drainGramFree() []*gramWorkspace {
 	}
 }
 
-// TestGramWorkspaceBoundaries drives one recycled workspace through the
-// edges of its index arithmetic: no operands, one operand, empty
-// operands, repeated operands, entries on both sides of every marker
-// word boundary, and matrices of shrinking and growing dimension in one
-// sequence. After every call the result matches the oracle and the
-// workspace is back on the free list with every marker bit clear.
+// TestGramWorkspaceBoundaries drives recycled workspaces through the
+// edges of their index arithmetic: no operands, one operand, empty
+// operands, repeated operands, the longest possible index list, entries
+// on both sides of every marker word boundary, and matrices of
+// shrinking and growing dimension in one sequence. The table runs
+// sequentially and then on a 3-worker view, where each worker scans the
+// operands past its own range through the marker bits. After every call
+// the result matches the oracle and the workspaces are back on the free
+// list with every head entry 0 and every marker bit clear.
 func TestGramWorkspaceBoundaries(t *testing.T) {
 	// build makes a one-column-per-argument CSC over dim rows from
-	// explicit row lists; values are distinct so a stale val entry that
-	// leaked through the marker would change the result.
+	// explicit row lists; values are distinct so a stale entry that
+	// leaked into a list would change the result.
 	build := func(dim int, cols ...[]int) *CSC {
 		a := &CSC{M: dim, N: len(cols), ColPtr: []int{0}}
 		for _, rows := range cols {
@@ -231,72 +234,121 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 		a    *CSC
 		sel  []int
 	}{
-		{"large first: sizes the workspace", build(1000, all(1000), []int{0, 63, 64, 127, 128, 999}), []int{0, 1, 0}},
+		{"large first: sizes the workspace", build(1000, all(1000), []int{0, 63, 64, 127, 128, 999}), []int{0, 1, 0, 1}},
 		{"no operands", build(8, []int{1, 2}), []int{}},
 		{"one operand", build(8, []int{1, 2}), []int{0}},
 		{"one empty operand", build(8, nil), []int{0}},
 		{"empty among full", build(8, nil, all(8), nil, []int{7}), []int{0, 1, 2, 3, 1, 0}},
+		{"empty operand inside a range", build(8, all(8), nil, []int{1, 5}, []int{5}),
+			[]int{0, 2, 3, 0, 2, 1, 1, 3, 1}},
 		{"same operand three times", build(8, []int{0, 3, 7}), []int{0, 0, 0}},
-		{"zero-row matrix", build(0, nil, nil), []int{0, 1}},
-		{"dim 1", build(1, []int{0}, nil), []int{0, 1, 0}},
-		{"dim 63: last bit below a word edge", build(63, []int{0, 62}, []int{62}), []int{0, 1}},
-		{"dim 64: last bit of word 0", build(64, []int{0, 63}, []int{63}), []int{0, 1}},
-		{"dim 65: first bit of word 1", build(65, []int{63, 64}, []int{0, 64}, []int{63}), []int{0, 1, 2}},
-		{"dim 128/129 edge", build(129, []int{127, 128}, []int{64, 127}, []int{128}), []int{2, 1, 0}},
-		{"shrunk far below the workspace", build(3, []int{0, 2}, []int{1}), []int{0, 1, 0}},
-		{"grown past the workspace", build(5000, all(5000), []int{999, 1000, 4999}), []int{1, 0, 1}},
-		{"shrunk again after growth", build(70, []int{5, 69}, []int{69}), []int{0, 1}},
+		{"same operand four times", build(8, []int{0, 3, 7}), []int{0, 0, 0, 0}},
+		{"one index stored by every operand", build(8, []int{3}, []int{0, 3}, []int{3, 7}, []int{2, 3, 4}, []int{3}),
+			[]int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 4}},
+		{"one operand at both ends", build(70, []int{0, 64, 69}, []int{64}, []int{1, 69}, nil), []int{0, 1, 2, 3, 1, 2, 0}},
+		{"zero-row matrix", build(0, nil, nil), []int{0, 1, 1, 0}},
+		{"dim 1", build(1, []int{0}, nil), []int{0, 1, 0, 0}},
+		{"dim 63: last bit below a word edge", build(63, []int{0, 62}, []int{62}), []int{0, 1, 1, 0}},
+		{"dim 64: last bit of word 0", build(64, []int{0, 63}, []int{63}), []int{0, 1, 0, 1}},
+		{"dim 65: first bit of word 1", build(65, []int{63, 64}, []int{0, 64}, []int{63}), []int{0, 1, 2, 1}},
+		{"dim 128/129 edge", build(129, []int{127, 128}, []int{64, 127}, []int{128}), []int{2, 1, 0, 2}},
+		{"shrunk far below the workspace", build(3, []int{0, 2}, []int{1}), []int{0, 1, 0, 1}},
+		{"grown past the workspace", build(5000, all(5000), []int{999, 1000, 4999}), []int{1, 0, 1, 0}},
+		{"shrunk again after growth", build(70, []int{5, 69}, []int{69}), []int{0, 1, 1}},
 	}
-	drainGramFree() // start from a workspace this test owns
-	for _, tc := range cases {
-		want := oracleGram(tc.a.ColPtr, tc.a.RowIdx, tc.a.Val, tc.sel)
-		got := mat.NewDense(len(tc.sel), len(tc.sel))
-		tc.a.ColGram(tc.sel, got)
-		sameBits(t, tc.name+" ColGram", got, want)
-		asRows(tc.a).RowGram(tc.sel, got)
-		sameBits(t, tc.name+" RowGram", got, want)
+	for _, workers := range []int{1, 3} {
+		drainGramFree() // start from workspaces this test owns
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s, %d workers", tc.name, workers)
+			want := oracleGram(tc.a.ColPtr, tc.a.RowIdx, tc.a.Val, tc.sel)
+			got := mat.NewDense(len(tc.sel), len(tc.sel))
+			tc.a.WithKernelWorkers(workers).(*CSC).ColGram(tc.sel, got)
+			sameBits(t, name+" ColGram", got, want)
+			asRows(tc.a).WithKernelWorkers(workers).(*CSR).RowGram(tc.sel, got)
+			sameBits(t, name+" RowGram", got, want)
 
-		ws := drainGramFree()
-		if len(ws) != 1 {
-			t.Fatalf("%s: %d workspaces on the free list after sequential calls, want 1", tc.name, len(ws))
-		}
-		if len(ws[0].val) < tc.a.M || 64*len(ws[0].has) < tc.a.M {
-			t.Fatalf("%s: workspace covers %d values / %d marker bits, matrix has %d indices",
-				tc.name, len(ws[0].val), 64*len(ws[0].has), tc.a.M)
-		}
-		for i, word := range ws[0].has {
-			if word != 0 {
-				t.Fatalf("%s: marker word %d = %#x after the call, want all clear", tc.name, i, word)
+			ws := drainGramFree()
+			if len(ws) < 1 || len(ws) > workers {
+				t.Fatalf("%s: %d workspaces on the free list, want 1 to %d", name, len(ws), workers)
+			}
+			if workers == 1 && (len(ws[0].head) < tc.a.M || 64*len(ws[0].has) < tc.a.M) {
+				t.Fatalf("%s: workspace covers %d heads / %d marker bits, matrix has %d indices",
+					name, len(ws[0].head), 64*len(ws[0].has), tc.a.M)
+			}
+			for _, w := range ws {
+				for r, h := range w.head {
+					if h != 0 {
+						t.Fatalf("%s: head[%d] = %d after the call, want 0", name, r, h)
+					}
+				}
+				for i, word := range w.has {
+					if word != 0 {
+						t.Fatalf("%s: marker word %d = %#x after the call, want all clear", name, i, word)
+					}
+				}
+				putGramWorkspace(w)
 			}
 		}
-		putGramWorkspace(ws[0])
 	}
 }
 
 // TestGramPanicDoesNotRecycleDirtyWorkspace: a matrix built by struct
-// literal can carry an index beyond its dimension; the kernel panics on
-// it, and the half-scattered workspace must not reach the free list,
-// where it would hand the next caller stale marker bits.
+// literal can carry an index beyond its dimension. The kernel panics on
+// it whatever the free list holds — also when a recycled workspace is
+// long enough to take the index — and the half-scattered workspace must
+// not reach the free list, where it would hand the next caller stale
+// lists and marker bits.
 func TestGramPanicDoesNotRecycleDirtyWorkspace(t *testing.T) {
-	drainGramFree()
 	good := &CSC{M: 4, N: 1, ColPtr: []int{0, 2}, RowIdx: []int{0, 3}, Val: []float64{1, 2}}
-	bad := &CSC{M: 4, N: 1, ColPtr: []int{0, 2}, RowIdx: []int{1, 4000}, Val: []float64{1, 2}}
-	dst := mat.NewDense(1, 1)
-	good.ColGram([]int{0}, dst) // one clean 4-index workspace on the list
+	bad := &CSC{M: 4, N: 2, ColPtr: []int{0, 2, 3}, RowIdx: []int{1, 4000, 4000}, Val: []float64{1, 2, 3}}
+	big := spikyCSC(rand.New(rand.NewSource(65)), 8000, 3, 0.01, 0)
+	for _, history := range []struct {
+		name  string
+		setup func()
+	}{
+		{"small workspace recycled", func() { good.ColGram([]int{0}, mat.NewDense(1, 1)) }},
+		{"8000-index workspace recycled", func() { big.ColGram([]int{0, 1, 2}, mat.NewDense(3, 3)) }},
+	} {
+		drainGramFree()
+		history.setup() // one clean workspace on the list
+		dst := mat.NewDense(2, 2)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: ColGram accepted row index 4000 of a 4-row matrix, got %v", history.name, dst.Data)
+				}
+			}()
+			bad.ColGram([]int{0, 1}, dst)
+		}()
+		if ws := drainGramFree(); len(ws) != 0 {
+			t.Fatalf("%s: %d workspaces recycled after a panic mid-scatter, want 0", history.name, len(ws))
+		}
+		one := mat.NewDense(1, 1)
+		good.ColGram([]int{0}, one)
+		if one.At(0, 0) != 5 {
+			t.Fatalf("%s: ColGram after the panic = %v, want 5", history.name, one.At(0, 0))
+		}
+	}
+}
+
+// TestGramEntryLimit: the workspace links are int32, so a batch whose
+// operands store 2³¹ entries panics before it takes a workspace or
+// scatters anything. The operand pointers alone decide; no index array
+// of that size is needed.
+func TestGramEntryLimit(t *testing.T) {
+	drainGramFree()
+	putGramWorkspace(getGramWorkspace(8, 8))
+	ptr := []int{0, 1 << 30}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("ColGram accepted a row index beyond M")
+				t.Fatal("gramAcc accepted 2^31 entries")
 			}
 		}()
-		bad.ColGram([]int{0}, dst)
+		gramAcc(1, 8, ptr, nil, nil, []int{0, 0}, mat.NewDense(2, 2))
 	}()
-	if ws := drainGramFree(); len(ws) != 0 {
-		t.Fatalf("%d workspaces recycled after a panic mid-scatter, want 0", len(ws))
-	}
-	good.ColGram([]int{0}, dst)
-	if dst.At(0, 0) != 5 {
-		t.Fatalf("ColGram after the panic = %v, want 5", dst.At(0, 0))
+	if ws := drainGramFree(); len(ws) != 1 {
+		t.Fatalf("%d workspaces on the free list after the refused batch, want the 1 it held", len(ws))
 	}
 }
 
@@ -415,10 +467,10 @@ func gramFuzzCase(data []byte) (a *CSC, sel []int, cut int) {
 	return a, sel, cut
 }
 
-// FuzzGram holds ColGram, RowGram and the two-block ColGramAcc sum to
-// the pairwise-merge oracle on arbitrary sparsity patterns and value
-// bits — NaNs, infinities, denormals and −0 come free with byte-level
-// mutation.
+// FuzzGram holds ColGram, RowGram (sequential and on 2- and 3-worker
+// views) and the two-block ColGramAcc sum to the pairwise-merge oracle
+// on arbitrary sparsity patterns and value bits — NaNs, infinities,
+// denormals and −0 come free with byte-level mutation.
 func FuzzGram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 70, 5, 64, 0, 1, 2, 1, 0})
@@ -435,10 +487,12 @@ func FuzzGram(f *testing.F) {
 		}
 		want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
 		got := mat.NewDense(len(sel), len(sel))
-		a.ColGram(sel, got)
-		sameBits(t, "ColGram", got, want)
-		asRows(a).RowGram(sel, got)
-		sameBits(t, "RowGram", got, want)
+		for _, w := range []int{1, 2, 3} {
+			a.WithKernelWorkers(w).(*CSC).ColGram(sel, got)
+			sameBits(t, fmt.Sprintf("ColGram, %d workers", w), got, want)
+			asRows(a).WithKernelWorkers(w).(*CSR).RowGram(sel, got)
+			sameBits(t, fmt.Sprintf("RowGram, %d workers", w), got, want)
+		}
 		sameBits(t, "ColGramAcc over two row blocks", blockGram(splitRows(a, []int{0, cut, a.M}), sel), want)
 	})
 }

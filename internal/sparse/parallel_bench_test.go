@@ -50,17 +50,22 @@ func benchCSC(rng *rand.Rand, m, n, perCol int) *CSC {
 	return &CSC{M: m, N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
-// gramSizes are the sequential Gram shapes a workspace-layout change
-// answers to: the repo benchmark's own problem (16384 indices, 82 per
-// operand) at the s=1 block (k=8) and the s=16 batch (k=128), and the
-// same batch over 4 M indices, where the workspace is far out of cache.
+// gramSizes are the sequential Gram shapes a kernel change answers to:
+// the repo benchmark's Lasso problem (16384 indices, 82 per operand) at
+// the s=1 block (k=8), two intermediate batches and the s=16 batch
+// (k=128); the same batch over 4 M indices, where the workspace is far
+// out of cache; and the SVM problem's s=64 batch (8192 indices, 41 per
+// operand).
 var gramSizes = []struct {
 	name        string
 	dim, k, nnz int
 }{
 	{"k=8", 16384, 8, 82},
+	{"k=16", 16384, 16, 82},
+	{"k=32", 16384, 32, 82},
 	{"k=128", 16384, 128, 82},
 	{"k=128/rows=4M", 4 << 20, 128, 82},
+	{"k=64/svm", 8192, 64, 41},
 }
 
 // BenchmarkGram measures the batched sµ×sµ Gram assembly G = YᵀY of the
