@@ -23,7 +23,7 @@ type Problem struct {
 	P       int     // processors
 }
 
-// logP returns ⌈log₂P⌉, the round count of the binomial-tree collectives.
+// logP returns ⌈log₂P⌉, the round count of recursive-doubling Allreduce.
 func (pb Problem) logP() float64 {
 	if pb.P <= 1 {
 		return 0
@@ -67,16 +67,23 @@ func (pb Problem) MemoryWords() float64 {
 }
 
 // LatencyMessages returns the number of messages on the critical path:
-// L = O(H/s · logP), counting the two binomial trees of each Allreduce.
+// L = H/s · ⌈log₂P⌉, one exchange per recursive-doubling round of each
+// Allreduce. At power-of-two P that is the message DAG exactly. At other
+// P the short upper half of a round (m ranks facing d lower ones) sends
+// each of its blocks to ⌈d/m⌉ lower ranks one after another, so the DAG's
+// critical path carries up to ⌈d/m⌉ − 1 more messages in that round: one
+// more per Allreduce at P = 768 = 3·256 (m = 256, d = 512), and 2^k − 1
+// more at P = 2^k + 1. The closed form leaves that excess out.
 func (pb Problem) LatencyMessages() float64 {
-	return pb.outerIters() * 2 * pb.logP()
+	return pb.outerIters() * pb.logP()
 }
 
 // BandwidthWords returns the words moved on the critical path:
 // W = O(H·s·µ² · logP) — each of the H/s reductions moves the s²µ² Gram
-// words through 2·logP rounds.
+// words through ⌈log₂P⌉ rounds (with the same fan-out excess as
+// LatencyMessages at non-power-of-two P).
 func (pb Problem) BandwidthWords() float64 {
-	return pb.outerIters() * pb.gramWords() * 2 * pb.logP()
+	return pb.outerIters() * pb.gramWords() * pb.logP()
 }
 
 // Time returns the modeled running time on machine mc: F·γ + L·α + W·β.

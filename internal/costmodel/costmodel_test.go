@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,38 @@ func TestBandwidthGrowsWithS(t *testing.T) {
 			t.Fatalf("s=%d: bandwidth %v did not grow from %v", s, got, prev)
 		}
 		prev = got
+	}
+}
+
+// TestClosedFormMatchesAllreduceDAG: a world running only the H/s Gram
+// Allreduces charges rank 0 exactly the closed-form communication time at
+// power-of-two P. The combines' γ·W per round is computation, not
+// communication.
+func TestClosedFormMatchesAllreduceDAG(t *testing.T) {
+	mc := mpi.CrayXC30()
+	for _, p := range []int{2, 4, 8, 16} {
+		pb := Problem{M: 1000, N: 500, Density: 0.01, Mu: 4, H: 50, S: 8, P: p}
+		words, calls := int(pb.gramWords()), int(pb.outerIters())
+		stats, err := mpi.RunWorld(context.Background(), p, mc, mpi.WorldOptions{}, func(c *mpi.Comm) error {
+			data := make([]float64, words)
+			for range calls {
+				if err := c.Allreduce(mpi.Sum, data); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := stats.PerRank[0].CommTime, pb.CommTime(mc)
+		if math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("p=%d: DAG comm time %v, closed form %v", p, got, want)
+		}
+		comp := float64(calls) * pb.logP() * float64(words) * mc.GammaStream
+		if got := stats.PerRank[0].CompTime; math.Abs(got-comp) > 1e-12*comp {
+			t.Fatalf("p=%d: combine time %v, want γ·W per round = %v", p, got, comp)
+		}
 	}
 }
 

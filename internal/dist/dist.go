@@ -1,5 +1,5 @@
 // Package dist runs the paper's distributed solvers over the transports
-// of internal/mpi: the simulated cluster (goroutine ranks, binomial-tree
+// of internal/mpi: the simulated cluster (goroutine ranks, recursive-doubling
 // collectives and an α-β-γ cost model standing in for the Cray XC30 of
 // the evaluation) or a real TCP mesh (Options.Transport; cmd/sarank runs
 // one rank per process). Both modes run identical message DAGs, so
@@ -76,7 +76,7 @@ type Options struct {
 	// Machine is the α-β-γ cost model; the zero value defaults to the
 	// paper's Cray XC30.
 	Machine mpi.Machine
-	// RSAGAllreduce swaps the binomial-tree Allreduce for Rabenseifner's
+	// RSAGAllreduce swaps the recursive-doubling Allreduce for Rabenseifner's
 	// bandwidth-optimal reduce-scatter/allgather.
 	RSAGAllreduce bool
 	// RankWorkers is the per-rank core budget for hybrid rank×thread

@@ -30,14 +30,13 @@ func (o Op) combine(dst, src []float64) {
 
 // Collective tags combine a per-rank sequence number with the collective
 // kind (tag = -(8·seq + kind)) so that a mismatched program — one rank in
-// a Bcast while another is in a Reduce — fails with a tagged error
+// an Allreduce while another is in a Barrier — fails with a tagged error
 // instead of exchanging wrong data. SPMD programs execute the same
 // collective sequence on every rank, keeping the counters aligned.
 // Negative tags keep the collective namespace disjoint from user
 // point-to-point tags (>= 0).
 const (
-	kindReduce = iota
-	kindBcast
+	kindAllreduce = iota
 	kindBarrier
 )
 
@@ -46,94 +45,74 @@ func (c *Comm) collTag(kind int) int {
 	return -(c.seq*8 + kind)
 }
 
-// Reduce combines data from all ranks with op, leaving the result in data
-// on root. Non-root ranks' buffers hold partial combines afterwards and
-// must be treated as scratch. Binomial tree: ⌈log₂P⌉ rounds, each moving
-// len(data) words, so the latency per call is O(log P) — the L term of
-// Table I. A failed peer aborts with a *PeerError; the partially combined
-// buffer must then be discarded.
-func (c *Comm) Reduce(root int, op Op, data []float64) error {
+// Allreduce combines data across ranks with op and leaves the identical
+// result on every rank — the property the solvers rely on to keep
+// replicated vectors consistent (Fig. 1 step 4: "Sum reduce dot-products
+// and replicate on all processors").
+//
+// Recursive doubling: ⌈log₂P⌉ rounds, each one exchange of len(data)
+// words, so the latency per call is ⌈log₂P⌉·α — the L term of Table I.
+// In round d = 1, 2, 4, … rank r's group is [base, base+2d) ∩ [0, P)
+// with base = r &^ (2d−1): its lower half holds the combine of
+// [base, base+d), its upper half, m = min(base+2d, P) − (base+d) ranks,
+// that of [base+d, base+2d). Lower rank l receives from upper rank
+// base+d + (l−base) mod m and upper rank u from u−d; both then make the
+// same call, combine(lower, upper). At power-of-two P that is the
+// butterfly; at other P a short upper half fans out to the lower ranks
+// without an XOR partner (the excess messages costmodel documents). Every
+// combine is the binomial reduce-to-rank-0 tree's ([v, v+d) ⊕ [v+d, v+2d),
+// lower block on the left), so each rank ends with the bits that tree
+// leaves on its root, NaN payloads and signed zeros included. A failed
+// peer aborts with a *PeerError; data must then be discarded.
+func (c *Comm) Allreduce(op Op, data []float64) error {
 	p, r := c.Size(), c.Rank()
 	if p == 1 {
 		return nil
 	}
-	tag := c.collTag(kindReduce)
-	// Rotate so the algorithm always reduces to virtual rank 0.
-	vr := (r - root + p) % p
-	for dist := 1; dist < p; dist <<= 1 {
-		if vr&dist != 0 {
-			dst := ((vr - dist) + root) % p
-			return c.Send(dst, tag, data)
+	tag := c.collTag(kindAllreduce)
+	for d := 1; d < p; d <<= 1 {
+		base := r &^ (2*d - 1)
+		m := min(base+2*d, p) - (base + d)
+		if m <= 0 {
+			continue // no upper half: the tree has no combine here either
 		}
-		if vr+dist < p {
-			src := ((vr + dist) + root) % p
-			in, err := c.Recv(src, tag)
-			if err != nil {
-				return err
-			}
-			c.Compute(float64(len(data))) // combine cost: one op per word
-			op.combine(data, in)
-		}
-	}
-	return nil
-}
-
-// Bcast sends root's data to all ranks, in place. Binomial tree, ⌈log₂P⌉
-// rounds.
-func (c *Comm) Bcast(root int, data []float64) error {
-	p, r := c.Size(), c.Rank()
-	if p == 1 {
-		return nil
-	}
-	tag := c.collTag(kindBcast)
-	vr := (r - root + p) % p
-	// Find the top of the power-of-two range covering p.
-	top := 1
-	for top < p {
-		top <<= 1
-	}
-	// Receive once from the parent, then forward down the tree.
-	recvd := vr == 0
-	for dist := top >> 1; dist >= 1; dist >>= 1 {
-		if !recvd && vr&dist != 0 {
-			if vr&(dist-1) == 0 { // it is our turn this round
-				src := ((vr - dist) + root) % p
-				in, err := c.Recv(src, tag)
-				if err != nil {
+		// Every send of a round precedes its receive: the transport owns
+		// the payload once Send returns, so no partner waits to send.
+		lower := r < base+d
+		src := r - d
+		if lower {
+			src = base + d + (r-base)%m
+			if r+d < p {
+				if err := c.Send(r+d, tag, data); err != nil {
 					return err
 				}
-				copy(data, in)
-				recvd = true
 			}
-			continue
+		} else {
+			for l := r - d; l < base+d; l += m {
+				if err := c.Send(l, tag, data); err != nil {
+					return err
+				}
+			}
 		}
-		if recvd && vr&(dist-1) == 0 && vr+dist < p {
-			dst := ((vr + dist) + root) % p
-			if err := c.Send(dst, tag, data); err != nil {
-				return err
-			}
+		in, err := c.Recv(src, tag)
+		if err != nil {
+			return err
+		}
+		// Both partners make the same call, combine(lower, upper): a
+		// flipped loop may round a NaN payload or a signed zero the other
+		// way. An upper rank combines into the received payload, which is
+		// its own until the next Recv from src, and copies the result out.
+		dst, add := data, in
+		if !lower {
+			dst, add = in, data
+		}
+		c.Compute(float64(len(data))) // combine cost: one op per word
+		op.combine(dst, add)
+		if !lower {
+			copy(data, in)
 		}
 	}
 	return nil
-}
-
-// Allreduce combines data across ranks with op and leaves the identical
-// result on every rank. It is implemented as Reduce to rank 0 followed by
-// Bcast, which guarantees bitwise-identical results on all ranks — the
-// property the solvers rely on to keep replicated vectors consistent
-// (Fig. 1 step 4: "Sum reduce dot-products and replicate on all
-// processors").
-func (c *Comm) Allreduce(op Op, data []float64) error {
-	if c.Size() == 1 {
-		return nil
-	}
-	// Reduce leaves partial combines in non-root buffers, but the Bcast
-	// overwrites them with the root's result, so data can be reduced in
-	// place.
-	if err := c.Reduce(0, op, data); err != nil {
-		return err
-	}
-	return c.Bcast(0, data)
 }
 
 // AllreduceScalar is Allreduce for a single value, returning the result.

@@ -5,89 +5,20 @@ import (
 	"testing"
 )
 
-// Non-power-of-two rank counts are where tree collectives break: the
-// binomial trees handle a ragged top level, and Rabenseifner's allreduce
-// folds the p − 2^⌊log₂p⌋ extra ranks into partners in a pre/post phase.
-// These tests pin that machinery at the awkward counts (3, 5, 6, 7, 9,
-// 11, 12, 13) with data sizes straddling the algorithms' internal
-// boundaries — and run every case over both transports (the simulated
-// world and the loopback TCP mesh), which is the collective-level half
-// of the sim/TCP parity contract.
+// Non-power-of-two rank counts are where tree collectives break:
+// recursive doubling fans a short upper half out to the lower ranks
+// without an XOR partner, and Rabenseifner's allreduce folds the
+// p − 2^⌊log₂p⌋ extra ranks into partners in a pre/post phase. These
+// tests pin that machinery at the awkward counts (3, 5, 6, 7, 9, 11, 12,
+// 13) with data sizes straddling the algorithms' internal boundaries —
+// and run every case over both transports (the simulated world and the
+// loopback TCP mesh), which is the collective-level half of the sim/TCP
+// parity contract. TestAllreduceMatchesBinomialOracle pins Allreduce's
+// bits at every P up to 17.
 
 // nonPow2Ps are rank counts with every "shape" of raggedness: one above
 // a power of two (5, 9), one below (3, 7), and composites (6, 12).
 var nonPow2Ps = []int{3, 5, 6, 7, 9, 11, 12, 13}
-
-// TestReduceNonPow2AllRoots: binomial reduce must deliver the exact sum
-// to every possible root at ragged rank counts (the virtual-rank
-// rotation is where off-by-ones would hide).
-func TestReduceNonPow2AllRoots(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			for _, p := range nonPow2Ps {
-				for root := 0; root < p; root++ {
-					_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
-						data := []float64{float64(c.Rank() + 1), float64((c.Rank() + 1) * (c.Rank() + 1))}
-						if err := c.Reduce(root, Sum, data); err != nil {
-							return err
-						}
-						if c.Rank() == root {
-							wantA := float64(p*(p+1)) / 2
-							wantB := float64(p*(p+1)*(2*p+1)) / 6
-							if data[0] != wantA || data[1] != wantB {
-								return fmt.Errorf("root %d/%d got %v, want [%v %v]", root, p, data, wantA, wantB)
-							}
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatalf("p=%d root=%d: %v", p, root, err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBcastNonPow2LastRootChain: broadcasting from the last rank at
-// ragged counts exercises the deepest wrap-around of the virtual-rank
-// mapping.
-func TestBcastNonPow2LastRootChain(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			for _, p := range nonPow2Ps {
-				root := p - 1
-				_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
-					data := make([]float64, 7)
-					if c.Rank() == root {
-						for i := range data {
-							data[i] = float64(1000 + i)
-						}
-					}
-					if err := c.Bcast(root, data); err != nil {
-						return err
-					}
-					for i := range data {
-						if data[i] != float64(1000+i) {
-							return fmt.Errorf("rank %d/%d got %v", c.Rank(), p, data)
-						}
-					}
-					// A second, dependent collective catches sequence-number skew
-					// left behind by a ragged first one.
-					if got, err := c.AllreduceScalar(Sum, 1); err != nil {
-						return err
-					} else if got != float64(p) {
-						return fmt.Errorf("follow-up allreduce got %v", got)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("p=%d: %v", p, err)
-				}
-			}
-		})
-	}
-}
 
 // TestAllreduceRSAGNonPow2Boundaries drives Rabenseifner's allreduce
 // through its fold-in pre/post phase at ragged counts, with message
@@ -171,25 +102,30 @@ func TestAllreduceRSAGNonPow2FoldedRanksCharged(t *testing.T) {
 }
 
 // TestMixedCollectiveSequenceNonPow2 runs a solver-shaped sequence —
-// reduce, bcast, allreduce, barrier — at ragged counts to catch
-// tag/sequence skew between collectives of different shapes.
+// allreduce, Rabenseifner's allreduce, a scalar max, barrier — at ragged
+// counts to catch tag/sequence skew between collectives of different
+// shapes.
 func TestMixedCollectiveSequenceNonPow2(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			for _, p := range nonPow2Ps {
 				_, err := RunWorld(bg, p, Machine{}, tr.opt, func(c *Comm) error {
 					v := []float64{1}
-					if err := c.Reduce(p/2, Sum, v); err != nil {
-						return err
-					}
-					if c.Rank() == p/2 && v[0] != float64(p) {
-						return fmt.Errorf("reduce got %v", v[0])
-					}
-					if err := c.Bcast(p/2, v); err != nil {
+					if err := c.Allreduce(Sum, v); err != nil {
 						return err
 					}
 					if v[0] != float64(p) {
-						return fmt.Errorf("bcast got %v", v[0])
+						return fmt.Errorf("allreduce got %v", v[0])
+					}
+					w := make([]float64, p)
+					w[c.Rank()] = 1
+					if err := c.AllreduceRSAG(Sum, w); err != nil {
+						return err
+					}
+					for i, x := range w {
+						if x != 1 {
+							return fmt.Errorf("rsag got %v at %d", x, i)
+						}
 					}
 					if got, err := c.AllreduceScalar(Max, float64(c.Rank())); err != nil {
 						return err

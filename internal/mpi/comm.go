@@ -5,7 +5,8 @@
 // process with real parallelism and real synchronization costs) and a
 // length-prefixed TCP mesh that runs the same SPMD programs across real
 // processes and machines (see transportTCP, DialTCP, cmd/sarank). The
-// collectives are binomial trees written once against Comm, so both
+// collectives (recursive-doubling Allreduce, Rabenseifner's allreduce, a
+// dissemination barrier) are written once against Comm, so both
 // transports execute identical message DAGs and deterministic programs
 // produce bitwise-identical trajectories on either.
 //

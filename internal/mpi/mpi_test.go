@@ -163,49 +163,6 @@ func TestAllreduceScalar(t *testing.T) {
 	}
 }
 
-func TestBcastFromEveryRoot(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 6, 8} {
-		for root := 0; root < p; root++ {
-			_, err := RunWorld(bg, p, Machine{}, WorldOptions{}, func(c *Comm) error {
-				data := make([]float64, 4)
-				if c.Rank() == root {
-					for i := range data {
-						data[i] = float64(100*root + i)
-					}
-				}
-				c.Bcast(root, data)
-				for i := range data {
-					if data[i] != float64(100*root+i) {
-						return fmt.Errorf("rank %d got %v", c.Rank(), data)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
-func TestReduceToEveryRoot(t *testing.T) {
-	for _, p := range []int{2, 3, 5, 8} {
-		for root := 0; root < p; root++ {
-			_, err := RunWorld(bg, p, Machine{}, WorldOptions{}, func(c *Comm) error {
-				data := []float64{1}
-				c.Reduce(root, Sum, data)
-				if c.Rank() == root && data[0] != float64(p) {
-					return fmt.Errorf("root got %v, want %d", data[0], p)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
 func TestBarrierNoDeadlockAndOrdering(t *testing.T) {
 	// Ranks do asymmetric pre-barrier work; the barrier must still match.
 	_, err := RunWorld(bg, 8, CrayXC30(), WorldOptions{}, func(c *Comm) error {
@@ -318,24 +275,34 @@ func TestAllreduceLatencyScalesLogP(t *testing.T) {
 		return stats.MaxClock()
 	}
 	c4, c16 := clock(4), clock(16)
-	// Binomial reduce+bcast: ~2·log₂P rounds of α. Doubling log₂P from 2
-	// to 4 should roughly double the modeled time, certainly not 4x.
+	// Recursive doubling: log₂P rounds of α. Doubling log₂P from 2 to 4
+	// should roughly double the modeled time, certainly not 4x.
 	if ratio := c16 / c4; ratio < 1.5 || ratio > 3.0 {
 		t.Fatalf("latency ratio p16/p4 = %v, want about 2", ratio)
 	}
 }
 
+// TestAllreduceMessageCount pins recursive doubling's message DAG:
+// P·log₂P messages at a power of two (every rank sends once per round),
+// and at other P one per lower rank with an upper partner plus the
+// upper half's fan-out to every lower rank.
 func TestAllreduceMessageCount(t *testing.T) {
-	stats, err := RunWorld(bg, 8, Machine{}, WorldOptions{}, func(c *Comm) error {
-		c.Allreduce(Sum, []float64{1})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Binomial reduce: 7 messages; binomial bcast: 7 messages.
-	if got := stats.TotalMsgs(); got != 14 {
-		t.Fatalf("msgs = %d, want 14", got)
+	for _, tc := range []struct{ p, want int }{
+		{2, 2},
+		{3, 5},  // 0↔1, then 0→2 and 2→{0,1}
+		{5, 13}, // two butterfly rounds of 4, then 0→4 and 4→{0,1,2,3}
+		{6, 16}, // 6 + 4, then 0→4, 1→5 and 4→{0,2}, 5→{1,3}
+		{8, 24},
+	} {
+		stats, err := RunWorld(bg, tc.p, Machine{}, WorldOptions{}, func(c *Comm) error {
+			return c.Allreduce(Sum, []float64{1})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.TotalMsgs(); got != int64(tc.want) {
+			t.Fatalf("p=%d: msgs = %d, want %d", tc.p, got, tc.want)
+		}
 	}
 }
 

@@ -6,17 +6,18 @@ package mpi
 //
 //	2·α·log₂P + 2·β·W·(P−1)/P
 //
-// versus the binomial Reduce+Bcast's 2·log₂P·(α + β·W): the same latency
-// but a log₂P-fold smaller bandwidth term. That matters precisely for the
-// synchronization-avoiding solvers, whose batched Gram messages grow as
-// s²µ² — pairing SA with a bandwidth-optimal reduction pushes the optimal
-// s higher. It is exposed as an explicit choice (dist.Options) and
+// versus recursive doubling's ⌈log₂P⌉·(α + β·W): twice the latency, so
+// it is ahead only on bandwidth, at P ≥ 4, where its β term is
+// 2(P−1)/(P·log₂P) of recursive doubling's. That matters precisely for
+// the synchronization-avoiding solvers, whose batched Gram messages grow
+// as s²µ² — pairing SA with a bandwidth-optimal reduction pushes the
+// optimal s higher. It is exposed as an explicit choice (dist.Options) and
 // benchmarked as an ablation rather than silently auto-selected, so
 // experiment costs stay attributable.
 //
 // Like Allreduce, the result is identical on every rank (each vector
 // element is combined along one fixed binary tree). For tiny messages or
-// P < 4 it falls back to the binomial Allreduce, which is cheaper there.
+// P < 4 it falls back to Allreduce, which is cheaper there.
 func (c *Comm) AllreduceRSAG(op Op, data []float64) error {
 	p := c.Size()
 	if p < 4 || len(data) < p {
@@ -30,7 +31,7 @@ func (c *Comm) AllreduceRSAG(op Op, data []float64) error {
 	}
 	r := p - p2
 	rank := c.Rank()
-	tag := c.collTag(kindReduce)
+	tag := c.collTag(kindAllreduce)
 
 	// Pre-phase: ranks [0, 2r) pair up (even, odd); odd ranks hand their
 	// contribution to the even partner and wait for the post-phase.

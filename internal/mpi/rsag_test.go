@@ -72,7 +72,8 @@ func TestAllreduceRSAGMax(t *testing.T) {
 }
 
 // For large messages the bandwidth-optimal algorithm must beat the
-// binomial tree on the modeled clock; for tiny ones it falls back.
+// recursive-doubling Allreduce on the modeled clock; for tiny ones it
+// falls back.
 func TestAllreduceRSAGBandwidthAdvantage(t *testing.T) {
 	m := Machine{Alpha: 1e-6, Beta: 1e-9}
 	clock := func(n int, rsag bool) float64 {
@@ -92,11 +93,11 @@ func TestAllreduceRSAGBandwidthAdvantage(t *testing.T) {
 	}
 	big := 1 << 16
 	if r, b := clock(big, true), clock(big, false); r >= b {
-		t.Fatalf("RSAG %v not faster than binomial %v for %d words", r, b, big)
+		t.Fatalf("RSAG %v not faster than Allreduce %v for %d words", r, b, big)
 	}
 }
 
-// Property: RSAG equals the binomial Allreduce to roundoff on random
+// Property: RSAG equals Allreduce to roundoff on random
 // float inputs for random P.
 func TestAllreduceRSAGProperty(t *testing.T) {
 	f := func(seed int64, pRaw, nRaw uint8) bool {

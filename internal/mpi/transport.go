@@ -22,7 +22,7 @@ type Message struct {
 // in-process simulated world (goroutine ranks over a channel mesh,
 // transportSim) and a length-prefixed TCP mesh across real processes
 // (transportTCP). The collectives are written once against Comm, which
-// wraps any Transport, so the same binomial trees and Rabenseifner
+// wraps any Transport, so the same recursive-doubling and Rabenseifner
 // exchanges run on both.
 //
 // A Transport is owned by a single rank goroutine: Send and Recv are
@@ -46,8 +46,9 @@ type Transport interface {
 	// mesh does, so its steady state allocates nothing; the simulated
 	// world hands out a fresh copy each time, which conforms). Every
 	// caller consumes the payload before its next Recv from that rank:
-	// Comm.Recv passes it on under the same contract, Reduce and
-	// AllreduceRSAG combine it into their buffer, Bcast,
+	// Comm.Recv passes it on under the same contract, Allreduce combines
+	// it with its buffer (an upper rank combines into the payload itself,
+	// then copies it out), AllreduceRSAG combines it into its buffer,
 	// AllreduceRSAG's post-phase and dist's gatherX copy it out, Barrier
 	// drops it, and the fault injector and the benchmark's tracing
 	// decorator pass it through after reading only its length.
@@ -61,11 +62,12 @@ type Transport interface {
 // Sentinel causes of peer failures, wrapped inside *PeerError.
 var (
 	// ErrPeerGone marks a peer that finished (or died) without sending
-	// the message the local rank is blocked on.
+	// the message the local rank is blocked on, or whose end closed
+	// before a send to it was delivered.
 	ErrPeerGone = errors.New("peer is gone without sending")
 	// ErrTagMismatch marks a message whose tag does not match the
-	// receiver's expectation — a mismatched SPMD program (one rank in a
-	// Bcast while another is in a Reduce), caught instead of
+	// receiver's expectation — a mismatched SPMD program (one rank in an
+	// Allreduce while another is in a Barrier), caught instead of
 	// misdelivered.
 	ErrTagMismatch = errors.New("tag mismatch")
 )

@@ -26,8 +26,9 @@ func newSimWorld(ctx context.Context, p int) *simWorld {
 		w.chans[i] = make([]chan Message, p)
 		for j := range w.chans[i] {
 			// Capacity bounds the number of in-flight messages per
-			// ordered pair. Binomial-tree collectives need 1; a margin
-			// is kept for pipelined point-to-point use.
+			// ordered pair. The collectives need 1 (recursive doubling
+			// sends each partner one block per call); a margin is kept
+			// for pipelined point-to-point use.
 			w.chans[i][j] = make(chan Message, 64)
 		}
 		w.done[i] = make(chan struct{})

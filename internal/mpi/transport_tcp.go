@@ -3,11 +3,13 @@ package mpi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"saco/internal/wire"
@@ -547,6 +549,11 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 			Err: fmt.Errorf("set write deadline: %w", err)}
 	}
 	if _, err := conn.Write(t.wbuf); err != nil {
+		if errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) {
+			// The peer's end is closed: the event the simulated world
+			// reports as ErrPeerGone. The socket error stays in the chain.
+			err = fmt.Errorf("%w: %w", ErrPeerGone, err)
+		}
 		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag, Err: err}
 	}
 	return nil

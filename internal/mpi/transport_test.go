@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -123,6 +124,47 @@ func TestTornConnectionCleanError(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("world hung on a torn connection")
+	}
+}
+
+// TestSendToClosedPeerIsPeerGone: a send to a peer whose endpoint has
+// closed fails as ErrPeerGone on both transports — over TCP with the
+// socket error (broken pipe or reset) kept in the chain — so a
+// collective that sends first classifies a vanished peer like one that
+// receives first.
+func TestSendToClosedPeerIsPeerGone(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			_, err := RunWorld(bg, 2, Machine{}, tr.opt, func(c *Comm) error {
+				if c.Rank() == 1 {
+					return nil // the world closes this endpoint on return
+				}
+				// Sends land in buffers (the channel's, the kernel's)
+				// until the closed end refuses one.
+				deadline := time.Now().Add(30 * time.Second)
+				for time.Now().Before(deadline) {
+					err := c.Send(1, 0, make([]float64, 1024))
+					if err == nil {
+						continue
+					}
+					var pe *PeerError
+					if !errors.As(err, &pe) || pe.Op != "send" || pe.Peer != 1 {
+						return fmt.Errorf("err = %v, want a *PeerError for the send to rank 1", err)
+					}
+					if !errors.Is(err, ErrPeerGone) {
+						return fmt.Errorf("err = %v, want ErrPeerGone", err)
+					}
+					if tr.opt.TCP != nil && !errors.Is(err, syscall.EPIPE) && !errors.Is(err, syscall.ECONNRESET) {
+						return fmt.Errorf("err = %v lost its socket cause", err)
+					}
+					return nil
+				}
+				return errors.New("sends to a closed peer never failed")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

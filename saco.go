@@ -16,7 +16,7 @@
 //
 //   - sequentially on this machine: Lasso, SVM;
 //   - distributed: DistLasso, DistSVM over a Cluster naming a transport —
-//     the in-process simulated world (goroutine ranks, binomial-tree
+//     the in-process simulated world (goroutine ranks, recursive-doubling
 //     collectives, Cray XC30 cost model; TransportSim, the default) or a
 //     real TCP mesh (TransportTCP in-process, cmd/sarank across
 //     processes and machines), both bitwise-identical in trajectory;
