@@ -24,18 +24,17 @@ type Source interface {
 	ColsCSR(c0, c1 int) (*sparse.CSR, error)
 }
 
-// CSRSource adapts a resident sparse.CSR to the Source interface. The
-// produced blocks are byte-for-byte what the loaders historically built
-// with SliceRows(...).ToCSC() and SliceCols(...), so simulated
-// trajectories are unchanged.
+// CSRSource adapts a resident sparse.CSR to the Source interface: a row
+// block is RowsToCSC(lo, hi), the bytes of SliceRows(lo, hi).ToCSC()
+// without the copy of the rows, and a column block is SliceCols(c0, c1).
 type CSRSource struct{ A *sparse.CSR }
 
 // Dims returns the matrix dimensions.
 func (s CSRSource) Dims() (int, int) { return s.A.Dims() }
 
-// RowsCSC slices rows [lo, hi) and converts to CSC.
+// RowsCSC converts rows [lo, hi) to CSC.
 func (s CSRSource) RowsCSC(lo, hi int) (*sparse.CSC, error) {
-	return s.A.SliceRows(lo, hi).ToCSC(), nil
+	return s.A.RowsToCSC(lo, hi), nil
 }
 
 // ColsCSR slices columns [c0, c1).

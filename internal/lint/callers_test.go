@@ -24,6 +24,7 @@ var oracles = map[string]string{
 	"saco/internal/sparse.COO.Add":             "TestCOOBuildAndDuplicates",
 	"saco/internal/sparse.COO.NNZ":             "TestAccessorsAndConversions",
 	"saco/internal/sparse.COO.ToCSC":           "TestAccessorsAndConversions",
+	"saco/internal/sparse.CSR.SliceRows":       "TestRowsToCSCMatchesSliceRows",
 	"saco/internal/mpi.Comm.Barrier":           "TestTornConnectionCleanError",
 	"saco/internal/mpi/faulty.Injector.Sends":  "TestLassoKillRestartBitwise",
 	"saco/internal/mpi/faulty.Injector.Fired":  "TestLassoKillRestartBitwise",

@@ -6,8 +6,11 @@
 // The solvers' step size comes from LargestEigSym: Householder reduction
 // of the block to tridiagonal form, then Sturm-sequence bisection for
 // its largest eigenvalue, a fixed O(µ³) cost with no convergence test on
-// the spectrum. The cyclic Jacobi method (EigSymJacobi) computes every
-// eigenvalue and is the tests' oracle for it.
+// the spectrum. A Laguerre estimate fenced by two Sturm counts lets the
+// bisection skip every count whose answer the fence implies (2.5 counts
+// per 8×8 block instead of 46) without changing a bit of the result. The cyclic Jacobi method (EigSymJacobi) computes every
+// eigenvalue and is the tests' oracle for it; bisection that counts
+// every midpoint is the oracle for the skipped counts.
 //
 // The package substitutes for the Intel MKL BLAS used by the paper
 // ("Avoiding Synchronization in First-Order Methods for Sparse Convex

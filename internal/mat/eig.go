@@ -12,10 +12,12 @@ import (
 //
 // The method is direct, with no convergence test on the spectrum: g is
 // reduced to a symmetric tridiagonal T by n−2 Householder reflections
-// (about (4/3)n³ flops), and T's largest eigenvalue is bracketed by
-// Sturm-sequence bisection from its Gershgorin interval until the
-// bracket is within 2·eps·‖T‖. The result is the eigenvalue to rounding,
-// never an underestimate beyond it, so 1/λ is the safe step.
+// (about (4/3)n³ flops), and T's largest eigenvalue is bisected from its
+// Gershgorin interval until the bracket is within 2·eps·‖T‖. A Laguerre
+// estimate fenced by two Sturm counts decides all but the last few
+// halvings without a count of their own, and the result has the bits of
+// bisection that counts every midpoint. It is the eigenvalue to
+// rounding, never an underestimate beyond it, so 1/λ is the safe step.
 //
 // g is first scaled, exactly, by a power of two that puts its largest
 // entry in [½, 1), and the eigenvalue is scaled back by the same power:
@@ -39,29 +41,44 @@ func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	if need := eigScratchLen(n); len(scratch) < need {
 		panic(fmt.Sprintf("mat: LargestEigSymScratch of a %dx%d matrix needs %d scratch words (n² + 3n), got %d", n, n, need, len(scratch)))
 	}
+	d, e, e2, k, special := scaledTridiag(g, scratch)
+	if d == nil {
+		return special
+	}
+	return math.Ldexp(largestTridiag(d, e, e2), -k)
+}
+
+// scaledTridiag scales a copy of g in scratch by 2^k so that its largest
+// |entry| is in [½, 1), and returns the tridiagonal form of the copy and
+// k. A NaN or ±Inf entry, or the zero matrix, has no such form: d is nil
+// and special is the eigenvalue (NaN or 0).
+func scaledTridiag(g *Dense, scratch []float64) (d, e, e2 []float64, k int, special float64) {
+	n := g.R
 	var amax float64
 	for _, x := range g.Data[:n*n] {
 		ax := math.Abs(x)
 		if !(ax <= math.MaxFloat64) {
-			return math.NaN() // NaN or ±Inf entry
+			return nil, nil, nil, 0, math.NaN() // NaN or ±Inf entry
 		}
-		amax = max(amax, ax)
+		if ax > amax { // finite and not −0: a compare is max without its NaN and ±0 cases
+			amax = ax
+		}
 	}
 	if amax == 0 {
-		return 0
+		return nil, nil, nil, 0, 0
 	}
 	// Scale by 2^k so that the largest |entry| is in [½, 1). 2^k itself
 	// may not be a float64 (k ≤ 1074 for a subnormal amax), so it is
 	// applied in two halves; both are exact for every entry that stays
 	// normal, and the ones that do not are below eps·‖g‖.
-	_, e := math.Frexp(amax)
-	k := -e
+	_, ex := math.Frexp(amax)
+	k = -ex
 	a := scratch[:n*n]
 	copy(a, g.Data)
 	Scal(math.Ldexp(1, k/2), a)
 	Scal(math.Ldexp(1, k-k/2), a)
-	d, off, off2 := tridiagonalize(a, n, scratch[n*n:])
-	return math.Ldexp(largestTridiag(d, off, off2), -k)
+	d, e, e2 = tridiagonalize(a, n, scratch[n*n:])
+	return d, e, e2, k, 0
 }
 
 // eigScratchLen is the scratch LargestEigSymScratch needs for an n×n
@@ -142,13 +159,26 @@ func tridiagonalize(a []float64, n int, work []float64) (d, e, e2 []float64) {
 }
 
 // largestTridiag returns the largest eigenvalue of the symmetric
-// tridiagonal T with diagonal d and off-diagonal e (e2 = e²), whose
-// entries are at most n in magnitude. The bracket starts at
-// [max dᵢ, max(dᵢ + |eᵢ₋₁| + |eᵢ|)]: a diagonal entry is a Rayleigh
-// quotient, and the upper end is Gershgorin's. Each halving keeps
-// λmax ∈ [lo, hi], so a diagonal T (lo == hi) is returned exactly. The
-// upper end is returned: the step 1/λ must not exceed 1/λmax by more
-// than rounding.
+// tridiagonal T with diagonal d and off-diagonal e (e2 = e²), scaled as
+// LargestEigSymScratch leaves it: entries at most n in magnitude and
+// ‖T‖ ≥ ½. The bracket starts at [max dᵢ, max(dᵢ + |eᵢ₋₁| + |eᵢ|)]:
+// a diagonal entry is a Rayleigh quotient, and the upper end is
+// Gershgorin's. Each halving keeps λmax ∈ [lo, hi], so a diagonal T
+// (lo == hi) is returned exactly. The upper end is returned: the step
+// 1/λ must not exceed 1/λmax by more than rounding.
+//
+// The halvings are decided by Sturm counts, but most of them need none:
+// fence certifies a window [a, b] with count(a) < n and count(b) = n
+// around a Laguerre estimate of λmax, and a midpoint at or above b is
+// then "above", one at or below a "below", without a count. Only the
+// last few midpoints, inside (a, b), run sturmBelow: on the benchmark's
+// 8×8 Grams, 2.5 counts per block, two of them the certificate, and 3.3
+// Laguerre passes, against 45.8 counts for counting every midpoint. The
+// loop visits the same midpoints and returns the same hi, bit for bit,
+// as one that counts every midpoint, because every skipped count has the
+// value it would have had: see sturmBelow for why its count is monotone
+// in x. An uncertified window is (−∞, +∞), and the loop counts every
+// midpoint.
 func largestTridiag(d, e, e2 []float64) float64 {
 	const (
 		eps = 0x1p-52
@@ -158,7 +188,29 @@ func largestTridiag(d, e, e2 []float64) float64 {
 		maxBisect = 64
 	)
 	n := len(d)
-	lo, hi, tnorm := math.Inf(-1), math.Inf(-1), 0.0
+	lo, hi, tnorm := bracket(d, e)
+	if !(hi-lo > 2*eps*tnorm) {
+		return hi // the bracket is already tight: no midpoint to decide
+	}
+	a, b := fence(d, e2, hi, tnorm)
+	for it := 0; it < maxBisect && hi-lo > 2*eps*tnorm; it++ {
+		mid := lo + 0.5*(hi-lo)
+		if mid <= lo || mid >= hi {
+			break // the bracket stopped shrinking
+		}
+		if mid >= b || mid > a && sturmBelow(d, e2, mid) == n {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// bracket returns T's first bracket [lo, hi] on λmax and ‖T‖∞.
+func bracket(d, e []float64) (lo, hi, tnorm float64) {
+	n := len(d)
+	lo, hi = math.Inf(-1), math.Inf(-1)
 	for i, di := range d {
 		var r float64
 		if i > 0 {
@@ -169,26 +221,104 @@ func largestTridiag(d, e, e2 []float64) float64 {
 		}
 		lo, hi, tnorm = max(lo, di), max(hi, di+r), max(tnorm, math.Abs(di)+r)
 	}
-	for it := 0; it < maxBisect && hi-lo > 2*eps*tnorm; it++ {
-		mid := lo + 0.5*(hi-lo)
-		if mid <= lo || mid >= hi {
-			break // the bracket stopped shrinking
+	return lo, hi, tnorm
+}
+
+// fence returns a window [a, b] with sturmBelow(a) < n and
+// sturmBelow(b) = n, both counted, around an estimate of λmax, or
+// (−∞, +∞) when it cannot certify one.
+//
+// The estimate is Laguerre's iteration from x0 ≥ λmax (the Gershgorin
+// end). On a polynomial with only real roots, started above them all, it
+// decreases monotonically toward the largest and converges cubically to
+// a simple one (Li & Zeng, "Laguerre's iteration in solving the
+// symmetric tridiagonal eigenproblem — revisited", SIAM J. Sci. Comput.
+// 15(5), 1994). G = Σ 1/(x−λⱼ) and H = Σ 1/(x−λⱼ)² come from the pivots
+// qᵢ of T − x·I and their first two x-derivatives: det(T − x·I) = Π qᵢ,
+// so G = Σ q′ᵢ/qᵢ and H = Σ (q′ᵢ/qᵢ)² − q″ᵢ/qᵢ. The iteration stops once
+// a step is at most 2⁻²⁰‖T‖, or when a pivot is not negative: x is then
+// at λmax to rounding (an isolated top diagonal entry, a common block
+// shape, is reached exactly), and the window goes there all the same.
+//
+// The window is x ± eps·‖T‖/2, narrower than bisection's last bracket
+// (2·eps·‖T‖) so that most of the last midpoints fall outside it too;
+// it is widened 8-fold up to three times while either count disagrees.
+// Rounding in the estimate — FMA contraction included — can only move
+// the window or lose it; the certificate counts are sturmBelow's own.
+func fence(d, e2 []float64, x0, tnorm float64) (a, b float64) {
+	const (
+		eps         = 0x1p-52
+		maxLaguerre = 16
+		widenings   = 3
+	)
+	n := len(d)
+	fn, x := float64(n), x0
+laguerre:
+	for it := 0; it < maxLaguerre; it++ {
+		q, dq, ddq := d[0]-x, -1.0, 0.0
+		var g, h float64
+		for i := 0; ; i++ {
+			if !(q < 0) {
+				break laguerre // x is not above the spectrum: certify there
+			}
+			r := 1 / q
+			gr, hr := dq*r, ddq*r // q′ᵢ/qᵢ and q″ᵢ/qᵢ
+			g += gr
+			h += gr*gr - hr
+			if i == n-1 {
+				break
+			}
+			s := e2[i] * r // the e²ᵢ/qᵢ of the next pivot
+			q, dq, ddq = d[i+1]-x-s, s*gr-1, s*(hr-2*gr*gr)
 		}
-		if sturmBelow(d, e2, mid) == n {
-			hi = mid
-		} else {
-			lo = mid
+		step := fn / (g + math.Sqrt(max(0, (fn-1)*(fn*h-g*g))))
+		if !(step > 0) {
+			break // NaN or no progress: certify where x is
+		}
+		x -= step
+		if step <= 0x1p-20*tnorm {
+			break
 		}
 	}
-	return hi
+	for w, k := 0.5*eps*tnorm, 0; k <= widenings; w, k = 8*w, k+1 {
+		a, b = x-w, x+w
+		if sturmBelow(d, e2, a) < n && sturmBelow(d, e2, b) == n {
+			return a, b
+		}
+	}
+	return math.Inf(-1), math.Inf(1)
 }
 
 // sturmBelow counts T's eigenvalues below x: by Sylvester's law of
-// inertia, the negative pivots qᵢ = dᵢ − x − e²ᵢ₋₁/qᵢ₋₁ of the LDLᵀ
+// inertia, the negative pivots qᵢ = (dᵢ − x) − e²ᵢ₋₁/qᵢ₋₁ of the LDLᵀ
 // factorization of T − x·I. A zero pivot is nudged to −pivmin, and so
 // counted, before it divides: the next quotient is never 0/0. An
 // infinite pivot only zeroes the next quotient, which is the right
 // limit. The count is read from the sign bit so it costs no branch.
+//
+// The evaluation order is load-bearing: largestTridiag skips counts on
+// the strength of this count being nondecreasing in x. That is Kahan's
+// theorem that the floating-point Sturm count is monotone when the
+// arithmetic is (Kahan, "Accurate eigenvalues of a symmetric
+// tri-diagonal matrix", 1966; Demmel, Dhillon & Ren, "On the
+// correctness of some bisection-like parallel eigenvalue algorithms in
+// floating point arithmetic", ETNA 3, 1995). Its hypotheses, as written
+// here: every operation rounds to nearest, which is monotone, and none
+// is fused (there is no multiply to contract); e² is computed once, not
+// from x; and the pivot is (dᵢ − x) minus the rounded e²ᵢ₋₁/qᵢ₋₁. With
+// the phase θᵢ = π·(negative pivots before i) + arccot qᵢ, that pivot is
+// nonincreasing in x, and e²/qᵢ₋₁ is nondecreasing in θᵢ₋₁ between two
+// sign changes of the pivot (through qᵢ₋₁ = ±∞ it passes ∓0), so every
+// θᵢ — and the count, the nearest integer to θₙ/π — is nondecreasing
+// in x. The one step that is not monotone is the nudge: a pivot of
+// exactly 0 becomes −pivmin, below a negative subnormal pivot at a
+// larger x (TestSturmCountNudgeIsNotMonotone). That needs the larger x
+// to give a subnormal pivot, and so to lie within 2⁻⁹⁶⁸ of some dᵢ:
+// otherwise both terms of the pivot exceed 2⁻⁹⁶⁹ in magnitude, are
+// multiples of 2⁻¹⁰²¹, and differ by 0 or a normal number. In each pair
+// largestTridiag relates — a midpoint and a fence end — the larger point
+// is at or above a midpoint, and every midpoint lies above max dᵢ by
+// more than eps·‖T‖/2 ≥ 2⁻⁵⁴.
 func sturmBelow(d, e2 []float64, x float64) int {
 	const pivmin = 0x1p-1022
 	c, q := 0, d[0]-x

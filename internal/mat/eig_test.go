@@ -428,7 +428,9 @@ func TestNrm2MatchesOracle(t *testing.T) {
 // FuzzLargestEigSym is the differential fuzz against Jacobi: on any
 // symmetric matrix — the first byte picks n ≤ 16, each following 8 bytes
 // one entry's bits of the upper triangle, row-major, mirrored below it,
-// missing entries 0 — LargestEigSym meets checkDifferential's contract.
+// missing entries 0 — LargestEigSym meets checkDifferential's contract,
+// and on its scaled tridiagonal the fenced bisection returns the bits of
+// one that counts every midpoint.
 func FuzzLargestEigSym(f *testing.F) {
 	seed := func(n byte, vals ...float64) []byte {
 		b := []byte{n}
@@ -459,5 +461,6 @@ func FuzzLargestEigSym(f *testing.F) {
 			}
 		}
 		checkDifferential(t, "fuzz", g)
+		checkBisection(t, "fuzz", g)
 	})
 }

@@ -168,28 +168,38 @@ func (a *CSR) SliceCols(c0, c1 int) *CSR {
 }
 
 // ToCSC converts to compressed sparse column format.
-func (a *CSR) ToCSC() *CSC {
+func (a *CSR) ToCSC() *CSC { return a.RowsToCSC(0, a.M) }
+
+// RowsToCSC returns rows [r0, r1) in compressed sparse column form, with
+// the full column space and rows renumbered from zero: the same bytes as
+// SliceRows(r0, r1).ToCSC(), counted and scattered from this matrix in
+// place of a copy of the rows.
+func (a *CSR) RowsToCSC(r0, r1 int) *CSC {
+	if r0 < 0 || r1 < r0 || r1 > a.M {
+		panic(fmt.Sprintf("sparse: RowsToCSC [%d,%d) out of range", r0, r1))
+	}
+	k0, k1 := a.RowPtr[r0], a.RowPtr[r1]
 	colPtr := make([]int, a.N+1)
-	for _, c := range a.ColIdx {
+	for _, c := range a.ColIdx[k0:k1] {
 		colPtr[c+1]++
 	}
 	for j := 0; j < a.N; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	rowIdx := make([]int, a.NNZ())
-	val := make([]float64, a.NNZ())
+	rowIdx := make([]int, k1-k0)
+	val := make([]float64, k1-k0)
 	next := make([]int, a.N)
 	copy(next, colPtr[:a.N])
-	for i := 0; i < a.M; i++ {
+	for i := r0; i < r1; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			c := a.ColIdx[k]
 			p := next[c]
-			rowIdx[p] = i
+			rowIdx[p] = i - r0
 			val[p] = a.Val[k]
 			next[c]++
 		}
 	}
-	return &CSC{M: a.M, N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+	return &CSC{M: r1 - r0, N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // ToDense expands to a dense matrix (for tests and tiny problems).

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -404,5 +405,57 @@ func TestAdjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleToCSC is ToCSC as it was before it converted a row range in
+// place: a count and a scatter over the whole of a.
+func oracleToCSC(a *CSR) *CSC {
+	colPtr := make([]int, a.N+1)
+	for _, c := range a.ColIdx {
+		colPtr[c+1]++
+	}
+	for j := 0; j < a.N; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowIdx := make([]int, a.NNZ())
+	val := make([]float64, a.NNZ())
+	next := make([]int, a.N)
+	copy(next, colPtr[:a.N])
+	for i := 0; i < a.M; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			c := a.ColIdx[k]
+			p := next[c]
+			rowIdx[p] = i
+			val[p] = a.Val[k]
+			next[c]++
+		}
+	}
+	return &CSC{M: a.M, N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
+// TestRowsToCSCMatchesSliceRows: converting a row range in place gives
+// the bytes of copying the rows and converting the copy, on random
+// ranges — empty, one row, the whole matrix — of matrices with empty
+// rows and trailing empty columns.
+func TestRowsToCSCMatchesSliceRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 300; trial++ {
+		m, n := rng.Intn(12), 1+rng.Intn(12)
+		a := randCSR(rng, m, n, rng.Float64()*0.5)
+		a.N += rng.Intn(3) // trailing empty columns
+		ranges := [][2]int{{0, m}, {0, 0}, {m, m}}
+		if m > 0 {
+			i := rng.Intn(m)
+			ranges = append(ranges, [2]int{i, i + 1})
+		}
+		lo := rng.Intn(m + 1)
+		ranges = append(ranges, [2]int{lo, lo + rng.Intn(m-lo+1)})
+		for _, r := range ranges {
+			got, want := a.RowsToCSC(r[0], r[1]), oracleToCSC(a.SliceRows(r[0], r[1]))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d rows [%d,%d) of %dx%d: RowsToCSC %+v, SliceRows.ToCSC %+v", trial, r[0], r[1], m, a.N, got, want)
+			}
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // RowsCSC assembles rows [lo, hi) as a CSC block — the per-rank loader
 // of the simulated cluster's 1D-row Lasso layout (dist.Source). Only
 // the covering shards are resident while the block is built, and the
-// result is structurally identical to SliceRows(lo, hi).ToCSC() on the
-// in-memory CSR, so distributed trajectories do not change. Both
+// result has the bytes of RowsToCSC(lo, hi) on the in-memory CSR, so
+// distributed trajectories do not change. Both
 // layouts take this one path: a LayoutCSC shard reaches it through the
 // cache's converted CSR form.
 func (d *Dataset) RowsCSC(lo, hi int) (*sparse.CSC, error) {
