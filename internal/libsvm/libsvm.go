@@ -16,11 +16,21 @@
 // form Parse all call it, so no caller splits fields or looks for a
 // label on its own. White space is unicode.IsSpace, as it was when the
 // fields were split by package strings: U+0085, U+00A0, U+2028 … count.
+//
+// Numbers have one scanner too, parseDecimal: one pass over a label or
+// value reads its sign, up to 19 significant digits into a uint64 and a
+// decimal exponent, and Eisel–Lemire (Lemire, "Number Parsing at a
+// Gigabyte per Second", Software: Practice and Experience 51(8), 2021)
+// turns them into the correctly rounded float64. strconv.ParseFloat is
+// its reference and its fallback: a field the scanner cannot decide
+// (more digits, hex, inf, nan, a malformed or near-halfway number) goes
+// to strconv unchanged, so every verdict, value and error text is
+// strconv's. An index of 1 … 18 digits is read in the pass that finds
+// its ':'; any other goes to strconv.Atoi.
 package libsvm
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,13 +108,13 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 		for i < len(line) && spaceAt(line, i) == 0 {
 			i++
 		}
-		colon := bytes.IndexByte(line[start:i], ':')
 		// A view, not a copy: strconv clones what its errors quote.
 		f := unsafe.String(&line[start], i-start)
+		colon, idx, digits := splitIndex(f)
 		if first {
 			first = false
 			if labeled = !optionalLabel || colon < 0; labeled {
-				if label, err = strconv.ParseFloat(f, 64); err != nil {
+				if label, err = parseFloat(f); err != nil {
 					return 0, true, fmt.Errorf("libsvm: line %d: bad label %q: %v", lineNo, f, err)
 				}
 				if !finite(label) {
@@ -116,11 +126,14 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 		if colon <= 0 {
 			return 0, labeled, fmt.Errorf("libsvm: line %d: bad feature %q", lineNo, f)
 		}
-		idx, err := strconv.Atoi(f[:colon])
+		var err error
+		if !digits {
+			idx, err = strconv.Atoi(f[:colon])
+		}
 		if err != nil || idx < 1 {
 			return 0, labeled, fmt.Errorf("libsvm: line %d: bad index %q", lineNo, f[:colon])
 		}
-		v, err := strconv.ParseFloat(f[colon+1:], 64)
+		v, err := parseFloat(f[colon+1:])
 		if err != nil {
 			return 0, labeled, fmt.Errorf("libsvm: line %d: bad value %q: %v", lineNo, f[colon+1:], err)
 		}

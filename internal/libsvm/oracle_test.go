@@ -101,6 +101,8 @@ var differentialLines = []string{
 	"1 ::1", "1 1::1", "1 :", ":", "1: 2", "1:2:3 4:5",
 	"1 +3:1 4:1", "1 -0:1", "1 0x1:1", "1 1_0:1", "1 9223372036854775807:1", "1 9223372036854775808:1",
 	"1 0000000000000000000000007:1",
+	"+5:1", "00000000000000000001:1", "9223372036854775807:1", "9223372036854775808:1", "-0:1",
+	"1 999999999999999999:1 1000000000000000000:1", "1 1:1 000000000000000002:1 0000000000000000003:1",
 	"1 1:0x1p-2 2:1_0 3:infinity 4:-nan",
 	"1 1:1e999 2:1e-999",
 	"nan 1:1", "inf", "0x10 2:1",
