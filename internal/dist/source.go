@@ -27,12 +27,17 @@ type Source interface {
 // CSRSource adapts a resident sparse.CSR to the Source interface: a row
 // block is RowsToCSC(lo, hi), the bytes of SliceRows(lo, hi).ToCSC()
 // without the copy of the rows, and a column block is SliceCols(c0, c1).
+// The CSR keeps the row blocks it has converted, so repeated solves on
+// one matrix at one P share each rank's block instead of transposing it
+// again; a block is read-only to every solve that receives it. Column
+// blocks are sliced afresh on every call.
 type CSRSource struct{ A *sparse.CSR }
 
 // Dims returns the matrix dimensions.
 func (s CSRSource) Dims() (int, int) { return s.A.Dims() }
 
-// RowsCSC converts rows [lo, hi) to CSC.
+// RowsCSC returns rows [lo, hi) as CSC, converted on the first request
+// for that range.
 func (s CSRSource) RowsCSC(lo, hi int) (*sparse.CSC, error) {
 	return s.A.RowsToCSC(lo, hi), nil
 }

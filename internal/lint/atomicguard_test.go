@@ -28,10 +28,24 @@ func TestAtomicGuardShardTable(t *testing.T) {
 	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/shardring", "saco/internal/shard")
 }
 
+// The sparse row-block memo pointer: rowmemo.go loads and installs it
+// atomically; any other file, even in the same package, is flagged.
+func TestAtomicGuardRowMemo(t *testing.T) {
+	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/rowmemo", "saco/internal/sparse")
+}
+
+// The read-only sparse arrays: element stores outside internal/sparse
+// are flagged; inside it the package builds its own matrices.
+func TestAtomicGuardReadOnly(t *testing.T) {
+	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/readonly", "saco/internal/core")
+	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/readonly", "saco/internal/sparse")
+}
+
 // The registry keys on the real package paths: the same shapes in an
 // unrelated package define their own unguarded types and are clean.
 func TestAtomicGuardScope(t *testing.T) {
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/mat", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/metrics", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/shardring", "saco/internal/core")
+	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/rowmemo", "saco/internal/core")
 }

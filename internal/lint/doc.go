@@ -25,8 +25,11 @@
 //   - atomicguard: direct access to fields documented atomic-only
 //     (mat.AtomicVec's bit storage, the serve registry's model pointer,
 //     the shard ring pointer, the metrics histogram counters, the
-//     runtime pool's taken[] claims) outside their audited home file,
-//     and non-atomic element access even inside it.
+//     runtime pool's taken[] claims, the sparse CSR's row-block memo)
+//     outside their audited home file, and non-atomic element access
+//     even inside it; and element stores into the read-only arrays of
+//     sparse.CSR and sparse.CSC outside internal/sparse, whose CSRs
+//     hand one converted row block to every caller.
 //
 // Findings are suppressed per line with
 //

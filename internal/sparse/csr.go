@@ -20,6 +20,9 @@ type CSR struct {
 	// workers is the kernel worker count (0 or 1 = sequential); set via
 	// WithKernelWorkers so views, not mutation, select the backend.
 	workers int
+	// memo holds the row blocks RowsToCSC has converted (rowmemo.go);
+	// nil until the first conversion, shared by later views.
+	memo *rowMemo
 }
 
 // NewCSR validates the three arrays and returns the matrix. It returns an
@@ -167,17 +170,38 @@ func (a *CSR) SliceCols(c0, c1 int) *CSR {
 	return &CSR{M: a.M, N: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
-// ToCSC converts to compressed sparse column format.
+// ToCSC converts to compressed sparse column format: RowsToCSC(0, M),
+// memoized like any other row range.
 func (a *CSR) ToCSC() *CSC { return a.RowsToCSC(0, a.M) }
 
 // RowsToCSC returns rows [r0, r1) in compressed sparse column form, with
 // the full column space and rows renumbered from zero: the same bytes as
 // SliceRows(r0, r1).ToCSC(), counted and scattered from this matrix in
-// place of a copy of the rows.
+// place of a copy of the rows. The matrix keeps the block: asking for
+// the same range again returns the same *CSC, which callers must treat
+// as read-only, and a range that overlaps held ones evicts them
+// (rowmemo.go). An empty range is built fresh every time.
 func (a *CSR) RowsToCSC(r0, r1 int) *CSC {
 	if r0 < 0 || r1 < r0 || r1 > a.M {
 		panic(fmt.Sprintf("sparse: RowsToCSC [%d,%d) out of range", r0, r1))
 	}
+	if r0 == r1 {
+		return a.scatterRows(r0, r1)
+	}
+	b := a.loadMemo().block(a, r0, r1)
+	b.once.Do(func() { b.csc = a.scatterRows(r0, r1) })
+	return b.csc
+}
+
+// ScatterToCSC converts to compressed sparse column format without
+// consulting or filling the matrix's memo: the conversion for a CSR
+// that is dropped right after, such as a block assembled from shards.
+// The result has the bytes of ToCSC and belongs to the caller.
+func (a *CSR) ScatterToCSC() *CSC { return a.scatterRows(0, a.M) }
+
+// scatterRows counts rows [r0, r1) into column pointers and scatters
+// them: the one conversion every path above ends in.
+func (a *CSR) scatterRows(r0, r1 int) *CSC {
 	k0, k1 := a.RowPtr[r0], a.RowPtr[r1]
 	colPtr := make([]int, a.N+1)
 	for _, c := range a.ColIdx[k0:k1] {

@@ -16,6 +16,26 @@
 // Gram kernel and the merge-based sparse dot products rely on;
 // constructors enforce it.
 //
+// # Read-only arrays and the row-block memo
+//
+// A matrix's arrays are read-only once it is built: nothing stores into
+// an element of CSR.RowPtr/ColIdx/Val or CSC.ColPtr/RowIdx/Val after
+// construction, and outside this package atomicguard flags any attempt.
+// That is what lets a CSR keep the row blocks it has converted:
+// RowsToCSC (and ToCSC, the range [0, M)) memoizes each block on the
+// matrix, so the 1D-row partition of a distributed solve is transposed
+// on the first solve at a given P and shared by every later one. A
+// repeated range returns the same *CSC, the bytes the scatter produced;
+// a range overlapping held ones evicts them, so held ranges never
+// overlap and the memo holds at most one transpose's worth of
+// nonzeros. Ranges are built under one once each, so concurrent ranks
+// convert their blocks in parallel and the same block once. A block is
+// keyed by its range, the matrix's dims and its three slice headers: a
+// copy whose arrays or dims were reassigned misses, and a
+// WithKernelWorkers view of a converted matrix hits. Empty ranges are
+// not held, and ScatterToCSC converts without the memo for a CSR that
+// is dropped right after.
+//
 // # Gram assembly
 //
 // Every sparse Gram — CSC.ColGram, CSC.ColGramAcc (the streamed row-block

@@ -65,7 +65,7 @@ var gramSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 // probability special, overwritten from gramSpecials: stored explicit
 // zeros, −0, ±Inf, NaN, a denormal and values whose products overflow.
 func spikyCSC(rng *rand.Rand, m, n int, density, special float64) *CSC {
-	a := randCSR(rng, m, n, density).ToCSC()
+	a := randCSR(rng, m, n, density).ScatterToCSC()
 	for p := range a.Val {
 		if rng.Float64() < special {
 			a.Val[p] = gramSpecials[rng.Intn(len(gramSpecials))]

@@ -38,11 +38,10 @@ func (a *CSC) KernelWorkers() int { return kernelWorkers(a.workers) }
 
 // WithKernelWorkers returns a view of the matrix whose kernels fan out
 // across w workers (w < 2 gives the sequential view). The view shares
-// the underlying storage.
+// the underlying storage and, once the matrix has converted a row
+// block, its memo of converted blocks.
 func (a *CSR) WithKernelWorkers(w int) any {
-	b := *a
-	b.workers = kernelWorkers(w)
-	return &b
+	return a.view(kernelWorkers(w))
 }
 
 // KernelWorkers reports the worker count of this matrix's kernels.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -437,7 +438,8 @@ func oracleToCSC(a *CSR) *CSC {
 // TestRowsToCSCMatchesSliceRows: converting a row range in place gives
 // the bytes of copying the rows and converting the copy, on random
 // ranges — empty, one row, the whole matrix — of matrices with empty
-// rows and trailing empty columns.
+// rows and trailing empty columns, each asked for twice so the second
+// answer comes from the memo. The memo cases follow as named inputs.
 func TestRowsToCSCMatchesSliceRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 300; trial++ {
@@ -451,11 +453,164 @@ func TestRowsToCSCMatchesSliceRows(t *testing.T) {
 		}
 		lo := rng.Intn(m + 1)
 		ranges = append(ranges, [2]int{lo, lo + rng.Intn(m-lo+1)})
-		for _, r := range ranges {
+		for _, r := range append(ranges, ranges...) {
 			got, want := a.RowsToCSC(r[0], r[1]), oracleToCSC(a.SliceRows(r[0], r[1]))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d rows [%d,%d) of %dx%d: RowsToCSC %+v, SliceRows.ToCSC %+v", trial, r[0], r[1], m, a.N, got, want)
 			}
+			checkHeld(t, a)
 		}
 	}
+
+	a := randCSR(rand.New(rand.NewSource(38)), 12, 12, 0.4)
+	fresh := func() *CSR { return &CSR{M: a.M, N: a.N, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val} }
+	// wantBlock checks that a block of b has the oracle's bytes.
+	wantBlock := func(t *testing.T, got *CSC, b *CSR, r0, r1 int) {
+		t.Helper()
+		if want := oracleToCSC(b.SliceRows(r0, r1)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rows [%d,%d): got %+v, want %+v", r0, r1, got, want)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, b *CSR)
+	}{
+		{"repeat returns the held block", func(t *testing.T, b *CSR) {
+			p := b.RowsToCSC(2, 7)
+			if q := b.RowsToCSC(2, 7); q != p {
+				t.Fatalf("repeat built a second block")
+			}
+			wantBlock(t, p, b, 2, 7)
+			if got := MemoBuilds(b); got != 1 {
+				t.Fatalf("%d builds, want 1", got)
+			}
+		}},
+		{"overlap evicts", func(t *testing.T, b *CSR) {
+			for _, step := range []struct {
+				r    [2]int
+				held [][2]int
+			}{
+				{[2]int{2, 7}, [][2]int{{2, 7}}},
+				{[2]int{0, 2}, [][2]int{{2, 7}, {0, 2}}},
+				{[2]int{5, 9}, [][2]int{{0, 2}, {5, 9}}},
+				{[2]int{0, 12}, [][2]int{{0, 12}}},
+				{[2]int{11, 12}, [][2]int{{11, 12}}},
+				{[2]int{4, 4}, [][2]int{{11, 12}}}, // empty ranges are not held
+			} {
+				wantBlock(t, b.RowsToCSC(step.r[0], step.r[1]), b, step.r[0], step.r[1])
+				if got := HeldRanges(b); !reflect.DeepEqual(got, step.held) {
+					t.Fatalf("after [%d,%d): held %v, want %v", step.r[0], step.r[1], got, step.held)
+				}
+				checkHeld(t, b)
+			}
+		}},
+		{"concurrent partitions build each block once", func(t *testing.T, b *CSR) {
+			built := 0
+			for _, p := range []int{1, 2, 3, 5, b.M + 3} { // b.M+3: P > m leaves empty blocks
+				blocks := make([]*CSC, 2*p)
+				var wg sync.WaitGroup
+				for g := range blocks {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						lo, hi := blockRange(b.M, p, g%p)
+						blocks[g] = b.RowsToCSC(lo, hi)
+					}()
+				}
+				wg.Wait()
+				for r := 0; r < p; r++ {
+					lo, hi := blockRange(b.M, p, r)
+					wantBlock(t, blocks[r], b, lo, hi)
+					if lo < hi {
+						built++
+						if blocks[p+r] != blocks[r] {
+							t.Fatalf("P=%d rank %d: two goroutines got different blocks", p, r)
+						}
+					}
+				}
+				if got := MemoBuilds(b); got != built {
+					t.Fatalf("P=%d: %d builds, want %d (one per non-empty block)", p, got, built)
+				}
+				checkHeld(t, b)
+			}
+		}},
+		{"kernel-workers view hits", func(t *testing.T, b *CSR) {
+			// Views taken while the first conversion installs the memo
+			// must not race it (the -race step runs this).
+			got := make([]*CSC, 4)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if g%2 == 0 {
+						got[g] = b.RowsToCSC(3, 9)
+					} else {
+						got[g] = b.WithKernelWorkers(2).(*CSR).RowsToCSC(3, 9)
+					}
+				}()
+			}
+			wg.Wait()
+			for _, c := range got {
+				wantBlock(t, c, b, 3, 9)
+			}
+			p := b.RowsToCSC(3, 9)
+			v := b.WithKernelWorkers(4).(*CSR)
+			if v.RowsToCSC(3, 9) != p || MemoBuilds(b) != MemoBuilds(v) {
+				t.Fatalf("a view of a converted matrix missed the memo")
+			}
+		}},
+		{"reassigned copy misses", func(t *testing.T, b *CSR) {
+			p := b.RowsToCSC(0, 6)
+			c := *b
+			c.Val = append([]float64(nil), b.Val...)
+			c.Val[0] = -c.Val[0]
+			q := c.RowsToCSC(0, 6)
+			if q == p {
+				t.Fatalf("a copy with a reassigned Val hit the original's block")
+			}
+			wantBlock(t, q, &c, 0, 6)
+			d := *b
+			d.N++
+			if r := d.RowsToCSC(0, 6); r == q || r.N != b.N+1 {
+				t.Fatalf("a copy with a reassigned N hit a held block")
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, fresh()) })
+	}
+}
+
+// checkHeld asserts the memo's invariant: no two held ranges overlap, so
+// the held blocks store at most nnz(a) entries.
+func checkHeld(t testing.TB, a *CSR) {
+	t.Helper()
+	held := HeldRanges(a)
+	nnz := 0
+	for i, r := range held {
+		if r[0] >= r[1] {
+			t.Fatalf("held an empty range %v", r)
+		}
+		for _, q := range held[:i] {
+			if r[0] < q[1] && q[0] < r[1] {
+				t.Fatalf("held ranges %v and %v overlap", q, r)
+			}
+		}
+		nnz += a.RowPtr[r[1]] - a.RowPtr[r[0]]
+	}
+	if nnz > a.NNZ() {
+		t.Fatalf("held %d nonzeros of a %d-nonzero matrix", nnz, a.NNZ())
+	}
+}
+
+// blockRange is mpi.BlockRange: rank r's share of n rows over p ranks.
+func blockRange(n, p, r int) (lo, hi int) {
+	base, rem := n/p, n%p
+	lo = r*base + min(r, rem)
+	hi = lo + base
+	if r < rem {
+		hi++
+	}
+	return lo, hi
 }

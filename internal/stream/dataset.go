@@ -223,7 +223,7 @@ func (e *cacheEntry) csrOf(c *shardCache) *sparse.CSR {
 // cscOf is the column-major mirror of csrOf.
 func (e *cacheEntry) cscOf(c *shardCache) *sparse.CSC {
 	if e.block.csc == nil {
-		e.block.csc = e.block.csr.ToCSC()
+		e.block.csc = e.block.csr.ScatterToCSC()
 		c.st.Conversions++
 	}
 	return e.block.csc

@@ -162,7 +162,7 @@ func cscFromBlock(rowPtr, colIdx []int, vals []float64) *sparse.CSC {
 	}
 	rows := len(rowPtr) - 1
 	a := sparse.CSR{M: rows, N: width, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
-	return a.ToCSC()
+	return a.ScatterToCSC()
 }
 
 // layoutAndCodec reads the two format bytes every shard and manifest

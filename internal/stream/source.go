@@ -10,9 +10,10 @@ import (
 // of the simulated cluster's 1D-row Lasso layout (dist.Source). Only
 // the covering shards are resident while the block is built, and the
 // result has the bytes of RowsToCSC(lo, hi) on the in-memory CSR, so
-// distributed trajectories do not change. Both
-// layouts take this one path: a LayoutCSC shard reaches it through the
-// cache's converted CSR form.
+// distributed trajectories do not change. The assembled rows are
+// dropped after the call, so they are converted by ScatterToCSC, which
+// keeps no memo. Both layouts take this one path: a LayoutCSC shard
+// reaches it through the cache's converted CSR form.
 func (d *Dataset) RowsCSC(lo, hi int) (*sparse.CSC, error) {
 	if lo < 0 || hi < lo || hi > d.m {
 		return nil, fmt.Errorf("stream: RowsCSC [%d,%d) out of range", lo, hi)
@@ -21,7 +22,7 @@ func (d *Dataset) RowsCSC(lo, hi int) (*sparse.CSC, error) {
 	if err != nil {
 		return nil, err
 	}
-	return block.ToCSC(), nil
+	return block.ScatterToCSC(), nil
 }
 
 // ColsCSR assembles columns [c0, c1) (reindexed to zero, all rows) as a

@@ -79,4 +79,28 @@ func zzMutationClose(t mpi.Transport) {
 }
 EOF
 
+mutate "store into a memoized matrix" internal/core/zz_mutation.go atomicguard <<'EOF'
+package core
+
+import "saco/internal/sparse"
+
+// Planted violation: an element store into a CSR, whose converted row
+// blocks every later solve on the matrix would then read stale.
+func zzMutationScale(a *sparse.CSR, s float64) {
+	for k := range a.Val {
+		a.Val[k] *= s
+	}
+}
+EOF
+
+mutate "plain read of the row-block memo" internal/sparse/zz_mutation.go atomicguard <<'EOF'
+package sparse
+
+// Planted violation: the memo pointer read outside rowmemo.go, racing
+// its lazy install.
+func zzMutationMemo(a *CSR) bool {
+	return a.memo != nil
+}
+EOF
+
 echo "all planted violations caught"
