@@ -61,7 +61,10 @@ func (l *lassoBlock) track() (float64, error) {
 }
 
 // cross accumulates dst[a] += scale · Σ_b G[jOff+a, tOff+b]·Δ_t[b], the
-// G_{j,t}·Δz_t terms of eqs. (3) and (5).
+// G_{j,t}·Δz_t terms of eqs. (3) and (5). It is called with t < j, so
+// block (j, t) lies below the diagonal; the Gram holds only its upper
+// triangle, and the entry is read as G[tOff+b, jOff+a], the same value
+// in the same summation order.
 func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 	if scale == 0 {
 		return
@@ -69,11 +72,11 @@ func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 	bt, gram := &l.d.bt, &l.d.gram
 	jOff, tOff := bt.Off[j], bt.Off[t]
 	coef := l.deltas.Row(t)[:bt.Off[t+1]-tOff]
+	c, col := gram.C, gram.Data[tOff*gram.C+jOff:]
 	for a := range dst {
-		row := gram.Data[(jOff+a)*gram.C+tOff:]
 		var s float64
-		for b, c := range coef {
-			s += row[b] * c
+		for b, cf := range coef {
+			s += col[b*c+a] * cf
 		}
 		dst[a] += scale * s
 	}
@@ -83,14 +86,15 @@ func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 // step size 1/(scale·λmax) from the j-th diagonal block of the batched
 // Gram matrix (Alg. 2 lines 14–15), the proximal update of x on the
 // block, and Δ = x⁺ − x, which is kept as row j of deltas, added into x
-// and returned with the block.
+// and returned with the block. Only the block's upper triangle is
+// copied: it is all mat.LargestEigSymScratch reads.
 func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta []float64) {
 	bt, gram := &l.d.bt, &l.d.gram
 	idx = bt.Block(j)
 	mu, off := len(idx), bt.Off[j]
 	l.diag.R, l.diag.C, l.diag.Data = mu, mu, l.diagBuf[:mu*mu]
 	for a := 0; a < mu; a++ {
-		copy(l.diag.Row(a), gram.Data[(off+a)*gram.C+off:])
+		copy(l.diag.Row(a)[a:], gram.Data[(off+a)*gram.C+off+a:])
 	}
 	v := mat.LargestEigSymScratch(&l.diag, l.eig)
 

@@ -48,9 +48,10 @@ func (b *Batch) add(blk ...int) {
 // order; the sums must come back bitwise identical on every rank, which
 // is what keeps the replicated state replicated.
 type Reducer interface {
-	// SumBatch replaces the local Gram block (symmetric) and the hoisted
-	// product vectors by their sums over all ranks: the one reduction of
-	// an outer step.
+	// SumBatch replaces the local Gram block and the hoisted product
+	// vectors by their sums over all ranks: the one reduction of an
+	// outer step. The Gram is symmetric and only its upper triangle is
+	// summed and read; its strict lower triangle may be left as it came.
 	SumBatch(gram *mat.Dense, prods [][]float64) error
 	// SumScalar returns the sum of v over all ranks; SumVec sums v in
 	// place. Only objective evaluations call them.

@@ -126,11 +126,12 @@ func (s *dualSVM) step(j int) bool {
 	rows, g := s.d.bt.Idx, &s.d.gram
 	i := rows[j]
 	eta := g.At(j, j) + s.gamma // line 11: η_j = ‖A_j‖² + γ
-	// Eq. (15): A_j·x_{sk+j−1} = x'_j + Σ_{t<j} θ_t·b_t·G_{j,t}.
+	// Eq. (15): A_j·x_{sk+j−1} = x'_j + Σ_{t<j} θ_t·b_t·G_{j,t}, with
+	// G_{j,t} read from the upper triangle as G_{t,j}.
 	dot := s.xP[j]
 	for t := 0; t < j; t++ {
 		if s.thetaStep[t] != 0 {
-			dot += s.thetaStep[t] * s.b[rows[t]] * g.At(j, t)
+			dot += s.thetaStep[t] * s.b[rows[t]] * g.At(t, j)
 		}
 	}
 	ai := s.alpha[i]

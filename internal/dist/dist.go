@@ -187,19 +187,16 @@ func packGram(g *mat.Dense, extras [][]float64, buf []float64) int {
 	return w
 }
 
-// unpackGram is the inverse of packGram, mirroring the reduced upper
-// triangle into both halves of g and splitting the extras back out.
+// unpackGram is the inverse of packGram: the reduced upper triangle goes
+// back into g's upper triangle and the extras are split back out. g's
+// strict lower triangle keeps the local Gram's (+0); no reader looks
+// at it.
 func unpackGram(buf []float64, g *mat.Dense, extras [][]float64) {
 	k := g.R
 	w := 0
 	for i := 0; i < k; i++ {
 		copy(g.Data[i*k+i:(i+1)*k], buf[w:])
 		w += k - i
-	}
-	for i := 1; i < k; i++ {
-		for j := 0; j < i; j++ {
-			g.Data[i*k+j] = g.Data[j*k+i]
-		}
 	}
 	for _, e := range extras {
 		copy(e, buf[w:])

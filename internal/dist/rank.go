@@ -59,8 +59,9 @@ func (r *rank) start(st *core.Stepper, config string) error {
 	return nil
 }
 
-// SumBatch is the one reduction of an outer step: Gram and products
-// travel as a single packed message.
+// SumBatch is the one reduction of an outer step: the Gram's upper
+// triangle and the products travel as a single packed message, and only
+// the upper triangle comes back.
 func (r *rank) SumBatch(gram *mat.Dense, prods [][]float64) error {
 	buf := r.scratch((gram.R + len(prods)) * gram.R)
 	words := packGram(gram, prods, buf)
@@ -68,8 +69,15 @@ func (r *rank) SumBatch(gram *mat.Dense, prods [][]float64) error {
 		return err
 	}
 	unpackGram(buf[:words], gram, prods)
+	if reducedGramHook != nil {
+		reducedGramHook(gram)
+	}
 	return nil
 }
+
+// reducedGramHook, set only by this package's tests before a solve
+// starts, sees every reduced Gram before the inner steps read it.
+var reducedGramHook func(gram *mat.Dense)
 
 func (r *rank) SumScalar(v float64) (float64, error) { return r.c.AllreduceScalar(mpi.Sum, v) }
 

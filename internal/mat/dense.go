@@ -50,17 +50,6 @@ func (a *Dense) Zero() {
 	}
 }
 
-// MirrorUpper copies the strict upper triangle onto the lower one,
-// completing a symmetric matrix whose upper half was accumulated
-// incrementally (the out-of-core Gram assembly of package stream).
-func (a *Dense) MirrorUpper() {
-	for i := 1; i < a.R; i++ {
-		for j := 0; j < i; j++ {
-			a.Data[i*a.C+j] = a.Data[j*a.C+i]
-		}
-	}
-}
-
 // MaxAbsDiff returns max |a_ij - b_ij|; it panics on shape mismatch.
 func MaxAbsDiff(a, b *Dense) float64 {
 	if a.R != b.R || a.C != b.C {

@@ -8,7 +8,8 @@
 // its largest eigenvalue, a fixed O(µ³) cost with no convergence test on
 // the spectrum. A Laguerre estimate fenced by two Sturm counts lets the
 // bisection skip every count whose answer the fence implies (2.5 counts
-// per 8×8 block instead of 46) without changing a bit of the result. The cyclic Jacobi method (EigSymJacobi) computes every
+// per 8×8 block instead of 46) without changing a bit of the result. The cyclic Jacobi method
+// (EigSymJacobi) computes every
 // eigenvalue and is the tests' oracle for it; bisection that counts
 // every midpoint is the oracle for the skipped counts.
 //
@@ -17,6 +18,13 @@
 // Optimization", Devarakonda et al., IPDPS 2018). Only float64 is
 // supported; matrices are dense, row-major, and sized for the paper's
 // working sets (Gram blocks of order s·µ, i.e. at most a few thousand).
+//
+// A symmetric matrix is stored as its upper triangle. The Gram kernels
+// of package sparse write the entries i ≤ j and leave the strict lower
+// triangle +0, and LargestEigSym reads only i ≤ j, mirroring them into
+// its own scratch copy for the Householder reduction. Nothing in the
+// repository mirrors a Gram in place: the half it would write is the
+// half no reader looks at (see package sparse, "One triangle").
 //
 // All functions are deterministic: identical inputs produce bitwise
 // identical outputs, which the solvers rely on to keep replicated state

@@ -23,8 +23,10 @@ import (
 // entry in [½, 1), and the eigenvalue is scaled back by the same power:
 // no intermediate can overflow, so every finite input gives a finite
 // result or ±Inf (the eigenvalue itself overflowing). A matrix with a
-// NaN or ±Inf entry gives NaN; the zero matrix gives 0. Only symmetric
-// input is meaningful: both triangles are read.
+// NaN or ±Inf entry gives NaN; the zero matrix gives 0. g is symmetric
+// by convention: only its upper triangle (i ≤ j) is read, and the strict
+// lower triangle may hold anything, NaN included. For a g whose halves
+// agree that is the eigenvalue of g itself, bit for bit.
 func LargestEigSym(g *Dense) float64 {
 	return LargestEigSymScratch(g, make([]float64, eigScratchLen(g.R)))
 }
@@ -32,7 +34,8 @@ func LargestEigSym(g *Dense) float64 {
 // LargestEigSymScratch is LargestEigSym with its working storage taken
 // from scratch instead of allocated: the form for callers that take an
 // eigenvalue per iteration. scratch must hold at least n² + 3n words for
-// an n×n g (its contents are ignored and overwritten); g is not written.
+// an n×n g (its contents are ignored and overwritten); g is not written,
+// and only its upper triangle is read.
 func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	n := g.R
 	if g.C != n {
@@ -48,20 +51,27 @@ func LargestEigSymScratch(g *Dense, scratch []float64) float64 {
 	return math.Ldexp(largestTridiag(d, e, e2), -k)
 }
 
-// scaledTridiag scales a copy of g in scratch by 2^k so that its largest
-// |entry| is in [½, 1), and returns the tridiagonal form of the copy and
-// k. A NaN or ±Inf entry, or the zero matrix, has no such form: d is nil
-// and special is the eigenvalue (NaN or 0).
+// scaledTridiag scales a symmetric copy of g's upper triangle in scratch
+// by 2^k so that its largest |entry| is in [½, 1), and returns the
+// tridiagonal form of the copy and k. A NaN or ±Inf entry, or the zero
+// matrix, has no such form: d is nil and special is the eigenvalue (NaN
+// or 0). Only entries i ≤ j of g are read, in the one pass that finds
+// the largest; the copy's lower triangle is their mirror, so
+// tridiagonalize sees the symmetric matrix they define.
 func scaledTridiag(g *Dense, scratch []float64) (d, e, e2 []float64, k int, special float64) {
 	n := g.R
+	a := scratch[:n*n]
 	var amax float64
-	for _, x := range g.Data[:n*n] {
-		ax := math.Abs(x)
-		if !(ax <= math.MaxFloat64) {
-			return nil, nil, nil, 0, math.NaN() // NaN or ±Inf entry
-		}
-		if ax > amax { // finite and not −0: a compare is max without its NaN and ±0 cases
-			amax = ax
+	for i := 0; i < n; i++ {
+		for j, x := range g.Data[i*n+i : (i+1)*n] {
+			ax := math.Abs(x)
+			if !(ax <= math.MaxFloat64) {
+				return nil, nil, nil, 0, math.NaN() // NaN or ±Inf entry
+			}
+			if ax > amax { // finite and not −0: a compare is max without its NaN and ±0 cases
+				amax = ax
+			}
+			a[i*n+i+j], a[(i+j)*n+i] = x, x
 		}
 	}
 	if amax == 0 {
@@ -73,8 +83,6 @@ func scaledTridiag(g *Dense, scratch []float64) (d, e, e2 []float64, k int, spec
 	// normal, and the ones that do not are below eps·‖g‖.
 	_, ex := math.Frexp(amax)
 	k = -ex
-	a := scratch[:n*n]
-	copy(a, g.Data)
 	Scal(math.Ldexp(1, k/2), a)
 	Scal(math.Ldexp(1, k-k/2), a)
 	d, e, e2 = tridiagonalize(a, n, scratch[n*n:])

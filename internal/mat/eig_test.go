@@ -397,13 +397,83 @@ func TestLargestEigSymMatchesOracle(t *testing.T) {
 
 	// The solvers' blocks: 8×8 column Grams of a sparse regression design
 	// at the benchmark's density, mostly near-diagonal — the inputs power
-	// iteration got wrong by up to 3.3e-3 relative.
+	// iteration got wrong by up to 3.3e-3 relative. ColGram stores the
+	// upper triangle, which is what LargestEigSym gets; Jacobi gets the
+	// full symmetric matrix it stands for.
 	cols := datagen.Regression("eig", 26, 4096, 2048, 0.005, 100, 0.1).Cols()
 	r := rng.New(26)
 	g := mat.NewDense(8, 8)
 	for b := 0; b < 256; b++ {
 		cols.ColGram(r.SampleK(2048, 8), g)
-		checkOracle(t, "colgram", g)
+		got, want := eigForms(t, "colgram", g), jacobiMax(mirrored(g))
+		if !(math.Abs(got-want) <= 1e-13*math.Abs(want)) {
+			t.Fatalf("colgram %v: got %v, Jacobi %v (relative error %.3g)", g.Data, got, want, math.Abs(got-want)/math.Abs(want))
+		}
+	}
+}
+
+// mirrored returns the symmetric matrix whose upper triangle g holds.
+func mirrored(g *mat.Dense) *mat.Dense {
+	s := g.Clone()
+	for i := 0; i < s.R; i++ {
+		for j := 0; j < i; j++ {
+			s.Set(i, j, s.At(j, i))
+		}
+	}
+	return s
+}
+
+// poisonLower returns a copy of g with every strict-lower entry a NaN
+// of its own payload, so a read of any of them shows in the result.
+func poisonLower(g *mat.Dense) *mat.Dense {
+	p := g.Clone()
+	for i := 0; i < p.R; i++ {
+		for j := 0; j < i; j++ {
+			p.Set(i, j, math.Float64frombits(0x7ff8_0000_0000_0001+uint64(i*p.C+j)))
+		}
+	}
+	return p
+}
+
+// TestLargestEigSymReadsUpperTriangleOnly: the eigenvalue of a symmetric
+// G has the bits of the eigenvalue of triu(G) with a NaN below the
+// diagonal, on the benchmark's 256 blocks at µ ∈ {4, 8, 16} and on
+// 20 000 random symmetric matrices of order 0…16 with special values
+// planted — so the solvers, which hold only the upper triangle, step
+// exactly as they did when the Gram was mirrored.
+func TestLargestEigSymReadsUpperTriangleOnly(t *testing.T) {
+	check := func(name string, full *mat.Dense) {
+		t.Helper()
+		want := mat.LargestEigSym(full)
+		poisoned := poisonLower(full)
+		scratch := make([]float64, full.R*full.R+3*full.R)
+		dirty(scratch)
+		for _, got := range []float64{mat.LargestEigSym(poisoned), mat.LargestEigSymScratch(poisoned, scratch)} {
+			if !sameEig(got, want) {
+				t.Fatalf("%s %dx%d %v: poisoned lower triangle gives %v (%#x), full matrix %v (%#x)",
+					name, full.R, full.C, full.Data, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	for _, mu := range []int{4, 8, 16} {
+		for _, g := range benchGrams(mu) {
+			check(fmt.Sprintf("bench µ=%d", mu), mirrored(g))
+		}
+	}
+	rnd := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 20000; trial++ {
+		n := trial % 17
+		g := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				v := rnd.NormFloat64()
+				if rnd.Intn(16) == 0 {
+					v = specialValues[rnd.Intn(len(specialValues))]
+				}
+				g.Set(i, j, v)
+			}
+		}
+		check("random", mirrored(g))
 	}
 }
 

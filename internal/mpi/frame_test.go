@@ -181,45 +181,66 @@ func TestBootstrapRefusesOtherFrameFormat(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame reads arbitrary bytes as one frame. No input may panic;
-// a refusal is a clean end, a cut-short frame or a *wire.Error, and must
-// not allocate in proportion to a length it refused; an accepted frame
-// is a prefix of the input and re-encodes through appendFrame to exactly
-// itself.
+// FuzzReadFrame reads arbitrary bytes as a stream of frames through one
+// frameReader, the way a peer's reader does. No input may panic; the
+// stream ends in a clean end, a cut-short frame or a *wire.Error, and
+// must not allocate in proportion to a length it refused; the accepted
+// frames lie back to back from the start of the input, and each
+// re-encodes through appendFrame to exactly itself. Byte 0 picks how
+// many bytes each Read returns, so one input is also read in pieces.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(appendFrame(nil, Message{Tag: -9, Clock: 1.25, Data: []float64{1.5, math.NaN(), math.Copysign(0, -1)}}))
-	f.Add(appendFrame(nil, Message{Tag: 3})) // a barrier's empty payload
+	good := appendFrame(nil, Message{Tag: -9, Clock: 1.25, Data: []float64{1.5, math.NaN(), math.Copysign(0, -1)}})
+	empty := appendFrame(nil, Message{Tag: 3}) // a barrier's empty payload
 	corrupt := appendFrame(nil, Message{Tag: 1, Data: []float64{7}})
 	corrupt[len(corrupt)-1] ^= 0x80
-	f.Add(corrupt)
+	for _, stream := range [][]byte{good, empty, corrupt, bytes.Join([][]byte{good, empty, good}, nil), bytes.Join([][]byte{empty, good, corrupt, good}, nil)} {
+		f.Add(append([]byte{0}, stream...))
+		f.Add(append([]byte{5}, stream...))
+	}
 	for _, words := range []uint32{maxFrameWords, maxFrameWords + 1} {
-		var w wire.Writer
+		w := wire.Writer{B: append([]byte{0}, good...)}
 		w.U32(words)
 		w.U64(5)
 		w.F64(0)
-		f.Add(w.B) // a header alone, declaring the limit and one word over
+		f.Add(w.B) // a good frame, then a header alone declaring the limit and one word over
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var r io.Reader = bytes.NewReader(data[1:])
+		if k := int(data[0]); k > 0 {
+			r = &chunkReader{b: data[1:], sizes: []int{k}}
+		}
+		stream := data[1:]
+		fr := frameReader{r: r}
 		dst := make([]float64, 2) // reused when the frame fits, as the reader's free list is
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		msg, frame, err := readFrame(bytes.NewReader(data), nil, dst)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			var we *wire.Error
-			if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &we) {
-				t.Fatalf("refusal %v is neither a short read nor a *wire.Error", err)
+		read := 0
+		for {
+			msg, frame, err := fr.next(dst)
+			if err != nil {
+				runtime.ReadMemStats(&after)
+				var we *wire.Error
+				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &we) {
+					t.Fatalf("refusal %v is neither a short read nor a *wire.Error", err)
+				}
+				if err == io.EOF && read != len(stream) {
+					t.Fatalf("clean end after %d of %d bytes", read, len(stream))
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+4*uint64(len(stream)) {
+					t.Fatalf("reading %d bytes allocated %d bytes", len(stream), grew)
+				}
+				return
 			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-				t.Fatalf("refusing %d bytes allocated %d bytes", len(data), grew)
+			if !bytes.Equal(frame, stream[read:read+len(frame)]) {
+				t.Fatalf("accepted frame %x is not the input's bytes at %d", frame, read)
 			}
-			return
-		}
-		if !bytes.Equal(frame, data[:len(frame)]) {
-			t.Fatalf("accepted frame %x is not the input's prefix", frame)
-		}
-		if re := appendFrame(nil, msg); !bytes.Equal(re, frame) {
-			t.Fatalf("accepted frame %x re-encodes to %x", frame, re)
+			if re := appendFrame(nil, msg); !bytes.Equal(re, frame) {
+				t.Fatalf("accepted frame %x re-encodes to %x", frame, re)
+			}
+			read += len(frame)
 		}
 	})
 }

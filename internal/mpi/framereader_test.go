@@ -1,0 +1,170 @@
+package mpi
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"testing"
+
+	"saco/internal/wire"
+)
+
+// chunkReader returns b in pieces: Read i returns at most sizes[i] bytes
+// (the last size repeating), never more than the caller has room for.
+type chunkReader struct {
+	b     []byte
+	sizes []int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	k := c.sizes[min(c.reads, len(c.sizes)-1)]
+	c.reads++
+	n := copy(p[:min(len(p), k)], c.b)
+	c.b = c.b[n:]
+	return n, nil
+}
+
+// testFrames returns n messages cycling through the payload sizes of
+// the benchmark's frames (0, 1, 52 and 8 512 words), each with its own
+// tag and clock and with NaN payloads, −0 and ±Inf among its values,
+// and the stream of their sealed frames back to back.
+func testFrames(n int) ([]Message, []byte) {
+	sizes := []int{0, 1, 52, 8512}
+	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Copysign(0, -1), math.Inf(-1), 5e-324}
+	var msgs []Message
+	var stream []byte
+	for i := 0; i < n; i++ {
+		data := make([]float64, sizes[i%len(sizes)])
+		for j := range data {
+			data[j] = float64(i*1000+j) * 0.5
+			if j%7 == i%7 {
+				data[j] = specials[(i+j)%len(specials)]
+			}
+		}
+		msg := Message{Tag: i - 100, Clock: float64(i) / 3, Data: data}
+		msgs = append(msgs, msg)
+		stream = append(stream, appendFrame(nil, msg)...)
+	}
+	return msgs, stream
+}
+
+// sameMessage describes how got differs from want bit for bit, "" when
+// it does not.
+func sameMessage(got, want Message) string {
+	if got.Tag != want.Tag || math.Float64bits(got.Clock) != math.Float64bits(want.Clock) || len(got.Data) != len(want.Data) {
+		return fmt.Sprintf("tag %d clock %v %d words, want tag %d clock %v %d words",
+			got.Tag, got.Clock, len(got.Data), want.Tag, want.Clock, len(want.Data))
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			return fmt.Sprintf("word %d = %#x, want %#x", i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+	}
+	return ""
+}
+
+// readAll drains fr, decoding each frame into a recycled payload as the
+// transport's reader does, and checks every frame against want in
+// order. It returns the error that ended the stream.
+func readAll(t *testing.T, name string, fr *frameReader, want []Message) error {
+	t.Helper()
+	var dst []float64
+	for i := 0; ; i++ {
+		msg, _, err := fr.next(dst)
+		if err != nil {
+			if i != len(want) {
+				t.Fatalf("%s: stream ended after %d of %d frames: %v", name, i, len(want), err)
+			}
+			return err
+		}
+		if i >= len(want) {
+			t.Fatalf("%s: frame %d decoded past the %d sent", name, i, len(want))
+		}
+		if d := sameMessage(msg, want[i]); d != "" {
+			t.Fatalf("%s: frame %d: %s", name, i, d)
+		}
+		dst = msg.Data
+	}
+}
+
+// TestFrameReaderChunkings: 200 frames back to back decode bit for bit
+// and in order, then end cleanly, whether the stream arrives 1, 3, 7 or
+// 4 096 bytes per Read or as much as the buffer takes at once.
+func TestFrameReaderChunkings(t *testing.T) {
+	msgs, stream := testFrames(200)
+	readers := map[string]func() io.Reader{
+		"whole stream": func() io.Reader { return bytes.NewReader(stream) },
+	}
+	for _, k := range []int{1, 3, 7, 4096} {
+		readers[fmt.Sprintf("%d bytes per read", k)] = func() io.Reader { return &chunkReader{b: stream, sizes: []int{k}} }
+	}
+	for name, r := range readers {
+		fr := frameReader{r: r()}
+		if err := readAll(t, name, &fr, msgs); err != io.EOF {
+			t.Fatalf("%s: stream ended with %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// TestFrameReaderSplitAtEveryOffset: a 3-frame stream that arrives in
+// two reads, split at every byte offset, decodes bit for bit.
+func TestFrameReaderSplitAtEveryOffset(t *testing.T) {
+	msgs, stream := testFrames(3)
+	for cut := 0; cut <= len(stream); cut++ {
+		fr := frameReader{r: &chunkReader{b: stream, sizes: []int{cut, len(stream)}}}
+		if err := readAll(t, fmt.Sprintf("cut at %d", cut), &fr, msgs); err != io.EOF {
+			t.Fatalf("cut at %d: stream ended with %v, want io.EOF", cut, err)
+		}
+	}
+}
+
+// TestFrameReaderCorruptAfterGood: a frame with a flipped payload bit
+// after good ones ends the stream in a *wire.Error, and the good frames
+// before it are delivered, read directly and through a peer's reader.
+func TestFrameReaderCorruptAfterGood(t *testing.T) {
+	msgs, stream := testFrames(6)
+	bad := appendFrame(nil, Message{Tag: 77, Data: []float64{1, 2, 3}})
+	bad[frameHdrBytes+5] ^= 0x10
+	stream = append(stream, bad...)
+	stream = append(stream, appendFrame(nil, Message{Tag: 78})...) // never delivered
+	for _, k := range []int{1, 7, 4096, len(stream)} {
+		fr := frameReader{r: &chunkReader{b: stream, sizes: []int{k}}}
+		err := readAll(t, fmt.Sprintf("%d bytes per read", k), &fr, msgs)
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Field != "CRC-32" {
+			t.Fatalf("%d bytes per read: stream ended with %v, want a CRC-32 *wire.Error", k, err)
+		}
+	}
+
+	local, remote := net.Pipe()
+	tr := newTransportTCP(0, 2, (&TCPOptions{}).withDefaults())
+	tr.conns[1] = local
+	defer tr.Close()
+	go tr.reader(1)
+	go func() {
+		remote.Write(stream) //nolint:errcheck // the receiver's error is what the test checks
+		remote.Close()
+	}()
+	for i, want := range msgs {
+		got, err := tr.Recv(1)
+		if err != nil {
+			t.Fatalf("Recv %d: %v", i, err)
+		}
+		if d := sameMessage(got, want); d != "" {
+			t.Fatalf("Recv %d: %s", i, d)
+		}
+	}
+	_, err := tr.Recv(1)
+	var pe *PeerError
+	var we *wire.Error
+	if !errors.As(err, &pe) || pe.Peer != 1 || !errors.As(err, &we) || we.Field != "CRC-32" {
+		t.Fatalf("Recv after the good frames: %v, want a *PeerError from rank 1 wrapping a CRC-32 *wire.Error", err)
+	}
+}

@@ -123,8 +123,9 @@ func checkVersion(what string, v int) error {
 // channel wait with a deadline and a torn connection or a corrupt frame
 // surfaces as a sticky error, not a hang or a different trajectory. In
 // steady state neither side allocates: Send encodes into one reused
-// buffer, the reader reads into one reused buffer per peer, and Recv
-// arms one reused timer only when it has to wait. Bootstrap: rank 0
+// buffer, the reader reads into one frame buffer per peer (one Read per
+// frame when the frame has arrived whole, decoded where it lies), and
+// Recv arms one reused timer only when it has to wait. Bootstrap: rank 0
 // listens at the rendezvous address, peers dial (with retry), exchange
 // hellos, and rank 0 broadcasts the world descriptor; the hello
 // connection is reused as the 0↔r data connection, and within the mesh
@@ -458,15 +459,17 @@ func readCtl(conn net.Conn, v any) error {
 const (
 	frameHdrBytes = 4 + 8 + 8
 	maxFrameWords = 1 << 27 // 1 GiB of payload: Send refuses more, and a reader seeing more calls it corruption
-	// The receive buffer grows only as bytes arrive: by the bytes so far,
-	// at least frameChunkMin and at most frameChunk at a time, so a header
-	// alone cannot make a reader allocate more than frameChunkMin.
+	// A peer's frame buffer starts at frameChunkMin and grows only as
+	// bytes arrive: by the bytes so far, at least frameChunkMin and at
+	// most frameChunk at a time, so a header alone cannot make a reader
+	// allocate more than frameChunkMin (see frameReader).
 	frameChunkMin = 64 << 10
 	frameChunk    = 1 << 20
 )
 
 // appendFrame appends msg's sealed frame to b. Send encodes through it
-// and every frame readFrame accepts re-encodes through it byte for byte.
+// and every frame frameReader accepts re-encodes through it byte for
+// byte.
 func appendFrame(b []byte, msg Message) []byte {
 	w := wire.Writer{B: b}
 	w.U32(uint32(len(msg.Data)))
@@ -476,35 +479,56 @@ func appendFrame(b []byte, msg Message) []byte {
 	return wire.CRC32.Seal(w.B)
 }
 
-// readFrame reads one frame from r into buf's backing array, verifies
-// its checksum and decodes the payload into dst's backing array when it
-// is large enough (a fresh slice otherwise). It returns the message and
-// buf holding exactly the frame's bytes. io.EOF means r ended cleanly
-// before a frame; a frame cut short is io.ErrUnexpectedEOF, and a frame
+// frameReader reads the frames of one peer's stream into one buffer it
+// owns: buf[off:] holds the bytes read and not yet consumed. Every Read
+// asks for all the room the buffer has, so a frame whose header and body
+// arrived together costs one call, and the bytes a read brings past a
+// frame stay buffered for the next one. A frame is verified and decoded
+// where it lies; its bytes move only to make room at the front, when a
+// frame would run past the buffer's end.
+//
+// The buffer starts at frameChunkMin and grows only when it is full and
+// the frame needs more: by the frame's bytes so far, clamped to
+// [frameChunkMin, frameChunk]. A peer that declares a huge frame and
+// then stops sending costs one small chunk, not the declared size, and
+// a real one costs O(n) copying.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
+	off int
+	err error // the first read error, reported once the buffered bytes run short
+}
+
+// next reads one frame, verifies its checksum and decodes the payload
+// into dst's backing array when it is large enough (a fresh slice
+// otherwise). It returns the message and the frame's bytes, which alias
+// the buffer until the next call. io.EOF means the stream ended cleanly
+// between frames; a frame cut short is io.ErrUnexpectedEOF, and a frame
 // declaring more than maxFrameWords or failing its checksum is a
 // *wire.Error. Nothing is sized from the frame until its bytes arrived
 // and checked out.
-func readFrame(r io.Reader, buf []byte, dst []float64) (Message, []byte, error) {
-	buf, err := readGrowing(r, buf[:0], frameHdrBytes)
-	if err != nil {
-		return Message{}, buf, err
+func (f *frameReader) next(dst []float64) (Message, []byte, error) {
+	if err := f.fill(frameHdrBytes); err != nil {
+		return Message{}, nil, err
 	}
-	h := wire.NewReader("frame", buf)
+	h := wire.NewReader("frame", f.buf[f.off:])
 	words := h.U32("words")
 	if words > maxFrameWords {
 		h.Fail("words", "%d words exceed the %d-word frame limit", words, maxFrameWords)
-		return Message{}, buf, h.Err()
+		return Message{}, nil, h.Err()
 	}
-	buf, err = readGrowing(r, buf, frameHdrBytes+8*int(words)+4)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+	n := frameHdrBytes + 8*int(words) + 4
+	if err := f.fill(n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Message{}, nil, err
 	}
+	frame := f.buf[f.off : f.off+n : f.off+n]
+	f.off += n
+	body, err := wire.CRC32.Open("frame", frame)
 	if err != nil {
-		return Message{}, buf, err
-	}
-	body, err := wire.CRC32.Open("frame", buf)
-	if err != nil {
-		return Message{}, buf, err
+		return Message{}, nil, err
 	}
 	b := wire.NewReader("frame", body[4:])
 	msg := Message{Tag: int(int64(b.U64("tag"))), Clock: b.F64("clock")}
@@ -513,7 +537,48 @@ func readFrame(r io.Reader, buf []byte, dst []float64) (Message, []byte, error) 
 	}
 	msg.Data = dst[:words]
 	b.F64s("payload", msg.Data)
-	return msg, buf, b.Done()
+	return msg, frame, b.Done()
+}
+
+// fill reads until at least n bytes past off are buffered. A read error
+// is kept and returned once the buffered bytes cannot cover n: io.EOF
+// with nothing buffered is a clean end, with a partial frame buffered
+// it is io.ErrUnexpectedEOF.
+func (f *frameReader) fill(n int) error {
+	for len(f.buf)-f.off < n {
+		if f.err != nil {
+			if f.err == io.EOF && len(f.buf) > f.off {
+				return io.ErrUnexpectedEOF
+			}
+			return f.err
+		}
+		if f.off+n > cap(f.buf) {
+			f.makeRoom(n)
+		}
+		k, err := f.r.Read(f.buf[len(f.buf):cap(f.buf)])
+		f.buf = f.buf[:len(f.buf)+k]
+		f.err = err
+	}
+	return nil
+}
+
+// makeRoom moves the unconsumed bytes to the front of the buffer and,
+// when the buffer is full short of the n bytes a frame needs, grows it
+// by the chunk rule.
+func (f *frameReader) makeRoom(n int) {
+	if cap(f.buf) == 0 {
+		f.buf = make([]byte, 0, frameChunkMin)
+	}
+	have := len(f.buf) - f.off
+	if f.off > 0 {
+		copy(f.buf, f.buf[f.off:])
+		f.buf, f.off = f.buf[:have], 0
+	}
+	if have == cap(f.buf) {
+		grown := make([]byte, have, have+min(n-have, frameChunk, max(have, frameChunkMin)))
+		copy(grown, f.buf)
+		f.buf = grown
+	}
 }
 
 // Rank returns this endpoint's rank.
@@ -559,23 +624,21 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 	return nil
 }
 
-// reader pulls frames from peer p's connection into its inbox, decoding
-// each into a payload from p's free list. On any read error — a torn
-// connection or a frame refused by readFrame — it records the sticky
-// cause and closes the inbox, so every later Recv from p fails
-// immediately instead of waiting out a timeout, and no refused frame is
-// ever delivered.
+// reader pulls frames from peer p's connection into its inbox through
+// one frameReader, the peer's one frame buffer, decoding each into a
+// payload from p's free list. On any read error — a torn connection or
+// a frame the frameReader refused — it records the sticky cause and
+// closes the inbox, so every later Recv from p fails immediately instead
+// of waiting out a timeout, and no refused frame is ever delivered.
 func (t *transportTCP) reader(p int) {
-	conn := t.conns[p]
-	var buf []byte
+	fr := frameReader{r: t.conns[p]}
 	for {
 		var dst []float64
 		select {
 		case dst = <-t.free[p]:
 		default:
 		}
-		msg, b, err := readFrame(conn, buf, dst)
-		buf = b
+		msg, _, err := fr.next(dst)
 		if err != nil {
 			if err == io.EOF {
 				// The peer closed its end cleanly: it finished (or its
@@ -594,28 +657,6 @@ func (t *transportTCP) reader(p int) {
 			return
 		}
 	}
-}
-
-// readGrowing extends buf to exactly n bytes read from conn, reusing
-// buf's backing array when it is large enough. Otherwise it grows only
-// as bytes arrive, by the bytes so far clamped to [frameChunkMin,
-// frameChunk], so a peer that declares a huge frame and then stops
-// sending costs one small chunk, not the declared size, and a real one
-// costs O(n) copying.
-func readGrowing(conn io.Reader, buf []byte, n int) ([]byte, error) {
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), len(buf)+min(n-len(buf), frameChunk, max(len(buf), frameChunkMin)))
-			copy(grown, buf)
-			buf = grown
-		}
-		k, err := io.ReadFull(conn, buf[len(buf):min(cap(buf), n)])
-		buf = buf[:len(buf)+k]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
 }
 
 func (t *transportTCP) readErr(p int) error {

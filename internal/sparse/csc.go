@@ -120,20 +120,18 @@ func (a *CSC) ColMulAdd(cols []int, coef []float64, v []float64) {
 // ColGram computes dst = A_SᵀA_S for the column set S (|S|×|S|): the µ×µ
 // Gram matrix of Alg. 1 line 8, or the sµ×sµ batched Gram matrix of
 // Alg. 2 line 11 when S concatenates s sampled blocks (the same column
-// may then appear twice). Only the upper triangle is computed and then
-// mirrored, matching the paper's footnote 3 (symmetry halves the flops
-// and message size). It is ColGramAcc from +0 accumulators, so every
-// entry has the bits of simd.MergeDot(0, column i, column j).
+// may then appear twice). Like every symmetric matrix in the repository
+// it is stored as its upper triangle (see the package doc): only the
+// entries i ≤ j are computed, matching the paper's footnote 3 (symmetry
+// halves the flops and message size), and the strict lower triangle is
+// +0. It is ColGramAcc from +0 accumulators, so every upper entry has
+// the bits of simd.MergeDot(0, column i, column j).
 func (a *CSC) ColGram(cols []int, dst *mat.Dense) {
 	if s := len(cols); dst.R != s || dst.C != s {
 		panic("sparse: ColGram dst shape mismatch")
 	}
 	dst.Zero()
 	gramAcc(a.KernelWorkers(), a.M, a.ColPtr, a.RowIdx, a.Val, cols, dst)
-	// The mirror writes happen after the parallel join: writing dst(j,i)
-	// from the worker that owns row i lands on cache lines owned by other
-	// workers' rows and bounces the Gram block between cores.
-	dst.MirrorUpper()
 }
 
 // ColTMulVecAcc accumulates dst[k] += A_:cols[k] · v term by term,
@@ -154,11 +152,11 @@ func (a *CSC) ColTMulVecAcc(cols []int, v []float64, dst []float64) {
 }
 
 // ColGramAcc accumulates the upper triangle of A_SᵀA_S into dst,
-// continuing the running sums already there; callers mirror the lower
-// triangle (mat.Dense.MirrorUpper) after the final block. Like
-// ColTMulVecAcc it threads each entry's accumulator through consecutive
-// row blocks in row order, so Σ_blocks ColGramAcc followed by one mirror
-// is bitwise identical to the in-memory ColGram. The entries come from
+// continuing the running sums already there and leaving the strict
+// lower triangle alone. Like ColTMulVecAcc it threads each entry's
+// accumulator through consecutive row blocks in row order, so
+// Σ_blocks ColGramAcc from a zeroed dst is bitwise identical to the
+// in-memory ColGram, lower triangle included. The entries come from
 // gramAcc, which links the block's sampled columns into one list per
 // row and reads each column once, adding to dst(i,j) the products of
 // the rows columns i and j share, in ascending row order.

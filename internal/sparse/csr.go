@@ -118,16 +118,14 @@ func (a *CSR) RowNormSq(row int) float64 {
 // adds on the diagonal); dst must be |R|×|R| and R may repeat a row. It is
 // CSC.ColGram with rows for columns: the same kernel (gramAcc: the rows
 // linked into one list per column, each row read once) over the upper
-// triangle from +0 accumulators, so every entry has the bits of
-// simd.MergeDot(0, row i, row j), then one mirror after the parallel
-// join.
+// triangle from +0 accumulators, so every upper entry has the bits of
+// simd.MergeDot(0, row i, row j), and the strict lower triangle is +0.
 func (a *CSR) RowGram(rows []int, dst *mat.Dense) {
 	if s := len(rows); dst.R != s || dst.C != s {
 		panic("sparse: RowGram dst shape mismatch")
 	}
 	dst.Zero()
 	gramAcc(a.KernelWorkers(), a.N, a.RowPtr, a.ColIdx, a.Val, rows, dst)
-	dst.MirrorUpper()
 }
 
 // SliceRows returns the submatrix of rows [r0, r1) with the same column

@@ -66,10 +66,11 @@ func (d DenseCols) ColMulAdd(cols []int, coef []float64, v []float64) {
 	})
 }
 
-// ColGram computes dst = A_SᵀA_S, exploiting symmetry. Workers own
-// disjoint row bands of the upper triangle (balanced with TriangleRanges)
-// and stream the data rows in sequential order, so every entry
-// accumulates identically to the one-worker run.
+// ColGram computes the upper triangle of dst = A_SᵀA_S, with a +0
+// strict lower triangle. Workers own disjoint row bands of the upper
+// triangle (balanced with TriangleRanges) and stream the data rows in
+// sequential order, so every entry accumulates identically to the
+// one-worker run.
 func (d DenseCols) ColGram(cols []int, dst *mat.Dense) {
 	s := len(cols)
 	if dst.R != s || dst.C != s {
@@ -93,7 +94,6 @@ func (d DenseCols) ColGram(cols []int, dst *mat.Dense) {
 	} else {
 		gramRows(0, s)
 	}
-	dst.MirrorUpper()
 }
 
 // MulVec computes y = A·x across the kernel workers (row partition).
@@ -159,19 +159,19 @@ func (d DenseRows) RowTAxpy(row int, alpha float64, x []float64) {
 	mat.Axpy(alpha, d.A.Row(row), x)
 }
 
-// RowGram computes dst = A_R·AᵀR, partitioning the triangle rows.
+// RowGram computes the upper triangle of dst = A_R·AᵀR, with a +0
+// strict lower triangle, partitioning the triangle rows.
 func (d DenseRows) RowGram(rows []int, dst *mat.Dense) {
 	s := len(rows)
 	if dst.R != s || dst.C != s {
 		panic("sparse: DenseRows.RowGram dst shape mismatch")
 	}
-	// Upper triangle only inside the parallel region; mirroring after the
-	// join avoids false sharing on other workers' Gram rows.
 	gramRows := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ri := d.A.Row(rows[i])
+			ri, out := d.A.Row(rows[i]), dst.Row(i)
+			clear(out[:i])
 			for j := i; j < s; j++ {
-				dst.Set(i, j, mat.Dot(ri, d.A.Row(rows[j])))
+				out[j] = mat.Dot(ri, d.A.Row(rows[j]))
 			}
 		}
 	}
@@ -180,7 +180,6 @@ func (d DenseRows) RowGram(rows []int, dst *mat.Dense) {
 	} else {
 		gramRows(0, s)
 	}
-	dst.MirrorUpper()
 }
 
 // MulVec computes y = A·x across the kernel workers (row partition).

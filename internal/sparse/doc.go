@@ -75,4 +75,18 @@
 // allocates nothing. The links are int32, so a worker's operands may
 // store at most 2³¹−1 entries; a larger batch panics before it scatters
 // anything, and so does an index outside [0, dim).
+//
+// # One triangle
+//
+// A symmetric matrix is its upper triangle, everywhere in the
+// repository. The Grams here (CSC.ColGram, CSR.RowGram, DenseCols.ColGram,
+// DenseRows.RowGram, and through them the streamed views) write the
+// entries i ≤ j and leave the strict lower triangle +0 by bit pattern;
+// CSC.ColGramAcc writes only i ≤ j. Nothing mirrors: the solvers in
+// package core read G(min(i,j), max(i,j)), mat.LargestEigSym reads the
+// upper triangle, and package dist packs, reduces and unpacks only the
+// upper triangle, so the lower half is never written after the zeroing
+// and never read. It is +0 rather than left stale so that a Gram is a
+// well-defined value — two calls on the same input return the same
+// bytes — and so that a test can compare every entry.
 package sparse

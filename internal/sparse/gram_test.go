@@ -27,12 +27,40 @@ func oracleGramAcc(ptr, idx []int, val []float64, sel []int, dst *mat.Dense) {
 	}
 }
 
-// oracleGram is the full Gram: +0 accumulators, then the mirror.
+// oracleGram is the Gram as the kernels store it: the upper triangle
+// from +0 accumulators, the strict lower triangle +0. diffBits compares
+// every entry, so a kernel that wrote below the diagonal — a mirror, a
+// stale value, a −0 — fails against it.
 func oracleGram(ptr, idx []int, val []float64, sel []int) *mat.Dense {
 	dst := mat.NewDense(len(sel), len(sel))
 	oracleGramAcc(ptr, idx, val, sel, dst)
-	dst.MirrorUpper()
 	return dst
+}
+
+// mirrored returns the full matrix whose upper triangle g holds, for
+// the oracles that read both halves (a dense product, a Rayleigh
+// quotient).
+func mirrored(g *mat.Dense) *mat.Dense {
+	s := g.Clone()
+	for i := 0; i < s.R; i++ {
+		for j := 0; j < i; j++ {
+			s.Set(i, j, s.At(j, i))
+		}
+	}
+	return s
+}
+
+// lowerIsPositiveZero fails unless every strict-lower entry of g is +0
+// by bit pattern.
+func lowerIsPositiveZero(t *testing.T, name string, g *mat.Dense) {
+	t.Helper()
+	for i := 0; i < g.R; i++ {
+		for j := 0; j < i; j++ {
+			if b := math.Float64bits(g.At(i, j)); b != 0 {
+				t.Fatalf("%s: lower entry (%d,%d) = %x (%v), want +0", name, i, j, b, g.At(i, j))
+			}
+		}
+	}
 }
 
 // diffBits compares two matrices bit for bit, any NaN matching any NaN
@@ -102,13 +130,12 @@ func splitRows(a *CSC, bounds []int) []*CSC {
 	return blocks
 }
 
-// blockGram is Σ_blocks ColGramAcc followed by one mirror.
+// blockGram is Σ_blocks ColGramAcc from a zeroed dst.
 func blockGram(blocks []*CSC, cols []int) *mat.Dense {
 	dst := mat.NewDense(len(cols), len(cols))
 	for _, blk := range blocks {
 		blk.ColGramAcc(cols, dst)
 	}
-	dst.MirrorUpper()
 	return dst
 }
 
@@ -160,8 +187,9 @@ func TestGramMatchesPairwiseMerge(t *testing.T) {
 }
 
 // TestColGramAccRowBlocks asserts the streamed identity Σ_blocks
-// ColGramAcc + one MirrorUpper == in-memory ColGram, bit for bit, with
-// the row space cut at every boundary and into three and many blocks.
+// ColGramAcc from zero == in-memory ColGram, bit for bit and lower
+// triangle included, with the row space cut at every boundary and into
+// three and many blocks.
 func TestColGramAccRowBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	const m, n = 70, 9 // 70 rows: the cut crosses a 64-bit marker word

@@ -137,20 +137,22 @@ func TestCSCOpsMatchDense(t *testing.T) {
 		}
 	}
 
-	// ColGram
+	// ColGram: the upper triangle against the dense product, the strict
+	// lower triangle +0.
 	g := mat.NewDense(3, 3)
 	c.ColGram(cols, g)
 	for p, jp := range cols {
-		for q, jq := range cols {
+		for q, jq := range cols[p:] {
 			var want float64
 			for i := 0; i < 30; i++ {
 				want += d.At(i, jp) * d.At(i, jq)
 			}
-			if !approxEq(g.At(p, q), want, 1e-12) {
-				t.Fatalf("ColGram[%d,%d] = %v, want %v", p, q, g.At(p, q), want)
+			if !approxEq(g.At(p, p+q), want, 1e-12) {
+				t.Fatalf("ColGram[%d,%d] = %v, want %v", p, p+q, g.At(p, p+q), want)
 			}
 		}
 	}
+	lowerIsPositiveZero(t, "ColGram", g)
 
 	// ColNormSq agrees with the Gram diagonal.
 	for p, j := range cols {
@@ -179,13 +181,14 @@ func TestCSRRowOpsMatchDense(t *testing.T) {
 	g := mat.NewDense(len(rows), len(rows))
 	a.RowGram(rows, g)
 	for p, rp := range rows {
-		for q, rq := range rows {
+		for q, rq := range rows[p:] {
 			want := mat.Dot(d.Row(rp), d.Row(rq))
-			if !approxEq(g.At(p, q), want, 1e-12) {
-				t.Fatalf("RowGram[%d,%d] = %v, want %v", p, q, g.At(p, q), want)
+			if !approxEq(g.At(p, p+q), want, 1e-12) {
+				t.Fatalf("RowGram[%d,%d] = %v, want %v", p, p+q, g.At(p, p+q), want)
 			}
 		}
 	}
+	lowerIsPositiveZero(t, "RowGram", g)
 
 	u := randVec(rng, 40)
 	uRef := append([]float64(nil), u...)
@@ -311,11 +314,15 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 
 	g1 := mat.NewDense(3, 3)
 	g2 := mat.NewDense(3, 3)
+	for i := range g2.Data {
+		g2.Data[i] = -7 // the view overwrites every entry
+	}
 	c.ColGram(cols, g1)
 	dc.ColGram(cols, g2)
 	if mat.MaxAbsDiff(g1, g2) > 1e-12 {
 		t.Fatal("DenseCols.ColGram mismatch")
 	}
+	lowerIsPositiveZero(t, "DenseCols.ColGram", g2)
 
 	u1 := randVec(rng, 18)
 	u2 := append([]float64(nil), u1...)
@@ -342,11 +349,15 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 
 	gr1 := mat.NewDense(2, 2)
 	gr2 := mat.NewDense(2, 2)
+	for i := range gr2.Data {
+		gr2.Data[i] = -7
+	}
 	a.RowGram(rows, gr1)
 	dr.RowGram(rows, gr2)
 	if mat.MaxAbsDiff(gr1, gr2) > 1e-12 {
 		t.Fatal("DenseRows.RowGram mismatch")
 	}
+	lowerIsPositiveZero(t, "DenseRows.RowGram", gr2)
 
 	if !approxEq(dc.ColNormSq(3), c.ColNormSq(3), 1e-12) {
 		t.Fatal("DenseCols.ColNormSq mismatch")
@@ -368,7 +379,9 @@ func TestColGramPSDProperty(t *testing.T) {
 		cols := rng.Perm(n)[:k]
 		g := mat.NewDense(k, k)
 		c.ColGram(cols, g)
-		// Symmetry is by construction; check PSD via random probes.
+		// Symmetry is by convention (the upper triangle is the matrix);
+		// check PSD of the full matrix via random probes.
+		g = mirrored(g)
 		for probe := 0; probe < 4; probe++ {
 			v := randVec(rng, k)
 			w := make([]float64, k)

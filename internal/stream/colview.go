@@ -17,7 +17,7 @@ import (
 //
 // Bitwise contract: with the sequential backend, every kernel threads
 // its accumulators through the shards in row order — ColGram continues
-// each entry's merge sum across blocks and mirrors once at the end,
+// each entry's merge sum across blocks (the upper triangle only),
 // ColTMulVec continues each dst[k], ColMulAdd and MulVec touch disjoint
 // row slices — so the summation order is exactly that of the in-memory
 // sparse.CSC kernels and the solver trajectory is bitwise identical.
@@ -76,7 +76,8 @@ func (v *ColStream) ColMulAdd(cols []int, coef []float64, vec []float64) {
 
 // ColGram computes dst = A_SᵀA_S: the per-shard Gram contributions of
 // the s-step batch (Alg. 2 lines 10–12) accumulated into the upper
-// triangle and mirrored once after the final shard.
+// triangle, the strict lower triangle left +0 as sparse.CSC.ColGram
+// leaves it.
 func (v *ColStream) ColGram(cols []int, dst *mat.Dense) {
 	if dst.R != len(cols) || dst.C != len(cols) {
 		panic("stream: ColGram dst shape mismatch")
@@ -85,7 +86,6 @@ func (v *ColStream) ColGram(cols []int, dst *mat.Dense) {
 	mustLoad(0, v.d.forEachCSC(func(_ ShardInfo, a *sparse.CSC) {
 		a.ColGramAcc(cols, dst)
 	}))
-	dst.MirrorUpper()
 }
 
 // MulVec computes y = A·x one row block at a time.

@@ -80,8 +80,9 @@ func (v *RowStream) RowMulVec(rows []int, x []float64, dst []float64) {
 	}
 }
 
-// RowGram computes dst = A_R·A_Rᵀ (|R|×|R|): sparse.CSR.RowGram on the
-// gathered sample, with the sampled rows mapped to their gathered ids.
+// RowGram computes dst = A_R·A_Rᵀ (|R|×|R|, upper triangle, +0 below):
+// sparse.CSR.RowGram on the gathered sample, with the sampled rows
+// mapped to their gathered ids.
 func (v *RowStream) RowGram(rows []int, dst *mat.Dense) {
 	if dst.R != len(rows) || dst.C != len(rows) {
 		panic("stream: RowGram dst shape mismatch")

@@ -140,13 +140,21 @@ func TestColStreamBitwise(t *testing.T) {
 		}
 	}
 
+	// Both store the Gram as its upper triangle: every entry must match
+	// by bit pattern, and every strict-lower entry must be +0.
 	g1 := mat.NewDense(len(idx), len(idx))
 	g2 := mat.NewDense(len(idx), len(idx))
+	for i := range g2.Data {
+		g2.Data[i] = math.NaN() // ColGram overwrites every entry
+	}
 	csc.ColGram(idx, g1)
 	cols.ColGram(idx, g2)
 	for i := range g1.Data {
-		if g1.Data[i] != g2.Data[i] {
+		if math.Float64bits(g1.Data[i]) != math.Float64bits(g2.Data[i]) {
 			t.Fatalf("ColGram entry %d: %v != %v", i, g2.Data[i], g1.Data[i])
+		}
+		if row, col := i/g1.C, i%g1.C; row > col && math.Float64bits(g2.Data[i]) != 0 {
+			t.Fatalf("ColGram lower entry (%d,%d) = %v, want +0", row, col, g2.Data[i])
 		}
 	}
 

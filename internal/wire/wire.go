@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"hash/crc64"
 	"math"
+	"unsafe"
 )
 
 var le = binary.LittleEndian
@@ -41,10 +42,40 @@ func (w *Writer) U64(v uint64) { w.B = le.AppendUint64(w.B, v) }
 // F64 appends v's IEEE-754 bits in 8 bytes.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// F64s appends every element of v as F64 does.
+// F64s appends every element of v as F64 does. On a little-endian host
+// a float64's memory is its encoding, and the payload is appended with
+// one copy; elsewhere word by word.
 func (w *Writer) F64s(v []float64) {
+	if nativeLE {
+		w.B = append(w.B, f64Bytes(v)...)
+		return
+	}
+	w.B = appendF64sWords(w.B, v)
+}
+
+// nativeLE reports whether this host stores a float64 in the codec's
+// byte order, so that F64s can move a payload as one copy.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes views v's memory as its 8·len(v) bytes.
+func f64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// appendF64sWords appends v one word at a time: the big-endian path of
+// Writer.F64s, and the tests' oracle for the one-copy path.
+func appendF64sWords(b []byte, v []float64) []byte {
 	for _, x := range v {
-		w.B = le.AppendUint64(w.B, math.Float64bits(x))
+		b = le.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// decodeF64sWords fills dst from p one word at a time: the big-endian
+// path of Reader.F64s, and the tests' oracle for the one-copy path.
+func decodeF64sWords(dst []float64, p []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(le.Uint64(p[8*i:]))
 	}
 }
 
@@ -135,12 +166,15 @@ func (r *Reader) U64(field string) uint64 {
 // F64 reads 8 bytes of IEEE-754 bits.
 func (r *Reader) F64(field string) float64 { return math.Float64frombits(r.U64(field)) }
 
-// F64s fills dst from the next 8·len(dst) bytes.
+// F64s fills dst from the next 8·len(dst) bytes: one copy on a
+// little-endian host, word by word elsewhere.
 func (r *Reader) F64s(field string, dst []float64) {
 	if p := r.Bytes(field, 8*len(dst)); p != nil {
-		for i := range dst {
-			dst[i] = math.Float64frombits(le.Uint64(p[8*i:]))
+		if nativeLE {
+			copy(f64Bytes(dst), p)
+			return
 		}
+		decodeF64sWords(dst, p)
 	}
 }
 

@@ -104,3 +104,60 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// TestF64sMatchesWordLoop holds Writer.F64s and Reader.F64s to the
+// word-by-word codec — the big-endian path, and what the one-copy path
+// replaced on a little-endian host — byte for byte: lengths 0–17 and 8 512 (the
+// dist-lasso-sa payload), NaN payloads, ±0, subnormals and ±Inf,
+// appended after 0–7 bytes so the payload starts at every alignment,
+// and decoded back through a Reader from the same odd offsets.
+func TestF64sMatchesWordLoop(t *testing.T) {
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0001), math.Float64frombits(0xfff8_dead_beef_cafe),
+		0, math.Copysign(0, -1), 5e-324, -2.2250738585072009e-308, math.Inf(1), math.Inf(-1), math.MaxFloat64,
+	}
+	lengths := []int{8512}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i) * -1.25
+			if i%3 == 0 {
+				v[i] = specials[(i/3)%len(specials)]
+			}
+		}
+		for pre := 0; pre < 8; pre++ {
+			prefix := bytes.Repeat([]byte{0xa5}, pre)
+			w := Writer{B: append([]byte(nil), prefix...)}
+			w.F64s(v)
+			want := appendF64sWords(append([]byte(nil), prefix...), v)
+			if !bytes.Equal(w.B, want) {
+				t.Fatalf("n=%d after %d bytes: F64s wrote %x, the word loop %x", n, pre, w.B, want)
+			}
+
+			r := NewReader("test", w.B)
+			r.Bytes("prefix", pre)
+			got := make([]float64, n)
+			r.F64s("payload", got)
+			if err := r.Done(); err != nil {
+				t.Fatalf("n=%d after %d bytes: %v", n, pre, err)
+			}
+			oracle := make([]float64, n)
+			decodeF64sWords(oracle, want[pre:])
+			for i := range v {
+				if g, o := math.Float64bits(got[i]), math.Float64bits(oracle[i]); g != o || g != math.Float64bits(v[i]) {
+					t.Fatalf("n=%d after %d bytes: word %d read %#x, word loop %#x, written %#x", n, pre, i, g, o, math.Float64bits(v[i]))
+				}
+			}
+		}
+	}
+	// A short image is refused without touching dst.
+	r := NewReader("test", make([]byte, 15))
+	dst := []float64{1, 2}
+	r.F64s("payload", dst)
+	if r.Err() == nil || dst[0] != 1 || dst[1] != 2 {
+		t.Fatalf("a 15-byte image read as two words: %v, dst %v", r.Err(), dst)
+	}
+}
