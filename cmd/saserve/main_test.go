@@ -59,6 +59,10 @@ func TestBadFlags(t *testing.T) {
 	if code := run(ctx, []string{"-models", t.TempDir(), "-refit-workers", "2"}, &out, &errb); code != 2 {
 		t.Fatalf("-refit-workers: exit %d, want 2 (the refit is sequential)", code)
 	}
+	errb.Reset()
+	if code := run(ctx, []string{"-models", t.TempDir(), "-workers", "2"}, &out, &errb); code != 2 {
+		t.Fatalf("-workers: exit %d, want 2 (scoring is one sequential pass)", code)
+	}
 	// Two trainers on one registry would interleave their versions.
 	errb.Reset()
 	if code := run(ctx, []string{"-models", t.TempDir(), "-refit", "x.svm", "-learn"}, &out, &errb); code != 2 ||

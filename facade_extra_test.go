@@ -93,7 +93,7 @@ func TestPublicAPIServe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := saco.NewServer(reg, saco.ServeOptions{Workers: 2})
+	srv := saco.NewServer(reg, saco.ServeOptions{})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()

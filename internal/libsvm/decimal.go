@@ -1,11 +1,12 @@
 package libsvm
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"math/bits"
 	"strconv"
-	"strings"
+	"unsafe"
 )
 
 // parseFloat is strconv.ParseFloat(s, 64).
@@ -16,104 +17,133 @@ func parseFloat(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-// splitIndex returns the offset of f's first ':', −1 if there is none.
-// When the bytes before it are 1 … 18 ASCII digits — an index that
-// cannot overflow — it also returns their value with digits true, read
-// in the same pass; any other index is strconv.Atoi's to decide.
-func splitIndex(f string) (colon, idx int, digits bool) {
-	for ; colon < len(f) && colon <= 18; colon++ {
-		d := f[colon] - '0'
+// splitIndex reads the index digits at the start of s up to its ':'.
+// When they are 1 … 18 ASCII digits — an index that cannot overflow —
+// followed by ':', it returns the colon's offset and their value with
+// ok true; any other index is strconv.Atoi's to decide, from a field
+// the caller has measured.
+func splitIndex(s string) (colon, idx int, ok bool) {
+	for ; colon < len(s) && colon <= 18; colon++ {
+		d := s[colon] - '0'
 		if d > 9 {
 			break
 		}
 		idx = idx*10 + int(d)
 	}
-	if colon > 0 && colon <= 18 && colon < len(f) && f[colon] == ':' {
-		return colon, idx, true
-	}
-	return strings.IndexByte(f, ':'), 0, false
+	return colon, idx, colon > 0 && colon <= 18 && colon < len(s) && s[colon] == ':'
 }
 
-// parseDecimal returns the float64 nearest the decimal number s, ties to
-// even — the value strconv.ParseFloat(s, 64) returns — with ok, for s of
-// the form [+-]digits[.digits][(e|E)[+-]digits] with at least one
-// mantissa digit. It declines (ok false) anything else — hex,
-// underscores, inf, nan, a malformed field — and s with more than 19
-// significant digits, a decimal exponent outside the table, or a
-// rounding Eisel–Lemire cannot decide: a product too close to a
-// halfway point, a subnormal or an overflowing result.
+// parseDecimal is scanDecimal on a whole string: ok only when the
+// number is all of s.
 func parseDecimal(s string) (v float64, ok bool) {
+	v, n, ok := scanDecimal(s)
+	return v, ok && n == len(s)
+}
+
+// scanDecimal reads the longest prefix of s of the form
+// [+-]digits[.digits][(e|E)[+-]digits] with at least one mantissa digit
+// (an 'e' with no digits after it is not part of it) and returns its
+// length n and the float64 nearest it, ties to even — the value
+// strconv.ParseFloat(s[:n], 64) returns — with ok. It declines (ok
+// false) when s starts with no such number, and a number with more than
+// 19 significant digits, a decimal exponent outside the table, or a
+// rounding Eisel–Lemire cannot decide: a product too close to a halfway
+// point, a subnormal or an overflowing result. A value it takes is
+// therefore finite.
+func scanDecimal(s string) (v float64, n int, ok bool) {
+	b := unsafe.Slice(unsafe.StringData(s), len(s))
 	i, neg := 0, false
-	if i < len(s) && (s[i] == '+' || s[i] == '-') {
-		neg = s[i] == '-'
+	if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg = b[i] == '-'
 		i++
 	}
 	// Digits, then '.' and digits, all into man (a uint64 that may wrap:
-	// nd counts them, and a wrapped man is never used).
+	// nd counts them, and a wrapped man is never used), eight to a word
+	// while eight are left (Lemire 2021, section 6). man·10⁸ + parse8(w)
+	// is man = man·10 + d taken eight times, modulo 2⁶⁴ both, so a
+	// wrapped man has the same bits either way.
 	var man uint64
 	start := i
-	for ; i < len(s) && s[i]-'0' <= 9; i++ {
-		man = man*10 + uint64(s[i]-'0')
+	for i+8 <= len(b) && eightDigits(binary.LittleEndian.Uint64(b[i:])) {
+		man = man*1e8 + parse8(binary.LittleEndian.Uint64(b[i:]))
+		i += 8
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(b[i]-'0')
 	}
 	nd, exp := i-start, 0 // man·10^exp is the value
-	if i < len(s) && s[i] == '.' {
+	if i < len(b) && b[i] == '.' {
 		i++
 		frac := i
-		for ; i < len(s) && s[i]-'0' <= 9; i++ {
-			man = man*10 + uint64(s[i]-'0')
+		for i+8 <= len(b) && eightDigits(binary.LittleEndian.Uint64(b[i:])) {
+			man = man*1e8 + parse8(binary.LittleEndian.Uint64(b[i:]))
+			i += 8
+		}
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(b[i]-'0')
 		}
 		nd += i - frac
 		exp = frac - i
 	}
 	if nd == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	if nd > 19 {
 		// Leading zeros add nothing to man; the digits after them must fit.
-		for j := start; j < i && (s[j] == '0' || s[j] == '.'); j++ {
-			if s[j] == '0' {
+		for j := start; j < i && (b[j] == '0' || b[j] == '.'); j++ {
+			if b[j] == '0' {
 				nd--
 			}
 		}
 		if nd > 19 {
-			return 0, false
+			return 0, 0, false
 		}
 	}
-	if i < len(s) && s[i]|0x20 == 'e' {
-		i++
-		eneg := false
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			eneg = s[i] == '-'
-			i++
+	if i < len(b) && b[i]|0x20 == 'e' {
+		j, eneg := i+1, false
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			eneg = b[j] == '-'
+			j++
 		}
-		if i == len(s) {
-			return 0, false
-		}
-		e := 0
-		for ; i < len(s); i++ {
-			d := s[i] - '0'
-			if d > 9 {
-				return 0, false
+		if j < len(b) && b[j]-'0' <= 9 {
+			e := 0
+			for ; j < len(b) && b[j]-'0' <= 9; j++ {
+				if e < 10000 { // far outside the table already; stop before int overflows
+					e = e*10 + int(b[j]-'0')
+				}
 			}
-			if e < 10000 { // far outside the table already; stop before int overflows
-				e = e*10 + int(d)
+			if eneg {
+				e = -e
 			}
+			exp += e
+			i = j
 		}
-		if eneg {
-			e = -e
-		}
-		exp += e
-	}
-	if i != len(s) {
-		return 0, false
 	}
 	if man == 0 {
 		if neg {
-			return math.Copysign(0, -1), true
+			return math.Copysign(0, -1), i, true
 		}
-		return 0, true
+		return 0, i, true
 	}
-	return eiselLemire(man, exp, neg)
+	v, ok = eiselLemire(man, exp, neg)
+	return v, i, ok
+}
+
+// eightDigits reports whether every byte of the little-endian word w is
+// an ASCII digit: each byte's high nibble must be 3, and adding 6 must
+// leave it 3 (no byte above '9'); a byte that carries into the next one
+// has a high nibble of F and fails the first test.
+func eightDigits(w uint64) bool {
+	return w&0xF0F0F0F0F0F0F0F0|(w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 == 0x3333333333333333
+}
+
+// parse8 returns the value of the eight ASCII digits in the
+// little-endian word w, first digit in the lowest byte: pairs, then
+// quads, then the whole, each step one multiply.
+func parse8(w uint64) uint64 {
+	w -= 0x3030303030303030
+	w = w*10 + w>>8 // each byte pair's low byte is now its two-digit value
+	return ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
 }
 
 // eiselLemire returns man·10^exp10 correctly rounded to a float64,

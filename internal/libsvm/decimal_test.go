@@ -3,6 +3,7 @@ package libsvm
 import (
 	"bytes"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +31,38 @@ func checkDecimal(t *testing.T, s string) bool {
 	return true
 }
 
+// decimalGrammar is scanDecimal's grammar; Longest makes a match the
+// longest prefix of s in it.
+var decimalGrammar = func() *regexp.Regexp {
+	re := regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?`)
+	re.Longest()
+	return re
+}()
+
+// checkScan holds scanDecimal to its contract on s: when it takes a
+// prefix, that prefix is the longest one of s in the grammar, and its
+// value is strconv.ParseFloat's bits for the prefix — and parseDecimal's.
+func checkScan(t *testing.T, s string) {
+	t.Helper()
+	v, n, ok := scanDecimal(s)
+	if !ok {
+		return
+	}
+	if loc := decimalGrammar.FindStringIndex(s); loc == nil || loc[1] != n {
+		t.Fatalf("%q: scanner took %d bytes, the grammar's longest prefix is %v", s, n, loc)
+	}
+	want, err := strconv.ParseFloat(s[:n], 64)
+	if err != nil {
+		t.Fatalf("%q: scanner took %q as %v, strconv refuses it: %v", s, s[:n], v, err)
+	}
+	if math.Float64bits(v) != math.Float64bits(want) {
+		t.Fatalf("%q: scanner read %q as %v (%#016x), strconv %v (%#016x)", s, s[:n], v, math.Float64bits(v), want, math.Float64bits(want))
+	}
+	if w, ok := parseDecimal(s[:n]); !ok || math.Float64bits(w) != math.Float64bits(v) {
+		t.Fatalf("%q: scanDecimal took %q as %v, parseDecimal gives (%v, %v)", s, s[:n], v, w, ok)
+	}
+}
+
 // decimalSeeds are the scanner's boundary strings; they seed FuzzDecimal,
 // which plain go test runs as unit tests.
 var decimalSeeds = []string{
@@ -47,6 +80,8 @@ var decimalSeeds = []string{
 	"1e-400", "1e310", "1.7976931348623157e308", "1.7976931348623159e308",
 	"1e-348", "1e347", "1e-349", "1e348",
 	"0.1", "-1", "1", "+1.5e2", "1E5", "1e-05", "1e+21",
+	"1e5x", "1.5 2:3", "1e+ 2", "1e-x", "5.e3", "0.123456789012345678e5 ", "12345678:9",
+	"123456781234567812345678", "1234567.12345678e-3\u0085",
 }
 
 // TestDecimalMatchesStrconv: bitwise agreement on shapes around every
@@ -117,17 +152,36 @@ func TestDecimalMatchesStrconv(t *testing.T) {
 	}
 }
 
+// inPlace reports whether ParseBytes finishes the feature field at the
+// start of s — index:value, then the byte that ends it — where it lies:
+// splitIndex and scanDecimal reach the white space (or the end of s)
+// with no second pass.
+func inPlace(s string) bool {
+	colon, _, ok := splitIndex(s)
+	if !ok {
+		return false
+	}
+	_, n, ok := scanDecimal(s[colon+1:])
+	end := colon + 1 + n
+	return ok && (end == len(s) || spaceAt([]byte(s), end) > 0)
+}
+
 // TestDecimalTakesBenchmarkFields guards the gain itself: the scanner
 // must take, not hand to strconv, every value of the serving
 // benchmark's shape (FormatFloat(NormFloat64(), 'g', -1, 64), 48 per
-// row) and every number Write prints for the benchmark's regression and
-// classification data. A silent fallback would keep all the correctness
-// tests green and lose the speed.
+// row, behind an index below 8 192) and every number Write prints for
+// the benchmark's regression and classification data, and every such
+// feature field must be finished in place. A silent fallback would keep
+// all the correctness tests green and lose the speed.
 func TestDecimalTakesBenchmarkFields(t *testing.T) {
 	r := rng.New(1)
 	for range 4096 * 48 / 8 {
-		if s := strconv.FormatFloat(r.NormFloat64(), 'g', -1, 64); !checkDecimal(t, s) {
+		s := strconv.FormatFloat(r.NormFloat64(), 'g', -1, 64)
+		if !checkDecimal(t, s) {
 			t.Fatalf("%q went to strconv", s)
+		}
+		if f := strconv.Itoa(1+r.Intn(8192)) + ":" + s + " "; !inPlace(f) {
+			t.Fatalf("%q was not finished in place", f)
 		}
 	}
 	for _, d := range []*datagen.Dataset{
@@ -138,12 +192,63 @@ func TestDecimalTakesBenchmarkFields(t *testing.T) {
 		if err := Write(&buf, d.CSR, d.B); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range strings.Fields(buf.String()) {
+		text := buf.String()
+		for i := 0; i < len(text); {
+			end := i + strings.IndexAny(text[i:], " \n")
+			s := text[i:end]
 			if c := strings.IndexByte(s, ':'); c >= 0 {
+				if !inPlace(text[i:]) {
+					t.Fatalf("%s: %q, printed by Write, was not finished in place", d.Name, s)
+				}
 				s = s[c+1:]
 			}
 			if !checkDecimal(t, s) {
 				t.Fatalf("%s: %q, printed by Write, went to strconv", d.Name, s)
+			}
+			i = end + 1
+		}
+	}
+}
+
+// TestEightDigitsMatchesBytes holds the word step to the per-byte loop
+// it replaces: eightDigits is "every byte is an ASCII digit", and
+// parse8 the digits' value, on seeded words of mostly digits and on
+// every single-byte perturbation of some of them.
+func TestEightDigitsMatchesBytes(t *testing.T) {
+	check := func(w uint64) {
+		digits, val := true, uint64(0)
+		for k := range 8 {
+			d := byte(w>>(8*k)) - '0'
+			digits = digits && d <= 9
+			val = val*10 + uint64(d)
+		}
+		if eightDigits(w) != digits {
+			t.Fatalf("%#016x: eightDigits %v, bytes say %v", w, !digits, digits)
+		}
+		if digits && parse8(w) != val {
+			t.Fatalf("%#016x: parse8 %d, bytes say %d", w, parse8(w), val)
+		}
+	}
+	r := rng.New(8)
+	words, perturbed := 1_000_000, 4096
+	if testing.Short() {
+		words, perturbed = 100_000, 256
+	}
+	for n := range words {
+		var w uint64
+		for k := range 8 {
+			b := byte('0' + r.Intn(10))
+			if r.Intn(16) == 0 {
+				b = byte(r.Uint64())
+			}
+			w |= uint64(b) << (8 * k)
+		}
+		check(w)
+		if n < perturbed {
+			for k := range 8 {
+				for b := range 256 {
+					check(w&^(0xFF<<(8*k)) | uint64(b)<<(8*k))
+				}
 			}
 		}
 	}
@@ -176,6 +281,7 @@ func FuzzDecimal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		checkDecimal(t, s)
+		checkScan(t, s)
 	})
 }
 

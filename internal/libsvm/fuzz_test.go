@@ -30,6 +30,12 @@ func FuzzRowParser(f *testing.F) {
 		"\x00\xff \x01:\x02",
 		"1 18446744073709551616:1", // overflows uint64
 		"1 1:1 2:+0 3:-0",
+		// Values ending at non-ASCII white space, a tab and the line's end,
+		// and fields the in-place pass must hand back to the slow path.
+		"1 1:0.5\u00852:1.5\u00a03:2.5\u20284:3.5\t5:4.5",
+		"1 1:1e5x", "1 1:.5", "1 1:5.", "1 1:1e+", "+1:2", "01:2",
+		"1 123456789012345678:1", "1 1234567890123456789:1", // 18 and 19 digits
+		"1 1:12345678901234567890", // 20 significant digits
 	}
 	for _, s := range seeds {
 		f.Add(s)

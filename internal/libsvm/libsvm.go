@@ -17,16 +17,26 @@
 // label on its own. White space is unicode.IsSpace, as it was when the
 // fields were split by package strings: U+0085, U+00A0, U+2028 … count.
 //
-// Numbers have one scanner too, parseDecimal: one pass over a label or
-// value reads its sign, up to 19 significant digits into a uint64 and a
-// decimal exponent, and Eisel–Lemire (Lemire, "Number Parsing at a
-// Gigabyte per Second", Software: Practice and Experience 51(8), 2021)
-// turns them into the correctly rounded float64. strconv.ParseFloat is
-// its reference and its fallback: a field the scanner cannot decide
-// (more digits, hex, inf, nan, a malformed or near-halfway number) goes
-// to strconv unchanged, so every verdict, value and error text is
-// strconv's. An index of 1 … 18 digits is read in the pass that finds
-// its ':'; any other goes to strconv.Atoi.
+// Numbers have one scanner too, scanDecimal, and ParseBytes reads each
+// field where it lies, once: splitIndex reads the index digits up to the
+// ':', scanDecimal reads the value from the next byte — its sign, up to
+// 19 significant digits into a uint64, eight ASCII digits to a word
+// (the SWAR step of Lemire, "Number Parsing at a Gigabyte per Second",
+// Software: Practice and Experience 51(8), 2021, whose wrap-around
+// multiply leaves the same bits as the per-digit loop), and a decimal
+// exponent — and stops at the first byte outside its grammar.
+// Eisel–Lemire turns the digits into the correctly rounded float64. When
+// that byte is white space or the end of the line, the field is done:
+// no field-end scan and no second pass. The label is read the same way.
+//
+// strconv is the reference and decides everything else. Any other
+// outcome — a value the scanner declines (more digits, hex, inf, nan, a
+// near-halfway number), a stray byte after it, an index that is not 1 …
+// 18 digits, a duplicate or out-of-order index — sends the field back to
+// its start, where it is measured to the next white space and decided
+// whole: by the scanner where it can, by strconv.ParseFloat and
+// strconv.Atoi where it cannot. Every verdict, value and error text is
+// therefore strconv's.
 package libsvm
 
 import (
@@ -37,6 +47,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -94,6 +105,33 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 		if i = skipSpace(line, i); i == len(line) {
 			break
 		}
+		// The field read where it lies: the index digits up to ':', then
+		// the number from the next byte. When the first byte the number's
+		// grammar does not take is white space or the end of the line, the
+		// field is done and valid (scanDecimal takes only finite numbers),
+		// and nothing reads it again.
+		s := unsafe.String(&line[i], len(line)-i)
+		colon, idx, digits := splitIndex(s)
+		if first && (!optionalLabel || !digits) {
+			if v, n, ok := scanDecimal(s); ok && (i+n == len(line) || spaceAt(line, i+n) > 0) {
+				label, labeled, first = v, true, false
+				i += n
+				continue
+			}
+		} else if digits && idx-1 > prev {
+			j := i + colon + 1
+			if v, n, ok := scanDecimal(s[colon+1:]); ok && (j+n == len(line) || spaceAt(line, j+n) > 0) {
+				first, prev, p.maxCol = false, idx-1, idx-1
+				if v != 0 {
+					p.Cols = append(p.Cols, prev)
+					p.Vals = append(p.Vals, v)
+				}
+				i = j + n
+				continue
+			}
+		}
+		// Anything else is measured and decided from the field's start:
+		// strconv's verdicts, and every error text.
 		start := i
 		// A field runs to the next white space, which no byte in
 		// ['!', 0x7f] can start: skip words of eight such bytes (any other
@@ -110,7 +148,9 @@ func (p *RowParser) ParseBytes(line []byte, lineNo int, optionalLabel bool) (lab
 		}
 		// A view, not a copy: strconv clones what its errors quote.
 		f := unsafe.String(&line[start], i-start)
-		colon, idx, digits := splitIndex(f)
+		if !digits { // a ':' of splitIndex's lies before any white space
+			colon = strings.IndexByte(f, ':')
+		}
 		if first {
 			first = false
 			if labeled = !optionalLabel || colon < 0; labeled {

@@ -110,6 +110,11 @@ var differentialLines = []string{
 	"1 5:1 5:2", "1 5:0 5:0", "1 5:1 2:1", "1 5:0 2:0",
 	"#", " #x", "x#", "",
 	"1 1:1 # trailing comment is a bad feature",
+	// Fields the in-place pass finishes, or hands back to the slow path.
+	"1 1:0.5\u00852:1.5\u00a03:2.5\u20284:-3.5e-2\t5:6", "-2.5\u0085 1:1", "1:2.5", "1 1:12345678.87654321",
+	"1 1:1e5x", "1 1:.5", "1 1:5.", "1 1:1e+", "1 1:1e+ 2:2", "1 1:5.e3", "+1:2", "01:2", "1 01:2 2:3",
+	"1 123456789012345678:1", "1 1234567890123456789:1", "1 1:12345678901234567890 2:1.2345678901234567890e5",
+	"1 1:1e5:2", "1:2:3", "1 2:1 2:1", "1 3:1 2:1", "1 1:-0 2:0.0e7",
 }
 
 // checkAgainstOracle holds one line to the oracle in both label modes,

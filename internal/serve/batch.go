@@ -12,9 +12,9 @@ import (
 // The micro-batcher. Concurrent /predict requests land as predictJobs
 // on one bounded channel; the dispatcher goroutine coalesces whatever
 // arrives within a short window (or until a row cap) into per-model
-// sparse matrices and makes one batched kernel call per model on the
-// persistent worker pool — the serving-side analogue of the solvers'
-// batched Gram kernels, where one dispatch amortizes across many rows.
+// sparse matrices and makes one scoring call per model — the
+// serving-side analogue of the solvers' batched Gram kernels, where one
+// dispatch amortizes across many rows.
 //
 // Correctness under hot swaps is by construction: the dispatcher loads
 // each registry pointer once per batch group and scores every row of
@@ -173,7 +173,7 @@ func (s *Server) scoreGroup(b *batcher, reg *Registry, batch []*predictJob) {
 	}
 	a, err := sparse.NewCSR(rows, m.Features, rowPtr, colIdx, vals)
 	if err == nil {
-		err = m.Score(a, s.opt.Workers, y)
+		err = m.Score(a, 1, y)
 	}
 	res := predictResult{model: m}
 	if err != nil {

@@ -55,7 +55,7 @@ func startCluster(t *testing.T, root string, n int) []*clusterReplica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewClusterServer(c, Options{Workers: 1, QueueDepth: 512, LearnCap: 4096, Metrics: mr})
+		srv := NewClusterServer(c, Options{QueueDepth: 512, LearnCap: 4096, Metrics: mr})
 		hs := &http.Server{Handler: srv.Handler()}
 		go hs.Serve(lns[i]) //nolint:errcheck // closed at cleanup
 		reps[i] = &clusterReplica{addr: addrs[i], c: c, srv: srv, mr: mr, hs: hs}

@@ -9,9 +9,8 @@
 //     pointer swap, so in-flight requests always score against exactly
 //     one immutable model version — never a torn mix of two.
 //   - Server micro-batches concurrent /predict requests into a single
-//     sparse matrix and scores it with one batched kernel call on the
-//     persistent internal/runtime pool, amortizing dispatch across the
-//     batch exactly like the solvers' Gram kernels.
+//     sparse matrix and scores it with one call, amortizing dispatch
+//     across the batch exactly like the solvers' Gram kernels.
 //   - Refit runs the sequential core.Stepper open-endedly and, from its
 //     Observer, publishes the live iterate as a new registry version on
 //     a fixed cadence. Each version is bitwise the core.Lasso / core.SVM
@@ -52,6 +51,14 @@
 // So is kind 3, written by the removed Pegasos trainer: retrain with
 // `sasolve -task svm -out`.
 //
+// A model may claim at most maxModelBytes/4 features (2²⁹): scoring
+// keeps a 4-byte position per feature, and the cap holds that map to
+// the size of the largest file the reader admits. validate refuses a
+// larger claim with a TooManyFeaturesError naming the count and the
+// cap, on every load path and before anything is sized by it — an
+// 80-byte file claiming 2⁴⁰ features is a fast error, not a 4 TB
+// allocation.
+//
 // Registry versions are encoded in the file name (model-%08d.sacm);
 // the watcher polls the directory and hot-swaps the pointer when a
 // higher version appears.
@@ -90,6 +97,23 @@
 // at most jobFreeSlots jobs and refuses one grown past
 // maxPooledJobBytes. /learn runs the same read and parse on a pooled
 // job; LearnBuffer.Offer copies the rows into its own flat arrays.
+//
+// # Scoring by position
+//
+// Model.Score reads each request entry once. A model builds, on its
+// first Score, a position map pos over [0, Features): pos[j] is feature
+// j's offset in Idx/Val, −1 where the model has no coefficient. The map
+// is built through a sync.Once after the model is validated (a
+// malformed Idx/Val is an error from Score, not a panic) and costs
+// 4·Features bytes per live version; the registry drops it with the
+// version. A row's score is Σ v·Val[pos[j]] over the row's own entries
+// (j, v) in ascending j, from +0, skipping the absent features — not
+// adding v·0, which would turn an Inf entry into a NaN. Those are the
+// products the two-pointer merge (simd.MergeDot, the tests' oracle)
+// forms, in its order, so the bits are the merge's, at O(nnz(row)) per
+// row instead of O(nnz(row) + nnz(model)). A batch is one sequential
+// pass: 256 rows of 48 entries are about 12 k lookups, too little work
+// to pay for a pool dispatch.
 //
 // # Ops surface
 //

@@ -19,7 +19,6 @@ func TestLearnIngestAndBackpressure(t *testing.T) {
 	}
 	var hooked *LearnBuffer
 	s := NewServer(reg, Options{
-		Workers:  1,
 		LearnCap: 3,
 		OnLearn:  func(name string, r *Registry, buf *LearnBuffer) { hooked = buf },
 	})
@@ -77,7 +76,7 @@ func TestLearnRejectsOversizedRows(t *testing.T) {
 	if _, err := reg.Publish(testModel(KindLasso, 10, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1, LearnCap: 100})
+	s := NewServer(reg, Options{LearnCap: 100})
 	ts := newHTTPServer(t, s)
 	if status, _ := post(t, ts.URL+"/learn", "text/plain", []byte("1 99:1.0\n")); status != http.StatusBadRequest {
 		t.Fatalf("oversized learn row answered %d", status)

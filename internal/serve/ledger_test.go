@@ -48,7 +48,7 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewServer(reg, Options{
-				Workers: 1, QueueDepth: 1, MaxBatch: 1,
+				QueueDepth: 1, MaxBatch: 1,
 				MaxQueueDelay: queueDelay, Metrics: tc.shared,
 			})
 			ts := newHTTPServer(t, s)

@@ -71,6 +71,10 @@ type Model struct {
 
 	denseOnce sync.Once
 	dense     []float64
+
+	posOnce sync.Once
+	pos     []int32 // pos[j] is j's offset in Idx/Val, −1 for an absent feature
+	posErr  error
 }
 
 // NewModel builds a model from a dense coefficient vector, keeping only
@@ -102,12 +106,38 @@ func (m *Model) Dense() []float64 {
 	return m.dense
 }
 
+// positions returns the model's position map, built once and cached:
+// pos[j] is feature j's offset in Idx/Val, −1 where the model has no
+// coefficient. The model is validated first, so a malformed Idx/Val is
+// an error here rather than a wrong read. The map costs 4·Features
+// bytes, which validate caps.
+func (m *Model) positions() ([]int32, error) {
+	m.posOnce.Do(func() {
+		if m.posErr = m.validate(); m.posErr != nil {
+			return
+		}
+		m.pos = make([]int32, m.Features)
+		for j := range m.pos {
+			m.pos[j] = -1
+		}
+		for k, j := range m.Idx {
+			m.pos[j] = int32(k)
+		}
+	})
+	return m.pos, m.posErr
+}
+
 // Score computes y = A·x for a batch of request rows against this
-// model with the batched sparse-model kernel on workers pool lanes
-// (0 = GOMAXPROCS, 1 = sequential). It is the single scoring path:
-// the server's micro-batches and the tests' per-request references both
-// go through it, which is what makes "batched equals sequential
-// bitwise" checkable.
+// model. Each row sums v·Val[pos[j]] over its own entries (j, v) in
+// ascending j, skipping the features the model lacks: the products
+// simd.MergeDot forms, added in its order from +0, so the bits are the
+// merge's at O(nnz(row)) per row. A batch is one sequential pass of
+// lookups (about 12 k for 256 rows of 48), too little work to pay for a
+// pool dispatch, so workers is ignored; the parameter stays because the
+// benchmark module pins the signature. It is the single
+// scoring path: the server's micro-batches and the tests' per-request
+// references both go through it, which is what makes "batched equals
+// sequential bitwise" checkable.
 func (m *Model) Score(a *sparse.CSR, workers int, y []float64) error {
 	if a.N != m.Features {
 		return fmt.Errorf("serve: batch has %d features, model has %d", a.N, m.Features)
@@ -115,14 +145,45 @@ func (m *Model) Score(a *sparse.CSR, workers int, y []float64) error {
 	if len(y) != a.M {
 		return fmt.Errorf("serve: %d outputs for %d rows", len(y), a.M)
 	}
-	a.WithKernelWorkers(workers).(*sparse.CSR).MulSparseVec(m.Idx, m.Val, y)
+	pos, err := m.positions()
+	if err != nil {
+		return err
+	}
+	for i := range y {
+		s := 0.0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if k := pos[a.ColIdx[p]]; k >= 0 {
+				s += a.Val[p] * m.Val[k]
+			}
+		}
+		y[i] = s
+	}
 	return nil
 }
 
-// validate checks the structural invariants shared by every load path.
+// TooManyFeaturesError refuses a model whose claimed dimensionality
+// would make its position map larger than the largest file the reader
+// admits: 4·Features bytes past maxModelBytes.
+type TooManyFeaturesError struct {
+	Features, Cap int
+}
+
+func (e *TooManyFeaturesError) Error() string {
+	return fmt.Sprintf("serve: model claims %d features, past the cap of %d: its position map (4 bytes a feature) would outgrow the %d-byte reader cap", e.Features, e.Cap, maxModelBytes)
+}
+
+// maxFeatures caps a model's dimensionality so that its position map
+// (4 bytes a feature) costs no more than the largest model file.
+const maxFeatures = maxModelBytes / 4
+
+// validate checks the structural invariants shared by every load path
+// and by scoring.
 func (m *Model) validate() error {
 	if m.Features < 0 {
 		return fmt.Errorf("serve: negative feature count %d", m.Features)
+	}
+	if m.Features > maxFeatures {
+		return &TooManyFeaturesError{Features: m.Features, Cap: maxFeatures}
 	}
 	if len(m.Idx) != len(m.Val) {
 		return fmt.Errorf("serve: %d indices for %d values", len(m.Idx), len(m.Val))

@@ -61,7 +61,6 @@ func TestAdmissionControlSheds(t *testing.T) {
 	// ledger.)
 	mr := metrics.NewRegistry()
 	s := NewServer(reg, Options{
-		Workers:       1,
 		QueueDepth:    64,
 		MaxBatch:      256,
 		BatchWindow:   50 * time.Millisecond,
@@ -144,7 +143,6 @@ func TestQueueFullFastReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Options{
-		Workers:     1,
 		QueueDepth:  1,
 		MaxBatch:    1,
 		BatchWindow: time.Millisecond,

@@ -211,7 +211,7 @@ func TestNonFiniteScoreIsAnError(t *testing.T) {
 	if _, err := reg.Publish(NewModel(KindLasso, []float64{10, 1})); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	ts := newHTTPServer(t, s)
 	for body, want := range map[string]struct {
 		status int
@@ -247,7 +247,7 @@ func TestReadBodyFailures(t *testing.T) {
 	if _, err := reg.Publish(NewModel(KindLasso, []float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1, MaxBodyBytes: 64})
+	s := NewServer(reg, Options{MaxBodyBytes: 64})
 	ts := newHTTPServer(t, s)
 	h := s.Handler()
 
@@ -357,7 +357,7 @@ func TestHandlerAllocations(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1, BatchWindow: time.Microsecond})
+	s := NewServer(reg, Options{BatchWindow: time.Microsecond})
 	defer s.Close()
 	h := s.Handler()
 	for _, rows := range []int{8, 256} {
@@ -400,7 +400,7 @@ func TestJobRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Options{
-		Workers: 1, MaxBatch: 24, QueueDepth: 4,
+		MaxBatch: 24, QueueDepth: 4,
 		BatchWindow: 200 * time.Microsecond, MaxQueueDelay: 150 * time.Microsecond,
 	})
 	h := s.Handler()

@@ -23,9 +23,6 @@ type Options struct {
 	// requests after the first of a batch (default 500µs). Shorter
 	// windows favour latency, longer ones throughput.
 	BatchWindow time.Duration
-	// Workers is the kernel width of the batched scoring call on the
-	// persistent pool (0 = GOMAXPROCS, 1 = sequential).
-	Workers int
 	// MaxBodyBytes caps a /predict request body (default 32 MiB).
 	MaxBodyBytes int64
 

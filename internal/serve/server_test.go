@@ -67,7 +67,7 @@ func TestPredictBothBodyFormats(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{Workers: 1})
+	ts := newTestServer(t, reg, Options{})
 
 	jsonBody := []byte(`{"rows":[{"indices":[1,3],"values":[1,1]},{"indices":[2],"values":[-1]}]}`)
 	st, data := post(t, ts.URL+"/predict", "application/json", jsonBody)
@@ -110,7 +110,7 @@ func TestPredictErrorSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{Workers: 1})
+	ts := newTestServer(t, reg, Options{})
 
 	if st, _ := post(t, ts.URL+"/predict", "text/plain", []byte("1:1\n")); st != http.StatusServiceUnavailable {
 		t.Fatalf("no-model predict: %d, want 503", st)
@@ -201,7 +201,7 @@ func TestPredictNoTornModel(t *testing.T) {
 	if _, err := reg.Publish(m1); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{Workers: 2, MaxBatch: 8, BatchWindow: 200 * time.Microsecond})
+	ts := newTestServer(t, reg, Options{MaxBatch: 8, BatchWindow: 200 * time.Microsecond})
 
 	const clients = 8
 	const perClient = 40
@@ -289,10 +289,10 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{Workers: 4, MaxBatch: 512, BatchWindow: 3 * time.Millisecond})
+	ts := newTestServer(t, reg, Options{MaxBatch: 512, BatchWindow: 3 * time.Millisecond})
 
 	// Pre-generate each client's rows and its sequential reference:
-	// one row at a time, sequential kernel (workers = 1).
+	// one row at a time through Model.Score.
 	const clients = 12
 	type clientReq struct {
 		body string
@@ -415,7 +415,7 @@ func TestOversizedSingleRequest(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{Workers: 1, MaxBatch: 4})
+	ts := newTestServer(t, reg, Options{MaxBatch: 4})
 
 	rows := randRequestCSR(rng, 32, 20)
 	want := make([]float64, 32)

@@ -313,7 +313,7 @@ func LassoPath(a ColMatrix, b []float64, lambdas []float64, opt LassoOptions) ([
 // Model-serving types (internal/serve): a versioned binary model
 // format, a registry that hot-swaps model versions through an atomic
 // pointer, an HTTP scoring server that micro-batches concurrent
-// requests into pooled kernel calls, and a live refit on the
+// requests into one scoring call per batch, and a live refit on the
 // sequential solver whose published versions are bitwise the batch
 // solve at their iteration count. See cmd/saserve for the binary.
 type (
@@ -326,7 +326,7 @@ type (
 	// pointer, watching a directory for hot swaps.
 	ModelRegistry = serve.Registry
 	// ServeOptions tunes the scoring server (batch size, linger window,
-	// kernel workers).
+	// admission control, /learn).
 	ServeOptions = serve.Options
 	// ServeServer answers /predict, /stats (and /learn, /cluster*) next
 	// to the shared ops routes /healthz, /readyz and /metrics; /stats is
