@@ -113,6 +113,22 @@ func TestGenerateSmoke(t *testing.T) {
 	}
 }
 
+// TestBadScaleExitsOne: a scale that is not a finite positive number
+// is refused with exit 1 and no file written — +Inf would otherwise
+// clamp every dimension to its floor and NaN would pass as a scale.
+func TestBadScaleExitsOne(t *testing.T) {
+	for _, scale := range []string{"0", "-1", "nan", "inf", "-inf"} {
+		out := filepath.Join(t.TempDir(), "x.svm")
+		code, _, stderr := runCLI(t, "-name", "w1a", "-scale", scale, "-out", out)
+		if code != 1 || !strings.Contains(stderr, "scale must be finite and positive") {
+			t.Errorf("-scale %s: exit %d, stderr %q; want 1 with the bad-scale error", scale, code, stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("-scale %s: output file exists (stat error %v)", scale, err)
+		}
+	}
+}
+
 // TestUnwritableOutputExitsOne: write failures surface as exit 1, not a
 // truncated file reported as success.
 func TestUnwritableOutputExitsOne(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"saco"
 )
@@ -260,6 +261,48 @@ func TestNonFiniteInputExitsOne(t *testing.T) {
 		code, _, stderr := runCLI(t, append([]string{"-data", path, "-task", "lasso", "-iters", "20"}, extra...)...)
 		if code != 1 || !strings.Contains(stderr, `line 3: bad value "nan": not finite`) {
 			t.Fatalf("%v: exit %d, stderr %q; want 1 naming line 3", extra, code, stderr)
+		}
+	}
+}
+
+// TestNonFiniteLambdaExitsOne: a λ that is NaN or ±Inf — given
+// directly (-lambda) or reached by -lambda-frac, where 1e308·‖Aᵀb‖∞
+// overflows — is refused before the solve on every path, exiting 1
+// promptly with core's message naming the value, not a run that prints
+// a NaN objective and exits 0.
+func TestNonFiniteLambdaExitsOne(t *testing.T) {
+	path := writeTinyDataset(t)
+	cases := []struct {
+		args []string
+		got  string
+	}{
+		{[]string{"-task", "lasso", "-lambda-frac", "nan"}, "got NaN"},
+		{[]string{"-task", "lasso", "-lambda-frac", "inf"}, "got +Inf"},
+		{[]string{"-task", "lasso", "-lambda-frac", "1e308"}, "got +Inf"},
+		{[]string{"-task", "svm", "-lambda", "nan"}, "got NaN"},
+		{[]string{"-task", "svm", "-lambda", "inf"}, "got +Inf"},
+	}
+	for _, c := range cases {
+		for _, extra := range [][]string{nil, {"-simulate", "2"}, {"-stream"}, {"-backend", "async"}} {
+			args := append(append([]string{"-data", path, "-iters", "20"}, c.args...), extra...)
+			type result struct {
+				code   int
+				stderr string
+			}
+			done := make(chan result, 1)
+			go func() {
+				var out, errb bytes.Buffer
+				code := run(args, &out, &errb)
+				done <- result{code, errb.String()}
+			}()
+			select {
+			case r := <-done:
+				if r.code != 1 || !strings.Contains(r.stderr, "core: Lambda must be finite") || !strings.Contains(r.stderr, c.got) {
+					t.Errorf("%v: exit %d, stderr %q; want 1 naming λ (%s)", args, r.code, r.stderr, c.got)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%v: no exit within 10 s", args)
+			}
 		}
 	}
 }

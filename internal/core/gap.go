@@ -29,9 +29,9 @@ func LassoDualityGap(a ColMatrix, b, x, r []float64, lambda float64) float64 {
 	if cInf > lambda && cInf > 0 {
 		scale = lambda / cInf
 	}
-	primal := 0.5*mat.Nrm2Sq(r) + lambda*mat.Asum(x)
+	primal := 0.5*mat.Nrm2Sq(0, r) + lambda*mat.Asum(x)
 	// D(u) = −½‖u‖² − bᵀu with u = scale·r.
-	dual := -0.5*scale*scale*mat.Nrm2Sq(r) - scale*mat.Dot(b, r)
+	dual := -0.5*scale*scale*mat.Nrm2Sq(0, r) - scale*mat.Dot(b, r)
 	gap := primal - dual
 	if gap < 0 && gap > -1e-12*math.Max(1, math.Abs(primal)) {
 		gap = 0 // clamp roundoff-negative gaps

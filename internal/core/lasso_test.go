@@ -44,7 +44,7 @@ func TestLassoValidation(t *testing.T) {
 
 func TestLassoConvergesAllVariants(t *testing.T) {
 	a, b, lambda := testProblem(2)
-	start := 0.5 * mat.Nrm2Sq(b) // objective at x = 0
+	start := 0.5 * mat.Nrm2Sq(0, b) // objective at x = 0
 	for _, cfg := range []struct {
 		name string
 		opt  LassoOptions
@@ -265,7 +265,7 @@ func TestElasticNetSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := 0.5 * mat.Nrm2Sq(b)
+	start := 0.5 * mat.Nrm2Sq(0, b)
 	if res.Objective >= start {
 		t.Fatalf("elastic net did not descend: %v vs %v", res.Objective, start)
 	}

@@ -11,7 +11,7 @@ var inf = math.Inf(1)
 // LassoObjective returns ½‖res‖² + g(x) given the residual res = A·x − b.
 // The paper's Fig. 2 convergence metric.
 func LassoObjective(res, x []float64, g Regularizer) float64 {
-	return 0.5*mat.Nrm2Sq(res) + g.Value(x)
+	return 0.5*mat.Nrm2Sq(0, res) + g.Value(x)
 }
 
 // svmPrimal returns P(x) = ½‖x‖² + λ·Σ loss(1 − bᵢ·marginᵢ) for the
@@ -38,7 +38,7 @@ func svmPrimal(margins, b []float64, lambda float64, loss SVMLoss) float64 {
 // (0 for L1, 1/(2λ) for L2). Strong duality makes the gap a rigorous
 // optimality certificate, the criterion used in Fig. 5 and Table V.
 func SVMObjectives(x, alpha, margins, b []float64, lambda, gamma float64, loss SVMLoss) (primal, dual, gap float64) {
-	return svmObjectives(mat.Nrm2Sq(x), alpha, margins, b, lambda, gamma, loss)
+	return svmObjectives(mat.Nrm2Sq(0, x), alpha, margins, b, lambda, gamma, loss)
 }
 
 // svmObjectives is SVMObjectives with ‖x‖² already reduced: a rank of a

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // LassoOptions configures the proximal least-squares solvers. The zero
@@ -74,8 +75,8 @@ func (o *LassoOptions) Validate(m, n int, lenB int) error {
 	if o.Iters <= 0 {
 		return errors.New("core: Iters must be positive")
 	}
-	if o.Lambda < 0 {
-		return errors.New("core: Lambda must be nonnegative")
+	if o.Lambda < 0 || math.IsNaN(o.Lambda) || math.IsInf(o.Lambda, 0) {
+		return fmt.Errorf("core: Lambda must be finite and nonnegative, got %v", o.Lambda)
 	}
 	if o.Groups == nil && o.mu() > n {
 		return fmt.Errorf("core: BlockSize %d exceeds %d features", o.mu(), n)
@@ -211,8 +212,8 @@ func (o *SVMOptions) validate(m int, lenB int) error {
 	if o.Iters <= 0 {
 		return errors.New("core: Iters must be positive")
 	}
-	if o.Lambda <= 0 {
-		return errors.New("core: Lambda must be positive")
+	if o.Lambda <= 0 || math.IsNaN(o.Lambda) || math.IsInf(o.Lambda, 0) {
+		return fmt.Errorf("core: Lambda must be finite and positive, got %v", o.Lambda)
 	}
 	if o.Alpha0 != nil && len(o.Alpha0) != m {
 		return fmt.Errorf("core: len(Alpha0)=%d, want %d", len(o.Alpha0), m)

@@ -50,7 +50,7 @@ func (l *lassoBlock) sample(sb int) {
 // residual is partitioned like the rows of A and x is replicated.
 func (l *lassoBlock) objective() (float64, error) {
 	x, r := l.iterate()
-	rn, err := l.d.sumScalar(mat.Nrm2Sq(r))
+	rn, err := l.d.sumScalar(mat.Nrm2Sq(0, r))
 	return 0.5*rn + l.g.Value(x), err
 }
 

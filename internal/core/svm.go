@@ -159,7 +159,7 @@ func (s *dualSVM) objectives() (float64, error) {
 	if err := s.d.sumVec(s.margin); err != nil {
 		return 0, err
 	}
-	xns, err := s.d.sumScalar(mat.Nrm2Sq(s.x))
+	xns, err := s.d.sumScalar(mat.Nrm2Sq(0, s.x))
 	if err != nil {
 		return 0, err
 	}

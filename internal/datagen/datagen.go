@@ -299,8 +299,8 @@ func Replica(name string, scale float64, seed uint64) (*Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("datagen: unknown replica %q (have %v)", name, ReplicaNames())
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("datagen: scale must be positive, got %v", scale)
+	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("datagen: scale must be finite and positive, got %v", scale)
 	}
 	m := maxInt(4, int(float64(spec.m)*scale))
 	n := maxInt(4, int(float64(spec.n)*scale))

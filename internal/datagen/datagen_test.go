@@ -1,7 +1,9 @@
 package datagen
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"saco/internal/mat"
@@ -176,8 +178,10 @@ func TestReplicaErrors(t *testing.T) {
 	if _, err := Replica("nope", 1, 1); err == nil {
 		t.Fatal("expected unknown-name error")
 	}
-	if _, err := Replica("url", 0, 1); err == nil {
-		t.Fatal("expected bad-scale error")
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Replica("url", scale, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("scale must be finite and positive, got %v", scale)) {
+			t.Fatalf("scale %v: error %v; want the bad-scale error naming it", scale, err)
+		}
 	}
 	if _, _, _, _, _, err := ReplicaInfo("nope"); err == nil {
 		t.Fatal("expected unknown-name error")

@@ -19,8 +19,9 @@ import (
 //     intermediate rounding step, so it does not reproduce the
 //     separate multiply and add of the reference loops).
 //
-// No file is exempt: internal/simd's reductions are the scalar loops,
-// and a deliberate deviation carries a //saco:nolint with its reason.
+// No file is exempt: the BLAS-1 loops of mat and sparse are held to the
+// same fold, and a deliberate deviation carries a //saco:nolint with its
+// reason.
 var DetFloat = &Analyzer{
 	Name: "detfloat",
 	Doc: "flags multi-accumulator float reductions and math.FMA " +
@@ -37,7 +38,7 @@ func runDetFloat(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				if isPkgFunc(pass.Info, n, "math", "FMA") {
-					pass.Report(n.Pos(), "math.FMA contracts the intermediate rounding and does not reproduce the reference loops' separate multiply and add; write a*b+c or call the internal/simd kernels instead")
+					pass.Report(n.Pos(), "math.FMA contracts the intermediate rounding and does not reproduce the reference loops' separate multiply and add; write a*b+c or call the mat/sparse BLAS-1 loops instead")
 				}
 			case *ast.FuncDecl:
 				if n.Body != nil {

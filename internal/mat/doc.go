@@ -29,4 +29,17 @@
 // All functions are deterministic: identical inputs produce bitwise
 // identical outputs, which the solvers rely on to keep replicated state
 // consistent across simulated ranks.
+//
+// # The alpha == 0 contract
+//
+// Every kernel in the Axpy family — Axpy, ScatterAxpy, and the sparse
+// row/column kernels of package sparse built on them or on its gather
+// loops — treats alpha == 0 as a no-op: the destination is returned
+// untouched, bit for bit. The alternative (computing y[i] += 0*x[i])
+// would normalize -0 to +0 and turn Inf/NaN payloads in x into NaNs in
+// y, and historically the codebase disagreed with itself kernel by
+// kernel. The no-op is asserted for every variant (plain, atomic,
+// dense, sparse) by the kernel property tests. Scal is not in the
+// family: Scal(0, x) really does zero x (modulo 0·NaN = NaN,
+// 0·Inf = NaN), matching the BLAS convention.
 package mat

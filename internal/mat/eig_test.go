@@ -135,7 +135,7 @@ func TestLargestEigUpperBoundsRayleighProperty(t *testing.T) {
 			for i := range v {
 				v[i] = rng.NormFloat64()
 			}
-			nv := mat.Nrm2Sq(v)
+			nv := mat.Nrm2Sq(0, v)
 			if nv == 0 {
 				continue
 			}

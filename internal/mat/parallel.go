@@ -1,9 +1,6 @@
 package mat
 
-import (
-	rt "saco/internal/runtime"
-	"saco/internal/simd"
-)
+import rt "saco/internal/runtime"
 
 // The solver hot paths parallelize through the per-matrix kernel views
 // of internal/sparse (WithKernelWorkers, selected per solve by
@@ -23,7 +20,7 @@ func GemvParallel(alpha float64, a *Dense, x []float64, beta float64, y []float6
 	}
 	rt.For(0, a.R, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s := simd.Dot(a.Row(i), x)
+			s := Dot(a.Row(i), x)
 			y[i] = alpha*s + beta*y[i]
 		}
 	})

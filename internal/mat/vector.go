@@ -3,38 +3,47 @@ package mat
 import (
 	"fmt"
 	"math"
-
-	"saco/internal/simd"
 )
 
-// The O(n) hot primitives below (Dot, Axpy, Scal, Nrm2Sq, ScatterAxpy)
-// call internal/simd, whose scalar loops are this package's
-// original ones. Shape checking stays here — the kernels only guard
-// against out-of-bounds, not against caller bugs like mismatched
-// lengths.
+// The O(n) hot loops below (Dot, Axpy, Scal, Nrm2Sq, ScatterAxpy) are
+// the bitwise reference: the deterministic backend matrix is defined by
+// their left-to-right summation orders. Do not "improve" them: a
+// lane-split or fused reduction changes every trajectory (and detfloat
+// flags it).
 
-// Dot returns the inner product of x and y.
+// Dot returns the inner product of x and y, accumulated left to right.
 // It panics if the lengths differ.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: Dot length mismatch %d != %d", len(x), len(y)))
 	}
-	return simd.Dot(x, y)
+	var s float64
+	for i, v := range x {
+		s += v * y[i]
+	}
+	return s
 }
 
 // Axpy computes y += alpha*x in place; alpha == 0 leaves y untouched
-// (see the internal/simd alpha == 0 contract).
+// (see the package's alpha == 0 contract).
 // It panics if the lengths differ.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
-	simd.Axpy(alpha, x, y)
+	if alpha == 0 {
+		return
+	}
+	for i, v := range x {
+		y[i] += alpha * v
+	}
 }
 
 // Scal scales x by alpha in place.
 func Scal(alpha float64, x []float64) {
-	simd.Scal(alpha, x)
+	for i := range x {
+		x[i] *= alpha
+	}
 }
 
 // Nrm2 returns the Euclidean norm of x, guarding against overflow
@@ -62,11 +71,17 @@ func nrm2Acc(scale, ssq, v float64) (float64, float64) {
 	return scale, ssq + r*r
 }
 
-// Nrm2Sq returns the squared Euclidean norm of x. Unlike Nrm2 it does not
-// guard against overflow; the solvers use it on well-scaled residuals where
-// the straightforward sum is faster and deterministic.
-func Nrm2Sq(x []float64) float64 {
-	return simd.Nrm2Sq(0, x)
+// Nrm2Sq returns acc + Σ x[i]², the squared Euclidean norm of x added
+// term by term onto acc: the out-of-core column kernels thread their
+// running sum through it across row blocks, everyone else passes 0.
+// Unlike Nrm2 it does not guard against overflow; the solvers use it on
+// well-scaled residuals where the straightforward sum is faster and
+// deterministic.
+func Nrm2Sq(acc float64, x []float64) float64 {
+	for _, v := range x {
+		acc += v * v
+	}
+	return acc
 }
 
 // Asum returns the sum of absolute values of x (the L1 norm).
@@ -116,11 +131,18 @@ func ScatterAdd(dst, v []float64, idx []int) {
 	}
 }
 
-// ScatterAxpy performs dst[idx[k]] += alpha*v[k]; alpha == 0 leaves dst
-// untouched, like every kernel in the Axpy family.
+// ScatterAxpy performs dst[idx[k]] += alpha*v[k] — the sparse
+// row/column update of every CSR/CSC kernel; alpha == 0 leaves dst
+// untouched, like every kernel in the Axpy family. Duplicate indices
+// accumulate in index order.
 func ScatterAxpy(alpha float64, dst, v []float64, idx []int) {
 	if len(v) != len(idx) {
 		panic("mat: ScatterAxpy length mismatch")
 	}
-	simd.ScatterAxpy(alpha, dst, v, idx)
+	if alpha == 0 {
+		return
+	}
+	for k, j := range idx {
+		dst[j] += alpha * v[k]
+	}
 }

@@ -103,7 +103,7 @@ func TestNrm2PropertyAgainstSquaredSum(t *testing.T) {
 			}
 			xs[i] = math.Mod(xs[i], 1e6)
 		}
-		return almostEq(Nrm2(xs)*Nrm2(xs), Nrm2Sq(xs), 1e-9)
+		return almostEq(Nrm2(xs)*Nrm2(xs), Nrm2Sq(0, xs), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

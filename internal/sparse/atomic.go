@@ -68,7 +68,7 @@ func (a *CSR) RowDotAtomic(i int, x *mat.AtomicVec) float64 {
 // RowTAxpyAtomic performs x += alpha·A_iᵀ with per-element atomic adds —
 // the racy primal update of the async dual coordinate step. alpha == 0
 // is a no-op, matching the plain RowTAxpy and the rest of the Axpy
-// family (the internal/simd alpha == 0 contract); it previously issued
+// family (package mat's alpha == 0 contract); it previously issued
 // x.Add(j, 0) calls, which dirtied cache lines under contention and
 // disagreed with DenseRows.RowTAxpyAtomic's early return.
 func (a *CSR) RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec) {

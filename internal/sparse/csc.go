@@ -5,7 +5,6 @@ import (
 
 	"saco/internal/mat"
 	rt "saco/internal/runtime"
-	"saco/internal/simd"
 )
 
 // CSC is a compressed sparse column matrix. Column j occupies the
@@ -72,7 +71,7 @@ func (a *CSC) Density() float64 {
 
 // ColNormSq returns ‖A_:j‖², the 1×1 Gram matrix of coordinate descent.
 func (a *CSC) ColNormSq(j int) float64 {
-	return simd.Nrm2Sq(0, a.Val[a.ColPtr[j]:a.ColPtr[j+1]])
+	return mat.Nrm2Sq(0, a.Val[a.ColPtr[j]:a.ColPtr[j+1]])
 }
 
 // ColTMulVec computes dst[k] = A_:cols[k] · v, i.e. dst = A_Sᵀ·v. This is
@@ -98,7 +97,7 @@ func (a *CSC) colTMulVec(cols []int, v, dst []float64, lo, hi int) {
 	for k := lo; k < hi; k++ {
 		j := cols[k]
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		dst[k] = simd.GatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
+		dst[k] = gatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
 	}
 }
 
@@ -113,7 +112,7 @@ func (a *CSC) ColMulAdd(cols []int, coef []float64, v []float64) {
 	}
 	for k, j := range cols {
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		simd.ScatterAxpy(coef[k], v, a.Val[p0:p1], a.RowIdx[p0:p1])
+		mat.ScatterAxpy(coef[k], v, a.Val[p0:p1], a.RowIdx[p0:p1])
 	}
 }
 
@@ -147,7 +146,7 @@ func (a *CSC) ColTMulVecAcc(cols []int, v []float64, dst []float64) {
 	}
 	for k, j := range cols {
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		dst[k] = simd.GatherDot(dst[k], a.Val[p0:p1], a.RowIdx[p0:p1], v)
+		dst[k] = gatherDot(dst[k], a.Val[p0:p1], a.RowIdx[p0:p1], v)
 	}
 }
 
@@ -170,7 +169,7 @@ func (a *CSC) ColGramAcc(cols []int, dst *mat.Dense) {
 // ColNormSqAcc returns acc + ‖A_:j‖² accumulated term by term, the
 // row-block continuation of ColNormSq.
 func (a *CSC) ColNormSqAcc(j int, acc float64) float64 {
-	return simd.Nrm2Sq(acc, a.Val[a.ColPtr[j]:a.ColPtr[j+1]])
+	return mat.Nrm2Sq(acc, a.Val[a.ColPtr[j]:a.ColPtr[j+1]])
 }
 
 // MulVec computes y = A·x by column accumulation.
@@ -181,7 +180,7 @@ func (a *CSC) MulVec(x, y []float64) {
 	mat.Fill(y, 0)
 	for j := 0; j < a.N; j++ {
 		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		simd.ScatterAxpy(x[j], y, a.Val[p0:p1], a.RowIdx[p0:p1])
+		mat.ScatterAxpy(x[j], y, a.Val[p0:p1], a.RowIdx[p0:p1])
 	}
 }
 

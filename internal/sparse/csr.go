@@ -5,7 +5,6 @@ import (
 
 	"saco/internal/mat"
 	rt "saco/internal/runtime"
-	"saco/internal/simd"
 )
 
 // CSR is a compressed sparse row matrix. Row i occupies the half-open
@@ -79,7 +78,7 @@ func (a *CSR) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("sparse: MulVec shape mismatch A=%dx%d len(x)=%d len(y)=%d", a.M, a.N, len(x), len(y)))
 	}
 	rt.For(a.KernelWorkers(), a.M, 128, func(lo, hi int) {
-		simd.SpMVRows(a.RowPtr, a.ColIdx, a.Val, x, y, lo, hi)
+		spmvRows(a.RowPtr, a.ColIdx, a.Val, x, y, lo, hi)
 	})
 }
 
@@ -93,7 +92,7 @@ func (a *CSR) RowMulVec(rows []int, x []float64, dst []float64) {
 		for k := lo; k < hi; k++ {
 			r := rows[k]
 			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
-			dst[k] = simd.GatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
+			dst[k] = gatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
 		}
 	})
 }
@@ -105,12 +104,12 @@ func (a *CSR) RowTAxpy(row int, alpha float64, x []float64) {
 		panic("sparse: RowTAxpy shape mismatch")
 	}
 	p0, p1 := a.RowPtr[row], a.RowPtr[row+1]
-	simd.ScatterAxpy(alpha, x, a.Val[p0:p1], a.ColIdx[p0:p1])
+	mat.ScatterAxpy(alpha, x, a.Val[p0:p1], a.ColIdx[p0:p1])
 }
 
 // RowNormSq returns ‖A_row‖², the diagonal Gram entry η of Alg. 3 line 7.
 func (a *CSR) RowNormSq(row int) float64 {
-	return simd.Nrm2Sq(0, a.Val[a.RowPtr[row]:a.RowPtr[row+1]])
+	return mat.Nrm2Sq(0, a.Val[a.RowPtr[row]:a.RowPtr[row+1]])
 }
 
 // RowGram computes dst = A_R·AᵀR for the row set R (|R|×|R|), the s×s Gram

@@ -5,7 +5,6 @@ import (
 
 	"saco/internal/mat"
 	rt "saco/internal/runtime"
-	"saco/internal/simd"
 )
 
 // DenseCols adapts a dense matrix to the column-sampling access pattern of
@@ -49,7 +48,7 @@ func (d DenseCols) ColTMulVec(cols []int, v []float64, dst []float64) {
 			dst[k] = 0
 		}
 		for i := 0; i < d.A.R; i++ {
-			simd.GatherAxpy(v[i], dst[klo:khi], d.A.Row(i), cols[klo:khi])
+			gatherAxpy(v[i], dst[klo:khi], d.A.Row(i), cols[klo:khi])
 		}
 	})
 }
@@ -61,7 +60,7 @@ func (d DenseCols) ColMulAdd(cols []int, coef []float64, v []float64) {
 	}
 	rt.For(d.KernelWorkers(), d.A.R, 128, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v[i] += simd.GatherDot(0, coef, cols, d.A.Row(i))
+			v[i] += gatherDot(0, coef, cols, d.A.Row(i))
 		}
 	})
 }
@@ -85,7 +84,7 @@ func (d DenseCols) ColGram(cols []int, dst *mat.Dense) {
 				if va == 0 {
 					continue
 				}
-				simd.GatherAxpy(va, dst.Row(a)[a:], row, cols[a:])
+				gatherAxpy(va, dst.Row(a)[a:], row, cols[a:])
 			}
 		}
 	}
@@ -139,7 +138,7 @@ func denseDensity(a *mat.Dense) float64 {
 }
 
 // RowNormSq returns ‖A_row‖².
-func (d DenseRows) RowNormSq(row int) float64 { return mat.Nrm2Sq(d.A.Row(row)) }
+func (d DenseRows) RowNormSq(row int) float64 { return mat.Nrm2Sq(0, d.A.Row(row)) }
 
 // RowMulVec computes dst[k] = A_{rows[k]}·x; the batched row dots are
 // independent, so they partition across the kernel workers.

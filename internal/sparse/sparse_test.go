@@ -200,7 +200,7 @@ func TestCSRRowOpsMatchDense(t *testing.T) {
 		}
 	}
 
-	if !approxEq(a.RowNormSq(7), mat.Nrm2Sq(d.Row(7)), 1e-12) {
+	if !approxEq(a.RowNormSq(7), mat.Nrm2Sq(0, d.Row(7)), 1e-12) {
 		t.Fatal("RowNormSq mismatch")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // coefficient) must leave the destination untouched bit for bit — no
 // -0 → +0 normalization, no NaN produced from 0·Inf — in the plain
 // kernel AND its atomic mirror, for both sparse matrices and dense
-// views. This pins the unified semantic documented in internal/simd
+// views. This pins the unified semantic documented in internal/mat
 // (historically CSR.RowTAxpyAtomic and mat.ScatterAxpy disagreed with
 // the rest of the family).
 
