@@ -285,23 +285,56 @@ func TestNonFiniteLambdaExitsOne(t *testing.T) {
 	for _, c := range cases {
 		for _, extra := range [][]string{nil, {"-simulate", "2"}, {"-stream"}, {"-backend", "async"}} {
 			args := append(append([]string{"-data", path, "-iters", "20"}, c.args...), extra...)
-			type result struct {
-				code   int
-				stderr string
+			code, stderr := runWithin(t, 10*time.Second, args...)
+			if code != 1 || !strings.Contains(stderr, "core: Lambda must be finite") || !strings.Contains(stderr, c.got) {
+				t.Errorf("%v: exit %d, stderr %q; want 1 naming λ (%s)", args, code, stderr, c.got)
 			}
-			done := make(chan result, 1)
-			go func() {
-				var out, errb bytes.Buffer
-				code := run(args, &out, &errb)
-				done <- result{code, errb.String()}
-			}()
-			select {
-			case r := <-done:
-				if r.code != 1 || !strings.Contains(r.stderr, "core: Lambda must be finite") || !strings.Contains(r.stderr, c.got) {
-					t.Errorf("%v: exit %d, stderr %q; want 1 naming λ (%s)", args, r.code, r.stderr, c.got)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%v: no exit within 10 s", args)
+		}
+	}
+}
+
+// runWithin runs the CLI and fails the test unless it returns within d.
+func runWithin(t *testing.T, d time.Duration, args ...string) (code int, stderr string) {
+	t.Helper()
+	type result struct {
+		code   int
+		stderr string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		done <- result{code, errb.String()}
+	}()
+	select {
+	case r := <-done:
+		return r.code, r.stderr
+	case <-time.After(d):
+		t.Fatalf("%v: no exit within %v", args, d)
+		return 0, ""
+	}
+}
+
+// TestGramSizeBombExitsOne: an -s·-mu whose batch Gram would pass
+// core's cap of 2²⁸ entries (here k = 300 000, a 670 GiB Gram, and
+// k = 100 000 for the SVM) exits 1 within a second with core's typed
+// refusal naming s and µ, locally and under -simulate 2 — never a
+// runtime out-of-memory crash.
+func TestGramSizeBombExitsOne(t *testing.T) {
+	path := writeTinyDataset(t)
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-task", "lasso", "-iters", "100000", "-s", "100000", "-mu", "3"}, "core: s=100000 blocks of µ=3 need a 300000×300000 batch Gram"},
+		{[]string{"-task", "svm", "-iters", "100000", "-s", "100000"}, "core: s=100000 blocks of µ=1 need a 100000×100000 batch Gram"},
+	}
+	for _, c := range cases {
+		for _, extra := range [][]string{nil, {"-simulate", "2"}} {
+			args := append(append([]string{"-data", path}, c.args...), extra...)
+			code, stderr := runWithin(t, time.Second, args...)
+			if code != 1 || !strings.Contains(stderr, c.want) || !strings.Contains(stderr, "past the cap of 268435456 entries") {
+				t.Errorf("%v: exit %d, stderr %q; want 1 with %q", args, code, stderr, c.want)
 			}
 		}
 	}

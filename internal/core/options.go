@@ -84,11 +84,16 @@ func (o *LassoOptions) Validate(m, n int, lenB int) error {
 	if o.X0 != nil && len(o.X0) != n {
 		return fmt.Errorf("core: len(X0)=%d, want %d", len(o.X0), n)
 	}
+	mu := 1 // the batch Gram's block: µ, or the largest group
+	if o.Groups == nil {
+		mu = o.mu()
+	}
 	seen := make(map[int]bool)
 	for _, g := range o.Groups {
 		if len(g) == 0 {
 			return errors.New("core: empty group")
 		}
+		mu = max(mu, len(g))
 		for _, j := range g {
 			if j < 0 || j >= n {
 				return fmt.Errorf("core: group index %d out of range", j)
@@ -99,7 +104,44 @@ func (o *LassoOptions) Validate(m, n int, lenB int) error {
 			seen[j] = true
 		}
 	}
-	return nil
+	return checkGram(o.S, o.Iters, mu)
+}
+
+// maxGramEntries caps the batch Gram a solve allocates up front: k²
+// float64s with k = s·µ, 2²⁸ entries (2 GiB, k ≤ 16384).
+const maxGramEntries = 1 << 28
+
+// GramTooLargeError refuses a solve whose batch Gram — k×k with
+// k = S·BlockSize, S clamped to Iters and BlockSize the largest group
+// under group sampling — would hold more than Cap entries, before
+// anything is allocated. Cap is a fixed constant of the solvers, not a
+// budget read from the host; a footprint budget that prices every
+// allocation an input sizes is to take its place.
+type GramTooLargeError struct {
+	S, BlockSize, K int
+	Bytes           float64 // 8·K², which may not fit an int
+	Cap             int     // entries
+}
+
+func (e *GramTooLargeError) Error() string {
+	return fmt.Sprintf("core: s=%d blocks of µ=%d need a %d×%d batch Gram (%.1f GiB), past the cap of %d entries (%d GiB)",
+		e.S, e.BlockSize, e.K, e.K, e.Bytes/(1<<30), e.Cap, e.Cap*8>>30)
+}
+
+// checkGram refuses the batch Gram of s blocks of up to mu coordinates
+// when it holds more than maxGramEntries entries.
+func checkGram(s, iters, mu int) error {
+	s = max(1, min(s, iters)) // no batch holds more than Iters blocks
+	const maxSide = 1 << 14   // maxSide² = maxGramEntries
+	if s <= maxSide/mu {
+		return nil
+	}
+	k := math.MaxInt
+	if s <= math.MaxInt/mu {
+		k = s * mu
+	}
+	side := float64(s) * float64(mu)
+	return &GramTooLargeError{S: s, BlockSize: mu, K: k, Bytes: 8 * side * side, Cap: maxGramEntries}
 }
 
 // TracePoint is one entry of a convergence history.
@@ -218,7 +260,7 @@ func (o *SVMOptions) validate(m int, lenB int) error {
 	if o.Alpha0 != nil && len(o.Alpha0) != m {
 		return fmt.Errorf("core: len(Alpha0)=%d, want %d", len(o.Alpha0), m)
 	}
-	return nil
+	return checkGram(o.S, o.Iters, 1)
 }
 
 // GapPoint is one duality-gap measurement.

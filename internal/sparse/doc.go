@@ -41,17 +41,22 @@
 // Every sparse Gram — CSC.ColGram, CSC.ColGramAcc (the streamed row-block
 // continuation), CSR.RowGram, and through it stream.RowStream.RowGram —
 // is one kernel (gram.go), Gustavson's row-wise sparse product with the
-// operands linked into one list per index. A worker that owns output
-// rows [lo, hi) pushes operands hi−1 … lo onto the lists, each in
-// storage order. Just before operand i's entry (r, x) is pushed, r's
-// list holds the entries (r, v) of exactly the operands j ∈ (i, hi) that
-// store r, so walking it adds x·v to dst(i, j), and x·x goes to a
-// diagonal register. Operands past the range (other workers' rows) are
-// then scanned once each: a marker bit per index says whether r has a
-// list, and a marked index walks its whole list into column j of the
-// worker's rows. Every operand is read once per worker, and every match
-// costs one list step, so a Gram is nnz + matches instead of a merge per
-// pair.
+// operands linked into one list per index, in two passes. A worker that
+// owns output rows [lo, hi) first pushes operands hi−1 … lo onto the
+// lists, each in storage order: an entry (r, x) of operand i becomes a
+// node that links to r's list as it stands at that push, x·x goes to a
+// diagonal register, and the entry is recorded as a hit, without a
+// branch, when the list was not empty. The walk pass then follows the
+// hits' links. A node's link freezes the list at its push: from operand
+// i's entry it reaches exactly the entries (r, v) of the operands
+// j ∈ (i, hi) that store r, so each step adds x·v to dst(i, j), and
+// later pushes do not change what it reaches. Operands past the range
+// (other workers' rows) are then scanned once each: a marker bit per
+// index says whether r has a list, and a marked index walks its whole
+// list into column j of the worker's rows. Every operand is read once
+// per worker, and every match costs one list step, so a Gram is
+// nnz + matches instead of a merge per pair; a list step reads one
+// 16-byte node.
 //
 // The result is bitwise what the pairwise definition gives — one
 // two-pointer merge dot (simd.MergeDot) per entry, which is what this
@@ -60,21 +65,23 @@
 // the same matches (the indices both operands store; list membership,
 // not a zero in a value workspace, decides, so stored zeros, −0, ±Inf
 // and NaN multiply exactly as in a merge), in the same order (ascending
-// index: a walk is driven by operand i's or operand j's storage order,
-// and both lists are sorted), onto the same initial accumulator (+0, or
-// the running dst(i,j) for ColGramAcc). The products are vi·vj, left
-// operand first. There is a single accumulator per entry, so there is
-// nothing to vectorize without reassociating, and no variant.
+// index: operand i's hits are walked in its storage order, a scan runs
+// in operand j's, and both lists are sorted), onto the same initial
+// accumulator (+0, or the running dst(i,j) for ColGramAcc). The products
+// are vi·vj, left operand first. There is a single accumulator per
+// entry, so there is nothing to vectorize without reassociating, and no
+// variant.
 //
 // Workspaces come from a process-wide free list, one per concurrent
 // Gram worker, never from the matrix: HOGWILD workers and pool workers
 // assemble Grams on one shared *CSC at once. One costs 4 bytes + 1 bit
-// per index (list heads and markers) plus 16 bytes per scattered entry
-// (int32 link, int32 operand slot, float64 value); it grows to the
-// largest batch seen and never shrinks, and after the first call a Gram
-// allocates nothing. The links are int32, so a worker's operands may
-// store at most 2³¹−1 entries; a larger batch panics before it scatters
-// anything, and so does an index outside [0, dim).
+// per index (list heads and markers) plus 20 bytes per scattered entry
+// (a 16-byte node — float64 value, int32 link, int32 operand slot — and
+// a 4-byte hit); it grows to the largest batch seen and never shrinks,
+// and after the first call a Gram allocates nothing. The links are
+// int32, so a worker's operands may store at most 2³¹−1 entries; a
+// larger batch panics before it scatters anything, and so does an index
+// outside [0, dim).
 //
 // # One triangle
 //

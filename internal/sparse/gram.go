@@ -9,20 +9,29 @@ import (
 )
 
 // gramWorkspace is the sparse accumulator of one Gram worker: the
-// worker's operands scattered into one linked list per index. Entry a
-// is a stored value v[a] of operand slot[a]; next[a] is the entry below
-// it in its index's list (−1 ends the list), and head[r] is 1 + the
-// newest entry at index r (0: none). When operands past the worker's
-// rows remain to be scanned, bit r of has is also set exactly where
-// head[r] is not 0, so a scan that mostly misses reads one bit per
-// index, not four bytes. Between calls every head entry is 0 and every
-// marker bit clear; next, slot and v are scratch.
+// worker's operands scattered into one linked list per index. Node a
+// is one stored entry; its next is the node below it in its index's
+// list (−1 ends the list), and head[r] is 1 + the newest node at index
+// r (0: none). hits[:nhits] are, in push order, the nodes that were
+// pushed onto a non-empty list, and pushed counts the nodes. When
+// operands past the worker's rows remain to be scanned, bit r of has
+// is also set exactly where head[r] is not 0, so a scan that mostly
+// misses reads one bit per index, not four bytes. Between calls every
+// head entry is 0 and every marker bit clear; the rest is scratch.
 type gramWorkspace struct {
-	head []int32
-	has  []uint64
-	next []int32
-	slot []int32
-	v    []float64
+	head   []int32
+	has    []uint64
+	node   []gramNode
+	hits   []int32
+	pushed int32
+	nhits  int
+}
+
+// gramNode is a stored value v of operand slot, packed into 16 bytes
+// so that a list step reads one cache line, not three arrays.
+type gramNode struct {
+	v          float64
+	next, slot int32
 }
 
 // gramFree holds idle workspaces. A Gram call takes one per worker and
@@ -49,10 +58,9 @@ func getGramWorkspace(dim, entries int) *gramWorkspace {
 		w.head = make([]int32, dim)
 		w.has = make([]uint64, (dim+63)/64)
 	}
-	if len(w.v) < entries {
-		w.next = make([]int32, entries)
-		w.slot = make([]int32, entries)
-		w.v = make([]float64, entries)
+	if len(w.node) < entries {
+		w.node = make([]gramNode, entries)
+		w.hits = make([]int32, entries)
 	}
 	return w
 }
@@ -84,18 +92,21 @@ func gramAcc(workers, dim int, ptr, idx []int, val []float64, sel []int, dst *ma
 	}
 }
 
-// gramRows continues output rows [lo, hi) of gramAcc's upper triangle.
+// gramRows continues output rows [lo, hi) of gramAcc's upper triangle
+// in two passes.
 //
-// It pushes operands hi−1 … lo onto the per-index lists, each in
-// storage order. Before operand i's entry (r, x) is pushed, r's list
-// holds exactly the entries of the operands i+1 … hi−1 that store r, so
-// walking it adds x·v to dst(i, slot) for each of them, and x·x goes to
-// the diagonal. Operands past the range are then scanned once each
-// against the complete lists. Either way entry (i, j) receives
-// vi(r)·vj(r) for exactly the indices both operands store, in ascending
-// r, onto its running value — the additions a two-pointer merge of the
-// two lists (simd.MergeDot) performs, so every entry has the merge
-// dot's bits.
+// The push pass pushes operands hi−1 … lo onto the per-index lists,
+// each in storage order, adds x·x of each entry (r, x) to the diagonal,
+// and records in hits the entries whose list was not empty. A node's
+// link is frozen at its push: from operand i's entry at r it reaches
+// exactly the entries of the operands i+1 … hi−1 that store r. The
+// walk pass then follows each hit's link and adds x·v to dst(i, slot).
+// Operands past the range are scanned once each against the complete
+// lists. Either way entry (i, j) receives vi(r)·vj(r) for exactly the
+// indices both operands store, in ascending r (the hits of operand i
+// are in its storage order), onto its running value — the additions a
+// two-pointer merge of the two lists (simd.MergeDot) performs, so every
+// entry has the merge dot's bits.
 func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense, lo, hi int) {
 	k := len(sel)
 	entries := 0
@@ -106,37 +117,23 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 		panic(fmt.Sprintf("sparse: Gram rows [%d,%d) store %d entries, more than int32 links address", lo, hi, entries))
 	}
 	w := getGramWorkspace(dim, entries)
-	head, has, next, slot, v := w.head, w.has, w.next, w.slot, w.v
 	// Only a scan of operands past the range reads the marker bits.
 	mark := hi < k
-
 	c, out := dst.C, dst.Data
-	a := int32(0)
+	w.pushed, w.nhits = 0, 0
 	for i := hi - 1; i >= lo; i-- {
 		p0, p1 := ptr[sel[i]], ptr[sel[i]+1]
-		row := out[i*c : i*c+c]
-		d := row[i]
-		for p := p0; p < p1; p++ {
-			r := idx[p]
-			if uint(r) >= uint(dim) {
-				panic(fmt.Sprintf("sparse: Gram index %d outside [0, %d)", r, dim))
-			}
-			x := val[p]
-			d += x * x
-			below := head[r] - 1
-			for b := below; b >= 0; b = next[b] {
-				row[slot[b]] += x * v[b]
-			}
-			next[a] = below
-			slot[a] = int32(i)
-			v[a] = x
-			head[r] = a + 1
-			if mark {
-				has[r>>6] |= 1 << (uint(r) & 63)
-			}
-			a++
+		out[i*c+i] = w.push(idx[p0:p1], val[p0:p1], dim, int32(i), mark, out[i*c+i])
+	}
+	head, has, node := w.head, w.has, w.node
+	for _, h := range w.hits[:w.nhits] {
+		e := node[h]
+		row := out[int(e.slot)*c : int(e.slot)*c+c]
+		for b := e.next; b >= 0; {
+			n := node[b]
+			row[n.slot] += e.v * n.v
+			b = n.next
 		}
-		row[i] = d
 	}
 	for j := hi; j < k; j++ {
 		q0, q1 := ptr[sel[j]], ptr[sel[j]+1]
@@ -146,8 +143,10 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 				continue
 			}
 			x := vj[q]
-			for b := head[r] - 1; b >= 0; b = next[b] {
-				out[int(slot[b])*c+j] += v[b] * x
+			for b := head[r] - 1; b >= 0; {
+				n := node[b]
+				out[int(n.slot)*c+j] += n.v * x
+				b = n.next
 			}
 		}
 	}
@@ -163,4 +162,32 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 	// Not deferred: a panic above (a malformed matrix) must not recycle a
 	// half-scattered workspace.
 	putGramWorkspace(w)
+}
+
+// push pushes the entries (ri, vi) of operand slot onto their lists,
+// records the hits and returns d plus the squares of the values. It is
+// gramRows' push pass for one operand, a call of its own so that its
+// loop keeps its state in registers.
+func (w *gramWorkspace) push(ri []int, vi []float64, dim int, slot int32, mark bool, d float64) float64 {
+	head, has, node, hits := w.head[:dim], w.has, w.node, w.hits
+	a, nh := w.pushed, w.nhits
+	vi = vi[:len(ri)]
+	for q, r := range ri {
+		if uint(r) >= uint(len(head)) {
+			panic(fmt.Sprintf("sparse: Gram index %d outside [0, %d)", r, dim))
+		}
+		x := vi[q]
+		d += x * x
+		below := head[r] - 1
+		node[a] = gramNode{x, below, slot}
+		head[r] = a + 1
+		hits[nh] = a
+		nh += int(uint32(^below) >> 31) // below ≥ 0: a list was there
+		if mark {
+			has[r>>6] |= 1 << (uint(r) & 63)
+		}
+		a++
+	}
+	w.pushed, w.nhits = a, nh
+	return d
 }

@@ -227,14 +227,16 @@ func drainGramFree() []*gramWorkspace {
 }
 
 // TestGramWorkspaceBoundaries drives recycled workspaces through the
-// edges of their index arithmetic: no operands, one operand, empty
-// operands, repeated operands, the longest possible index list, entries
-// on both sides of every marker word boundary, and matrices of
-// shrinking and growing dimension in one sequence. The table runs
-// sequentially and then on a 3-worker view, where each worker scans the
-// operands past its own range through the marker bits. After every call
-// the result matches the oracle and the workspaces are back on the free
-// list with every head entry 0 and every marker bit clear.
+// edges of their index arithmetic and of the walk: no operands, one
+// operand, empty operands, repeated operands, the longest possible
+// index list, one list of length k−1 (the deepest walk), entries on
+// both sides of every marker word boundary, matrices of shrinking and
+// growing dimension, and batches of shrinking size in one sequence.
+// The table runs sequentially and then on 2- and 3-worker views, where
+// each worker scans the operands past its own range through the marker
+// bits. After every call the result matches the oracle and the
+// workspaces are back on the free list with every head entry 0 and
+// every marker bit clear.
 func TestGramWorkspaceBoundaries(t *testing.T) {
 	// build makes a one-column-per-argument CSC over dim rows from
 	// explicit row lists; values are distinct so a stale entry that
@@ -257,6 +259,17 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 		}
 		return rows
 	}
+	// k operands that all store index 64 (and a few others), so one
+	// list grows to k−1 nodes before the last push walks it.
+	deep := make([][]int, 128)
+	for j := range deep {
+		deep[j] = []int{64}
+		if j%3 == 0 {
+			deep[j] = []int{j % 64, 64, 65 + j}
+		}
+	}
+	wide := spikyCSC(rand.New(rand.NewSource(66)), 300, 160, 0.3, 0)
+	batch := rand.New(rand.NewSource(67))
 	cases := []struct {
 		name string
 		a    *CSC
@@ -283,8 +296,16 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 		{"shrunk far below the workspace", build(3, []int{0, 2}, []int{1}), []int{0, 1, 0, 1}},
 		{"grown past the workspace", build(5000, all(5000), []int{999, 1000, 4999}), []int{1, 0, 1, 0}},
 		{"shrunk again after growth", build(70, []int{5, 69}, []int{69}), []int{0, 1, 1}},
+		{"every operand stores one index: a k−1 walk", build(200, deep...), all(128)},
+		{"one column 128 times", build(8, []int{0, 3, 7}), make([]int, 128)},
+		{"the same column twice", build(70, []int{1, 64}, []int{64, 69}, []int{0, 1}), []int{2, 0, 1, 0, 2}},
+		{"empty operands between full ones", build(70, []int{0, 64}, nil, []int{64}, nil, nil, []int{0, 63, 64}),
+			[]int{0, 1, 2, 3, 4, 5, 1, 0, 4, 5}},
+		{"k=128 grows node and hits", wide, sampleWithRepeats(batch, wide.N, 128)},
+		{"k=8 after k=128", wide, sampleWithRepeats(batch, wide.N, 8)},
+		{"k=1 after k=8", wide, sampleWithRepeats(batch, wide.N, 1)},
 	}
-	for _, workers := range []int{1, 3} {
+	for _, workers := range []int{1, 2, 3} {
 		drainGramFree() // start from workspaces this test owns
 		for _, tc := range cases {
 			name := fmt.Sprintf("%s, %d workers", tc.name, workers)
@@ -383,8 +404,10 @@ func TestGramEntryLimit(t *testing.T) {
 // TestGramSharedMatrixConcurrent runs ColGram from 8 goroutines on one
 // shared *CSC — the HOGWILD access pattern of core/asyncstate.go — while
 // a 4-worker view of the same storage assembles its own Gram, and the
-// same again by rows. Every result must match the oracle bit for bit;
-// under -race this is the proof that no scratch hangs off the matrix.
+// same again by rows. The callers alternate batches of k = 8 and
+// k = 128, so workspaces sized for either cycle through the free list.
+// Every result must match the oracle bit for bit; under -race this is
+// the proof that no scratch hangs off the matrix.
 func TestGramSharedMatrixConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a := spikyCSC(rng, 500, 60, 0.1, 0.02)
@@ -399,7 +422,7 @@ func TestGramSharedMatrixConcurrent(t *testing.T) {
 	}
 	jobs := make([]job, callers+1)
 	for g := range jobs {
-		sel := sampleWithRepeats(rng, a.N, 4+4*g)
+		sel := sampleWithRepeats(rng, a.N, []int{8, 128}[g%2])
 		jobs[g] = job{sel, oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)}
 	}
 	var wg sync.WaitGroup
@@ -508,6 +531,20 @@ func FuzzGram(f *testing.F) {
 		entries = binary.LittleEndian.AppendUint64(entries, math.Float64bits(v))
 	}
 	f.Add(entries)
+	// Every operand stores row 64, so its list is walked k−1 deep.
+	deep := []byte{2, 69, 11, 64, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1}
+	for e, v := range []float64{1.5, -2, 0.25, 3, math.Copysign(0, -1), 7} {
+		deep = append(deep, []byte{64, 64, 64, 5, 69, 0}[e])
+		deep = binary.LittleEndian.AppendUint64(deep, math.Float64bits(v))
+	}
+	f.Add(deep)
+	// The same column twice in the batch, around another one.
+	twice := []byte{1, 9, 4, 3, 1, 1, 0, 1}
+	for e, v := range []float64{2, -1, 0.5, 4, 1e308, -3} {
+		twice = append(twice, []byte{3, 3, 7, 9, 0, 7}[e])
+		twice = binary.LittleEndian.AppendUint64(twice, math.Float64bits(v))
+	}
+	f.Add(twice)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, sel, cut := gramFuzzCase(data)
 		if _, err := NewCSC(a.M, a.N, a.ColPtr, a.RowIdx, a.Val); err != nil {

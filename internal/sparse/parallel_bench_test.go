@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"saco/internal/mat"
@@ -48,6 +49,47 @@ func benchCSC(rng *rand.Rand, m, n, perCol int) *CSC {
 		colPtr = append(colPtr, len(val))
 	}
 	return &CSC{M: m, N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
+// uniformCSC builds an m×n CSC whose columns each store perCol rows
+// drawn uniformly without replacement, as the repo benchmark's
+// generator does: matches between columns fall where they fall, not at
+// benchCSC's even strides.
+func uniformCSC(rng *rand.Rand, m, n, perCol int) *CSC {
+	colPtr := make([]int, 1, n+1)
+	rowIdx := make([]int, 0, n*perCol)
+	val := make([]float64, 0, n*perCol)
+	taken := make([]bool, m)
+	for j := 0; j < n; j++ {
+		col := rowIdx[len(rowIdx):]
+		for len(col) < perCol {
+			if r := rng.Intn(m); !taken[r] {
+				taken[r] = true
+				col = append(col, r)
+			}
+		}
+		sort.Ints(col)
+		for _, r := range col {
+			taken[r] = false
+			val = append(val, rng.NormFloat64())
+		}
+		rowIdx = rowIdx[:len(rowIdx)+perCol]
+		colPtr = append(colPtr, len(val))
+	}
+	return &CSC{M: m, N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
+// coldGramSizes are solver-shaped Gram calls: the repo benchmark's
+// Lasso matrix (16384 × 8192, 82 uniform rows per column, about 8 MB)
+// at its s=1 block and s=16 batch, each op on the next of a pool of
+// 256 column sets sampled with repeats, so that, as in core.Lasso, an
+// op mostly reads columns the previous ops did not.
+var coldGramSizes = []struct {
+	name string
+	k    int
+}{
+	{"k=8/cold", 8},
+	{"k=128/cold", 128},
 }
 
 // gramSizes are the sequential Gram shapes a kernel change answers to:
@@ -97,6 +139,24 @@ func BenchmarkGram(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				csc.ColGram(cols, dst)
+			}
+		})
+	}
+	if testing.Short() {
+		return
+	}
+	lasso := uniformCSC(rng, 16384, 8192, 82)
+	for _, sz := range coldGramSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			pool := make([][]int, 256)
+			for i := range pool {
+				pool[i] = sampleWithRepeats(rng, lasso.N, sz.k)
+			}
+			dst := mat.NewDense(sz.k, sz.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lasso.ColGram(pool[i%len(pool)], dst)
 			}
 		})
 	}
