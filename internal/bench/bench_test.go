@@ -181,11 +181,8 @@ func TestAblationsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Design) != 2 || len(res.Machines) != 3 {
-		t.Fatalf("rows %d/%d", len(res.Design), len(res.Machines))
-	}
-	if res.Design[1].Seconds <= 0 {
-		t.Fatal("RSAG ablation missing")
+	if len(res.Machines) != 3 {
+		t.Fatalf("rows %d", len(res.Machines))
 	}
 	// Speedup should grow with machine latency: Cray < Ethernet < Spark.
 	if !(res.Machines[0].Speedup < res.Machines[1].Speedup && res.Machines[1].Speedup < res.Machines[2].Speedup) {

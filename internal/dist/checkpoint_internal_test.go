@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"saco/internal/core"
 	"saco/internal/mpi"
 	"saco/internal/rng"
 	"saco/internal/wire"
@@ -54,6 +55,30 @@ func TestCkptReadsOlderBuilds(t *testing.T) {
 	assertCkptEqual(t, got, sampleCkpt())
 	if back := encodeCkpt(fp, 2, 4, got); !bytes.Equal(back, data) {
 		t.Fatalf("re-encoded checkpoint differs from the stored image:\n got  %x\n want %x", back, data)
+	}
+}
+
+// TestCkptFingerprintPinned: a .sack names its run by the hash of the
+// solver's configuration string, so editing lassoConfig's or svmConfig's
+// format — dropping a field, renaming one, adding an option — orphans
+// every checkpoint an earlier build wrote. The hashes below are what
+// every build since the strings took this form computes; a new option
+// that shapes the trajectory must extend the string in a way that leaves
+// every old run's text, and so these values, unchanged.
+func TestCkptFingerprintPinned(t *testing.T) {
+	lasso := core.LassoOptions{Lambda: 0.125, Iters: 1000, S: 16, BlockSize: 8, Seed: 7, TrackEvery: 100, Accelerated: true}
+	svm := core.SVMOptions{Lambda: 0.5, Loss: core.SVML2, Iters: 3000, S: 64, Seed: 7, Tol: 1e-6, TrackEvery: 500}
+	for _, tc := range []struct {
+		name, config string
+		want         uint64
+	}{
+		{"lasso", lassoConfig(4, &lasso, 300, 2477), 0x4876ab6246af1b36},
+		{"svm", svmConfig(4, &svm, 300, 2477), 0x18031fdc58616af8},
+	} {
+		if got := ckptFingerprint(tc.config); got != tc.want {
+			t.Errorf("%s fingerprint %#016x, want %#016x (config %q): checkpoints of earlier builds would no longer resume",
+				tc.name, got, tc.want, tc.config)
+		}
 	}
 }
 

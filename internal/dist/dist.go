@@ -76,9 +76,6 @@ type Options struct {
 	// Machine is the α-β-γ cost model; the zero value defaults to the
 	// paper's Cray XC30.
 	Machine mpi.Machine
-	// RSAGAllreduce swaps the recursive-doubling Allreduce for Rabenseifner's
-	// bandwidth-optimal reduce-scatter/allgather.
-	RSAGAllreduce bool
 	// RankWorkers is the per-rank core budget for hybrid rank×thread
 	// runs (MPI×threads, the paper's natural extension): each simulated
 	// rank runs its matrix kernels on this many shared-memory workers of
@@ -116,14 +113,6 @@ func (o Options) run(body func(c *mpi.Comm) error) (*mpi.Stats, error) {
 		wopt.TCP = &mpi.TCPOptions{}
 	}
 	return mpi.RunWorld(o.Ctx, o.P, o.Machine, wopt, body)
-}
-
-// allreduce sums data across ranks with the configured algorithm.
-func (o *Options) allreduce(c *mpi.Comm, data []float64) error {
-	if o.RSAGAllreduce {
-		return c.AllreduceRSAG(mpi.Sum, data)
-	}
-	return c.Allreduce(mpi.Sum, data)
 }
 
 // TimedPoint is one convergence measurement stamped with the modeled

@@ -80,7 +80,7 @@ func LassoRank(c *mpi.Comm, src Source, b []float64, opt core.LassoOptions, cl O
 	if err != nil {
 		return nil, err
 	}
-	if err := rk.start(&st.Stepper, lassoConfig(c, &opt, &cl, m, n)); err != nil {
+	if err := rk.start(&st.Stepper, lassoConfig(c.Size(), &opt, m, n)); err != nil {
 		return nil, err
 	}
 	res, err := st.Run()
@@ -92,16 +92,18 @@ func LassoRank(c *mpi.Comm, src Source, b []float64, opt core.LassoOptions, cl O
 
 // lassoConfig is the fingerprinted solver configuration: everything that
 // shapes the trajectory, so a checkpoint never resumes a different run.
-func lassoConfig(c *mpi.Comm, opt *core.LassoOptions, cl *Options, m, n int) string {
+// The trailing rsag=false names an option that is gone; it stays as text
+// so a .sack written by an earlier build still resumes.
+func lassoConfig(p int, opt *core.LassoOptions, m, n int) string {
 	variant := "plain"
 	if opt.Accelerated {
 		variant = "acc"
 	}
 	return fmt.Sprintf(
-		"lasso/%s m=%d n=%d p=%d seed=%d iters=%d s=%d mu=%d groups=%d reg=%t lambda=%g track=%d warm=%t rsag=%t",
-		variant, m, n, c.Size(), opt.Seed, opt.Iters, opt.S, opt.BlockSize,
+		"lasso/%s m=%d n=%d p=%d seed=%d iters=%d s=%d mu=%d groups=%d reg=%t lambda=%g track=%d warm=%t rsag=false",
+		variant, m, n, p, opt.Seed, opt.Iters, opt.S, opt.BlockSize,
 		len(opt.Groups), opt.Reg != nil, opt.Lambda, opt.TrackEvery,
-		opt.X0 != nil, cl.RSAGAllreduce)
+		opt.X0 != nil)
 }
 
 // lassoRank observes the Lasso recurrences for the cost model.

@@ -65,7 +65,7 @@ func (r *rank) start(st *core.Stepper, config string) error {
 func (r *rank) SumBatch(gram *mat.Dense, prods [][]float64) error {
 	buf := r.scratch((gram.R + len(prods)) * gram.R)
 	words := packGram(gram, prods, buf)
-	if err := r.cl.allreduce(r.c, buf[:words]); err != nil {
+	if err := r.c.Allreduce(mpi.Sum, buf[:words]); err != nil {
 		return err
 	}
 	unpackGram(buf[:words], gram, prods)
@@ -81,7 +81,7 @@ var reducedGramHook func(gram *mat.Dense)
 
 func (r *rank) SumScalar(v float64) (float64, error) { return r.c.AllreduceScalar(mpi.Sum, v) }
 
-func (r *rank) SumVec(v []float64) error { return r.cl.allreduce(r.c, v) }
+func (r *rank) SumVec(v []float64) error { return r.c.Allreduce(mpi.Sum, v) }
 
 // batchNNZ sums this rank's nonzeros over the given columns or rows.
 func (r *rank) batchNNZ(idx []int) int {

@@ -74,11 +74,7 @@ func SVMRank(c *mpi.Comm, src Source, b []float64, opt core.SVMOptions, cl Optio
 	if err != nil {
 		return nil, err
 	}
-	err = rk.start(&st.Stepper, fmt.Sprintf(
-		"svm m=%d n=%d p=%d seed=%d iters=%d s=%d lambda=%g loss=%d tol=%g track=%d warm=%t rsag=%t",
-		m, n, c.Size(), opt.Seed, opt.Iters, opt.S, opt.Lambda, opt.Loss,
-		opt.Tol, opt.TrackEvery, opt.Alpha0 != nil, cl.RSAGAllreduce))
-	if err != nil {
+	if err := rk.start(&st.Stepper, svmConfig(c.Size(), &opt, m, n)); err != nil {
 		return nil, err
 	}
 	res, err := st.Run()
@@ -95,6 +91,15 @@ func SVMRank(c *mpi.Comm, src Source, b []float64, opt core.SVMOptions, cl Optio
 		X: x, Alpha: res.Alpha, Primal: res.Primal, Dual: res.Dual, Gap: res.Gap,
 		Trace: rk.trace, Iters: res.Iters,
 	}, nil
+}
+
+// svmConfig is the fingerprinted SVM configuration (see lassoConfig,
+// whose trailing rsag=false it keeps for the same reason).
+func svmConfig(p int, opt *core.SVMOptions, m, n int) string {
+	return fmt.Sprintf(
+		"svm m=%d n=%d p=%d seed=%d iters=%d s=%d lambda=%g loss=%d tol=%g track=%d warm=%t rsag=false",
+		m, n, p, opt.Seed, opt.Iters, opt.S, opt.Lambda, opt.Loss,
+		opt.Tol, opt.TrackEvery, opt.Alpha0 != nil)
 }
 
 // svmRank observes the dual coordinate recurrence for the cost model.

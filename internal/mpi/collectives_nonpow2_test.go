@@ -7,25 +7,21 @@ import (
 
 // Non-power-of-two rank counts are where tree collectives break:
 // recursive doubling fans a short upper half out to the lower ranks
-// without an XOR partner, and Rabenseifner's allreduce folds the
-// p − 2^⌊log₂p⌋ extra ranks into partners in a pre/post phase. These
-// tests pin that machinery at the awkward counts (3, 5, 6, 7, 9, 11, 12,
-// 13) with data sizes straddling the algorithms' internal boundaries —
-// and run every case over both transports (the simulated world and the
-// loopback TCP mesh), which is the collective-level half of the sim/TCP
-// parity contract. TestAllreduceMatchesBinomialOracle pins Allreduce's
-// bits at every P up to 17.
+// without an XOR partner. These tests pin that machinery at the awkward
+// counts (3, 5, 6, 7, 9, 11, 12, 13) with data sizes around the rank
+// count — and run every case over both transports (the simulated world
+// and the loopback TCP mesh), which is the collective-level half of the
+// sim/TCP parity contract. TestAllreduceMatchesBinomialOracle pins
+// Allreduce's bits at every P up to 17.
 
 // nonPow2Ps are rank counts with every "shape" of raggedness: one above
 // a power of two (5, 9), one below (3, 7), and composites (6, 12).
 var nonPow2Ps = []int{3, 5, 6, 7, 9, 11, 12, 13}
 
-// TestAllreduceRSAGNonPow2Boundaries drives Rabenseifner's allreduce
-// through its fold-in pre/post phase at ragged counts, with message
-// sizes exactly at the fallback boundary (len < p falls back to the
-// binomial tree), one past it, and sizes that do not divide evenly
-// through the recursive halving.
-func TestAllreduceRSAGNonPow2Boundaries(t *testing.T) {
+// TestAllreduceNonPow2Boundaries drives Allreduce's fan-out rounds at
+// ragged counts with message sizes one below, at and one past the rank
+// count, and sizes no power of two divides.
+func TestAllreduceNonPow2Boundaries(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			for _, p := range nonPow2Ps {
@@ -40,7 +36,7 @@ func TestAllreduceRSAGNonPow2Boundaries(t *testing.T) {
 							// Integer-valued so any combine order is exact.
 							data[i] = float64((c.Rank()+2)*(i+1)%23 - 11)
 						}
-						if err := c.AllreduceRSAG(Sum, data); err != nil {
+						if err := c.Allreduce(Sum, data); err != nil {
 							return err
 						}
 						results[c.Rank()] = data
@@ -68,27 +64,27 @@ func TestAllreduceRSAGNonPow2Boundaries(t *testing.T) {
 	}
 }
 
-// TestAllreduceRSAGNonPow2FoldedRanksCharged: the folded odd ranks of
-// the pre-phase sit idle during the halving; their virtual clocks must
-// still advance to the post-phase delivery (waiting is communication
-// time), so no rank reports a zero clock on a costed machine. Across
-// transports the clocks must also agree bitwise — the piggybacked
-// clocks carry the cost model over the wire unchanged.
-func TestAllreduceRSAGNonPow2FoldedRanksCharged(t *testing.T) {
+// TestAllreduceNonPow2RanksCharged: at ragged counts some ranks have no
+// partner in a round (no upper half) or serve several lower ranks (a
+// short upper half); every rank's virtual clock must still advance, so
+// no rank reports a zero clock on a costed machine. Across transports
+// the clocks must also agree bitwise — the piggybacked clocks carry the
+// cost model over the wire unchanged.
+func TestAllreduceNonPow2RanksCharged(t *testing.T) {
 	m := Machine{Alpha: 1e-6, Beta: 1e-9}
 	for _, p := range []int{5, 6, 7, 9} {
 		clocks := make(map[string][]float64)
 		for _, tr := range transports {
 			stats, err := RunWorld(bg, p, m, tr.opt, func(c *Comm) error {
 				data := make([]float64, 4*p)
-				return c.AllreduceRSAG(Sum, data)
+				return c.Allreduce(Sum, data)
 			})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tr.name, p, err)
 			}
 			for r, st := range stats.PerRank {
 				if st.Clock <= 0 {
-					t.Fatalf("%s p=%d rank %d: zero clock after RSAG", tr.name, p, r)
+					t.Fatalf("%s p=%d rank %d: zero clock after Allreduce", tr.name, p, r)
 				}
 				clocks[tr.name] = append(clocks[tr.name], st.Clock)
 			}
@@ -101,10 +97,10 @@ func TestAllreduceRSAGNonPow2FoldedRanksCharged(t *testing.T) {
 	}
 }
 
-// TestMixedCollectiveSequenceNonPow2 runs a solver-shaped sequence —
-// allreduce, Rabenseifner's allreduce, a scalar max, barrier — at ragged
-// counts to catch tag/sequence skew between collectives of different
-// shapes.
+// TestMixedCollectiveSequenceNonPow2 runs a solver-shaped sequence — a
+// one-word allreduce, a length-p allreduce, a scalar max, barrier — at
+// ragged counts to catch tag/sequence skew between collectives of
+// different shapes.
 func TestMixedCollectiveSequenceNonPow2(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -119,12 +115,12 @@ func TestMixedCollectiveSequenceNonPow2(t *testing.T) {
 					}
 					w := make([]float64, p)
 					w[c.Rank()] = 1
-					if err := c.AllreduceRSAG(Sum, w); err != nil {
+					if err := c.Allreduce(Sum, w); err != nil {
 						return err
 					}
 					for i, x := range w {
 						if x != 1 {
-							return fmt.Errorf("rsag got %v at %d", x, i)
+							return fmt.Errorf("length-p allreduce got %v at %d", x, i)
 						}
 					}
 					if got, err := c.AllreduceScalar(Max, float64(c.Rank())); err != nil {

@@ -5,10 +5,10 @@
 // process with real parallelism and real synchronization costs) and a
 // length-prefixed TCP mesh that runs the same SPMD programs across real
 // processes and machines (see transportTCP, DialTCP, cmd/sarank). The
-// collectives (recursive-doubling Allreduce, Rabenseifner's allreduce, a
-// dissemination barrier) are written once against Comm, so both
-// transports execute identical message DAGs and deterministic programs
-// produce bitwise-identical trajectories on either.
+// collectives (a recursive-doubling Allreduce and a dissemination
+// barrier) are written once against Comm, so both transports execute
+// identical message DAGs and deterministic programs produce
+// bitwise-identical trajectories on either.
 //
 // Alongside real execution the runtime maintains a virtual clock per rank
 // in an α-β-γ machine model (see Machine). Every message advances the

@@ -22,8 +22,8 @@ type Message struct {
 // in-process simulated world (goroutine ranks over a channel mesh,
 // transportSim) and a length-prefixed TCP mesh across real processes
 // (transportTCP). The collectives are written once against Comm, which
-// wraps any Transport, so the same recursive-doubling and Rabenseifner
-// exchanges run on both.
+// wraps any Transport, so the same recursive-doubling exchanges run on
+// both.
 //
 // A Transport is owned by a single rank goroutine: Send and Recv are
 // never called concurrently with themselves or each other. Close may be
@@ -48,10 +48,9 @@ type Transport interface {
 	// caller consumes the payload before its next Recv from that rank:
 	// Comm.Recv passes it on under the same contract, Allreduce combines
 	// it with its buffer (an upper rank combines into the payload itself,
-	// then copies it out), AllreduceRSAG combines it into its buffer,
-	// AllreduceRSAG's post-phase and dist's gatherX copy it out, Barrier
-	// drops it, and the fault injector and the benchmark's tracing
-	// decorator pass it through after reading only its length.
+	// then copies it out), dist's gatherX copies it out, Barrier drops
+	// it, and the fault injector and the benchmark's tracing decorator
+	// pass it through after reading only its length.
 	Recv(src int) (Message, error)
 	// Close releases the endpoint. In the simulated world it marks the
 	// rank finished so peers blocked on it fail fast; over TCP it tears

@@ -25,17 +25,18 @@ func benchWorkers() []int {
 }
 
 // benchDims picks the kernel problem size: CI smoke runs stay small
-// under -short, local runs measure at paper-figure scale.
-func benchDims(b *testing.B) (m, n, k int, density float64) {
+// under -short (5 % dense), local runs measure at paper-figure scale
+// (2 % dense). perCol is the entries per column.
+func benchDims(b *testing.B) (m, n, k, perCol int) {
 	if testing.Short() {
-		return 2000, 800, 64, 0.05
+		return 2000, 800, 64, 100
 	}
-	return 20000, 4000, 256, 0.02
+	return 20000, 4000, 256, 400
 }
 
 // benchCSC builds an m×n CSC with about perCol entries per column at
 // jittered strides, in time proportional to the entries (randCSR draws
-// every cell, which a multi-million-row matrix cannot afford).
+// every cell, which a benchmark-sized matrix cannot afford).
 func benchCSC(rng *rand.Rand, m, n, perCol int) *CSC {
 	colPtr := make([]int, 1, n+1)
 	var rowIdx []int
@@ -115,9 +116,9 @@ var gramSizes = []struct {
 // cores — the kernel the paper's batched-communication trade lives on —
 // and sequentially at gramSizes.
 func BenchmarkGram(b *testing.B) {
-	m, n, k, density := benchDims(b)
+	m, n, k, perCol := benchDims(b)
 	rng := rand.New(rand.NewSource(41))
-	csc := randCSR(rng, m, n, density).ToCSC()
+	csc := uniformCSC(rng, m, n, perCol)
 	cols := rng.Perm(n)[:k]
 	dst := mat.NewDense(k, k)
 	for _, w := range benchWorkers() {
@@ -164,9 +165,9 @@ func BenchmarkGram(b *testing.B) {
 
 // BenchmarkSpMV measures the row-partitioned CSR y = A·x kernel.
 func BenchmarkSpMV(b *testing.B) {
-	m, n, _, density := benchDims(b)
+	m, n, _, perCol := benchDims(b)
 	rng := rand.New(rand.NewSource(42))
-	csr := randCSR(rng, m, n, density)
+	csr := uniformCSC(rng, m, n, perCol).ToCSR()
 	x := randVec(rng, n)
 	y := make([]float64, m)
 	for _, w := range benchWorkers() {
@@ -182,9 +183,9 @@ func BenchmarkSpMV(b *testing.B) {
 // BenchmarkRowGram measures the s×s dual-SVM row Gram (Alg. 4 line 9)
 // over the worker ladder, and sequentially at gramSizes.
 func BenchmarkRowGram(b *testing.B) {
-	m, n, k, density := benchDims(b)
+	m, n, k, perCol := benchDims(b)
 	rng := rand.New(rand.NewSource(43))
-	csr := randCSR(rng, m, n, density)
+	csr := uniformCSC(rng, m, n, perCol).ToCSR()
 	rows := rng.Perm(m)[:k]
 	dst := mat.NewDense(k, k)
 	for _, w := range benchWorkers() {

@@ -149,9 +149,8 @@ type (
 	// Machine is the α-β-γ cost model of the modeled platform.
 	Machine = mpi.Machine
 	// Cluster configures a distributed run: rank count, cost model,
-	// transport (Cluster.Transport: TransportSim or TransportTCP), the
-	// Allreduce algorithm (RSAGAllreduce) and the hybrid rank×thread
-	// core budget.
+	// transport (Cluster.Transport: TransportSim or TransportTCP) and the
+	// hybrid rank×thread core budget.
 	Cluster = dist.Options
 	// ClusterTransport selects how a Cluster executes its ranks.
 	ClusterTransport = dist.Transport
