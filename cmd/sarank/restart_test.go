@@ -17,9 +17,21 @@ import (
 // and the resume flow need one rank configured differently.
 func clusterWith(t *testing.T, p int, addr string, common []string, perRank map[int][]string) (string, []string) {
 	t.Helper()
-	outs := make([]bytes.Buffer, p)
-	errs := make([]bytes.Buffer, p)
-	codes := make([]int, p)
+	outs, stderrs, codes := runCluster(p, addr, common, perRank)
+	for r := 0; r < p; r++ {
+		if codes[r] != 0 {
+			t.Fatalf("rank %d exited %d: %s", r, codes[r], stderrs[r])
+		}
+	}
+	return outs[0], stderrs
+}
+
+// runCluster runs p ranks in-process and returns each one's stdout,
+// stderr and exit code.
+func runCluster(p int, addr string, common []string, perRank map[int][]string) (outs, stderrs []string, codes []int) {
+	outb := make([]bytes.Buffer, p)
+	errb := make([]bytes.Buffer, p)
+	codes = make([]int, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -29,20 +41,15 @@ func clusterWith(t *testing.T, p int, addr string, common []string, perRank map[
 				"-rank", fmt.Sprint(r), "-size", fmt.Sprint(p), "-addr", addr,
 			}, common...)
 			args = append(args, perRank[r]...)
-			codes[r] = run(args, &outs[r], &errs[r])
+			codes[r] = run(args, &outb[r], &errb[r])
 		}(r)
 	}
 	wg.Wait()
-	for r := 0; r < p; r++ {
-		if codes[r] != 0 {
-			t.Fatalf("rank %d exited %d: %s", r, codes[r], errs[r].String())
-		}
+	outs, stderrs = make([]string, p), make([]string, p)
+	for r := range outs {
+		outs[r], stderrs[r] = outb[r].String(), errb[r].String()
 	}
-	stderrs := make([]string, p)
-	for r := range stderrs {
-		stderrs[r] = errs[r].String()
-	}
-	return outs[0].String(), stderrs
+	return outs, stderrs, codes
 }
 
 // TestClusterKillRestartResume: a rank whose transport is killed
@@ -99,6 +106,26 @@ func TestClusterResumeFlag(t *testing.T) {
 	second, _ := clusterWith(t, 3, freeLoopbackAddr(t), append(common, "-resume"), nil)
 	if got := lineWith(t, second, "final objective"); got != wantLine {
 		t.Fatalf("-resume run differs from original:\n resume: %s\n  first: %s", got, wantLine)
+	}
+}
+
+// TestClusterResumeRefusesChangedFlag: -resume with a changed
+// trajectory flag (-lambda-frac 0.2 over checkpoints written at 0.1)
+// exits non-zero on every rank, naming the checkpoint the run does not
+// match, instead of starting over and overwriting the checkpoints.
+func TestClusterResumeRefusesChangedFlag(t *testing.T) {
+	path, _ := writeDataset(t, "sarank-mismatch", false)
+	dir := t.TempDir()
+	common := []string{
+		"-task", "lasso", "-data", path,
+		"-mu", "4", "-s", "8", "-iters", "240", "-seed", "7", "-ckpt-dir", dir,
+	}
+	clusterWith(t, 2, freeLoopbackAddr(t), append(common, "-lambda-frac", "0.1"), nil)
+	_, stderrs, codes := runCluster(2, freeLoopbackAddr(t), append(common, "-lambda-frac", "0.2", "-resume"), nil)
+	for r, code := range codes {
+		if code == 0 || !strings.Contains(stderrs[r], "is from another run") || !strings.Contains(stderrs[r], "fingerprint") {
+			t.Fatalf("rank %d exited %d with stderr %q; want a non-zero exit naming the mismatched checkpoint", r, code, stderrs[r])
+		}
 	}
 }
 

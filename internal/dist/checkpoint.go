@@ -34,8 +34,15 @@ type Checkpoint struct {
 	// s inner iterations); values below 1 mean every batch.
 	Every int
 	// Resume loads the agreed checkpoint before iterating instead of
-	// starting fresh. With no checkpoint present anywhere the run
-	// starts fresh — which replays the identical trajectory anyway.
+	// starting fresh. With no usable checkpoint on some rank (absent,
+	// torn or corrupt) the run starts fresh — which replays the
+	// identical trajectory anyway. A slot written by another run (an
+	// intact image of another configuration, rank or world size) counts
+	// as absent next to one of this run's; a rank whose every intact
+	// slot is another run's fails the resume with a
+	// *CheckpointMismatchError. A fresh run (Resume unset) removes its
+	// rank's slots before it iterates, so its own restarts meet only
+	// its own checkpoints.
 	Resume bool
 	// MaxRestarts lets the in-process drivers (Lasso, SVM, *From)
 	// re-run the world from the latest checkpoints when a rank is lost
@@ -150,10 +157,28 @@ func encodeCkpt(fp uint64, rank, size int, ck *rankCkpt) []byte {
 	return wire.CRC64.Seal(w.B)
 }
 
+// CheckpointMismatchError refuses a resume from an intact checkpoint
+// slot (its CRC-64 checks out) written by another run: another format
+// version, solver configuration, rank or world size. Resuming past it
+// would start from iteration zero and overwrite the slot, so the resume
+// fails before anything is written.
+type CheckpointMismatchError struct {
+	Path  string // the slot file
+	Field string // "version", "fingerprint", "rank" or "size"
+	Err   error  // the *wire.Error saying how it differs
+}
+
+func (e *CheckpointMismatchError) Error() string {
+	return fmt.Sprintf("dist: checkpoint %s is from another run (%v); resume with the options that wrote it or remove it", e.Path, e.Err)
+}
+
+func (e *CheckpointMismatchError) Unwrap() error { return e.Err }
+
 // decodeCkpt validates and decodes a .sack image for the given
 // configuration and rank. Any mismatch — magic, version, checksum,
-// fingerprint, identity — is an error; callers treat corrupt slots as
-// absent and fall back to the other slot.
+// fingerprint, identity — is an error. A torn or corrupt image is a
+// *wire.Error (callers treat it as an absent slot); an intact one from
+// another run is a *CheckpointMismatchError without its Path.
 func decodeCkpt(data []byte, fp uint64, rank, size int) (*rankCkpt, error) {
 	if len(data) < len(sackMagic) || string(data[:len(sackMagic)]) != sackMagic {
 		return nil, errors.New("dist: not a checkpoint file")
@@ -175,6 +200,9 @@ func decodeCkpt(data []byte, fp uint64, rank, size int) (*rankCkpt, error) {
 	}
 	if v := r.U32("size"); int(v) != size {
 		r.Fail("size", "world size %d, want %d", v, size)
+	}
+	if we, ok := r.Err().(*wire.Error); ok {
+		return nil, &CheckpointMismatchError{Field: we.Field, Err: we}
 	}
 	ck := &rankCkpt{Step: int(r.U64("step")), Batches: int(r.U64("batches"))}
 	for i := range ck.Rng.S {
@@ -229,17 +257,21 @@ func (s *ckptSession) slotPath(slot int) string {
 	return filepath.Join(s.cfg.Dir, name)
 }
 
-// loadSlot decodes one slot, nil when absent or invalid.
-func (s *ckptSession) loadSlot(slot int) *rankCkpt {
-	data, err := os.ReadFile(s.slotPath(slot))
+// loadSlot decodes one slot, nil when absent, torn or corrupt. An
+// intact slot from another run is a *CheckpointMismatchError.
+func (s *ckptSession) loadSlot(slot int) (*rankCkpt, error) {
+	path := s.slotPath(slot)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	ck, err := decodeCkpt(data, s.fp, s.c.Rank(), s.c.Size())
-	if err != nil {
-		return nil
+	var me *CheckpointMismatchError
+	if errors.As(err, &me) {
+		me.Path = path
+		return nil, me
 	}
-	return ck
+	return ck, nil
 }
 
 // resume agrees the world-wide restore point and returns this rank's
@@ -247,18 +279,35 @@ func (s *ckptSession) loadSlot(slot int) *rankCkpt {
 // scalar allreduce, excluded from the modeled cost) and must run before
 // the first solver iteration. The agreed step is the minimum of the
 // ranks' newest steps: boundary drift is at most one save interval, so
-// every rank still holds the minimum in one of its two slots.
+// every rank still holds the minimum in one of its two slots. Without
+// Resume it removes this rank's slots instead: whatever an earlier run
+// left there is not this run's to resume from.
 func (s *ckptSession) resume() (*rankCkpt, error) {
-	if s == nil || !s.cfg.Resume {
+	if s == nil {
+		return nil, nil
+	}
+	if !s.cfg.Resume {
+		for i := 0; i < 2; i++ {
+			if err := os.Remove(s.slotPath(i)); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("dist: rank %d clearing an earlier run's checkpoint: %w", s.c.Rank(), err)
+			}
+		}
 		return nil, nil
 	}
 	newest := -1
 	var slots [2]*rankCkpt
+	var foreign error
 	for i := 0; i < 2; i++ {
-		slots[i] = s.loadSlot(i)
+		var err error
+		if slots[i], err = s.loadSlot(i); err != nil {
+			foreign = err
+		}
 		if slots[i] != nil && slots[i].Step > newest {
 			newest = slots[i].Step
 		}
+	}
+	if foreign != nil && slots[0] == nil && slots[1] == nil {
+		return nil, foreign
 	}
 	// min over ranks == -max over ranks of the negated steps; Mark/
 	// Restore keeps the agreement out of the modeled clocks (resumed

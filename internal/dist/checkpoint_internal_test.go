@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -228,29 +229,38 @@ func TestCkptSessionAgreesOnMinStep(t *testing.T) {
 }
 
 // TestCkptSessionFreshStartCases: resume falls back to a fresh start
-// when any rank lacks a usable checkpoint — absent files or a
-// fingerprint from a different solver configuration.
+// when any rank lacks a usable checkpoint — absent files, or a slot torn
+// or corrupted on disk, which counts as absent.
 func TestCkptSessionFreshStartCases(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		config func(rank int) string
-		save   func(rank int) bool
+		name string
+		save func(rank int) bool
+		poke func(data []byte) []byte // applied to rank 1's saved slot
 	}{
-		{"one rank has no files", func(int) string { return "cfg" }, func(r int) bool { return r == 0 }},
-		{"foreign fingerprint", func(r int) string { return fmt.Sprintf("cfg-%d", r) }, func(int) bool { return true }},
+		{"one rank has no files", func(r int) bool { return r == 0 }, nil},
+		{"a torn slot", func(int) bool { return true }, func(d []byte) []byte { return d[:len(d)/2] }},
+		{"a corrupt slot", func(int) bool { return true }, func(d []byte) []byte { d[len(d)/2] ^= 1; return d }},
 	} {
 		dir := t.TempDir()
 		_, err := mpi.RunWorld(nil, 2, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
 			if tc.save(c.Rank()) {
-				s := newCkptSession(&Checkpoint{Dir: dir, Every: 1}, c, tc.config(c.Rank()))
+				s := newCkptSession(&Checkpoint{Dir: dir, Every: 1}, c, "cfg")
 				err := s.endBatch(10, func() rankCkpt { return rankCkpt{} })
 				if err != nil {
 					return err
 				}
+				if c.Rank() == 1 && tc.poke != nil {
+					path := s.slotPath(1)
+					data, err := os.ReadFile(path)
+					if err != nil {
+						return err
+					}
+					if err := os.WriteFile(path, tc.poke(data), 0o644); err != nil {
+						return err
+					}
+				}
 			}
-			// Every resuming rank fingerprints config "other"; saved files
-			// either don't exist (rank 1) or don't match.
-			s2 := newCkptSession(&Checkpoint{Dir: dir, Every: 1, Resume: true}, c, "other")
+			s2 := newCkptSession(&Checkpoint{Dir: dir, Every: 1, Resume: true}, c, "cfg")
 			ck, err := s2.resume()
 			if err != nil {
 				return err
@@ -263,6 +273,106 @@ func TestCkptSessionFreshStartCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+	}
+}
+
+// TestCkptSessionRefusesForeignSlot: an intact slot from another run —
+// another configuration, rank or world size — fails the resume with a
+// *CheckpointMismatchError naming the file and the field, on every rank
+// and before any save could overwrite it.
+func TestCkptSessionRefusesForeignSlot(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		config string
+		img    func(rank int) []byte // slot a's image
+	}{
+		{"version", "cfg", func(r int) []byte {
+			img := encodeCkpt(ckptFingerprint("cfg"), r, 2, &rankCkpt{})
+			body := img[:len(img)-8]
+			binary.LittleEndian.PutUint32(body[len(sackMagic):], sackVersion+1)
+			return wire.CRC64.Seal(body)
+		}},
+		{"fingerprint", "other", func(r int) []byte { return encodeCkpt(ckptFingerprint("cfg"), r, 2, &rankCkpt{}) }},
+		{"rank", "cfg", func(r int) []byte { return encodeCkpt(ckptFingerprint("cfg"), 1-r, 2, &rankCkpt{}) }},
+		{"size", "cfg", func(r int) []byte { return encodeCkpt(ckptFingerprint("cfg"), r, 3, &rankCkpt{}) }},
+	} {
+		dir := t.TempDir()
+		_, err := mpi.RunWorld(nil, 2, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
+			s := newCkptSession(&Checkpoint{Dir: dir, Every: 1, Resume: true}, c, tc.config)
+			path := s.slotPath(0)
+			if err := os.WriteFile(path, tc.img(c.Rank()), 0o644); err != nil {
+				return err
+			}
+			ck, err := s.resume()
+			var me *CheckpointMismatchError
+			if !errors.As(err, &me) || me.Path != path || me.Field != tc.field || ck != nil {
+				return fmt.Errorf("rank %d: resume = %+v, %v; want a *CheckpointMismatchError for %s field %s", c.Rank(), ck, err, path, tc.field)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.field, err)
+		}
+	}
+}
+
+// TestCkptSessionSkipsForeignNextToOwn: a slot from another run next to
+// one of this run's — a reused directory whose run saved once before it
+// was resumed — counts as absent: every rank resumes from its own slot.
+func TestCkptSessionSkipsForeignNextToOwn(t *testing.T) {
+	dir := t.TempDir()
+	_, err := mpi.RunWorld(nil, 2, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
+		s := newCkptSession(&Checkpoint{Dir: dir, Every: 1, Resume: true}, c, "cfg")
+		foreign := encodeCkpt(ckptFingerprint("other"), c.Rank(), 2, &rankCkpt{Step: 30})
+		if err := os.WriteFile(s.slotPath(0), foreign, 0o644); err != nil {
+			return err
+		}
+		if err := s.endBatch(10, func() rankCkpt { return rankCkpt{} }); err != nil { // slot b
+			return err
+		}
+		ck, err := newCkptSession(&Checkpoint{Dir: dir, Every: 1, Resume: true}, c, "cfg").resume()
+		if err != nil || ck == nil || ck.Step != 10 {
+			return fmt.Errorf("rank %d: resume = %+v, %v; want this run's step 10", c.Rank(), ck, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCkptSessionFreshRunClearsSlots: a run that does not resume removes
+// its rank's slots before it iterates, another run's and its own
+// configuration's alike, and leaves other ranks' files alone.
+func TestCkptSessionFreshRunClearsSlots(t *testing.T) {
+	dir := t.TempDir()
+	other := filepath.Join(dir, "rank-7-a.sack")
+	if err := os.WriteFile(other, []byte("not ours"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := mpi.RunWorld(nil, 2, mpi.CrayXC30(), mpi.WorldOptions{}, func(c *mpi.Comm) error {
+		s := newCkptSession(&Checkpoint{Dir: dir, Every: 1}, c, "cfg")
+		if err := os.WriteFile(s.slotPath(0), encodeCkpt(ckptFingerprint("other"), c.Rank(), 2, &rankCkpt{}), 0o644); err != nil {
+			return err
+		}
+		if err := os.WriteFile(s.slotPath(1), encodeCkpt(s.fp, c.Rank(), 2, &rankCkpt{}), 0o644); err != nil {
+			return err
+		}
+		if ck, err := s.resume(); ck != nil || err != nil {
+			return fmt.Errorf("rank %d: fresh resume = %+v, %v; want a fresh start", c.Rank(), ck, err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := os.Stat(s.slotPath(i)); !errors.Is(err, os.ErrNotExist) {
+				return fmt.Errorf("rank %d: slot %d after a fresh start: %v, want it removed", c.Rank(), i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("another rank's file: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"saco/internal/mat"
@@ -9,14 +10,21 @@ import (
 	"saco/internal/rng"
 )
 
-// BenchmarkGramReduce times the reduction of one dist-lasso-sa batch on
-// its own — packGram, a P = 2 Allreduce over loopback TCP, unpackGram —
-// at k = 128 (µ = 8, s = 16) with the accelerated Lasso's two hoisted
-// products: 8 512 words a frame. The end-to-end benchmark sees this
-// layer only inside a whole solve. One op is one reduction on rank 0;
-// rank 1 runs the same loop.
+// BenchmarkGramReduce times the reduction of one batch on its own —
+// packGram, a P = 2 Allreduce over loopback TCP, unpackGram — with the
+// accelerated Lasso's two hoisted products, at the frames of both
+// dist-lasso workloads: k = 8 (µ = 8, s = 1) packs 52 words, a
+// latency-bound frame, and k = 128 (µ = 8, s = 16) packs 8 512. The
+// end-to-end benchmark sees this layer only inside a whole solve. One op
+// is one reduction on rank 0; rank 1 runs the same loop.
 func BenchmarkGramReduce(b *testing.B) {
-	const k = 128
+	for _, k := range []int{8, 128} {
+		words := k*(k+1)/2 + 2*k
+		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) { benchGramReduce(b, k) })
+	}
+}
+
+func benchGramReduce(b *testing.B, k int) {
 	_, err := mpi.RunWorld(context.Background(), 2, mpi.Machine{}, mpi.WorldOptions{TCP: &mpi.TCPOptions{}}, func(c *mpi.Comm) error {
 		r := rng.New(uint64(1 + c.Rank()))
 		gram := mat.NewDense(k, k)
@@ -40,7 +48,7 @@ func BenchmarkGramReduce(b *testing.B) {
 			unpackGram(buf[:words], gram, prods)
 			return nil
 		}
-		for i := 0; i < 20; i++ { // warm both readers' frame buffers
+		for i := 0; i < 20; i++ { // warm both ranks' frame buffers
 			if err := reduce(); err != nil {
 				return err
 			}

@@ -7,6 +7,11 @@
 package dist_test
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -185,5 +190,101 @@ func TestKillWithoutCheckpointStillFails(t *testing.T) {
 	}
 	if !dist.Recoverable(err) {
 		t.Fatalf("kill surfaced as %v, want a recoverable peer loss", err)
+	}
+}
+
+// TestResumeRefusesChangedOptions: a resume whose options differ from
+// the run that wrote the checkpoints (λ at 0.2·λmax instead of 0.1·λmax)
+// fails with a *dist.CheckpointMismatchError naming a slot file and the
+// fingerprint, and leaves every slot byte for byte as it was, on every
+// transport, instead of starting over and overwriting them.
+func TestResumeRefusesChangedOptions(t *testing.T) {
+	d := datagen.Regression("ckptmismatch", 5, 80, 40, 0.2, 4, 0.05)
+	a := d.AsCSR()
+	lmax := core.LambdaMaxL1(a.ToCSC(), d.B)
+	opt := restartLassoOpts(false)
+	for _, tr := range testmatrix.TransportKinds() {
+		dir := t.TempDir()
+		opt.Lambda = 0.1 * lmax
+		cl := dist.Options{P: 2, Transport: tr, Checkpoint: &dist.Checkpoint{Dir: dir, Every: 1}}
+		if _, err := dist.Lasso(a, d.B, opt, cl); err != nil {
+			t.Fatal(err)
+		}
+		slots, err := filepath.Glob(filepath.Join(dir, "*.sack"))
+		if err != nil || len(slots) != 4 {
+			t.Fatalf("%v: slots %v (%v), want two per rank", tr, slots, err)
+		}
+		before := make(map[string][]byte)
+		for _, p := range slots {
+			if before[p], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		opt.Lambda = 0.2 * lmax
+		cl.Checkpoint = &dist.Checkpoint{Dir: dir, Every: 1, Resume: true}
+		_, err = dist.Lasso(a, d.B, opt, cl)
+		var me *dist.CheckpointMismatchError
+		if !errors.As(err, &me) || me.Field != "fingerprint" || !slices.Contains(slots, me.Path) {
+			t.Fatalf("%v: resume with another λ = %v, want a *CheckpointMismatchError naming a slot's fingerprint", tr, err)
+		}
+		for p, want := range before {
+			if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%v: the refused resume changed %s (%v)", tr, p, err)
+			}
+		}
+	}
+}
+
+// TestRestartOverAnotherRunsCheckpoints: a run that reuses a checkpoint
+// directory — another run, at λ = 0.1·λmax, left both slots of every
+// rank there — and loses a rank before its own second save, so before
+// it could have replaced both of them, recovers with the bits of an
+// uninterrupted run, on every transport. Rank 1 is killed before its
+// first save and again right after it.
+func TestRestartOverAnotherRunsCheckpoints(t *testing.T) {
+	d := datagen.Regression("ckptreuse", 5, 80, 40, 0.2, 4, 0.05)
+	a := d.AsCSR()
+	lmax := core.LambdaMaxL1(a.ToCSC(), d.B)
+	earlier, opt := restartLassoOpts(false), restartLassoOpts(false)
+	earlier.Lambda, opt.Lambda = 0.1*lmax, 0.2*lmax
+	ref, err := dist.Lasso(a, d.B, opt, dist.Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range testmatrix.TransportKinds() {
+		base := dist.Options{P: 2, Transport: tr}
+		// Rank 1's sends up to its first save.
+		cal := faulty.New(faulty.Plan{Rank: 1})
+		var firstSave atomic.Int64
+		cl := base
+		cl.WrapTransport = cal.Wrap
+		cl.Checkpoint = &dist.Checkpoint{Dir: t.TempDir(), Every: 1, OnSave: func(info dist.CheckpointInfo) {
+			if info.Rank == 1 && info.Batches == 1 {
+				firstSave.Store(cal.Sends())
+			}
+		}}
+		if _, err := dist.Lasso(a, d.B, opt, cl); err != nil || firstSave.Load() == 0 {
+			t.Fatalf("%v: calibration run: %v, first save after %d sends", tr, err, firstSave.Load())
+		}
+		for _, at := range []int{1, int(firstSave.Load()) + 1} {
+			dir := t.TempDir()
+			cl := base
+			cl.Checkpoint = &dist.Checkpoint{Dir: dir, Every: 1}
+			if _, err := dist.Lasso(a, d.B, earlier, cl); err != nil {
+				t.Fatal(err)
+			}
+			in := faulty.New(faulty.Plan{Rank: 1, KillAtSend: at})
+			cl.WrapTransport = in.Wrap
+			cl.Checkpoint = &dist.Checkpoint{Dir: dir, Every: 1, MaxRestarts: 2}
+			got, err := dist.Lasso(a, d.B, opt, cl)
+			if err != nil {
+				t.Fatalf("%v kill@%d: recovery over another run's checkpoints failed: %v", tr, at, err)
+			}
+			if !in.Fired() {
+				t.Fatalf("%v kill@%d: fault never fired", tr, at)
+			}
+			sameLasso(t, tr.String()+" restarted over another run's checkpoints", got, ref)
+		}
 	}
 }

@@ -11,17 +11,22 @@ const (
 	Max
 )
 
-func (o Op) combine(dst, src []float64) {
+// combine sets out[i] = a[i] ⊕ b[i]. out may alias a or b: each word is
+// read before it is written.
+func (o Op) combine(out, a, b []float64) {
+	a, b = a[:len(out)], b[:len(out)]
 	switch o {
 	case Sum:
-		for i, v := range src {
-			dst[i] += v
+		for i := range out {
+			out[i] = a[i] + b[i]
 		}
 	case Max:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
+		for i := range out {
+			v := a[i]
+			if b[i] > v {
+				v = b[i]
 			}
+			out[i] = v
 		}
 	default:
 		panic(fmt.Sprintf("mpi: unknown op %d", o))
@@ -100,17 +105,13 @@ func (c *Comm) Allreduce(op Op, data []float64) error {
 		}
 		// Both partners make the same call, combine(lower, upper): a
 		// flipped loop may round a NaN payload or a signed zero the other
-		// way. An upper rank combines into the received payload, which is
-		// its own until the next Recv from src, and copies the result out.
-		dst, add := data, in
+		// way. Either rank combines into its own buffer.
+		lo, hi := data, in
 		if !lower {
-			dst, add = in, data
+			lo, hi = in, data
 		}
 		c.Compute(float64(len(data))) // combine cost: one op per word
-		op.combine(dst, add)
-		if !lower {
-			copy(data, in)
-		}
+		op.combine(data, lo, hi)
 	}
 	return nil
 }

@@ -21,9 +21,9 @@ import (
 func recvRaw(raw []byte) (Message, error) {
 	local, remote := net.Pipe()
 	tr := newTransportTCP(0, 2, (&TCPOptions{}).withDefaults())
-	tr.conns[1] = local
-	defer tr.Close() // also unblocks the writer if the reader stopped reading
-	go tr.reader(1)
+	tr.peers[1].conn = local
+	defer tr.Close() // also unblocks the writer if Recv stopped reading
+	tr.start(bg)
 	go func() {
 		remote.Write(raw) //nolint:errcheck // the receiver's error is what the tests check
 		remote.Close()
@@ -68,7 +68,7 @@ func TestFrameBitFlipRefused(t *testing.T) {
 
 // TestTCPAllreduceAllocatesNothing: once warm, an Allreduce over a P=2
 // TCP world makes no allocation anywhere in the process — not in Send,
-// not in the readers, not in Recv — at the s=1 and s=16 message sizes
+// not in a writer goroutine, not in Recv — at the s=1 and s=16 message sizes
 // of the dist-lasso workloads.
 func TestTCPAllreduceAllocatesNothing(t *testing.T) {
 	for _, words := range []int{52, 8512} {
@@ -182,7 +182,7 @@ func TestBootstrapRefusesOtherFrameFormat(t *testing.T) {
 }
 
 // FuzzReadFrame reads arbitrary bytes as a stream of frames through one
-// frameReader, the way a peer's reader does. No input may panic; the
+// frameReader, the way Recv reads a peer's stream. No input may panic; the
 // stream ends in a clean end, a cut-short frame or a *wire.Error, and
 // must not allocate in proportion to a length it refused; the accepted
 // frames lie back to back from the start of the input, and each
@@ -214,7 +214,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		stream := data[1:]
 		fr := frameReader{r: r}
-		dst := make([]float64, 2) // reused when the frame fits, as the reader's free list is
+		dst := make([]float64, 2) // reused when the frame fits, as a peer's payload buffer is
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		read := 0

@@ -71,7 +71,7 @@ func sameMessage(got, want Message) string {
 }
 
 // readAll drains fr, decoding each frame into a recycled payload as the
-// transport's reader does, and checks every frame against want in
+// transport's Recv does, and checks every frame against want in
 // order. It returns the error that ended the stream.
 func readAll(t *testing.T, name string, fr *frameReader, want []Message) error {
 	t.Helper()
@@ -127,7 +127,7 @@ func TestFrameReaderSplitAtEveryOffset(t *testing.T) {
 
 // TestFrameReaderCorruptAfterGood: a frame with a flipped payload bit
 // after good ones ends the stream in a *wire.Error, and the good frames
-// before it are delivered, read directly and through a peer's reader.
+// before it are delivered, read directly and through Recv.
 func TestFrameReaderCorruptAfterGood(t *testing.T) {
 	msgs, stream := testFrames(6)
 	bad := appendFrame(nil, Message{Tag: 77, Data: []float64{1, 2, 3}})
@@ -145,9 +145,9 @@ func TestFrameReaderCorruptAfterGood(t *testing.T) {
 
 	local, remote := net.Pipe()
 	tr := newTransportTCP(0, 2, (&TCPOptions{}).withDefaults())
-	tr.conns[1] = local
+	tr.peers[1].conn = local
 	defer tr.Close()
-	go tr.reader(1)
+	tr.start(bg)
 	go func() {
 		remote.Write(stream) //nolint:errcheck // the receiver's error is what the test checks
 		remote.Close()

@@ -8,5 +8,5 @@ import (
 )
 
 // TestMain fails the package if a test leaves a goroutine behind: a TCP
-// reader or a rank that outlives its world.
+// writer or a rank that outlives its world.
 func TestMain(m *testing.M) { os.Exit(testmatrix.RunLeakChecked(m)) }

@@ -26,8 +26,12 @@ type Message struct {
 // both.
 //
 // A Transport is owned by a single rank goroutine: Send and Recv are
-// never called concurrently with themselves or each other. Close may be
-// called from another goroutine (shutdown paths) and must be idempotent.
+// never called concurrently with themselves or each other. Over TCP the
+// rank reads its own frames inside Recv (there is no reader goroutine),
+// and Send never blocks on a peer that is not reading: what the socket
+// does not take is queued for a short-lived writer goroutine. Close may
+// be called from another goroutine (shutdown paths) and must be
+// idempotent.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -42,18 +46,21 @@ type Transport interface {
 	// with a *PeerError instead of blocking forever.
 	//
 	// The returned payload is valid until the next Recv from the same
-	// src: a transport may then recycle it for a later message (the TCP
-	// mesh does, so its steady state allocates nothing; the simulated
-	// world hands out a fresh copy each time, which conforms). Every
-	// caller consumes the payload before its next Recv from that rank:
-	// Comm.Recv passes it on under the same contract, Allreduce combines
-	// it with its buffer (an upper rank combines into the payload itself,
-	// then copies it out), dist's gatherX copies it out, Barrier drops
-	// it, and the fault injector and the benchmark's tracing decorator
-	// pass it through after reading only its length.
+	// src: a transport may then reuse it for a later message (the TCP
+	// mesh decodes every frame from src into one buffer, so its steady
+	// state allocates nothing; the simulated world hands out a fresh copy
+	// each time, which conforms). Every caller consumes the payload
+	// before its next Recv from that rank: Comm.Recv passes it on under
+	// the same contract, Allreduce combines it into its own buffer,
+	// dist's gatherX copies it out, Barrier drops it, and the fault
+	// injector and the benchmark's tracing decorator pass it through
+	// after reading only its length.
 	Recv(src int) (Message, error)
 	// Close releases the endpoint. In the simulated world it marks the
-	// rank finished so peers blocked on it fail fast; over TCP it tears
+	// rank finished so peers blocked on it fail fast; over TCP it first
+	// lets the frames its Sends queued drain (each write bounded as in
+	// TCPOptions.SendTimeout; not at all after the caller's context is
+	// cancelled, or while the rank is blocked in Recv) and then tears
 	// down the connection mesh.
 	Close() error
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -23,9 +24,12 @@ type TCPOptions struct {
 	// process start order does not matter) and the mesh handshake.
 	// Default 30s.
 	RendezvousTimeout time.Duration
-	// SendTimeout is the per-frame write deadline. A peer that stops
-	// draining its socket fails the sender within this bound instead of
-	// blocking forever. Default 30s.
+	// SendTimeout bounds a write to a peer. A frame the socket does not
+	// take at once is queued, and the queue leaves only as fast as the
+	// peer's rank receives, so a queued write waits as long as a
+	// receiver would: up to the larger of SendTimeout and RecvTimeout. A
+	// peer that stops receiving fails the sender within that bound
+	// instead of blocking it forever. Default 30s.
 	SendTimeout time.Duration
 	// RecvTimeout bounds how long Recv waits for the next frame from a
 	// peer. SPMD programs advance in lockstep, so a silence longer than
@@ -76,6 +80,11 @@ func (o *TCPOptions) withDefaults() TCPOptions {
 	return v
 }
 
+// queueTimeout bounds one queued write (see SendTimeout): a frame waits
+// in the queue until the peer's rank calls Recv, which may lag as long
+// as a receiver waits.
+func (o *TCPOptions) queueTimeout() time.Duration { return max(o.SendTimeout, o.RecvTimeout) }
+
 // helloMsg is the bootstrap control message: a peer's hello to rank 0
 // and the ident a mesh dialer presents. Control messages are
 // length-prefixed JSON; data frames are binary (see appendFrame).
@@ -117,45 +126,54 @@ func checkVersion(what string, v int) error {
 // transportTCP is the networked Transport: a full mesh of TCP
 // connections, one per rank pair, carrying frames
 // [u32 words][i64 tag][u64 clock bits][payload float64 LE][u32 CRC-32],
-// the checksum covering everything before it. A per-peer reader
-// goroutine verifies and decodes each frame into a payload recycled
-// through that peer's free list and feeds an inbox channel, so Recv is a
-// channel wait with a deadline and a torn connection or a corrupt frame
-// surfaces as a sticky error, not a hang or a different trajectory. In
-// steady state neither side allocates: Send encodes into one reused
-// buffer, the reader reads into one frame buffer per peer (one Read per
-// frame when the frame has arrived whole, decoded where it lies), and
-// Recv arms one reused timer only when it has to wait. Bootstrap: rank 0
-// listens at the rendezvous address, peers dial (with retry), exchange
-// hellos, and rank 0 broadcasts the world descriptor; the hello
-// connection is reused as the 0↔r data connection, and within the mesh
-// the lower rank listens while the higher rank dials.
+// the checksum covering everything before it. The rank reads its own
+// frames: Recv takes the next frame of src's stream through src's one
+// frame buffer (frameReader), on the rank's goroutine and under the
+// receive deadline, verifies it and decodes it where it lies into src's
+// one payload buffer. A torn connection, a corrupt frame or a silent peer
+// ends src's stream in a sticky error, never a hang or a different
+// trajectory. Send makes one non-blocking write; what the socket does not
+// take joins dst's ordered queue, which a short-lived writer goroutine
+// drains, so two ranks that both send frames larger than their socket
+// buffers before they receive cannot deadlock. In steady state neither
+// side allocates. Bootstrap: rank 0 listens at the rendezvous address,
+// peers dial (with retry), exchange hellos, and rank 0 broadcasts the
+// world descriptor; the hello connection is reused as the 0↔r data
+// connection, and within the mesh the lower rank listens while the
+// higher rank dials.
 type transportTCP struct {
 	rank, size int
 	opt        TCPOptions
-	epoch      int // the world's agreed control-plane generation
-	conns      []net.Conn
-	inbox      []chan Message
-	rerr       []error // sticky reader error per peer, set before inbox close
-	mu         sync.Mutex
-	closed     chan struct{}
+	epoch      int             // the world's agreed control-plane generation
+	ctx        context.Context // cancelled: Close abandons queued frames
+	peers      []tcpPeer       // by rank; the own rank's entry is unused
+	wbuf       []byte          // send serialization buffer (single sender goroutine)
+	waiting    atomic.Bool     // Recv is blocked on a read: a Close now is an abort
+	writers    sync.WaitGroup
 	closeOnce  sync.Once
-	wbuf       []byte // send serialization buffer (single sender goroutine)
-	// free[p] holds payloads the rank is done with, for p's reader to
-	// decode into; held[p] is the payload the last Recv from p returned,
-	// valid until the next Recv from p hands it back. A bounded channel,
-	// not a sync.Pool, for sparse.gramFree's reason: a GC cycle would
-	// empty a pool and the next frame would allocate again.
-	free  []chan []float64
-	held  [][]float64
-	timer *time.Timer // Recv's deadline, armed only when it must wait
+	closeErr   error
 }
 
-// payloadFreeSlots bounds each peer's free list. In lockstep SPMD
-// traffic two or three payloads per peer circulate (one held by the
-// rank, one being decoded, one queued); a burst that queued more drops
-// the surplus as the rank catches up.
-const payloadFreeSlots = 4
+// tcpPeer is one rank's link to peer p. The read side is the rank's
+// alone; the write queue is shared with p's writer goroutine under mu.
+type tcpPeer struct {
+	conn net.Conn
+	fr   frameReader // p's stream
+	data []float64   // Recv's payload, valid until the next Recv from p
+	rerr error       // sticky: what ended p's stream
+
+	raw     syscall.RawConn       // nil when conn has no descriptor: every frame is queued
+	writeFd func(fd uintptr) bool // writeOut, bound once
+	out     []byte                // the frame writeOut writes
+	wrote   int
+	werr    error
+
+	mu       sync.Mutex
+	queue    []byte // bytes the socket has not taken yet, in send order
+	flushing bool   // a writer goroutine owns the queue
+	serr     error  // sticky: the queued write that failed, or the endpoint closed
+	lost     error  // serr when it is a queued write's failure no Send has reported
+}
 
 // Epoch returns the world's agreed control-plane generation (see
 // TCPOptions.Epoch). A supervised process passes Epoch+1 when it
@@ -174,23 +192,34 @@ func TransportEpoch(t Transport) int {
 // newTransportTCP allocates rank's endpoint of a size-rank world, with
 // no connection made yet.
 func newTransportTCP(rank, size int, o TCPOptions) *transportTCP {
-	t := &transportTCP{
-		rank:   rank,
-		size:   size,
-		opt:    o,
-		epoch:  max(o.Epoch, 0),
-		conns:  make([]net.Conn, size),
-		inbox:  make([]chan Message, size),
-		rerr:   make([]error, size),
-		closed: make(chan struct{}),
-		free:   make([]chan []float64, size),
-		held:   make([][]float64, size),
+	return &transportTCP{
+		rank:  rank,
+		size:  size,
+		opt:   o,
+		epoch: max(o.Epoch, 0),
+		ctx:   context.Background(),
+		peers: make([]tcpPeer, size),
 	}
-	for i := range t.inbox {
-		t.inbox[i] = make(chan Message, 64)
-		t.free[i] = make(chan []float64, payloadFreeSlots)
+}
+
+// start readies the link to every connected peer once the bootstrap has
+// made the mesh; ctx is the caller's, whose cancellation makes Close an
+// abort.
+func (t *transportTCP) start(ctx context.Context) {
+	t.ctx = ctx
+	for q := range t.peers {
+		p := &t.peers[q]
+		if p.conn == nil {
+			continue
+		}
+		p.fr.r = p.conn
+		p.writeFd = p.writeOut
+		// Without a descriptor (a failed SyscallConn, a net.Pipe) raw
+		// stays nil and every frame goes through the writer goroutine.
+		if sc, ok := p.conn.(syscall.Conn); ok {
+			p.raw, _ = sc.SyscallConn()
+		}
 	}
-	return t
 }
 
 // DialTCP establishes one rank's endpoint of a TCP world of the given
@@ -206,6 +235,7 @@ func DialTCP(ctx context.Context, rank, size int, addr string, opt *TCPOptions) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, o.RendezvousTimeout)
 	defer cancel()
 	t := newTransportTCP(rank, size, o)
@@ -219,11 +249,7 @@ func DialTCP(ctx context.Context, rank, size int, addr string, opt *TCPOptions) 
 		t.Close() //saco:nolint commerr best-effort teardown of a half-built mesh; the bootstrap error is propagating
 		return nil, fmt.Errorf("mpi: rank %d: tcp bootstrap: %w", rank, err)
 	}
-	for p := 0; p < size; p++ {
-		if p != rank {
-			go t.reader(p)
-		}
-	}
+	t.start(parent)
 	return t, nil
 }
 
@@ -277,20 +303,20 @@ func (t *transportTCP) acceptPeers(ctx context.Context, ln net.Listener) error {
 			conn.Close()
 			return fmt.Errorf("peer rank %d joined with world size %d, want %d", hello.Rank, hello.Size, t.size)
 		}
-		if hello.Rank <= 0 || hello.Rank >= t.size || t.conns[hello.Rank] != nil {
+		if hello.Rank <= 0 || hello.Rank >= t.size || t.peers[hello.Rank].conn != nil {
 			conn.Close()
 			return fmt.Errorf("invalid or duplicate hello from rank %d", hello.Rank)
 		}
 		if hello.Epoch > t.epoch {
 			t.epoch = hello.Epoch
 		}
-		t.conns[hello.Rank] = conn
+		t.peers[hello.Rank].conn = conn
 		addrs[hello.Rank] = hello.Addr
 		have++
 	}
 	world := worldMsg{Size: t.size, Addrs: addrs, Epoch: t.epoch, Version: frameVersion}
 	for p := 1; p < t.size; p++ {
-		if err := writeCtl(t.conns[p], world); err != nil {
+		if err := writeCtl(t.peers[p].conn, world); err != nil {
 			return fmt.Errorf("send world descriptor to rank %d: %w", p, err)
 		}
 	}
@@ -318,7 +344,7 @@ func (t *transportTCP) bootstrapPeer(ctx context.Context, addr string) error {
 	if err != nil {
 		return fmt.Errorf("dial rendezvous %s: %w", addr, err)
 	}
-	t.conns[0] = root
+	t.peers[0].conn = root
 	if err := writeCtl(root, helloMsg{Rank: t.rank, Size: t.size, Addr: advertise, Epoch: t.opt.Epoch, Version: frameVersion}); err != nil {
 		return fmt.Errorf("send hello: %w", err)
 	}
@@ -347,7 +373,7 @@ func (t *transportTCP) bootstrapPeer(ctx context.Context, addr string) error {
 			conn.Close()
 			return fmt.Errorf("ident to rank %d: %w", q, err)
 		}
-		t.conns[q] = conn
+		t.peers[q].conn = conn
 	}
 	for n := t.rank + 1; n < t.size; n++ {
 		conn, err := ln.Accept()
@@ -359,11 +385,11 @@ func (t *transportTCP) bootstrapPeer(ctx context.Context, addr string) error {
 			conn.Close()
 			return fmt.Errorf("read mesh ident: %w", err)
 		}
-		if ident.Rank <= t.rank || ident.Rank >= t.size || t.conns[ident.Rank] != nil {
+		if ident.Rank <= t.rank || ident.Rank >= t.size || t.peers[ident.Rank].conn != nil {
 			conn.Close()
 			return fmt.Errorf("invalid or duplicate mesh ident from rank %d", ident.Rank)
 		}
-		t.conns[ident.Rank] = conn
+		t.peers[ident.Rank].conn = conn
 	}
 	return nil
 }
@@ -540,6 +566,18 @@ func (f *frameReader) next(dst []float64) (Message, []byte, error) {
 	return msg, frame, b.Done()
 }
 
+// whole reports whether a whole frame is buffered, so that next returns
+// it without reading.
+func (f *frameReader) whole() bool {
+	b := f.buf[f.off:]
+	if len(b) < frameHdrBytes {
+		return false
+	}
+	h := wire.NewReader("frame", b)
+	words := h.U32("words")
+	return words <= maxFrameWords && len(b) >= frameHdrBytes+8*int(words)+4
+}
+
 // fill reads until at least n bytes past off are buffered. A read error
 // is kept and returned once the buffered bytes cannot cover n: io.EOF
 // with nothing buffered is a clean end, with a partial frame buffered
@@ -587,9 +625,12 @@ func (t *transportTCP) Rank() int { return t.rank }
 // Size returns the world's rank count.
 func (t *transportTCP) Size() int { return t.size }
 
-// Send serializes msg into one frame and writes it under the send
-// deadline. Serialization completes before return, so the caller may
-// reuse the payload buffer.
+// Send serializes msg into one frame and makes one non-blocking write.
+// What the socket does not take is copied to dst's queue, which a writer
+// goroutine drains under queueTimeout; while the queue is non-empty
+// later frames join it, so frames leave in send order. Either way the
+// caller may reuse the payload buffer on return. A queued write that
+// failed fails every later Send to dst.
 func (t *transportTCP) Send(dst int, msg Message) error {
 	if dst < 0 || dst >= t.size || dst == t.rank {
 		return fmt.Errorf("mpi: rank %d: send to invalid rank %d of %d", t.rank, dst, t.size)
@@ -601,19 +642,11 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag,
 			Err: fmt.Errorf("payload of %d words exceeds the %d-word frame limit", len(msg.Data), maxFrameWords)}
 	}
-	conn := t.conns[dst]
 	if need := frameHdrBytes + 8*len(msg.Data) + 4; cap(t.wbuf) < need {
 		t.wbuf = make([]byte, 0, need)
 	}
 	t.wbuf = appendFrame(t.wbuf[:0], msg)
-	// A failed deadline set means the connection is already dead (closed
-	// or torn down); report it as the peer failure it is rather than
-	// silently writing without pacing and blocking on a wedged socket.
-	if err := conn.SetWriteDeadline(time.Now().Add(t.opt.SendTimeout)); err != nil { //saco:nolint nondet socket write deadline: I/O pacing only, never trajectory time
-		return &PeerError{Rank: t.rank, Peer: dst, Op: "send", Tag: msg.Tag,
-			Err: fmt.Errorf("set write deadline: %w", err)}
-	}
-	if _, err := conn.Write(t.wbuf); err != nil {
+	if err := t.send(&t.peers[dst], t.wbuf); err != nil {
 		if errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) {
 			// The peer's end is closed: the event the simulated world
 			// reports as ErrPeerGone. The socket error stays in the chain.
@@ -624,135 +657,189 @@ func (t *transportTCP) Send(dst int, msg Message) error {
 	return nil
 }
 
-// reader pulls frames from peer p's connection into its inbox through
-// one frameReader, the peer's one frame buffer, decoding each into a
-// payload from p's free list. On any read error — a torn connection or
-// a frame the frameReader refused — it records the sticky cause and
-// closes the inbox, so every later Recv from p fails immediately instead
-// of waiting out a timeout, and no refused frame is ever delivered.
-func (t *transportTCP) reader(p int) {
-	fr := frameReader{r: t.conns[p]}
+// send writes frame to p at once, or queues what the socket does not
+// take and starts p's writer.
+func (t *transportTCP) send(p *tcpPeer, frame []byte) error {
+	p.mu.Lock()
+	err, queued := p.serr, p.flushing
+	p.lost = nil
+	if err == nil && queued {
+		p.queue = append(p.queue, frame...)
+	}
+	p.mu.Unlock()
+	if err != nil || queued {
+		return err
+	}
+	p.out, p.wrote = frame, 0
+	if p.raw != nil {
+		if err := p.raw.Write(p.writeFd); err != nil {
+			return err
+		}
+		if p.werr != nil {
+			return p.werr
+		}
+	}
+	if p.wrote == len(frame) {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.serr != nil { // closed from another goroutine meanwhile
+		return p.serr
+	}
+	p.queue = append(p.queue[:0], frame[p.wrote:]...)
+	p.flushing = true
+	t.writers.Add(1)
+	go t.flush(p)
+	return nil
+}
+
+// writeOut is send's RawConn callback, bound once: it writes what the
+// socket takes of out now and never waits for room.
+func (p *tcpPeer) writeOut(fd uintptr) bool {
+	n, err := writeNow(fd, p.out[p.wrote:])
+	p.wrote += n
+	p.werr = err
+	return true
+}
+
+// flush is p's writer goroutine: it writes p's queue out, each write
+// under queueTimeout, taking the bytes Sends append meanwhile, until the
+// queue is empty or a write fails, which becomes p's sticky send error.
+func (t *transportTCP) flush(p *tcpPeer) {
+	defer t.writers.Done()
+	var spare []byte
 	for {
-		var dst []float64
-		select {
-		case dst = <-t.free[p]:
-		default:
-		}
-		msg, _, err := fr.next(dst)
-		if err != nil {
-			if err == io.EOF {
-				// The peer closed its end cleanly: it finished (or its
-				// process exited) without sending what we may still expect.
-				err = ErrPeerGone
+		p.mu.Lock()
+		buf := p.queue
+		if len(buf) == 0 {
+			// Send's raw write must not meet a deadline this goroutine set.
+			if err := p.conn.SetWriteDeadline(time.Time{}); err != nil {
+				p.serr = err
 			}
-			t.mu.Lock()
-			t.rerr[p] = err
-			t.mu.Unlock()
-			close(t.inbox[p]) // only this goroutine sends on the inbox
-			return
+			p.flushing = false
+			p.mu.Unlock()
+			break
 		}
-		select {
-		case t.inbox[p] <- msg:
-		case <-t.closed:
-			return
+		p.queue = spare[:0]
+		p.mu.Unlock()
+		err := p.conn.SetWriteDeadline(time.Now().Add(t.opt.queueTimeout())) //saco:nolint nondet socket write deadline: I/O pacing only, never trajectory time
+		if err == nil {
+			_, err = p.conn.Write(buf)
 		}
+		if err != nil {
+			p.mu.Lock()
+			p.serr, p.lost, p.queue, p.flushing = err, err, nil, false
+			p.mu.Unlock()
+			break
+		}
+		spare = buf
 	}
 }
 
-func (t *transportTCP) readErr(p int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rerr[p] != nil {
-		return t.rerr[p]
-	}
-	return ErrPeerGone
-}
-
-// Recv waits for peer src's next frame under the receive deadline. A
-// torn connection, a vanished peer, a corrupt frame, a closed endpoint
-// and a silent peer all surface as a *PeerError naming both ranks. The
-// payload returned by the previous Recv from src goes back to src's
-// free list first (the Transport contract: it is valid until then).
-// Only a Recv that finds the inbox empty arms the endpoint's one timer;
-// Go 1.23 timer semantics (go.mod says 1.24) guarantee that Reset
-// discards any tick left from an earlier expiry.
+// Recv returns peer src's next frame. A frame already whole in src's
+// buffer is delivered without a read; otherwise the rank reads src's
+// stream itself under the receive deadline. The payload is decoded into
+// src's one buffer, valid until the next Recv from src (the Transport
+// contract). Whatever ends the stream — a torn connection, a vanished
+// peer, a corrupt frame, a closed endpoint, a silent peer — is sticky
+// and surfaces as a *PeerError naming both ranks.
 func (t *transportTCP) Recv(src int) (Message, error) {
 	if src < 0 || src >= t.size || src == t.rank {
 		return Message{}, fmt.Errorf("mpi: rank %d: recv from invalid rank %d of %d", t.rank, src, t.size)
 	}
-	if d := t.held[src]; d != nil {
-		t.held[src] = nil
-		select {
-		case t.free[src] <- d:
-		default: // the list is full: drop it
+	p := &t.peers[src]
+	if p.rerr == nil {
+		msg, err := t.next(p)
+		if err == nil {
+			return msg, nil
 		}
-	}
-	select {
-	case msg, ok := <-t.inbox[src]:
-		return t.deliver(src, msg, ok)
-	default:
-	}
-	var timeout <-chan time.Time
-	if t.opt.RecvTimeout > 0 {
-		if t.timer == nil {
-			t.timer = time.NewTimer(t.opt.RecvTimeout)
-		} else {
-			t.timer.Reset(t.opt.RecvTimeout)
+		switch {
+		case err == io.EOF:
+			// The peer closed its end cleanly: it finished (or its
+			// process exited) without sending what we still expect.
+			err = ErrPeerGone
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			err = fmt.Errorf("no frame within %v: %w", t.opt.RecvTimeout, err)
 		}
-		defer t.timer.Stop()
-		timeout = t.timer.C
+		p.rerr = err
 	}
-	select {
-	case msg, ok := <-t.inbox[src]:
-		return t.deliver(src, msg, ok)
-	case <-t.closed:
-		return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv", Err: net.ErrClosed}
-	case <-timeout:
-		return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv",
-			Err: fmt.Errorf("no frame within %v: %w", t.opt.RecvTimeout, os.ErrDeadlineExceeded)}
-	}
+	return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv", Err: p.rerr}
 }
 
-// deliver completes a Recv from src that took msg off the inbox (ok
-// false: the reader closed it), holding the payload until the next Recv
-// from src.
-func (t *transportTCP) deliver(src int, msg Message, ok bool) (Message, error) {
-	if !ok {
-		return Message{}, &PeerError{Rank: t.rank, Peer: src, Op: "recv", Err: t.readErr(src)}
+// next reads p's next frame into p's payload buffer, arming the receive
+// deadline only when the frame is not buffered whole.
+func (t *transportTCP) next(p *tcpPeer) (Message, error) {
+	if !p.fr.whole() {
+		if t.opt.RecvTimeout > 0 {
+			if err := p.conn.SetReadDeadline(time.Now().Add(t.opt.RecvTimeout)); err != nil { //saco:nolint nondet socket read deadline: I/O pacing only, never trajectory time
+				return Message{}, err
+			}
+		}
+		t.waiting.Store(true)
+		defer t.waiting.Store(false)
 	}
-	t.held[src] = msg.Data
-	return msg, nil
+	msg, _, err := p.fr.next(p.data)
+	if err == nil {
+		p.data = msg.Data
+	}
+	return msg, err
 }
 
-// Close tears down the connection mesh. Idempotent; safe to call from a
-// goroutine other than the rank's own (shutdown paths).
+// Close ends the endpoint. Sends after it fail. A rank that ends
+// normally first lets its writer goroutines drain what its Sends queued,
+// each write bounded by its own deadline (see SendTimeout), so a Send
+// that returned nil is delivered unless the peer is gone; a queued write
+// that failed is Close's error. An abort does not wait: when the
+// caller's context is cancelled, or while the rank is blocked in Recv (a
+// supervisor closing from another goroutine), the connections close at
+// once, failing the queued writes and a Recv blocked on one. Close
+// returns once every writer has exited. Idempotent; safe to call from a
+// goroutine other than the rank's own.
 func (t *transportTCP) Close() error {
 	t.closeOnce.Do(func() {
-		close(t.closed)
-		for _, conn := range t.conns {
-			if conn != nil {
-				conn.Close()
+		abort := t.ctx.Err() != nil || t.waiting.Load()
+		for q := range t.peers {
+			p := &t.peers[q]
+			p.mu.Lock()
+			if p.serr == nil {
+				p.serr = net.ErrClosed // no Send queues or starts a writer now
+			}
+			p.mu.Unlock()
+			if abort && p.conn != nil {
+				p.conn.Close()
+			}
+		}
+		t.writers.Wait()
+		for q := range t.peers {
+			p := &t.peers[q]
+			p.mu.Lock()
+			lost := p.lost
+			p.mu.Unlock()
+			if lost != nil && !abort && t.closeErr == nil {
+				t.closeErr = &PeerError{Rank: t.rank, Peer: q, Op: "send", Err: lost}
+			}
+			if !abort && p.conn != nil {
+				p.conn.Close()
 			}
 		}
 	})
-	return nil
+	return t.closeErr
 }
 
 // bootTCPRoot builds rank 0's endpoint over an already-bound listener
 // (RunWorld's ephemeral-port case; DialTCP binds its own from an address).
 func bootTCPRoot(ctx context.Context, ln net.Listener, size int, opt *TCPOptions) (Transport, error) {
 	o := opt.withDefaults()
-	ctx, cancel := context.WithTimeout(ctx, o.RendezvousTimeout)
+	boot, cancel := context.WithTimeout(ctx, o.RendezvousTimeout)
 	defer cancel()
 	t := newTransportTCP(0, size, o)
-	err := t.acceptPeers(ctx, ln)
+	err := t.acceptPeers(boot, ln)
 	ln.Close() // rendezvous is over either way
 	if err != nil {
 		t.Close() //saco:nolint commerr best-effort teardown of a half-built mesh; the bootstrap error is propagating
 		return nil, fmt.Errorf("mpi: rank 0: tcp bootstrap: %w", err)
 	}
-	for p := 1; p < size; p++ {
-		go t.reader(p)
-	}
+	t.start(ctx)
 	return t, nil
 }

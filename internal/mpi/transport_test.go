@@ -327,11 +327,11 @@ func TestTCPSendRecvLargePayload(t *testing.T) {
 func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
 	local, remote := net.Pipe()
 	tr := newTransportTCP(0, 2, (&TCPOptions{}).withDefaults())
-	tr.conns[1] = local
+	tr.peers[1].conn = local
 	defer tr.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	go tr.reader(1)
+	tr.start(bg)
 	go func() {
 		var w wire.Writer
 		w.U32(maxFrameWords)
