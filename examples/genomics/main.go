@@ -8,24 +8,33 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"saco"
 )
 
 func main() {
-	data, err := saco.Replica("leu", 1, 7)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run fits the path and the elastic net and writes the report to w.
+func run(w io.Writer) error {
+	data, err := saco.Replica("leu", 1, 7)
+	if err != nil {
+		return err
+	}
 	m, n := data.Dims()
-	fmt.Printf("leu replica: %d samples x %d genes (dense)\n\n", m, n)
+	fmt.Fprintf(w, "leu replica: %d samples x %d genes (dense)\n\n", m, n)
 
 	cols := data.Cols()
 	lambdaMax := saco.LambdaMax(cols, data.B)
 
-	fmt.Println("Lasso regularization path (accBCD, µ=8, 1500 iterations):")
-	fmt.Printf("%10s  %14s  %8s  %s\n", "lambda/max", "objective", "genes", "SA support identical?")
+	fmt.Fprintln(w, "Lasso regularization path (accBCD, µ=8, 1500 iterations):")
+	fmt.Fprintf(w, "%10s  %14s  %8s  %s\n", "lambda/max", "objective", "genes", "SA support identical?")
 	fracs := []float64{0.5, 0.2, 0.1, 0.05, 0.02}
 	lambdas := make([]float64, len(fracs))
 	for i, frac := range fracs {
@@ -34,21 +43,21 @@ func main() {
 	opt := saco.LassoOptions{BlockSize: 8, Iters: 1500, Accelerated: true, Seed: 11}
 	classic, err := saco.LassoPath(cols, data.B, lambdas, opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opt.S = 128
 	sa, err := saco.LassoPath(cols, data.B, lambdas, opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, p := range classic {
-		fmt.Printf("%10.2f  %14.6e  %8d  %v\n",
+		fmt.Fprintf(w, "%10.2f  %14.6e  %8d  %v\n",
 			fracs[i], p.Objective, p.NNZ, sameSupport(p.X, sa[i].X))
 	}
 
 	// Elastic net keeps correlated genes together instead of picking one
 	// arbitrarily — the grouping effect.
-	fmt.Println("\nElastic net (α=0.7) at lambda/max = 0.1:")
+	fmt.Fprintln(w, "\nElastic net (α=0.7) at lambda/max = 0.1:")
 	enOpt := saco.LassoOptions{
 		Reg:         saco.ElasticNet{Lambda: 0.1 * lambdaMax, Alpha: 0.7},
 		BlockSize:   8,
@@ -58,10 +67,11 @@ func main() {
 	}
 	en, err := saco.Lasso(cols, data.B, enOpt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  objective %.6e, %d genes selected (L1 at same λ: see path above)\n",
+	_, err = fmt.Fprintf(w, "  objective %.6e, %d genes selected (L1 at same λ: see path above)\n",
 		en.Objective, en.NNZ())
+	return err
 }
 
 func sameSupport(a, b []float64) bool {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"saco/internal/datagen"
-	"saco/internal/sparse"
 )
 
 // asyncExec builds the async knob at width w. Relative comparisons use
@@ -168,7 +167,7 @@ type rowOnly struct{ RowMatrix }
 // TestAsyncRejectsUnsupported pins the error surface: acceleration has
 // no async analogue, and matrices without atomic kernels must be
 // rejected with a clear message rather than silently run sequential.
-// (The dense views grew atomic kernels and are no longer rejected — see
+// (Dense data is a CSC/CSR like any other and runs — see
 // TestAsyncDenseViews.)
 func TestAsyncRejectsUnsupported(t *testing.T) {
 	data := datagen.Regression("async-rej", 29, 60, 30, 0.3, 5, 0.05)
@@ -193,12 +192,11 @@ func TestAsyncRejectsUnsupported(t *testing.T) {
 }
 
 // TestAsyncDenseViewsOneWorkerBitwise extends the single-worker anchor
-// to the dense views: their atomic kernels mirror the plain dense
-// kernels' loop order, so a 1-worker async solve over DenseCols /
-// DenseRows replays the sequential dense solve bit for bit.
+// to dense data, every entry stored: a 1-worker async solve over its
+// columns or rows replays the sequential solve bit for bit.
 func TestAsyncDenseViewsOneWorkerBitwise(t *testing.T) {
-	data := datagen.Regression("async-dense", 31, 120, 40, 0.3, 6, 0.05)
-	dc := sparse.DenseCols{A: data.AsCSR().ToDense()}
+	data := datagen.DenseRegression("async-dense", 31, 120, 40, 6, 0.05)
+	dc := data.Cols()
 	opt := LassoOptions{Lambda: 0.3, BlockSize: 2, Iters: 400, Seed: 7}
 	ref, err := Lasso(dc, data.B, opt)
 	if err != nil {
@@ -214,8 +212,8 @@ func TestAsyncDenseViewsOneWorkerBitwise(t *testing.T) {
 		t.Fatalf("objective %v != %v", got.Objective, ref.Objective)
 	}
 
-	cdata := datagen.Classification("async-dense-svm", 37, 100, 30, 0.3, 0.05)
-	dr := sparse.DenseRows{A: cdata.AsCSR().ToDense()}
+	cdata := datagen.DenseClassification("async-dense-svm", 37, 100, 30, 0.05)
+	dr := cdata.Rows()
 	sopt := SVMOptions{Lambda: 1, Loss: SVML2, Iters: 800, Seed: 3}
 	sref, err := SVM(dr, cdata.B, sopt)
 	if err != nil {
@@ -230,12 +228,11 @@ func TestAsyncDenseViewsOneWorkerBitwise(t *testing.T) {
 	sameFloats(t, "dense SVM Alpha", sgot.Alpha, sref.Alpha)
 }
 
-// TestAsyncDenseViewsConverge: multi-worker async over the dense views
-// reaches the sequential optimum (the satellite of the dense-kernel
-// ROADMAP item).
+// TestAsyncDenseViewsConverge: multi-worker async over dense data
+// reaches the sequential optimum.
 func TestAsyncDenseViewsConverge(t *testing.T) {
-	data := datagen.Regression("async-dense-conv", 41, 200, 50, 0.3, 6, 0.05)
-	dc := sparse.DenseCols{A: data.AsCSR().ToDense()}
+	data := datagen.DenseRegression("async-dense-conv", 41, 200, 50, 6, 0.05)
+	dc := data.Cols()
 	lambda := 0.2 * LambdaMaxL1(dc, data.B)
 	iters := 20000
 	if testing.Short() {

@@ -45,7 +45,7 @@ func asyncDamping(workers, mu int, density float64) float64 {
 }
 
 // densityReporter is the optional capability the damping heuristic
-// consults; sparse.CSR/CSC and the dense views implement it. Matrices
+// consults; sparse.CSR/CSC implement it. Matrices
 // without it are treated as density-unknown (no damping).
 type densityReporter interface{ Density() float64 }
 
@@ -85,7 +85,7 @@ func newAsyncLasso(a ColMatrix, b []float64, workers int, opt LassoOptions) (*as
 	}
 	ac, ok := a.(asyncColMatrix)
 	if !ok {
-		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSC and sparse.DenseCols do)", a)
+		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSC does)", a)
 	}
 	m, n := a.Dims()
 	if workers < 1 {
@@ -200,7 +200,7 @@ type asyncSVM struct {
 func newAsyncSVM(a RowMatrix, b []float64, workers int, opt SVMOptions) (*asyncSVM, error) {
 	ar, ok := a.(asyncRowMatrix)
 	if !ok {
-		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSR and sparse.DenseRows do)", a)
+		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSR does)", a)
 	}
 	m, n := a.Dims()
 	if workers < 1 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"saco/internal/datagen"
-	"saco/internal/mat"
 	"saco/internal/sparse"
 )
 
@@ -32,27 +31,29 @@ func sameFloats(t *testing.T, name string, got, want []float64) {
 // analogue of the paper's SA-equals-classical iterate claim.
 func TestLassoBackendEquivalence(t *testing.T) {
 	sparseData := datagen.Regression("beq", 5, 400, 160, 0.15, 10, 0.05)
-	denseA := sparseData.AsCSR().ToDense()
+	// Density 1: every column is a full operand of the Gram.
+	denseData := datagen.DenseRegression("beq-dense", 5, 400, 160, 10, 0.05)
 	cases := []struct {
 		name string
-		a    ColMatrix
+		data *datagen.Dataset
 		opt  LassoOptions
 	}{
-		{"cd-classic-csc", sparseData.AsCSR().ToCSC(), LassoOptions{Lambda: 0.3, Iters: 400, Seed: 7, TrackEvery: 50}},
-		{"bcd-sa-csc", sparseData.AsCSR().ToCSC(), LassoOptions{Lambda: 0.3, BlockSize: 8, Iters: 400, S: 16, Seed: 7, TrackEvery: 50}},
-		{"accbcd-sa-csc", sparseData.AsCSR().ToCSC(), LassoOptions{Lambda: 0.3, BlockSize: 8, Iters: 400, S: 16, Accelerated: true, Seed: 7, TrackEvery: 50}},
-		{"accbcd-sa-dense", sparse.DenseCols{A: denseA}, LassoOptions{Lambda: 0.3, BlockSize: 8, Iters: 300, S: 8, Accelerated: true, Seed: 9, TrackEvery: 50}},
+		{"cd-classic-csc", sparseData, LassoOptions{Lambda: 0.3, Iters: 400, Seed: 7, TrackEvery: 50}},
+		{"bcd-sa-csc", sparseData, LassoOptions{Lambda: 0.3, BlockSize: 8, Iters: 400, S: 16, Seed: 7, TrackEvery: 50}},
+		{"accbcd-sa-csc", sparseData, LassoOptions{Lambda: 0.3, BlockSize: 8, Iters: 400, S: 16, Accelerated: true, Seed: 7, TrackEvery: 50}},
+		{"accbcd-sa-dense", denseData, LassoOptions{Lambda: 0.3, BlockSize: 8, Iters: 300, S: 8, Accelerated: true, Seed: 9, TrackEvery: 50}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := Lasso(tc.a, sparseData.B, tc.opt)
+			a, b := tc.data.Cols(), tc.data.B
+			ref, err := Lasso(a, b, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range backendWorkerCounts {
 				opt := tc.opt
 				opt.Exec = Exec{Backend: BackendMulticore, Workers: w}
-				got, err := Lasso(tc.a, sparseData.B, opt)
+				got, err := Lasso(a, b, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,27 +78,29 @@ func TestLassoBackendEquivalence(t *testing.T) {
 // and primal vectors must agree bitwise across worker counts.
 func TestSVMBackendEquivalence(t *testing.T) {
 	data := datagen.Classification("beqs", 11, 300, 100, 0.2, 0.05)
-	denseA := data.AsCSR().ToDense()
+	// Density 1: every row is a full operand of the Gram.
+	denseData := datagen.DenseClassification("beqs-dense", 11, 300, 100, 0.05)
 	cases := []struct {
 		name string
-		a    RowMatrix
+		data *datagen.Dataset
 		opt  SVMOptions
 	}{
-		{"svml1-classic-csr", data.AsCSR(), SVMOptions{Lambda: 1, Iters: 2000, Seed: 3, TrackEvery: 400}},
-		{"svml1-sa-csr", data.AsCSR(), SVMOptions{Lambda: 1, Iters: 2000, S: 64, Seed: 3, TrackEvery: 400}},
-		{"svml2-sa-csr", data.AsCSR(), SVMOptions{Lambda: 1, Loss: SVML2, Iters: 2000, S: 32, Seed: 5, TrackEvery: 400}},
-		{"svml1-sa-dense", sparse.DenseRows{A: denseA}, SVMOptions{Lambda: 1, Iters: 1500, S: 32, Seed: 5, TrackEvery: 300}},
+		{"svml1-classic-csr", data, SVMOptions{Lambda: 1, Iters: 2000, Seed: 3, TrackEvery: 400}},
+		{"svml1-sa-csr", data, SVMOptions{Lambda: 1, Iters: 2000, S: 64, Seed: 3, TrackEvery: 400}},
+		{"svml2-sa-csr", data, SVMOptions{Lambda: 1, Loss: SVML2, Iters: 2000, S: 32, Seed: 5, TrackEvery: 400}},
+		{"svml1-sa-dense", denseData, SVMOptions{Lambda: 1, Iters: 1500, S: 32, Seed: 5, TrackEvery: 300}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := SVM(tc.a, data.B, tc.opt)
+			a, b := tc.data.Rows(), tc.data.B
+			ref, err := SVM(a, b, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range backendWorkerCounts {
 				opt := tc.opt
 				opt.Exec = Exec{Backend: BackendMulticore, Workers: w}
-				got, err := SVM(tc.a, data.B, opt)
+				got, err := SVM(a, b, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,12 +136,12 @@ func TestExecDefaults(t *testing.T) {
 	if BackendSequential.String() != "sequential" || BackendMulticore.String() != "multicore" {
 		t.Fatal("backend names")
 	}
-	d := mat.NewDense(2, 2)
-	pc := execCol(sparse.DenseCols{A: d}, Exec{Backend: BackendMulticore, Workers: 4})
-	if pc.(sparse.DenseCols).Workers != 4 {
+	a := &sparse.CSC{M: 2, N: 2, ColPtr: []int{0, 0, 0}}
+	pc := execCol(a, Exec{Backend: BackendMulticore, Workers: 4})
+	if pc.(*sparse.CSC).KernelWorkers() != 4 {
 		t.Fatal("execCol did not apply workers")
 	}
-	if got := execCol(sparse.DenseCols{A: d}, Exec{}); got.(sparse.DenseCols).Workers != 0 {
+	if got := execCol(a, Exec{}); got != ColMatrix(a) {
 		t.Fatal("sequential exec must not wrap")
 	}
 }

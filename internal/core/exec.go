@@ -103,8 +103,7 @@ type kernelParallelizer interface {
 
 // asyncColMatrix is the capability the async Lasso solver needs on top
 // of ColMatrix: gradient reads and residual updates through the shared
-// atomic residual. sparse.CSC and the dense view sparse.DenseCols
-// implement it.
+// atomic residual. sparse.CSC implements it.
 type asyncColMatrix interface {
 	ColMatrix
 	ColTMulVecAtomic(cols []int, v *mat.AtomicVec, dst []float64)
@@ -113,8 +112,7 @@ type asyncColMatrix interface {
 
 // asyncRowMatrix is the row-access counterpart for the async dual-CD
 // SVM: stale margin reads and primal updates through the shared atomic
-// primal vector. sparse.CSR and the dense view sparse.DenseRows
-// implement it.
+// primal vector. sparse.CSR implements it.
 type asyncRowMatrix interface {
 	RowMatrix
 	RowDotAtomic(i int, x *mat.AtomicVec) float64

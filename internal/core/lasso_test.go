@@ -298,7 +298,7 @@ func TestWarmStart(t *testing.T) {
 
 func TestDenseColsPath(t *testing.T) {
 	d := datagen.DenseRegression("test", 11, 60, 40, 4, 0.05)
-	a := sparse.DenseCols{A: d.Dense}
+	a := d.Cols()
 	lambda := 0.1 * LambdaMaxL1(a, d.B)
 	ref, err := Lasso(a, d.B, LassoOptions{Lambda: lambda, Iters: 200, BlockSize: 4, Accelerated: true, Seed: 3})
 	if err != nil {

@@ -4,7 +4,7 @@ import "saco/internal/mat"
 
 // ColMatrix is the access pattern the Lasso-family solvers need: sampling
 // columns, forming their Gram matrices and products against residual
-// vectors. sparse.CSC and sparse.DenseCols implement it. A Gram is
+// vectors. sparse.CSC implements it, for dense data too. A Gram is
 // symmetric and stored as its upper triangle: ColGram must write every
 // entry i ≤ j, and the solvers read no entry below the diagonal (the
 // kernels of package sparse leave it +0).
@@ -25,7 +25,7 @@ type ColMatrix interface {
 
 // RowMatrix is the access pattern the dual coordinate-descent SVM solvers
 // need: sampling rows, their Gram matrices, and rank-one primal updates.
-// sparse.CSR and sparse.DenseRows implement it. Its Gram follows
+// sparse.CSR implements it, for dense data too. Its Gram follows
 // ColMatrix's convention: upper triangle written, lower never read.
 type RowMatrix interface {
 	// Dims returns (rows m, columns n).

@@ -187,7 +187,7 @@ func TestSVMWarmStart(t *testing.T) {
 
 func TestSVMDenseRowsPath(t *testing.T) {
 	d := datagen.DenseClassification("test", 15, 80, 40, 0.05)
-	a := sparse.DenseRows{A: d.Dense}
+	a := d.Rows()
 	ref, err := SVM(a, d.B, SVMOptions{Lambda: 1, Iters: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -13,97 +13,37 @@ import (
 	"fmt"
 	"math"
 
-	"saco/internal/mat"
 	"saco/internal/rng"
 	"saco/internal/sparse"
 )
 
-// Dataset is one generated problem instance. Exactly one of CSR and Dense
-// is non-nil.
+// Dataset is one generated problem instance, sparse or dense, in one
+// storage form: a dense replica is a CSR that stores every entry.
 type Dataset struct {
 	Name  string
 	CSR   *sparse.CSR
-	Dense *mat.Dense
 	B     []float64 // regression targets or ±1 classification labels
 	XTrue []float64 // planted model, when applicable
 }
 
 // Dims returns (rows, columns).
-func (d *Dataset) Dims() (int, int) {
-	if d.CSR != nil {
-		return d.CSR.Dims()
-	}
-	return d.Dense.R, d.Dense.C
-}
+func (d *Dataset) Dims() (int, int) { return d.CSR.Dims() }
 
-// NNZ returns the number of stored nonzeros.
-func (d *Dataset) NNZ() int {
-	if d.CSR != nil {
-		return d.CSR.NNZ()
-	}
-	n := 0
-	for _, v := range d.Dense.Data {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// NNZ returns the number of stored entries.
+func (d *Dataset) NNZ() int { return d.CSR.NNZ() }
 
 // Density returns NNZ/(m·n).
-func (d *Dataset) Density() float64 {
-	m, n := d.Dims()
-	if m == 0 || n == 0 {
-		return 0
-	}
-	return float64(d.NNZ()) / (float64(m) * float64(n))
-}
+func (d *Dataset) Density() float64 { return d.CSR.Density() }
 
-// Cols returns a column-access view for the Lasso solvers.
-func (d *Dataset) Cols() ColView {
-	if d.CSR != nil {
-		return d.CSR.ToCSC()
-	}
-	return sparse.DenseCols{A: d.Dense}
-}
+// Cols returns the data in column form for the Lasso solvers.
+func (d *Dataset) Cols() *sparse.CSC { return d.CSR.ToCSC() }
 
-// Rows returns a row-access view for the SVM solvers.
-func (d *Dataset) Rows() RowView {
-	if d.CSR != nil {
-		return d.CSR
-	}
-	return sparse.DenseRows{A: d.Dense}
-}
+// Rows returns the data in row form for the SVM solvers.
+func (d *Dataset) Rows() *sparse.CSR { return d.CSR }
 
-// AsCSR returns the data as CSR regardless of storage (densifying if
-// needed); used by the distributed partitioners and the LIBSVM writer.
-func (d *Dataset) AsCSR() *sparse.CSR {
-	if d.CSR != nil {
-		return d.CSR
-	}
-	return sparse.FromDense(d.Dense)
-}
-
-// ColView is the column-access interface produced by Cols. It matches
-// core.ColMatrix structurally; declared here to avoid importing core.
-type ColView interface {
-	Dims() (int, int)
-	ColNormSq(j int) float64
-	ColTMulVec(cols []int, v []float64, dst []float64)
-	ColMulAdd(cols []int, coef []float64, v []float64)
-	ColGram(cols []int, dst *mat.Dense)
-	MulVec(x, y []float64)
-}
-
-// RowView is the row-access interface produced by Rows.
-type RowView interface {
-	Dims() (int, int)
-	RowNormSq(i int) float64
-	RowMulVec(rows []int, x []float64, dst []float64)
-	RowTAxpy(row int, alpha float64, x []float64)
-	RowGram(rows []int, dst *mat.Dense)
-	MulVec(x, y []float64)
-}
+// AsCSR returns the data as CSR; used by the distributed partitioners
+// and the LIBSVM writer.
+func (d *Dataset) AsCSR() *sparse.CSR { return d.CSR }
 
 // sparseMatrix draws a sparse matrix with ~density·n nonzeros per row at
 // uniformly random columns, values N(0,1) — the standard synthetic sparse
@@ -131,12 +71,20 @@ func sparseMatrix(r *rng.Stream, m, n int, density float64) *sparse.CSR {
 	return &sparse.CSR{M: m, N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
 }
 
-func denseMatrix(r *rng.Stream, m, n int) *mat.Dense {
-	d := mat.NewDense(m, n)
-	for i := range d.Data {
-		d.Data[i] = r.NormFloat64()
+// denseMatrix draws an m×n matrix that stores every entry, values
+// N(0,1) in row-major order — the dense replicas.
+func denseMatrix(r *rng.Stream, m, n int) *sparse.CSR {
+	rowPtr := make([]int, m+1)
+	colIdx := make([]int, m*n)
+	vals := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			colIdx[i*n+j] = j
+			vals[i*n+j] = r.NormFloat64()
+		}
+		rowPtr[i+1] = (i + 1) * n
 	}
-	return d
+	return &sparse.CSR{M: m, N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
 }
 
 // plantSparse returns a k-sparse coefficient vector with N(0,1) entries on
@@ -153,9 +101,20 @@ func plantSparse(r *rng.Stream, n, k int) []float64 {
 // k-sparse planted x*: the proximal least-squares (Lasso) workload.
 func Regression(name string, seed uint64, m, n int, density float64, k int, sigma float64) *Dataset {
 	r := rng.New(seed)
-	a := sparseMatrix(r, m, n, density)
-	x := plantSparse(r, n, k)
-	b := make([]float64, m)
+	return regression(name, r, sparseMatrix(r, m, n, density), k, sigma)
+}
+
+// DenseRegression is Regression with every entry stored (epsilon- and
+// leu-like workloads).
+func DenseRegression(name string, seed uint64, m, n, k int, sigma float64) *Dataset {
+	r := rng.New(seed)
+	return regression(name, r, denseMatrix(r, m, n), k, sigma)
+}
+
+// regression plants a k-sparse x* and draws b = A·x* + σ·ε from r.
+func regression(name string, r *rng.Stream, a *sparse.CSR, k int, sigma float64) *Dataset {
+	x := plantSparse(r, a.N, k)
+	b := make([]float64, a.M)
 	a.MulVec(x, b)
 	for i := range b {
 		b[i] += sigma * r.NormFloat64()
@@ -163,42 +122,25 @@ func Regression(name string, seed uint64, m, n int, density float64, k int, sigm
 	return &Dataset{Name: name, CSR: a, B: b, XTrue: x}
 }
 
-// DenseRegression is Regression with dense storage (epsilon- and leu-like
-// workloads).
-func DenseRegression(name string, seed uint64, m, n, k int, sigma float64) *Dataset {
-	r := rng.New(seed)
-	a := denseMatrix(r, m, n)
-	x := plantSparse(r, n, k)
-	b := make([]float64, m)
-	// Row-partitioned with each row dot in sequential order, so replica
-	// content does not depend on the pool width while the big dense
-	// replicas (epsilon, gisette) generate at pool speed.
-	mat.GemvParallel(1, a, x, 0, b)
-	for i := range b {
-		b[i] += sigma * r.NormFloat64()
-	}
-	return &Dataset{Name: name, Dense: a, B: b, XTrue: x}
-}
-
 // Classification generates a sparse design with labels
 // b_i = sign(A_i·w* + σ·ε): the linear SVM workload. Both classes are
 // guaranteed non-empty (flipping the first two labels if necessary).
 func Classification(name string, seed uint64, m, n int, density float64, sigma float64) *Dataset {
 	r := rng.New(seed)
-	a := sparseMatrix(r, m, n, density)
-	d := &Dataset{Name: name, CSR: a}
-	d.XTrue = planteMargins(r, a.MulVec, m, n, sigma, &d.B)
-	return d
+	return classification(name, r, sparseMatrix(r, m, n, density), sigma)
 }
 
-// DenseClassification is Classification with dense storage (gisette-,
-// duke- and leu-like workloads).
+// DenseClassification is Classification with every entry stored
+// (gisette-, duke- and leu-like workloads).
 func DenseClassification(name string, seed uint64, m, n int, sigma float64) *Dataset {
 	r := rng.New(seed)
-	a := denseMatrix(r, m, n)
-	d := &Dataset{Name: name, Dense: a}
-	mul := func(x, y []float64) { mat.GemvParallel(1, a, x, 0, y) }
-	d.XTrue = planteMargins(r, mul, m, n, sigma, &d.B)
+	return classification(name, r, denseMatrix(r, m, n), sigma)
+}
+
+// classification plants a separator and draws the ±1 labels from r.
+func classification(name string, r *rng.Stream, a *sparse.CSR, sigma float64) *Dataset {
+	d := &Dataset{Name: name, CSR: a}
+	d.XTrue = planteMargins(r, a.MulVec, a.M, a.N, sigma, &d.B)
 	return d
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"saco/internal/mat"
+	"saco/internal/rng"
 )
 
 func TestRegressionShapeAndPlant(t *testing.T) {
@@ -81,17 +82,22 @@ func TestClassificationLabels(t *testing.T) {
 	}
 }
 
+// TestDenseVariants: the dense generators store every entry, in
+// ascending column order within each row.
 func TestDenseVariants(t *testing.T) {
 	dr := DenseRegression("test", 4, 50, 30, 3, 0.01)
-	if dr.Dense == nil || dr.CSR != nil {
-		t.Fatal("DenseRegression not dense")
+	if dr.NNZ() != 50*30 || dr.Density() != 1 {
+		t.Fatalf("DenseRegression stores %d of %d entries", dr.NNZ(), 50*30)
 	}
-	if dr.Density() != 1 {
-		// Gaussian entries are never exactly zero.
-		t.Fatalf("dense density %v", dr.Density())
+	for i := 0; i < 50; i++ {
+		for k, j := range dr.CSR.ColIdx[dr.CSR.RowPtr[i]:dr.CSR.RowPtr[i+1]] {
+			if j != k {
+				t.Fatalf("row %d stores column %d at position %d", i, j, k)
+			}
+		}
 	}
 	dc := DenseClassification("test", 5, 60, 20, 0.05)
-	if dc.Dense == nil {
+	if dc.NNZ() != 60*20 {
 		t.Fatal("DenseClassification not dense")
 	}
 	if len(dc.B) != 60 {
@@ -118,14 +124,19 @@ func TestViewsAgree(t *testing.T) {
 	}
 }
 
+// TestAsCSRDensify: a dense dataset's CSR holds the values the
+// generator drew, row-major, before it planted the model.
 func TestAsCSRDensify(t *testing.T) {
 	d := DenseRegression("test", 7, 10, 8, 2, 0)
 	a := d.AsCSR()
-	if a.M != 10 || a.N != 8 {
+	if a.M != 10 || a.N != 8 || a != d.Rows() {
 		t.Fatal("AsCSR dims")
 	}
-	if mat.MaxAbsDiff(a.ToDense(), d.Dense) != 0 {
-		t.Fatal("AsCSR lost values")
+	r := rng.New(7)
+	for p, v := range a.Val {
+		if want := r.NormFloat64(); v != want {
+			t.Fatalf("entry %d = %v, want the %d-th draw %v", p, v, p, want)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ var oracles = map[string]string{
 	"saco/internal/sparse.COO.NNZ":             "TestAccessorsAndConversions",
 	"saco/internal/sparse.COO.ToCSC":           "TestAccessorsAndConversions",
 	"saco/internal/sparse.CSR.SliceRows":       "TestRowsToCSCMatchesSliceRows",
+	"saco/internal/sparse.CSR.ToDense":         "TestCSRtoCSCRoundTrip",
 	"saco/internal/mpi.Comm.Barrier":           "TestTornConnectionCleanError",
 	"saco/internal/mpi/faulty.Injector.Sends":  "TestLassoKillRestartBitwise",
 	"saco/internal/mpi/faulty.Injector.Fired":  "TestLassoKillRestartBitwise",

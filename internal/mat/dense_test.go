@@ -50,16 +50,6 @@ func TestNewDenseDataValidation(t *testing.T) {
 	NewDenseData(2, 2, []float64{1, 2, 3})
 }
 
-func TestGemvAgainstManual(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	x := []float64{1, 0, -1}
-	y := []float64{10, 20}
-	GemvParallel(2, a, x, 1, y) // y = 2*A*x + y = 2*[-2,-2] + [10,20]
-	if y[0] != 6 || y[1] != 16 {
-		t.Fatalf("GemvParallel = %v", y)
-	}
-}
-
 func TestMaxAbsDiff(t *testing.T) {
 	a := NewDenseData(1, 2, []float64{1, 2})
 	b := NewDenseData(1, 2, []float64{1.5, 2})

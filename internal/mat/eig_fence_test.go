@@ -10,6 +10,7 @@ import (
 	"saco/internal/datagen"
 	"saco/internal/mat"
 	"saco/internal/rng"
+	"saco/internal/sparse"
 )
 
 // randTridiag returns a seeded symmetric tridiagonal of order n in the
@@ -99,7 +100,7 @@ func randTridiag(r *rand.Rand, n int) (d, e, e2 []float64) {
 // benchmark's mat.eig8_ns samples its 8×8 blocks.
 var benchGrams = func() func(mu int) []*mat.Dense {
 	var once sync.Once
-	var cols datagen.ColView
+	var cols *sparse.CSC
 	return func(mu int) []*mat.Dense {
 		once.Do(func() { cols = datagen.Regression("bench", 1, 16384, 8192, 0.005, 8192/20, 0.1).Cols() })
 		r := rng.New(1 ^ 0x65696738)

@@ -113,6 +113,53 @@ func TestFrameReaderChunkings(t *testing.T) {
 	}
 }
 
+// capWatch records the capacity of a frameReader's buffer at every
+// Read, so a test can count the buffer's reallocations.
+type capWatch struct {
+	r    io.Reader
+	fr   *frameReader
+	caps []int
+}
+
+func (c *capWatch) Read(p []byte) (int, error) {
+	if n := cap(c.fr.buf); len(c.caps) == 0 || c.caps[len(c.caps)-1] != n {
+		c.caps = append(c.caps, n)
+	}
+	return c.r.Read(p)
+}
+
+// TestFrameReaderGrowsByDoubling: a 16 MiB frame grows the buffer from
+// its first 64 KiB by doubling, so it is reallocated at most
+// ⌈log₂(16 MiB / 64 KiB)⌉ + 1 = 9 times (the last step reaches the
+// frame's header and trailer), and decodes bit for bit — whether the
+// stream arrives as fast as the buffer takes it or 1 MiB per Read.
+func TestFrameReaderGrowsByDoubling(t *testing.T) {
+	data := make([]float64, 2<<20) // 16 MiB of payload
+	for i := range data {
+		data[i] = float64(i) * 0.25
+	}
+	want := Message{Tag: 9, Clock: 1.5, Data: data}
+	stream := appendFrame(nil, want)
+	for _, k := range []int{len(stream), 1 << 20} {
+		w := &capWatch{r: &chunkReader{b: stream, sizes: []int{k}}}
+		fr := frameReader{r: w}
+		w.fr = &fr
+		msg, _, err := fr.next(nil)
+		if err != nil {
+			t.Fatalf("%d bytes per read: %v", k, err)
+		}
+		if d := sameMessage(msg, want); d != "" {
+			t.Fatalf("%d bytes per read: %s", k, d)
+		}
+		if realloc := len(w.caps) - 1; realloc > 9 {
+			t.Fatalf("%d bytes per read: the buffer was reallocated %d times (capacities %v), want at most 9", k, realloc, w.caps)
+		}
+		if last := w.caps[len(w.caps)-1]; last != len(stream) {
+			t.Fatalf("%d bytes per read: buffer ends at %d bytes, want the frame's %d", k, last, len(stream))
+		}
+	}
+}
+
 // TestFrameReaderSplitAtEveryOffset: a 3-frame stream that arrives in
 // two reads, split at every byte offset, decodes bit for bit.
 func TestFrameReaderSplitAtEveryOffset(t *testing.T) {

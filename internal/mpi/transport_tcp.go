@@ -486,11 +486,10 @@ const (
 	frameHdrBytes = 4 + 8 + 8
 	maxFrameWords = 1 << 27 // 1 GiB of payload: Send refuses more, and a reader seeing more calls it corruption
 	// A peer's frame buffer starts at frameChunkMin and grows only as
-	// bytes arrive: by the bytes so far, at least frameChunkMin and at
-	// most frameChunk at a time, so a header alone cannot make a reader
-	// allocate more than frameChunkMin (see frameReader).
+	// bytes arrive: by the bytes so far, at least frameChunkMin at a
+	// time, so a header alone cannot make a reader allocate more than
+	// frameChunkMin (see frameReader).
 	frameChunkMin = 64 << 10
-	frameChunk    = 1 << 20
 )
 
 // appendFrame appends msg's sealed frame to b. Send encodes through it
@@ -514,10 +513,11 @@ func appendFrame(b []byte, msg Message) []byte {
 // frame would run past the buffer's end.
 //
 // The buffer starts at frameChunkMin and grows only when it is full and
-// the frame needs more: by the frame's bytes so far, clamped to
-// [frameChunkMin, frameChunk]. A peer that declares a huge frame and
-// then stops sending costs one small chunk, not the declared size, and
-// a real one costs O(n) copying.
+// the frame needs more: by the frame's bytes so far (at least
+// frameChunkMin), never past the frame's declared end. A peer that
+// declares a huge frame and then stops sending costs one small chunk,
+// not the declared size, and a real one doubles the buffer, so its
+// copying is O(n).
 type frameReader struct {
 	r   io.Reader
 	buf []byte
@@ -613,7 +613,7 @@ func (f *frameReader) makeRoom(n int) {
 		f.buf, f.off = f.buf[:have], 0
 	}
 	if have == cap(f.buf) {
-		grown := make([]byte, have, have+min(n-have, frameChunk, max(have, frameChunkMin)))
+		grown := make([]byte, have, have+min(n-have, max(have, frameChunkMin)))
 		copy(grown, f.buf)
 		f.buf = grown
 	}

@@ -69,8 +69,7 @@ func (a *CSR) RowDotAtomic(i int, x *mat.AtomicVec) float64 {
 // the racy primal update of the async dual coordinate step. alpha == 0
 // is a no-op, matching the plain RowTAxpy and the rest of the Axpy
 // family (package mat's alpha == 0 contract); it previously issued
-// x.Add(j, 0) calls, which dirtied cache lines under contention and
-// disagreed with DenseRows.RowTAxpyAtomic's early return.
+// x.Add(j, 0) calls, which dirtied cache lines under contention.
 func (a *CSR) RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec) {
 	if x.Len() != a.N {
 		panic("sparse: RowTAxpyAtomic shape mismatch")
@@ -80,84 +79,5 @@ func (a *CSR) RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec) {
 	}
 	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 		x.Add(a.ColIdx[p], alpha*a.Val[p])
-	}
-}
-
-// The dense views carry the same atomic kernels, so dense datasets
-// (epsilon, gisette, leu) run under BackendAsync exactly like sparse
-// ones instead of being rejected. Each kernel mirrors its plain
-// counterpart's loop order — including which zero terms the plain
-// kernel skips or keeps — so the single-worker bitwise anchor holds for
-// the dense views too.
-
-// ColTMulVecAtomic computes dst[k] = A_:cols[k] · v with atomic loads of
-// v, mirroring DenseCols.ColTMulVec's sequential path: rows stream in
-// order, zero v elements are skipped (skipping only drops exact-zero
-// addends, as the plain kernel does).
-func (d DenseCols) ColTMulVecAtomic(cols []int, v *mat.AtomicVec, dst []float64) {
-	if v.Len() != d.A.R || len(dst) < len(cols) {
-		panic("sparse: DenseCols.ColTMulVecAtomic shape mismatch")
-	}
-	for k := range cols {
-		dst[k] = 0
-	}
-	for i := 0; i < d.A.R; i++ {
-		vi := v.Load(i)
-		if vi == 0 {
-			continue
-		}
-		row := d.A.Row(i)
-		for k, j := range cols {
-			dst[k] += row[j] * vi
-		}
-	}
-}
-
-// ColMulAddAtomic performs v += A_S·coef with one atomic add per row,
-// mirroring DenseCols.ColMulAdd: the row's contribution accumulates in
-// a private scalar in the plain kernel's order, then lands in a single
-// Add — the only racy step, so interleavings can reorder but never tear
-// or lose a row update.
-func (d DenseCols) ColMulAddAtomic(cols []int, coef []float64, v *mat.AtomicVec) {
-	if v.Len() != d.A.R || len(coef) < len(cols) {
-		panic("sparse: DenseCols.ColMulAddAtomic shape mismatch")
-	}
-	for i := 0; i < d.A.R; i++ {
-		row := d.A.Row(i)
-		var s float64
-		for k, j := range cols {
-			s += row[j] * coef[k]
-		}
-		v.Add(i, s)
-	}
-}
-
-// RowDotAtomic returns A_i · x with atomic loads of x, mirroring the
-// mat.Dot the sequential DenseRows path uses: every column in order,
-// zero terms included.
-func (d DenseRows) RowDotAtomic(i int, x *mat.AtomicVec) float64 {
-	if x.Len() != d.A.C {
-		panic("sparse: DenseRows.RowDotAtomic shape mismatch")
-	}
-	row := d.A.Row(i)
-	var s float64
-	for j, v := range row {
-		s += v * x.Load(j)
-	}
-	return s
-}
-
-// RowTAxpyAtomic performs x += alpha·A_iᵀ with per-element atomic adds,
-// mirroring mat.Axpy (including its alpha == 0 early return).
-func (d DenseRows) RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec) {
-	if x.Len() != d.A.C {
-		panic("sparse: DenseRows.RowTAxpyAtomic shape mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	row := d.A.Row(i)
-	for j, v := range row {
-		x.Add(j, alpha*v)
 	}
 }

@@ -70,14 +70,15 @@ func TestAtomicKernelsMatchPlain(t *testing.T) {
 	}
 }
 
-// TestDenseAtomicKernelsMatchPlain is the same anchor for the dense
-// views: without contention each atomic kernel replays the plain dense
-// kernel bit for bit, including which zero terms it skips.
+// TestDenseAtomicKernelsMatchPlain is the same anchor for a matrix
+// that stores every entry, its zeros explicit: without contention each
+// atomic kernel replays the plain kernel bit for bit over full rows and
+// columns.
 func TestDenseAtomicKernelsMatchPlain(t *testing.T) {
 	csr, _ := atomicTestMatrix(t)
-	dc := DenseCols{A: csr.ToDense()}
-	dr := DenseRows{A: csr.ToDense()}
-	rvals := []float64{0.5, 0, 2, 0.25} // a zero exercises the skip path
+	dr := storeAll(csr)
+	dc := dr.ToCSC()
+	rvals := []float64{0.5, 0, 2, 0.25}
 	xvals := []float64{1, -2, 0, 3, -0.75}
 
 	cols := []int{0, 3, 4}
@@ -87,7 +88,7 @@ func TestDenseAtomicKernelsMatchPlain(t *testing.T) {
 	dc.ColTMulVecAtomic(cols, mat.NewAtomicVecFrom(rvals), got)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("DenseCols.ColTMulVecAtomic[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("dense ColTMulVecAtomic[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 
@@ -98,16 +99,16 @@ func TestDenseAtomicKernelsMatchPlain(t *testing.T) {
 	dc.ColMulAddAtomic(cols, coef, av)
 	for i := range plain {
 		if av.Load(i) != plain[i] {
-			t.Fatalf("DenseCols.ColMulAddAtomic[%d] = %v, want %v", i, av.Load(i), plain[i])
+			t.Fatalf("dense ColMulAddAtomic[%d] = %v, want %v", i, av.Load(i), plain[i])
 		}
 	}
 
 	xv := mat.NewAtomicVecFrom(xvals)
 	one := make([]float64, 1)
-	for i := 0; i < dr.A.R; i++ {
+	for i := 0; i < dr.M; i++ {
 		dr.RowMulVec([]int{i}, xvals, one)
 		if got := dr.RowDotAtomic(i, xv); got != one[0] {
-			t.Fatalf("DenseRows.RowDotAtomic(%d) = %v, want %v", i, got, one[0])
+			t.Fatalf("dense RowDotAtomic(%d) = %v, want %v", i, got, one[0])
 		}
 	}
 
@@ -118,19 +119,27 @@ func TestDenseAtomicKernelsMatchPlain(t *testing.T) {
 	dr.RowTAxpyAtomic(0, 0, xv)
 	for j := range plainX {
 		if xv.Load(j) != plainX[j] {
-			t.Fatalf("DenseRows.RowTAxpyAtomic[%d] = %v, want %v", j, xv.Load(j), plainX[j])
+			t.Fatalf("dense RowTAxpyAtomic[%d] = %v, want %v", j, xv.Load(j), plainX[j])
 		}
 	}
 }
 
 // TestDenseViewDensity pins the Density capability the async damping
-// heuristic consults.
+// heuristic consults: stored entries over cells, so a matrix that
+// stores every entry reports 1 whatever its zeros.
 func TestDenseViewDensity(t *testing.T) {
-	csr, _ := atomicTestMatrix(t) // 7 nonzeros in 4x5
-	if d := (DenseCols{A: csr.ToDense()}).Density(); d != 7.0/20.0 {
-		t.Fatalf("DenseCols.Density() = %v, want %v", d, 7.0/20.0)
+	csr, csc := atomicTestMatrix(t) // 7 nonzeros in 4x5
+	if d := csr.Density(); d != 7.0/20.0 {
+		t.Fatalf("CSR.Density() = %v, want %v", d, 7.0/20.0)
 	}
-	if d := (DenseRows{A: csr.ToDense()}).Density(); d != 7.0/20.0 {
-		t.Fatalf("DenseRows.Density() = %v, want %v", d, 7.0/20.0)
+	if d := csc.Density(); d != 7.0/20.0 {
+		t.Fatalf("CSC.Density() = %v, want %v", d, 7.0/20.0)
+	}
+	dense := storeAll(csr)
+	if d := dense.Density(); d != 1 {
+		t.Fatalf("dense CSR.Density() = %v, want 1", d)
+	}
+	if d := dense.ToCSC().Density(); d != 1 {
+		t.Fatalf("dense CSC.Density() = %v, want 1", d)
 	}
 }

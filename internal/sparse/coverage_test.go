@@ -3,8 +3,6 @@ package sparse
 import (
 	"math/rand"
 	"testing"
-
-	"saco/internal/mat"
 )
 
 // Direct tests of the accessor and conversion methods that the solver
@@ -57,29 +55,28 @@ func TestCSCMulVecBothWays(t *testing.T) {
 }
 
 func TestDenseViewDimsAndMulVec(t *testing.T) {
-	d := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	dc := DenseCols{A: d}
-	dr := DenseRows{A: d}
+	dr := &CSR{M: 2, N: 3, RowPtr: []int{0, 3, 6}, ColIdx: []int{0, 1, 2, 0, 1, 2}, Val: []float64{1, 2, 3, 4, 5, 6}}
+	dc := dr.ToCSC()
 	if m, n := dc.Dims(); m != 2 || n != 3 {
-		t.Fatal("DenseCols.Dims")
+		t.Fatal("dense CSC.Dims")
 	}
 	if m, n := dr.Dims(); m != 2 || n != 3 {
-		t.Fatal("DenseRows.Dims")
+		t.Fatal("dense CSR.Dims")
 	}
 	y := make([]float64, 2)
 	dc.MulVec([]float64{1, 1, 1}, y)
 	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("DenseCols.MulVec = %v", y)
+		t.Fatalf("dense CSC.MulVec = %v", y)
 	}
 	x := make([]float64, 3)
 	dr.RowTAxpy(1, 2, x)
 	if x[0] != 8 || x[1] != 10 || x[2] != 12 {
-		t.Fatalf("DenseRows.RowTAxpy = %v", x)
+		t.Fatalf("dense CSR.RowTAxpy = %v", x)
 	}
 	y2 := make([]float64, 2)
 	dr.MulVec([]float64{1, 0, 0}, y2)
 	if y2[0] != 1 || y2[1] != 4 {
-		t.Fatalf("DenseRows.MulVec = %v", y2)
+		t.Fatalf("dense CSR.MulVec = %v", y2)
 	}
 }
 

@@ -92,6 +92,10 @@ func (a *CSR) RowMulVec(rows []int, x []float64, dst []float64) {
 		for k := lo; k < hi; k++ {
 			r := rows[k]
 			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
+			if p1-p0 == a.N {
+				dst[k] = fullDot(0, a.Val[p0:p1], x)
+				continue
+			}
 			dst[k] = gatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
 		}
 	})
@@ -104,6 +108,10 @@ func (a *CSR) RowTAxpy(row int, alpha float64, x []float64) {
 		panic("sparse: RowTAxpy shape mismatch")
 	}
 	p0, p1 := a.RowPtr[row], a.RowPtr[row+1]
+	if p1-p0 == a.N { // a full row: the scatter is a contiguous Axpy
+		mat.Axpy(alpha, a.Val[p0:p1], x)
+		return
+	}
 	mat.ScatterAxpy(alpha, x, a.Val[p0:p1], a.ColIdx[p0:p1])
 }
 
@@ -232,22 +240,4 @@ func (a *CSR) ToDense() *mat.Dense {
 		}
 	}
 	return d
-}
-
-// FromDense compresses a dense matrix, dropping exact zeros.
-func FromDense(d *mat.Dense) *CSR {
-	rowPtr := make([]int, d.R+1)
-	var colIdx []int
-	var val []float64
-	for i := 0; i < d.R; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				colIdx = append(colIdx, j)
-				val = append(val, v)
-			}
-		}
-		rowPtr[i+1] = len(val)
-	}
-	return &CSR{M: d.R, N: d.C, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }

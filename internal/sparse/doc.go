@@ -58,6 +58,15 @@
 // nnz + matches instead of a merge per pair; a list step reads one
 // 16-byte node.
 //
+// An operand that stores all dim indices — a column or row of dense
+// data, or of a row block it fills — is full, and stays off the lists:
+// its diagonal is the sum of its squares, and every entry it takes part
+// in gathers the other operand's stored entries into its values in
+// ascending index order (a contiguous loop when both are full). Dense
+// data so costs a multiply-add per index and entry instead of a list
+// step, and a batch without a full operand pays one length compare per
+// operand.
+//
 // The result is bitwise what the pairwise definition gives — one
 // two-pointer merge dot (simd.MergeDot) per entry, which is what this
 // package computed before and what the tests keep as their oracle —
@@ -68,7 +77,9 @@
 // index: operand i's hits are walked in its storage order, a scan runs
 // in operand j's, and both lists are sorted), onto the same initial
 // accumulator (+0, or the running dst(i,j) for ColGramAcc). The products
-// are vi·vj, left operand first. There is a single accumulator per
+// are vi·vj, left operand first, except that a full operand i multiplies
+// as vj·vi: a product's value does not depend on the order, and NaN
+// payloads are not part of the contract. There is a single accumulator per
 // entry, so there is nothing to vectorize without reassociating, and no
 // variant.
 //
@@ -86,8 +97,8 @@
 // # One triangle
 //
 // A symmetric matrix is its upper triangle, everywhere in the
-// repository. The Grams here (CSC.ColGram, CSR.RowGram, DenseCols.ColGram,
-// DenseRows.RowGram, and through them the streamed views) write the
+// repository. The Grams here (CSC.ColGram, CSR.RowGram, and through
+// them the streamed views) write the
 // entries i ≤ j and leave the strict lower triangle +0 by bit pattern;
 // CSC.ColGramAcc writes only i ≤ j. Nothing mirrors: the solvers in
 // package core read G(min(i,j), max(i,j)), mat.LargestEigSym reads the

@@ -107,11 +107,17 @@ func gramAcc(workers, dim int, ptr, idx []int, val []float64, sel []int, dst *ma
 // are in its storage order), onto its running value — the additions a
 // two-pointer merge of the two lists (simd.MergeDot) performs, so every
 // entry has the merge dot's bits.
+//
+// An operand that stores all dim indices is full. It is neither pushed
+// nor scanned, and every entry it takes part in is fullRows', which
+// addresses it by index.
 func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense, lo, hi int) {
 	k := len(sel)
 	entries := 0
 	for _, op := range sel[lo:hi] {
-		entries += ptr[op+1] - ptr[op]
+		if n := ptr[op+1] - ptr[op]; n != dim {
+			entries += n
+		}
 	}
 	if entries > math.MaxInt32 {
 		panic(fmt.Sprintf("sparse: Gram rows [%d,%d) store %d entries, more than int32 links address", lo, hi, entries))
@@ -121,8 +127,13 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 	mark := hi < k
 	c, out := dst.C, dst.Data
 	w.pushed, w.nhits = 0, 0
+	full := 0
 	for i := hi - 1; i >= lo; i-- {
 		p0, p1 := ptr[sel[i]], ptr[sel[i]+1]
+		if p1-p0 == dim {
+			full++
+			continue
+		}
 		out[i*c+i] = w.push(idx[p0:p1], val[p0:p1], dim, int32(i), mark, out[i*c+i])
 	}
 	head, has, node := w.head, w.has, w.node
@@ -137,6 +148,10 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 	}
 	for j := hi; j < k; j++ {
 		q0, q1 := ptr[sel[j]], ptr[sel[j]+1]
+		if q1-q0 == dim {
+			full++
+			continue
+		}
 		vj := val[q0:q1]
 		for q, r := range idx[q0:q1] {
 			if has[r>>6]&(1<<(uint(r)&63)) == 0 {
@@ -151,6 +166,12 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 		}
 	}
 
+	if full > 0 {
+		fullRows(dim, ptr, idx, val, sel, dst, lo, hi)
+	}
+
+	// Full operands were not pushed; clearing their indices too is a
+	// store per index, next to fullRows' k per index.
 	for _, op := range sel[lo:hi] {
 		for _, r := range idx[ptr[op]:ptr[op+1]] {
 			head[r] = 0
@@ -190,4 +211,34 @@ func (w *gramWorkspace) push(ri []int, vi []float64, dim int, slot int32, mark b
 	}
 	w.pushed, w.nhits = a, nh
 	return d
+}
+
+// fullRows continues the entries (i, j ≥ i) of rows [lo, hi) in which
+// operand i or operand j is full: it stores all dim indices, so, its
+// indices strictly increasing, its entry at index r is its value r, and
+// the pair's merge is the gather of the other operand's entries into the
+// full one's values, in ascending index order. A full diagonal is the
+// sum of its squares.
+func fullRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense, lo, hi int) {
+	c, out := dst.C, dst.Data
+	for i := lo; i < hi; i++ {
+		p0, p1 := ptr[sel[i]], ptr[sel[i]+1]
+		ri, vi := idx[p0:p1], val[p0:p1]
+		row := out[i*c : i*c+c]
+		fi := p1-p0 == dim
+		if fi {
+			row[i] = fullDot(row[i], vi, vi)
+		}
+		for j := i + 1; j < len(sel); j++ {
+			q0, q1 := ptr[sel[j]], ptr[sel[j]+1]
+			switch {
+			case fi && q1-q0 == dim:
+				row[j] = fullDot(row[j], vi, val[q0:q1])
+			case fi:
+				row[j] = gatherDot(row[j], val[q0:q1], idx[q0:q1], vi)
+			case q1-q0 == dim:
+				row[j] = gatherDot(row[j], vi, ri, val[q0:q1])
+			}
+		}
+	}
 }

@@ -102,6 +102,48 @@ func spikyCSC(rng *rand.Rand, m, n int, density, special float64) *CSC {
 	return a
 }
 
+// fillColumns returns a copy of a in which each column, with
+// probability pFull, stores every row (full: the Gram addresses it by
+// index) and otherwise, with probability pNear, every row but one or
+// every other row (the longest and a half-length list that stay
+// sparse). Rows a filled column did not store get values from
+// gramSpecials with probability special, N(0,1) otherwise.
+func fillColumns(rng *rand.Rand, a *CSC, pFull, pNear, special float64) *CSC {
+	b := &CSC{M: a.M, N: a.N, ColPtr: []int{0}}
+	for j := 0; j < a.N; j++ {
+		vals := make([]float64, a.M)
+		stored := make([]bool, a.M)
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			vals[a.RowIdx[p]], stored[a.RowIdx[p]] = a.Val[p], true
+		}
+		keep := func(r int) bool { return stored[r] }
+		switch u := rng.Float64(); {
+		case u < pFull:
+			keep = func(int) bool { return true }
+		case u < pFull+pNear/2:
+			skip := rng.Intn(a.M)
+			keep = func(r int) bool { return r != skip }
+		case u < pFull+pNear:
+			keep = func(r int) bool { return r%2 == j%2 }
+		}
+		for r := 0; r < a.M; r++ {
+			if !keep(r) {
+				continue
+			}
+			if !stored[r] {
+				vals[r] = rng.NormFloat64()
+				if rng.Float64() < special {
+					vals[r] = gramSpecials[rng.Intn(len(gramSpecials))]
+				}
+			}
+			b.RowIdx = append(b.RowIdx, r)
+			b.Val = append(b.Val, vals[r])
+		}
+		b.ColPtr = append(b.ColPtr, len(b.Val))
+	}
+	return b
+}
+
 // asRows reads a CSC's three arrays as the CSR of its transpose: the
 // same operands, sampled as rows.
 func asRows(a *CSC) *CSR {
@@ -151,17 +193,24 @@ func sampleWithRepeats(rng *rand.Rand, n, k int) []int {
 
 // TestGramMatchesPairwiseMerge is the bitwise contract of the Gram
 // kernel against the definition it replaced, over random matrices with
-// special values, repeated operands, and every worker count.
+// special values, repeated operands, and every worker count. From the
+// 61st trial on, columns are also full (some, or all of them), one row
+// short of full, or half full, so full operands meet sparse ones inside
+// a worker's range and past it, and repeat.
 func TestGramMatchesPairwiseMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 120; trial++ {
 		m, n := 1+rng.Intn(200), 1+rng.Intn(24)
 		special := []float64{0, 0.05, 0.5}[trial%3]
 		a := spikyCSC(rng, m, n, 0.02+0.4*rng.Float64(), special)
+		if trial >= 60 {
+			pFull := []float64{0.3, 0.6, 1}[trial%3]
+			a = fillColumns(rng, a, pFull, 0.3, special)
+		}
 		sel := sampleWithRepeats(rng, n, rng.Intn(20))
 		k := len(sel)
 		want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
-		for _, w := range []int{1, 3, 8} {
+		for _, w := range []int{1, 2, 3, 8} {
 			name := fmt.Sprintf("trial %d workers %d", trial, w)
 			got := mat.NewDense(k, k)
 			for i := range got.Data {
@@ -259,6 +308,13 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 		}
 		return rows
 	}
+	evens := func(n int) []int {
+		var rows []int
+		for r := 0; r < n; r += 2 {
+			rows = append(rows, r)
+		}
+		return rows
+	}
 	// k operands that all store index 64 (and a few others), so one
 	// list grows to k−1 nodes before the last push walks it.
 	deep := make([][]int, 128)
@@ -304,6 +360,15 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 		{"k=128 grows node and hits", wide, sampleWithRepeats(batch, wide.N, 128)},
 		{"k=8 after k=128", wide, sampleWithRepeats(batch, wide.N, 8)},
 		{"k=1 after k=8", wide, sampleWithRepeats(batch, wide.N, 1)},
+		{"dim 1, full and empty", build(1, []int{0}, nil), []int{0, 1, 0, 0, 1}},
+		{"a single full operand", build(70, all(70)), []int{0}},
+		{"all operands full", build(70, all(70), all(70), all(70)), []int{2, 0, 1, 0, 2, 1}},
+		{"full, one short and half full", build(70, all(70), all(70)[1:], evens(70), []int{5, 64}),
+			[]int{0, 1, 2, 3, 0, 3, 2, 1}},
+		{"full operands past every range", build(70, []int{5, 64}, []int{0, 64}, all(70)),
+			[]int{0, 1, 0, 1, 2, 2, 1, 2}},
+		{"full operands first, sparse past them", build(70, all(70), []int{5, 64}, []int{0, 64}),
+			[]int{0, 0, 1, 2, 1, 2, 0}},
 	}
 	for _, workers := range []int{1, 2, 3} {
 		drainGramFree() // start from workspaces this test owns
@@ -472,15 +537,18 @@ func TestGramSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // gramFuzzCase decodes fuzz bytes into a small CSC, an operand list with
-// repeats and a row cut: byte 0 → columns (1–8), byte 1 → rows (1–160,
-// so markers span up to three words), byte 2 → operands (0–11), byte 3 →
-// cut; then one byte per operand, then 9-byte entries (position byte +
-// float64 bits) dealt to the columns round-robin, a later entry at an
-// occupied (row, column) replacing the earlier one.
+// repeats and a row cut: byte 0 → columns (1–8, low 3 bits) and full
+// columns (high 5 bits: column j stores every row when bit j mod 5 is
+// set), byte 1 → rows (1–160, so markers span up to three words), byte
+// 2 → operands (0–11), byte 3 → cut; then one byte per operand, then
+// 9-byte entries (position byte + float64 bits) dealt to the columns
+// round-robin, a later entry at an occupied (row, column) replacing the
+// earlier one. A full column's rows that no entry set hold 1 + row/4.
 func gramFuzzCase(data []byte) (a *CSC, sel []int, cut int) {
 	hdr := make([]byte, 4)
 	copy(hdr, data)
 	n, m, k := 1+int(hdr[0])%8, 1+int(hdr[1])%160, int(hdr[2])%12
+	fullMask := hdr[0] >> 3
 	cut = int(hdr[3]) % (m + 1)
 	data = data[min(len(data), 4):]
 	sel = make([]int, k)
@@ -495,6 +563,14 @@ func gramFuzzCase(data []byte) (a *CSC, sel []int, cut int) {
 		val float64
 	}
 	cols := make([][]entry, n)
+	for j := range cols {
+		if fullMask&(1<<(j%5)) == 0 {
+			continue
+		}
+		for r := 0; r < m; r++ {
+			cols[j] = append(cols[j], entry{r, 1 + float64(r)/4})
+		}
+	}
 	for e := 0; 9*e+9 <= len(data) && e < 512; e++ {
 		j, row := e%n, int(data[9*e])%m
 		val := math.Float64frombits(binary.LittleEndian.Uint64(data[9*e+1:]))
@@ -520,8 +596,9 @@ func gramFuzzCase(data []byte) (a *CSC, sel []int, cut int) {
 
 // FuzzGram holds ColGram, RowGram (sequential and on 2- and 3-worker
 // views) and the two-block ColGramAcc sum to the pairwise-merge oracle
-// on arbitrary sparsity patterns and value bits — NaNs, infinities,
-// denormals and −0 come free with byte-level mutation.
+// on arbitrary sparsity patterns, full columns among them, and value
+// bits — NaNs, infinities, denormals and −0 come free with byte-level
+// mutation.
 func FuzzGram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 70, 5, 64, 0, 1, 2, 1, 0})
@@ -545,6 +622,18 @@ func FuzzGram(f *testing.F) {
 		twice = binary.LittleEndian.AppendUint64(twice, math.Float64bits(v))
 	}
 	f.Add(twice)
+	// Full columns: dim 1; a single full operand; every operand full;
+	// full operands repeated, among sparse ones and past every worker's
+	// range.
+	f.Add([]byte{8 | 0, 0, 3, 1, 0, 0, 0})
+	f.Add([]byte{8 | 0, 69, 1, 30, 0})
+	f.Add([]byte{31<<3 | 3, 69, 9, 40, 3, 1, 0, 2, 3, 1, 0, 2, 3})
+	mixed := []byte{(2|4)<<3 | 4, 69, 11, 35, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 2}
+	for e, v := range []float64{1.5, -2, 0.25, math.Copysign(0, -1), 7, math.NaN(), 3, math.Inf(1)} {
+		mixed = append(mixed, []byte{64, 64, 64, 64, 5, 5, 68, 0}[e])
+		mixed = binary.LittleEndian.AppendUint64(mixed, math.Float64bits(v))
+	}
+	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, sel, cut := gramFuzzCase(data)
 		if _, err := NewCSC(a.M, a.N, a.ColPtr, a.RowIdx, a.Val); err != nil {

@@ -2,10 +2,9 @@ package sparse
 
 import "fmt"
 
-// The gather loops of the CSR/CSC/dense kernels. Like mat's BLAS-1
-// loops they are the bitwise reference — each accumulates left to
-// right, and the deterministic backend matrix is defined by that order
-// — and gatherAxpy keeps mat's alpha == 0 contract.
+// The gather loops of the CSR/CSC kernels. Like mat's BLAS-1 loops
+// they are the bitwise reference: each accumulates left to right, and
+// the deterministic backend matrix is defined by that order.
 
 // gatherDot returns acc + Σ val[k]·x[idx[k]] — the sparse-row dot
 // product of every CSR/CSC kernel. len(val) must be at least len(idx).
@@ -19,21 +18,6 @@ func gatherDot(acc float64, val []float64, idx []int, x []float64) float64 {
 	return acc
 }
 
-// gatherAxpy computes dst[k] += alpha·src[idx[k]] — the dense Gram
-// update inner loop; alpha == 0 is a no-op. len(dst) must be at least
-// len(idx).
-func gatherAxpy(alpha float64, dst, src []float64, idx []int) {
-	if len(dst) < len(idx) {
-		panic(fmt.Sprintf("sparse: gatherAxpy len(dst)=%d < len(idx)=%d", len(dst), len(idx)))
-	}
-	if alpha == 0 {
-		return
-	}
-	for k, j := range idx {
-		dst[k] += alpha * src[j]
-	}
-}
-
 // spmvRows computes y[i] = Σ_k val[k]·x[colIdx[k]] over each CSR row i
 // in [lo, hi) — the fused gather-multiply-accumulate row loop of
 // CSR.MulVec.
@@ -45,4 +29,19 @@ func spmvRows(rowPtr, colIdx []int, val, x, y []float64, lo, hi int) {
 		}
 		y[i] = s
 	}
+}
+
+// fullDot returns acc + Σ x[r]·y[r], left to right: gatherDot over two
+// full operands, whose indices are 0, 1, …. len(y) must be at least
+// len(x). It is not inlined: inside a caller's larger loop nest its
+// counter would spill, and the store-to-load round trip would join
+// every step's dependency chain.
+//
+//go:noinline
+func fullDot(acc float64, x, y []float64) float64 {
+	y = y[:len(x)]
+	for r, v := range x {
+		acc += v * y[r]
+	}
+	return acc
 }

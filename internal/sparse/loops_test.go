@@ -10,7 +10,7 @@ import (
 
 // The gather loops against their reference loops, bit for bit: the
 // left-to-right folds whose order defines the deterministic backend
-// matrix, with gatherAxpy's alpha == 0 no-op.
+// matrix.
 
 func refGatherDot(acc float64, val []float64, idx []int, x []float64) float64 {
 	for k := range idx {
@@ -19,13 +19,13 @@ func refGatherDot(acc float64, val []float64, idx []int, x []float64) float64 {
 	return acc
 }
 
-func refGatherAxpy(alpha float64, dst, src []float64, idx []int) {
-	if alpha == 0 {
-		return
+// identity returns the indices 0 … n−1, a full operand's.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	for k := range idx {
-		dst[k] += alpha * src[idx[k]]
-	}
+	return idx
 }
 
 // loopBitsEq compares two slices bit for bit, except that any NaN
@@ -43,10 +43,9 @@ func loopBitsEq(a, b []float64) bool {
 	return true
 }
 
-// TestGatherLoops checks gatherDot and gatherAxpy against the
-// references across lengths from empty to 100 and unaligned bases,
-// gatherAxpy's alpha == 0 no-op on poisoned bits, and the length
-// guards.
+// TestGatherLoops checks gatherDot, and fullDot against gatherDot over
+// the identity indices, against the reference across lengths from
+// empty to 100 and unaligned bases, and the length guards.
 func TestGatherLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100} {
@@ -62,24 +61,10 @@ func TestGatherLoops(t *testing.T) {
 				if got, want := gatherDot(acc, val, idx, x), refGatherDot(acc, val, idx, x); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("gatherDot n=%d off=%d acc=%g: got %x want %x", n, off, acc, got, want)
 				}
-			}
-			for _, alpha := range []float64{1, -1, 0.5, 2.25, 1e-300, -3.75} {
-				dk, dr := append([]float64(nil), y...), append([]float64(nil), y...)
-				gatherAxpy(alpha, dk, x, idx)
-				refGatherAxpy(alpha, dr, x, idx)
-				if !loopBitsEq(dk, dr) {
-					t.Fatalf("gatherAxpy n=%d off=%d alpha=%g mismatch", n, off, alpha)
+				if got, want := fullDot(acc, x, y), refGatherDot(acc, x, identity(n), y); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("fullDot n=%d off=%d acc=%g: got %x want %x", n, off, acc, got, want)
 				}
 			}
-		}
-	}
-
-	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.25, -3}
-	dst := append([]float64(nil), poison...)
-	gatherAxpy(0, dst, []float64{math.Inf(1), math.NaN(), 2, -4, 8, 16}, []int{5, 0, 3, 1, 4, 2})
-	for i := range dst {
-		if math.Float64bits(dst[i]) != math.Float64bits(poison[i]) {
-			t.Fatalf("gatherAxpy(alpha=0) modified dst[%d]: %x -> %x", i, math.Float64bits(poison[i]), math.Float64bits(dst[i]))
 		}
 	}
 
@@ -93,7 +78,7 @@ func TestGatherLoops(t *testing.T) {
 	}
 	x, short := []float64{1, 2, 3}, []float64{1}
 	mustPanic("gatherDot", func() { gatherDot(0, short, []int{0, 1, 2}, x) })
-	mustPanic("gatherAxpy", func() { gatherAxpy(1, short, x, []int{0, 1, 2}) })
+	mustPanic("fullDot", func() { fullDot(0, x, short) })
 }
 
 func TestSpMVRows(t *testing.T) {
@@ -126,7 +111,7 @@ func TestSpMVRows(t *testing.T) {
 	}
 }
 
-// FuzzGatherLoops drives gatherDot, gatherAxpy and spmvRows (one CSR
+// FuzzGatherLoops drives gatherDot, fullDot and spmvRows (one CSR
 // row per 16-byte record, its entries the records' low bytes) with
 // arbitrary bit patterns — NaNs, infinities, denormals, -0 — and
 // checks each against its reference loop.
@@ -153,11 +138,8 @@ func FuzzGatherLoops(f *testing.F) {
 		if got, want := gatherDot(alpha, y, idx, x), refGatherDot(alpha, y, idx, x); !loopBitsEq([]float64{got}, []float64{want}) {
 			t.Fatalf("gatherDot: %x vs %x", got, want)
 		}
-		gk, gr := append([]float64(nil), y...), append([]float64(nil), y...)
-		gatherAxpy(alpha, gk, x, idx)
-		refGatherAxpy(alpha, gr, x, idx)
-		if !loopBitsEq(gk, gr) {
-			t.Fatalf("gatherAxpy mismatch")
+		if got, want := fullDot(alpha, x, y), refGatherDot(alpha, x, identity(n), y); !loopBitsEq([]float64{got}, []float64{want}) {
+			t.Fatalf("fullDot: %x vs %x", got, want)
 		}
 		got, want := make([]float64, n), make([]float64, n)
 		spmvRows(rowPtr, idx, y, x, got, 0, n)

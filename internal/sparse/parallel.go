@@ -46,23 +46,3 @@ func (a *CSR) WithKernelWorkers(w int) any {
 
 // KernelWorkers reports the worker count of this matrix's kernels.
 func (a *CSR) KernelWorkers() int { return kernelWorkers(a.workers) }
-
-// WithKernelWorkers returns a view whose kernels fan out across w
-// workers; DenseCols is a value type, so the receiver copy is the view.
-func (d DenseCols) WithKernelWorkers(w int) any {
-	d.Workers = kernelWorkers(w)
-	return d
-}
-
-// KernelWorkers reports the worker count of this matrix's kernels.
-func (d DenseCols) KernelWorkers() int { return kernelWorkers(d.Workers) }
-
-// WithKernelWorkers returns a view whose kernels fan out across w
-// workers; DenseRows is a value type, so the receiver copy is the view.
-func (d DenseRows) WithKernelWorkers(w int) any {
-	d.Workers = kernelWorkers(w)
-	return d
-}
-
-// KernelWorkers reports the worker count of this matrix's kernels.
-func (d DenseRows) KernelWorkers() int { return kernelWorkers(d.Workers) }

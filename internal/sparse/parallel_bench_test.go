@@ -111,10 +111,35 @@ var gramSizes = []struct {
 	{"k=64/svm", 8192, 64, 41},
 }
 
+// denseGramSizes are sequential Grams over full operands, the shapes of
+// the dense replicas: epsilon's 4000 rows at the s=16 batch of µ=8
+// (k=128), and leu's 38 rows at the batch of genomics' s=128 (k=1024).
+var denseGramSizes = []struct {
+	name   string
+	dim, k int
+}{
+	{"dense/rows=4000/k=128", 4000, 128},
+	{"dense/rows=38/k=1024", 38, 1024},
+}
+
+// fullCSC builds an m×n CSC that stores every entry, N(0,1) values.
+func fullCSC(rng *rand.Rand, m, n int) *CSC {
+	colPtr := make([]int, n+1)
+	rowIdx := make([]int, m*n)
+	val := make([]float64, m*n)
+	for j := 0; j < n; j++ {
+		for r := 0; r < m; r++ {
+			rowIdx[j*m+r], val[j*m+r] = r, rng.NormFloat64()
+		}
+		colPtr[j+1] = (j + 1) * m
+	}
+	return &CSC{M: m, N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
 // BenchmarkGram measures the batched sµ×sµ Gram assembly G = YᵀY of the
 // SA Lasso outer iteration (Alg. 2 line 11) at one worker versus all
 // cores — the kernel the paper's batched-communication trade lives on —
-// and sequentially at gramSizes.
+// and sequentially at gramSizes and denseGramSizes.
 func BenchmarkGram(b *testing.B) {
 	m, n, k, perCol := benchDims(b)
 	rng := rand.New(rand.NewSource(41))
@@ -135,6 +160,17 @@ func BenchmarkGram(b *testing.B) {
 		}
 		b.Run(sz.name, func(b *testing.B) {
 			csc := benchCSC(rng, sz.dim, 2*sz.k, sz.nnz)
+			cols, dst := rng.Perm(csc.N)[:sz.k], mat.NewDense(sz.k, sz.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				csc.ColGram(cols, dst)
+			}
+		})
+	}
+	for _, sz := range denseGramSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			csc := fullCSC(rng, sz.dim, 2*sz.k)
 			cols, dst := rng.Perm(csc.N)[:sz.k], mat.NewDense(sz.k, sz.k)
 			b.ReportAllocs()
 			b.ResetTimer()

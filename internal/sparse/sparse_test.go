@@ -24,6 +24,28 @@ func randCSR(rng *rand.Rand, m, n int, density float64) *CSR {
 	return coo.ToCSR()
 }
 
+// storeAll returns a with every entry stored: the zeros a leaves out
+// become explicit, so each of its rows and columns is a full operand.
+func storeAll(a *CSR) *CSR {
+	rowPtr := make([]int, a.M+1)
+	colIdx := make([]int, 0, a.M*a.N)
+	val := make([]float64, 0, a.M*a.N)
+	for i := 0; i < a.M; i++ {
+		p := a.RowPtr[i]
+		for j := 0; j < a.N; j++ {
+			v := 0.0
+			if p < a.RowPtr[i+1] && a.ColIdx[p] == j {
+				v = a.Val[p]
+				p++
+			}
+			colIdx = append(colIdx, j)
+			val = append(val, v)
+		}
+		rowPtr[i+1] = len(val)
+	}
+	return &CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+}
+
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -84,7 +106,9 @@ func TestMulVecMatchesDense(t *testing.T) {
 	y1 := make([]float64, 20)
 	y2 := make([]float64, 20)
 	a.MulVec(x, y1)
-	mat.GemvParallel(1, d, x, 0, y2)
+	for i := range y2 {
+		y2[i] = mat.Dot(d.Row(i), x)
+	}
 	for i := range y1 {
 		if !approxEq(y1[i], y2[i], 1e-12) {
 			t.Fatalf("MulVec[%d] = %v, want %v", i, y1[i], y2[i])
@@ -280,10 +304,8 @@ func TestSlicePartitionReassembles(t *testing.T) {
 	}
 }
 
-func TestDensityAndFromDense(t *testing.T) {
-	d := mat.NewDense(2, 2)
-	d.Set(0, 0, 1)
-	a := FromDense(d)
+func TestCSRDensity(t *testing.T) {
+	a := &CSR{M: 2, N: 2, RowPtr: []int{0, 1, 1}, ColIdx: []int{0}, Val: []float64{1}}
 	if a.NNZ() != 1 || a.Density() != 0.25 {
 		t.Fatalf("NNZ=%d density=%v", a.NNZ(), a.Density())
 	}
@@ -292,13 +314,15 @@ func TestDensityAndFromDense(t *testing.T) {
 	}
 }
 
+// TestDenseViewsMatchSparse: a matrix with every entry stored (its
+// zeros explicit, so every row and column is a full operand) computes
+// what its sparse form computes.
 func TestDenseViewsMatchSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randCSR(rng, 18, 10, 0.5)
-	d := a.ToDense()
 	c := a.ToCSC()
-	dc := DenseCols{A: d}
-	dr := DenseRows{A: d}
+	dr := storeAll(a)
+	dc := dr.ToCSC()
 
 	cols := []int{0, 3, 9}
 	v := randVec(rng, 18)
@@ -308,21 +332,21 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 	dc.ColTMulVec(cols, v, s2)
 	for k := range s1 {
 		if !approxEq(s1[k], s2[k], 1e-12) {
-			t.Fatalf("DenseCols.ColTMulVec[%d] mismatch", k)
+			t.Fatalf("dense ColTMulVec[%d] mismatch", k)
 		}
 	}
 
 	g1 := mat.NewDense(3, 3)
 	g2 := mat.NewDense(3, 3)
 	for i := range g2.Data {
-		g2.Data[i] = -7 // the view overwrites every entry
+		g2.Data[i] = -7 // the Gram overwrites every entry
 	}
 	c.ColGram(cols, g1)
 	dc.ColGram(cols, g2)
 	if mat.MaxAbsDiff(g1, g2) > 1e-12 {
-		t.Fatal("DenseCols.ColGram mismatch")
+		t.Fatal("dense ColGram mismatch")
 	}
-	lowerIsPositiveZero(t, "DenseCols.ColGram", g2)
+	lowerIsPositiveZero(t, "dense ColGram", g2)
 
 	u1 := randVec(rng, 18)
 	u2 := append([]float64(nil), u1...)
@@ -331,7 +355,7 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 	dc.ColMulAdd(cols, coef, u2)
 	for i := range u1 {
 		if !approxEq(u1[i], u2[i], 1e-12) {
-			t.Fatalf("DenseCols.ColMulAdd[%d] mismatch", i)
+			t.Fatalf("dense ColMulAdd[%d] mismatch", i)
 		}
 	}
 
@@ -343,7 +367,7 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 	dr.RowMulVec(rows, x, r2)
 	for k := range r1 {
 		if !approxEq(r1[k], r2[k], 1e-12) {
-			t.Fatalf("DenseRows.RowMulVec[%d] mismatch", k)
+			t.Fatalf("dense RowMulVec[%d] mismatch", k)
 		}
 	}
 
@@ -355,15 +379,15 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 	a.RowGram(rows, gr1)
 	dr.RowGram(rows, gr2)
 	if mat.MaxAbsDiff(gr1, gr2) > 1e-12 {
-		t.Fatal("DenseRows.RowGram mismatch")
+		t.Fatal("dense RowGram mismatch")
 	}
-	lowerIsPositiveZero(t, "DenseRows.RowGram", gr2)
+	lowerIsPositiveZero(t, "dense RowGram", gr2)
 
 	if !approxEq(dc.ColNormSq(3), c.ColNormSq(3), 1e-12) {
-		t.Fatal("DenseCols.ColNormSq mismatch")
+		t.Fatal("dense ColNormSq mismatch")
 	}
 	if !approxEq(dr.RowNormSq(2), a.RowNormSq(2), 1e-12) {
-		t.Fatal("DenseRows.RowNormSq mismatch")
+		t.Fatal("dense RowNormSq mismatch")
 	}
 }
 
@@ -385,7 +409,9 @@ func TestColGramPSDProperty(t *testing.T) {
 		for probe := 0; probe < 4; probe++ {
 			v := randVec(rng, k)
 			w := make([]float64, k)
-			mat.GemvParallel(1, g, v, 0, w)
+			for i := range w {
+				w[i] = mat.Dot(g.Row(i), v)
+			}
 			if mat.Dot(v, w) < -1e-9 {
 				return false
 			}

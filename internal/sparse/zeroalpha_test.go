@@ -10,8 +10,8 @@ import (
 // One test per Axpy-family variant: alpha == 0 (or an all-zero
 // coefficient) must leave the destination untouched bit for bit — no
 // -0 → +0 normalization, no NaN produced from 0·Inf — in the plain
-// kernel AND its atomic mirror, for both sparse matrices and dense
-// views. This pins the unified semantic documented in internal/mat
+// kernel AND its atomic mirror, for sparse matrices and for matrices
+// that store every entry (dense data). This pins the unified semantic documented in internal/mat
 // (historically CSR.RowTAxpyAtomic and mat.ScatterAxpy disagreed with
 // the rest of the family).
 
@@ -36,7 +36,7 @@ func assertUntouched(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-func zeroAlphaFixture(t *testing.T) (*CSR, *CSC, *mat.Dense) {
+func zeroAlphaFixture(t *testing.T) (*CSR, *CSC, *CSR) {
 	t.Helper()
 	a, err := NewCSR(3, 4,
 		[]int{0, 2, 3, 5},
@@ -45,7 +45,7 @@ func zeroAlphaFixture(t *testing.T) (*CSR, *CSC, *mat.Dense) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, a.ToCSC(), a.ToDense()
+	return a, a.ToCSC(), storeAll(a)
 }
 
 func TestZeroAlphaCSRRowTAxpy(t *testing.T) {
@@ -65,21 +65,19 @@ func TestZeroAlphaCSRRowTAxpyAtomic(t *testing.T) {
 }
 
 func TestZeroAlphaDenseRowsRowTAxpy(t *testing.T) {
-	_, _, d := zeroAlphaFixture(t)
-	rows := DenseRows{A: d}
-	want := poison(d.C)
+	_, _, rows := zeroAlphaFixture(t)
+	want := poison(rows.N)
 	got := append([]float64(nil), want...)
 	rows.RowTAxpy(2, 0, got)
-	assertUntouched(t, "DenseRows.RowTAxpy", got, want)
+	assertUntouched(t, "dense CSR.RowTAxpy", got, want)
 }
 
 func TestZeroAlphaDenseRowsRowTAxpyAtomic(t *testing.T) {
-	_, _, d := zeroAlphaFixture(t)
-	rows := DenseRows{A: d}
-	want := poison(d.C)
+	_, _, rows := zeroAlphaFixture(t)
+	want := poison(rows.N)
 	v := mat.NewAtomicVecFrom(want)
 	rows.RowTAxpyAtomic(2, 0, v)
-	assertUntouched(t, "DenseRows.RowTAxpyAtomic", v.Snapshot(nil), want)
+	assertUntouched(t, "dense CSR.RowTAxpyAtomic", v.Snapshot(nil), want)
 }
 
 func TestZeroAlphaCSCColMulAdd(t *testing.T) {
@@ -98,27 +96,19 @@ func TestZeroAlphaCSCColMulAddAtomic(t *testing.T) {
 	assertUntouched(t, "CSC.ColMulAddAtomic", v.Snapshot(nil), want)
 }
 
-// The dense column view is documented out-of-family: ColMulAdd
-// accumulates a per-row dot that includes the zero coefficients and
-// adds the (exact zero) sum to v, and its atomic mirror must match that
-// — the pair's mutual consistency is the contract, asserted here on
-// finite data where both resolve to the same bits.
+// TestZeroAlphaDenseColsPairConsistent: over full columns (the zeros
+// explicit, NaN and Inf stored) all-zero coefficients leave v untouched
+// in ColMulAdd and its atomic mirror alike.
 func TestZeroAlphaDenseColsPairConsistent(t *testing.T) {
-	_, _, d := zeroAlphaFixture(t)
-	// Replace non-finite entries: the pair contract is bit-equality of
-	// plain vs atomic, checked on data where += 0 is well defined.
-	for i, v := range d.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			d.Data[i] = 0.5
-		}
-	}
-	cols := DenseCols{A: d}
-	base := []float64{1.25, math.Copysign(0, -1), -3, 2}[:d.R]
+	_, _, rows := zeroAlphaFixture(t)
+	cols := rows.ToCSC()
+	base := []float64{1.25, math.Copysign(0, -1), -3}
 	plain := append([]float64(nil), base...)
 	cols.ColMulAdd([]int{0, 2}, []float64{0, 0}, plain)
+	assertUntouched(t, "dense CSC.ColMulAdd", plain, base)
 	v := mat.NewAtomicVecFrom(base)
 	cols.ColMulAddAtomic([]int{0, 2}, []float64{0, 0}, v)
-	assertUntouched(t, "DenseCols plain vs atomic", v.Snapshot(nil), plain)
+	assertUntouched(t, "dense CSC.ColMulAddAtomic", v.Snapshot(nil), base)
 }
 
 func TestZeroAlphaMatAxpy(t *testing.T) {

@@ -48,39 +48,18 @@ func TestParityMatrixLasso(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The bitwise promise holds within a kernel family: streamed views
-	// reproduce the sparse kernels' summation order exactly, so they
-	// share the sparse reference; the dense views sum every (zero
-	// included) term with their own loop order, so they anchor their own
-	// reference — still bitwise across backends, and roundoff-close to
-	// the sparse optimum.
-	refFor := make(map[string]*core.LassoResult)
-	for _, f := range forms {
-		if f.Name == "inmem-dense" {
-			denseRef, err := core.Lasso(f.Col, d.B, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rd := testmatrix.RelDiff(denseRef.Objective, seqRef.Objective); rd > 1e-12 {
-				t.Fatalf("dense and sparse sequential objectives drift: rel %.3e", rd)
-			}
-			refFor[f.Name] = denseRef
-		} else {
-			refFor[f.Name] = seqRef
-		}
-	}
-
 	for _, f := range forms {
 		f := f
-		// Sequential: bitwise against the form's reference, full
-		// trajectory. For streamed forms the reference is the in-memory
-		// sparse run — the cross-representation bitwise contract.
+		// Sequential: bitwise against the in-memory sparse run, full
+		// trajectory — the cross-representation bitwise contract. A
+		// stored zero adds an exact ±0 to a sum already started from
+		// +0, so the dense form keeps the sparse form's bits too.
 		t.Run(f.Name+"/sequential", func(t *testing.T) {
 			res, err := core.Lasso(f.Col, d.B, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertLassoBitwise(t, res, refFor[f.Name])
+			assertLassoBitwise(t, res, seqRef)
 		})
 		// Multicore: bitwise too — parallel kernels preserve summation
 		// order; streamed forms degrade to sequential kernels, which is
@@ -92,7 +71,7 @@ func TestParityMatrixLasso(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertLassoBitwise(t, res, refFor[f.Name])
+			assertLassoBitwise(t, res, seqRef)
 		})
 		// Simulated cluster and hybrid rank×thread: bitwise against the
 		// distributed reference — block loaders must not change the
@@ -192,24 +171,6 @@ func TestParityMatrixSVM(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per-family bitwise references, as in the Lasso matrix: streamed
-	// forms share the sparse anchor, dense anchors itself.
-	refFor := make(map[string]*core.SVMResult)
-	for _, f := range forms {
-		if f.Name == "inmem-dense" {
-			denseRef, err := core.SVM(f.Row, d.B, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rd := testmatrix.RelDiff(denseRef.Primal, seqRef.Primal); rd > 1e-12 {
-				t.Fatalf("dense and sparse sequential primals drift: rel %.3e", rd)
-			}
-			refFor[f.Name] = denseRef
-		} else {
-			refFor[f.Name] = seqRef
-		}
-	}
-
 	// The async reference: SVM-L2's strongly convex dual converges tight
 	// enough for the 1e-6 bound on the matrix's iteration budget (the
 	// hinge-loss tolerance cell needs millions of iterations and lives in
@@ -227,7 +188,7 @@ func TestParityMatrixSVM(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSVMBitwise(t, res, refFor[f.Name])
+			assertSVMBitwise(t, res, seqRef)
 		})
 		t.Run(f.Name+"/multicore", func(t *testing.T) {
 			o := opt
@@ -236,7 +197,7 @@ func TestParityMatrixSVM(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSVMBitwise(t, res, refFor[f.Name])
+			assertSVMBitwise(t, res, seqRef)
 		})
 		if f.Source != nil {
 			t.Run(f.Name+"/simulated", func(t *testing.T) {

@@ -109,8 +109,8 @@ func poisonRowsOf(a core.RowMatrix) core.RowMatrix {
 // the solver side: a matrix whose every Gram comes back with a NaN of
 // its own payload in each strict-lower entry must give the same X, bit
 // for bit, as the matrix itself — so no solver reads below the
-// diagonal. The cells are every dataset form (in-memory sparse, dense
-// views, streamed CSR and CSC) under the sequential backend, multicore
+// diagonal. The cells are every dataset form (in-memory sparse, the
+// same with every entry stored, streamed CSR and CSC) under the sequential backend, multicore
 // at 2 and 3 workers, and async with one worker where the form has
 // atomic kernels; the solves are Lasso plain and accelerated at
 // s ∈ {1, 16}, SVM-L1 and SVM-L2. The simulated cluster reduces the

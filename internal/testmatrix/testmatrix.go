@@ -1,8 +1,9 @@
 // Package testmatrix enumerates the dataset forms of the ROADMAP
 // determinism matrix so parity tests can run every execution backend
 // (sequential, multicore, simulated, hybrid rank×thread, async) over
-// every data representation (in-memory CSR/CSC, dense views, and
-// streamed stores in each layout) from one table-driven loop. It is a test-support package: production code must
+// every data representation (in-memory CSR/CSC, the same matrix with
+// every entry stored, and streamed stores in each layout) from one
+// table-driven loop. It is a test-support package: production code must
 // not import it.
 //
 // The matrix contract it encodes:
@@ -40,8 +41,7 @@ type Form struct {
 	Col core.ColMatrix
 	// Row is the row-access view (SVM family).
 	Row core.RowMatrix
-	// Source feeds the simulated cluster's block loaders; nil when the
-	// form cannot back a distributed run (dense views).
+	// Source feeds the simulated cluster's block loaders.
 	Source dist.Source
 	// Async reports whether the form provides the atomic kernels
 	// BackendAsync needs; async solves over !Async forms must error.
@@ -52,23 +52,23 @@ type Form struct {
 }
 
 // Forms materializes every representation of (a, b): the in-memory
-// sparse pair, the dense views, and one streamed store per layout (each
-// ingested from the same LIBSVM rendering of a, with labels verified
-// bitwise). Streamed stores live in tb.TempDir and close on cleanup.
+// sparse pair, the dense pair (a with its zeros stored, so every row
+// and column is a full operand of the Gram), and one streamed store per
+// layout (each ingested from the same LIBSVM rendering of a, with
+// labels verified bitwise). Streamed stores live in tb.TempDir and close on cleanup.
 // Their names carry "raw", the one shard encoding, and end in "-copy",
 // after the one shard read path.
 func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 	tb.Helper()
-	dense := a.ToDense()
+	dense := storeAll(a)
 	forms := []Form{
 		{
 			Name: "inmem-sparse", Col: a.ToCSC(), Row: a,
 			Source: dist.CSRSource{A: a}, Async: true,
 		},
 		{
-			Name: "inmem-dense",
-			Col:  sparse.DenseCols{A: dense}, Row: sparse.DenseRows{A: dense},
-			Async: true,
+			Name: "inmem-dense", Col: dense.ToCSC(), Row: dense,
+			Source: dist.CSRSource{A: dense}, Async: true,
 		},
 	}
 	var buf bytes.Buffer
@@ -101,6 +101,28 @@ func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 		})
 	}
 	return forms
+}
+
+// storeAll returns a with every entry stored: the zeros a leaves out
+// become explicit.
+func storeAll(a *sparse.CSR) *sparse.CSR {
+	rowPtr := make([]int, a.M+1)
+	colIdx := make([]int, 0, a.M*a.N)
+	val := make([]float64, 0, a.M*a.N)
+	for i := 0; i < a.M; i++ {
+		p := a.RowPtr[i]
+		for j := 0; j < a.N; j++ {
+			v := 0.0
+			if p < a.RowPtr[i+1] && a.ColIdx[p] == j {
+				v = a.Val[p]
+				p++
+			}
+			colIdx = append(colIdx, j)
+			val = append(val, v)
+		}
+		rowPtr[i+1] = len(val)
+	}
+	return &sparse.CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
 // TransportKinds enumerates the mpi transports of the ROADMAP backend
