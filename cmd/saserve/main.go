@@ -84,7 +84,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.addr, "addr", ":8700", "HTTP listen address")
 	fs.DurationVar(&c.watch, "watch", 2*time.Second, "poll the model directory this often for new versions")
 	fs.IntVar(&c.serving.MaxBatch, "max-batch", 256, "max rows coalesced into one scoring kernel call")
-	fs.DurationVar(&c.serving.BatchWindow, "batch-window", 500*time.Microsecond, "micro-batch linger window after the first request of a batch")
 	fs.IntVar(&c.serving.QueueDepth, "queue-depth", 1024, "dispatcher queue bound; a full queue answers 429 immediately")
 	fs.DurationVar(&c.serving.MaxQueueDelay, "max-queue-delay", 0, "shed requests queued longer than this before scoring (0 = never)")
 	fs.BoolVar(&c.cluster, "cluster", false, "shard the models under -models across -peers by consistent hashing")

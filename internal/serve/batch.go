@@ -10,11 +10,14 @@ import (
 )
 
 // The micro-batcher. Concurrent /predict requests land as predictJobs
-// on one bounded channel; the dispatcher goroutine coalesces whatever
-// arrives within a short window (or until a row cap) into per-model
-// sparse matrices and makes one scoring call per model — the
-// serving-side analogue of the solvers' batched Gram kernels, where one
-// dispatch amortizes across many rows.
+// on one bounded channel; the dispatcher goroutine takes one job and
+// then whatever else is already queued (up to a row cap), without
+// waiting for more, into per-model sparse matrices and makes one
+// scoring call per model — the serving-side analogue of the solvers'
+// batched Gram kernels, where one dispatch amortizes across many rows.
+// A batch is what queued while the last one was scored: an idle server
+// scores a lone request at once, and batches grow exactly when the
+// server is busy.
 //
 // Correctness under hot swaps is by construction: the dispatcher loads
 // each registry pointer once per batch group and scores every row of
@@ -28,41 +31,47 @@ import (
 // spending kernel time on them.
 
 // batcher is the dispatcher goroutine's own state, reused from batch to
-// batch: the jobs of the batch being collected, the linger timer, and
-// the rows and scores a group of more than one job is gathered into.
+// batch: the jobs of the batch being collected, the rows and scores a
+// group of more than one job is gathered into, and the matrix header
+// a group is scored through.
 type batcher struct {
-	jobs  []*predictJob
-	timer *time.Timer
-	asm   rowSet
-	y     []float64
+	jobs []*predictJob
+	asm  rowSet
+	y    []float64
+	a    sparse.CSR
 }
 
-// dispatch is the batcher loop: take one job, linger BatchWindow for
-// companions (up to MaxBatch rows), shed the stale, score the rest.
-func (s *Server) dispatch() {
+// holdBatch, when set, runs on the dispatcher after it takes a batch's
+// first job and before it drains the queue. Tests set it before
+// NewServer (which hands it to its dispatcher) to stall scoring, so
+// that jobs queue behind a busy dispatcher by construction rather than
+// by timing. It is nil outside tests.
+var holdBatch func()
+
+// dispatch is the batcher loop: take one job, drain what is already
+// queued behind it (up to MaxBatch rows, never waiting), shed the
+// stale, score the rest.
+func (s *Server) dispatch(hold func()) {
 	defer close(s.done)
-	b := &batcher{timer: time.NewTimer(s.opt.BatchWindow)}
-	b.timer.Stop()
+	b := &batcher{}
 	for {
 		select {
 		case <-s.stop:
 			return
 		case j := <-s.jobs:
+			if hold != nil {
+				hold()
+			}
 			b.jobs = append(b.jobs[:0], j)
-			rows := j.rows()
-			if rows < s.opt.MaxBatch {
-				b.timer.Reset(s.opt.BatchWindow)
-			collect:
-				for rows < s.opt.MaxBatch {
-					select {
-					case j2 := <-s.jobs:
-						b.jobs = append(b.jobs, j2)
-						rows += j2.rows()
-					case <-b.timer.C:
-						break collect
-					}
+		drain:
+			for rows := j.rows(); rows < s.opt.MaxBatch; {
+				select {
+				case j2 := <-s.jobs:
+					b.jobs = append(b.jobs, j2)
+					rows += j2.rows()
+				default:
+					break drain
 				}
-				b.timer.Stop()
 			}
 			batch := s.shedStale(b.jobs)
 			if len(batch) == 0 {
@@ -171,10 +180,14 @@ func (s *Server) scoreGroup(b *batcher, reg *Registry, batch []*predictJob) {
 		b.y = slices.Grow(b.y[:0], rows)[:rows]
 		rowPtr, colIdx, vals, y = asm.rowPtr, asm.colIdx, asm.vals, b.y
 	}
-	a, err := sparse.NewCSR(rows, m.Features, rowPtr, colIdx, vals)
+	// The header lives in the batcher, so a batch allocates nothing;
+	// Check is NewCSR's validation, and Score keeps no reference.
+	b.a = sparse.CSR{M: rows, N: m.Features, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
+	err := b.a.Check()
 	if err == nil {
-		err = m.Score(a, 1, y)
+		err = m.Score(&b.a, 1, y)
 	}
+	b.a = sparse.CSR{} // hold no job's arrays past its reply
 	res := predictResult{model: m}
 	if err != nil {
 		// Assembly or scoring rejected the batch wholesale (malformed rows

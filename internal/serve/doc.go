@@ -80,7 +80,7 @@
 // body fills the same arrays. The job goes on the dispatcher's queue
 // and the handler waits on the job's reply channel. The dispatcher
 // scores a job that is alone in its group (every request of MaxBatch
-// rows or more, and any that found no companion in the window) where it
+// rows or more, and any that found nothing queued behind it) where it
 // lies, into the job's scores; jobs sharing a batch are gathered into
 // the dispatcher's own reused buffers and their scores copied back. The handler appends the reply to the job's output
 // buffer — byte for byte what encoding/json would write — sends it in

@@ -40,12 +40,12 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// TestAdmissionControlSheds drives a deliberately starved server (one-
-// deep queue, long batch window, tiny queue-delay budget) far past
-// capacity and checks the overload contract: every request is answered
-// (200 or 429 — the ledger adds up, nothing deadlocks), every 429
-// carries Retry-After, and the server's shed count reconciles exactly
-// with the 429s the driver observed.
+// TestAdmissionControlSheds drives a deliberately starved server (a
+// dispatcher stalled on every other batch, tiny queue-delay budget) far
+// past capacity and checks the overload contract: every request is
+// answered (200 or 429 — the ledger adds up, nothing deadlocks), every
+// 429 carries Retry-After, and the server's shed count reconciles
+// exactly with the 429s the clients observed.
 func TestAdmissionControlSheds(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -54,19 +54,18 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if _, err := reg.Publish(testModel(KindLasso, 64, 9, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// A long batch window with a short queue-delay budget guarantees
-	// deadline sheds: the first jobs of each batch wait out the window
-	// and blow their budget, late arrivals score. (Queue-full rejects
-	// can add to the mix; both paths answer 429 and tick the same shed
-	// ledger.)
+	// A dispatcher held 20 ms on every other batch, against a 10 ms
+	// queue-delay budget, guarantees deadline sheds: a held batch's jobs
+	// wait out the stall and blow their budget, the next batch scores
+	// what queued behind them. (Queue-full rejects can add to the mix;
+	// both paths answer 429 and tick the same shed ledger.)
 	mr := metrics.NewRegistry()
-	s := NewServer(reg, Options{
+	s := newHeldServer(reg, Options{
 		QueueDepth:    64,
 		MaxBatch:      256,
-		BatchWindow:   50 * time.Millisecond,
 		MaxQueueDelay: 10 * time.Millisecond,
 		Metrics:       mr,
-	})
+	}, stallEveryOther(20*time.Millisecond))
 	ts := newHTTPServer(t, s)
 
 	const clients = 16
@@ -101,6 +100,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 	wg.Wait()
 
+	t.Logf("%d scored, %d shed", ok200.Load(), ok429.Load())
 	total := ok200.Load() + ok429.Load()
 	if total != clients*perClient {
 		t.Fatalf("ledger mismatch: %d answers for %d requests", total, clients*perClient)
@@ -131,6 +131,18 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// stallEveryOther is a holdBatch that sleeps d on the dispatcher's
+// first batch, third, fifth, …: the held batches outstay a shorter
+// MaxQueueDelay and shed, the ones between score what queued behind.
+func stallEveryOther(d time.Duration) func() {
+	var batches int // touched by the dispatcher goroutine only
+	return func() {
+		if batches++; batches%2 == 1 {
+			time.Sleep(d)
+		}
+	}
+}
+
 // TestQueueFullFastReject: with the dispatcher unable to drain (no
 // model needed — the queue itself is the gate), surplus enqueues are
 // rejected immediately rather than blocking the handler.
@@ -143,9 +155,8 @@ func TestQueueFullFastReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Options{
-		QueueDepth:  1,
-		MaxBatch:    1,
-		BatchWindow: time.Millisecond,
+		QueueDepth: 1,
+		MaxBatch:   1,
 	})
 	ts := newHTTPServer(t, s)
 

@@ -315,7 +315,7 @@ func TestServeWhileRefitting(t *testing.T) {
 	if _, err := reg.Publish(init); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Options{MaxBatch: 16, BatchWindow: 200 * time.Microsecond})
+	srv := NewServer(reg, Options{MaxBatch: 16})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()

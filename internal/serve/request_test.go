@@ -357,7 +357,7 @@ func TestHandlerAllocations(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{BatchWindow: time.Microsecond})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 	h := s.Handler()
 	for _, rows := range []int{8, 256} {
@@ -399,10 +399,11 @@ func TestJobRecycling(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{
-		MaxBatch: 24, QueueDepth: 4,
-		BatchWindow: 200 * time.Microsecond, MaxQueueDelay: 150 * time.Microsecond,
-	})
+	// Every other batch is held past the queue-delay budget and sheds;
+	// the batches between score.
+	s := newHeldServer(reg, Options{
+		MaxBatch: 24, QueueDepth: 4, MaxQueueDelay: 150 * time.Microsecond,
+	}, stallEveryOther(200*time.Microsecond))
 	h := s.Handler()
 
 	rounds := 400

@@ -19,9 +19,10 @@ type Options struct {
 	// (default 256). A single oversized request still scores in one
 	// call of its own.
 	MaxBatch int
-	// BatchWindow is how long the dispatcher lingers for companion
-	// requests after the first of a batch (default 500µs). Shorter
-	// windows favour latency, longer ones throughput.
+	// BatchWindow was how long the dispatcher lingered for companion
+	// requests after the first of a batch.
+	//
+	// Deprecated: ignored; the dispatcher no longer lingers. Deleted once benchmarks/ stops setting it (ROADMAP item 2).
 	BatchWindow time.Duration
 	// MaxBodyBytes caps a /predict request body (default 32 MiB).
 	MaxBodyBytes int64
@@ -60,9 +61,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
 	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 500 * time.Microsecond
-	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 32 << 20
 	}
@@ -76,8 +74,8 @@ func (o Options) withDefaults() Options {
 }
 
 // retryAfterSeconds is the Retry-After hint on every 429: long enough
-// for a batch window and queue to drain, short enough that a loaded
-// client keeps probing.
+// for the queue to drain, short enough that a loaded client keeps
+// probing.
 const retryAfterSeconds = "1"
 
 // serveMetrics are the server's instruments in its metrics.Registry —
@@ -160,7 +158,7 @@ func newServer(reg *Registry, c *Cluster, opt Options) *Server {
 	}
 	opt.Metrics.GaugeFunc("saco_queue_depth", "predict jobs queued for the dispatcher",
 		func() float64 { return float64(len(s.jobs)) })
-	go s.dispatch()
+	go s.dispatch(holdBatch)
 	return s
 }
 

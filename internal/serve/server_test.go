@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +25,14 @@ func newTestServer(t *testing.T, reg *Registry, opt Options) *httptest.Server {
 		s.Close()
 	})
 	return ts
+}
+
+// newHeldServer starts a server whose dispatcher runs hold after taking
+// each batch's first job and before draining the queue behind it.
+func newHeldServer(reg *Registry, opt Options, hold func()) *Server {
+	holdBatch = hold
+	defer func() { holdBatch = nil }()
+	return NewServer(reg, opt)
 }
 
 // post sends a body and returns (status, bytes).
@@ -201,7 +210,7 @@ func TestPredictNoTornModel(t *testing.T) {
 	if _, err := reg.Publish(m1); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{MaxBatch: 8, BatchWindow: 200 * time.Microsecond})
+	ts := newTestServer(t, reg, Options{MaxBatch: 8})
 
 	const clients = 8
 	const perClient = 40
@@ -276,8 +285,9 @@ func TestPredictNoTornModel(t *testing.T) {
 
 // TestBatchedMatchesSequential is the second acceptance property: the
 // micro-batched concurrent path returns, bit for bit, what scoring
-// each request alone through a sequential kernel returns. A long batch
-// window forces heavy coalescing.
+// each request alone through a sequential kernel returns. The
+// dispatcher is held on its first job until every other request has
+// queued behind it, so all of them are scored as one batch.
 func TestBatchedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 48
@@ -289,7 +299,11 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	if _, err := reg.Publish(m); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, reg, Options{MaxBatch: 512, BatchWindow: 3 * time.Millisecond})
+	held, gate := make(chan struct{}, 1), make(chan struct{})
+	s := newHeldServer(reg, Options{MaxBatch: 512}, gateHold(held, gate))
+	ts := newHTTPServer(t, s)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the server closes: a failed wait must not strand the dispatcher
 
 	// Pre-generate each client's rows and its sequential reference:
 	// one row at a time through Model.Score.
@@ -370,6 +384,13 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			errCh <- nil
 		}(c)
 	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the dispatcher took no job")
+	}
+	waitFor(t, "every other request to queue behind the held job", func() bool { return len(s.jobs) == clients-1 })
+	release()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -395,11 +416,120 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	if st.RowsScored != totalRows {
 		t.Fatalf("stats rows_scored = %d, want %d", st.RowsScored, totalRows)
 	}
-	if st.Batches == 0 || st.Batches > uint64(clients) {
-		t.Fatalf("stats batches = %d for %d requests", st.Batches, clients)
+	if st.Batches != 1 {
+		t.Fatalf("stats batches = %d for %d requests queued behind one held job, want 1", st.Batches, clients)
 	}
 	if st.ModelVersion != 1 || st.ModelKind != "lasso" || st.Features != n || st.ModelNNZ != m.NNZ() {
 		t.Fatalf("stats model block wrong: %+v", st)
+	}
+	_, scrape := get(t, ts.URL+"/metrics")
+	if count, sum := scrapeValue(t, scrape, "saco_batch_rows_count"), scrapeValue(t, scrape, "saco_batch_rows_sum"); count != 1 || sum != float64(totalRows) {
+		t.Fatalf("batch_rows saw %v batches of %v rows in all, want one batch of all %d rows", count, sum, totalRows)
+	}
+}
+
+// gateHold is a holdBatch that reports the held batch on held (when it
+// has room) and waits for gate to close: the test queues what it wants
+// behind the dispatcher's first job, then closes gate and every batch
+// passes.
+func gateHold(held chan<- struct{}, gate <-chan struct{}) func() {
+	return func() {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+}
+
+// TestHeldBatchMixesRegistries: one batch whose jobs score against two
+// registries, interleaved (a cluster replica's batch), is scored as one
+// kernel call per registry, and every job gets its own registry's model
+// and, bit for bit, each row's Model.Score alone.
+func TestHeldBatchMixesRegistries(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	models := []*Model{testModel(KindLasso, n, 12, 7), testModel(KindSVM, n, 15, 8)}
+	regs := make([]*Registry, len(models))
+	for i, m := range models {
+		reg, err := OpenRegistry(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Publish(m); err != nil {
+			t.Fatal(err)
+		}
+		regs[i] = reg
+	}
+	held, gate := make(chan struct{}, 1), make(chan struct{})
+	s := newHeldServer(regs[0], Options{MaxBatch: 512}, gateHold(held, gate))
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(s.Close)
+	t.Cleanup(release)
+
+	type heldJob struct {
+		job  *predictJob
+		reg  int
+		want []float64
+	}
+	var jobs []heldJob
+	totalRows := 0
+	for _, r := range []int{0, 1, 1, 0, 1, 0, 0} {
+		j := &predictJob{reg: regs[r], rowSet: rowSet{rowPtr: []int{0}, maxCol: -1}, resp: make(chan predictResult, 1)}
+		var want []float64
+		for range 1 + rng.Intn(3) {
+			row := randRequestCSR(rng, 1, n)
+			one := make([]float64, 1)
+			if err := models[r].Score(row, 1, one); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, one[0])
+			j.colIdx = append(j.colIdx, row.ColIdx...)
+			j.vals = append(j.vals, row.Val...)
+			j.rowPtr = append(j.rowPtr, len(j.vals))
+			if k := len(row.ColIdx); k > 0 {
+				j.maxCol = max(j.maxCol, row.ColIdx[k-1])
+			}
+		}
+		j.scores = make([]float64, len(want))
+		jobs = append(jobs, heldJob{job: j, reg: r, want: want})
+		totalRows += len(want)
+	}
+
+	jobs[0].job.enq = time.Now()
+	s.jobs <- jobs[0].job
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the dispatcher took no job")
+	}
+	for _, hj := range jobs[1:] {
+		hj.job.enq = time.Now()
+		s.jobs <- hj.job
+	}
+	release()
+	for i, hj := range jobs {
+		var res predictResult
+		select {
+		case res = <-hj.job.resp:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %d: no reply", i)
+		}
+		if res.status != 0 {
+			t.Fatalf("job %d: %d %s", i, res.status, res.errText)
+		}
+		if res.model != models[hj.reg] {
+			t.Fatalf("job %d: scored by a %v model, want registry %d's %v model", i, res.model.Kind, hj.reg, models[hj.reg].Kind)
+		}
+		if !slices.EqualFunc(hj.job.scores, hj.want, sameBits) {
+			t.Fatalf("job %d (registry %d): batched %v != per-row %v (must be bitwise identical)", i, hj.reg, hj.job.scores, hj.want)
+		}
+	}
+	if got := s.met.batches.Value(); got != 2 {
+		t.Fatalf("%d kernel calls for one batch over two registries, want 2", got)
+	}
+	if got := s.met.rows.Value(); got != uint64(totalRows) {
+		t.Fatalf("rows scored %d, want %d", got, totalRows)
 	}
 }
 

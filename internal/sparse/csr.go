@@ -27,29 +27,41 @@ type CSR struct {
 // NewCSR validates the three arrays and returns the matrix. It returns an
 // error (rather than panicking) because CSR data often arrives from disk.
 func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
+	a := &CSR{M: m, N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	if err := a.Check(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Check runs NewCSR's validation on a matrix built as a value: the
+// array lengths against M, RowPtr's bounds and monotonicity, and every
+// row's columns in [0, N) and strictly increasing.
+func (a *CSR) Check() error {
+	m, n, rowPtr, colIdx, val := a.M, a.N, a.RowPtr, a.ColIdx, a.Val
 	if len(rowPtr) != m+1 {
-		return nil, fmt.Errorf("sparse: len(rowPtr)=%d, want %d", len(rowPtr), m+1)
+		return fmt.Errorf("sparse: len(rowPtr)=%d, want %d", len(rowPtr), m+1)
 	}
 	if len(colIdx) != len(val) {
-		return nil, fmt.Errorf("sparse: len(colIdx)=%d != len(val)=%d", len(colIdx), len(val))
+		return fmt.Errorf("sparse: len(colIdx)=%d != len(val)=%d", len(colIdx), len(val))
 	}
 	if rowPtr[0] != 0 || rowPtr[m] != len(val) {
-		return nil, fmt.Errorf("sparse: rowPtr bounds [%d,%d], want [0,%d]", rowPtr[0], rowPtr[m], len(val))
+		return fmt.Errorf("sparse: rowPtr bounds [%d,%d], want [0,%d]", rowPtr[0], rowPtr[m], len(val))
 	}
 	for i := 0; i < m; i++ {
 		if rowPtr[i] > rowPtr[i+1] {
-			return nil, fmt.Errorf("sparse: rowPtr not monotone at row %d", i)
+			return fmt.Errorf("sparse: rowPtr not monotone at row %d", i)
 		}
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
 			if colIdx[k] < 0 || colIdx[k] >= n {
-				return nil, fmt.Errorf("sparse: column %d out of range in row %d", colIdx[k], i)
+				return fmt.Errorf("sparse: column %d out of range in row %d", colIdx[k], i)
 			}
 			if k > rowPtr[i] && colIdx[k] <= colIdx[k-1] {
-				return nil, fmt.Errorf("sparse: columns not strictly increasing in row %d", i)
+				return fmt.Errorf("sparse: columns not strictly increasing in row %d", i)
 			}
 		}
 	}
-	return &CSR{M: m, N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
+	return nil
 }
 
 // Dims returns (rows, columns).

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -83,18 +84,36 @@ func TestCOODuplicateCancellation(t *testing.T) {
 	}
 }
 
+// TestNewCSRValidation: NewCSR refuses each malformed shape, and Check
+// on the same matrix built as a value gives the same verdict.
 func TestNewCSRValidation(t *testing.T) {
-	if _, err := NewCSR(2, 2, []int{0, 1}, []int{0}, []float64{1}); err == nil {
-		t.Fatal("expected rowPtr length error")
-	}
-	if _, err := NewCSR(1, 2, []int{0, 2}, []int{1, 0}, []float64{1, 2}); err == nil {
-		t.Fatal("expected unsorted column error")
-	}
-	if _, err := NewCSR(1, 2, []int{0, 1}, []int{5}, []float64{1}); err == nil {
-		t.Fatal("expected out-of-range column error")
-	}
-	if _, err := NewCSR(1, 2, []int{0, 1}, []int{0}, []float64{1}); err != nil {
-		t.Fatalf("valid CSR rejected: %v", err)
+	for _, tc := range []struct {
+		name           string
+		m, n           int
+		rowPtr, colIdx []int
+		val            []float64
+		bad            bool
+	}{
+		{"rowPtr length", 2, 2, []int{0, 1}, []int{0}, []float64{1}, true},
+		{"colIdx/val lengths", 1, 2, []int{0, 1}, []int{0}, []float64{1, 2}, true},
+		{"rowPtr bounds", 1, 2, []int{0, 2}, []int{0}, []float64{1}, true},
+		{"rowPtr not monotone", 3, 2, []int{0, 1, 0, 1}, []int{0}, []float64{1}, true},
+		{"unsorted columns", 1, 2, []int{0, 2}, []int{1, 0}, []float64{1, 2}, true},
+		{"out-of-range column", 1, 2, []int{0, 1}, []int{5}, []float64{1}, true},
+		{"negative column", 1, 2, []int{0, 1}, []int{-1}, []float64{1}, true},
+		{"valid", 1, 2, []int{0, 1}, []int{0}, []float64{1}, false},
+	} {
+		a, err := NewCSR(tc.m, tc.n, tc.rowPtr, tc.colIdx, tc.val)
+		if (err != nil) != tc.bad {
+			t.Fatalf("%s: NewCSR error %v, want error: %v", tc.name, err, tc.bad)
+		}
+		checked := (&CSR{M: tc.m, N: tc.n, RowPtr: tc.rowPtr, ColIdx: tc.colIdx, Val: tc.val}).Check()
+		if fmt.Sprint(checked) != fmt.Sprint(err) {
+			t.Fatalf("%s: Check says %v, NewCSR %v", tc.name, checked, err)
+		}
+		if !tc.bad && (a.M != tc.m || a.N != tc.n || &a.RowPtr[0] != &tc.rowPtr[0]) {
+			t.Fatalf("%s: NewCSR returned %+v", tc.name, a)
+		}
 	}
 }
 

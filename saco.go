@@ -324,8 +324,8 @@ type (
 	// ModelRegistry stores versioned models behind a lock-free atomic
 	// pointer, watching a directory for hot swaps.
 	ModelRegistry = serve.Registry
-	// ServeOptions tunes the scoring server (batch size, linger window,
-	// admission control, /learn).
+	// ServeOptions tunes the scoring server (batch size, admission
+	// control, /learn).
 	ServeOptions = serve.Options
 	// ServeServer answers /predict, /stats (and /learn, /cluster*) next
 	// to the shared ops routes /healthz, /readyz and /metrics; /stats is

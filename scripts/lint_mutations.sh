@@ -13,7 +13,7 @@ savet="$work/savet"
 (cd "$root" && go build -o "$savet" ./cmd/savet)
 
 # mutate <label> <file-under-tree> <expected-analyzer> writes stdin to
-# the file inside a fresh copy of the repo and expects savet to fail on
+# the file inside a fresh copy of the working tree and expects savet to fail on
 # that package with a finding from the expected analyzer.
 mutate() {
     label=$1
@@ -22,10 +22,9 @@ mutate() {
     tree="$work/tree"
     rm -rf "$tree"
     mkdir -p "$tree"
-    (cd "$root" && git archive --format=tar HEAD) | (cd "$tree" && tar xf -)
-    # Include uncommitted states of tracked files so the script also
-    # works mid-change; fall back to the archive when not in git.
-    (cd "$root" && tar cf - --exclude .git ./go.mod ./internal ./cmd 2>/dev/null) | (cd "$tree" && tar xf -)
+    # The working tree alone, committed or not and inside git or not: a
+    # file deleted but not yet committed stays deleted in the copy.
+    (cd "$root" && tar cf - ./go.mod ./internal ./cmd) | (cd "$tree" && tar xf -)
     cat >"$tree/$file"
     pkgdir=$(dirname "$file")
     if out=$(cd "$tree" && "$savet" "./$pkgdir/" 2>&1); then
