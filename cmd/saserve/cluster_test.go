@@ -117,7 +117,7 @@ func TestServeClusterMode(t *testing.T) {
 
 	a1, a2 := reservePort(t), reservePort(t)
 	peerList := a1 + "," + a2
-	common := []string{"-models", root, "-cluster", "-peers", peerList, "-watch", "20ms", "-vnodes", "16"}
+	common := []string{"-models", root, "-cluster", "-peers", peerList, "-watch", "20ms"}
 	url1, out1, stop1 := startServer(t, append(common, "-self", a1, "-addr", a1)...)
 	defer stop1()
 	url2, _, stop2 := startServer(t, append(common, "-self", a2, "-addr", a2)...)

@@ -75,7 +75,7 @@ type config struct {
 	refit                saco.RefitOptions
 	cluster, learn       bool
 	self, peers          string
-	vnodes, learnCap     int
+	learnCap             int
 	refitPath, refitKind string
 }
 
@@ -89,7 +89,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&c.cluster, "cluster", false, "shard the models under -models across -peers by consistent hashing")
 	fs.StringVar(&c.self, "self", "", "this replica's advertised host:port on the ring (required with -cluster)")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated replica addresses forming the cluster (self is added if missing)")
-	fs.IntVar(&c.vnodes, "vnodes", 0, "virtual nodes per ring member (0 = library default)")
 	fs.BoolVar(&c.learn, "learn", false, "accept labeled rows over POST /learn and refit the live model on them")
 	fs.IntVar(&c.learnCap, "learn-cap", 65536, "labeled rows buffered per model for /learn before backpressure")
 	fs.StringVar(&c.refitPath, "refit", "", "LIBSVM file of labeled rows to refit the live model on (optional)")
@@ -178,7 +177,7 @@ func (c *config) serve(ctx context.Context, stdout io.Writer) error {
 		// -peers is a comma list; blanks and empty entries are dropped.
 		peers := strings.FieldsFunc(c.peers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 		cl, err := saco.NewCluster(c.modelDir, c.self, peers, saco.ServeClusterOptions{
-			VNodes: c.vnodes, RescanEvery: c.watch, Metrics: mr,
+			RescanEvery: c.watch, Metrics: mr,
 		})
 		if err != nil {
 			return err

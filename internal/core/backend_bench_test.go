@@ -51,9 +51,9 @@ func BenchmarkSolveLassoSA(b *testing.B) {
 
 // BenchmarkLocalBackends exercises all three local backends end to end
 // on one short Lasso and one short SVM solve. CI runs it at one
-// iteration as the pooled-dispatch smoke gate: a regression in the
-// persistent pool, the multicore kernels or the async solvers fails
-// here before it can hide behind the figure harness.
+// iteration as the fork-join smoke gate: a regression in the work
+// rule, the multicore kernels or the async solvers fails here before
+// it can hide behind the figure harness.
 func BenchmarkLocalBackends(b *testing.B) {
 	m, n := 2000, 600
 	if testing.Short() {

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"runtime"
-
 	"saco/internal/mat"
+	rt "saco/internal/runtime"
 )
 
 // Backend selects where and how a solve's updates run. The solvers
@@ -30,9 +29,10 @@ const (
 	// BackendSequential runs every kernel on the calling goroutine — the
 	// default, and the mode the simulated-cluster ranks use internally.
 	BackendSequential Backend = iota
-	// BackendMulticore fans the batched kernels out across the persistent
-	// shared-memory worker pool (Exec.Workers wide, default GOMAXPROCS),
-	// keeping iterates bitwise identical to sequential runs.
+	// BackendMulticore forks the batched kernels across up to
+	// Exec.Workers shared-memory executors (default GOMAXPROCS) where
+	// internal/runtime's work rule says the work pays for a fork, keeping
+	// iterates bitwise identical to sequential runs.
 	BackendMulticore
 	// BackendAsync runs Exec.Workers lock-free solver workers against a
 	// shared atomic iterate with per-worker RNG streams: no barriers, no
@@ -59,7 +59,7 @@ type Exec struct {
 	// Backend picks sequential (zero value), multicore or async
 	// execution.
 	Backend Backend
-	// Workers is the pool width for BackendMulticore and the solver
+	// Workers is the kernel width for BackendMulticore and the solver
 	// worker count for BackendAsync; 0 means runtime.GOMAXPROCS(0),
 	// resolved at solve time. Ignored by BackendSequential.
 	Workers int
@@ -85,12 +85,7 @@ func (e Exec) asyncWorkers() int {
 }
 
 // width resolves Exec.Workers, defaulting to GOMAXPROCS at call time.
-func (e Exec) width() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0) //saco:nolint nondet resolves Exec.Workers for the pool; worker count never reaches chunking or summation order
-}
+func (e Exec) width() int { return rt.Resolve(e.Workers) }
 
 // kernelParallelizer is the optional capability the sparse matrix types
 // implement: producing a read-only view of themselves whose kernels run

@@ -42,8 +42,8 @@ type LassoOptions struct {
 	// initial z/x; default zeros).
 	X0 []float64
 	// Exec selects the execution backend of the solve: sequential by
-	// default; BackendMulticore fans the batched Gram and product kernels
-	// across the persistent worker pool without changing iterates;
+	// default; BackendMulticore forks the batched Gram and product
+	// kernels across shared-memory executors without changing iterates;
 	// BackendAsync runs lock-free HOGWILD!-style solver workers
 	// (convergent but not deterministic; TrackEvery/Tol are skipped).
 	Exec Exec
@@ -228,8 +228,8 @@ type SVMOptions struct {
 	// Alpha0 is an optional warm start for the dual variables.
 	Alpha0 []float64
 	// Exec selects the execution backend of the solve: sequential by
-	// default; BackendMulticore fans the batched Gram and product kernels
-	// across the persistent worker pool without changing iterates;
+	// default; BackendMulticore forks the batched Gram and product
+	// kernels across shared-memory executors without changing iterates;
 	// BackendAsync runs lock-free HOGWILD!-style solver workers
 	// (convergent but not deterministic; TrackEvery/Tol are skipped).
 	Exec Exec

@@ -78,8 +78,8 @@ type Options struct {
 	Machine mpi.Machine
 	// RankWorkers is the per-rank core budget for hybrid rank×thread
 	// runs (MPI×threads, the paper's natural extension): each simulated
-	// rank runs its matrix kernels on this many shared-memory workers of
-	// the persistent pool, and the cost model charges parallelizable
+	// rank runs its matrix kernels on up to this many shared-memory
+	// executors (internal/runtime's work rule decides), and the cost model charges parallelizable
 	// kernel flops at flops/RankWorkers. Worker invariance of the
 	// kernels keeps iterates bitwise identical to the single-core run;
 	// only the modeled time changes. 0 or 1 keeps ranks sequential.

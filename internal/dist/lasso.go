@@ -67,8 +67,8 @@ func LassoRank(c *mpi.Comm, src Source, b []float64, opt core.LassoOptions, cl O
 		return nil, fmt.Errorf("dist: rank %d row block [%d,%d): %v", c.Rank(), lo, hi, err)
 	}
 	if cl.RankWorkers > 1 {
-		// Hybrid rank×thread: the rank's kernels really run on the
-		// shared-memory pool. Kernel worker invariance keeps the
+		// Hybrid rank×thread: the rank's kernels really fork across
+		// shared-memory executors. Kernel worker invariance keeps the
 		// iterates bitwise identical to the sequential-rank run.
 		aLoc = aLoc.WithKernelWorkers(cl.RankWorkers).(*sparse.CSC)
 	}

@@ -28,11 +28,6 @@ var guardedFields = []guardedField{
 		why: "the HOGWILD shared iterate: every element access must be a sync/atomic op or updates tear",
 	},
 	{
-		pkg: "saco/internal/runtime", typ: "job", field: "taken",
-		home: "pool.go",
-		why:  "chunk-claim flags: CompareAndSwap is the single claim authority",
-	},
-	{
 		pkg: "saco/internal/serve", typ: "Registry", field: "cur",
 		home: "registry.go",
 		why:  "the serving model pointer: readers must load it wait-free through Current",
@@ -84,7 +79,7 @@ var AtomicGuard = &Analyzer{
 	Name: "atomicguard",
 	Doc: "flags direct loads/stores of fields documented atomic-only (mat.AtomicVec storage, " +
 		"the serve registry model pointer, the shard ring pointer, metrics histogram counters, " +
-		"runtime pool taken[] claims, the sparse CSR's row-block memo) and element stores into " +
+		"the sparse CSR's row-block memo) and element stores into " +
 		"the sparse CSR and CSC arrays outside internal/sparse",
 	Run: runAtomicGuard,
 }

@@ -25,7 +25,7 @@
 //   - atomicguard: direct access to fields documented atomic-only
 //     (mat.AtomicVec's bit storage, the serve registry's model pointer,
 //     the shard ring pointer, the metrics histogram counters, the
-//     runtime pool's taken[] claims, the sparse CSR's row-block memo)
+//     sparse CSR's row-block memo)
 //     outside their audited home file, and non-atomic element access
 //     even inside it; and element stores into the read-only arrays of
 //     sparse.CSR and sparse.CSC outside internal/sparse, whose CSRs

@@ -281,7 +281,7 @@ func (c *Comm) ComputeParallel(flops float64) {
 // exceeds the machine's cache — the cache knee behind the paper's
 // observation that computation speedups of SA vanish for very large s.
 // The working set is not divided — the cores cooperate on one shared
-// block, as the pool's partitioned Gram kernels do.
+// block, as the forked partitioned Gram kernels do.
 func (c *Comm) ComputeBlockedParallel(flops float64, workingSetWords int) {
 	t := flops / float64(c.cores) * c.machine.gammaFor(true, workingSetWords)
 	c.st.Clock += t

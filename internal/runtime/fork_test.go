@@ -14,65 +14,92 @@ import (
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, w := range []int{0, 1, 2, 3, 7, 16, 100} {
 		for _, n := range []int{0, 1, 2, 5, 63, 64, 65, 1000} {
-			for _, minChunk := range []int{1, 3, 64} {
-				hits := make([]int32, n)
-				For(w, n, minChunk, func(lo, hi int) {
-					if lo < 0 || hi > n || lo >= hi {
-						t.Errorf("w=%d n=%d mc=%d: bad range [%d,%d)", w, n, minChunk, lo, hi)
-						return
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("w=%d n=%d mc=%d: index %d visited %d times", w, n, minChunk, i, h)
-					}
+			hits := make([]int32, n)
+			For(w, n, func(lo, hi int) {
+				if lo < 0 || hi > n || lo >= hi {
+					t.Errorf("w=%d n=%d: bad range [%d,%d)", w, n, lo, hi)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("w=%d n=%d: index %d visited %d times", w, n, i, h)
 				}
 			}
 		}
 	}
 }
 
-// TestForMinChunkRespected: no chunk smaller than minChunk unless it is
-// the whole (short) tail or the whole range.
-func TestForMinChunkRespected(t *testing.T) {
-	n, minChunk := 1000, 128
-	var minSeen atomic.Int64
-	minSeen.Store(int64(n))
-	For(8, n, minChunk, func(lo, hi int) {
-		sz := int64(hi - lo)
-		for {
-			cur := minSeen.Load()
-			if sz >= cur || minSeen.CompareAndSwap(cur, sz) {
-				break
-			}
+// TestWidthWorkRule: a region runs inline up to and at the threshold,
+// every executor of a forked one gets at least minWork entries, and no
+// region gets more executors than requested or than hardCap. The cap
+// is checked on the returned width alone; nothing is spawned.
+func TestWidthWorkRule(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		w, work int
+		want    int
+	}{
+		{"nothing", 4, 0, 1},
+		{"below", 4, minWork - 1, 1},
+		{"at", 4, minWork, 1},
+		{"just above", 4, minWork + 1, 1},
+		{"two shares", 4, 2 * minWork, 2},
+		{"three shares and change", 4, 3*minWork + minWork/2, 3},
+		{"more than requested", 4, 100 * minWork, 4},
+		{"sequential request", 1, 100 * minWork, 1},
+		{"cap", 1 << 20, 1 << 40, hardCap},
+		{"cap by work", 1 << 20, hardCap*minWork - 1, hardCap - 1},
+	} {
+		if got := Width(tc.w, tc.work); got != tc.want {
+			t.Errorf("%s: Width(%d, %d) = %d, want %d", tc.name, tc.w, tc.work, got, tc.want)
 		}
-	})
-	// n/minChunk = 7 executors max, chunk = ceil(1000/7) = 143 > 128.
-	if minSeen.Load() < int64(minChunk)/2 {
-		t.Fatalf("chunk of %d items; minChunk %d", minSeen.Load(), minChunk)
+	}
+	if got, want := Width(0, 1<<40), min(Resolve(0), hardCap); got != want {
+		t.Errorf("Width(0, 2^40) = %d, want GOMAXPROCS-resolved %d", got, want)
 	}
 }
 
-// TestForInlineWhenNarrow: width 1 (or tiny n) must run on the calling
-// goroutine with a single body call.
-func TestForInlineWhenNarrow(t *testing.T) {
-	calls := 0
-	For(1, 100, 1, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 100 {
-			t.Fatalf("inline range [%d,%d)", lo, hi)
-		}
+// TestForMinChunkRespected: a region the work rule grants three
+// executors runs as three chunks of about a third each — every
+// executor carries its minWork share.
+func TestForMinChunkRespected(t *testing.T) {
+	const n = 1000
+	var mu sync.Mutex
+	var sizes []int
+	For(Width(8, 3*minWork+1), n, func(lo, hi int) {
+		mu.Lock()
+		sizes = append(sizes, hi-lo)
+		mu.Unlock()
 	})
-	if calls != 1 {
-		t.Fatalf("%d body calls inline", calls)
+	if len(sizes) != 3 {
+		t.Fatalf("%d chunks %v, want 3", len(sizes), sizes)
 	}
-	calls = 0
-	For(8, 10, 100, func(lo, hi int) { calls++ }) // n < minChunk
-	if calls != 1 {
-		t.Fatalf("%d body calls for sub-chunk n", calls)
+	for _, sz := range sizes {
+		if sz < n/3-cacheLineItems {
+			t.Fatalf("chunks %v: one holds less than a third of the work", sizes)
+		}
+	}
+}
+
+// TestForInlineWhenNarrow: width 1, a region below the work rule's
+// threshold and a one-item region run on the calling goroutine with a
+// single body call.
+func TestForInlineWhenNarrow(t *testing.T) {
+	for _, tc := range []struct{ w, n int }{{1, 100}, {Width(8, minWork-1), 10}, {8, 1}} {
+		calls := 0
+		For(tc.w, tc.n, func(lo, hi int) {
+			calls++
+			if lo != 0 || hi != tc.n {
+				t.Fatalf("w=%d n=%d: inline range [%d,%d)", tc.w, tc.n, lo, hi)
+			}
+		})
+		if calls != 1 {
+			t.Fatalf("w=%d n=%d: %d body calls inline", tc.w, tc.n, calls)
+		}
 	}
 }
 
@@ -97,13 +124,13 @@ func TestRangesCoversBounds(t *testing.T) {
 	}
 }
 
-// TestNestedForNoDeadlock: a body that itself calls For must complete
-// even when the pool is saturated — the caller always participates.
+// TestNestedForNoDeadlock: a body that itself calls For completes —
+// every region forks its own helpers.
 func TestNestedForNoDeadlock(t *testing.T) {
 	var total atomic.Int64
-	For(4, 8, 1, func(lo, hi int) {
+	For(4, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			For(4, 100, 1, func(l, h int) {
+			For(4, 100, func(l, h int) {
 				total.Add(int64(h - l))
 			})
 		}
@@ -113,40 +140,9 @@ func TestNestedForNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestNestedForFreshPoolNoDeadlock is the regression test for the
-// cooperative join: on a fresh pool (no idle workers left over from
-// other regions) every outer executor nests another For, so each one
-// must drain its own queued entries instead of waiting for a worker
-// that is itself parked in a join. Before the cooperative join this
-// deadlocked whenever live workers < outer width.
-func TestNestedForFreshPoolNoDeadlock(t *testing.T) {
-	p := NewPool()
-	var total atomic.Int64
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		p.For(4, 8, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p.For(4, 100, 1, func(l, h int) {
-					total.Add(int64(h - l))
-				})
-			}
-		})
-	}()
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatal("nested For on a fresh pool deadlocked")
-	}
-	if total.Load() != 800 {
-		t.Fatalf("nested total = %d", total.Load())
-	}
-}
-
-// TestDeeplyNestedFreshPool grounds the join through three levels of
-// nesting with contention from parallel outer callers.
-func TestDeeplyNestedFreshPool(t *testing.T) {
-	p := NewPool()
+// TestDeeplyNestedFor joins three levels of nesting under contention
+// from parallel outer callers.
+func TestDeeplyNestedFor(t *testing.T) {
 	var total atomic.Int64
 	finished := make(chan struct{})
 	go func() {
@@ -156,11 +152,11 @@ func TestDeeplyNestedFreshPool(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.For(3, 6, 1, func(lo, hi int) {
+				For(3, 6, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
-						p.For(3, 9, 1, func(l, h int) {
+						For(3, 9, func(l, h int) {
 							for k := l; k < h; k++ {
-								p.For(2, 10, 1, func(a, b int) {
+								For(2, 10, func(a, b int) {
 									total.Add(int64(b - a))
 								})
 							}
@@ -181,8 +177,8 @@ func TestDeeplyNestedFreshPool(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegions hammers one pool from many goroutines to shake
-// out descriptor-recycling races (run under -race in CI).
+// TestConcurrentRegions runs regions from many goroutines at once
+// (run under -race in CI).
 func TestConcurrentRegions(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -193,7 +189,7 @@ func TestConcurrentRegions(t *testing.T) {
 				n := 100 + (g+it)%57
 				sum := int64(0)
 				var asum atomic.Int64
-				For(3, n, 1, func(lo, hi int) {
+				For(3, n, func(lo, hi int) {
 					s := int64(0)
 					for i := lo; i < hi; i++ {
 						s += int64(i)
@@ -209,18 +205,6 @@ func TestConcurrentRegions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestWorkersPersist: repeated regions must reuse parked workers, not
-// spawn per call.
-func TestWorkersPersist(t *testing.T) {
-	p := NewPool()
-	for i := 0; i < 100; i++ {
-		p.For(4, 1000, 1, func(lo, hi int) {})
-	}
-	if w := p.spawned.Load(); w > 3 {
-		t.Fatalf("pool spawned %d workers for width-4 regions", w)
-	}
 }
 
 // TestResolveTracksGOMAXPROCS is the satellite fix: widths requested as
@@ -271,13 +255,22 @@ func TestTriangleRanges(t *testing.T) {
 	}
 }
 
+// BenchmarkForkEmpty is the price of one forked region: an empty body
+// at width 2, the helper goroutine and the join. minWork comes from it.
+func BenchmarkForkEmpty(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		For(2, 2, func(lo, hi int) {})
+	}
+}
+
 func BenchmarkDispatchTinyRegions(b *testing.B) {
-	// The pool's reason to exist: back-to-back small regions. Compare
-	// against a per-call goroutine implementation by history.
+	// Back-to-back small regions forced to fork: the dispatch cost the
+	// work rule keeps off the solvers' per-iteration blocks.
 	x := make([]float64, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		For(4, len(x), 256, func(lo, hi int) {
+		For(4, len(x), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				x[k] += 1
 			}
@@ -290,7 +283,7 @@ func BenchmarkDispatchWidths(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				For(w, len(x), 1024, func(lo, hi int) {
+				For(w, len(x), func(lo, hi int) {
 					for k := lo; k < hi; k++ {
 						x[k] += 1
 					}
@@ -310,7 +303,7 @@ func TestForChunkAlignment(t *testing.T) {
 		for _, n := range []int{200, 1000, 4097} {
 			var mu sync.Mutex
 			var bounds []int
-			For(w, n, 1, func(lo, hi int) {
+			For(w, n, func(lo, hi int) {
 				mu.Lock()
 				bounds = append(bounds, lo, hi)
 				mu.Unlock()
@@ -322,28 +315,6 @@ func TestForChunkAlignment(t *testing.T) {
 				if b%cacheLineItems != 0 {
 					t.Fatalf("w=%d n=%d: boundary %d not a multiple of %d", w, n, b, cacheLineItems)
 				}
-			}
-		}
-	}
-}
-
-// TestForAffinityCoversExactlyOnce stresses the taken-flag claim path:
-// repeated regions at widths around the chunk count must still visit
-// every index exactly once even when affinity claims and counter steals
-// race.
-func TestForAffinityCoversExactlyOnce(t *testing.T) {
-	const n = 1024
-	for iter := 0; iter < 200; iter++ {
-		w := 2 + iter%7
-		hits := make([]int32, n)
-		For(w, n, 8, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("iter=%d w=%d: index %d visited %d times", iter, w, i, h)
 			}
 		}
 	}

@@ -20,8 +20,6 @@ import (
 // names, polls them for fresh versions on a cadence, and rebalances
 // (open newly-owned, drop disowned) whenever membership changes.
 type ClusterOptions struct {
-	// VNodes is the ring's vnode count per member (0 = shard default).
-	VNodes int
 	// RescanEvery is the cadence of the background sweep that polls
 	// owned registries for new versions and picks up newly created
 	// model directories (default 2s; negative disables the sweep —
@@ -78,7 +76,7 @@ func NewCluster(root, self string, peers []string, opt ClusterOptions) (*Cluster
 	c := &Cluster{
 		root:  root,
 		self:  self,
-		table: shard.NewTable(members, opt.VNodes),
+		table: shard.NewTable(members, shard.DefaultVNodes),
 		opt:   opt,
 		owned: make(map[string]*Registry),
 	}

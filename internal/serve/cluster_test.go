@@ -48,7 +48,6 @@ func startCluster(t *testing.T, root string, n int) []*clusterReplica {
 	for i := range reps {
 		mr := metrics.NewRegistry()
 		c, err := NewCluster(root, addrs[i], addrs, ClusterOptions{
-			VNodes:      16,
 			RescanEvery: 20 * time.Millisecond,
 			Metrics:     mr,
 		})

@@ -113,7 +113,7 @@
 // forms, in its order, so the bits are the merge's, at O(nnz(row)) per
 // row instead of O(nnz(row) + nnz(model)). A batch is one sequential
 // pass: 256 rows of 48 entries are about 12 k lookups, too little work
-// to pay for a pool dispatch.
+// to pay for a fork.
 //
 // # Ops surface
 //

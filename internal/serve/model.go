@@ -133,7 +133,7 @@ func (m *Model) positions() ([]int32, error) {
 // simd.MergeDot forms, added in its order from +0, so the bits are the
 // merge's at O(nnz(row)) per row. A batch is one sequential pass of
 // lookups (about 12 k for 256 rows of 48), too little work to pay for a
-// pool dispatch, so workers is ignored; the parameter stays because the
+// fork, so workers is ignored; the parameter stays because the
 // benchmark module pins the signature. It is the single
 // scoring path: the server's micro-batches and the tests' per-request
 // references both go through it, which is what makes "batched equals

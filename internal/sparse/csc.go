@@ -36,10 +36,14 @@ func NewCSC(m, n int, colPtr, rowIdx []int, val []float64) (*CSC, error) {
 	if colPtr[0] != 0 || colPtr[n] != len(val) {
 		return nil, fmt.Errorf("sparse: colPtr bounds [%d,%d], want [0,%d]", colPtr[0], colPtr[n], len(val))
 	}
+	// colPtr is checked whole before any column is read: monotone
+	// between 0 and nnz, every pointer then addresses rowIdx.
 	for j := 0; j < n; j++ {
 		if colPtr[j] > colPtr[j+1] {
 			return nil, fmt.Errorf("sparse: colPtr not monotone at column %d", j)
 		}
+	}
+	for j := 0; j < n; j++ {
 		for p := colPtr[j]; p < colPtr[j+1]; p++ {
 			if rowIdx[p] < 0 || rowIdx[p] >= m {
 				return nil, fmt.Errorf("sparse: row %d out of range in column %d", rowIdx[p], j)
@@ -84,10 +88,11 @@ func (a *CSC) ColTMulVec(cols []int, v []float64, dst []float64) {
 	}
 	// Each dst[k] is an independent column dot with a fixed summation
 	// order, so partitioning the output keeps results bitwise identical.
-	// The closure exists only on the multicore path: it escapes into the
-	// pool, and the s = 1 solvers call this once per iteration.
-	if w := a.KernelWorkers(); w > 1 {
-		rt.For(w, len(cols), 1, func(lo, hi int) { a.colTMulVec(cols, v, dst, lo, hi) })
+	// The closure exists only on the forking path: it escapes into the
+	// helper goroutines, and the s = 1 solvers call this once per
+	// iteration.
+	if w := forkWidth(a.KernelWorkers(), a.ColPtr, cols, 0); w > 1 {
+		rt.For(w, len(cols), func(lo, hi int) { a.colTMulVec(cols, v, dst, lo, hi) })
 	} else {
 		a.colTMulVec(cols, v, dst, 0, len(cols))
 	}

@@ -36,7 +36,9 @@ func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 
 // Check runs NewCSR's validation on a matrix built as a value: the
 // array lengths against M, RowPtr's bounds and monotonicity, and every
-// row's columns in [0, N) and strictly increasing.
+// row's columns in [0, N) and strictly increasing. RowPtr is checked
+// whole — monotone from 0 to nnz — before any row is read, so a pointer
+// past the entries is an error, not an index out of range.
 func (a *CSR) Check() error {
 	m, n, rowPtr, colIdx, val := a.M, a.N, a.RowPtr, a.ColIdx, a.Val
 	if len(rowPtr) != m+1 {
@@ -52,6 +54,8 @@ func (a *CSR) Check() error {
 		if rowPtr[i] > rowPtr[i+1] {
 			return fmt.Errorf("sparse: rowPtr not monotone at row %d", i)
 		}
+	}
+	for i := 0; i < m; i++ {
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
 			if colIdx[k] < 0 || colIdx[k] >= n {
 				return fmt.Errorf("sparse: column %d out of range in row %d", colIdx[k], i)
@@ -82,14 +86,15 @@ func (a *CSR) Density() float64 {
 func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
 
 // MulVec computes y = A·x. len(x) must be N and len(y) must be M. Rows
-// are partitioned across the kernel workers: each y[i] is one row dot
-// with a fixed summation order, so the multicore result is bitwise
-// identical to the sequential one.
+// are split across as many kernel workers as the work rule grants the
+// stored entries: each y[i] is one row dot with a fixed summation
+// order, so the multicore result is bitwise identical to the sequential
+// one.
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) != a.N || len(y) != a.M {
 		panic(fmt.Sprintf("sparse: MulVec shape mismatch A=%dx%d len(x)=%d len(y)=%d", a.M, a.N, len(x), len(y)))
 	}
-	rt.For(a.KernelWorkers(), a.M, 128, func(lo, hi int) {
+	rt.For(rt.Width(a.KernelWorkers(), a.NNZ()), a.M, func(lo, hi int) {
 		spmvRows(a.RowPtr, a.ColIdx, a.Val, x, y, lo, hi)
 	})
 }
@@ -100,7 +105,7 @@ func (a *CSR) RowMulVec(rows []int, x []float64, dst []float64) {
 	if len(x) != a.N || len(dst) != len(rows) {
 		panic("sparse: RowMulVec shape mismatch")
 	}
-	rt.For(a.KernelWorkers(), len(rows), 1, func(lo, hi int) {
+	rt.For(forkWidth(a.KernelWorkers(), a.RowPtr, rows, 0), len(rows), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			r := rows[k]
 			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]

@@ -84,7 +84,7 @@
 // variant.
 //
 // Workspaces come from a process-wide free list, one per concurrent
-// Gram worker, never from the matrix: HOGWILD workers and pool workers
+// Gram worker, never from the matrix: HOGWILD workers and kernel helpers
 // assemble Grams on one shared *CSC at once. One costs 4 bytes + 1 bit
 // per index (list heads and markers) plus 20 bytes per scattered entry
 // (a 16-byte node — float64 value, int32 link, int32 operand slot — and

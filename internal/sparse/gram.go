@@ -79,12 +79,13 @@ func putGramWorkspace(w *gramWorkspace) {
 // operand j, leaving the lower triangle alone.
 //
 // Output rows are independent, so the triangle is split across the
-// kernel workers, one workspace each; gramRows forms a range of rows
-// with one pass over each operand.
+// executors the work rule grants the operands' entries and the k(k+1)/2
+// output pairs, one workspace each; gramRows forms a range of rows with
+// one pass over each operand.
 func gramAcc(workers, dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense) {
 	k := len(sel)
-	if workers > 1 && k >= 4 {
-		rt.Ranges(rt.TriangleRanges(k, workers), func(lo, hi int) {
+	if w := forkWidth(workers, ptr, sel, k*(k+1)/2); w > 1 {
+		rt.Ranges(rt.TriangleRanges(k, w), func(lo, hi int) {
 			gramRows(dim, ptr, idx, val, sel, dst, lo, hi)
 		})
 	} else {

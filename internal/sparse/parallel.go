@@ -1,13 +1,15 @@
 package sparse
 
+import rt "saco/internal/runtime"
+
 // Shared-memory backend plumbing for the sparse matrix types.
 //
 // Every matrix carries a worker count for its kernels; the zero value is
-// sequential, so struct literals and the simulated distributed runtime
-// (whose goroutine ranks must not spawn nested pools) keep today's
-// behavior. Solvers opt in per solve through WithKernelWorkers, which
-// returns a shallow view sharing the index/value storage — kernels only
-// read the matrix, so views are safe to use concurrently.
+// sequential, so struct literals and the simulated ranks (which fork
+// only under a per-rank core budget) run inline. Solvers opt in per
+// solve through WithKernelWorkers, which returns a shallow view sharing
+// the index/value storage — kernels only read the matrix, so views are
+// safe to use concurrently.
 //
 // The parallel kernels partition *independent output elements* (rows of
 // an SpMV, entries of a batched product, rows of a Gram triangle) and
@@ -46,3 +48,18 @@ func (a *CSR) WithKernelWorkers(w int) any {
 
 // KernelWorkers reports the worker count of this matrix's kernels.
 func (a *CSR) KernelWorkers() int { return kernelWorkers(a.workers) }
+
+// forkWidth is the executor count of a kernel on workers over the
+// operands sel of a compressed matrix with pointers ptr: the runtime's
+// work rule applied to their stored entries plus extra (a Gram's output
+// pairs). A sequential kernel counts nothing.
+func forkWidth(workers int, ptr, sel []int, extra int) int {
+	if workers < 2 {
+		return 1
+	}
+	work := extra
+	for _, op := range sel {
+		work += ptr[op+1] - ptr[op]
+	}
+	return rt.Width(workers, work)
+}

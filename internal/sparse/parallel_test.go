@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"saco/internal/mat"
+	rt "saco/internal/runtime"
 )
 
 func sameVec(t *testing.T, name string, got, want []float64) {
@@ -65,6 +66,57 @@ func TestParallelKernelsBitwiseIdentical(t *testing.T) {
 		csc.ColGram(cols, gg1)
 		pcsc.ColGram(cols, gg2)
 		sameVec(t, "CSC.ColGram", gg2.Data, gg1.Data)
+	}
+}
+
+// TestForkingKernelsBitwise: on operands whose work the runtime's rule
+// splits w ways — checked first, so every region really forks — each
+// forking kernel keeps the sequential bits at widths 1 to 4. It runs
+// under -short too, so the race gate covers the forked path.
+func TestForkingKernelsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	csr := randCSR(rng, 400, 300, 0.6)
+	csc := csr.ToCSC()
+	x, v := randVec(rng, csr.N), randVec(rng, csr.M)
+	rows, cols := rng.Perm(csr.M), rng.Perm(csr.N)
+	pairs := func(k int) int { return k * (k + 1) / 2 }
+
+	y1, d1, c1 := make([]float64, csr.M), make([]float64, len(rows)), make([]float64, len(cols))
+	csr.MulVec(x, y1)
+	csr.RowMulVec(rows, x, d1)
+	csc.ColTMulVec(cols, v, c1)
+	rg1, cg1 := mat.NewDense(len(rows), len(rows)), mat.NewDense(len(cols), len(cols))
+	csr.RowGram(rows, rg1)
+	csc.ColGram(cols, cg1)
+
+	for w := 1; w <= 4; w++ {
+		for name, got := range map[string]int{
+			"MulVec":     rt.Width(w, csr.NNZ()),
+			"RowMulVec":  forkWidth(w, csr.RowPtr, rows, 0),
+			"ColTMulVec": forkWidth(w, csc.ColPtr, cols, 0),
+			"RowGram":    forkWidth(w, csr.RowPtr, rows, pairs(len(rows))),
+			"ColGram":    forkWidth(w, csc.ColPtr, cols, pairs(len(cols))),
+		} {
+			if got != w {
+				t.Fatalf("%s at w=%d: the work rule grants %d executors; the data must fork w ways", name, w, got)
+			}
+		}
+		pr := csr.WithKernelWorkers(w).(*CSR)
+		pc := csc.WithKernelWorkers(w).(*CSC)
+
+		y2, d2, c2 := make([]float64, csr.M), make([]float64, len(rows)), make([]float64, len(cols))
+		pr.MulVec(x, y2)
+		sameVec(t, "CSR.MulVec", y2, y1)
+		pr.RowMulVec(rows, x, d2)
+		sameVec(t, "CSR.RowMulVec", d2, d1)
+		pc.ColTMulVec(cols, v, c2)
+		sameVec(t, "CSC.ColTMulVec", c2, c1)
+
+		rg2, cg2 := mat.NewDense(len(rows), len(rows)), mat.NewDense(len(cols), len(cols))
+		pr.RowGram(rows, rg2)
+		sameVec(t, "CSR.RowGram", rg2.Data, rg1.Data)
+		pc.ColGram(cols, cg2)
+		sameVec(t, "CSC.ColGram", cg2.Data, cg1.Data)
 	}
 }
 

@@ -98,6 +98,7 @@ func TestNewCSRValidation(t *testing.T) {
 		{"colIdx/val lengths", 1, 2, []int{0, 1}, []int{0}, []float64{1, 2}, true},
 		{"rowPtr bounds", 1, 2, []int{0, 2}, []int{0}, []float64{1}, true},
 		{"rowPtr not monotone", 3, 2, []int{0, 1, 0, 1}, []int{0}, []float64{1}, true},
+		{"rowPtr overshoots nnz and returns", 2, 2, []int{0, 2, 1}, []int{0}, []float64{1}, true},
 		{"unsorted columns", 1, 2, []int{0, 2}, []int{1, 0}, []float64{1, 2}, true},
 		{"out-of-range column", 1, 2, []int{0, 1}, []int{5}, []float64{1}, true},
 		{"negative column", 1, 2, []int{0, 1}, []int{-1}, []float64{1}, true},
@@ -113,6 +114,35 @@ func TestNewCSRValidation(t *testing.T) {
 		}
 		if !tc.bad && (a.M != tc.m || a.N != tc.n || &a.RowPtr[0] != &tc.rowPtr[0]) {
 			t.Fatalf("%s: NewCSR returned %+v", tc.name, a)
+		}
+	}
+}
+
+// TestNewCSCValidation is TestNewCSRValidation's twin for NewCSC.
+func TestNewCSCValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		m, n           int
+		colPtr, rowIdx []int
+		val            []float64
+		bad            bool
+	}{
+		{"colPtr length", 2, 2, []int{0, 1}, []int{0}, []float64{1}, true},
+		{"rowIdx/val lengths", 2, 1, []int{0, 1}, []int{0}, []float64{1, 2}, true},
+		{"colPtr bounds", 2, 1, []int{0, 2}, []int{0}, []float64{1}, true},
+		{"colPtr not monotone", 2, 3, []int{0, 1, 0, 1}, []int{0}, []float64{1}, true},
+		{"colPtr overshoots nnz and returns", 2, 2, []int{0, 2, 1}, []int{0}, []float64{1}, true},
+		{"unsorted rows", 2, 1, []int{0, 2}, []int{1, 0}, []float64{1, 2}, true},
+		{"out-of-range row", 2, 1, []int{0, 1}, []int{5}, []float64{1}, true},
+		{"negative row", 2, 1, []int{0, 1}, []int{-1}, []float64{1}, true},
+		{"valid", 2, 1, []int{0, 1}, []int{0}, []float64{1}, false},
+	} {
+		a, err := NewCSC(tc.m, tc.n, tc.colPtr, tc.rowIdx, tc.val)
+		if (err != nil) != tc.bad {
+			t.Fatalf("%s: NewCSC error %v, want error: %v", tc.name, err, tc.bad)
+		}
+		if !tc.bad && (a.M != tc.m || a.N != tc.n || &a.ColPtr[0] != &tc.colPtr[0]) {
+			t.Fatalf("%s: NewCSC returned %+v", tc.name, a)
 		}
 	}
 }

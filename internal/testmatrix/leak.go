@@ -15,11 +15,9 @@ import (
 const leakGrace = 2 * time.Second
 
 // leakAllowed names the functions whose goroutines may outlive a
-// package's tests, by design for the life of the process: the
-// persistent kernel worker pool, and the signal loop os/signal starts
-// (the fuzzing engine calls signal.Notify).
+// package's tests, by design for the life of the process: the signal
+// loop os/signal starts (the fuzzing engine calls signal.Notify).
 var leakAllowed = []string{
-	"saco/internal/runtime.(*Pool).worker(",
 	"os/signal.loop(",
 }
 

@@ -35,12 +35,16 @@ func TestLeakedNamesAPlantedGoroutine(t *testing.T) {
 }
 
 func TestLeakAllowlistMatchesFrames(t *testing.T) {
-	pool := "goroutine 7 [chan receive]:\nsaco/internal/runtime.(*Pool).worker(0xc000010000, 0x1)\n\t/src/pool.go:135 +0x4c\ncreated by saco/internal/runtime.(*Pool).ensure in goroutine 1"
-	if !allowedGoroutine(pool) {
-		t.Fatal("pool worker not allowlisted")
+	loop := "goroutine 7 [syscall]:\nos/signal.signal_recv()\n\t/go/src/runtime/sigqueue.go:152 +0x29\nos/signal.loop()\n\t/go/src/os/signal/signal_unix.go:23 +0x13\ncreated by os/signal.Notify.func1.1 in goroutine 1"
+	if !allowedGoroutine(loop) {
+		t.Fatal("signal loop not allowlisted")
 	}
-	spawner := "goroutine 8 [running]:\nsaco/internal/mpi.reader()\n\t/src/r.go:1 +0x1\ncreated by saco/internal/runtime.(*Pool).worker in goroutine 7"
-	if allowedGoroutine(spawner) {
-		t.Fatal("a goroutine merely created by a pool worker must not be allowlisted")
+	spawned := "goroutine 8 [running]:\nsaco/internal/mpi.reader()\n\t/src/r.go:1 +0x1\ncreated by os/signal.loop in goroutine 7"
+	if allowedGoroutine(spawned) {
+		t.Fatal("a goroutine merely created by the signal loop must not be allowlisted")
+	}
+	helper := "goroutine 9 [running]:\nsaco/internal/runtime.run(0xc000010000, 0x1)\n\t/src/fork.go:90 +0x4c\ncreated by saco/internal/runtime.For in goroutine 1"
+	if allowedGoroutine(helper) {
+		t.Fatal("a kernel helper outliving its region must be reported")
 	}
 }

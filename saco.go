@@ -88,8 +88,8 @@ const (
 )
 
 // Execution-backend selection: every solve runs sequentially by default;
-// BackendMulticore fans its matrix kernels across the persistent
-// shared-memory worker pool; BackendAsync runs lock-free HOGWILD!-style
+// BackendMulticore forks its matrix kernels across shared-memory
+// executors where the work pays for a fork; BackendAsync runs lock-free HOGWILD!-style
 // solver workers against one shared atomic iterate; and the simulated
 // cluster (DistLasso / DistSVM) models distributed execution,
 // optionally hybrid rank×thread via Cluster.RankWorkers. Multicore
@@ -337,8 +337,8 @@ type (
 	// list with a consistent-hash ring; each replica owns a slice of
 	// the model directories and forwards the rest.
 	ServeCluster = serve.Cluster
-	// ServeClusterOptions configures a ServeCluster (vnodes, rescan
-	// cadence, metrics).
+	// ServeClusterOptions configures a ServeCluster (rescan cadence,
+	// metrics).
 	ServeClusterOptions = serve.ClusterOptions
 	// ServeClusterStatus is the GET /cluster reply.
 	ServeClusterStatus = serve.ClusterStatus
