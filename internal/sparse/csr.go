@@ -89,14 +89,17 @@ func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
 // are split across as many kernel workers as the work rule grants the
 // stored entries: each y[i] is one row dot with a fixed summation
 // order, so the multicore result is bitwise identical to the sequential
-// one.
+// one. The closure exists only on the forking path, as in
+// CSC.ColTMulVec: it escapes, so building it costs an allocation.
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) != a.N || len(y) != a.M {
 		panic(fmt.Sprintf("sparse: MulVec shape mismatch A=%dx%d len(x)=%d len(y)=%d", a.M, a.N, len(x), len(y)))
 	}
-	rt.For(rt.Width(a.KernelWorkers(), a.NNZ()), a.M, func(lo, hi int) {
-		spmvRows(a.RowPtr, a.ColIdx, a.Val, x, y, lo, hi)
-	})
+	if w := rt.Width(a.KernelWorkers(), a.NNZ()); w > 1 {
+		rt.For(w, a.M, func(lo, hi int) { spmvRows(a.RowPtr, a.ColIdx, a.Val, x, y, lo, hi) })
+	} else {
+		spmvRows(a.RowPtr, a.ColIdx, a.Val, x, y, 0, a.M)
+	}
 }
 
 // RowMulVec computes dst[k] = A_{rows[k]} · x, the batched row-vector dot
@@ -105,17 +108,23 @@ func (a *CSR) RowMulVec(rows []int, x []float64, dst []float64) {
 	if len(x) != a.N || len(dst) != len(rows) {
 		panic("sparse: RowMulVec shape mismatch")
 	}
-	rt.For(forkWidth(a.KernelWorkers(), a.RowPtr, rows, 0), len(rows), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			r := rows[k]
-			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
-			if p1-p0 == a.N {
-				dst[k] = fullDot(0, a.Val[p0:p1], x)
-				continue
-			}
-			dst[k] = gatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
+	if w := forkWidth(a.KernelWorkers(), a.RowPtr, rows, 0); w > 1 {
+		rt.For(w, len(rows), func(lo, hi int) { a.rowMulVec(rows, x, dst, lo, hi) })
+	} else {
+		a.rowMulVec(rows, x, dst, 0, len(rows))
+	}
+}
+
+func (a *CSR) rowMulVec(rows []int, x, dst []float64, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		r := rows[k]
+		p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
+		if p1-p0 == a.N {
+			dst[k] = fullDot(0, a.Val[p0:p1], x)
+			continue
 		}
-	})
+		dst[k] = gatherDot(0, a.Val[p0:p1], a.ColIdx[p0:p1], x)
+	}
 }
 
 // RowTAxpy performs x += alpha·A_rowᵀ, the primal-vector update of the

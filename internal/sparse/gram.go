@@ -11,18 +11,22 @@ import (
 // gramWorkspace is the sparse accumulator of one Gram worker: the
 // worker's operands scattered into one linked list per index. Node a
 // is one stored entry; its next is the node below it in its index's
-// list (−1 ends the list), and head[r] is 1 + the newest node at index
-// r (0: none). hits[:nhits] are, in push order, the nodes that were
-// pushed onto a non-empty list, and pushed counts the nodes. When
-// operands past the worker's rows remain to be scanned, bit r of has
-// is also set exactly where head[r] is not 0, so a scan that mostly
+// list (−1 ends the list). head[r] is base + 1 + the newest node at
+// index r, stamped by the current call; an entry ≤ base was stamped by
+// an earlier call and reads as an empty list, so heads are never
+// cleared between calls. hits[:nhits] are, in push order, the nodes
+// that were pushed onto a non-empty list, and pushed counts the nodes.
+// When operands past the worker's rows remain to be scanned, bit r of
+// has is also set exactly where r has a list, so a scan that mostly
 // misses reads one bit per index, not four bytes. Between calls every
-// head entry is 0 and every marker bit clear; the rest is scratch.
+// head entry is ≤ base and every marker bit clear; the rest is
+// scratch.
 type gramWorkspace struct {
 	head   []int32
 	has    []uint64
 	node   []gramNode
 	hits   []int32
+	base   int32
 	pushed int32
 	nhits  int
 }
@@ -44,9 +48,11 @@ type gramNode struct {
 // dropped, so the list retains at most 64 workspaces.
 var gramFree = make(chan *gramWorkspace, 64)
 
-// getGramWorkspace returns an all-clear workspace over the index space
-// [0, dim) with room for entries scattered entries. A recycled one is
-// grown where it is too short, never shrunk.
+// getGramWorkspace returns a workspace over the index space [0, dim)
+// with room for entries scattered entries, every head entry ≤ base and
+// every marker bit clear. A recycled one is grown where it is too
+// short, never shrunk. Its heads are cleared, and base restarts at 0,
+// only when base + entries could pass the int32 stamps' range.
 func getGramWorkspace(dim, entries int) *gramWorkspace {
 	var w *gramWorkspace
 	select {
@@ -57,6 +63,10 @@ func getGramWorkspace(dim, entries int) *gramWorkspace {
 	if len(w.head) < dim {
 		w.head = make([]int32, dim)
 		w.has = make([]uint64, (dim+63)/64)
+		w.base = 0
+	} else if entries > math.MaxInt32-int(w.base) {
+		clear(w.head)
+		w.base = 0
 	}
 	if len(w.node) < entries {
 		w.node = make([]gramNode, entries)
@@ -135,18 +145,17 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 			full++
 			continue
 		}
-		out[i*c+i] = w.push(idx[p0:p1], val[p0:p1], dim, int32(i), mark, out[i*c+i])
-	}
-	head, has, node := w.head, w.has, w.node
-	for _, h := range w.hits[:w.nhits] {
-		e := node[h]
-		row := out[int(e.slot)*c : int(e.slot)*c+c]
-		for b := e.next; b >= 0; {
-			n := node[b]
-			row[n.slot] += e.v * n.v
-			b = n.next
+		var h int
+		out[i*c+i], h = w.push(idx[p0:p1], val[p0:p1], dim, int32(i), out[i*c+i])
+		w.nhits += h
+		if mark { // push has checked the indices against dim
+			for _, r := range idx[p0:p1] {
+				w.has[r>>6] |= 1 << (uint(r) & 63)
+			}
 		}
 	}
+	w.walk(out, c)
+	head, has, node, base := w.head, w.has, w.node, w.base
 	for j := hi; j < k; j++ {
 		q0, q1 := ptr[sel[j]], ptr[sel[j]+1]
 		if q1-q0 == dim {
@@ -159,7 +168,7 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 				continue
 			}
 			x := vj[q]
-			for b := head[r] - 1; b >= 0; {
+			for b := head[r] - 1 - base; b >= 0; {
 				n := node[b]
 				out[int(n.slot)*c+j] += n.v * x
 				b = n.next
@@ -171,13 +180,14 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 		fullRows(dim, ptr, idx, val, sel, dst, lo, hi)
 	}
 
-	// Full operands were not pushed; clearing their indices too is a
-	// store per index, next to fullRows' k per index.
-	for _, op := range sel[lo:hi] {
-		for _, r := range idx[ptr[op]:ptr[op+1]] {
-			head[r] = 0
-			if mark {
-				has[r>>6] = 0
+	// The heads this call stamped read as empty from the next call on.
+	w.base += w.pushed
+	if mark {
+		for _, op := range sel[lo:hi] {
+			if p0, p1 := ptr[op], ptr[op+1]; p1-p0 != dim {
+				for _, r := range idx[p0:p1] {
+					has[r>>6] = 0
+				}
 			}
 		}
 	}
@@ -186,32 +196,55 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 	putGramWorkspace(w)
 }
 
-// push pushes the entries (ri, vi) of operand slot onto their lists,
-// records the hits and returns d plus the squares of the values. It is
-// gramRows' push pass for one operand, a call of its own so that its
-// loop keeps its state in registers.
-func (w *gramWorkspace) push(ri []int, vi []float64, dim int, slot int32, mark bool, d float64) float64 {
-	head, has, node, hits := w.head[:dim], w.has, w.node, w.hits
-	a, nh := w.pushed, w.nhits
-	vi = vi[:len(ri)]
+// push pushes the entries (ri, vi) of operand slot onto their lists
+// and records the hits from w.hits[w.nhits] on; it returns d plus the
+// squares of the values and the number of hits. It is gramRows' push
+// pass for one operand, a call of its own that reads the workspace only
+// before its loop, so that the loop's state fits in registers: entry q
+// becomes node a+q, stamped base1+a+q in its head, and a head stamped
+// by an earlier call (≤ base) turns into the end of list −1 without a
+// branch.
+func (w *gramWorkspace) push(ri []int, vi []float64, dim int, slot int32, d float64) (float64, int) {
+	a, n := w.pushed, len(ri)
+	w.pushed = a + int32(n)
+	head, base1 := w.head[:dim], w.base+1
+	node, hits, vi := w.node[a:int(a)+n], w.hits[w.nhits:w.nhits+n], vi[:n]
+	h := 0
 	for q, r := range ri {
 		if uint(r) >= uint(len(head)) {
 			panic(fmt.Sprintf("sparse: Gram index %d outside [0, %d)", r, dim))
 		}
 		x := vi[q]
 		d += x * x
-		below := head[r] - 1
-		node[a] = gramNode{x, below, slot}
-		head[r] = a + 1
-		hits[nh] = a
-		nh += int(uint32(^below) >> 31) // below ≥ 0: a list was there
-		if mark {
-			has[r>>6] |= 1 << (uint(r) & 63)
-		}
-		a++
+		below := head[r] - base1
+		below |= below >> 31 // stamped before this call: no list
+		node[q] = gramNode{x, below, slot}
+		at := a + int32(q)
+		head[r] = at + base1
+		hits[h] = at
+		h += int(uint32(^below) >> 31) // below ≥ 0: a list was there
 	}
-	w.pushed, w.nhits = a, nh
-	return d
+	return d, h
+}
+
+// walk is gramRows' walk pass: it follows each hit's link and adds
+// x·v to row slot(hit) of out (c columns) at column slot(v). It is a
+// frame of its own, like push, and not inlined: inside gramRows, which
+// holds many values across its loops, the hit index would spill, and
+// every hit would store and reload it.
+//
+//go:noinline
+func (w *gramWorkspace) walk(out []float64, c int) {
+	node := w.node
+	for _, h := range w.hits[:w.nhits] {
+		e := node[h]
+		row := out[int(e.slot)*c : int(e.slot)*c+c]
+		for b := e.next; b >= 0; {
+			n := node[b]
+			row[n.slot] += e.v * n.v
+			b = n.next
+		}
+	}
 }
 
 // fullRows continues the entries (i, j ≥ i) of rows [lo, hi) in which

@@ -284,8 +284,9 @@ func drainGramFree() []*gramWorkspace {
 // The table runs sequentially and then on 2- and 3-worker views, where
 // each worker scans the operands past its own range through the marker
 // bits. After every call the result matches the oracle and the
-// workspaces are back on the free list with every head entry 0 and
-// every marker bit clear.
+// workspaces are back on the free list with every head entry at most
+// the workspace's base (stamped by a finished call, so read as empty)
+// and every marker bit clear.
 func TestGramWorkspaceBoundaries(t *testing.T) {
 	// build makes a one-column-per-argument CSC over dim rows from
 	// explicit row lists; values are distinct so a stale entry that
@@ -390,17 +391,123 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 					name, len(ws[0].head), 64*len(ws[0].has), tc.a.M)
 			}
 			for _, w := range ws {
-				for r, h := range w.head {
-					if h != 0 {
-						t.Fatalf("%s: head[%d] = %d after the call, want 0", name, r, h)
-					}
-				}
-				for i, word := range w.has {
-					if word != 0 {
-						t.Fatalf("%s: marker word %d = %#x after the call, want all clear", name, i, word)
-					}
-				}
+				checkGramStamps(t, name, w)
 				putGramWorkspace(w)
+			}
+		}
+	}
+}
+
+// checkGramStamps fails unless every head of w reads as empty (≤ its
+// base) and every marker bit is clear: the state between calls.
+func checkGramStamps(t *testing.T, name string, w *gramWorkspace) {
+	t.Helper()
+	for r, h := range w.head {
+		if h > w.base {
+			t.Fatalf("%s: head[%d] = %d after the call, want at most base %d", name, r, h, w.base)
+		}
+	}
+	for i, word := range w.has {
+		if word != 0 {
+			t.Fatalf("%s: marker word %d = %#x after the call, want all clear", name, i, word)
+		}
+	}
+}
+
+// stampedGramWorkspace is a workspace over [0, dim) with room for
+// entries nodes whose base is base and whose every head is base: the
+// latest stamp an earlier call can leave, so each head reads as empty
+// only as long as base is not reset without clearing it.
+func stampedGramWorkspace(dim, entries int, base int32) *gramWorkspace {
+	w := &gramWorkspace{
+		head: make([]int32, dim),
+		has:  make([]uint64, (dim+63)/64),
+		node: make([]gramNode, entries),
+		hits: make([]int32, entries),
+		base: base,
+	}
+	for r := range w.head {
+		w.head[r] = base
+	}
+	return w
+}
+
+// TestGramStampWrap drives the one path that clears list heads: a
+// workspace whose base is so close to math.MaxInt32 that a call's
+// stamps would pass it clears its heads and restarts at base 0. The
+// free list is seeded with one stamped workspace per worker, with no
+// stamps left, one, one short of, exactly and one more than the batch's
+// entries, and two ColGram and two RowGram calls follow. At 1, 2 and 3
+// workers every result must match oracleGram bit for bit, every
+// workspace must be back with its heads ≤ base and its marker bits
+// clear, and a reset must have happened — on every workspace at the
+// first call when fewer than two stamps are left. Full operands sit
+// among the sparse ones on both sides of each worker's range, so the
+// forked calls also address them by index next to the marker bits.
+func TestGramStampWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	a := fillColumns(rng, spikyCSC(rng, 2000, 160, 0.2, 0.02), 0.3, 0.3, 0.02)
+	rows := asRows(a)
+	sel := sampleWithRepeats(rng, a.N, 128)
+	want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
+	entries, full := 0, 0
+	for _, j := range sel {
+		if n := a.ColNNZ(j); n != a.M {
+			entries += n // full operands are not pushed
+		} else {
+			full++
+		}
+	}
+	if full == 0 || full == len(sel) {
+		t.Fatalf("%d of %d operands full, want a mix", full, len(sel))
+	}
+	for _, workers := range []int{1, 2, 3} {
+		calls := []struct {
+			name string
+			gram func(sel []int, dst *mat.Dense)
+		}{
+			{"ColGram", a.WithKernelWorkers(workers).(*CSC).ColGram},
+			{"ColGram again", a.WithKernelWorkers(workers).(*CSC).ColGram},
+			{"RowGram", rows.WithKernelWorkers(workers).(*CSR).RowGram},
+			{"RowGram again", rows.WithKernelWorkers(workers).(*CSR).RowGram},
+		}
+		for _, room := range []int{0, 1, entries - 1, entries, entries + 1} {
+			drainGramFree()
+			seed := int32(math.MaxInt32 - room)
+			last := map[*gramWorkspace]int32{}
+			for range workers {
+				w := stampedGramWorkspace(a.M, entries, seed)
+				last[w] = seed
+				putGramWorkspace(w)
+			}
+			resets := 0
+			for c, call := range calls {
+				name := fmt.Sprintf("%d workers, %d stamps left, %s", workers, room, call.name)
+				got := mat.NewDense(len(sel), len(sel))
+				call.gram(sel, got)
+				sameBits(t, name, got, want)
+				ws := drainGramFree()
+				if len(ws) != workers {
+					t.Fatalf("%s: %d workspaces on the free list, want the %d seeded", name, len(ws), workers)
+				}
+				for _, w := range ws {
+					prev, ok := last[w]
+					if !ok {
+						t.Fatalf("%s: a workspace that was not seeded came back", name)
+					}
+					if w.base < prev {
+						resets++
+					}
+					last[w] = w.base
+					checkGramStamps(t, name, w)
+					putGramWorkspace(w)
+				}
+				if c == 0 && room < 2 && resets != workers {
+					t.Fatalf("%s: %d of %d workspaces reset their stamps, want all", name, resets, workers)
+				}
+			}
+			if resets == 0 {
+				t.Fatalf("%d workers, %d stamps left: no workspace reset its stamps over %d calls", workers, room, len(calls))
 			}
 		}
 	}

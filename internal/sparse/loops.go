@@ -20,11 +20,17 @@ func gatherDot(acc float64, val []float64, idx []int, x []float64) float64 {
 
 // spmvRows computes y[i] = Σ_k val[k]·x[colIdx[k]] over each CSR row i
 // in [lo, hi) — the fused gather-multiply-accumulate row loop of
-// CSR.MulVec.
+// CSR.MulVec. A full row (it stores all len(x) columns, so its indices
+// are 0, 1, …) is the contiguous fullDot, with the gather's bits.
 func spmvRows(rowPtr, colIdx []int, val, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
+		p0, p1 := rowPtr[i], rowPtr[i+1]
+		if p1-p0 == len(x) {
+			y[i] = fullDot(0, val[p0:p1], x)
+			continue
+		}
 		var s float64
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+		for k := p0; k < p1; k++ {
 			s += val[k] * x[colIdx[k]]
 		}
 		y[i] = s

@@ -112,9 +112,10 @@ func TestSpMVRows(t *testing.T) {
 }
 
 // FuzzGatherLoops drives gatherDot, fullDot and spmvRows (one CSR
-// row per 16-byte record, its entries the records' low bytes) with
-// arbitrary bit patterns — NaNs, infinities, denormals, -0 — and
-// checks each against its reference loop.
+// row per 16-byte record, its indices the records' low bytes, sorted
+// and without repeats within a row) with arbitrary bit patterns —
+// NaNs, infinities, denormals, -0 — and checks each against its
+// reference loop.
 func FuzzGatherLoops(f *testing.F) {
 	f.Add([]byte{}, 0.0)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1.5)
@@ -123,6 +124,10 @@ func FuzzGatherLoops(f *testing.F) {
 		big[i] = byte(i * 37)
 	}
 	f.Add(big, -0.25)
+	// Two records whose first row stores both indices: a full row.
+	full := make([]byte, 32)
+	full[0], full[8], full[16], full[24] = 0, 2, 1, 2
+	f.Add(full, 0.5)
 	f.Fuzz(func(t *testing.T, data []byte, alpha float64) {
 		n := min(len(data)/16, 256)
 		x := make([]float64, n)
@@ -141,10 +146,31 @@ func FuzzGatherLoops(f *testing.F) {
 		if got, want := fullDot(alpha, x, y), refGatherDot(alpha, x, identity(n), y); !loopBitsEq([]float64{got}, []float64{want}) {
 			t.Fatalf("fullDot: %x vs %x", got, want)
 		}
+		// spmvRows reads valid CSR rows: each row's records, sorted by
+		// index with repeats dropped, so a row holding every index is
+		// full (0, 1, …) and takes the contiguous path.
+		csrPtr := make([]int, n+1)
+		var csrIdx []int
+		var csrVal []float64
+		for i := 0; i < n; i++ {
+			ks := make([]int, 0, rowPtr[i+1]-rowPtr[i])
+			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+				ks = append(ks, k)
+			}
+			sort.SliceStable(ks, func(a, b int) bool { return idx[ks[a]] < idx[ks[b]] })
+			for j, k := range ks {
+				if j > 0 && idx[k] == idx[ks[j-1]] {
+					continue
+				}
+				csrIdx = append(csrIdx, idx[k])
+				csrVal = append(csrVal, y[k])
+			}
+			csrPtr[i+1] = len(csrIdx)
+		}
 		got, want := make([]float64, n), make([]float64, n)
-		spmvRows(rowPtr, idx, y, x, got, 0, n)
+		spmvRows(csrPtr, csrIdx, csrVal, x, got, 0, n)
 		for i := range want {
-			want[i] = refGatherDot(0, y[rowPtr[i]:rowPtr[i+1]], idx[rowPtr[i]:rowPtr[i+1]], x)
+			want[i] = refGatherDot(0, csrVal[csrPtr[i]:csrPtr[i+1]], csrIdx[csrPtr[i]:csrPtr[i+1]], x)
 		}
 		if !loopBitsEq(got, want) {
 			t.Fatalf("spmvRows mismatch")

@@ -440,6 +440,89 @@ func TestDenseViewsMatchSparse(t *testing.T) {
 	}
 }
 
+// TestFullRowsMatchGather: CSR.MulVec addresses a full row by index
+// (fullDot) where a sparse one is gathered; it must give the bits of
+// the gather over indices 0, 1, …. Every-entry-stored matrices
+// (fullCSC, storeAll) make every row full, and a mixed matrix puts full
+// rows next to sparse ones. Values include stored zeros, −0, ±Inf and
+// subnormals.
+func TestFullRowsMatchGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 5e-324, -1e300}
+	spike := func(vals []float64) {
+		for i := range vals {
+			if rng.Intn(8) == 0 {
+				vals[i] = special[rng.Intn(len(special))]
+			}
+		}
+	}
+	// mixed takes rows 0 and m/2 from the every-entry-stored form.
+	mixed := func(m, n int) *CSR {
+		a := randCSR(rng, m, n, 0.3)
+		b := storeAll(a)
+		rowPtr, colIdx, val := []int{0}, []int(nil), []float64(nil)
+		for i := 0; i < m; i++ {
+			src := a
+			if i == 0 || i == m/2 {
+				src = b
+			}
+			p0, p1 := src.RowPtr[i], src.RowPtr[i+1]
+			colIdx = append(colIdx, src.ColIdx[p0:p1]...)
+			val = append(val, src.Val[p0:p1]...)
+			rowPtr = append(rowPtr, len(val))
+		}
+		return &CSR{M: m, N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	}
+	cases := []struct {
+		name string
+		r    *CSR
+	}{
+		{"fullCSC", fullCSC(rng, 40, 12).ToCSR()},
+		{"storeAll", storeAll(randCSR(rng, 30, 17, 0.4))},
+		{"full next to sparse", mixed(33, 14)},
+		{"1x1", fullCSC(rng, 1, 1).ToCSR()},
+	}
+	for _, tc := range cases {
+		r := tc.r
+		spike(r.Val)
+		x := randVec(rng, r.N)
+		spike(x)
+		got := make([]float64, r.M)
+		r.MulVec(x, got)
+		full := 0
+		for i := 0; i < r.M; i++ {
+			p0, p1 := r.RowPtr[i], r.RowPtr[i+1]
+			if p1-p0 == r.N {
+				full++
+			}
+			want := gatherDot(0, r.Val[p0:p1], r.ColIdx[p0:p1], x)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: MulVec row %d = %v, want the gather's %v", tc.name, i, got[i], want)
+			}
+		}
+		if full == 0 || tc.name == "full next to sparse" && full == r.M {
+			t.Fatalf("%s: %d of %d rows full, the by-index path or its neighbours went untested", tc.name, full, r.M)
+		}
+	}
+}
+
+// TestSequentialRowKernelsAllocateNothing: on a sequential matrix
+// RowMulVec and MulVec run inline and build no closure, so a warm call
+// allocates nothing — the SVM solvers call RowMulVec once per batch.
+func TestSequentialRowKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for _, a := range []*CSR{randCSR(rng, 60, 40, 0.2), storeAll(randCSR(rng, 20, 10, 0.3))} {
+		rows := []int{0, 3, 3, a.M - 1}
+		x, y, dst := randVec(rng, a.N), make([]float64, a.M), make([]float64, len(rows))
+		if n := testing.AllocsPerRun(50, func() {
+			a.RowMulVec(rows, x, dst)
+			a.MulVec(x, y)
+		}); n != 0 {
+			t.Fatalf("%v allocations per sequential RowMulVec + MulVec, want 0", n)
+		}
+	}
+}
+
 // Property: Gram matrices are symmetric PSD (all Rayleigh quotients >= 0).
 func TestColGramPSDProperty(t *testing.T) {
 	f := func(seed int64) bool {
