@@ -27,6 +27,16 @@
 // paper's Table III: final relative objective differences at machine
 // precision). The tests in this package verify that invariant directly.
 //
+// The correction sums run over what can change their bits. The SVM's
+// (eq. 15) adds θ_t·b_t·G_{t,j} only for the steps t < j that moved α:
+// each such step appends itself and its coefficient θ_t·b_t, formed once,
+// to a per-batch list, and step j sums the list in ascending t — the
+// products and additions of a loop over every t that skips θ_t = 0, so
+// the bits are that loop's. Lasso's cross keeps visiting every step
+// t < j, also one whose Δ_t is zero: a zero Δ_t times a non-finite Gram
+// entry (±Inf or NaN, from non-finite or overflowing data) is NaN, which
+// the gradient must carry, so skipping the step would change bits.
+//
 // This package is deliberately communication-free. The driver's seam — a
 // Reducer that sums the local Gram and products over ranks, an Observer
 // that watches batches, steps and measurements — is how package dist runs

@@ -36,14 +36,14 @@ type blockSampler struct {
 	r      *rng.Stream
 	n      int
 	groups [][]int
-	blk    []int       // the µ draws of the last next()
-	swaps  map[int]int // rng.SampleKInto's scratch
+	blk    []int     // the µ draws of the last next()
+	swaps  rng.Swaps // rng.SampleKInto's scratch
 }
 
 func newBlockSampler(r *rng.Stream, opt *LassoOptions, n int) *blockSampler {
 	mu := opt.mu()
 	return &blockSampler{r: r, n: n, groups: opt.Groups,
-		blk: make([]int, mu), swaps: make(map[int]int, mu)}
+		blk: make([]int, mu), swaps: rng.NewSwaps(mu)}
 }
 
 // next returns the next sampled block (Alg. 1 line 5 / Alg. 2 line 6),
@@ -156,8 +156,9 @@ func (st *LassoStepper) Run() (*LassoResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, _ := st.blk.iterate()
-	return &LassoResult{X: x, Objective: obj, History: st.blk.history, Iters: st.h}, nil
+	// The objective formed the final x; forming it again would cost
+	// n + m words.
+	return &LassoResult{X: st.blk.formed, Objective: obj, History: st.blk.history, Iters: st.h}, nil
 }
 
 // bigEta is the step size used when a sampled block has only zero

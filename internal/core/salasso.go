@@ -37,6 +37,7 @@ type lassoBlock struct {
 	prods   [2][]float64 // backing of the slice local returns
 	// iterate returns the current x and its residual A·x − b.
 	iterate func() (x, r []float64)
+	formed  []float64 // the x the last objective evaluated
 	history []TracePoint
 }
 
@@ -50,6 +51,7 @@ func (l *lassoBlock) sample(sb int) {
 // residual is partitioned like the rows of A and x is replicated.
 func (l *lassoBlock) objective() (float64, error) {
 	x, r := l.iterate()
+	l.formed = x
 	rn, err := l.d.sumScalar(mat.Nrm2Sq(0, r))
 	return 0.5*rn + l.g.Value(x), err
 }

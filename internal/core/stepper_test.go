@@ -192,3 +192,31 @@ func TestBatchBuffersClampToIters(t *testing.T) {
 		t.Fatalf("svm gap %v at S=%d, %v at S=%d", sgot.Gap, huge, swant.Gap, iters)
 	}
 }
+
+// svmSolveAllocs is the allocation count of one SVM solve at s = 64
+// without tracking: the solver, its stepper and their buffers, each
+// allocated once.
+const svmSolveAllocs = 13
+
+// TestSVMAllocatesNothingPerBatch pins the s = 64 batch to its buffers:
+// the row Gram, the hoisted products and the moved-step list reuse
+// solver-owned scratch, so doubling the iteration count must not add a
+// single allocation, and a solve allocates svmSolveAllocs times.
+func TestSVMAllocatesNothingPerBatch(t *testing.T) {
+	a, b := svmProblem(7)
+	allocs := func(iters int) float64 {
+		opt := SVMOptions{Lambda: 1, S: 64, Iters: iters, Seed: 5}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := SVM(a, b, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(640), allocs(1280)
+	if long != short {
+		t.Fatalf("%v allocations at 640 iterations, %v at 1280", short, long)
+	}
+	if short != svmSolveAllocs {
+		t.Fatalf("%v allocations per solve, want %d", short, svmSolveAllocs)
+	}
+}

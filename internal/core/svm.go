@@ -48,7 +48,7 @@ func NewSVMStepper(a RowMatrix, b []float64, opt SVMOptions, red Reducer, obs Ob
 	sv := &dualSVM{
 		d: &st.Stepper, a: a, b: b, lambda: opt.Lambda, loss: opt.Loss,
 		alpha: make([]float64, m), x: make([]float64, n), margin: make([]float64, m),
-		xP: make([]float64, s), thetaStep: make([]float64, s),
+		xP: make([]float64, s), moved: make([]movedStep, 0, s),
 	}
 	sv.gamma, sv.nu = opt.gammaNu()
 	if opt.Alpha0 != nil {
@@ -97,12 +97,19 @@ type dualSVM struct {
 	loss         SVMLoss
 	gamma, nu    float64
 	alpha, x     []float64
-	margin       []float64 // scratch for A·x in gap evaluation
-	xP           []float64 // hoisted A_j·x_sk
-	thetaStep    []float64 // θ_t of the current batch
+	margin       []float64   // scratch for A·x in gap evaluation
+	xP           []float64   // hoisted A_j·x_sk
+	moved        []movedStep // the steps of the current batch that moved α
 	prods        [1][]float64
 	primal, dual float64 // the last objectives evaluated
 	history      []GapPoint
+}
+
+// movedStep is an inner step t that moved α, with coef = θ_t·b_{rows[t]},
+// its factor in the correction sum of eq. (15).
+type movedStep struct {
+	t    int
+	coef float64
 }
 
 func (s *dualSVM) sample(sb int) {
@@ -114,6 +121,7 @@ func (s *dualSVM) sample(sb int) {
 
 func (s *dualSVM) local() [][]float64 {
 	rows := s.d.bt.Idx
+	s.moved = s.moved[:0]
 	s.a.RowGram(rows, &s.d.gram)
 	s.prods[0] = s.xP[:len(rows)]
 	s.a.RowMulVec(rows, s.x, s.prods[0])
@@ -127,12 +135,12 @@ func (s *dualSVM) step(j int) bool {
 	i := rows[j]
 	eta := g.At(j, j) + s.gamma // line 11: η_j = ‖A_j‖² + γ
 	// Eq. (15): A_j·x_{sk+j−1} = x'_j + Σ_{t<j} θ_t·b_t·G_{j,t}, with
-	// G_{j,t} read from the upper triangle as G_{t,j}.
+	// G_{j,t} read from the upper triangle as G_{t,j}. A step with θ_t = 0
+	// adds nothing, so only the steps that moved are summed, in ascending
+	// t.
 	dot := s.xP[j]
-	for t := 0; t < j; t++ {
-		if s.thetaStep[t] != 0 {
-			dot += s.thetaStep[t] * s.b[rows[t]] * g.At(t, j)
-		}
+	for _, m := range s.moved {
+		dot += m.coef * g.Data[m.t*g.C+j]
 	}
 	ai := s.alpha[i]
 	grad := s.b[i]*dot - 1 + s.gamma*ai
@@ -142,11 +150,12 @@ func (s *dualSVM) step(j int) bool {
 	if clip(ai-grad, 0, s.nu)-ai != 0 {
 		theta = clip(ai-grad/eta, 0, s.nu) - ai // line 11
 		if theta != 0 {
-			s.alpha[i] += theta                // line 14
-			s.a.RowTAxpy(i, theta*s.b[i], s.x) // line 15: x += θ·bᵢ·Aᵢᵀ
+			coef := theta * s.b[i]
+			s.alpha[i] += theta        // line 14
+			s.a.RowTAxpy(i, coef, s.x) // line 15: x += θ·bᵢ·Aᵢᵀ
+			s.moved = append(s.moved, movedStep{j, coef})
 		}
 	}
-	s.thetaStep[j] = theta
 	return theta != 0
 }
 

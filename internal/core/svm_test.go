@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -228,5 +229,137 @@ func TestSVML2ConvergesFasterThanL1(t *testing.T) {
 func TestSVMLossString(t *testing.T) {
 	if SVML1.String() != "svm-l1" || SVML2.String() != "svm-l2" {
 		t.Fatal("loss names")
+	}
+}
+
+// thetaArraySVM is dualSVM with the correction sum it had before the
+// moved-step list: θ_t of every step of the batch kept in an array, and
+// step j summing over every t < j, skipping θ_t = 0. It is the oracle of
+// TestSVMMovedStepsMatchThetaArray.
+type thetaArraySVM struct {
+	*dualSVM
+	thetaStep []float64
+}
+
+func (s *thetaArraySVM) step(j int) bool {
+	rows, g := s.d.bt.Idx, &s.d.gram
+	i := rows[j]
+	eta := g.At(j, j) + s.gamma
+	dot := s.xP[j]
+	for t := 0; t < j; t++ {
+		if s.thetaStep[t] != 0 {
+			dot += s.thetaStep[t] * s.b[rows[t]] * g.At(t, j)
+		}
+	}
+	ai := s.alpha[i]
+	grad := s.b[i]*dot - 1 + s.gamma*ai
+	theta := 0.0
+	if clip(ai-grad, 0, s.nu)-ai != 0 {
+		theta = clip(ai-grad/eta, 0, s.nu) - ai
+		if theta != 0 {
+			s.alpha[i] += theta
+			s.a.RowTAxpy(i, theta*s.b[i], s.x)
+		}
+	}
+	s.thetaStep[j] = theta
+	return theta != 0
+}
+
+// mixObserver counts the batches in which some steps moved α and some
+// did not.
+type mixObserver struct {
+	countingObserver
+	mixed int
+	// counts at the start of the current batch
+	steps0, moved0 int
+}
+
+func (o *mixObserver) BatchDone(h int, theta float64, state [][]float64) error {
+	if moved := o.moved - o.moved0; moved > 0 && moved < o.steps-o.steps0 {
+		o.mixed++
+	}
+	o.steps0, o.moved0 = o.steps, o.moved
+	return o.countingObserver.BatchDone(h, theta, state)
+}
+
+func sameBitsVec(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d: %v != %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSVMMovedStepsMatchThetaArray: the correction sum over the list of
+// steps that moved keeps the bits of the sum over the θ array, for both
+// losses and a warm start, at s = 1, 16 and 64, over batches in which
+// some steps move and some do not, a final partial batch, and a Tol
+// stop in mid-batch.
+func TestSVMMovedStepsMatchThetaArray(t *testing.T) {
+	a, b := svmProblem(14)
+	warm := make([]float64, len(b))
+	for i := range warm {
+		warm[i] = float64(i%3) / 4
+	}
+	cases := []struct {
+		name string
+		opt  SVMOptions
+	}{
+		{"L1, partial last batch", SVMOptions{Lambda: 1, Iters: 1000, Seed: 3, TrackEvery: 100}},
+		{"L2, partial last batch", SVMOptions{Lambda: 0.5, Loss: SVML2, Iters: 1000, Seed: 4, TrackEvery: 250}},
+		{"L1, warm start", SVMOptions{Lambda: 1, Iters: 700, Seed: 5, Alpha0: warm}},
+		{"L1, Tol stop", SVMOptions{Lambda: 1, Iters: 100000, Seed: 11, TrackEvery: 90, Tol: 1.0}},
+	}
+	for _, tc := range cases {
+		for _, s := range []int{1, 16, 64} {
+			opt := tc.opt
+			opt.S = s
+			name := fmt.Sprintf("%s, S=%d", tc.name, s)
+			obs := &mixObserver{}
+			st, err := NewSVMStepper(a, b, opt, nil, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := st.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ost, err := NewSVMStepper(a, b, opt, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ost.rec = &thetaArraySVM{dualSVM: ost.svm, thetaStep: make([]float64, s)}
+			want, err := ost.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBitsVec(t, name+" X", got.X, want.X)
+			sameBitsVec(t, name+" Alpha", got.Alpha, want.Alpha)
+			if got.Iters != want.Iters || len(got.History) != len(want.History) ||
+				math.Float64bits(got.Gap) != math.Float64bits(want.Gap) ||
+				math.Float64bits(got.Primal) != math.Float64bits(want.Primal) ||
+				math.Float64bits(got.Dual) != math.Float64bits(want.Dual) {
+				t.Fatalf("%s: %d iterations, gap %v (%d points); the θ array: %d, %v (%d)",
+					name, got.Iters, got.Gap, len(got.History), want.Iters, want.Gap, len(want.History))
+			}
+			for i := range got.History {
+				if got.History[i] != want.History[i] {
+					t.Fatalf("%s: history[%d] %+v != %+v", name, i, got.History[i], want.History[i])
+				}
+			}
+			if s > 1 && obs.mixed == 0 {
+				t.Fatalf("%s: no batch mixed moving and idle steps", name)
+			}
+			if opt.Tol > 0 && (got.Iters >= opt.Iters || got.Iters%s == 0 && s > 1) {
+				t.Fatalf("%s: stopped after %d iterations, want a Tol stop inside a batch", name, got.Iters)
+			}
+			if opt.Tol == 0 && opt.Iters%s == 0 && s > 1 {
+				t.Fatalf("%s: %d iterations fill every batch of %d", name, opt.Iters, s)
+			}
+		}
 	}
 }

@@ -157,10 +157,11 @@ func TestSampleKUniformity(t *testing.T) {
 
 // TestSampleKIntoSameDraws: the reusable-destination form consumes the
 // stream exactly as SampleK does — equal seeds, equal draws, call after
-// call with one dirty map — and allocates nothing.
+// call with one dirty table — and allocates nothing.
 func TestSampleKIntoSameDraws(t *testing.T) {
 	a, b := New(77), New(77)
-	swaps := map[int]int{3: 9, 1000: 1} // cleared by the call
+	swaps := NewSwaps(40)
+	swaps[3], swaps[17] = [2]int{4, 9}, [2]int{1001, 1} // cleared by the call
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + iter%40
 		out := make([]int, iter%(n+1))
@@ -174,6 +175,72 @@ func TestSampleKIntoSameDraws(t *testing.T) {
 	out := make([]int, 8)
 	if n := testing.AllocsPerRun(50, func() { b.SampleKInto(1_000_000, out, swaps) }); n != 0 {
 		t.Fatalf("SampleKInto allocates %v times per call", n)
+	}
+}
+
+// mapSampleKInto is the sampler as it was with a map of swaps, kept as
+// the oracle of the table: the same Intn calls and the same swap rule.
+func mapSampleKInto(r *Stream, n int, out []int) {
+	swaps := make(map[int]int, len(out))
+	for i := range out {
+		j := i + r.Intn(n-i)
+		vi, ok := swaps[i]
+		if !ok {
+			vi = i
+		}
+		vj, ok := swaps[j]
+		if !ok {
+			vj = j
+		}
+		out[i] = vj
+		swaps[j] = vi
+	}
+}
+
+// TestSampleKIntoMatchesMapOracle: the open-addressed table draws what
+// the map drew, over population sizes around the table's and a word's
+// edges and draw counts up to the whole population, 200 draws each, on
+// one table that every call reuses.
+func TestSampleKIntoMatchesMapOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 8, 9, 100, 8192} {
+		for _, k := range []int{0, 1, 2, 8, 16, 64, n} {
+			if k > n {
+				continue
+			}
+			a, b := New(uint64(1000*n+k)), New(uint64(1000*n+k))
+			got, want := make([]int, k), make([]int, k)
+			swaps := NewSwaps(k)
+			if len(swaps) < 2*k || len(swaps)&(len(swaps)-1) != 0 {
+				t.Fatalf("NewSwaps(%d) has %d slots, want a power of two ≥ %d", k, len(swaps), 2*k)
+			}
+			for rep := 0; rep < 200; rep++ {
+				a.SampleKInto(n, got, swaps)
+				mapSampleKInto(b, n, want)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d k=%d draw %d: table drew %v, map drew %v", n, k, rep, got, want)
+					}
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d k=%d: the table and the map consumed the stream differently", n, k)
+			}
+		}
+	}
+}
+
+// TestSampleKIntoRefusesSmallTable: a table with fewer than 2k slots, or
+// one whose length is not a power of two, could fill up; it is refused.
+func TestSampleKIntoRefusesSmallTable(t *testing.T) {
+	for _, slots := range []int{0, 8, 15, 24} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SampleKInto(8 draws) accepted a %d-slot table", slots)
+				}
+			}()
+			New(1).SampleKInto(100, make([]int, 8), make(Swaps, slots))
+		}()
 	}
 }
 

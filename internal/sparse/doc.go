@@ -58,6 +58,17 @@
 // nnz + matches instead of a merge per pair; a list step reads one
 // 16-byte node.
 //
+// Before its push, a worker makes one prefetch pass over its own
+// operands in push order: one index word and one value word per 64-byte
+// line, folded into an integer sink on its workspace so that the
+// compiler keeps the loads. The loads do not depend on each other, so
+// their cache misses overlap, where the push, which links an entry
+// before it reads the next, would take them one line at a time. The
+// pass stops after 256 KiB of operands, so that a batch larger than the
+// cache does not evict its first lines before the push reads them. The
+// budget is a constant set from BenchmarkGram's cold batches, not an
+// option: no budget from 64 KiB to 2 MiB measured apart there.
+//
 // An operand that stores all dim indices — a column or row of dense
 // data, or of a row block it fills — is full, and stays off the lists:
 // its diagonal is the sum of its squares, and every entry it takes part

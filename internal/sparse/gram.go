@@ -20,7 +20,7 @@ import (
 // has is also set exactly where r has a list, so a scan that mostly
 // misses reads one bit per index, not four bytes. Between calls every
 // head entry is ≤ base and every marker bit clear; the rest is
-// scratch.
+// scratch. sink keeps what prefetch loads, so that the loads stay.
 type gramWorkspace struct {
 	head   []int32
 	has    []uint64
@@ -29,6 +29,7 @@ type gramWorkspace struct {
 	base   int32
 	pushed int32
 	nhits  int
+	sink   int
 }
 
 // gramNode is a stored value v of operand slot, packed into 16 bytes
@@ -104,7 +105,8 @@ func gramAcc(workers, dim int, ptr, idx []int, val []float64, sel []int, dst *ma
 }
 
 // gramRows continues output rows [lo, hi) of gramAcc's upper triangle
-// in two passes.
+// in two passes, after prefetch has brought the operands' first
+// prefetchBytes into cache.
 //
 // The push pass pushes operands hi−1 … lo onto the per-index lists,
 // each in storage order, adds x·x of each entry (r, x) to the diagonal,
@@ -134,6 +136,7 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 		panic(fmt.Sprintf("sparse: Gram rows [%d,%d) store %d entries, more than int32 links address", lo, hi, entries))
 	}
 	w := getGramWorkspace(dim, entries)
+	w.prefetch(ptr, idx, val, sel[lo:hi], dim)
 	// Only a scan of operands past the range reads the marker bits.
 	mark := hi < k
 	c, out := dst.C, dst.Data
@@ -194,6 +197,42 @@ func gramRows(dim int, ptr, idx []int, val []float64, sel []int, dst *mat.Dense,
 	// Not deferred: a panic above (a malformed matrix) must not recycle a
 	// half-scattered workspace.
 	putGramWorkspace(w)
+}
+
+// prefetchBytes bounds prefetch: a batch's first 256 KiB of operand
+// indices and values. A pass over more would evict, before the push
+// reaches them, the lines it loaded first: past the budget the push
+// streams its operands as it did without the pass. It is a constant,
+// not an option, set from BenchmarkGram's cold batches.
+const prefetchBytes = 256 << 10
+
+// prefetch touches the operands sel (gramRows' own range) in push
+// order, last first, loading one index word and one value word per
+// 64-byte line, until prefetchBytes of them are loaded; full operands
+// are skipped, as the push skips them. The loads do not depend on each
+// other, so their cache misses overlap, where the push, which links
+// each entry before it reads the next, would take them one line at a
+// time. They are folded into w.sink so that the compiler keeps them. It
+// is a frame of its own, like push and walk, so that gramRows holds no
+// value more.
+//
+//go:noinline
+func (w *gramWorkspace) prefetch(ptr, idx []int, val []float64, sel []int, dim int) {
+	sink, budget := 0, prefetchBytes
+	for i := len(sel) - 1; i >= 0 && budget > 0; i-- {
+		p0, p1 := ptr[sel[i]], ptr[sel[i]+1]
+		if p1-p0 == dim || p1 == p0 {
+			continue
+		}
+		ri, vi := idx[p0:p1], val[p0:p1]
+		for q := 0; q < len(ri); q += 8 {
+			sink += ri[q] ^ int(math.Float64bits(vi[q]))
+		}
+		// The last line, which the stride can step over.
+		sink += ri[len(ri)-1] ^ int(math.Float64bits(vi[len(vi)-1]))
+		budget -= 16 * len(ri)
+	}
+	w.sink += sink
 }
 
 // push pushes the entries (ri, vi) of operand slot onto their lists

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"saco/internal/mat"
+	rt "saco/internal/runtime"
 	"saco/internal/simd"
 )
 
@@ -191,9 +192,76 @@ func sampleWithRepeats(rng *rand.Rand, n, k int) []int {
 	return sel
 }
 
+// forkedBatch sizes a case past the work rule at w executors, so that
+// a w-worker Gram of it forks, at a cost linear in the work the rule
+// asks for. It returns a with rows appended and two columns: an empty
+// one, and one that stores every row, old and new, so it is full — the
+// kernel addresses it by index, and its entries are the work the rule
+// counts. The batch spreads sel's operands evenly over at least 2w
+// slots and fills the rest with the full column (once, mid-batch) and
+// the empty one. So every worker runs a range, all but the first start
+// past 0, and, given as many case operands as workers, each range holds
+// some of them and scans those past it through the marker bits. The
+// case's operands store no new row, so their matches are the case's.
+func forkedBatch(a *CSC, sel []int, w int) (*CSC, []int) {
+	// The least dim whose full column alone passes the rule: the rule is
+	// monotone in the work, so double past it and bisect back.
+	lo, hi := a.M, a.M+1
+	for rt.Width(w, hi) < w {
+		lo, hi = hi, 2*hi
+	}
+	for lo+1 < hi {
+		if mid := (lo + hi) / 2; rt.Width(w, mid) < w {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	nnz := len(a.Val)
+	b := &CSC{M: hi, N: a.N + 2,
+		ColPtr: append(append([]int(nil), a.ColPtr...), nnz, nnz+hi),
+		RowIdx: make([]int, nnz+hi),
+		Val:    make([]float64, nnz+hi)}
+	copy(b.RowIdx, a.RowIdx)
+	copy(b.Val, a.Val)
+	for r := range hi {
+		b.RowIdx[nnz+r], b.Val[nnz+r] = r, 1+float64(r%7)/8
+	}
+	empty, full := a.N, a.N+1
+	k := max(len(sel)+1, 2*w)
+	batch := make([]int, k)
+	for i := range batch {
+		batch[i] = -1
+	}
+	for i, op := range sel {
+		batch[(2*i+1)*k/(2*len(sel))] = op
+	}
+	mid := k / 2
+	for batch[mid] >= 0 {
+		mid = (mid + 1) % k
+	}
+	batch[mid] = full
+	for i, op := range batch {
+		if op < 0 {
+			batch[i] = empty
+		}
+	}
+	return b, batch
+}
+
+// mustFork fails unless the work rule splits a Gram of the operands sel
+// (pointers ptr) w ways: the data, not a flag, makes the kernel fork.
+func mustFork(t *testing.T, name string, w int, ptr, sel []int) {
+	t.Helper()
+	if got := forkWidth(w, ptr, sel, len(sel)*(len(sel)+1)/2); got != w {
+		t.Fatalf("%s: the work rule grants %d executors to %d operands; the batch must fork %d ways", name, got, len(sel), w)
+	}
+}
+
 // TestGramMatchesPairwiseMerge is the bitwise contract of the Gram
 // kernel against the definition it replaced, over random matrices with
-// special values, repeated operands, and every worker count. From the
+// special values, repeated operands, and every worker count; the
+// multi-worker legs run on forkedBatch's padding, so they fork. From the
 // 61st trial on, columns are also full (some, or all of them), one row
 // short of full, or half full, so full operands meet sparse ones inside
 // a worker's range and past it, and repeat.
@@ -202,16 +270,24 @@ func TestGramMatchesPairwiseMerge(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		m, n := 1+rng.Intn(200), 1+rng.Intn(24)
 		special := []float64{0, 0.05, 0.5}[trial%3]
-		a := spikyCSC(rng, m, n, 0.02+0.4*rng.Float64(), special)
+		a0 := spikyCSC(rng, m, n, 0.02+0.4*rng.Float64(), special)
 		if trial >= 60 {
 			pFull := []float64{0.3, 0.6, 1}[trial%3]
-			a = fillColumns(rng, a, pFull, 0.3, special)
+			a0 = fillColumns(rng, a0, pFull, 0.3, special)
 		}
-		sel := sampleWithRepeats(rng, n, rng.Intn(20))
-		k := len(sel)
-		want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
+		sel0 := sampleWithRepeats(rng, n, rng.Intn(20))
 		for _, w := range []int{1, 2, 3, 8} {
+			if w > 1 && testing.Short() && trial%2 == 1 {
+				continue // the race job: a forked Gram is 2¹⁴ entries a worker
+			}
 			name := fmt.Sprintf("trial %d workers %d", trial, w)
+			a, sel := a0, sel0
+			if w > 1 {
+				a, sel = forkedBatch(a0, sel0, w)
+				mustFork(t, name, w, a.ColPtr, sel)
+			}
+			k := len(sel)
+			want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
 			got := mat.NewDense(k, k)
 			for i := range got.Data {
 				got.Data[i] = rng.NormFloat64() // ColGram/RowGram overwrite
@@ -281,12 +357,15 @@ func drainGramFree() []*gramWorkspace {
 // index list, one list of length k−1 (the deepest walk), entries on
 // both sides of every marker word boundary, matrices of shrinking and
 // growing dimension, and batches of shrinking size in one sequence.
-// The table runs sequentially and then on 2- and 3-worker views, where
-// each worker scans the operands past its own range through the marker
-// bits. After every call the result matches the oracle and the
-// workspaces are back on the free list with every head entry at most
-// the workspace's base (stamped by a finished call, so read as empty)
-// and every marker bit clear.
+// The table runs sequentially and then, sized past the work rule by
+// forkedBatch, on 2- and 3-worker views, where each worker scans the
+// operands past its own range through the marker bits. Each leg puts
+// as many new workspaces as workers on the free list, and every call
+// must take every one of them: each worker ran, on one of its own.
+// After every call the result matches the oracle and the workspaces
+// are back on the free list with every head entry at most the
+// workspace's base (stamped by a finished call, so read as empty) and
+// every marker bit clear.
 func TestGramWorkspaceBoundaries(t *testing.T) {
 	// build makes a one-column-per-argument CSC over dim rows from
 	// explicit row lists; values are distinct so a stale entry that
@@ -373,26 +452,54 @@ func TestGramWorkspaceBoundaries(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3} {
 		drainGramFree() // start from workspaces this test owns
+		seeded := map[*gramWorkspace]bool{}
+		for range workers {
+			w := new(gramWorkspace)
+			seeded[w] = true
+			putGramWorkspace(w)
+		}
 		for _, tc := range cases {
-			name := fmt.Sprintf("%s, %d workers", tc.name, workers)
-			want := oracleGram(tc.a.ColPtr, tc.a.RowIdx, tc.a.Val, tc.sel)
-			got := mat.NewDense(len(tc.sel), len(tc.sel))
-			tc.a.WithKernelWorkers(workers).(*CSC).ColGram(tc.sel, got)
-			sameBits(t, name+" ColGram", got, want)
-			asRows(tc.a).WithKernelWorkers(workers).(*CSR).RowGram(tc.sel, got)
-			sameBits(t, name+" RowGram", got, want)
+			a, sel := tc.a, tc.sel
+			if workers > 1 {
+				a, sel = forkedBatch(a, sel, workers)
+				mustFork(t, tc.name, workers, a.ColPtr, sel)
+			}
+			want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
+			for _, call := range []struct {
+				name string
+				gram func(sel []int, dst *mat.Dense)
+			}{
+				{"ColGram", a.WithKernelWorkers(workers).(*CSC).ColGram},
+				{"RowGram", asRows(a).WithKernelWorkers(workers).(*CSR).RowGram},
+			} {
+				name := fmt.Sprintf("%s, %d workers, %s", tc.name, workers, call.name)
+				// A call resets pushed in every workspace it takes, so a
+				// workspace still at −1 afterwards sat the call out.
+				for w := range seeded {
+					w.pushed = -1
+				}
+				got := mat.NewDense(len(sel), len(sel))
+				call.gram(sel, got)
+				sameBits(t, name, got, want)
 
-			ws := drainGramFree()
-			if len(ws) < 1 || len(ws) > workers {
-				t.Fatalf("%s: %d workspaces on the free list, want 1 to %d", name, len(ws), workers)
-			}
-			if workers == 1 && (len(ws[0].head) < tc.a.M || 64*len(ws[0].has) < tc.a.M) {
-				t.Fatalf("%s: workspace covers %d heads / %d marker bits, matrix has %d indices",
-					name, len(ws[0].head), 64*len(ws[0].has), tc.a.M)
-			}
-			for _, w := range ws {
-				checkGramStamps(t, name, w)
-				putGramWorkspace(w)
+				ws := drainGramFree()
+				if len(ws) != workers {
+					t.Fatalf("%s: %d workspaces on the free list, want the %d seeded", name, len(ws), workers)
+				}
+				if workers == 1 && (len(ws[0].head) < a.M || 64*len(ws[0].has) < a.M) {
+					t.Fatalf("%s: workspace covers %d heads / %d marker bits, matrix has %d indices",
+						name, len(ws[0].head), 64*len(ws[0].has), a.M)
+				}
+				for _, w := range ws {
+					if !seeded[w] {
+						t.Fatalf("%s: a workspace that was not seeded came back", name)
+					}
+					if w.pushed < 0 {
+						t.Fatalf("%s: a seeded workspace sat the call out; the Gram did not fork %d ways", name, workers)
+					}
+					checkGramStamps(t, name, w)
+					putGramWorkspace(w)
+				}
 			}
 		}
 	}
@@ -577,7 +684,9 @@ func TestGramEntryLimit(t *testing.T) {
 // shared *CSC — the HOGWILD access pattern of core/asyncstate.go — while
 // a 4-worker view of the same storage assembles its own Gram, and the
 // same again by rows. The callers alternate batches of k = 8 and
-// k = 128, so workspaces sized for either cycle through the free list.
+// k = 128, so workspaces sized for either cycle through the free list;
+// the 4-worker batch is sized past the work rule, so its Grams fork into
+// four rt.Ranges workers, each scanning the operands past its range.
 // Every result must match the oracle bit for bit; under -race this is
 // the proof that no scratch hangs off the matrix.
 func TestGramSharedMatrixConcurrent(t *testing.T) {
@@ -595,6 +704,12 @@ func TestGramSharedMatrixConcurrent(t *testing.T) {
 	jobs := make([]job, callers+1)
 	for g := range jobs {
 		sel := sampleWithRepeats(rng, a.N, []int{8, 128}[g%2])
+		if g == callers {
+			for forkWidth(4, a.ColPtr, sel, len(sel)*(len(sel)+1)/2) < 4 {
+				sel = append(sel, rng.Intn(a.N))
+			}
+			mustFork(t, "4-worker batch", 4, a.ColPtr, sel)
+		}
 		jobs[g] = job{sel, oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)}
 	}
 	var wg sync.WaitGroup
@@ -701,11 +816,12 @@ func gramFuzzCase(data []byte) (a *CSC, sel []int, cut int) {
 	return a, sel, cut
 }
 
-// FuzzGram holds ColGram, RowGram (sequential and on 2- and 3-worker
-// views) and the two-block ColGramAcc sum to the pairwise-merge oracle
-// on arbitrary sparsity patterns, full columns among them, and value
-// bits — NaNs, infinities, denormals and −0 come free with byte-level
-// mutation.
+// FuzzGram holds ColGram, RowGram (sequential, and on 2- and 3-worker
+// views of the case sized past the work rule by forkedBatch, so that
+// they fork) and the two-block ColGramAcc sum to the pairwise-merge
+// oracle on arbitrary sparsity patterns, full columns among them, and
+// value bits — NaNs, infinities, denormals and −0 come free with
+// byte-level mutation.
 func FuzzGram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 70, 5, 64, 0, 1, 2, 1, 0})
@@ -747,12 +863,18 @@ func FuzzGram(f *testing.F) {
 			t.Fatalf("decoder built an invalid CSC: %v", err)
 		}
 		want := oracleGram(a.ColPtr, a.RowIdx, a.Val, sel)
-		got := mat.NewDense(len(sel), len(sel))
 		for _, w := range []int{1, 2, 3} {
-			a.WithKernelWorkers(w).(*CSC).ColGram(sel, got)
-			sameBits(t, fmt.Sprintf("ColGram, %d workers", w), got, want)
-			asRows(a).WithKernelWorkers(w).(*CSR).RowGram(sel, got)
-			sameBits(t, fmt.Sprintf("RowGram, %d workers", w), got, want)
+			aw, selw, wantw := a, sel, want
+			if w > 1 {
+				aw, selw = forkedBatch(a, sel, w)
+				mustFork(t, fmt.Sprintf("%d workers", w), w, aw.ColPtr, selw)
+				wantw = oracleGram(aw.ColPtr, aw.RowIdx, aw.Val, selw)
+			}
+			got := mat.NewDense(len(selw), len(selw))
+			aw.WithKernelWorkers(w).(*CSC).ColGram(selw, got)
+			sameBits(t, fmt.Sprintf("ColGram, %d workers", w), got, wantw)
+			asRows(aw).WithKernelWorkers(w).(*CSR).RowGram(selw, got)
+			sameBits(t, fmt.Sprintf("RowGram, %d workers", w), got, wantw)
 		}
 		sameBits(t, "ColGramAcc over two row blocks", blockGram(splitRows(a, []int{0, cut, a.M}), sel), want)
 	})

@@ -217,7 +217,11 @@ func BenchmarkSpMV(b *testing.B) {
 }
 
 // BenchmarkRowGram measures the s×s dual-SVM row Gram (Alg. 4 line 9)
-// over the worker ladder, and sequentially at gramSizes.
+// over the worker ladder, sequentially at gramSizes, and at the repo
+// benchmark's SVM batch cold (k=64/svm/cold): the rows of a 16384 ×
+// 8192 CSR with 41 uniform columns per row (about 8 MB), each op on the
+// next of a pool of 256 row sets sampled with repeats, as core.SVM
+// samples them, like coldGramSizes.
 func BenchmarkRowGram(b *testing.B) {
 	m, n, k, perCol := benchDims(b)
 	rng := rand.New(rand.NewSource(43))
@@ -246,4 +250,20 @@ func BenchmarkRowGram(b *testing.B) {
 			}
 		})
 	}
+	if testing.Short() {
+		return
+	}
+	b.Run("k=64/svm/cold", func(b *testing.B) {
+		svm := asRows(uniformCSC(rng, 8192, 16384, 41))
+		pool := make([][]int, 256)
+		for i := range pool {
+			pool[i] = sampleWithRepeats(rng, svm.M, 64)
+		}
+		dst := mat.NewDense(64, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			svm.RowGram(pool[i%len(pool)], dst)
+		}
+	})
 }
