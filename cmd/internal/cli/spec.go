@@ -29,12 +29,21 @@ type Spec struct {
 
 	loss, machine string
 	tasks         []string
+	fs            *flag.FlagSet
+}
+
+// taskOf names the one task each task-specific flag belongs to: Validate
+// refuses such a flag set on the command line with the other task, which
+// would ignore it.
+var taskOf = map[string]string{
+	"lambda-frac": "lasso", "mu": "lasso", "accel": "lasso",
+	"lambda": "svm", "loss": "svm", "tol": "svm",
 }
 
 // Bind registers the problem flags on fs; tasks are the -task values
 // the binary accepts, the first being the default.
 func (p *Spec) Bind(fs *flag.FlagSet, tasks ...string) {
-	p.tasks = tasks
+	p.tasks, p.fs = tasks, fs
 	last := len(tasks) - 1
 	fs.StringVar(&p.Data, "data", "", "LIBSVM input file (required)")
 	fs.StringVar(&p.Task, "task", tasks[0], strings.Join(tasks[:last], ", ")+" or "+tasks[last])
@@ -56,6 +65,14 @@ func (p *Spec) Bind(fs *flag.FlagSet, tasks ...string) {
 func (p *Spec) Validate() (err error) {
 	if !slices.Contains(p.tasks, p.Task) {
 		return Usagef("unknown task %q (%s)", p.Task, strings.Join(p.tasks, ", "))
+	}
+	p.fs.Visit(func(f *flag.Flag) {
+		if task, ok := taskOf[f.Name]; ok && task != p.Task && err == nil {
+			err = Usagef("-%s belongs to -task %s; -task %s does not read it", f.Name, task, p.Task)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	if p.Loss, err = saco.ParseSVMLoss(p.loss); err != nil {
 		return Usagef("%v", err)

@@ -162,6 +162,8 @@ func TestUsageErrors(t *testing.T) {
 		{"bad task", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "ridge"}, `unknown task "ridge"`},
 		{"bad loss case", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "svm", "-loss", "L2"}, `unknown loss "L2" (l1, l2)`},
 		{"bad loss name", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "svm", "-loss", "squared"}, `unknown loss "squared" (l1, l2)`},
+		{"svm flag with lasso", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-tol", "0.5"}, "-tol belongs to -task svm; -task lasso"},
+		{"lasso flag with svm", []string{"-rank", "0", "-size", "2", "-addr", "x", "-data", "y", "-task", "svm", "-mu", "4"}, "-mu belongs to -task lasso; -task svm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

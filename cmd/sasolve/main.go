@@ -62,7 +62,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.simP, "simulate", 0, "run on a distributed cluster with this many ranks (0 = local)")
 	fs.StringVar(&o.transport, "transport", "sim", "-simulate only: rank transport, sim (in-process simulated world) or tcp (real loopback TCP mesh; trajectories are bitwise identical)")
 	fs.IntVar(&o.rankW, "rank-workers", 0, "-simulate only: per-rank core budget for hybrid rank x thread execution (0/1 = flat MPI)")
-	fs.StringVar(&o.backend, "backend", "sequential", "local, in-memory solves: sequential, multicore or async")
+	fs.StringVar(&o.backend, "backend", "sequential", "local, in-memory solves: sequential, multicore or async (plain lasso only)")
 	fs.IntVar(&o.workers, "workers", 0, "width of -backend multicore|async (0 or -1 = all cores); a usage error with the sequential backend")
 	fs.BoolVar(&o.streaming, "stream", false, "solve out of core: spill the dataset to row-block shards and stream them (bounded memory)")
 	fs.IntVar(&o.blockRows, "block-rows", 8192, "streaming: rows per shard")
@@ -111,6 +111,8 @@ func (o *options) solve(stdout io.Writer) (err error) {
 		return cli.Usagef("-rank-workers %d needs -simulate P: a local solve has no ranks (use -backend multicore -workers)", o.rankW)
 	case !local && exec.Backend != saco.BackendSequential:
 		return cli.Usagef("-simulate runs its ranks on sequential kernels; drop -backend %s (-rank-workers gives each rank threads)", o.backend)
+	case o.Task == "svm" && exec.Backend == saco.BackendAsync:
+		return cli.Usagef("-backend async runs only the plain Lasso; drop it from -task svm")
 	case o.streaming && exec.Backend != saco.BackendSequential:
 		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no kernel workers or atomic kernels); drop -backend %s", o.backend)
 	}

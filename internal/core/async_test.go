@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"saco/internal/datagen"
@@ -33,30 +34,6 @@ func TestLassoAsyncOneWorkerBitwise(t *testing.T) {
 		sameFloats(t, "X", got.X, ref.X)
 		if got.Objective != ref.Objective {
 			t.Fatalf("mu=%d: objective %v != %v", mu, got.Objective, ref.Objective)
-		}
-	}
-}
-
-// TestSVMAsyncOneWorkerBitwise is the dual-CD anchor: with one worker
-// the CAS always succeeds first try and the update replays Alg. 3.
-func TestSVMAsyncOneWorkerBitwise(t *testing.T) {
-	data := datagen.Classification("async-anchor-svm", 5, 250, 80, 0.2, 0.05)
-	a := data.AsCSR()
-	for _, loss := range []SVMLoss{SVML1, SVML2} {
-		opt := SVMOptions{Lambda: 1, Loss: loss, Iters: 1500, Seed: 3}
-		ref, err := SVM(a, data.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Exec = asyncExec(1)
-		got, err := SVM(a, data.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFloats(t, "X", got.X, ref.X)
-		sameFloats(t, "Alpha", got.Alpha, ref.Alpha)
-		if got.Gap != ref.Gap {
-			t.Fatalf("loss=%v: gap %v != %v", loss, got.Gap, ref.Gap)
 		}
 	}
 }
@@ -117,58 +94,15 @@ func TestLassoAsyncBlockConverges(t *testing.T) {
 	}
 }
 
-// TestSVMAsyncConverges is the SVM half of the acceptance criterion:
-// async dual CD reaches the sequential optimum within 1e-6 relative on
-// the short SVM preset. SVM-L2's strongly convex dual gives the tight
-// anchor; hinge loss is checked at the same tolerance with more
-// iterations.
-func TestSVMAsyncConverges(t *testing.T) {
-	data := datagen.Classification("async-svm", 17, 250, 60, 0.3, 0.1)
-	a := data.AsCSR()
-	for _, tc := range []struct {
-		name  string
-		loss  SVMLoss
-		iters int
-	}{
-		{"l2", SVML2, 400000},
-		{"l1", SVML1, 3000000},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			iters := tc.iters
-			if testing.Short() {
-				iters /= 2
-			}
-			seq, err := SVM(a, data.B, SVMOptions{Lambda: 1, Loss: tc.loss, Iters: iters, Seed: 9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 4} {
-				got, err := SVM(a, data.B, SVMOptions{Lambda: 1, Loss: tc.loss, Iters: iters, Seed: 9, Exec: asyncExec(w)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := relDiff(got.Primal, seq.Primal); d > 1e-6 {
-					t.Fatalf("workers=%d: async primal %.12e vs sequential %.12e (rel %.3e)",
-						w, got.Primal, seq.Primal, d)
-				}
-				if got.Gap < -1e-9 || got.Alpha == nil { // tiny negative gap = roundoff at optimality
-					t.Fatalf("workers=%d: malformed result (gap=%v)", w, got.Gap)
-				}
-			}
-		})
-	}
-}
-
-// colOnly and rowOnly hide everything but the plain access interface,
-// modelling a matrix type without atomic kernels.
+// colOnly hides everything but the plain access interface, modelling a
+// matrix type without atomic kernels.
 type colOnly struct{ ColMatrix }
-type rowOnly struct{ RowMatrix }
 
 // TestAsyncRejectsUnsupported pins the error surface: acceleration has
-// no async analogue, and matrices without atomic kernels must be
-// rejected with a clear message rather than silently run sequential.
-// (Dense data is a CSC/CSR like any other and runs — see
-// TestAsyncDenseViews.)
+// no async analogue, matrices without atomic kernels must be rejected
+// with a clear message, and the SVM has no async solver at all — none
+// of them may silently run sequential. (Dense data is a CSC like any
+// other and runs — see TestAsyncDenseViews.)
 func TestAsyncRejectsUnsupported(t *testing.T) {
 	data := datagen.Regression("async-rej", 29, 60, 30, 0.3, 5, 0.05)
 	csc := data.AsCSR().ToCSC()
@@ -182,18 +116,18 @@ func TestAsyncRejectsUnsupported(t *testing.T) {
 	}); err == nil {
 		t.Fatal("async Lasso on a matrix without atomic kernels must error")
 	}
-	bb := make([]float64, 60)
-	copy(bb, data.B)
-	if _, err := SVM(rowOnly{data.AsCSR()}, bb, SVMOptions{
-		Lambda: 1, Iters: 10, Exec: asyncExec(2),
-	}); err == nil {
-		t.Fatal("async SVM on a matrix without atomic kernels must error")
+	res, err := SVM(data.AsCSR(), data.B, SVMOptions{Lambda: 1, Iters: 10, Exec: asyncExec(2)})
+	if err == nil || res != nil {
+		t.Fatal("async SVM must error, not run sequentially")
+	}
+	if !strings.Contains(err.Error(), "only the plain Lasso") {
+		t.Fatalf("async SVM error %q does not say what async runs", err)
 	}
 }
 
 // TestAsyncDenseViewsOneWorkerBitwise extends the single-worker anchor
 // to dense data, every entry stored: a 1-worker async solve over its
-// columns or rows replays the sequential solve bit for bit.
+// columns replays the sequential solve bit for bit.
 func TestAsyncDenseViewsOneWorkerBitwise(t *testing.T) {
 	data := datagen.DenseRegression("async-dense", 31, 120, 40, 6, 0.05)
 	dc := data.Cols()
@@ -211,21 +145,6 @@ func TestAsyncDenseViewsOneWorkerBitwise(t *testing.T) {
 	if got.Objective != ref.Objective {
 		t.Fatalf("objective %v != %v", got.Objective, ref.Objective)
 	}
-
-	cdata := datagen.DenseClassification("async-dense-svm", 37, 100, 30, 0.05)
-	dr := cdata.Rows()
-	sopt := SVMOptions{Lambda: 1, Loss: SVML2, Iters: 800, Seed: 3}
-	sref, err := SVM(dr, cdata.B, sopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sopt.Exec = asyncExec(1)
-	sgot, err := SVM(dr, cdata.B, sopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFloats(t, "dense SVM X", sgot.X, sref.X)
-	sameFloats(t, "dense SVM Alpha", sgot.Alpha, sref.Alpha)
 }
 
 // TestAsyncDenseViewsConverge: multi-worker async over dense data
@@ -280,22 +199,15 @@ func TestAsyncDamping(t *testing.T) {
 	if d := asyncDamping(1024, 64, 1); d != 0.5 {
 		t.Fatalf("saturated damping = %v, want 0.5", d)
 	}
-	// The solvers surface the factor: a wide solve on a known-density
-	// matrix must report damp < 1, a 1-worker solve exactly 1.
+	// The factor the solver computes, asyncDamping(w, µ, densityOf(a)):
+	// a CSC reports its density, so a wide solve is damped below 1 and a
+	// 1-worker solve is exactly 1.
 	data := datagen.Regression("async-damp", 43, 80, 30, 0.3, 5, 0.05)
-	csc := data.AsCSR().ToCSC()
-	st1, err := newAsyncLasso(csc, data.B, 1, LassoOptions{Lambda: 0.1})
-	if err != nil {
-		t.Fatal(err)
+	f := densityOf(data.AsCSR().ToCSC())
+	if d := asyncDamping(1, 1, f); d != 1 {
+		t.Fatalf("1-worker damp = %v", d)
 	}
-	if st1.damp != 1 {
-		t.Fatalf("1-worker damp = %v", st1.damp)
-	}
-	st2, err := newAsyncLasso(csc, data.B, 4*asyncDampGrace, LassoOptions{Lambda: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := st2.damp; d >= 1 || d < 0.5 {
+	if d := asyncDamping(4*asyncDampGrace, 1, f); d >= 1 || d < 0.5 {
 		t.Fatalf("wide damp = %v, want in [0.5, 1)", d)
 	}
 }
@@ -303,8 +215,8 @@ func TestAsyncDamping(t *testing.T) {
 // TestAsyncHighWorkerCount is the oversubscription satellite: at
 // workers = 4×GOMAXPROCS (floored past the damping grace so the damped
 // path always runs) the goroutines far outnumber cores, so updates are
-// maximally stale — the regime the collision damping is for. Both async
-// solvers must still land on the sequential optimum.
+// maximally stale — the regime the collision damping is for. The async
+// Lasso must still land on the sequential optimum.
 func TestAsyncHighWorkerCount(t *testing.T) {
 	w := 4 * runtime.GOMAXPROCS(0)
 	if w < 2*asyncDampGrace {
@@ -328,74 +240,6 @@ func TestAsyncHighWorkerCount(t *testing.T) {
 	if d := relDiff(got.Objective, seq.Objective); d > 1e-6 {
 		t.Fatalf("workers=%d: async objective %.12e vs sequential %.12e (rel %.3e)",
 			w, got.Objective, seq.Objective, d)
-	}
-
-	cdata := datagen.Classification("async-hi-svm", 53, 250, 60, 0.3, 0.1)
-	ar := cdata.AsCSR()
-	siters := 400000
-	if testing.Short() {
-		siters = 200000
-	}
-	sseq, err := SVM(ar, cdata.B, SVMOptions{Lambda: 1, Loss: SVML2, Iters: siters, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgot, err := SVM(ar, cdata.B, SVMOptions{Lambda: 1, Loss: SVML2, Iters: siters, Seed: 9, Exec: asyncExec(w)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := relDiff(sgot.Primal, sseq.Primal); d > 1e-6 {
-		t.Fatalf("workers=%d: async SVM primal %.12e vs sequential %.12e (rel %.3e)",
-			w, sgot.Primal, sseq.Primal, d)
-	}
-}
-
-// TestAsyncLassoStepperMatchesSolver pins the worker steppers the async
-// backend runs: manually stepping a 1-worker asyncLasso / asyncSVM for
-// the full budget reproduces the sequential solver bit for bit, and the
-// snapshots expose the same state.
-func TestAsyncLassoStepperMatchesSolver(t *testing.T) {
-	data := datagen.Regression("async-step", 59, 150, 60, 0.25, 6, 0.05)
-	a := data.AsCSR().ToCSC()
-	opt := LassoOptions{Lambda: 0.3, Iters: 600, Seed: 7}
-	ref, err := Lasso(a, data.B, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := newAsyncLasso(a, data.B, 1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wk := st.Worker(0)
-	for h := 0; h < opt.Iters; h++ {
-		wk.Step()
-	}
-	sameFloats(t, "stepped X", st.SnapshotX(nil), ref.X)
-	if obj := st.Objective(); obj != ref.Objective {
-		t.Fatalf("stepped objective %v != %v", obj, ref.Objective)
-	}
-
-	cdata := datagen.Classification("async-step-svm", 61, 120, 40, 0.3, 0.05)
-	sopt := SVMOptions{Lambda: 1, Loss: SVML2, Iters: 900, Seed: 5}
-	sref, err := SVM(cdata.AsCSR(), cdata.B, sopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst, err := newAsyncSVM(cdata.AsCSR(), cdata.B, 1, sopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swk := sst.Worker(0)
-	for h := 0; h < sopt.Iters; h++ {
-		swk.Step()
-	}
-	x := sst.SnapshotX(nil)
-	alpha := sst.SnapshotAlpha(nil)
-	sameFloats(t, "stepped SVM X", x, sref.X)
-	sameFloats(t, "stepped SVM Alpha", alpha, sref.Alpha)
-	p, _, _ := sst.ObjectivesAt(x, alpha)
-	if p != sref.Primal {
-		t.Fatalf("stepped primal %v != %v", p, sref.Primal)
 	}
 }
 

@@ -50,10 +50,10 @@ func BenchmarkSolveLassoSA(b *testing.B) {
 }
 
 // BenchmarkLocalBackends exercises all three local backends end to end
-// on one short Lasso and one short SVM solve. CI runs it at one
-// iteration as the fork-join smoke gate: a regression in the work
-// rule, the multicore kernels or the async solvers fails here before
-// it can hide behind the figure harness.
+// on one short Lasso solve, and the two that run it on one short SVM
+// solve. CI runs it at one iteration as the fork-join smoke gate: a
+// regression in the work rule, the multicore kernels or the async
+// solver fails here before it can hide behind the figure harness.
 func BenchmarkLocalBackends(b *testing.B) {
 	m, n := 2000, 600
 	if testing.Short() {
@@ -79,6 +79,9 @@ func BenchmarkLocalBackends(b *testing.B) {
 				}
 			}
 		})
+		if e.Backend == BackendAsync {
+			continue // async runs only the plain Lasso
+		}
 		b.Run("svm/"+e.Backend.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := SVM(rows, cls.B, SVMOptions{

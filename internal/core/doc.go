@@ -44,20 +44,28 @@
 // one Allreduce, its Observer charges the costs of Table I, stamps the
 // trace and checkpoints. Lasso and SVM here are the loop with both nil.
 //
-// The HOGWILD! solvers of async.go (BackendAsync) are a different
-// algorithm and keep their own implementation, on a measured margin.
-// On a 16384×8192 problem of density 0.005 with 2 vCPUs, HOGWILD with 2
-// workers against the multicore Stepper at the same width and the
-// sequential Stepper:
+// The HOGWILD! Lasso of async.go (BackendAsync) is a different
+// algorithm and keeps its own implementation on a measured margin: on
+// the Lasso at µ = 8 it is the fastest configuration. Time to a target on a
+// 2-vCPU host, each the median of 5 sampling seeds at the smallest
+// iteration count on a 1.25× grid where all 5 reach the target:
 //
-//	Lasso, µ = 1, time to a 1e-6-relative objective:  0.074 s  0.069 s  0.046 s
-//	Lasso, µ = 8, same:                               0.194 s  0.413 s  0.233 s
-//	SVM-L1, wall time per iteration:                  0.37 µs  0.67 µs  0.51 µs
+//	Lasso: datagen.Regression 8 000 × 4 000, density 0.01, λ = 0.1·λmax,
+//	1e-6 relative objective
+//	  µ   seq S=1   seq S=16   accel S=16   multicore(2) S=16   async(2)
+//	  1   33.5 ms   32.5 ms    1 010 ms     23.9 ms             38.6 ms
+//	  8   64.3 ms   104 ms     1 075 ms     76.4 ms             54.4 ms
 //
-// At equal width HOGWILD beats multicore at µ = 8 and on the SVM, so the
-// backend stays. Per CPU-second (HOGWILD's SVM iteration costs 0.74 µs
-// of CPU) the sequential Stepper is ahead in every row, which is why
-// the serving refit (internal/serve) runs it and publishes bitwise
-// iterates. These are one-off figures; the benchmark's async pair is to
-// confirm them.
+//	SVM-L1: datagen.Classification, λ = 1, relative duality gap
+//	  shape, gap target                 seq S=1    seq S=64   async(2)
+//	  8 000 × 4 000 (0.01), 1e-2        730 ms     763 ms     1 044 ms
+//	  8 000 × 4 000 (0.01), 1e-3        1 890 ms   1 666 ms   2 155 ms
+//	  16 384 × 8 192 (0.005), 1e-2      2 262 ms   1 819 ms   2 293 ms
+//	  16 384 × 8 192 (0.005), 1e-3      5 688 ms   4 266 ms   4 596 ms
+//
+// Async keeps the Lasso at µ = 8. On SVM-L1 it beat the best sequential
+// configuration by more than that configuration's IQR in at most 1 of
+// 10 alternating pairs per cell, while using two cores, so the async
+// SVM was deleted. The accelerated async method of Zhou, So & Cheng 2021
+// (PAPERS.md) is still open; BackendAsync refuses acceleration.
 package core

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"saco/internal/mat"
-	rt "saco/internal/runtime"
-)
+import rt "saco/internal/runtime"
 
 // Backend selects where and how a solve's updates run. The solvers
 // themselves are backend-agnostic; the backends differ in what they
@@ -14,7 +11,8 @@ import (
 //     output elements with unchanged summation order) — the
 //     shared-memory counterpart of the paper's claim that the SA
 //     reformulation preserves the classical iterates up to roundoff.
-//   - BackendAsync trades that determinism for latency: HOGWILD!-style
+//   - BackendAsync trades that determinism for latency on the plain
+//     Lasso, the one solve where it measurably wins: HOGWILD!-style
 //     lock-free workers update one shared iterate through atomic
 //     element operations, so runs converge to the same optimum but are
 //     not reproducible step for step (cf. Zhou et al. 2021 on
@@ -36,9 +34,9 @@ const (
 	BackendMulticore
 	// BackendAsync runs Exec.Workers lock-free solver workers against a
 	// shared atomic iterate with per-worker RNG streams: no barriers, no
-	// locks, convergent but not deterministic. Supported by the plain
-	// Lasso solvers (CD/BCD) and the dual-CD SVM; matrices must provide
-	// atomic kernels (sparse.CSC / sparse.CSR do).
+	// locks, convergent but not deterministic. It runs the plain Lasso
+	// (CD/BCD) only, on matrices with atomic kernels (sparse.CSC); the
+	// SVM and the accelerated Lasso refuse it.
 	BackendAsync
 )
 
@@ -94,24 +92,6 @@ func (e Exec) width() int { return rt.Resolve(e.Workers) }
 // this package; execCol/execRow narrow the result.
 type kernelParallelizer interface {
 	WithKernelWorkers(w int) any
-}
-
-// asyncColMatrix is the capability the async Lasso solver needs on top
-// of ColMatrix: gradient reads and residual updates through the shared
-// atomic residual. sparse.CSC implements it.
-type asyncColMatrix interface {
-	ColMatrix
-	ColTMulVecAtomic(cols []int, v *mat.AtomicVec, dst []float64)
-	ColMulAddAtomic(cols []int, coef []float64, v *mat.AtomicVec)
-}
-
-// asyncRowMatrix is the row-access counterpart for the async dual-CD
-// SVM: stale margin reads and primal updates through the shared atomic
-// primal vector. sparse.CSR implements it.
-type asyncRowMatrix interface {
-	RowMatrix
-	RowDotAtomic(i int, x *mat.AtomicVec) float64
-	RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec)
 }
 
 // execCol applies the Exec knob to a column-access matrix, returning the

@@ -32,18 +32,13 @@ func svmPrimal(margins, b []float64, lambda float64, loss SVMLoss) float64 {
 	return lambda * sum
 }
 
-// SVMObjectives returns the primal value P(x), dual value D(α) and the
-// duality gap P − D. Margins must hold A·x; x is the primal vector
-// maintained by the solvers, γ the diagonal regularization of the dual
-// (0 for L1, 1/(2λ) for L2). Strong duality makes the gap a rigorous
-// optimality certificate, the criterion used in Fig. 5 and Table V.
-func SVMObjectives(x, alpha, margins, b []float64, lambda, gamma float64, loss SVMLoss) (primal, dual, gap float64) {
-	return svmObjectives(mat.Nrm2Sq(0, x), alpha, margins, b, lambda, gamma, loss)
-}
-
-// svmObjectives is SVMObjectives with ‖x‖² already reduced: a rank of a
-// distributed solve owns only a column slice of x and sums the squared
-// norms over the ranks.
+// svmObjectives returns the primal value P(x), dual value D(α) and the
+// duality gap P − D from ‖x‖², already reduced: a rank of a distributed
+// solve owns only a column slice of x and sums the squared norms over
+// the ranks. Margins must hold A·x; γ is the diagonal regularization of
+// the dual (0 for L1, 1/(2λ) for L2). Strong duality makes the gap a
+// rigorous optimality certificate, the criterion used in Fig. 5 and
+// Table V.
 func svmObjectives(xNormSq float64, alpha, margins, b []float64, lambda, gamma float64, loss SVMLoss) (primal, dual, gap float64) {
 	primal = 0.5*xNormSq + svmPrimal(margins, b, lambda, loss)
 	var sumAlpha, alphaSq float64

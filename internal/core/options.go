@@ -44,8 +44,9 @@ type LassoOptions struct {
 	// Exec selects the execution backend of the solve: sequential by
 	// default; BackendMulticore forks the batched Gram and product
 	// kernels across shared-memory executors without changing iterates;
-	// BackendAsync runs lock-free HOGWILD!-style solver workers
-	// (convergent but not deterministic; TrackEvery/Tol are skipped).
+	// BackendAsync runs lock-free HOGWILD!-style solver workers on the
+	// plain Lasso (convergent but not deterministic; TrackEvery is
+	// skipped).
 	Exec Exec
 }
 
@@ -229,9 +230,8 @@ type SVMOptions struct {
 	Alpha0 []float64
 	// Exec selects the execution backend of the solve: sequential by
 	// default; BackendMulticore forks the batched Gram and product
-	// kernels across shared-memory executors without changing iterates;
-	// BackendAsync runs lock-free HOGWILD!-style solver workers
-	// (convergent but not deterministic; TrackEvery/Tol are skipped).
+	// kernels across shared-memory executors without changing iterates.
+	// BackendAsync is refused: it runs only the plain Lasso.
 	Exec Exec
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"saco/internal/mat"
 	"saco/internal/rng"
 )
@@ -12,13 +14,7 @@ import (
 // certificate of Fig. 5.
 func SVM(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
 	if opt.Exec.Backend == BackendAsync {
-		// Lock-free HOGWILD! execution: S is moot and TrackEvery/Tol are
-		// skipped — see async.go for the contract.
-		m, _ := a.Dims()
-		if err := opt.validate(m, len(b)); err != nil {
-			return nil, err
-		}
-		return svmAsync(a, b, opt)
+		return nil, errors.New("core: BackendAsync runs only the plain Lasso; solve the SVM on the sequential or multicore backend")
 	}
 	st, err := NewSVMStepper(execRow(a, opt.Exec), b, opt, nil, nil)
 	if err != nil {

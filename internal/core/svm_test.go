@@ -32,12 +32,10 @@ func TestSVMValidation(t *testing.T) {
 		t.Fatal("expected dimension error")
 	}
 	// A matrix with no rows has no coordinate to sample: every entry
-	// point (sequential, async, a rank's stepper) refuses it up front.
+	// point (SVM, a rank's stepper) refuses it up front.
 	empty := &sparse.CSR{M: 0, N: 3, RowPtr: []int{0}}
-	for _, exec := range []Exec{{}, {Backend: BackendAsync, Workers: 2}} {
-		if _, err := SVM(empty, nil, SVMOptions{Lambda: 1, Iters: 10, Exec: exec}); err == nil || !strings.Contains(err.Error(), "core: SVM needs at least one row") {
-			t.Fatalf("%v: zero-row matrix: %v", exec.Backend, err)
-		}
+	if _, err := SVM(empty, nil, SVMOptions{Lambda: 1, Iters: 10}); err == nil || !strings.Contains(err.Error(), "core: SVM needs at least one row") {
+		t.Fatalf("zero-row matrix: %v", err)
 	}
 	if _, err := NewSVMStepper(empty, nil, SVMOptions{Lambda: 1, Iters: 10}, nil, nil); err == nil {
 		t.Fatal("stepper accepted a zero-row matrix")

@@ -55,7 +55,7 @@ import (
 	"saco/internal/sparse"
 )
 
-// maxLine is the scanner token cap of the in-memory reader. The widest
+// maxLine is the line cap of the in-memory reader. The widest
 // plausible rows (url: 3M features) fit comfortably; rows beyond it are
 // reported with their line number so the caller can switch to the
 // streaming reader, which has no cap.
@@ -262,55 +262,114 @@ func Read(r io.Reader, n int) (*sparse.CSR, []float64, error) {
 	return read(r, n, maxLine)
 }
 
-// read is Read with an explicit scanner cap, separated so tests can
+// read is Read with an explicit line cap, separated so tests can
 // exercise the oversized-row path without materializing a 64 MiB line.
-func read(r io.Reader, n, cap int) (*sparse.CSR, []float64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, min(1<<20, cap)), cap)
+func read(r io.Reader, n, limit int) (*sparse.CSR, []float64, error) {
 	var (
-		rowPtr = []int{0}
-		colIdx []int
-		vals   []float64
-		labels []float64
-		maxCol = -1
-		lineNo = 0
-		parser RowParser
+		rowPtr       = []int{0}
+		colIdx       []int
+		vals, labels []float64
 	)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if SkipBytes(line) {
-			continue
-		}
-		label, _, err := parser.ParseBytes(line, lineNo, false)
-		if err != nil {
-			return nil, nil, err
-		}
+	maxCol, err := Scan(r, limit, func(label float64, p *RowParser) error {
 		labels = append(labels, label)
-		colIdx = append(colIdx, parser.Cols...)
-		vals = append(vals, parser.Vals...)
-		if c := parser.MaxCol(); c > maxCol {
-			maxCol = c
-		}
+		colIdx = append(colIdx, p.Cols...)
+		vals = append(vals, p.Vals...)
 		rowPtr = append(rowPtr, len(vals))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The scanner stops on the line after the last one delivered.
-			return nil, nil, fmt.Errorf("libsvm: line %d: row exceeds the %d-byte in-memory reader cap (the streaming reader in internal/stream has no cap)", lineNo+1, cap)
-		}
-		return nil, nil, fmt.Errorf("libsvm: %v", err)
-	}
-	if n == 0 {
-		n = maxCol + 1
-	} else if maxCol >= n {
-		return nil, nil, fmt.Errorf("libsvm: index %d exceeds declared features %d", maxCol+1, n)
+	if n, err = Width(maxCol, n); err != nil {
+		return nil, nil, err
 	}
 	a, err := sparse.NewCSR(len(labels), n, rowPtr, colIdx, vals)
 	if err != nil {
 		return nil, nil, err
 	}
 	return a, labels, nil
+}
+
+// Scan is the one LIBSVM line reader, under both Read and package
+// stream's ingestion: it parses each data line of r into one RowParser
+// (blank and comment lines skipped) and calls row with the line's label,
+// stopping at row's first error. It returns the largest column index
+// seen, -1 for none. A positive limit caps a line at that many bytes,
+// terminator included — the in-memory reader's cap; 0 reads lines of any
+// length.
+func Scan(r io.Reader, limit int, row func(label float64, p *RowParser) error) (maxCol int, err error) {
+	var (
+		br     = bufio.NewReaderSize(r, 1<<20)
+		line   []byte
+		parser RowParser
+	)
+	maxCol = -1
+	for lineNo := 1; ; lineNo++ {
+		line, err = readLine(br, line[:0], limit)
+		if err == errLineTooLong {
+			return -1, fmt.Errorf("libsvm: line %d: row exceeds the %d-byte in-memory reader cap (the streaming reader in internal/stream has no cap)", lineNo, limit)
+		}
+		if err != nil && err != io.EOF {
+			return -1, fmt.Errorf("libsvm: %v", err)
+		}
+		atEOF := err == io.EOF
+		if !SkipBytes(line) {
+			label, _, perr := parser.ParseBytes(line, lineNo, false)
+			if perr == nil {
+				perr = row(label, &parser)
+			}
+			if perr != nil {
+				return -1, perr
+			}
+			maxCol = max(maxCol, parser.MaxCol())
+		}
+		if atEOF {
+			return maxCol, nil
+		}
+	}
+}
+
+// errLineTooLong is readLine's refusal of a line past its limit.
+var errLineTooLong = errors.New("libsvm: line too long")
+
+// readLine appends br's next line to dst without its terminator ("\n"
+// or "\r\n"), growing past br's buffer as needed, and returns io.EOF
+// with the final unterminated line, if any. A positive limit refuses a
+// line longer than limit bytes, terminator included, with
+// errLineTooLong.
+func readLine(br *bufio.Reader, dst []byte, limit int) ([]byte, error) {
+	for {
+		chunk, err := br.ReadSlice('\n')
+		dst = append(dst, chunk...)
+		if limit > 0 && len(dst) > limit {
+			return dst, errLineTooLong
+		}
+		switch err {
+		case nil:
+			dst = dst[:len(dst)-1]
+			if len(dst) > 0 && dst[len(dst)-1] == '\r' {
+				dst = dst[:len(dst)-1]
+			}
+			return dst, nil
+		case bufio.ErrBufferFull:
+			continue
+		default:
+			return dst, err
+		}
+	}
+}
+
+// Width returns the feature count of rows whose largest column index is
+// maxCol: n when declared (n > 0), refusing an index past it, and
+// maxCol+1 when n is 0.
+func Width(maxCol, n int) (int, error) {
+	if n == 0 {
+		return maxCol + 1, nil
+	}
+	if maxCol >= n {
+		return 0, fmt.Errorf("libsvm: index %d exceeds declared features %d", maxCol+1, n)
+	}
+	return n, nil
 }
 
 // ReadFile reads a LIBSVM file from disk.

@@ -15,7 +15,7 @@ import (
 // workers may interleave element updates in any order (so results are
 // not deterministic, unlike every other backend), but no update is ever
 // lost or torn, and the race detector stays silent — the repository's
-// -race CI gate covers the async solvers like everything else.
+// -race CI gate covers the async solver like everything else.
 type AtomicVec struct {
 	bits []uint64
 }
@@ -53,13 +53,6 @@ func (v *AtomicVec) Add(i int, delta float64) {
 			return
 		}
 	}
-}
-
-// CompareAndSwap atomically replaces element i with nw if it still holds
-// old (bitwise comparison), reporting success. It is the primitive the
-// async dual solver uses to keep box constraints exact under collisions.
-func (v *AtomicVec) CompareAndSwap(i int, old, nw float64) bool {
-	return atomic.CompareAndSwapUint64(&v.bits[i], math.Float64bits(old), math.Float64bits(nw))
 }
 
 // Snapshot copies the vector into dst (allocated when nil) with atomic

@@ -759,6 +759,11 @@ func (t *transportTCP) Recv(src int) (Message, error) {
 			// The peer closed its end cleanly: it finished (or its
 			// process exited) without sending what we still expect.
 			err = ErrPeerGone
+		case errors.Is(err, syscall.ECONNRESET):
+			// The peer closed with bytes of ours unread, so its kernel
+			// reset the connection instead of ending it: the same
+			// vanished peer. The socket error stays in the chain.
+			err = fmt.Errorf("%w: %w", ErrPeerGone, err)
 		case errors.Is(err, os.ErrDeadlineExceeded):
 			err = fmt.Errorf("no frame within %v: %w", t.opt.RecvTimeout, err)
 		}

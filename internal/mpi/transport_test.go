@@ -168,6 +168,51 @@ func TestSendToClosedPeerIsPeerGone(t *testing.T) {
 	}
 }
 
+// TestRecvFromResetPeerIsPeerGone: a peer that closes with bytes of
+// ours unread makes its kernel reset the connection, and Recv must call
+// that a vanished peer, as Send does — a *PeerError that is ErrPeerGone
+// with ECONNRESET kept in the chain. SetLinger(0) forces the reset.
+func TestRecvFromResetPeerIsPeerGone(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := &TCPOptions{RecvTimeout: 30 * time.Second}
+	ready, errs := make(chan struct{}), make(chan error, 1)
+	go func() {
+		t0, err := bootTCPRoot(bg, ln, 2, opt)
+		close(ready)
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer t0.Close()
+		_, err = t0.Recv(1)
+		errs <- err
+	}()
+	t1, err := DialTCP(bg, 1, 2, ln.Addr().String(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	<-ready
+	conn := t1.(*transportTCP).peers[0].conn.(*net.TCPConn)
+	if err := conn.SetLinger(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = <-errs
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Rank != 0 || pe.Peer != 1 || pe.Op != "recv" {
+		t.Fatalf("err = %v, want a *PeerError for rank 0's recv from rank 1", err)
+	}
+	if !errors.Is(err, ErrPeerGone) || !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("err = %v, want ErrPeerGone with ECONNRESET in the chain", err)
+	}
+}
+
 // TestRecvDeadline: a silent (but connected) peer must trip the receive
 // deadline rather than stall the rank forever.
 func TestRecvDeadline(t *testing.T) {

@@ -4,18 +4,17 @@ import "saco/internal/mat"
 
 // Atomic-vector kernels for the asynchronous (HOGWILD!-style) backend.
 //
-// The async solvers in internal/core share one iterate and one residual
+// The async Lasso in internal/core shares one iterate and one residual
 // image across workers with no synchronization beyond element atomicity,
-// so their kernels must read and write those vectors through
+// so its kernels must read and write those vectors through
 // mat.AtomicVec instead of plain slices. Each kernel below mirrors its
 // plain counterpart's loop order exactly — a single-worker async solve
 // therefore reproduces the sequential solver's arithmetic bit for bit,
 // which is the anchor the async correctness tests are built on.
 //
-// Only the index-sampled kernels the inner loops touch are provided;
-// whole-matrix products (MulVec) are taken on quiescent snapshots after
-// the workers join, where plain kernels apply. CSC serves the Lasso
-// solvers (column sampling), CSR the dual SVM solvers (row sampling).
+// Only the index-sampled column kernels its inner loop touches are
+// provided; whole-matrix products (MulVec) are taken on quiescent
+// snapshots after the workers join, where plain kernels apply.
 
 // ColTMulVecAtomic computes dst[k] = A_:cols[k] · v with atomic loads of
 // v — the gradient read A_Sᵀ·r of async coordinate descent, racing
@@ -49,35 +48,5 @@ func (a *CSC) ColMulAddAtomic(cols []int, coef []float64, v *mat.AtomicVec) {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			v.Add(a.RowIdx[p], c*a.Val[p])
 		}
-	}
-}
-
-// RowDotAtomic returns A_i · x with atomic loads of x — the stale-read
-// margin of the async dual coordinate step.
-func (a *CSR) RowDotAtomic(i int, x *mat.AtomicVec) float64 {
-	if x.Len() != a.N {
-		panic("sparse: RowDotAtomic shape mismatch")
-	}
-	var s float64
-	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-		s += a.Val[p] * x.Load(a.ColIdx[p])
-	}
-	return s
-}
-
-// RowTAxpyAtomic performs x += alpha·A_iᵀ with per-element atomic adds —
-// the racy primal update of the async dual coordinate step. alpha == 0
-// is a no-op, matching the plain RowTAxpy and the rest of the Axpy
-// family (package mat's alpha == 0 contract); it previously issued
-// x.Add(j, 0) calls, which dirtied cache lines under contention.
-func (a *CSR) RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec) {
-	if x.Len() != a.N {
-		panic("sparse: RowTAxpyAtomic shape mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-		x.Add(a.ColIdx[p], alpha*a.Val[p])
 	}
 }

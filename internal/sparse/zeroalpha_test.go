@@ -12,8 +12,7 @@ import (
 // -0 → +0 normalization, no NaN produced from 0·Inf — in the plain
 // kernel AND its atomic mirror, for sparse matrices and for matrices
 // that store every entry (dense data). This pins the unified semantic documented in internal/mat
-// (historically CSR.RowTAxpyAtomic and mat.ScatterAxpy disagreed with
-// the rest of the family).
+// (historically mat.ScatterAxpy disagreed with the rest of the family).
 
 // poison returns a destination whose bits detect any write: NaN, ±Inf,
 // -0 and ordinary values.
@@ -56,28 +55,12 @@ func TestZeroAlphaCSRRowTAxpy(t *testing.T) {
 	assertUntouched(t, "CSR.RowTAxpy", got, want)
 }
 
-func TestZeroAlphaCSRRowTAxpyAtomic(t *testing.T) {
-	a, _, _ := zeroAlphaFixture(t)
-	want := poison(a.N)
-	v := mat.NewAtomicVecFrom(want)
-	a.RowTAxpyAtomic(2, 0, v)
-	assertUntouched(t, "CSR.RowTAxpyAtomic", v.Snapshot(nil), want)
-}
-
 func TestZeroAlphaDenseRowsRowTAxpy(t *testing.T) {
 	_, _, rows := zeroAlphaFixture(t)
 	want := poison(rows.N)
 	got := append([]float64(nil), want...)
 	rows.RowTAxpy(2, 0, got)
 	assertUntouched(t, "dense CSR.RowTAxpy", got, want)
-}
-
-func TestZeroAlphaDenseRowsRowTAxpyAtomic(t *testing.T) {
-	_, _, rows := zeroAlphaFixture(t)
-	want := poison(rows.N)
-	v := mat.NewAtomicVecFrom(want)
-	rows.RowTAxpyAtomic(2, 0, v)
-	assertUntouched(t, "dense CSR.RowTAxpyAtomic", v.Snapshot(nil), want)
 }
 
 func TestZeroAlphaCSCColMulAdd(t *testing.T) {

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -32,9 +31,9 @@ func (o BuildOptions) withDefaults() BuildOptions {
 }
 
 // Build ingests a LIBSVM stream into dir in bounded memory: rows are
-// parsed with the same grammar as libsvm.Read (shared libsvm.RowParser,
-// so both paths accept and reject identical inputs) and spilled to CSR
-// shards of BlockRows rows. Unlike the in-memory reader there is no row
+// read by libsvm.Scan, the line reader under libsvm.Read too (so both
+// paths accept and reject identical inputs), and spilled to shards of
+// BlockRows rows. Unlike the in-memory reader there is no row
 // length cap — lines grow as needed — and peak memory is one block plus
 // the label vector.
 func Build(r io.Reader, dir string, opt BuildOptions) (*Dataset, error) {
@@ -56,14 +55,8 @@ func build(r io.Reader, dir string, opt BuildOptions, srcSize, srcMTime int64) (
 		srcSize: srcSize, srcMTime: srcMTime,
 	}
 
+	// One block of CSR under construction.
 	var (
-		br     = bufio.NewReaderSize(r, 1<<20)
-		line   []byte
-		lineNo int
-		parser libsvm.RowParser
-		maxCol = -1
-
-		// One block of CSR under construction.
 		rowPtr = make([]int, 1, opt.BlockRows+1)
 		colIdx []int
 		vals   []float64
@@ -92,50 +85,27 @@ func build(r io.Reader, dir string, opt BuildOptions, srcSize, srcMTime int64) (
 		return nil
 	}
 
-	for {
-		var err error
-		line, err = readLine(br, line[:0])
-		if err == io.EOF && len(line) == 0 {
-			break
+	maxCol, err := libsvm.Scan(r, 0, func(label float64, p *libsvm.RowParser) error {
+		d.B = append(d.B, label)
+		colIdx = append(colIdx, p.Cols...)
+		vals = append(vals, p.Vals...)
+		rowPtr = append(rowPtr, len(vals))
+		if len(rowPtr)-1 == opt.BlockRows {
+			return flush()
 		}
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("stream: %v", err)
-		}
-		atEOF := err == io.EOF
-		lineNo++
-		if !libsvm.SkipBytes(line) {
-			label, _, perr := parser.ParseBytes(line, lineNo, false)
-			if perr != nil {
-				return nil, perr
-			}
-			d.B = append(d.B, label)
-			colIdx = append(colIdx, parser.Cols...)
-			vals = append(vals, parser.Vals...)
-			rowPtr = append(rowPtr, len(vals))
-			if c := parser.MaxCol(); c > maxCol {
-				maxCol = c
-			}
-			if len(rowPtr)-1 == opt.BlockRows {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if atEOF {
-			break
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
-
 	if maxCol >= MaxFeatures {
 		return nil, fmt.Errorf("stream: index %d exceeds the shard format's %d-feature cap", maxCol+1, MaxFeatures)
 	}
-	if d.n == 0 {
-		d.n = maxCol + 1
-	} else if maxCol >= d.n {
-		return nil, fmt.Errorf("libsvm: index %d exceeds declared features %d", maxCol+1, d.n)
+	if d.n, err = libsvm.Width(maxCol, d.n); err != nil {
+		return nil, err
 	}
 	d.cache = newShardCache(d)
 	if err := writeManifest(d); err != nil {
@@ -158,29 +128,4 @@ func BuildFile(path, dir string, opt BuildOptions) (*Dataset, error) {
 		return nil, err
 	}
 	return build(f, dir, opt, st.Size(), st.ModTime().UnixNano())
-}
-
-// readLine appends one line (without the terminator) to dst, growing
-// past the reader's buffer as needed — this is what lets the streaming
-// path accept rows wider than the in-memory reader's 64 MiB scanner
-// cap. It returns io.EOF with the final unterminated line, if any.
-func readLine(br *bufio.Reader, dst []byte) ([]byte, error) {
-	for {
-		chunk, err := br.ReadSlice('\n')
-		dst = append(dst, chunk...)
-		switch err {
-		case nil:
-			if len(dst) > 0 && dst[len(dst)-1] == '\n' {
-				dst = dst[:len(dst)-1]
-			}
-			if len(dst) > 0 && dst[len(dst)-1] == '\r' {
-				dst = dst[:len(dst)-1]
-			}
-			return dst, nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return dst, err
-		}
-	}
 }

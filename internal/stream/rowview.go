@@ -30,7 +30,7 @@ type RowStream struct {
 	// Memoized gather of the last sampled row set.
 	gathered *sparse.CSR
 	rowOf    map[int]int // global row -> gathered row
-	local    []int       // RowGram's sampled rows as gathered rows
+	local    []int       // the last sampled rows as gathered rows
 }
 
 // Rows returns the row-access streaming view (for saco.SVM).
@@ -63,21 +63,14 @@ func (v *RowStream) RowTAxpy(row int, alpha float64, x []float64) {
 	mustLoad(v.d.cache.getCSR(si, false)).RowTAxpy(li, alpha, x)
 }
 
-// RowMulVec computes dst[k] = A_rows[k] · x over the gathered sample.
+// RowMulVec computes dst[k] = A_rows[k] · x: sparse.CSR.RowMulVec on
+// the gathered sample, with the sampled rows mapped to their gathered
+// ids.
 func (v *RowStream) RowMulVec(rows []int, x []float64, dst []float64) {
 	if len(x) != v.d.n || len(dst) != len(rows) {
 		panic("stream: RowMulVec shape mismatch")
 	}
-	v.gather(rows)
-	for k, r := range rows {
-		g := v.gathered
-		i := v.rowOf[r]
-		var s float64
-		for p := g.RowPtr[i]; p < g.RowPtr[i+1]; p++ {
-			s += g.Val[p] * x[g.ColIdx[p]]
-		}
-		dst[k] = s
-	}
+	v.gathered.RowMulVec(v.gatherLocal(rows), x, dst)
 }
 
 // RowGram computes dst = A_R·A_Rᵀ (|R|×|R|, upper triangle, +0 below):
@@ -87,12 +80,18 @@ func (v *RowStream) RowGram(rows []int, dst *mat.Dense) {
 	if dst.R != len(rows) || dst.C != len(rows) {
 		panic("stream: RowGram dst shape mismatch")
 	}
+	v.gathered.RowGram(v.gatherLocal(rows), dst)
+}
+
+// gatherLocal gathers rows and returns them as gathered row ids, valid
+// until the next call.
+func (v *RowStream) gatherLocal(rows []int) []int {
 	v.gather(rows)
 	v.local = v.local[:0]
 	for _, r := range rows {
 		v.local = append(v.local, v.rowOf[r])
 	}
-	v.gathered.RowGram(v.local, dst)
+	return v.local
 }
 
 // MulVec computes y = A·x with one sequential prefetched pass.

@@ -27,18 +27,12 @@ func poisonLower(g *mat.Dense) {
 // under the poison too.
 type kernelWorkers interface{ WithKernelWorkers(w int) any }
 
-// atomicCols and atomicRows are the extra kernels core's async backend
-// needs; a decorator embeds them when the matrix has them.
+// atomicCols are the extra kernels core's async backend needs; a
+// decorator embeds them when the matrix has them.
 type atomicCols interface {
 	core.ColMatrix
 	ColTMulVecAtomic(cols []int, v *mat.AtomicVec, dst []float64)
 	ColMulAddAtomic(cols []int, coef []float64, v *mat.AtomicVec)
-}
-
-type atomicRows interface {
-	core.RowMatrix
-	RowDotAtomic(i int, x *mat.AtomicVec) float64
-	RowTAxpyAtomic(i int, alpha float64, x *mat.AtomicVec)
 }
 
 type poisonCols struct{ core.ColMatrix }
@@ -87,23 +81,7 @@ func (p poisonRows) WithKernelWorkers(w int) any {
 	return p
 }
 
-type poisonAtomicRows struct{ atomicRows }
-
-func (p poisonAtomicRows) RowGram(rows []int, dst *mat.Dense) {
-	p.atomicRows.RowGram(rows, dst)
-	poisonLower(dst)
-}
-
-func (p poisonAtomicRows) WithKernelWorkers(w int) any {
-	return poisonRows{p.atomicRows}.WithKernelWorkers(w)
-}
-
-func poisonRowsOf(a core.RowMatrix) core.RowMatrix {
-	if at, ok := a.(atomicRows); ok {
-		return poisonAtomicRows{at}
-	}
-	return poisonRows{a}
-}
+func poisonRowsOf(a core.RowMatrix) core.RowMatrix { return poisonRows{a} }
 
 // TestSolversReadUpperTriangleOnly holds the one-triangle convention on
 // the solver side: a matrix whose every Gram comes back with a NaN of
@@ -111,9 +89,10 @@ func poisonRowsOf(a core.RowMatrix) core.RowMatrix {
 // for bit, as the matrix itself — so no solver reads below the
 // diagonal. The cells are every dataset form (in-memory sparse, the
 // same with every entry stored, streamed CSR and CSC) under the sequential backend, multicore
-// at 2 and 3 workers, and async with one worker where the form has
-// atomic kernels; the solves are Lasso plain and accelerated at
-// s ∈ {1, 16}, SVM-L1 and SVM-L2. The simulated cluster reduces the
+// at 2 and 3 workers, and the async Lasso with one worker where the
+// form has atomic kernels (the async SVM cells assert its refusal); the
+// solves are Lasso plain and accelerated at s ∈ {1, 16}, SVM-L1 and
+// SVM-L2. The simulated cluster reduces the
 // Gram itself, so its cells poison the reduced Gram inside package dist
 // (TestDistReadsUpperTriangleOnly).
 func TestSolversReadUpperTriangleOnly(t *testing.T) {
@@ -176,7 +155,11 @@ func TestSolversReadUpperTriangleOnly(t *testing.T) {
 				svm(fmt.Sprintf("%v/%s", loss, ex.name), core.SVMOptions{Lambda: 1, Loss: loss, Iters: 256, S: 16, Seed: 9, Exec: ex.exec})
 			}
 			if f.Async {
-				svm(fmt.Sprintf("%v/async-1", loss), core.SVMOptions{Lambda: 1, Loss: loss, Iters: 256, Seed: 9, Exec: async})
+				t.Run(fmt.Sprintf("%s/%v/async-1", f.Name, loss), func(t *testing.T) {
+					if _, err := core.SVM(poisonRowsOf(f.Row), cls.B, core.SVMOptions{Lambda: 1, Loss: loss, Iters: 256, Seed: 9, Exec: async}); err == nil {
+						t.Fatal("async SVM ran; async runs only the plain Lasso")
+					}
+				})
 			}
 		}
 	}

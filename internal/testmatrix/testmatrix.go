@@ -11,9 +11,10 @@
 //   - sequential, multicore, simulated and hybrid runs are bitwise
 //     deterministic — identical trajectories whatever form the data
 //     takes;
-//   - async (HOGWILD!) runs are tolerance-convergent (1e-6-relative
-//     objective against the sequential optimum) and only exist for the
-//     in-memory forms, which provide atomic kernels;
+//   - async (HOGWILD!) Lasso runs are tolerance-convergent
+//     (1e-6-relative objective against the sequential optimum) and only
+//     exist for the in-memory forms, which provide atomic kernels; an
+//     async SVM is refused on every form;
 //   - streamed forms run their kernels sequentially under every local
 //     backend knob, so multicore requests degrade to (bitwise-equal)
 //     sequential execution and async requests are rejected.
@@ -43,8 +44,9 @@ type Form struct {
 	Row core.RowMatrix
 	// Source feeds the simulated cluster's block loaders.
 	Source dist.Source
-	// Async reports whether the form provides the atomic kernels
-	// BackendAsync needs; async solves over !Async forms must error.
+	// Async reports whether the form's Col view provides the atomic
+	// kernels the async Lasso needs; async solves over !Async forms must
+	// error.
 	Async bool
 	// Dataset is the backing store of streamed forms (counter
 	// assertions); nil for in-memory forms.

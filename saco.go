@@ -90,7 +90,7 @@ const (
 // Execution-backend selection: every solve runs sequentially by default;
 // BackendMulticore forks its matrix kernels across shared-memory
 // executors where the work pays for a fork; BackendAsync runs lock-free HOGWILD!-style
-// solver workers against one shared atomic iterate; and the simulated
+// plain-Lasso workers against one shared atomic iterate; and the simulated
 // cluster (DistLasso / DistSVM) models distributed execution,
 // optionally hybrid rank×thread via Cluster.RankWorkers. Multicore
 // execution parallelizes only independent output elements with unchanged
@@ -98,9 +98,10 @@ const (
 // backend — the shared-memory counterpart of the paper's same-sequence
 // claim. Async execution keeps only convergence: runs reach the same
 // optimum (tolerance-convergent) but are not reproducible step for step.
+// It exists for the plain Lasso alone, where it measurably wins.
 type (
 	// Exec selects the execution backend of one solve (LassoOptions.Exec,
-	// SVMOptions.Exec).
+	// SVMOptions.Exec; the SVM refuses BackendAsync).
 	Exec = core.Exec
 	// Backend enumerates the shared-memory backends.
 	Backend = core.Backend
@@ -123,10 +124,10 @@ func Multicore(w int) Exec {
 }
 
 // Async returns an Exec selecting the lock-free asynchronous backend
-// with w solver workers; w <= 0 uses every core (GOMAXPROCS). Async
-// solves converge to the sequential optimum but are not deterministic;
-// objective tracking (TrackEvery) and the SVM gap tolerance (Tol) are
-// skipped, and the accelerated Lasso variants are not supported.
+// with w solver workers; w <= 0 uses every core (GOMAXPROCS). It runs
+// the plain Lasso only: an async SVM or accelerated Lasso is an error.
+// Async solves converge to the sequential optimum but are not
+// deterministic, and objective tracking (TrackEvery) is skipped.
 func Async(w int) Exec {
 	if w < 0 {
 		w = 0
