@@ -114,6 +114,7 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 		gv:      make([]float64, muMax),
 		eig:     make([]float64, muMax*muMax+3*muMax),
 	}
+	blk.fix, _ = blk.g.(fixer)
 	st := &LassoStepper{blk: blk}
 	blk.d = &st.Stepper
 	// The iterate starts at X0 (x₀ = θ₀²·y₀ + z₀ with y₀ = 0 when

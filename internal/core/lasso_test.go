@@ -352,3 +352,48 @@ func TestHistoryTracking(t *testing.T) {
 		t.Fatalf("Iters = %d", res.Iters)
 	}
 }
+
+// TestFixedBlocksSkipTheEigensolve counts the eigensolves inner steps run,
+// which no bits test can see: a refactor that drops the fixed-block rule
+// keeps every golden. Above λmax the zero start is optimal and every
+// block is fixed, so no step solves and X stays +0; at 0.1·λmax some
+// blocks move and some do not; the elastic net has no rule, so every
+// step solves.
+func TestFixedBlocksSkipTheEigensolve(t *testing.T) {
+	a, b, lambda := testProblem(1)
+	var solves int
+	eigsolveHook = func() { solves++ }
+	defer func() { eigsolveHook = nil }()
+	const iters = 200
+	solve := func(o LassoOptions) *LassoResult {
+		t.Helper()
+		solves = 0
+		o.BlockSize, o.Iters, o.Seed = 4, iters, 11
+		res, err := Lasso(a, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, acc := range []bool{false, true} {
+		for _, s := range []int{1, 16} {
+			res := solve(LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), S: s, Accelerated: acc})
+			if solves != 0 {
+				t.Errorf("acc=%v s=%d above λmax: %d eigensolves, want 0", acc, s, solves)
+			}
+			for i, x := range res.X {
+				if math.Float64bits(x) != 0 {
+					t.Fatalf("acc=%v s=%d above λmax: X[%d] = %v, want +0", acc, s, i, x)
+				}
+			}
+			solve(LassoOptions{Lambda: lambda, S: s, Accelerated: acc})
+			if solves == 0 || solves == iters {
+				t.Errorf("acc=%v s=%d at 0.1·λmax: %d eigensolves in %d steps, want some skipped and some not", acc, s, solves, iters)
+			}
+			solve(LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, S: s, Accelerated: acc})
+			if solves != iters {
+				t.Errorf("acc=%v s=%d elastic net: %d eigensolves, want %d", acc, s, solves, iters)
+			}
+		}
+	}
+}

@@ -56,6 +56,37 @@ func (r L1) Value(x []float64) float64 {
 // Name returns "l1".
 func (L1) Name() string { return "l1" }
 
+// fixer is the optional rule a Regularizer may have for blocks its prox
+// cannot move: fixed(w, grad) reports that, for the block's current value
+// w and assembled gradient grad, the Lasso step writes Δ = +0 whatever
+// its step size η ∈ [0, +∞] or the block's λmax (NaN and ±Inf included).
+// The inner step then skips the eigensolve (lassoBlock.prox).
+type fixer interface {
+	fixed(w, grad []float64) bool
+}
+
+// fixed is true when every w is ±0 and every |grad| ≤ λ (a NaN gradient
+// fails the test). Then Δ = +0 bitwise for every step the full path
+// could take:
+//   - with η = 1/(scale·λmax), the soft threshold sees a = fl(η·λ) and
+//     v = w − fl(η·g) = −fl(η·g) (w is ±0, so a fused multiply-add gives
+//     the same value). Rounding is monotone, so |fl(η·g)| ≤ fl(η·λ): v
+//     is neither > a nor < −a. At η = +∞, η·g is ±∞ against a = +∞, or
+//     NaN (g = 0 or λ = 0), and every comparison with NaN is false;
+//   - with λmax ≤ 0 or NaN, v = w = ±0 against a = bigEta·λ ≥ 0;
+//
+// so SoftThreshold takes its default branch, gv = +0 and Δ = +0 − w = +0.
+// The elastic net has no such rule: its threshold η·λ·α rounds twice, so
+// |g| ≤ λα does not bound |fl(η·g)| by it.
+func (r L1) fixed(w, grad []float64) bool {
+	for a, x := range w {
+		if x != 0 || !(math.Abs(grad[a]) <= r.Lambda) {
+			return false
+		}
+	}
+	return true
+}
+
 // ElasticNet is g(x) = λ·(α‖x‖₁ + (1−α)/2·‖x‖₂²), the paper's second
 // sparsity-inducing penalty. α = 1 degenerates to L1, α = 0 to ridge.
 type ElasticNet struct {

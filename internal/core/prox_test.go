@@ -163,3 +163,50 @@ func TestGroupLassoProx(t *testing.T) {
 		t.Fatal("name")
 	}
 }
+
+// TestL1FixedMatchesFullProx holds L1's fixed-block rule to its promise:
+// every block it accepts gets Δ = +0, bit for bit, from the full path at
+// every step size that path can take, and a gradient one ulp past λ, a
+// NaN gradient or a nonzero coordinate is refused.
+func TestL1FixedMatchesFullProx(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	etas := []float64{0, math.SmallestNonzeroFloat64, 1, bigEta, inf}
+	for _, lambda := range []float64{0, 0.5, 1} {
+		r := L1{Lambda: lambda}
+		past := math.Nextafter(lambda, inf)
+		gs := []float64{0, negZero, lambda, -lambda,
+			math.Nextafter(lambda, 0), -math.Nextafter(lambda, 0), past, -past,
+			math.NaN(), inf, -inf}
+		for _, w := range []float64{0, negZero, 1} {
+			for _, g := range gs {
+				fixed := r.fixed([]float64{w}, []float64{g})
+				if want := w == 0 && math.Abs(g) <= lambda; fixed != want {
+					t.Errorf("λ=%v w=%v g=%v: fixed %v, want %v", lambda, w, g, fixed, want)
+				}
+				if !fixed {
+					continue
+				}
+				wv, delta := []float64{w}, []float64{math.NaN()}
+				for _, eta := range etas {
+					proxDelta(r, eta, []float64{g}, wv, make([]float64, 1), delta)
+					if math.Float64bits(delta[0]) != 0 {
+						t.Errorf("λ=%v w=%v g=%v η=%v: full path Δ = %v, the rule writes +0", lambda, w, g, eta, delta[0])
+					}
+				}
+				// λmax ≤ 0 or NaN: prox proxes w itself with η = bigEta.
+				proxDelta(r, bigEta, nil, wv, make([]float64, 1), delta)
+				if math.Float64bits(delta[0]) != 0 {
+					t.Errorf("λ=%v w=%v g=%v, λmax ≤ 0: full path Δ = %v, the rule writes +0", lambda, w, g, delta[0])
+				}
+			}
+		}
+	}
+	// A block is fixed only if every coordinate is.
+	r := L1{Lambda: 1}
+	if r.fixed([]float64{0, 0}, []float64{0.5, 1.5}) || r.fixed([]float64{0, 2}, []float64{0.5, 0.5}) {
+		t.Error("a block with one movable coordinate was accepted")
+	}
+	if !r.fixed([]float64{0, negZero, 0}, []float64{1, -1, 0}) {
+		t.Error("a fixed 3-block was refused")
+	}
+}

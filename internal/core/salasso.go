@@ -27,6 +27,7 @@ type lassoBlock struct {
 	d       *Stepper
 	a       ColMatrix
 	g       Regularizer
+	fix     fixer // g's fixed-block rule; nil if it has none
 	smp     *blockSampler
 	deltas  *mat.Dense // row t: Δ of inner step t of the current batch
 	diag    mat.Dense  // re-sliced over diagBuf every inner step
@@ -89,36 +90,59 @@ func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 // Gram matrix (Alg. 2 lines 14–15), the proximal update of x on the
 // block, and Δ = x⁺ − x, which is kept as row j of deltas, added into x
 // and returned with the block. Only the block's upper triangle is
-// copied: it is all mat.LargestEigSymScratch reads.
+// copied: it is all mat.LargestEigSymScratch reads. A block the penalty
+// proves fixed (see L1.fixed) has Δ = +0 for every step size, so it
+// skips the copy, the eigensolve and the prox: the bits are the full
+// path's. The rule reads replicated state only (x or z, and the reduced
+// Gram's products), so every rank of a distributed solve decides alike.
 func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta []float64) {
 	bt, gram := &l.d.bt, &l.d.gram
 	idx = bt.Block(j)
 	mu, off := len(idx), bt.Off[j]
-	l.diag.R, l.diag.C, l.diag.Data = mu, mu, l.diagBuf[:mu*mu]
-	for a := 0; a < mu; a++ {
-		copy(l.diag.Row(a)[a:], gram.Data[(off+a)*gram.C+off+a:])
-	}
-	v := mat.LargestEigSymScratch(&l.diag, l.eig)
-
 	// Reading the in-place-updated x yields the collision sum of eq. (4).
-	w, gv := l.w[:mu], l.gv[:mu]
+	w, grad := l.w[:mu], l.grad[:mu]
 	mat.Gather(w, x, idx)
-	eta := bigEta
-	if v > 0 {
-		eta = 1 / (scale * v)
-		for a, g := range l.grad[:mu] {
-			gv[a] = w[a] - eta*g
-		}
-	} else {
-		copy(gv, w)
-	}
-	l.g.Prox(eta, gv) // soft threshold for L1
 	delta = l.deltas.Row(j)[:mu]
-	for a := range delta {
-		delta[a] = gv[a] - w[a] // eq. (5)
+	if l.fix != nil && l.fix.fixed(w, grad) {
+		clear(delta)
+	} else {
+		l.diag.R, l.diag.C, l.diag.Data = mu, mu, l.diagBuf[:mu*mu]
+		for a := 0; a < mu; a++ {
+			copy(l.diag.Row(a)[a:], gram.Data[(off+a)*gram.C+off+a:])
+		}
+		if eigsolveHook != nil {
+			eigsolveHook()
+		}
+		v := mat.LargestEigSymScratch(&l.diag, l.eig)
+		if v > 0 {
+			proxDelta(l.g, 1/(scale*v), grad, w, l.gv[:mu], delta)
+		} else {
+			proxDelta(l.g, bigEta, nil, w, l.gv[:mu], delta)
+		}
 	}
 	mat.ScatterAdd(x, delta, idx)
 	return idx, delta
+}
+
+// eigsolveHook, set only by this package's tests before a solve starts,
+// is called before every block eigensolve an inner step runs.
+var eigsolveHook func()
+
+// proxDelta writes Δ = prox_{η·g}(w − η·grad) − w (eq. (5)), using gv as
+// scratch. A nil grad is the λmax ≤ 0 (or NaN) case, which proxes w
+// itself with η = bigEta.
+func proxDelta(g Regularizer, eta float64, grad, w, gv, delta []float64) {
+	if grad == nil {
+		copy(gv, w)
+	} else {
+		for a, ga := range grad {
+			gv[a] = w[a] - eta*ga
+		}
+	}
+	g.Prox(eta, gv) // soft threshold for L1
+	for a := range delta {
+		delta[a] = gv[a] - w[a]
+	}
 }
 
 // plainLasso is (SA-)CD/BCD: proximal gradient on the sampled block with

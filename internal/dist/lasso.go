@@ -139,7 +139,9 @@ func (r *lassoRank) StepDone(bt *core.Batch, j int, _ bool) {
 // eigFlops is the nominal cost charged for the λmax of a µ×µ block. The
 // charge predates the direct method (about (4/3)µ³ flops plus ~50 Sturm
 // counts of 3µ, within 2× of it at the benchmark's µ = 8) and is kept so
-// modeled clocks keep their values.
+// modeled clocks keep their values. For the same reason it is booked for
+// every block, also for one the L1 step cannot move, which skips its
+// eigensolve (core.L1's fixed-block rule).
 func eigFlops(mu int) float64 {
 	if mu == 1 {
 		return 1
