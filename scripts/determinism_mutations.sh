@@ -1,0 +1,62 @@
+#!/bin/sh
+# Negative tests for the determinism contract: plant one change of
+# summation order (or one unsound shortcut) at a time into a scratch copy
+# of the tree and assert that the package's tests fail on it within a
+# minute. Every "same bits" claim rests on the golden tables catching
+# such a change; CI runs this next to lint_mutations.sh.
+set -eu
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT INT TERM
+
+# plant <label> <file-under-tree> <perl substitution> copies the working
+# tree, applies the substitution to the file (which must change it) and
+# expects `go test` of the file's package to fail, with a test failure
+# rather than a build error, in at most 60 s.
+plant() {
+    label=$1
+    file=$2
+    subst=$3
+    tree="$work/tree"
+    rm -rf "$tree"
+    mkdir -p "$tree"
+    (cd "$root" && tar cf - ./go.mod ./internal ./cmd) | (cd "$tree" && tar xf -)
+    cp "$tree/$file" "$work/orig.go"
+    perl -0pi -e "$subst" "$tree/$file"
+    if cmp -s "$tree/$file" "$work/orig.go"; then
+        echo "FAIL [$label]: the substitution no longer matches $file" >&2
+        exit 1
+    fi
+    pkgdir=$(dirname "$file")
+    start=$(date +%s)
+    if out=$(cd "$tree" && go test -count=1 "./$pkgdir/" 2>&1); then
+        echo "FAIL [$label]: go test ./$pkgdir/ passed a tree with the mutation planted" >&2
+        exit 1
+    fi
+    took=$(($(date +%s) - start))
+    if ! printf '%s\n' "$out" | grep -q -- '^--- FAIL'; then
+        echo "FAIL [$label]: go test failed without a failing test (build error?):" >&2
+        printf '%s\n' "$out" >&2
+        exit 1
+    fi
+    if [ "$took" -gt 60 ]; then
+        echo "FAIL [$label]: caught, but only after ${took}s" >&2
+        exit 1
+    fi
+    echo "ok   [$label]: caught by $(printf '%s\n' "$out" | grep -m1 -- '^--- FAIL' | cut -d' ' -f3) in ${took}s"
+}
+
+plant "cross-term loop reversed" internal/core/salasso.go \
+    's/for b, cf := range coef \{\n(\s*)s \+= col\[b\*c\+a\] \* cf/for b := len(coef) - 1; b >= 0; b-- {\n$1cf := coef[b]\n$1s += col[b*c+a] * cf/'
+
+plant "SVM moved-list sum reversed" internal/core/svm.go \
+    's/for _, m := range s\.moved \{\n(\s*)dot \+=/for q := len(s.moved) - 1; q >= 0; q-- {\n$1m := s.moved[q]\n$1dot +=/'
+
+plant "L1 rule without its x == 0 test" internal/core/prox.go \
+    's/if x != 0 \|\| !\(math\.Abs\(grad\[a\]\) <= r\.Lambda\)/if _ = x; !(math.Abs(grad[a]) <= r.Lambda)/'
+
+plant "L1 rule loosened to |g| <= 2λ" internal/core/prox.go \
+    's/!\(math\.Abs\(grad\[a\]\) <= r\.Lambda\)/!(math.Abs(grad[a]) <= 2*r.Lambda)/'
+
+echo "all planted mutations caught"
