@@ -113,6 +113,8 @@ func (o *options) solve(stdout io.Writer) (err error) {
 		return cli.Usagef("-simulate runs its ranks on sequential kernels; drop -backend %s (-rank-workers gives each rank threads)", o.backend)
 	case o.Task == "svm" && exec.Backend == saco.BackendAsync:
 		return cli.Usagef("-backend async runs only the plain Lasso; drop it from -task svm")
+	case o.Accel && exec.Backend == saco.BackendAsync:
+		return cli.Usagef("-backend async runs only the plain Lasso; drop -accel or -backend async")
 	case o.streaming && exec.Backend != saco.BackendSequential:
 		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no kernel workers or atomic kernels); drop -backend %s", o.backend)
 	}

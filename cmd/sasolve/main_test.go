@@ -121,6 +121,7 @@ func TestEveryFlagHasOneMeaning(t *testing.T) {
 		{[]string{"-simulate", "2", "-backend", "async", "-workers", "2"}, []string{"-simulate", "-backend async"}},
 		{[]string{"-stream", "-backend", "multicore"}, []string{"-stream", "-backend multicore"}},
 		{[]string{"-task", "svm", "-backend", "async"}, []string{"-task svm", "-backend async"}},
+		{[]string{"-task", "lasso", "-backend", "async", "-accel"}, []string{"-accel", "-backend async"}},
 		{[]string{"-task", "lasso", "-tol", "0.5"}, []string{"-tol", "-task lasso"}},
 		{[]string{"-task", "lasso", "-lambda", "2"}, []string{"-lambda", "-task lasso"}},
 		{[]string{"-task", "lasso", "-loss", "l2"}, []string{"-loss", "-task lasso"}},
