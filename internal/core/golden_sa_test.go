@@ -8,9 +8,9 @@ import (
 // The tables below pin the bits of s > 1 batches, which the classical
 // tables of golden_test.go cannot see: an inner step's gradient there is
 // its hoisted product alone, so no correction sum, cross term or in-batch
-// track is exercised. Every cell runs 302 or 1 000 iterations, so the
-// last batch is partial at every s, and tracks every 50 or 200
-// iterations, so some tracks fall inside a batch. A change that means to
+// track is exercised. Every cell's budget of 302 or 1 000 iterations
+// leaves the last batch partial at every s, and tracks every 50 or 200
+// iterations fall inside a batch. A change that means to
 // move these bits re-records the tables in a commit of its own.
 
 func TestSALassoGolden(t *testing.T) {
