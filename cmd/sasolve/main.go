@@ -115,6 +115,10 @@ func (o *options) solve(stdout io.Writer) (err error) {
 		return cli.Usagef("-backend async runs only the plain Lasso; drop it from -task svm")
 	case o.Accel && exec.Backend == saco.BackendAsync:
 		return cli.Usagef("-backend async runs only the plain Lasso; drop -accel or -backend async")
+	case o.S != 1 && exec.Backend == saco.BackendAsync:
+		return cli.Usagef("-s %d: -backend async has no synchronization to avoid and unrolls nothing; drop -s or -backend async", o.S)
+	case o.Track != 0 && exec.Backend == saco.BackendAsync:
+		return cli.Usagef("-track %d: -backend async evaluates the objective only after its workers join; drop -track or -backend async", o.Track)
 	case o.streaming && exec.Backend != saco.BackendSequential:
 		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no kernel workers or atomic kernels); drop -backend %s", o.backend)
 	}

@@ -122,6 +122,9 @@ func TestEveryFlagHasOneMeaning(t *testing.T) {
 		{[]string{"-stream", "-backend", "multicore"}, []string{"-stream", "-backend multicore"}},
 		{[]string{"-task", "svm", "-backend", "async"}, []string{"-task svm", "-backend async"}},
 		{[]string{"-task", "lasso", "-backend", "async", "-accel"}, []string{"-accel", "-backend async"}},
+		{[]string{"-task", "lasso", "-backend", "async", "-s", "64"}, []string{"-s 64", "-backend async"}},
+		{[]string{"-task", "lasso", "-backend", "async", "-s", "100000", "-mu", "3"}, []string{"-s 100000", "-backend async"}},
+		{[]string{"-task", "lasso", "-backend", "async", "-track", "500"}, []string{"-track 500", "-backend async"}},
 		{[]string{"-task", "lasso", "-tol", "0.5"}, []string{"-tol", "-task lasso"}},
 		{[]string{"-task", "lasso", "-lambda", "2"}, []string{"-lambda", "-task lasso"}},
 		{[]string{"-task", "lasso", "-loss", "l2"}, []string{"-loss", "-task lasso"}},

@@ -27,7 +27,8 @@ import (
 // objective lands within tolerance of the sequential solver's. One
 // anchor is exact, though: a single async worker replays the sequential
 // arithmetic bit for bit, because worker 0's stream equals the
-// sequential sampling stream and every atomic kernel mirrors its plain
+// sequential sampling stream, both take the one block step
+// (blockStep.take) and every atomic kernel mirrors its plain
 // counterpart's loop order. That anchor is what pins the update
 // arithmetic itself as correct; the multi-worker runs then only add
 // benign races.
@@ -96,14 +97,15 @@ func densityOf(a interface{ Dims() (int, int) }) float64 {
 }
 
 // lassoAsync is the HOGWILD! (block) coordinate-descent Lasso solver:
-// the same proximal step as the sequential solver at s = 1, performed by
-// w concurrent workers against a shared iterate x and shared residual
-// image r = A·x − b held in atomic vectors. Each worker samples a block,
-// reads the (stale) gradient through the atomic residual, takes the
-// prox step of size damp/λmax(block Gram), and scatters the delta back
-// with atomic adds. Worker k runs its share of opt.Iters from its own
-// stream; stream 0 is rng.New(opt.Seed), the sequential solver's, so a
-// 1-worker run replays it bit for bit. opt.X0 warm-starts x.
+// the sequential solver's block step (blockStep.take) at s = 1,
+// performed by w concurrent workers against a shared iterate x and
+// shared residual image r = A·x − b held in atomic vectors. Each worker
+// samples a block, reads the (stale) gradient through the atomic
+// residual, takes the step with λmax scaled by 1/damping, and scatters
+// the delta back with atomic adds. Worker k runs its share of opt.Iters
+// from its own stream; stream 0 is rng.New(opt.Seed), the sequential
+// solver's, so a 1-worker run replays it bit for bit. opt.X0 warm-starts
+// x.
 func lassoAsync(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
 	if opt.Accelerated {
 		return nil, errors.New("core: BackendAsync does not support the accelerated Lasso variants (acceleration needs an ordered θ-schedule); use plain CD/BCD or a deterministic backend")
@@ -112,19 +114,13 @@ func lassoAsync(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error
 	if !ok {
 		return nil, fmt.Errorf("core: matrix type %T does not provide atomic kernels for BackendAsync (sparse.CSC does)", a)
 	}
-	m, n := a.Dims()
+	_, n := a.Dims()
 	w := min(opt.Exec.asyncWorkers(), opt.Iters)
 
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	r := make([]float64, m)
-	a.MulVec(x, r)
-	mat.Axpy(-1, b, r) // r = A·x0 − b
+	x, r := startIterate(a, b, opt.X0)
 	xv, rv := mat.NewAtomicVecFrom(x), mat.NewAtomicVecFrom(r)
 	g := opt.Regularizer()
-	damp := asyncDamping(w, opt.mu(), densityOf(a))
+	scale := 1 / asyncDamping(w, opt.mu(), densityOf(a))
 
 	streams := make([]*rng.Stream, w)
 	streams[0] = rng.New(opt.Seed)
@@ -136,9 +132,9 @@ func lassoAsync(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error
 		for k := lo; k < hi; k++ {
 			smp := newBlockSampler(streams[k], &opt, n)
 			muMax := smp.maxBlock()
-			gram := make([]float64, muMax*muMax)
-			eig := make([]float64, muMax*muMax+3*muMax) // mat.LargestEigSymScratch's scratch
-			grad, wbuf, gv := make([]float64, muMax), make([]float64, muMax), make([]float64, muMax)
+			st := newBlockStep(g, muMax)
+			st.cols = a // read-only: the plain ColGram is safe
+			delta := make([]float64, muMax)
 			// Iterations are dealt as evenly as possible, the first
 			// opt.Iters mod w workers taking one more.
 			iters := opt.Iters / w
@@ -148,25 +144,14 @@ func lassoAsync(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error
 			for ; iters > 0; iters-- {
 				idx := smp.next()
 				mu := len(idx)
-				gb := mat.NewDenseData(mu, mu, gram[:mu*mu])
-				ac.ColGram(idx, gb) // read-only: the plain kernel is safe
-				v := mat.LargestEigSymScratch(gb, eig)
-				ac.ColTMulVecAtomic(idx, rv, grad[:mu])
-				xv.Gather(wbuf[:mu], idx)
-				eta := bigEta
-				copy(gv[:mu], wbuf[:mu])
-				if v > 0 {
-					eta = damp / v
-					for i := range mu {
-						gv[i] -= eta * grad[i]
-					}
-				}
-				g.Prox(eta, gv[:mu])
-				for i := range mu {
-					gv[i] -= wbuf[i] // the delta
-				}
-				xv.ScatterAdd(gv[:mu], idx)
-				ac.ColMulAddAtomic(idx, gv[:mu], rv)
+				// The gradient comes first: a fixed block needs no Gram.
+				ac.ColTMulVecAtomic(idx, rv, st.grad[:mu])
+				xv.Gather(st.w[:mu], idx)
+				st.take(idx, 0, scale, delta[:mu])
+				// A fixed block's +0 Δ is scattered too: it turns a −0
+				// of x into +0, as the sequential step does.
+				xv.ScatterAdd(delta[:mu], idx)
+				ac.ColMulAddAtomic(idx, delta[:mu], rv)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,26 +15,46 @@ func asyncExec(w int) Exec { return Exec{Backend: BackendAsync, Workers: w} }
 
 // TestLassoAsyncOneWorkerBitwise is the anchor of the async backend: a
 // single async worker replays the sequential plain-CD/BCD arithmetic bit
-// for bit (worker 0's stream is the sequential stream and every atomic
-// kernel mirrors its plain counterpart's loop order), so the only thing
-// multi-worker runs add is benign races.
+// for bit (worker 0's stream is the sequential stream, both take the one
+// block step, and every atomic kernel mirrors its plain counterpart's
+// loop order), so the only thing multi-worker runs add is benign races.
+// Above λmax and at 0.1·λmax the warm start is −0 outside every fifth
+// coordinate, so the fixed-block rule skips blocks whose −0 entries only
+// the scatter of their +0 Δ turns into +0: X is compared by its bits.
 func TestLassoAsyncOneWorkerBitwise(t *testing.T) {
 	data := datagen.Regression("async-anchor", 3, 300, 120, 0.2, 10, 0.05)
 	a := data.AsCSR().ToCSC()
-	for _, mu := range []int{1, 4} {
-		opt := LassoOptions{Lambda: 0.3, BlockSize: mu, Iters: 500, Seed: 7}
-		ref, err := Lasso(a, data.B, opt)
-		if err != nil {
-			t.Fatal(err)
+	lmax := LambdaMaxL1(a, data.B)
+	x0 := make([]float64, 120)
+	for i := range x0 {
+		x0[i] = math.Copysign(0, -1)
+		if i%5 == 0 {
+			x0[i] = 0.01
 		}
-		opt.Exec = asyncExec(1)
-		got, err := Lasso(a, data.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFloats(t, "X", got.X, ref.X)
-		if got.Objective != ref.Objective {
-			t.Fatalf("mu=%d: objective %v != %v", mu, got.Objective, ref.Objective)
+	}
+	for _, c := range []struct {
+		lambda float64
+		x0     []float64
+	}{{0.3, nil}, {2 * lmax, x0}, {0.1 * lmax, x0}} {
+		for _, mu := range []int{1, 4} {
+			opt := LassoOptions{Lambda: c.lambda, BlockSize: mu, Iters: 500, Seed: 7, X0: c.x0}
+			ref, err := Lasso(a, data.B, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Exec = asyncExec(1)
+			got, err := Lasso(a, data.B, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got.X {
+				if math.Float64bits(got.X[i]) != math.Float64bits(ref.X[i]) {
+					t.Fatalf("λ=%v mu=%d: X[%d] async %v != sequential %v", c.lambda, mu, i, got.X[i], ref.X[i])
+				}
+			}
+			if got.Objective != ref.Objective {
+				t.Fatalf("λ=%v mu=%d: objective %v != %v", c.lambda, mu, got.Objective, ref.Objective)
+			}
 		}
 	}
 }

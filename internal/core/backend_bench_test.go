@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"saco/internal/datagen"
+	"saco/internal/mat"
 )
 
 // solveBenchWorkers is the ladder of the end-to-end solve benchmarks:
@@ -116,4 +117,127 @@ func BenchmarkSolveSVMSA(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLassoTimeToTarget is doc.go's time-to-target table: each
+// configuration solves the plain Lasso to a 1e-6 relative objective at
+// the smallest iteration count, on a 1.25× grid from 1 000, at which all
+// five sampling seeds reach it (found once per process, untimed). An op
+// is one solve, the seeds taken in turn; "iters" is the count and
+// "reached" the share of timed solves that met the target (async runs
+// race, so it may fall below 1). The reference optimum is a sequential
+// solve whose duality gap certifies it to 1e-10 relative. Run as
+//
+//	go test -run=NONE -bench=LassoTimeToTarget -count=10 -cpu=2 ./internal/core/
+//
+// -count repeats the whole table, so each repetition pairs the cells.
+func BenchmarkLassoTimeToTarget(b *testing.B) {
+	tt := timeToTargetProblem(b)
+	cells := []struct {
+		name string
+		s    int
+		exec Exec
+	}{
+		{"seq-S1", 1, Exec{}},
+		{"seq-S16", 16, Exec{}},
+		{"multicore2-S16", 16, Exec{Backend: BackendMulticore, Workers: 2}},
+		{"async2", 1, Exec{Backend: BackendAsync, Workers: 2}},
+	}
+	for _, mu := range []int{1, 8} {
+		for _, c := range cells {
+			name := fmt.Sprintf("mu=%d/%s", mu, c.name)
+			b.Run(name, func(b *testing.B) {
+				opt := LassoOptions{Lambda: tt.lambda, BlockSize: mu, S: c.s, Exec: c.exec}
+				iters, ok := tt.iters[name]
+				if !ok {
+					iters = tt.calibrate(b, opt)
+					tt.iters[name] = iters
+				}
+				opt.Iters = iters
+				reached := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					opt.Seed = uint64(1 + i%5)
+					res, err := Lasso(tt.a, tt.b, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if tt.atTarget(res.Objective) {
+						reached++
+					}
+				}
+				b.ReportMetric(float64(iters), "iters")
+				b.ReportMetric(float64(reached)/float64(b.N), "reached")
+			})
+		}
+	}
+}
+
+// timeToTarget is BenchmarkLassoTimeToTarget's problem, built once per
+// process: -count re-runs the benchmark function, not the calibration.
+type timeToTarget struct {
+	a      ColMatrix
+	b      []float64
+	lambda float64
+	fStar  float64
+	iters  map[string]int // sub-benchmark name -> calibrated count
+}
+
+var timeToTargetCache *timeToTarget
+
+func timeToTargetProblem(b *testing.B) *timeToTarget {
+	if tt := timeToTargetCache; tt != nil {
+		return tt
+	}
+	m, n := 8000, 4000
+	if testing.Short() {
+		m, n = 1000, 500
+	}
+	data := datagen.Regression("time-to-target", 1, m, n, 0.01, 40, 0.05)
+	tt := &timeToTarget{a: data.AsCSR().ToCSC(), b: data.B, iters: map[string]int{}}
+	tt.lambda = 0.1 * LambdaMaxL1(tt.a, tt.b)
+	var x []float64
+	for round := 0; ; round++ {
+		res, err := Lasso(tt.a, tt.b, LassoOptions{Lambda: tt.lambda, Iters: 20 * n, Seed: uint64(round), X0: x})
+		if err != nil {
+			b.Fatal(err)
+		}
+		x = res.X
+		r := make([]float64, m)
+		tt.a.MulVec(x, r)
+		mat.Axpy(-1, tt.b, r)
+		if LassoDualityGap(tt.a, tt.b, x, r, tt.lambda) <= 1e-10*res.Objective {
+			tt.fStar = res.Objective
+			break
+		}
+		if round == 100 {
+			b.Fatal("reference solve: duality gap not certified in 100 rounds")
+		}
+	}
+	timeToTargetCache = tt
+	return tt
+}
+
+func (tt *timeToTarget) atTarget(f float64) bool { return f-tt.fStar <= 1e-6*tt.fStar }
+
+// calibrate returns the smallest grid count at which every seed reaches
+// the target.
+func (tt *timeToTarget) calibrate(b *testing.B, opt LassoOptions) int {
+	for iters := 1000.0; iters < 1e9; iters *= 1.25 {
+		opt.Iters = int(iters)
+		all := true
+		for seed := uint64(1); seed <= 5 && all; seed++ {
+			opt.Seed = seed
+			res, err := Lasso(tt.a, tt.b, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			all = tt.atTarget(res.Objective)
+		}
+		if all {
+			return opt.Iters
+		}
+	}
+	b.Fatal("no grid count reaches the target")
+	return 0
 }

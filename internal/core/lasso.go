@@ -106,26 +106,13 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 	// No batch holds more than Iters blocks, so neither does a buffer.
 	s, muMax := max(1, min(opt.S, opt.Iters)), smp.maxBlock()
 	k := s * muMax
-	blk := &lassoBlock{a: a, g: opt.Regularizer(), smp: smp,
-		deltas:  mat.NewDense(s, muMax),
-		diagBuf: make([]float64, muMax*muMax),
-		grad:    make([]float64, muMax),
-		w:       make([]float64, muMax),
-		gv:      make([]float64, muMax),
-		eig:     make([]float64, muMax*muMax+3*muMax),
-	}
-	blk.fix, _ = blk.g.(fixer)
+	blk := &lassoBlock{blockStep: newBlockStep(opt.Regularizer(), muMax),
+		a: a, smp: smp, deltas: mat.NewDense(s, muMax)}
 	st := &LassoStepper{blk: blk}
-	blk.d = &st.Stepper
+	blk.d, blk.gram = &st.Stepper, &st.gram
 	// The iterate starts at X0 (x₀ = θ₀²·y₀ + z₀ with y₀ = 0 when
-	// accelerated) and its image at A·x₀ − b.
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	r := make([]float64, m)
-	a.MulVec(x, r)
-	mat.Axpy(-1, b, r)
+	// accelerated).
+	x, r := startIterate(a, b, opt.X0)
 	var rec recurrence
 	if opt.Accelerated {
 		acc := &accLasso{
@@ -160,6 +147,18 @@ func (st *LassoStepper) Run() (*LassoResult, error) {
 	// The objective formed the final x; forming it again would cost
 	// n + m words.
 	return &LassoResult{X: st.blk.formed, Objective: obj, History: st.blk.history, Iters: st.h}, nil
+}
+
+// startIterate returns x₀ = X0 (zero where X0 is nil) and its residual
+// image A·x₀ − b.
+func startIterate(a ColMatrix, b, x0 []float64) (x, r []float64) {
+	m, n := a.Dims()
+	x = make([]float64, n)
+	copy(x, x0)
+	r = make([]float64, m)
+	a.MulVec(x, r)
+	mat.Axpy(-1, b, r)
+	return x, r
 }
 
 // bigEta is the step size used when a sampled block has only zero

@@ -358,7 +358,8 @@ func TestHistoryTracking(t *testing.T) {
 // keeps every golden. Above λmax the zero start is optimal and every
 // block is fixed, so no step solves and X stays +0; at 0.1·λmax some
 // blocks move and some do not; the elastic net has no rule, so every
-// step solves.
+// step solves. A HOGWILD! worker takes the same block step, so one
+// async worker counts alike.
 func TestFixedBlocksSkipTheEigensolve(t *testing.T) {
 	a, b, lambda := testProblem(1)
 	var solves int
@@ -395,5 +396,15 @@ func TestFixedBlocksSkipTheEigensolve(t *testing.T) {
 				t.Errorf("acc=%v s=%d elastic net: %d eigensolves, want %d", acc, s, solves, iters)
 			}
 		}
+	}
+	one := Exec{Backend: BackendAsync, Workers: 1}
+	if solve(LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), Exec: one}); solves != 0 {
+		t.Errorf("async above λmax: %d eigensolves, want 0", solves)
+	}
+	if solve(LassoOptions{Lambda: lambda, Exec: one}); solves == 0 || solves == iters {
+		t.Errorf("async at 0.1·λmax: %d eigensolves in %d steps, want some skipped and some not", solves, iters)
+	}
+	if solve(LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, Exec: one}); solves != iters {
+		t.Errorf("async elastic net: %d eigensolves, want %d", solves, iters)
 	}
 }

@@ -24,18 +24,12 @@ import "saco/internal/mat"
 // lassoBlock is what the plain and accelerated recurrences share:
 // sampling, the batched Gram, and the proximal block update.
 type lassoBlock struct {
-	d       *Stepper
-	a       ColMatrix
-	g       Regularizer
-	fix     fixer // g's fixed-block rule; nil if it has none
-	smp     *blockSampler
-	deltas  *mat.Dense // row t: Δ of inner step t of the current batch
-	diag    mat.Dense  // re-sliced over diagBuf every inner step
-	diagBuf []float64
-	grad    []float64 // the block gradient an inner step assembles
-	w, gv   []float64
-	eig     []float64    // mat.LargestEigSymScratch's scratch
-	prods   [2][]float64 // backing of the slice local returns
+	blockStep
+	d      *Stepper
+	a      ColMatrix
+	smp    *blockSampler
+	deltas *mat.Dense   // row t: Δ of inner step t of the current batch
+	prods  [2][]float64 // backing of the slice local returns
 	// iterate returns the current x and its residual A·x − b.
 	iterate func() (x, r []float64)
 	formed  []float64 // the x the last objective evaluated
@@ -86,46 +80,83 @@ func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 }
 
 // prox finishes inner step j once l.grad holds the block gradient: the
-// step size 1/(scale·λmax) from the j-th diagonal block of the batched
-// Gram matrix (Alg. 2 lines 14–15), the proximal update of x on the
-// block, and Δ = x⁺ − x, which is kept as row j of deltas, added into x
-// and returned with the block. Only the block's upper triangle is
-// copied: it is all mat.LargestEigSymScratch reads. A block the penalty
-// proves fixed (see L1.fixed) has Δ = +0 for every step size, so it
-// skips the copy, the eigensolve and the prox: the bits are the full
-// path's. The rule reads replicated state only (x or z, and the reduced
-// Gram's products), so every rank of a distributed solve decides alike.
+// block step (take) with the j-th diagonal block of the batched Gram
+// (Alg. 2 lines 14–15), whose Δ = x⁺ − x is kept as row j of deltas,
+// added into x and returned with the block.
 func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta []float64) {
-	bt, gram := &l.d.bt, &l.d.gram
-	idx = bt.Block(j)
-	mu, off := len(idx), bt.Off[j]
+	idx = l.d.bt.Block(j)
 	// Reading the in-place-updated x yields the collision sum of eq. (4).
-	w, grad := l.w[:mu], l.grad[:mu]
-	mat.Gather(w, x, idx)
-	delta = l.deltas.Row(j)[:mu]
-	if l.fix != nil && l.fix.fixed(w, grad) {
-		clear(delta)
-	} else {
-		l.diag.R, l.diag.C, l.diag.Data = mu, mu, l.diagBuf[:mu*mu]
-		for a := 0; a < mu; a++ {
-			copy(l.diag.Row(a)[a:], gram.Data[(off+a)*gram.C+off+a:])
-		}
-		if eigsolveHook != nil {
-			eigsolveHook()
-		}
-		v := mat.LargestEigSymScratch(&l.diag, l.eig)
-		if v > 0 {
-			proxDelta(l.g, 1/(scale*v), grad, w, l.gv[:mu], delta)
-		} else {
-			proxDelta(l.g, bigEta, nil, w, l.gv[:mu], delta)
-		}
-	}
+	mat.Gather(l.w[:len(idx)], x, idx)
+	delta = l.deltas.Row(j)[:len(idx)]
+	l.take(idx, l.d.bt.Off[j], scale, delta)
 	mat.ScatterAdd(x, delta, idx)
 	return idx, delta
 }
 
+// blockStep is the proximal block update of every Lasso solver, the
+// batch recurrences' inner steps and each HOGWILD! worker alike: a step
+// of 1/(scale·λmax) of the block's Gram, then the prox (Alg. 1 and
+// Alg. 2, lines 14–15).
+type blockStep struct {
+	g   Regularizer
+	fix fixer // g's fixed-block rule; nil if it has none
+	// The block's Gram is its diagonal block of gram, a batch's reduced
+	// Gram, or, where gram is nil, cols.ColGram of the block.
+	gram *mat.Dense
+	cols ColMatrix
+	diag mat.Dense // re-sliced over diagBuf every step
+	// The caller fills w with the block's value and grad with its
+	// gradient; gv is take's scratch.
+	diagBuf, w, grad, gv []float64
+	eig                  []float64 // mat.LargestEigSymScratch's scratch
+}
+
+func newBlockStep(g Regularizer, muMax int) blockStep {
+	st := blockStep{g: g,
+		diagBuf: make([]float64, muMax*muMax),
+		w:       make([]float64, muMax),
+		grad:    make([]float64, muMax),
+		gv:      make([]float64, muMax),
+		eig:     make([]float64, muMax*muMax+3*muMax),
+	}
+	st.fix, _ = g.(fixer)
+	return st
+}
+
+// take writes the Δ of block idx, at offset off in gram, into delta. A
+// block the penalty proves fixed (see L1.fixed) has Δ = +0 for every
+// step size, so it skips the Gram, the eigensolve and the prox: the bits
+// are the full path's. The rule reads w and grad only, which a batch
+// replicates, so every rank of a distributed solve decides alike.
+func (s *blockStep) take(idx []int, off int, scale float64, delta []float64) {
+	mu := len(idx)
+	w, grad := s.w[:mu], s.grad[:mu]
+	if s.fix != nil && s.fix.fixed(w, grad) {
+		clear(delta)
+		return
+	}
+	s.diag.R, s.diag.C, s.diag.Data = mu, mu, s.diagBuf[:mu*mu]
+	if s.gram == nil {
+		s.cols.ColGram(idx, &s.diag)
+	} else {
+		// Only the upper triangle is copied: it is all
+		// mat.LargestEigSymScratch reads.
+		for a := 0; a < mu; a++ {
+			copy(s.diag.Row(a)[a:], s.gram.Data[(off+a)*s.gram.C+off+a:])
+		}
+	}
+	if eigsolveHook != nil {
+		eigsolveHook()
+	}
+	if v := mat.LargestEigSymScratch(&s.diag, s.eig); v > 0 {
+		proxDelta(s.g, 1/(scale*v), grad, w, s.gv[:mu], delta)
+	} else {
+		proxDelta(s.g, bigEta, nil, w, s.gv[:mu], delta)
+	}
+}
+
 // eigsolveHook, set only by this package's tests before a solve starts,
-// is called before every block eigensolve an inner step runs.
+// is called before every block eigensolve a step runs.
 var eigsolveHook func()
 
 // proxDelta writes Δ = prox_{η·g}(w − η·grad) − w (eq. (5)), using gv as

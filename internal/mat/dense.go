@@ -19,14 +19,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{R: r, C: c, Data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data (row-major, length r*c) without copying.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: NewDenseData length %d != %d*%d", len(data), r, c))
-	}
-	return &Dense{R: r, C: c, Data: data}
-}
-
 // At returns the element at row i, column j.
 func (a *Dense) At(i, j int) float64 { return a.Data[i*a.C+j] }
 

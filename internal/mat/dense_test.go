@@ -41,18 +41,9 @@ func TestDenseBasics(t *testing.T) {
 	}
 }
 
-func TestNewDenseDataValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad data length")
-		}
-	}()
-	NewDenseData(2, 2, []float64{1, 2, 3})
-}
-
 func TestMaxAbsDiff(t *testing.T) {
-	a := NewDenseData(1, 2, []float64{1, 2})
-	b := NewDenseData(1, 2, []float64{1.5, 2})
+	a := &Dense{R: 1, C: 2, Data: []float64{1, 2}}
+	b := &Dense{R: 1, C: 2, Data: []float64{1.5, 2}}
 	if d := MaxAbsDiff(a, b); d != 0.5 {
 		t.Fatalf("MaxAbsDiff = %v", d)
 	}

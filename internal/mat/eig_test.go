@@ -51,7 +51,7 @@ func TestLargestEigSymScalarAndEmpty(t *testing.T) {
 	if got := mat.LargestEigSym(mat.NewDense(0, 0)); got != 0 {
 		t.Fatalf("empty eig = %v", got)
 	}
-	g := mat.NewDenseData(1, 1, []float64{4.5})
+	g := &mat.Dense{R: 1, C: 1, Data: []float64{4.5}}
 	if got := mat.LargestEigSym(g); got != 4.5 {
 		t.Fatalf("1x1 eig = %v", got)
 	}
@@ -89,7 +89,7 @@ func TestLargestEigSymMatchesJacobi(t *testing.T) {
 
 func TestEigSymJacobiKnown(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 1 and 3.
-	g := mat.NewDenseData(2, 2, []float64{2, 1, 1, 2})
+	g := &mat.Dense{R: 2, C: 2, Data: []float64{2, 1, 1, 2}}
 	eig := mat.EigSymJacobi(g)
 	if !near(eig[0], 1, 1e-12) || !near(eig[1], 3, 1e-12) {
 		t.Fatalf("eig = %v, want [1 3]", eig)
@@ -322,7 +322,7 @@ func TestLargestEigSymSpecialValues(t *testing.T) {
 		{"-0", []float64{negZero, negZero, negZero, negZero}, 0},
 	} {
 		n := int(math.Sqrt(float64(len(tc.data))))
-		if got := eigForms(t, tc.name, mat.NewDenseData(n, n, tc.data)); !sameEig(got, tc.want) {
+		if got := eigForms(t, tc.name, &mat.Dense{R: n, C: n, Data: tc.data}); !sameEig(got, tc.want) {
 			t.Errorf("%s: got %v (%#x), want %v (%#x)", tc.name, got, math.Float64bits(got), tc.want, math.Float64bits(tc.want))
 		}
 	}

@@ -1,23 +1,26 @@
 #!/bin/sh
 # Negative tests for the determinism contract: plant one change of
 # summation order (or one unsound shortcut) at a time into a scratch copy
-# of the tree and assert that the package's tests fail on it within a
-# minute. Every "same bits" claim rests on the golden tables catching
-# such a change; CI runs this next to lint_mutations.sh.
+# of the tree and assert that a package's tests fail on it within a
+# minute. Every "same bits" claim rests on the golden tables and the
+# kernels' bitwise oracles catching such a change; CI runs this next to
+# lint_mutations.sh.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT INT TERM
 
-# plant <label> <file-under-tree> <perl substitution> copies the working
-# tree, applies the substitution to the file (which must change it) and
-# expects `go test` of the file's package to fail, with a test failure
-# rather than a build error, in at most 60 s.
+# plant <label> <file-under-tree> <perl substitution> [package] copies
+# the working tree, applies the substitution to the file (which must
+# change it) and expects `go test` of the package (by default the file's
+# own) to fail, with a test failure rather than a build error, in at most
+# 60 s.
 plant() {
     label=$1
     file=$2
     subst=$3
+    pkgdir=${4:-$(dirname "$file")}
     tree="$work/tree"
     rm -rf "$tree"
     mkdir -p "$tree"
@@ -28,7 +31,6 @@ plant() {
         echo "FAIL [$label]: the substitution no longer matches $file" >&2
         exit 1
     fi
-    pkgdir=$(dirname "$file")
     start=$(date +%s)
     if out=$(cd "$tree" && go test -count=1 "./$pkgdir/" 2>&1); then
         echo "FAIL [$label]: go test ./$pkgdir/ passed a tree with the mutation planted" >&2
@@ -44,7 +46,7 @@ plant() {
         echo "FAIL [$label]: caught, but only after ${took}s" >&2
         exit 1
     fi
-    echo "ok   [$label]: caught by $(printf '%s\n' "$out" | grep -m1 -- '^--- FAIL' | cut -d' ' -f3) in ${took}s"
+    echo "ok   [$label]: caught in ./$pkgdir/ by $(printf '%s\n' "$out" | grep -m1 -- '^--- FAIL' | cut -d' ' -f3) in ${took}s"
 }
 
 plant "cross-term loop reversed" internal/core/salasso.go \
@@ -58,5 +60,20 @@ plant "L1 rule without its x == 0 test" internal/core/prox.go \
 
 plant "L1 rule loosened to |g| <= 2λ" internal/core/prox.go \
     's/!\(math\.Abs\(grad\[a\]\) <= r\.Lambda\)/!(math.Abs(grad[a]) <= 2*r.Lambda)/'
+
+plant "Gram entries summed in descending index" internal/sparse/gram.go \
+    's/for _, h := range w\.hits\[:w\.nhits\] \{\n(\s*)e := node\[h\]/for q := w.nhits - 1; q >= 0; q-- {\n$1h := w.hits[q]\n$1e := node[h]/'
+
+plant "hoisted product (gatherDot) reversed" internal/sparse/loops.go \
+    's/for k, j := range idx \{\n(\s*)acc \+= val\[k\] \* x\[j\]/for k := len(idx) - 1; k >= 0; k-- {\n$1acc += val[k] * x[idx[k]]/'
+
+# Numbering the ranks from the top keeps every rank's result the same
+# sum, but at P = 3 it is v0 + (v1 + v2) instead of the binomial tree's
+# (v0 + v1) + v2. (Swapping the operands of one addition is no such
+# change: IEEE addition commutes.) The collective's oracle sees it; the
+# P = 3 dist cell of internal/core must see it too.
+allreduce='s/p, r := c\.Size\(\), c\.Rank\(\)(\n(?:.*\n){3}\s*tag := c\.collTag\(kindAllreduce\))/p, r := c.Size(), c.Size()-1-c.Rank()$1/; s/c\.Send\(r\+d, tag, data\)/c.Send(p-1-(r+d), tag, data)/; s/c\.Send\(l, tag, data\)/c.Send(p-1-l, tag, data)/; s/c\.Recv\(src, tag\)/c.Recv(p-1-src, tag)/'
+plant "allreduce association at P = 3" internal/mpi/collectives.go "$allreduce"
+plant "allreduce association at P = 3, solver pin" internal/mpi/collectives.go "$allreduce" internal/core
 
 echo "all planted mutations caught"
