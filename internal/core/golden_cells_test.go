@@ -16,7 +16,7 @@ import (
 // the two backends that thread the batch's sums differently from the
 // in-memory matrix: three simulated ranks, each reducing its row block's
 // Gram and products, and a column-major store streamed in 32-row
-// shards. The problem is golden_test.go's testProblem(1); 302
+// shards. The three ranks also run the plain solver at s = 1. The problem is golden_test.go's testProblem(1); 302
 // iterations leave a partial last batch and every track falls inside a
 // batch.
 func TestSABackendCellsGolden(t *testing.T) {
@@ -44,6 +44,20 @@ func TestSABackendCellsGolden(t *testing.T) {
 		trace = append(trace, p.Value)
 	}
 	check("dist P=3 sim", dr.Objective, dr.X, trace, [3]uint64{0x40280f1d4f80dfe7, 0x51c746c6eb9adaa0, 0xeb7150eb4100b31a})
+
+	// The same cluster runs the plain solver at s = 1: every batch still
+	// reduces its block's Gram, as no rank's own block Gram is the sum.
+	s1 := opt
+	s1.S, s1.Accelerated = 1, false
+	dr, err = dist.Lasso(a, d.B, s1, dist.Options{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace = trace[:0]
+	for _, p := range dr.Trace {
+		trace = append(trace, p.Value)
+	}
+	check("dist P=3 sim s=1", dr.Objective, dr.X, trace, [3]uint64{0x4027c4e1b8b12a6a, 0x91bb5f9b16c5c7e6, 0xdb5e26f64e4566e4})
 
 	var text bytes.Buffer
 	if err := libsvm.Write(&text, a, d.B); err != nil {
