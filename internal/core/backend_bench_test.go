@@ -130,7 +130,7 @@ func BenchmarkSolveSVMSA(b *testing.B) {
 //
 //	go test -run=NONE -bench=LassoTimeToTarget -count=10 -cpu=2 ./internal/core/
 //
-// -count repeats the whole table, so each repetition pairs the cells.
+// -count runs each cell that many times in a row.
 func BenchmarkLassoTimeToTarget(b *testing.B) {
 	tt := timeToTargetProblem(b)
 	cells := []struct {

@@ -21,11 +21,17 @@
 // the one batch driver of stepper.go: sample S blocks, compute the local
 // Gram and hoisted products, reduce, take S communication-free inner
 // steps. The classical Alg. 1/3 are that driver at S = 1 (golden_test.go
-// pins their recorded bits), not separate loops. The SA reformulations
-// only rearrange arithmetic, so with the same seed an S > 1 run reproduces
-// the classical iterate sequence up to floating-point roundoff (the
-// paper's Table III: final relative objective differences at machine
-// precision). The tests in this package verify that invariant directly.
+// pins their recorded bits), not separate loops. A Lasso at S <= 1 with
+// no Reducer has nothing to reduce and no cross term to feed, so its
+// batch computes only the hoisted products, and the block step builds a
+// block's Gram (the same ColGram of the same columns) only if the block
+// moves: a fixed block costs its gradient and its +0 scatters. Every
+// solve with a Reducer, P = 1 included, and every S > 1 solve keeps the
+// batch Gram. The SA reformulations only rearrange arithmetic, so with
+// the same seed an S > 1 run reproduces the classical iterate sequence up
+// to floating-point roundoff (the paper's Table III: final relative
+// objective differences at machine precision). The tests in this package
+// verify that invariant directly.
 //
 // The correction sums run over what can change their bits. The SVM's
 // (eq. 15) adds θ_t·b_t·G_{t,j} only for the steps t < j that moved α:
@@ -46,29 +52,33 @@
 //
 // The HOGWILD! Lasso of async.go (BackendAsync) is a different schedule
 // of the same block step (blockStep.take, fixed-block rule included) and
-// stays on a measured margin: timed to a 1e-6 relative objective at two
-// workers, it is the fastest configuration on the Lasso at µ = 1 and at
-// µ = 8. BenchmarkLassoTimeToTarget prints the Lasso table
+// has lost its measured margin: timed to a 1e-6 relative objective at two
+// workers, sequential S = 1 is the fastest configuration on the Lasso at
+// µ = 1 and at µ = 8. BenchmarkLassoTimeToTarget prints the Lasso table
 // (go test -run=NONE -bench=LassoTimeToTarget -count=10 -cpu=2
 // ./internal/core/). Each cell runs at the smallest iteration count on a
 // 1.25× grid at which all 5 sampling seeds reach the target; an op is
-// one solve, the seeds in turn, and a cell is the median of the 10
-// repetitions of the whole table on a 2-vCPU host:
+// one solve, the seeds in turn, and a cell is the median of its 10 runs
+// on a 2-vCPU host:
 //
 //	Lasso: datagen.Regression 8 000 × 4 000, density 0.01, 40 true
 //	features, σ = 0.05, λ = 0.1·λmax, 1e-6 relative objective
 //	  µ   seq S=1   seq S=16   multicore(2) S=16   async(2)
-//	  1   27.7 ms   26.1 ms    24.7 ms             15.1 ms
-//	  8   33.7 ms   67.6 ms    72.9 ms             19.7 ms
+//	  1   11.1 ms   28.5 ms    28.7 ms             17.5 ms
+//	  8   17.0 ms   66.8 ms    66.2 ms             22.1 ms
 //
-// async(2) beat seq S=1 in 10 of 10 repetitions at each µ. It needs
-// 44 408 iterations at µ = 1 against 35 527, and up to 7 % of its timed
-// solves miss a target every seed reached in calibration: the workers
-// race. While the workers kept a step of their own, which ran every
-// eigensolve, async(2) lost all 10 at each µ (47.1 against 21.3 ms at
-// µ = 1, 42.1 against 34.7 ms at µ = 8). The accelerated solver is left
-// out: its θ-schedule has no restart, and it needs about 30× the plain
-// solver's time to this target (1 010 ms at µ = 1, S = 16).
+// seq S=1 beat async(2) in 10 of 10 runs at each µ (run i against run
+// i). Async's lead had come from its lazy Gram: a worker builds only a
+// moving block's Gram, and the batch solver at S = 1 built every block's
+// until it did the same. On the same host just before that change, seq
+// S=1 took 34.1 and 42.3 ms and async(2) 14.5 and 22.4 ms, and async(2)
+// won all 10 runs at each µ. So the backend is queued for deletion
+// (ROADMAP item 7). async(2) needed 44 408 iterations at µ = 1 against
+// 35 527 (its calibration races: the run before found 35 527), and up
+// to 5.6 % of its timed solves miss a target every seed reached in
+// calibration. The accelerated solver is left out: its θ-schedule has no
+// restart, and it needs about 30× the plain solver's time to this target
+// (1 010 ms at µ = 1, S = 16).
 //
 //	SVM-L1: datagen.Classification, λ = 1, relative duality gap
 //	  shape, gap target                 seq S=1    seq S=64   async(2)

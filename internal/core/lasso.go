@@ -109,7 +109,17 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 	blk := &lassoBlock{blockStep: newBlockStep(opt.Regularizer(), muMax),
 		a: a, smp: smp, deltas: mat.NewDense(s, muMax)}
 	st := &LassoStepper{blk: blk}
-	blk.d, blk.gram = &st.Stepper, &st.gram
+	blk.d = &st.Stepper
+	// At s = 1 with nothing to reduce, the batch Gram is the one block's
+	// own and only a moving block reads it: the block step builds it
+	// with the same ColGram, after the fixed test, as a HOGWILD! worker
+	// does. A reduction needs the Gram in the batch, and so do the cross
+	// terms of s > 1.
+	if s == 1 && red == nil {
+		blk.cols = a
+	} else {
+		blk.gram = &st.gram
+	}
 	// The iterate starts at X0 (x₀ = θ₀²·y₀ + z₀ with y₀ = 0 when
 	// accelerated).
 	x, r := startIterate(a, b, opt.X0)
@@ -129,7 +139,7 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 		st.state = [][]float64{x, r}
 		blk.iterate, rec = plain.form, plain
 	}
-	st.init(rec, smp.r, red, obs, opt.Iters, s, opt.TrackEvery, muMax)
+	st.init(rec, smp.r, red, obs, opt.Iters, s, opt.TrackEvery, muMax, blk.gram != nil)
 	return st, nil
 }
 

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"saco/internal/datagen"
+	"saco/internal/libsvm"
 	"saco/internal/mat"
 	"saco/internal/sparse"
+	"saco/internal/stream"
 )
 
 // testProblem builds a small planted Lasso problem and a reasonable λ.
@@ -360,51 +364,113 @@ func TestHistoryTracking(t *testing.T) {
 // blocks move and some do not; the elastic net has no rule, so every
 // step solves. A HOGWILD! worker takes the same block step, so one
 // async worker counts alike.
+//
+// It counts the block Grams too, through gramCounter. At S ≤ 1 the
+// block step builds a block's Gram only if the block moves, one per
+// eigensolve, in memory, on two kernel workers and streamed alike; at
+// S = 16 every batch builds its Gram before any step (the cross terms
+// read it), one per batch.
 func TestFixedBlocksSkipTheEigensolve(t *testing.T) {
 	a, b, lambda := testProblem(1)
-	var solves int
+	var solves, grams int
 	eigsolveHook = func() { solves++ }
 	defer func() { eigsolveHook = nil }()
 	const iters = 200
-	solve := func(o LassoOptions) *LassoResult {
+	solve := func(a ColMatrix, o LassoOptions) *LassoResult {
 		t.Helper()
-		solves = 0
+		solves, grams = 0, 0
 		o.BlockSize, o.Iters, o.Seed = 4, iters, 11
+		if o.Exec.Backend != BackendAsync {
+			// The async backend needs the matrix's atomic kernels, so
+			// its legs count eigensolves alone.
+			a = gramCounter{a, &grams}
+		}
 		res, err := Lasso(a, b, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	for _, acc := range []bool{false, true} {
-		for _, s := range []int{1, 16} {
-			res := solve(LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), S: s, Accelerated: acc})
-			if solves != 0 {
-				t.Errorf("acc=%v s=%d above λmax: %d eigensolves, want 0", acc, s, solves)
-			}
-			for i, x := range res.X {
-				if math.Float64bits(x) != 0 {
-					t.Fatalf("acc=%v s=%d above λmax: X[%d] = %v, want +0", acc, s, i, x)
+	var text bytes.Buffer
+	if err := libsvm.Write(&text, a.(*sparse.CSC).ToCSR(), b); err != nil {
+		t.Fatal(err)
+	}
+	m, n := a.Dims()
+	ds, err := stream.Build(&text, t.TempDir(), stream.BuildOptions{BlockRows: m / 4, Features: n, Layout: stream.LayoutCSC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	forms := []struct {
+		name string
+		a    ColMatrix
+		exec Exec
+	}{
+		{"sequential", a, Exec{}},
+		{"multicore(2)", a, Exec{Backend: BackendMulticore, Workers: 2}},
+		{"streamed CSC", ds.Cols(), Exec{}},
+	}
+	for _, f := range forms {
+		for _, acc := range []bool{false, true} {
+			for _, s := range []int{0, 1, 16} {
+				name := fmt.Sprintf("%s acc=%v s=%d", f.name, acc, s)
+				wantGrams := func(what string) {
+					t.Helper()
+					want := solves
+					if s > 1 {
+						want = (iters + s - 1) / s
+					}
+					if grams != want {
+						t.Errorf("%s %s: %d block Grams with %d eigensolves, want %d", name, what, grams, solves, want)
+					}
 				}
-			}
-			solve(LassoOptions{Lambda: lambda, S: s, Accelerated: acc})
-			if solves == 0 || solves == iters {
-				t.Errorf("acc=%v s=%d at 0.1·λmax: %d eigensolves in %d steps, want some skipped and some not", acc, s, solves, iters)
-			}
-			solve(LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, S: s, Accelerated: acc})
-			if solves != iters {
-				t.Errorf("acc=%v s=%d elastic net: %d eigensolves, want %d", acc, s, solves, iters)
+				res := solve(f.a, LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), S: s, Accelerated: acc, Exec: f.exec})
+				if solves != 0 {
+					t.Errorf("%s above λmax: %d eigensolves, want 0", name, solves)
+				}
+				wantGrams("above λmax")
+				for i, x := range res.X {
+					if math.Float64bits(x) != 0 {
+						t.Fatalf("%s above λmax: X[%d] = %v, want +0", name, i, x)
+					}
+				}
+				solve(f.a, LassoOptions{Lambda: lambda, S: s, Accelerated: acc, Exec: f.exec})
+				if solves == 0 || solves == iters {
+					t.Errorf("%s at 0.1·λmax: %d eigensolves in %d steps, want some skipped and some not", name, solves, iters)
+				}
+				wantGrams("at 0.1·λmax")
+				solve(f.a, LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, S: s, Accelerated: acc, Exec: f.exec})
+				if solves != iters {
+					t.Errorf("%s elastic net: %d eigensolves, want %d", name, solves, iters)
+				}
+				wantGrams("elastic net")
 			}
 		}
 	}
 	one := Exec{Backend: BackendAsync, Workers: 1}
-	if solve(LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), Exec: one}); solves != 0 {
+	if solve(a, LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), Exec: one}); solves != 0 {
 		t.Errorf("async above λmax: %d eigensolves, want 0", solves)
 	}
-	if solve(LassoOptions{Lambda: lambda, Exec: one}); solves == 0 || solves == iters {
+	if solve(a, LassoOptions{Lambda: lambda, Exec: one}); solves == 0 || solves == iters {
 		t.Errorf("async at 0.1·λmax: %d eigensolves in %d steps, want some skipped and some not", solves, iters)
 	}
-	if solve(LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, Exec: one}); solves != iters {
+	if solve(a, LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, Exec: one}); solves != iters {
 		t.Errorf("async elastic net: %d eigensolves, want %d", solves, iters)
 	}
+}
+
+// gramCounter is a ColMatrix that counts the Grams built through it, on
+// its multicore view too.
+type gramCounter struct {
+	ColMatrix
+	n *int
+}
+
+func (c gramCounter) ColGram(cols []int, dst *mat.Dense) {
+	*c.n++
+	c.ColMatrix.ColGram(cols, dst)
+}
+
+func (c gramCounter) WithKernelWorkers(w int) any {
+	return gramCounter{c.ColMatrix.(kernelParallelizer).WithKernelWorkers(w).(ColMatrix), c.n}
 }

@@ -57,6 +57,15 @@ func (l *lassoBlock) track() (float64, error) {
 	return v, err
 }
 
+// batchGram fills the driver's Gram with the batch's (Alg. 2 line 10),
+// unless the block step builds a moving block's own (gram == nil; see
+// NewLassoStepper).
+func (l *lassoBlock) batchGram(cols []int) {
+	if l.gram != nil {
+		l.a.ColGram(cols, l.gram)
+	}
+}
+
 // cross accumulates dst[a] += scale · Σ_b G[jOff+a, tOff+b]·Δ_t[b], the
 // G_{j,t}·Δz_t terms of eqs. (3) and (5). It is called with t < j, so
 // block (j, t) lies below the diagonal; the Gram holds only its upper
@@ -80,9 +89,10 @@ func (l *lassoBlock) cross(j, t int, scale float64, dst []float64) {
 }
 
 // prox finishes inner step j once l.grad holds the block gradient: the
-// block step (take) with the j-th diagonal block of the batched Gram
-// (Alg. 2 lines 14–15), whose Δ = x⁺ − x is kept as row j of deltas,
-// added into x and returned with the block.
+// block step (take) with the j-th diagonal block of the batched Gram, or
+// the block's own where the batch holds none (Alg. 2 lines 14–15), whose
+// Δ = x⁺ − x is kept as row j of deltas, added into x and returned with
+// the block.
 func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta []float64) {
 	idx = l.d.bt.Block(j)
 	// Reading the in-place-updated x yields the collision sum of eq. (4).
@@ -186,7 +196,7 @@ type plainLasso struct {
 
 func (p *plainLasso) local() [][]float64 {
 	cols := p.d.bt.Idx
-	p.a.ColGram(cols, &p.d.gram)
+	p.batchGram(cols)
 	p.prods[0] = p.rP[:len(cols)]
 	p.a.ColTMulVec(cols, p.r, p.prods[0])
 	return p.prods[:1]
@@ -224,7 +234,7 @@ type accLasso struct {
 
 func (s *accLasso) local() [][]float64 {
 	cols := s.d.bt.Idx
-	s.a.ColGram(cols, &s.d.gram)
+	s.batchGram(cols)
 	s.prods[0], s.prods[1] = s.ytP[:len(cols)], s.ztP[:len(cols)]
 	s.a.ColTMulVec(cols, s.yt, s.prods[0])
 	s.a.ColTMulVec(cols, s.zt, s.prods[1])

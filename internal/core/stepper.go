@@ -16,7 +16,10 @@ import (
 // at s = 1 (a batch of one block), and the distributed solvers are the
 // same loop over a rank's block of A with a Reducer that sums the local
 // contributions (§III, Fig. 1: one Allreduce per outer step). With a nil
-// Reducer the block is the whole problem and nothing is packed or sent.
+// Reducer the block is the whole problem and nothing is packed or sent;
+// a Lasso at s = 1 with a nil Reducer then computes only the hoisted
+// products per batch, and its block step builds a block's Gram only if
+// the block moves.
 
 // Batch is the sampled index set of one outer step: columns of A for the
 // Lasso family, rows for the SVM.
@@ -88,8 +91,9 @@ type Observer interface {
 type recurrence interface {
 	// sample appends sb blocks to the driver's batch.
 	sample(sb int)
-	// local fills the driver's Gram with this block's contribution and
-	// returns the hoisted products, the other summands of the reduction.
+	// local fills the driver's Gram with this block's contribution (if
+	// the driver holds one) and returns the hoisted products, the other
+	// summands of the reduction.
 	local() [][]float64
 	// step runs inner step j from the reduced Gram and products alone.
 	step(j int) (moved bool)
@@ -115,15 +119,17 @@ type Stepper struct {
 	theta   float64 // acceleration parameter (accelerated Lasso only)
 	bt      Batch
 	gram    mat.Dense // re-sliced over gramBuf every batch
-	gramBuf []float64
+	gramBuf []float64 // nil where the recurrence builds no batch Gram
 }
 
-func (d *Stepper) init(rec recurrence, stream *rng.Stream, red Reducer, obs Observer, iters, s, trackEvery, maxBlock int) {
+func (d *Stepper) init(rec recurrence, stream *rng.Stream, red Reducer, obs Observer, iters, s, trackEvery, maxBlock int, batchGram bool) {
 	d.rec, d.stream, d.red, d.obs = rec, stream, red, obs
 	d.iters, d.s, d.trackEvery = iters, s, trackEvery
 	k := s * maxBlock
 	d.bt = Batch{Idx: make([]int, 0, k), Off: make([]int, 0, s+1)}
-	d.gramBuf = make([]float64, k*k)
+	if batchGram {
+		d.gramBuf = make([]float64, k*k)
+	}
 }
 
 // State returns the live solver vectors, in a fixed order per objective:
@@ -148,8 +154,10 @@ func (d *Stepper) run() error {
 		if d.obs != nil {
 			d.obs.BatchSampled(&d.bt)
 		}
-		k := len(d.bt.Idx)
-		d.gram.R, d.gram.C, d.gram.Data = k, k, d.gramBuf[:k*k]
+		if d.gramBuf != nil {
+			k := len(d.bt.Idx)
+			d.gram.R, d.gram.C, d.gram.Data = k, k, d.gramBuf[:k*k]
+		}
 		prods := d.rec.local()
 		if d.red != nil {
 			if err := d.red.SumBatch(&d.gram, prods); err != nil {

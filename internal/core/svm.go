@@ -57,7 +57,7 @@ func NewSVMStepper(a RowMatrix, b []float64, opt SVMOptions, red Reducer, obs Ob
 		}
 	}
 	st.svm, st.state, st.tol = sv, [][]float64{sv.alpha, sv.x}, opt.Tol
-	st.init(sv, rng.New(opt.Seed), red, obs, opt.Iters, s, opt.TrackEvery, 1)
+	st.init(sv, rng.New(opt.Seed), red, obs, opt.Iters, s, opt.TrackEvery, 1, true)
 	return st, nil
 }
 

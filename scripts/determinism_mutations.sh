@@ -11,26 +11,29 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT INT TERM
 
-# plant <label> <file-under-tree> <perl substitution> [package] copies
-# the working tree, applies the substitution to the file (which must
-# change it) and expects `go test` of the package (by default the file's
-# own) to fail, with a test failure rather than a build error, in at most
-# 60 s.
+# plant <label> <files-under-tree> <perl substitution> [package] copies
+# the working tree, applies the substitution to each of the
+# space-separated files (which must change every one of them) and
+# expects `go test` of the package (by default the first file's own) to
+# fail, with a test failure rather than a build error, in at most 60 s.
 plant() {
     label=$1
-    file=$2
+    files=$2
     subst=$3
-    pkgdir=${4:-$(dirname "$file")}
+    first=${files%% *}
+    pkgdir=${4:-$(dirname "$first")}
     tree="$work/tree"
     rm -rf "$tree"
     mkdir -p "$tree"
     (cd "$root" && tar cf - ./go.mod ./internal ./cmd) | (cd "$tree" && tar xf -)
-    cp "$tree/$file" "$work/orig.go"
-    perl -0pi -e "$subst" "$tree/$file"
-    if cmp -s "$tree/$file" "$work/orig.go"; then
-        echo "FAIL [$label]: the substitution no longer matches $file" >&2
-        exit 1
-    fi
+    for file in $files; do
+        cp "$tree/$file" "$work/orig.go"
+        perl -0pi -e "$subst" "$tree/$file"
+        if cmp -s "$tree/$file" "$work/orig.go"; then
+            echo "FAIL [$label]: the substitution no longer matches $file" >&2
+            exit 1
+        fi
+    done
     start=$(date +%s)
     if out=$(cd "$tree" && go test -count=1 "./$pkgdir/" 2>&1); then
         echo "FAIL [$label]: go test ./$pkgdir/ passed a tree with the mutation planted" >&2
@@ -60,6 +63,21 @@ plant "L1 rule without its x == 0 test" internal/core/prox.go \
 
 plant "L1 rule loosened to |g| <= 2λ" internal/core/prox.go \
     's/!\(math\.Abs\(grad\[a\]\) <= r\.Lambda\)/!(math.Abs(grad[a]) <= 2*r.Lambda)/'
+
+# A Lasso at s = 1 with no Reducer builds a block's Gram in the block
+# step, and only for a moving block. Skipping the batch's Gram while the
+# step still reads the batch buffer leaves every step the zero Gram: the
+# S <= 1 goldens must see it.
+plant "s = 1 batch skips its Gram, the step reads the batch" "internal/core/lasso.go internal/core/salasso.go" \
+    's/if s == 1 && red == nil \{/if false {/; s/if l\.gram != nil \{/if l.d.s > 1 {/'
+
+# Under a Reducer the Gram must travel in the batch: a rank's own block
+# Gram is not the reduced one once P > 1. The P = 3, s = 1 dist cell of
+# internal/core pins it too.
+plant "s = 1 block Gram built locally under a Reducer" internal/core/lasso.go \
+    's/if s == 1 && red == nil \{/if s == 1 {/' internal/dist
+plant "s = 1 block Gram built locally under a Reducer, solver pin" internal/core/lasso.go \
+    's/if s == 1 && red == nil \{/if s == 1 {/' internal/core
 
 plant "Gram entries summed in descending index" internal/sparse/gram.go \
     's/for _, h := range w\.hits\[:w\.nhits\] \{\n(\s*)e := node\[h\]/for q := w.nhits - 1; q >= 0; q-- {\n$1h := w.hits[q]\n$1e := node[h]/'
