@@ -62,8 +62,8 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.simP, "simulate", 0, "run on a distributed cluster with this many ranks (0 = local)")
 	fs.StringVar(&o.transport, "transport", "sim", "-simulate only: rank transport, sim (in-process simulated world) or tcp (real loopback TCP mesh; trajectories are bitwise identical)")
 	fs.IntVar(&o.rankW, "rank-workers", 0, "-simulate only: per-rank core budget for hybrid rank x thread execution (0/1 = flat MPI)")
-	fs.StringVar(&o.backend, "backend", "sequential", "local, in-memory solves: sequential, multicore or async (plain lasso only)")
-	fs.IntVar(&o.workers, "workers", 0, "width of -backend multicore|async (0 or -1 = all cores); a usage error with the sequential backend")
+	fs.StringVar(&o.backend, "backend", "sequential", "local, in-memory solves: sequential or multicore")
+	fs.IntVar(&o.workers, "workers", 0, "width of -backend multicore (0 or -1 = all cores); a usage error with the sequential backend")
 	fs.BoolVar(&o.streaming, "stream", false, "solve out of core: spill the dataset to row-block shards and stream them (bounded memory)")
 	fs.IntVar(&o.blockRows, "block-rows", 8192, "streaming: rows per shard")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "streaming: shard cache directory (reused if it holds a manifest; default: a temp dir removed on exit)")
@@ -111,16 +111,8 @@ func (o *options) solve(stdout io.Writer) (err error) {
 		return cli.Usagef("-rank-workers %d needs -simulate P: a local solve has no ranks (use -backend multicore -workers)", o.rankW)
 	case !local && exec.Backend != saco.BackendSequential:
 		return cli.Usagef("-simulate runs its ranks on sequential kernels; drop -backend %s (-rank-workers gives each rank threads)", o.backend)
-	case o.Task == "svm" && exec.Backend == saco.BackendAsync:
-		return cli.Usagef("-backend async runs only the plain Lasso; drop it from -task svm")
-	case o.Accel && exec.Backend == saco.BackendAsync:
-		return cli.Usagef("-backend async runs only the plain Lasso; drop -accel or -backend async")
-	case o.S != 1 && exec.Backend == saco.BackendAsync:
-		return cli.Usagef("-s %d: -backend async has no synchronization to avoid and unrolls nothing; drop -s or -backend async", o.S)
-	case o.Track != 0 && exec.Backend == saco.BackendAsync:
-		return cli.Usagef("-track %d: -backend async evaluates the objective only after its workers join; drop -track or -backend async", o.Track)
 	case o.streaming && exec.Backend != saco.BackendSequential:
-		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no kernel workers or atomic kernels); drop -backend %s", o.backend)
+		return cli.Usagef("-stream runs the solver sequentially (streamed shards have no kernel workers); drop -backend %s", o.backend)
 	}
 
 	if o.cpuProf != "" {
@@ -293,21 +285,19 @@ func (o *options) openStream(stdout io.Writer, dir string) (*saco.StreamDataset,
 }
 
 // resolveBackend maps the -backend/-workers pair onto an Exec. -workers
-// is the width of the multicore and async backends only: setting it with
+// is the width of the multicore backend only: setting it with
 // the sequential backend is refused rather than silently ignored.
 func resolveBackend(backend string, workers int) (saco.Exec, error) {
 	switch backend {
 	case "sequential":
 		if workers != 0 {
-			return saco.Exec{}, cli.Usagef("-workers %d needs a parallel backend: add -backend multicore (or async)", workers)
+			return saco.Exec{}, cli.Usagef("-workers %d needs a parallel backend: add -backend multicore", workers)
 		}
 		return saco.Exec{}, nil
 	case "multicore":
 		return saco.Multicore(workers), nil
-	case "async":
-		return saco.Async(workers), nil
 	default:
-		return saco.Exec{}, cli.Usagef("unknown backend %q (sequential, multicore, async)", backend)
+		return saco.Exec{}, cli.Usagef("unknown backend %q (sequential, multicore)", backend)
 	}
 }
 

@@ -96,16 +96,6 @@ func TestUnknownMachineExitsWithUsage(t *testing.T) {
 	}
 }
 
-func TestStreamRejectsAsync(t *testing.T) {
-	code, _, stderr := runCLI(t, "-data", "x.svm", "-stream", "-backend", "async")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-stream") {
-		t.Fatalf("stderr %q lacks the stream/async conflict", stderr)
-	}
-}
-
 // TestEveryFlagHasOneMeaning: a flag combination that would silently
 // ignore one of its flags is a usage error naming both.
 func TestEveryFlagHasOneMeaning(t *testing.T) {
@@ -118,13 +108,8 @@ func TestEveryFlagHasOneMeaning(t *testing.T) {
 		{[]string{"-transport", "tcp"}, []string{"-transport tcp", "-simulate"}},
 		{[]string{"-rank-workers", "2"}, []string{"-rank-workers 2", "-simulate"}},
 		{[]string{"-simulate", "2", "-backend", "multicore"}, []string{"-simulate", "-backend multicore"}},
-		{[]string{"-simulate", "2", "-backend", "async", "-workers", "2"}, []string{"-simulate", "-backend async"}},
 		{[]string{"-stream", "-backend", "multicore"}, []string{"-stream", "-backend multicore"}},
-		{[]string{"-task", "svm", "-backend", "async"}, []string{"-task svm", "-backend async"}},
-		{[]string{"-task", "lasso", "-backend", "async", "-accel"}, []string{"-accel", "-backend async"}},
-		{[]string{"-task", "lasso", "-backend", "async", "-s", "64"}, []string{"-s 64", "-backend async"}},
-		{[]string{"-task", "lasso", "-backend", "async", "-s", "100000", "-mu", "3"}, []string{"-s 100000", "-backend async"}},
-		{[]string{"-task", "lasso", "-backend", "async", "-track", "500"}, []string{"-track 500", "-backend async"}},
+		{[]string{"-task", "lasso", "-backend", "async"}, []string{`unknown backend "async"`}},
 		{[]string{"-task", "lasso", "-tol", "0.5"}, []string{"-tol", "-task lasso"}},
 		{[]string{"-task", "lasso", "-lambda", "2"}, []string{"-lambda", "-task lasso"}},
 		{[]string{"-task", "lasso", "-loss", "l2"}, []string{"-loss", "-task lasso"}},
@@ -294,10 +279,7 @@ func TestNonFiniteLambdaExitsOne(t *testing.T) {
 		{[]string{"-task", "svm", "-lambda", "inf"}, "got +Inf"},
 	}
 	for _, c := range cases {
-		for _, extra := range [][]string{nil, {"-simulate", "2"}, {"-stream"}, {"-backend", "async"}} {
-			if c.args[1] == "svm" && len(extra) == 2 && extra[1] == "async" {
-				continue // async runs only the plain Lasso: a usage error
-			}
+		for _, extra := range [][]string{nil, {"-simulate", "2"}, {"-stream"}} {
 			args := append(append([]string{"-data", path, "-iters", "20"}, c.args...), extra...)
 			code, stderr := runWithin(t, 10*time.Second, args...)
 			if code != 1 || !strings.Contains(stderr, "core: Lambda must be finite") || !strings.Contains(stderr, c.got) {
@@ -485,7 +467,7 @@ func TestBinaryModelOutput(t *testing.T) {
 }
 
 // TestWorkersIsTheParallelWidth: -workers means one thing, the width of
-// -backend multicore|async. Alone it is refused with the fix, not run
+// -backend multicore. Alone it is refused with the fix, not run
 // sequentially; with the multicore backend the solve is bitwise the
 // sequential one.
 func TestWorkersIsTheParallelWidth(t *testing.T) {

@@ -50,11 +50,11 @@ func BenchmarkSolveLassoSA(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalBackends exercises all three local backends end to end
-// on one short Lasso solve, and the two that run it on one short SVM
-// solve. CI runs it at one iteration as the fork-join smoke gate: a
-// regression in the work rule, the multicore kernels or the async
-// solver fails here before it can hide behind the figure harness.
+// BenchmarkLocalBackends exercises both local backends end to end on one
+// short Lasso and one short SVM solve. CI runs it at one iteration as
+// the fork-join smoke gate: a regression in the work rule or the
+// multicore kernels fails here before it can hide behind the figure
+// harness.
 func BenchmarkLocalBackends(b *testing.B) {
 	m, n := 2000, 600
 	if testing.Short() {
@@ -68,7 +68,6 @@ func BenchmarkLocalBackends(b *testing.B) {
 	backends := []Exec{
 		{Backend: BackendSequential},
 		{Backend: BackendMulticore, Workers: 4},
-		{Backend: BackendAsync, Workers: 4},
 	}
 	for _, e := range backends {
 		b.Run("lasso/"+e.Backend.String(), func(b *testing.B) {
@@ -80,9 +79,6 @@ func BenchmarkLocalBackends(b *testing.B) {
 				}
 			}
 		})
-		if e.Backend == BackendAsync {
-			continue // async runs only the plain Lasso
-		}
 		b.Run("svm/"+e.Backend.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := SVM(rows, cls.B, SVMOptions{
@@ -120,13 +116,13 @@ func BenchmarkSolveSVMSA(b *testing.B) {
 }
 
 // BenchmarkLassoTimeToTarget is doc.go's time-to-target table: each
-// configuration solves the plain Lasso to a 1e-6 relative objective at
+// configuration solves the Lasso to a 1e-6 relative objective at
 // the smallest iteration count, on a 1.25× grid from 1 000, at which all
 // five sampling seeds reach it (found once per process, untimed). An op
 // is one solve, the seeds taken in turn; "iters" is the count and
-// "reached" the share of timed solves that met the target (async runs
-// race, so it may fall below 1). The reference optimum is a sequential
-// solve whose duality gap certifies it to 1e-10 relative. Run as
+// "reached" the share of timed solves that met the target. The
+// reference optimum is a sequential solve whose duality gap certifies it
+// to 1e-10 relative. Run as
 //
 //	go test -run=NONE -bench=LassoTimeToTarget -count=10 -cpu=2 ./internal/core/
 //
@@ -134,20 +130,21 @@ func BenchmarkSolveSVMSA(b *testing.B) {
 func BenchmarkLassoTimeToTarget(b *testing.B) {
 	tt := timeToTargetProblem(b)
 	cells := []struct {
-		name string
-		s    int
-		exec Exec
+		name  string
+		s     int
+		exec  Exec
+		accel bool
 	}{
-		{"seq-S1", 1, Exec{}},
-		{"seq-S16", 16, Exec{}},
-		{"multicore2-S16", 16, Exec{Backend: BackendMulticore, Workers: 2}},
-		{"async2", 1, Exec{Backend: BackendAsync, Workers: 2}},
+		{"seq-S1", 1, Exec{}, false},
+		{"seq-S16", 16, Exec{}, false},
+		{"multicore2-S16", 16, Exec{Backend: BackendMulticore, Workers: 2}, false},
+		{"accel-S16", 16, Exec{}, true},
 	}
 	for _, mu := range []int{1, 8} {
 		for _, c := range cells {
 			name := fmt.Sprintf("mu=%d/%s", mu, c.name)
 			b.Run(name, func(b *testing.B) {
-				opt := LassoOptions{Lambda: tt.lambda, BlockSize: mu, S: c.s, Exec: c.exec}
+				opt := LassoOptions{Lambda: tt.lambda, BlockSize: mu, S: c.s, Exec: c.exec, Accelerated: c.accel}
 				iters, ok := tt.iters[name]
 				if !ok {
 					iters = tt.calibrate(b, opt)

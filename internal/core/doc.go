@@ -50,47 +50,41 @@
 // one Allreduce, its Observer charges the costs of Table I, stamps the
 // trace and checkpoints. Lasso and SVM here are the loop with both nil.
 //
-// The HOGWILD! Lasso of async.go (BackendAsync) is a different schedule
-// of the same block step (blockStep.take, fixed-block rule included) and
-// has lost its measured margin: timed to a 1e-6 relative objective at two
-// workers, sequential S = 1 is the fastest configuration on the Lasso at
-// µ = 1 and at µ = 8. BenchmarkLassoTimeToTarget prints the Lasso table
-// (go test -run=NONE -bench=LassoTimeToTarget -count=10 -cpu=2
-// ./internal/core/). Each cell runs at the smallest iteration count on a
-// 1.25× grid at which all 5 sampling seeds reach the target; an op is
-// one solve, the seeds in turn, and a cell is the median of its 10 runs
-// on a 2-vCPU host:
+// There is no lock-free (HOGWILD!) schedule of the block step: it was
+// kept only while it won a measurement and deleted once it stopped.
+// Timed to a 1e-6 relative Lasso objective at two workers, sequential
+// S = 1 beat async(2) in 10 of 10 runs at µ = 1 and at µ = 8 (11.1
+// against 17.5 ms, 17.0 against 22.1 ms), its calibration raced (35 527
+// and 44 408 iterations for one cell in two processes), and on SVM-L1 it
+// beat the best sequential configuration by more than that
+// configuration's IQR in at most 1 of 10 alternating pairs per cell,
+// while using two cores. Every local execution mode is therefore
+// bitwise-deterministic.
+//
+// BenchmarkLassoTimeToTarget prints the Lasso table (go test -run=NONE
+// -bench=LassoTimeToTarget -count=10 -cpu=2 ./internal/core/). Each cell
+// runs at the smallest iteration count on a 1.25× grid at which all 5
+// sampling seeds reach the target; an op is one solve, the seeds in
+// turn, and a cell is the median of its 10 runs on a 2-vCPU host:
 //
 //	Lasso: datagen.Regression 8 000 × 4 000, density 0.01, 40 true
 //	features, σ = 0.05, λ = 0.1·λmax, 1e-6 relative objective
-//	  µ   seq S=1   seq S=16   multicore(2) S=16   async(2)
-//	  1   11.1 ms   28.5 ms    28.7 ms             17.5 ms
-//	  8   17.0 ms   66.8 ms    66.2 ms             22.1 ms
+//	  µ   seq S=1   seq S=16   multicore(2) S=16   accel S=16
+//	  1   7.4 ms    18.1 ms    17.2 ms             120.5 ms
+//	  8   11.7 ms   49.1 ms    51.2 ms             210.2 ms
 //
-// seq S=1 beat async(2) in 10 of 10 runs at each µ (run i against run
-// i). Async's lead had come from its lazy Gram: a worker builds only a
-// moving block's Gram, and the batch solver at S = 1 built every block's
-// until it did the same. On the same host just before that change, seq
-// S=1 took 34.1 and 42.3 ms and async(2) 14.5 and 22.4 ms, and async(2)
-// won all 10 runs at each µ. So the backend is queued for deletion
-// (ROADMAP item 7). async(2) needed 44 408 iterations at µ = 1 against
-// 35 527 (its calibration races: the run before found 35 527), and up
-// to 5.6 % of its timed solves miss a target every seed reached in
-// calibration. The accelerated solver is left out: its θ-schedule has no
-// restart, and it needs about 30× the plain solver's time to this target
-// (1 010 ms at µ = 1, S = 16).
+// The accelerated solver needs 211 758 iterations at µ = 1 and 28 421 at
+// µ = 8 against the plain solver's 35 527 and 7 450: its θ-schedule has
+// no restart, so at S = 16 it takes 6.7× and 4.3× the plain solver's
+// time to this target (ROADMAP item 22).
 //
 //	SVM-L1: datagen.Classification, λ = 1, relative duality gap
-//	  shape, gap target                 seq S=1    seq S=64   async(2)
-//	  8 000 × 4 000 (0.01), 1e-2        730 ms     763 ms     1 044 ms
-//	  8 000 × 4 000 (0.01), 1e-3        1 890 ms   1 666 ms   2 155 ms
-//	  16 384 × 8 192 (0.005), 1e-2      2 262 ms   1 819 ms   2 293 ms
-//	  16 384 × 8 192 (0.005), 1e-3      5 688 ms   4 266 ms   4 596 ms
+//	  shape, gap target                 seq S=1    seq S=64
+//	  8 000 × 4 000 (0.01), 1e-2        730 ms     763 ms
+//	  8 000 × 4 000 (0.01), 1e-3        1 890 ms   1 666 ms
+//	  16 384 × 8 192 (0.005), 1e-2      2 262 ms   1 819 ms
+//	  16 384 × 8 192 (0.005), 1e-3      5 688 ms   4 266 ms
 //
-// On SVM-L1, timed the same way before the async SVM was deleted (a
-// cell being the median of the 5 seeds), async beat the best sequential
-// configuration by more than that configuration's IQR in at most 1 of
-// 10 alternating pairs per cell, while using two cores, so the async
-// SVM was deleted. The accelerated async method of Zhou, So & Cheng 2021
-// (PAPERS.md) is still open; BackendAsync refuses acceleration.
+// The SVM cells were timed the same way by a program outside the repo,
+// a cell being the median of the 5 seeds.
 package core

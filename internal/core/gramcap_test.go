@@ -45,10 +45,6 @@ func TestGramCapRefused(t *testing.T) {
 			_, err := core.Lasso(cols, reg.B, core.LassoOptions{Iters: 100000, S: 100000, BlockSize: 3})
 			return err
 		}, 100000, 3, 300000},
-		{"lasso async", func() error {
-			_, err := core.Lasso(cols, reg.B, core.LassoOptions{Iters: 100000, S: 100000, BlockSize: 3, Exec: core.Exec{Backend: core.BackendAsync, Workers: 2}})
-			return err
-		}, 100000, 3, 300000},
 		{"dist lasso P=2", func() error {
 			_, err := dist.Lasso(reg.AsCSR(), reg.B, core.LassoOptions{Iters: 100000, S: 100000, BlockSize: 3}, dist.Options{P: 2})
 			return err

@@ -12,7 +12,7 @@ import (
 )
 
 // TestNonFiniteLambdaRefused: a NaN or ±Inf λ is refused up front by
-// every solver — Lasso (sequential, async, distributed at P = 2) and
+// every solver — Lasso (sequential, distributed at P = 2) and
 // both SVM losses (sequential, distributed at P = 2) — with an error
 // naming the value, never a solve that reports a NaN objective or gap.
 func TestNonFiniteLambdaRefused(t *testing.T) {
@@ -23,10 +23,6 @@ func TestNonFiniteLambdaRefused(t *testing.T) {
 	solvers := map[string]solve{
 		"lasso": func(l float64) error {
 			_, err := core.Lasso(cols, reg.B, core.LassoOptions{Lambda: l, Iters: 10})
-			return err
-		},
-		"lasso async": func(l float64) error {
-			_, err := core.Lasso(cols, reg.B, core.LassoOptions{Lambda: l, Iters: 10, Exec: core.Exec{Backend: core.BackendAsync, Workers: 2}})
 			return err
 		},
 		"dist lasso P=2": func(l float64) error {

@@ -13,16 +13,6 @@ import (
 // classical Alg. 1 being its S <= 1 case, so SA and classical runs with
 // equal seeds produce the same iterate sequence in exact arithmetic.
 func Lasso(a ColMatrix, b []float64, opt LassoOptions) (*LassoResult, error) {
-	if opt.Exec.Backend == BackendAsync {
-		// Lock-free HOGWILD! execution: S is moot (there is no
-		// synchronization left to avoid) and TrackEvery is skipped — see
-		// async.go for the contract.
-		m, n := a.Dims()
-		if err := opt.Validate(m, n, len(b)); err != nil {
-			return nil, err
-		}
-		return lassoAsync(a, b, opt)
-	}
 	st, err := NewLassoStepper(execCol(a, opt.Exec), b, opt, nil, nil)
 	if err != nil {
 		return nil, err
@@ -112,9 +102,8 @@ func NewLassoStepper(a ColMatrix, b []float64, opt LassoOptions, red Reducer, ob
 	blk.d = &st.Stepper
 	// At s = 1 with nothing to reduce, the batch Gram is the one block's
 	// own and only a moving block reads it: the block step builds it
-	// with the same ColGram, after the fixed test, as a HOGWILD! worker
-	// does. A reduction needs the Gram in the batch, and so do the cross
-	// terms of s > 1.
+	// with the same ColGram, after the fixed test. A reduction needs the
+	// Gram in the batch, and so do the cross terms of s > 1.
 	if s == 1 && red == nil {
 		blk.cols = a
 	} else {

@@ -362,8 +362,7 @@ func TestHistoryTracking(t *testing.T) {
 // keeps every golden. Above λmax the zero start is optimal and every
 // block is fixed, so no step solves and X stays +0; at 0.1·λmax some
 // blocks move and some do not; the elastic net has no rule, so every
-// step solves. A HOGWILD! worker takes the same block step, so one
-// async worker counts alike.
+// step solves.
 //
 // It counts the block Grams too, through gramCounter. At S ≤ 1 the
 // block step builds a block's Gram only if the block moves, one per
@@ -380,12 +379,7 @@ func TestFixedBlocksSkipTheEigensolve(t *testing.T) {
 		t.Helper()
 		solves, grams = 0, 0
 		o.BlockSize, o.Iters, o.Seed = 4, iters, 11
-		if o.Exec.Backend != BackendAsync {
-			// The async backend needs the matrix's atomic kernels, so
-			// its legs count eigensolves alone.
-			a = gramCounter{a, &grams}
-		}
-		res, err := Lasso(a, b, o)
+		res, err := Lasso(gramCounter{a, &grams}, b, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,16 +440,6 @@ func TestFixedBlocksSkipTheEigensolve(t *testing.T) {
 				wantGrams("elastic net")
 			}
 		}
-	}
-	one := Exec{Backend: BackendAsync, Workers: 1}
-	if solve(a, LassoOptions{Lambda: 2 * LambdaMaxL1(a, b), Exec: one}); solves != 0 {
-		t.Errorf("async above λmax: %d eigensolves, want 0", solves)
-	}
-	if solve(a, LassoOptions{Lambda: lambda, Exec: one}); solves == 0 || solves == iters {
-		t.Errorf("async at 0.1·λmax: %d eigensolves in %d steps, want some skipped and some not", solves, iters)
-	}
-	if solve(a, LassoOptions{Reg: ElasticNet{Lambda: lambda, Alpha: 0.5}, Exec: one}); solves != iters {
-		t.Errorf("async elastic net: %d eigensolves, want %d", solves, iters)
 	}
 }
 

@@ -8,12 +8,6 @@ import (
 
 var inf = math.Inf(1)
 
-// LassoObjective returns ½‖res‖² + g(x) given the residual res = A·x − b.
-// The paper's Fig. 2 convergence metric.
-func LassoObjective(res, x []float64, g Regularizer) float64 {
-	return 0.5*mat.Nrm2Sq(0, res) + g.Value(x)
-}
-
 // svmPrimal returns P(x) = ½‖x‖² + λ·Σ loss(1 − bᵢ·marginᵢ) for the
 // given margins A·x.
 func svmPrimal(margins, b []float64, lambda float64, loss SVMLoss) float64 {

@@ -43,10 +43,7 @@ type LassoOptions struct {
 	X0 []float64
 	// Exec selects the execution backend of the solve: sequential by
 	// default; BackendMulticore forks the batched Gram and product
-	// kernels across shared-memory executors without changing iterates;
-	// BackendAsync runs lock-free HOGWILD!-style solver workers on the
-	// plain Lasso (convergent but not deterministic; TrackEvery is
-	// skipped).
+	// kernels across shared-memory executors without changing iterates.
 	Exec Exec
 }
 
@@ -231,7 +228,6 @@ type SVMOptions struct {
 	// Exec selects the execution backend of the solve: sequential by
 	// default; BackendMulticore forks the batched Gram and product
 	// kernels across shared-memory executors without changing iterates.
-	// BackendAsync is refused: it runs only the plain Lasso.
 	Exec Exec
 }
 

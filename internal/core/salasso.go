@@ -103,8 +103,7 @@ func (l *lassoBlock) prox(j int, x []float64, scale float64) (idx []int, delta [
 	return idx, delta
 }
 
-// blockStep is the proximal block update of every Lasso solver, the
-// batch recurrences' inner steps and each HOGWILD! worker alike: a step
+// blockStep is the proximal block update of both Lasso recurrences: a step
 // of 1/(scale·λmax) of the block's Gram, then the prox (Alg. 1 and
 // Alg. 2, lines 14–15).
 type blockStep struct {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"saco/internal/mat"
 	"saco/internal/rng"
 )
@@ -13,9 +11,6 @@ import (
 // vector x, the dual solution α, and the duality gap — the convergence
 // certificate of Fig. 5.
 func SVM(a RowMatrix, b []float64, opt SVMOptions) (*SVMResult, error) {
-	if opt.Exec.Backend == BackendAsync {
-		return nil, errors.New("core: BackendAsync runs only the plain Lasso; solve the SVM on the sequential or multicore backend")
-	}
 	st, err := NewSVMStepper(execRow(a, opt.Exec), b, opt, nil, nil)
 	if err != nil {
 		return nil, err

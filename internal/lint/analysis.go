@@ -64,9 +64,8 @@ func (d Diagnostic) String() string {
 // inspectStack walks every file, calling fn with each node and the
 // stack of its ancestors (outermost first, not including n). If fn
 // returns false the node's children are skipped. Several analyzers
-// need ancestry (is this index expression an argument of a sync/atomic
-// call? is this call statement-discarded?), which plain ast.Inspect
-// does not provide.
+// need ancestry (is this call statement-discarded?), which plain
+// ast.Inspect does not provide.
 func inspectStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
 	for _, f := range files {

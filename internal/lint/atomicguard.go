@@ -9,12 +9,10 @@ import (
 
 // guardedField is a struct field documented atomic-only. Any selector
 // access outside its home file is a violation (the home file holds the
-// audited accessor methods); when atomicElems is set, even the home
-// file may only index the field underneath a sync/atomic call.
+// audited accessor methods).
 type guardedField struct {
 	pkg, typ, field string
 	home            string
-	atomicElems     bool
 	why             string
 }
 
@@ -22,11 +20,6 @@ type guardedField struct {
 // one of the -race CI gates proves at runtime; this analyzer keeps new
 // code from ever reaching those gates with a plain load or store.
 var guardedFields = []guardedField{
-	{
-		pkg: "saco/internal/mat", typ: "AtomicVec", field: "bits",
-		home: "atomic.go", atomicElems: true,
-		why: "the HOGWILD shared iterate: every element access must be a sync/atomic op or updates tear",
-	},
 	{
 		pkg: "saco/internal/serve", typ: "Registry", field: "cur",
 		home: "registry.go",
@@ -77,7 +70,7 @@ var readOnlyFields = []readOnlyField{
 // AtomicGuard enforces the registry above.
 var AtomicGuard = &Analyzer{
 	Name: "atomicguard",
-	Doc: "flags direct loads/stores of fields documented atomic-only (mat.AtomicVec storage, " +
+	Doc: "flags direct loads/stores of fields documented atomic-only (" +
 		"the serve registry model pointer, the shard ring pointer, metrics histogram counters, " +
 		"the sparse CSR's row-block memo) and element stores into " +
 		"the sparse CSR and CSC arrays outside internal/sparse",
@@ -85,7 +78,7 @@ var AtomicGuard = &Analyzer{
 }
 
 func runAtomicGuard(pass *Pass) error {
-	inspectStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
+	inspectStack(pass.Files, func(n ast.Node, _ []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -108,15 +101,10 @@ func runAtomicGuard(pass *Pass) error {
 		if !ok {
 			return true
 		}
-		file := filepath.Base(pass.Fset.Position(sel.Pos()).Filename)
-		if file != g.home {
+		if filepath.Base(pass.Fset.Position(sel.Pos()).Filename) != g.home {
 			pass.Report(sel.Pos(),
 				"direct access to %s.%s.%s outside its home file %s: %s — use the accessor methods",
 				g.pkg, g.typ, g.field, g.home, g.why)
-			return true
-		}
-		if g.atomicElems {
-			checkAtomicIndex(pass, sel, g, stack)
 		}
 		return true
 	})
@@ -186,46 +174,4 @@ func checkElemStore(pass *Pass, dst ast.Expr, copyDst bool) {
 			return
 		}
 	}
-}
-
-// checkAtomicIndex enforces the in-home rule for atomicElems fields:
-// indexing the backing slice is legal only as &field[i] passed straight
-// to a sync/atomic function. Ranging for the index, len/cap, and
-// whole-slice (re)assignment stay legal — they touch structure, not
-// elements.
-func checkAtomicIndex(pass *Pass, sel *ast.SelectorExpr, g guardedField, stack []ast.Node) {
-	if len(stack) == 0 {
-		return
-	}
-	idx, ok := stack[len(stack)-1].(*ast.IndexExpr)
-	if !ok || idx.X != sel {
-		return
-	}
-	// Expect ... CallExpr(sync/atomic) -> UnaryExpr(&) -> IndexExpr.
-	if len(stack) >= 3 {
-		if amp, ok := stack[len(stack)-2].(*ast.UnaryExpr); ok && amp.X == idx {
-			if call, ok := stack[len(stack)-3].(*ast.CallExpr); ok {
-				if fn, ok := callPkgFunc(pass, call); ok && fn.Pkg().Path() == "sync/atomic" {
-					return
-				}
-			}
-		}
-	}
-	pass.Report(idx.Pos(),
-		"non-atomic element access to %s.%s: %s — wrap it in a sync/atomic operation",
-		g.typ, g.field, g.why)
-}
-
-// callPkgFunc returns the package-level function a call selects, if
-// its callee is pkg.Func.
-func callPkgFunc(pass *Pass, call *ast.CallExpr) (*types.Func, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil, false
-	}
-	return fn, true
 }

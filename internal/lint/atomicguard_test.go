@@ -7,14 +7,6 @@ import (
 	"saco/internal/lint/linttest"
 )
 
-// The field rules, with the fixture masquerading as saco/internal/mat
-// so its AtomicVec is the guarded type: home-file access is legal only
-// underneath sync/atomic, any other file may not touch the field at
-// all.
-func TestAtomicGuardFields(t *testing.T) {
-	linttest.Run(t, lint.AtomicGuard, "testdata/atomicguard/mat", "saco/internal/mat")
-}
-
 // The metrics histogram counters: the audited accessors in histogram.go
 // touch them freely (the cells are atomics themselves); any other file
 // is out of contract even for structural peeks.
@@ -44,7 +36,6 @@ func TestAtomicGuardReadOnly(t *testing.T) {
 // The registry keys on the real package paths: the same shapes in an
 // unrelated package define their own unguarded types and are clean.
 func TestAtomicGuardScope(t *testing.T) {
-	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/mat", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/metrics", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/shardring", "saco/internal/core")
 	linttest.RunClean(t, lint.AtomicGuard, "testdata/atomicguard/rowmemo", "saco/internal/core")

@@ -1,7 +1,7 @@
 // Package lint is the repository's static-analysis suite: it turns the
 // ROADMAP's backend-matrix contract — bitwise-deterministic
-// trajectories, tolerance-convergent HOGWILD, no-torn-read serving,
-// error-checked transports — from prose into machine-checked law.
+// trajectories, no-torn-read serving, error-checked transports — from
+// prose into machine-checked law.
 //
 // The suite ships five analyzers, each enforcing one invariant the
 // runtime tests assert only by example:
@@ -23,13 +23,12 @@
 //     file Close/Sync in the streaming/IO packages and the CLIs. PR 6
 //     made these error-return for a reason.
 //   - atomicguard: direct access to fields documented atomic-only
-//     (mat.AtomicVec's bit storage, the serve registry's model pointer,
-//     the shard ring pointer, the metrics histogram counters, the
-//     sparse CSR's row-block memo)
-//     outside their audited home file, and non-atomic element access
-//     even inside it; and element stores into the read-only arrays of
-//     sparse.CSR and sparse.CSC outside internal/sparse, whose CSRs
-//     hand one converted row block to every caller.
+//     (the serve registry's model pointer, the shard ring pointer, the
+//     metrics histogram counters, the sparse CSR's row-block memo)
+//     outside their audited home file; and element stores into the
+//     read-only arrays of sparse.CSR and sparse.CSC outside
+//     internal/sparse, whose CSRs hand one converted row block to every
+//     caller.
 //
 // Findings are suppressed per line with
 //

@@ -38,8 +38,8 @@
 // untouched, bit for bit. The alternative (computing y[i] += 0*x[i])
 // would normalize -0 to +0 and turn Inf/NaN payloads in x into NaNs in
 // y, and historically the codebase disagreed with itself kernel by
-// kernel. The no-op is asserted for every variant (plain, atomic,
-// dense, sparse) by the kernel property tests. Scal is not in the
+// kernel. The no-op is asserted for every variant (dense and
+// sparse) by the kernel property tests. Scal is not in the
 // family: Scal(0, x) really does zero x (modulo 0·NaN = NaN,
 // 0·Inf = NaN), matching the BLAS convention.
 package mat

@@ -19,6 +19,7 @@ import (
 
 	"saco/internal/core"
 	"saco/internal/datagen"
+	"saco/internal/mat"
 	"saco/internal/sparse"
 )
 
@@ -70,7 +71,7 @@ func TestRefitLassoConverges(t *testing.T) {
 	if m.Kind != KindLasso || m.Lambda != lambda || m.TrainRows != a.M {
 		t.Fatalf("published provenance wrong: %+v", m)
 	}
-	obj := core.LassoObjective(residual(a, m.Dense(), data.B), m.Dense(), core.L1{Lambda: lambda})
+	obj := 0.5*mat.Nrm2Sq(0, residual(a, m.Dense(), data.B)) + core.L1{Lambda: lambda}.Value(m.Dense())
 	if d := relDiff(obj, seq.Objective); d > 1e-4 {
 		t.Fatalf("refit objective %.12e vs sequential %.12e (rel %.3e)\n%s", obj, seq.Objective, d, log.String())
 	}

@@ -23,9 +23,6 @@ func NewCOO(m, n int) *COO {
 	return &COO{m: m, n: n}
 }
 
-// Dims returns the matrix dimensions (rows, columns).
-func (c *COO) Dims() (int, int) { return c.m, c.n }
-
 // NNZ returns the number of stored entries (before duplicate merging).
 func (c *COO) NNZ() int { return len(c.vals) }
 

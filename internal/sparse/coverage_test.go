@@ -26,9 +26,6 @@ func TestAccessorsAndConversions(t *testing.T) {
 	}
 
 	coo := NewCOO(3, 2)
-	if m, n := coo.Dims(); m != 3 || n != 2 {
-		t.Fatal("COO.Dims")
-	}
 	coo.Add(1, 1, 4)
 	if coo.NNZ() != 1 {
 		t.Fatal("COO.NNZ")

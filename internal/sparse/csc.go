@@ -65,14 +65,6 @@ func (a *CSC) NNZ() int { return len(a.Val) }
 // ColNNZ returns the number of nonzeros in column j.
 func (a *CSC) ColNNZ(j int) int { return a.ColPtr[j+1] - a.ColPtr[j] }
 
-// Density returns NNZ/(M·N), the f of the paper's cost model (Table I).
-func (a *CSC) Density() float64 {
-	if a.M == 0 || a.N == 0 {
-		return 0
-	}
-	return float64(a.NNZ()) / (float64(a.M) * float64(a.N))
-}
-
 // ColNormSq returns ‖A_:j‖², the 1×1 Gram matrix of coordinate descent.
 func (a *CSC) ColNormSq(j int) float64 {
 	return mat.Nrm2Sq(0, a.Val[a.ColPtr[j]:a.ColPtr[j+1]])

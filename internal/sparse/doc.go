@@ -95,12 +95,12 @@
 // variant.
 //
 // Workspaces come from a process-wide free list, one per concurrent
-// Gram worker, never from the matrix: HOGWILD workers and kernel helpers
-// assemble Grams on one shared *CSC at once. One costs 4 bytes + 1 bit
-// per index (list heads and markers) plus 20 bytes per scattered entry
-// (a 16-byte node — float64 value, int32 link, int32 operand slot — and
-// a 4-byte hit); it grows to the largest batch seen and never shrinks,
-// and after the first call a Gram allocates nothing. The links are
+// Gram worker, never from the matrix: concurrent callers and kernel
+// helpers may assemble Grams on one shared *CSC at once. One costs 4
+// bytes + 1 bit per index (list heads and markers) plus 20 bytes per
+// scattered entry (a 16-byte node — float64 value, int32 link, int32
+// operand slot — and a 4-byte hit); it grows to the largest batch seen
+// and never shrinks, and after the first call a Gram allocates nothing. The links are
 // int32, so a worker's operands may store at most 2³¹−1 entries; a
 // larger batch panics before it scatters anything, and so does an index
 // outside [0, dim).

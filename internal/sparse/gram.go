@@ -40,12 +40,12 @@ type gramNode struct {
 }
 
 // gramFree holds idle workspaces. A Gram call takes one per worker and
-// hands it back, so concurrent callers on one shared matrix (HOGWILD
-// workers, rt.Ranges workers) never share scratch and steady-state
+// hands it back, so concurrent callers on one shared matrix (library
+// goroutines, rt.Ranges workers) never share scratch and steady-state
 // calls allocate nothing. It is a free list, not a sync.Pool: a GC
 // cycle empties a pool, and re-registering it allocates on the next
 // call. 64 slots is more than the Gram callers any solve runs at once
-// (kernel or HOGWILD workers); a workspace that finds the list full is
+// (kernel workers, simulated ranks); a workspace that finds the list full is
 // dropped, so the list retains at most 64 workspaces.
 var gramFree = make(chan *gramWorkspace, 64)
 

@@ -681,7 +681,7 @@ func TestGramEntryLimit(t *testing.T) {
 }
 
 // TestGramSharedMatrixConcurrent runs ColGram from 8 goroutines on one
-// shared *CSC — the HOGWILD access pattern of core/async.go — while
+// shared *CSC — library callers may solve on one matrix at once — while
 // a 4-worker view of the same storage assembles its own Gram, and the
 // same again by rows. The callers alternate batches of k = 8 and
 // k = 128, so workspaces sized for either cycle through the free list;

@@ -363,6 +363,21 @@ func TestCSRDensity(t *testing.T) {
 	}
 }
 
+// TestDenseViewDensity: Density counts stored entries over cells, so a
+// matrix that stores every entry reports 1 whatever its zeros.
+func TestDenseViewDensity(t *testing.T) {
+	a, err := NewCSR(4, 5, []int{0, 2, 4, 6, 7}, []int{0, 3, 1, 4, 0, 2, 3}, []float64{1, 2, -3, 0.5, 4, -1, 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := a.Density(); d != 7.0/20.0 {
+		t.Fatalf("CSR.Density() = %v, want %v", d, 7.0/20.0)
+	}
+	if d := storeAll(a).Density(); d != 1 {
+		t.Fatalf("dense CSR.Density() = %v, want 1", d)
+	}
+}
+
 // TestDenseViewsMatchSparse: a matrix with every entry stored (its
 // zeros explicit, so every row and column is a full operand) computes
 // what its sparse form computes.

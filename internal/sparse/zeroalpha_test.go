@@ -9,10 +9,10 @@ import (
 
 // One test per Axpy-family variant: alpha == 0 (or an all-zero
 // coefficient) must leave the destination untouched bit for bit — no
-// -0 → +0 normalization, no NaN produced from 0·Inf — in the plain
-// kernel AND its atomic mirror, for sparse matrices and for matrices
-// that store every entry (dense data). This pins the unified semantic documented in internal/mat
-// (historically mat.ScatterAxpy disagreed with the rest of the family).
+// -0 → +0 normalization, no NaN produced from 0·Inf — for sparse
+// matrices and for matrices that store every entry (dense data). This
+// pins the unified semantic documented in internal/mat (historically
+// mat.ScatterAxpy disagreed with the rest of the family).
 
 // poison returns a destination whose bits detect any write: NaN, ±Inf,
 // -0 and ordinary values.
@@ -71,17 +71,9 @@ func TestZeroAlphaCSCColMulAdd(t *testing.T) {
 	assertUntouched(t, "CSC.ColMulAdd", got, want)
 }
 
-func TestZeroAlphaCSCColMulAddAtomic(t *testing.T) {
-	_, c, _ := zeroAlphaFixture(t)
-	want := poison(c.M)
-	v := mat.NewAtomicVecFrom(want)
-	c.ColMulAddAtomic([]int{0, 2, 3}, []float64{0, 0, 0}, v)
-	assertUntouched(t, "CSC.ColMulAddAtomic", v.Snapshot(nil), want)
-}
-
 // TestZeroAlphaDenseColsPairConsistent: over full columns (the zeros
 // explicit, NaN and Inf stored) all-zero coefficients leave v untouched
-// in ColMulAdd and its atomic mirror alike.
+// in ColMulAdd.
 func TestZeroAlphaDenseColsPairConsistent(t *testing.T) {
 	_, _, rows := zeroAlphaFixture(t)
 	cols := rows.ToCSC()
@@ -89,9 +81,6 @@ func TestZeroAlphaDenseColsPairConsistent(t *testing.T) {
 	plain := append([]float64(nil), base...)
 	cols.ColMulAdd([]int{0, 2}, []float64{0, 0}, plain)
 	assertUntouched(t, "dense CSC.ColMulAdd", plain, base)
-	v := mat.NewAtomicVecFrom(base)
-	cols.ColMulAddAtomic([]int{0, 2}, []float64{0, 0}, v)
-	assertUntouched(t, "dense CSC.ColMulAddAtomic", v.Snapshot(nil), base)
 }
 
 func TestZeroAlphaMatAxpy(t *testing.T) {

@@ -26,9 +26,9 @@ import (
 // here the partitioning moves data between disk and RAM instead of
 // between ranks, and nothing about the arithmetic changes.
 //
-// The multicore and async backends do not apply (the view implements
-// neither the kernel-parallel capability nor atomic kernels); solves on
-// it run sequentially regardless of the Exec knob.
+// The multicore backend does not apply (the view does not implement the
+// kernel-parallel capability); solves on it run sequentially regardless
+// of the Exec knob.
 type ColStream struct {
 	d *Dataset
 }

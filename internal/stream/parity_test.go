@@ -1,10 +1,10 @@
 // Cross-backend × dataset-form parity harness: the ROADMAP determinism
 // matrix asserted in one table-driven place. Every past PR promised one
 // cell of this matrix ("multicore is bitwise", "streamed sequential is
-// bitwise", "async Lasso is 1e-6-convergent", "simulated runs don't care where
-// blocks come from"); this file runs the full cross product so a
-// regression in any representation × backend pair fails loudly, with
-// the dataset forms enumerated by internal/testmatrix.
+// bitwise", "simulated runs don't care where blocks come from"); this
+// file runs the full cross product so a regression in any
+// representation × backend pair fails loudly, with the dataset forms
+// enumerated by internal/testmatrix.
 package stream_test
 
 import (
@@ -98,44 +98,8 @@ func TestParityMatrixLasso(t *testing.T) {
 				testmatrix.SameFloats(t, "X", res.X, distRef.X)
 			})
 		}
-		// Async: tolerance-convergent on atomic-capable forms, a typed
-		// rejection on streamed ones.
-		t.Run(f.Name+"/async", func(t *testing.T) {
-			o := core.LassoOptions{Lambda: asyncLambda(t, f, d.B), Iters: asyncIters(), Seed: 1,
-				Exec: core.Exec{Backend: core.BackendAsync, Workers: 3}}
-			res, err := core.Lasso(f.Col, d.B, o)
-			if !f.Async {
-				if err == nil {
-					t.Fatal("async solve over a streamed view did not error")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			so := o
-			so.Exec = core.Exec{}
-			seq, err := core.Lasso(f.Col, d.B, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rd := testmatrix.RelDiff(res.Objective, seq.Objective); rd > 1e-6 {
-				t.Fatalf("async objective %.12e vs sequential %.12e (rel %.3e)", res.Objective, seq.Objective, rd)
-			}
-		})
 	}
 }
-
-// asyncLambda picks the convergence-friendly λ of the async cells
-// (0.2·λmax, the preset core's own async tests use).
-func asyncLambda(t *testing.T, f testmatrix.Form, b []float64) float64 {
-	t.Helper()
-	return 0.2 * core.LambdaMaxL1(f.Col, b)
-}
-
-// asyncIters gives the async cells enough iterations to actually reach
-// the optimum, where the 1e-6 comparison is meaningful.
-func asyncIters() int { return 12000 }
 
 func assertLassoBitwise(t *testing.T, got, want *core.LassoResult) {
 	t.Helper()
@@ -211,14 +175,6 @@ func TestParityMatrixSVM(t *testing.T) {
 				testmatrix.SameFloats(t, "X", res.X, distRef.X)
 			})
 		}
-		// Async runs only the plain Lasso: every form refuses it.
-		t.Run(f.Name+"/async", func(t *testing.T) {
-			o := opt
-			o.Exec = core.Exec{Backend: core.BackendAsync, Workers: 3}
-			if _, err := core.SVM(f.Row, d.B, o); err == nil {
-				t.Fatal("async SVM did not error")
-			}
-		})
 	}
 }
 

@@ -27,14 +27,6 @@ func poisonLower(g *mat.Dense) {
 // under the poison too.
 type kernelWorkers interface{ WithKernelWorkers(w int) any }
 
-// atomicCols are the extra kernels core's async backend needs; a
-// decorator embeds them when the matrix has them.
-type atomicCols interface {
-	core.ColMatrix
-	ColTMulVecAtomic(cols []int, v *mat.AtomicVec, dst []float64)
-	ColMulAddAtomic(cols []int, coef []float64, v *mat.AtomicVec)
-}
-
 type poisonCols struct{ core.ColMatrix }
 
 func (p poisonCols) ColGram(cols []int, dst *mat.Dense) {
@@ -44,27 +36,9 @@ func (p poisonCols) ColGram(cols []int, dst *mat.Dense) {
 
 func (p poisonCols) WithKernelWorkers(w int) any {
 	if kp, ok := p.ColMatrix.(kernelWorkers); ok {
-		return poisonColsOf(kp.WithKernelWorkers(w).(core.ColMatrix))
+		return poisonCols{kp.WithKernelWorkers(w).(core.ColMatrix)}
 	}
 	return p
-}
-
-type poisonAtomicCols struct{ atomicCols }
-
-func (p poisonAtomicCols) ColGram(cols []int, dst *mat.Dense) {
-	p.atomicCols.ColGram(cols, dst)
-	poisonLower(dst)
-}
-
-func (p poisonAtomicCols) WithKernelWorkers(w int) any {
-	return poisonCols{p.atomicCols}.WithKernelWorkers(w)
-}
-
-func poisonColsOf(a core.ColMatrix) core.ColMatrix {
-	if at, ok := a.(atomicCols); ok {
-		return poisonAtomicCols{at}
-	}
-	return poisonCols{a}
 }
 
 type poisonRows struct{ core.RowMatrix }
@@ -76,25 +50,21 @@ func (p poisonRows) RowGram(rows []int, dst *mat.Dense) {
 
 func (p poisonRows) WithKernelWorkers(w int) any {
 	if kp, ok := p.RowMatrix.(kernelWorkers); ok {
-		return poisonRowsOf(kp.WithKernelWorkers(w).(core.RowMatrix))
+		return poisonRows{kp.WithKernelWorkers(w).(core.RowMatrix)}
 	}
 	return p
 }
-
-func poisonRowsOf(a core.RowMatrix) core.RowMatrix { return poisonRows{a} }
 
 // TestSolversReadUpperTriangleOnly holds the one-triangle convention on
 // the solver side: a matrix whose every Gram comes back with a NaN of
 // its own payload in each strict-lower entry must give the same X, bit
 // for bit, as the matrix itself — so no solver reads below the
 // diagonal. The cells are every dataset form (in-memory sparse, the
-// same with every entry stored, streamed CSR and CSC) under the sequential backend, multicore
-// at 2 and 3 workers, and the async Lasso with one worker where the
-// form has atomic kernels (the async SVM cells assert its refusal); the
-// solves are Lasso plain and accelerated at s ∈ {1, 16}, SVM-L1 and
-// SVM-L2. The simulated cluster reduces the
-// Gram itself, so its cells poison the reduced Gram inside package dist
-// (TestDistReadsUpperTriangleOnly).
+// same with every entry stored, streamed CSR and CSC) under the
+// sequential backend and multicore at 2 and 3 workers; the solves are
+// Lasso plain and accelerated at s ∈ {1, 16}, SVM-L1 and SVM-L2. The
+// simulated cluster reduces the Gram itself, so its cells poison the
+// reduced Gram inside package dist (TestDistReadsUpperTriangleOnly).
 func TestSolversReadUpperTriangleOnly(t *testing.T) {
 	reg := datagen.Regression("triu-lasso", 21, 256, 64, 0.12, 8, 0.1)
 	cls := datagen.Classification("triu-svm", 23, 256, 48, 0.15, 0.05)
@@ -106,7 +76,6 @@ func TestSolversReadUpperTriangleOnly(t *testing.T) {
 		{"multicore-2", core.Exec{Backend: core.BackendMulticore, Workers: 2}},
 		{"multicore-3", core.Exec{Backend: core.BackendMulticore, Workers: 3}},
 	}
-	async := core.Exec{Backend: core.BackendAsync, Workers: 1}
 
 	for _, f := range testmatrix.Forms(t, reg.AsCSR(), reg.B, 32) {
 		lasso := func(name string, o core.LassoOptions) {
@@ -115,7 +84,7 @@ func TestSolversReadUpperTriangleOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := core.Lasso(poisonColsOf(f.Col), reg.B, o)
+				got, err := core.Lasso(poisonCols{f.Col}, reg.B, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,9 +99,6 @@ func TestSolversReadUpperTriangleOnly(t *testing.T) {
 				}
 			}
 		}
-		if f.Async {
-			lasso("lasso/async-1", core.LassoOptions{Lambda: 0.4, Iters: 128, BlockSize: 4, Seed: 42, Exec: async})
-		}
 	}
 
 	for _, f := range testmatrix.Forms(t, cls.AsCSR(), cls.B, 32) {
@@ -142,7 +108,7 @@ func TestSolversReadUpperTriangleOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := core.SVM(poisonRowsOf(f.Row), cls.B, o)
+				got, err := core.SVM(poisonRows{f.Row}, cls.B, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,13 +119,6 @@ func TestSolversReadUpperTriangleOnly(t *testing.T) {
 		for _, loss := range []core.SVMLoss{core.SVML1, core.SVML2} {
 			for _, ex := range execs {
 				svm(fmt.Sprintf("%v/%s", loss, ex.name), core.SVMOptions{Lambda: 1, Loss: loss, Iters: 256, S: 16, Seed: 9, Exec: ex.exec})
-			}
-			if f.Async {
-				t.Run(fmt.Sprintf("%s/%v/async-1", f.Name, loss), func(t *testing.T) {
-					if _, err := core.SVM(poisonRowsOf(f.Row), cls.B, core.SVMOptions{Lambda: 1, Loss: loss, Iters: 256, Seed: 9, Exec: async}); err == nil {
-						t.Fatal("async SVM ran; async runs only the plain Lasso")
-					}
-				})
 			}
 		}
 	}

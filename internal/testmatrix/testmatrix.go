@@ -1,6 +1,6 @@
 // Package testmatrix enumerates the dataset forms of the ROADMAP
 // determinism matrix so parity tests can run every execution backend
-// (sequential, multicore, simulated, hybrid rank×thread, async) over
+// (sequential, multicore, simulated, hybrid rank×thread) over
 // every data representation (in-memory CSR/CSC, the same matrix with
 // every entry stored, and streamed stores in each layout) from one
 // table-driven loop. It is a test-support package: production code must
@@ -11,19 +11,14 @@
 //   - sequential, multicore, simulated and hybrid runs are bitwise
 //     deterministic — identical trajectories whatever form the data
 //     takes;
-//   - async (HOGWILD!) Lasso runs are tolerance-convergent
-//     (1e-6-relative objective against the sequential optimum) and only
-//     exist for the in-memory forms, which provide atomic kernels; an
-//     async SVM is refused on every form;
 //   - streamed forms run their kernels sequentially under every local
 //     backend knob, so multicore requests degrade to (bitwise-equal)
-//     sequential execution and async requests are rejected.
+//     sequential execution.
 package testmatrix
 
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"saco/internal/core"
@@ -44,10 +39,6 @@ type Form struct {
 	Row core.RowMatrix
 	// Source feeds the simulated cluster's block loaders.
 	Source dist.Source
-	// Async reports whether the form's Col view provides the atomic
-	// kernels the async Lasso needs; async solves over !Async forms must
-	// error.
-	Async bool
 	// Dataset is the backing store of streamed forms (counter
 	// assertions); nil for in-memory forms.
 	Dataset *stream.Dataset
@@ -66,11 +57,11 @@ func Forms(tb testing.TB, a *sparse.CSR, b []float64, blockRows int) []Form {
 	forms := []Form{
 		{
 			Name: "inmem-sparse", Col: a.ToCSC(), Row: a,
-			Source: dist.CSRSource{A: a}, Async: true,
+			Source: dist.CSRSource{A: a},
 		},
 		{
 			Name: "inmem-dense", Col: dense.ToCSC(), Row: dense,
-			Source: dist.CSRSource{A: dense}, Async: true,
+			Source: dist.CSRSource{A: dense},
 		},
 	}
 	var buf bytes.Buffer
@@ -136,8 +127,8 @@ func TransportKinds() []dist.Transport {
 	return []dist.Transport{dist.TransportSim, dist.TransportTCP}
 }
 
-// SameFloats asserts two vectors are bitwise identical (the matrix's
-// deterministic cells).
+// SameFloats asserts two vectors are bitwise identical, the comparison
+// of every cell of the matrix.
 func SameFloats(tb testing.TB, what string, got, want []float64) {
 	tb.Helper()
 	if len(got) != len(want) {
@@ -148,12 +139,4 @@ func SameFloats(tb testing.TB, what string, got, want []float64) {
 			tb.Fatalf("%s[%d]: %.17g != %.17g", what, i, got[i], want[i])
 		}
 	}
-}
-
-// RelDiff returns |x−y| / max(|x|, |y|, 1), the tolerance metric of the
-// matrix's async cells.
-func RelDiff(x, y float64) float64 {
-	d := math.Abs(x - y)
-	scale := math.Max(math.Max(math.Abs(x), math.Abs(y)), 1)
-	return d / scale
 }

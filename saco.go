@@ -89,19 +89,15 @@ const (
 
 // Execution-backend selection: every solve runs sequentially by default;
 // BackendMulticore forks its matrix kernels across shared-memory
-// executors where the work pays for a fork; BackendAsync runs lock-free HOGWILD!-style
-// plain-Lasso workers against one shared atomic iterate; and the simulated
-// cluster (DistLasso / DistSVM) models distributed execution,
-// optionally hybrid rank×thread via Cluster.RankWorkers. Multicore
-// execution parallelizes only independent output elements with unchanged
-// summation order, so iterates are bitwise identical to the sequential
-// backend — the shared-memory counterpart of the paper's same-sequence
-// claim. Async execution keeps only convergence: runs reach the same
-// optimum (tolerance-convergent) but are not reproducible step for step.
-// It exists for the plain Lasso alone, where it measurably wins.
+// executors where the work pays for a fork; and the simulated cluster
+// (DistLasso / DistSVM) models distributed execution, optionally hybrid
+// rank×thread via Cluster.RankWorkers. Multicore execution parallelizes
+// only independent output elements with unchanged summation order, so
+// iterates are bitwise identical to the sequential backend — the
+// shared-memory counterpart of the paper's same-sequence claim.
 type (
 	// Exec selects the execution backend of one solve (LassoOptions.Exec,
-	// SVMOptions.Exec; the SVM refuses BackendAsync).
+	// SVMOptions.Exec).
 	Exec = core.Exec
 	// Backend enumerates the shared-memory backends.
 	Backend = core.Backend
@@ -111,7 +107,6 @@ type (
 const (
 	BackendSequential = core.BackendSequential
 	BackendMulticore  = core.BackendMulticore
-	BackendAsync      = core.BackendAsync
 )
 
 // Multicore returns an Exec selecting the multicore backend with w
@@ -121,18 +116,6 @@ func Multicore(w int) Exec {
 		w = 0
 	}
 	return Exec{Backend: core.BackendMulticore, Workers: w}
-}
-
-// Async returns an Exec selecting the lock-free asynchronous backend
-// with w solver workers; w <= 0 uses every core (GOMAXPROCS). It runs
-// the plain Lasso only: an async SVM or accelerated Lasso is an error.
-// Async solves converge to the sequential optimum but are not
-// deterministic, and objective tracking (TrackEvery) is skipped.
-func Async(w int) Exec {
-	if w < 0 {
-		w = 0
-	}
-	return Exec{Backend: core.BackendAsync, Workers: w}
 }
 
 // Matrix and dataset types.
