@@ -19,14 +19,16 @@
 // 1.24, go test -bench): an empty region forked at width 2
 // (BenchmarkForkEmpty) costs 0.92 µs and 2 allocations (64 B), and the
 // cheapest kernel step, a cached gather dot (CSC.ColTMulVec over
-// columns of 82 entries), costs 1.4–1.6 ns per entry. At 2¹⁴ entries an
-// executor's share is about 25 µs, so the fork costs at most ~4 % of
-// it, while the solvers' per-iteration blocks (µ = 8 operands of ~80
-// entries) stay far below the threshold and run inline. The same host
-// showed that forking pays less than the arithmetic suggests: a
-// 400-column ColTMulVec (32 800 entries, two executors) took 76–80 µs
-// against 47–55 µs inline, because memory-bound gathers do not scale on
-// its two vCPUs; whether a larger threshold earns its width elsewhere
+// columns of 82 entries, four columns a group; sparse's
+// BenchmarkColTMulVec, µ = 8 warm and 400 columns inline), costs
+// 0.6–0.75 ns per entry. At 2¹⁴ entries an executor's share is about
+// 11 µs, so the fork costs at most ~8 % of it, while the solvers'
+// per-iteration blocks (µ = 8 operands of ~80 entries) stay far below
+// the threshold and run inline. The same host showed that forking pays
+// less than the arithmetic suggests: a 400-column ColTMulVec (32 800
+// entries, two executors) took 25.5–26.8 µs against 22.6–24.1 µs
+// inline, because memory-bound gathers do not scale on its two vCPUs;
+// whether a larger threshold earns its width elsewhere
 // is a question for a width sweep, not for this constant.
 //
 // The determinism contract: a parallel kernel partitions only

@@ -73,29 +73,14 @@ func (a *CSC) ColNormSq(j int) float64 {
 // ColTMulVec computes dst[k] = A_:cols[k] · v, i.e. dst = A_Sᵀ·v. This is
 // the dot-product step of Fig. 1 (lines 8–9 of Alg. 1); in the distributed
 // layout each rank calls it on its local row block and the results are
-// summed by an Allreduce.
+// summed by an Allreduce. It is ColTMulVecAcc on a cleared dst: every
+// sum starts at +0 either way.
 func (a *CSC) ColTMulVec(cols []int, v []float64, dst []float64) {
 	if len(v) != a.M || len(dst) != len(cols) {
 		panic(fmt.Sprintf("sparse: ColTMulVec shape mismatch A=%dx%d len(v)=%d", a.M, a.N, len(v)))
 	}
-	// Each dst[k] is an independent column dot with a fixed summation
-	// order, so partitioning the output keeps results bitwise identical.
-	// The closure exists only on the forking path: it escapes into the
-	// helper goroutines, and the s = 1 solvers call this once per
-	// iteration.
-	if w := forkWidth(a.KernelWorkers(), a.ColPtr, cols, 0); w > 1 {
-		rt.For(w, len(cols), func(lo, hi int) { a.colTMulVec(cols, v, dst, lo, hi) })
-	} else {
-		a.colTMulVec(cols, v, dst, 0, len(cols))
-	}
-}
-
-func (a *CSC) colTMulVec(cols []int, v, dst []float64, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		j := cols[k]
-		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		dst[k] = gatherDot(0, a.Val[p0:p1], a.RowIdx[p0:p1], v)
-	}
+	clear(dst)
+	a.ColTMulVecAcc(cols, v, dst)
 }
 
 // ColMulAdd computes v += A_S·coef, the residual update z̃ += A_h·Δz
@@ -141,9 +126,17 @@ func (a *CSC) ColTMulVecAcc(cols []int, v []float64, dst []float64) {
 	if len(v) != a.M || len(dst) != len(cols) {
 		panic(fmt.Sprintf("sparse: ColTMulVecAcc shape mismatch A=%dx%d len(v)=%d", a.M, a.N, len(v)))
 	}
-	for k, j := range cols {
-		p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
-		dst[k] = gatherDot(dst[k], a.Val[p0:p1], a.RowIdx[p0:p1], v)
+	// Each dst[k] is an independent column dot with a fixed summation
+	// order, so partitioning the output keeps results bitwise identical.
+	// The closure exists only on the forking path: it escapes into the
+	// helper goroutines, and the s = 1 solvers call this once per
+	// iteration.
+	if w := forkWidth(a.KernelWorkers(), a.ColPtr, cols, 0); w > 1 {
+		rt.For(w, len(cols), func(lo, hi int) {
+			gatherDots(a.ColPtr, a.RowIdx, a.Val, v, cols[lo:hi], dst[lo:hi])
+		})
+	} else {
+		gatherDots(a.ColPtr, a.RowIdx, a.Val, v, cols, dst)
 	}
 }
 

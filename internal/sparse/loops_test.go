@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -81,6 +82,118 @@ func TestGatherLoops(t *testing.T) {
 	mustPanic("fullDot", func() { fullDot(0, x, short) })
 }
 
+// groupedCase builds a CSC whose columns have the given lengths (a
+// length must not exceed m), rows spread over [0, m) at random, and
+// values drawn from pool.
+func groupedCase(rng *rand.Rand, m int, lens []int, pool func() float64) *CSC {
+	colPtr := []int{0}
+	var rowIdx []int
+	var val []float64
+	for _, l := range lens {
+		step := m / max(l, 1)
+		for q := 0; q < l; q++ {
+			rowIdx = append(rowIdx, q*step+rng.Intn(step))
+			val = append(val, pool())
+		}
+		colPtr = append(colPtr, len(val))
+	}
+	return &CSC{M: m, N: len(lens), ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
+// TestGroupedGatherMatchesGatherDot: ColTMulVec and ColTMulVecAcc run
+// gatherDots, four columns a group, and every dst[k] must still have
+// the bits of refGatherDot over its own column, from +0 or from the
+// running sum already in dst. The table spans 0–9, 13 and 16 columns
+// (every remainder of the group width, several groups); equal and
+// unequal lengths, one empty column, all columns empty, a column
+// repeated inside a group; entries and vectors with −0, ±Inf, NaN and
+// subnormals; and, on columns long enough that the work rule forks,
+// two kernel workers.
+func TestGroupedGatherMatchesGatherDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	specials := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 2.2e-310}
+	plain := func() float64 { return rng.NormFloat64() }
+	special := func() float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	shapes := []struct {
+		name   string
+		length func(c, n, base int) int
+		repeat bool
+	}{
+		{"equal", func(c, n, base int) int { return base }, false},
+		{"unequal", func(c, n, base int) int { return base + (c*5+3)%7*base/7 }, false},
+		{"one-empty", func(c, n, base int) int {
+			if c == min(2, n-1) {
+				return 0
+			}
+			return base + (c*5+3)%7*base/7
+		}, false},
+		{"all-empty", func(c, n, base int) int { return 0 }, false},
+		{"repeat", func(c, n, base int) int { return base + (c*5+3)%7*base/7 }, true},
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16} {
+		for _, sh := range shapes {
+			for _, values := range []struct {
+				name string
+				draw func() float64
+			}{{"plain", plain}, {"special", special}} {
+				for _, workers := range []int{1, 2} {
+					// At two workers the selected columns hold past
+					// 2·2¹⁴ entries (bar the empty ones), so the work
+					// rule forks.
+					m, base := 64, 20
+					if workers == 2 {
+						base = (4 << 14) / max(n, 1)
+						m = 4 * base
+					}
+					lens := make([]int, n)
+					for c := range lens {
+						lens[c] = sh.length(c, n, base)
+					}
+					a := groupedCase(rng, m, lens, values.draw)
+					cols := identity(n)
+					if sh.repeat && n >= 2 {
+						cols[min(2, n-1)] = cols[0]
+					}
+					x := make([]float64, m)
+					for i := range x {
+						x[i] = values.draw()
+					}
+					pa := a.WithKernelWorkers(workers).(*CSC)
+					if w := forkWidth(workers, a.ColPtr, cols, 0); workers == 2 && n >= 2 && sh.name != "all-empty" && w != 2 {
+						t.Fatalf("n=%d %s: the work rule grants %d executors; the case must fork", n, sh.name, w)
+					}
+					name := fmt.Sprintf("n=%d/%s/%s/workers=%d", n, sh.name, values.name, workers)
+
+					got, want := make([]float64, n), make([]float64, n)
+					for k := range got {
+						got[k] = math.NaN() // ColTMulVec must clear it
+						j := cols[k]
+						want[k] = refGatherDot(0, a.Val[a.ColPtr[j]:a.ColPtr[j+1]], a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]], x)
+					}
+					pa.ColTMulVec(cols, x, got)
+					if !loopBitsEq(got, want) {
+						t.Fatalf("%s: ColTMulVec %v, want %v", name, got, want)
+					}
+					for k := range got {
+						got[k] = values.draw() + 1.5 // a nonzero start
+						j := cols[k]
+						want[k] = refGatherDot(got[k], a.Val[a.ColPtr[j]:a.ColPtr[j+1]], a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]], x)
+					}
+					pa.ColTMulVecAcc(cols, x, got)
+					if !loopBitsEq(got, want) {
+						t.Fatalf("%s: ColTMulVecAcc %v, want %v", name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSpMVRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const rows, cols = 17, 29
@@ -111,11 +224,13 @@ func TestSpMVRows(t *testing.T) {
 	}
 }
 
-// FuzzGatherLoops drives gatherDot, fullDot and spmvRows (one CSR
-// row per 16-byte record, its indices the records' low bytes, sorted
-// and without repeats within a row) with arbitrary bit patterns —
-// NaNs, infinities, denormals, -0 — and checks each against its
-// reference loop.
+// FuzzGatherLoops drives gatherDot, fullDot, spmvRows (one CSR row per
+// 16-byte record, its indices the records' low bytes, sorted and
+// without repeats within a row) and gatherDots (the same rows read as
+// CSC columns, selected with repeats by the records' second bytes,
+// from the records' y words) with arbitrary bit patterns — NaNs,
+// infinities, denormals, -0 — and checks each against its reference
+// loop.
 func FuzzGatherLoops(f *testing.F) {
 	f.Add([]byte{}, 0.0)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1.5)
@@ -174,6 +289,18 @@ func FuzzGatherLoops(f *testing.F) {
 		}
 		if !loopBitsEq(got, want) {
 			t.Fatalf("spmvRows mismatch")
+		}
+		cols := make([]int, n)
+		for k := range cols {
+			cols[k] = int(data[k*16+1]) % n
+		}
+		copy(got, y)
+		gatherDots(csrPtr, csrIdx, csrVal, x, cols, got)
+		for k, j := range cols {
+			want[k] = refGatherDot(y[k], csrVal[csrPtr[j]:csrPtr[j+1]], csrIdx[csrPtr[j]:csrPtr[j+1]], x)
+		}
+		if !loopBitsEq(got, want) {
+			t.Fatalf("gatherDots mismatch")
 		}
 	})
 }

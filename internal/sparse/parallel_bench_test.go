@@ -267,3 +267,37 @@ func BenchmarkRowGram(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkColTMulVec measures the product dst = A_Sᵀ·v of Alg. 1
+// lines 8–9 on the repo benchmark's Lasso matrix (16 384 × 8 192, 82
+// uniform rows per column, density 0.005): the s = 1 block of µ = 8
+// columns warm (the same columns every op) and cold (each op the next
+// of a pool of column sets sampled with repeats that together read
+// the matrix about once, as consecutive core.Lasso iterations do), and
+// 400 columns (32 800 entries, past the work rule at two executors) at
+// one and two kernel workers.
+func BenchmarkColTMulVec(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	lasso := uniformCSC(rng, 16384, 8192, 82)
+	v := randVec(rng, lasso.M)
+	run := func(b *testing.B, a *CSC, pool [][]int) {
+		dst := make([]float64, len(pool[0]))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.ColTMulVec(pool[i%len(pool)], v, dst)
+		}
+	}
+	b.Run("k=8/warm", func(b *testing.B) { run(b, lasso, [][]int{sampleWithRepeats(rng, lasso.N, 8)}) })
+	b.Run("k=8/cold", func(b *testing.B) {
+		pool := make([][]int, lasso.N/8)
+		for i := range pool {
+			pool[i] = sampleWithRepeats(rng, lasso.N, 8)
+		}
+		run(b, lasso, pool)
+	})
+	wide := [][]int{sampleWithRepeats(rng, lasso.N, 400)}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("k=400/workers=%d", w), func(b *testing.B) { run(b, lasso.WithKernelWorkers(w).(*CSC), wide) })
+	}
+}

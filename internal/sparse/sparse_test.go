@@ -538,6 +538,24 @@ func TestSequentialRowKernelsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestSequentialColKernelsAllocateNothing: on a sequential matrix
+// ColTMulVec and ColTMulVecAcc run inline and the group's accumulators
+// stay on the stack, so a warm call allocates nothing — the s = 1
+// solvers call ColTMulVec once per iteration.
+func TestSequentialColKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, a := range []*CSC{randCSR(rng, 60, 40, 0.2).ToCSC(), storeAll(randCSR(rng, 20, 10, 0.3)).ToCSC()} {
+		cols := []int{0, 3, 3, 1, 2, a.N - 1}
+		v, dst := randVec(rng, a.M), make([]float64, len(cols))
+		if n := testing.AllocsPerRun(50, func() {
+			a.ColTMulVec(cols, v, dst)
+			a.ColTMulVecAcc(cols, v, dst)
+		}); n != 0 {
+			t.Fatalf("%v allocations per sequential ColTMulVec + ColTMulVecAcc, want 0", n)
+		}
+	}
+}
+
 // Property: Gram matrices are symmetric PSD (all Rayleigh quotients >= 0).
 func TestColGramPSDProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -85,6 +85,14 @@ plant "Gram entries summed in descending index" internal/sparse/gram.go \
 plant "hoisted product (gatherDot) reversed" internal/sparse/loops.go \
     's/for k, j := range idx \{\n(\s*)acc \+= val\[k\] \* x\[j\]/for k := len(idx) - 1; k >= 0; k-- {\n$1acc += val[k] * x[idx[k]]/'
 
+# The column product runs four chains at once over a group's common
+# length and finishes each column's tail after its head. Summing one
+# column's tail before its head keeps every term and changes only the
+# order: the kernel's oracle and the solvers' goldens must both see it.
+tailfirst='s/s := \[4\]float64\{dst\[k\],/s := [4]float64{gatherDot(dst[k], v0[n:], i0[n:], x),/; s/dst\[k\] = gatherDot\(s\[0\], v0\[n:\], i0\[n:\], x\)/dst[k] = s[0]/'
+plant "grouped product: a tail summed before its head" internal/sparse/loops.go "$tailfirst"
+plant "grouped product: a tail summed before its head, solver pin" internal/sparse/loops.go "$tailfirst" internal/core
+
 # Numbering the ranks from the top keeps every rank's result the same
 # sum, but at P = 3 it is v0 + (v1 + v2) instead of the binomial tree's
 # (v0 + v1) + v2. (Swapping the operands of one addition is no such
